@@ -399,31 +399,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _limit_threads():
+    """Apply the HALLUCINET_THREADS cap to the BLAS pools numpy has loaded.
+
+    BLAS reads thread variables from the environment only when it loads,
+    which has happened by now, so the cap needs threadpoolctl; without it
+    a warning says that the cap was not applied.
+    """
     cap = os.environ.get("HALLUCINET_THREADS")
     if not cap:
         return
     try:
+        threads = int(cap)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"HALLUCINET_THREADS must be a positive integer, got {cap!r}")
+    try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+    except ImportError:
+        print("warning: threadpoolctl is not installed; HALLUCINET_THREADS was not applied",
+              file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(threads)
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .model import MissingModalityError
+    from .model import CheckpointError, MissingModalityError
     from .train import DivergenceError
 
     try:
+        _limit_threads()
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MismatchError as exc:
+    except (MismatchError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except DivergenceError as exc:

@@ -3,8 +3,15 @@
 Standard precision is float32; float64 exists for finite-difference
 gradient oracles. Every op verifies its output is finite and raises
 NonFiniteError otherwise.
+
+`requires_grad` alone decides what is differentiated: an op whose inputs
+all have it off records no graph edge, so a frozen prefix of a network
+(or a whole forward pass under `frozen`) costs no backward work and
+holds no activations for it.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -84,17 +91,39 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, optionally trainable leaf tensor of a model."""
+    """A named leaf tensor of a model; `requires_grad=False` holds it fixed."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, trainable: bool = True, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype, op="parameter")
+    def __init__(self, data, name: str, requires_grad: bool = True, dtype=None):
+        super().__init__(data, requires_grad=requires_grad, dtype=dtype, op="parameter")
         self.name = name
-        self.trainable = trainable
+
+    @property
+    def trainable(self) -> bool:
+        return self.requires_grad
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
+        return (f"Parameter({self.name!r}, shape={self.data.shape}, "
+                f"requires_grad={self.requires_grad})")
+
+
+@contextmanager
+def frozen(params):
+    """Hold `params` fixed for the block: `requires_grad` off, restored on exit.
+
+    Ops that read only frozen parameters and constants build no graph, so
+    a forward pass with every parameter frozen builds none at all.
+    """
+    params = list(params)
+    saved = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, saved):
+            p.requires_grad = flag
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -222,18 +251,36 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(node: Tensor):
+    raise ValueError(f"backward reached a released {node.op} node: "
+                     "its graph was already differentiated")
+
+
 def backward(root: Tensor):
-    """Populate .grad for every tensor reachable from a scalar root.
+    """Populate .grad for every leaf reachable from a scalar root.
 
     Each node's backward hook runs exactly once, in reverse topological
     order, so repeated runs on the same values give bit-identical grads.
+    The graph is released as the pass goes: once its hook has run, a
+    non-leaf node drops the hook, its parent links and its gradient, so
+    activations are freed before the pass ends. Leaves keep their grads.
+    A released node keeps a hook that raises, and a backward that would
+    reach one raises ValueError before touching any gradient.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
     if not root.requires_grad:
         raise ValueError("backward root does not require grad")
     order = topo_order(root)
+    for node in order:
+        if node._backward is _released:
+            _released(node)
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node)
+        hook = node._backward
+        if hook is None:
+            continue
+        hook(node)
+        node._backward = _released
+        node.parents = ()
+        node.grad = None

@@ -179,8 +179,10 @@ def tiled_inference(bundle: ModelBundle, rasters: dict[str, np.ndarray],
     a tile edge; with a halo at least the receptive-field radius this
     makes interior predictions independent of the tiling.
     """
-    if tile % 32:
-        raise ValueError("tile size must be divisible by 32")
+    factor = bundle.config.downsample_factor
+    if tile % factor:
+        raise ValueError(f"tile size {tile} must be divisible by the model's "
+                         f"downsample factor {factor}")
     if not 0 <= halo < tile // 2:
         raise ValueError("halo must be smaller than half the tile")
     if predictor is None:

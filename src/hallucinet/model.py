@@ -10,6 +10,7 @@ restoring input resolution. The activation after the pooling layer at
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,7 @@ from .engine import (
     bilinear_kernel,
     channel_softmax,
     conv2d,
+    frozen,
     maxpool2,
     mul,
     relu,
@@ -32,10 +34,15 @@ from .engine import (
 )
 
 CHECKPOINT_MAGIC = b"HCKP"
+CHECKPOINT_VERSION = 1
 
 
 class MissingModalityError(RuntimeError):
     """A selected branch has no input raster to consume."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is truncated, corrupt or of an unknown format version."""
 
 
 @dataclass(frozen=True)
@@ -276,15 +283,19 @@ def select_branches(bundle: ModelBundle, availability: dict[str, bool]) -> list[
 
 def predict_probs(bundle: ModelBundle, inputs: dict[str, np.ndarray],
                   availability: dict[str, bool]) -> np.ndarray:
-    """Fused per-pixel class probabilities (softmax of mean raw scores)."""
+    """Fused per-pixel class probabilities (softmax of mean raw scores).
+
+    The forward runs with every parameter frozen, so it builds no graph.
+    """
     selected = select_branches(bundle, availability)
     logits = []
-    for role in selected:
-        mod = bundle.input_modality(role)
-        if mod not in inputs:
-            raise MissingModalityError(f"branch {role} needs modality {mod!r}")
-        logits.append(bundle.branches[role].forward(inputs[mod], "infer").logits)
-    return channel_softmax(fuse_logits(logits)).data
+    with frozen(bundle.parameters()):
+        for role in selected:
+            mod = bundle.input_modality(role)
+            if mod not in inputs:
+                raise MissingModalityError(f"branch {role} needs modality {mod!r}")
+            logits.append(bundle.branches[role].forward(inputs[mod], "infer").logits)
+        return channel_softmax(fuse_logits(logits)).data
 
 
 def predict(bundle: ModelBundle, inputs: dict[str, np.ndarray],
@@ -307,7 +318,11 @@ def ensemble_predict(bundle_a: ModelBundle, bundle_b: ModelBundle,
 # -- checkpoint io -----------------------------------------------------------
 
 def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
-    """One file: JSON header (config, roles, stage) + named tensor records."""
+    """One file: JSON header (config, roles, stage) + named tensor records.
+
+    The bytes go to a temporary file in the target directory, which then
+    replaces `path` in one step, so a reader never sees a partial file.
+    """
     tensors: dict[str, np.ndarray] = {}
     branch_meta = []
     for role in sorted(bundle.branches):
@@ -319,7 +334,7 @@ def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
             tensors[name] = arr.astype(np.float32)
     header = {
         "format": "hallucinet-checkpoint",
-        "format_version": 1,
+        "format_version": CHECKPOINT_VERSION,
         "stage": stage if stage is not None else bundle.stage,
         "config": bundle.config.to_json(),
         "role_modalities": bundle.role_modalities,
@@ -327,27 +342,53 @@ def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
         "tensors": list(tensors),
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name in header["tensors"]:
-            fh.write(tensor_to_bytes(tensors[name]))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for name in header["tensors"]:
+                fh.write(tensor_to_bytes(tensors[name]))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path) -> ModelBundle:
-    blob = Path(path).read_bytes()
+def _read_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and tensor records of a checkpoint file's bytes."""
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("not a checkpoint file (bad magic)")
+        raise CheckpointError("not a checkpoint file (bad magic)")
     (hlen,) = struct.unpack_from("<I", blob, 4)
     header = json.loads(blob[8:8 + hlen].decode("utf-8"))
     if header.get("format") != "hallucinet-checkpoint":
-        raise ValueError("not a checkpoint file (bad header)")
+        raise CheckpointError("not a checkpoint file (bad header)")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint format version {header.get('format_version')!r}")
     offset = 8 + hlen
     tensors: dict[str, np.ndarray] = {}
     for name in header["tensors"]:
         arr, offset = tensor_from_bytes(blob, offset)
         tensors[name] = arr
+    if offset != len(blob):
+        raise CheckpointError(f"{len(blob) - offset} trailing bytes after the last tensor")
+    return header, tensors
+
+
+def load_checkpoint(path) -> ModelBundle:
+    """Rebuild a bundle; any defect of the file raises CheckpointError."""
+    blob = Path(path).read_bytes()
+    try:
+        return _bundle_from_checkpoint(*_read_checkpoint(blob))
+    except CheckpointError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+
+
+def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> ModelBundle:
     config = BranchConfig.from_json(header["config"])
     branches: dict[str, BranchNet] = {}
     rng = np.random.default_rng(0)  # values are overwritten below
@@ -356,13 +397,12 @@ def load_checkpoint(path) -> ModelBundle:
         branch = BranchNet(config, int(meta["input_channels"]), role, rng)
         for p in branch.parameters():
             if p.name not in tensors:
-                raise ValueError(f"checkpoint missing tensor {p.name}")
+                raise CheckpointError(f"checkpoint missing tensor {p.name}")
             if tensors[p.name].shape != p.data.shape:
-                raise ValueError(f"checkpoint tensor {p.name} has wrong shape")
+                raise CheckpointError(f"checkpoint tensor {p.name} has wrong shape")
             p.data = tensors[p.name].astype(branch.dtype)
         branch.set_buffers({name: tensors[name] for name in branch.buffers()})
         branches[role] = branch
-    bundle = ModelBundle(config=config, branches=branches,
-                         role_modalities=dict(header["role_modalities"]),
-                         stage=header.get("stage", "init"))
-    return bundle
+    return ModelBundle(config=config, branches=branches,
+                       role_modalities=dict(header["role_modalities"]),
+                       stage=header.get("stage", "init"))

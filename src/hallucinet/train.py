@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetManifest, PatchSampler, PatchSpec, class_frequencies
-from .engine import NonFiniteError, Parameter, backward
+from .engine import NonFiniteError, Parameter, backward, frozen
 from .losses import (
     ClassWeights,
     GammaPolicy,
@@ -85,14 +85,18 @@ def clip_gradients(grads, threshold: float):
 
 
 def adam_step(params: list[Parameter], grads, state: AdamState):
-    """Bias-corrected Adam update; frozen parameters are left untouched."""
+    """Bias-corrected Adam update of the parameters that require grad.
+
+    A parameter with no gradient, or with `requires_grad` off (frozen), is
+    skipped entirely: it is not moved and no m/v moments are kept for it.
+    """
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
     for p, g in zip(params, grads):
-        if g is None:
+        if g is None or not p.requires_grad:
             continue
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for {p.name}")
@@ -105,15 +109,18 @@ def adam_step(params: list[Parameter], grads, state: AdamState):
         v = b2 * v + (1.0 - b2) * g * g
         state.m[p.name] = m
         state.v[p.name] = v
-        if not p.trainable:
-            continue
         mhat = m / corr1
         vhat = v / corr2
         p.data = p.data - (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
 
 
 class FreezeMask:
-    """Names of parameters held fixed during joint fine-tuning."""
+    """Names of parameters held fixed during joint fine-tuning.
+
+    Stage 4 passes `select(params)` to `engine.frozen`, which turns their
+    `requires_grad` off for the stage. The engine then prunes the frozen
+    prefix from the graph: it gets no gradient and no Adam moments.
+    """
 
     def __init__(self, names):
         self.names = frozenset(names)
@@ -127,15 +134,8 @@ class FreezeMask:
                 names.extend(p.name for p in unit.parameters())
         return cls(names)
 
-    def apply(self, params: list[Parameter]):
-        for p in params:
-            if p.name in self.names:
-                p.trainable = False
-
-    def release(self, params: list[Parameter]):
-        for p in params:
-            if p.name in self.names:
-                p.trainable = True
+    def select(self, params: list[Parameter]) -> list[Parameter]:
+        return [p for p in params if p.name in self.names]
 
 
 def _grad_norms(params) -> tuple[list, float]:
@@ -338,7 +338,8 @@ def _calibrate(bundle, sampler, breakdown_for, config: TrainConfig, log):
     gammas = []
     consumed = 0
     for batch, labels in sampler.batches(n_batches):
-        bd = breakdown_for(batch, labels, 1.0)
+        with frozen(bundle.parameters()):  # values only: no graph
+            bd = breakdown_for(batch, labels, 1.0)
         gammas.append(calibrate_gamma(bd, config.gamma))
         consumed += 1
         log.append({"stage": "stage3", "step": consumed - 1,
@@ -355,28 +356,25 @@ def _run_stage4(bundle: ModelBundle, frozen_roles: list[str], roles: list[str],
     params = []
     for role in roles:
         params.extend(bundle.branches[role].parameters())
-    masks = [FreezeMask.for_branch_tap(bundle.branches[r]) for r in frozen_roles]
-    for mask in masks:
-        mask.apply(params)
+    held = [p for r in frozen_roles
+            for p in FreezeMask.for_branch_tap(bundle.branches[r]).select(params)]
     state = AdamState(lr=config.lr_stage4)
     try:
-        stream = sampler.batches(config.stage4_steps + skip_batches)
-        for step, (batch, labels) in enumerate(stream):
-            if step < skip_batches:
-                continue  # calibration batches are not trained on
-            bd = breakdown_for(batch, labels, gamma)
-            values = bd.term_values()
-            total = bd.total_value()
-            backward(bd.total)
-            pre, post = _optimizer_round(params, state, config.clip_threshold)
-            log.append({"stage": "stage4", "step": step - skip_batches, "terms": values,
-                        "total": total, "gamma": gamma,
-                        "grad_max_pre": pre, "grad_max_post": post})
+        with frozen(held):
+            stream = sampler.batches(config.stage4_steps + skip_batches)
+            for step, (batch, labels) in enumerate(stream):
+                if step < skip_batches:
+                    continue  # calibration batches are not trained on
+                bd = breakdown_for(batch, labels, gamma)
+                values = bd.term_values()
+                total = bd.total_value()
+                backward(bd.total)
+                pre, post = _optimizer_round(params, state, config.clip_threshold)
+                log.append({"stage": "stage4", "step": step - skip_batches,
+                            "terms": values, "total": total, "gamma": gamma,
+                            "grad_max_pre": pre, "grad_max_post": post})
     except NonFiniteError as exc:
         raise DivergenceError(f"stage4 diverged: {exc}") from exc
-    finally:
-        for mask in masks:
-            mask.release(params)
     bundle.stage = "stage4"
 
 

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing PASS/FAIL.
 
-Criteria 1-6 and 11 are oracle/property checks. Criteria 7-10 train the
-benchmark models (three seeds); they dominate the module's runtime and
-share their trained bundles through session-scoped fixtures.
+Criteria 1-5 and 11 are oracle/property checks, and they are all this
+module has. Criteria 6-10, the qualitative-ordering experiments that
+train the benchmark models, are pending under ROADMAP item 4.
 """
 import json
 import time

@@ -244,6 +244,63 @@ class TestInfer:
         assert code == 6
 
 
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("damage", ["truncate", "trailing", "header"])
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_exit_five(self, trained, tmp_path, command, damage):
+        _, out = trained
+        blob = (out / "checkpoint_stage4.ckpt").read_bytes()
+        blob = {"truncate": blob[:len(blob) // 2],
+                "trailing": blob + b"junk",
+                "header": blob[:8] + b"!" + blob[9:]}[damage]
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob)
+        if command == "eval":
+            args = ["eval", "--manifest", str(out / "dataset" / "manifest.json")]
+        else:
+            args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005")]
+        code = main(args + ["--checkpoint", str(ckpt), "--tile", "64", "--halo", "16",
+                            "--out", str(tmp_path / "o")])
+        assert code == 5
+
+
+class TestThreadCap:
+    def _fake_threadpoolctl(self, monkeypatch):
+        import sys
+        import types
+
+        calls = []
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = calls.append
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        return calls
+
+    def test_cap_applied(self, monkeypatch):
+        calls = self._fake_threadpoolctl(monkeypatch)
+        monkeypatch.setenv("HALLUCINET_THREADS", "2")
+        assert main(["grad-check", "--points", "1"]) == 0
+        assert calls == [2]
+
+    @pytest.mark.parametrize("cap", ["two", "0", "-1", "1.5"])
+    def test_bad_cap_exits_two(self, monkeypatch, cap):
+        calls = self._fake_threadpoolctl(monkeypatch)
+        monkeypatch.setenv("HALLUCINET_THREADS", cap)
+        assert main(["grad-check", "--points", "1"]) == 2
+        assert calls == []
+
+    def test_missing_threadpoolctl_warns(self, monkeypatch, capsys):
+        import os
+        import sys
+
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        monkeypatch.setenv("HALLUCINET_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["grad-check", "--points", "1"]) == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if "warning" in l]
+        assert len(warnings) == 1 and "HALLUCINET_THREADS" in warnings[0]
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 class TestGradCheckCommand:
     def test_clean_run_exits_zero(self, capsys):
         assert main(["grad-check", "--points", "1"]) == 0

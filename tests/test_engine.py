@@ -246,3 +246,78 @@ def test_high_precision_mode_preserved(rng):
     w = Tensor(rng.normal(size=(2, 2, 3, 3)), dtype=np.float64)
     out = conv2d(x, w, None, stride=1, padding=1)
     assert out.dtype == np.float64
+
+
+class TestGraphRelease:
+    def _graph(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        w = Parameter(rng.normal(size=(4, 3, 3, 3)), "w")
+        b = Parameter(rng.normal(size=4), "b")
+        y = maxpool2(relu(conv2d(x, w, b, stride=1, padding=1)))
+        return [w, b], y, tsum(mul(sigmoid(y), y))
+
+    def test_nodes_released_and_grads_match_unreleased(self, rng):
+        from hallucinet.engine.tensor import topo_order
+
+        seed = rng.integers(1 << 30)
+        params, _, loss = self._graph(np.random.default_rng(seed))
+        loss.grad = np.ones_like(loss.data)
+        for node in reversed(topo_order(loss)):  # the same hooks, nothing released
+            if node._backward is not None:
+                node._backward(node)
+        expected = [p.grad.copy() for p in params]
+
+        params, _, loss = self._graph(np.random.default_rng(seed))
+        inner = [n for n in topo_order(loss) if n._backward is not None]
+        backward(loss)
+        for p, g in zip(params, expected):
+            assert np.array_equal(p.grad, g)
+        assert inner and loss in inner
+        for node in inner:
+            assert node.grad is None and node.parents == ()
+            with pytest.raises(ValueError):
+                node._backward(node)  # the closure is gone; a sentinel is left
+
+    def test_second_backward_raises(self, rng):
+        _, _, loss = self._graph(rng)
+        backward(loss)
+        with pytest.raises(ValueError, match="released"):
+            backward(loss)
+
+    def test_new_graph_over_released_node_raises_before_any_grad(self, rng):
+        params, y, loss = self._graph(rng)
+        backward(loss)
+        before = [p.grad.copy() for p in params]
+        extra = Parameter(rng.normal(size=y.shape), "extra")
+        with pytest.raises(ValueError, match="released"):
+            backward(tsum(mul(y, extra)))
+        assert extra.grad is None
+        for p, g in zip(params, before):
+            assert np.array_equal(p.grad, g)
+
+
+class TestFrozen:
+    def test_frozen_prefix_builds_no_graph(self, rng):
+        from hallucinet.engine import frozen
+
+        x = Tensor(rng.normal(size=(1, 2, 4, 4)))
+        w0 = Parameter(rng.normal(size=(3, 2, 3, 3)), "w0")
+        w1 = Parameter(rng.normal(size=(2, 3, 3, 3)), "w1")
+        with frozen([w0]):
+            h = relu(conv2d(x, w0, None, padding=1))
+            loss = tsum(conv2d(h, w1, None, padding=1))
+            assert not h.requires_grad and h.parents == ()
+            backward(loss)
+        assert w0.grad is None and w1.grad is not None
+        assert w0.requires_grad and w0.trainable
+
+    def test_flags_restored_on_raise(self):
+        from hallucinet.engine import frozen
+
+        a = Parameter(np.ones(2), "a")
+        b = Parameter(np.ones(2), "b", requires_grad=False)
+        with pytest.raises(RuntimeError):
+            with frozen([a, b]):
+                assert not a.requires_grad and not a.trainable
+                raise RuntimeError("boom")
+        assert a.requires_grad and not b.requires_grad

@@ -217,6 +217,21 @@ class TestTiledInference:
                             {}, tile=50, halo=8)
 
 
+    def test_tile_follows_downsample_factor(self, rng):
+        from hallucinet.model import BranchConfig, predict
+
+        cfg = BranchConfig(class_count=4, blocks=((6, 1),) * 4, first_conv_stride=1,
+                           tap_depth=2)
+        assert cfg.downsample_factor == 16
+        bundle = ModelBundle(cfg, {"rgb": build_branch(cfg, 3, "rgb", 5)},
+                             {"rgb": "color"})
+        raster = rng.random((3, 48, 48), dtype=np.float32)
+        tiled = tiled_inference(bundle, {"color": raster}, {}, tile=48, halo=8)
+        assert np.array_equal(tiled, predict(bundle, {"color": raster[None]}, {})[0])
+        with pytest.raises(ValueError, match="downsample factor 16"):
+            tiled_inference(bundle, {"color": raster}, {}, tile=40, halo=8)
+
+
 class TestEvaluate:
     def test_copy_hal_equals_all_available(self, tiny_config, tiny_dataset):
         # hal is a bit-exact copy of depth and, via the modality shim, reads

@@ -1,5 +1,6 @@
 """Branch architecture, routing, fusion, hallucination init, checkpoints."""
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hallucinet.engine import Tensor, channel_softmax
 from hallucinet.model import (
     BranchConfig,
+    CheckpointError,
     MissingModalityError,
     ModelBundle,
     build_branch,
@@ -280,3 +282,104 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+class TestPredictBuildsNoGraph:
+    def test_no_grad_and_bit_identical(self, tiny_config, rng, monkeypatch):
+        import hallucinet.model as model_mod
+
+        bundle = _bundle(tiny_config, {"rgb": 3, "depth": 1, "hal_depth": 3},
+                         {"rgb": "color", "depth": "height"})
+        inputs = {"color": rng.random((1, 3, 64, 64), dtype=np.float32),
+                  "height": rng.random((1, 1, 64, 64), dtype=np.float32)}
+        # the same forward, building the graph
+        logits = [bundle.branches[r].forward(inputs[bundle.input_modality(r)]).logits
+                  for r in ("rgb", "hal_depth")]
+        assert logits[0].requires_grad
+        expected = channel_softmax(fuse_logits(logits)).data
+
+        bundle.branches["rgb"].score_bias.requires_grad = False  # restored as it was
+        outs = []
+
+        def softmax_spy(x):
+            out = channel_softmax(x)
+            outs.append(out)
+            return out
+
+        monkeypatch.setattr(model_mod, "channel_softmax", softmax_spy)
+        probs = predict_probs(bundle, inputs, {"depth": False})
+        assert np.array_equal(probs, expected)
+        assert len(outs) == 1 and not outs[0].requires_grad and outs[0].parents == ()
+        flags = {p.name: p.requires_grad for p in bundle.parameters()}
+        assert flags.pop("rgb/score/bias") is False
+        assert all(flags.values())
+
+    def test_flags_restored_when_predict_raises(self, tiny_config, rng):
+        bundle = _bundle(tiny_config, {"rgb": 3, "depth": 1},
+                         {"rgb": "color", "depth": "height"})
+        with pytest.raises(MissingModalityError):
+            # rgb runs, then the depth raster is missing
+            predict_probs(bundle, {"color": rng.random((1, 3, 64, 64), dtype=np.float32)},
+                          {"depth": True})
+        assert all(p.requires_grad for p in bundle.parameters())
+
+
+class TestCheckpointRobustness:
+    @pytest.fixture()
+    def saved(self, tiny_config, tmp_path):
+        bundle = _bundle(tiny_config, {"rgb": 3, "depth": 1},
+                         {"rgb": "color", "depth": "height"})
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bundle, path, stage="stage1")
+        return path
+
+    def test_atomic_write_leaves_no_temp_file(self, saved, monkeypatch):
+        import os
+
+        calls = []
+        replace = os.replace
+
+        def spy(src, dst):
+            calls.append((Path(src), Path(dst)))
+            assert Path(src).parent == Path(dst).parent and Path(src).exists()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        bundle = load_checkpoint(saved)
+        save_checkpoint(bundle, saved)
+        assert len(calls) == 1 and calls[0][1] == saved
+        assert sorted(p.name for p in saved.parent.iterdir()) == ["m.ckpt"]
+
+    def test_failed_write_keeps_old_file(self, saved, monkeypatch):
+        import hallucinet.model as model_mod
+
+        old = saved.read_bytes()
+        bundle = load_checkpoint(saved)
+
+        def broken(arr):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model_mod, "tensor_to_bytes", broken)
+        with pytest.raises(OSError):
+            save_checkpoint(bundle, saved)
+        assert saved.read_bytes() == old
+        assert sorted(p.name for p in saved.parent.iterdir()) == ["m.ckpt"]
+
+    def test_unknown_format_version_rejected(self, saved):
+        blob = saved.read_bytes()
+        old = b'"format_version": 1,'
+        assert old in blob
+        saved.write_bytes(blob.replace(old, b'"format_version": 9,'))
+        with pytest.raises(CheckpointError, match="version 9"):
+            load_checkpoint(saved)
+
+    def test_trailing_bytes_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("cut", [3, 6, 40, -1])
+    def test_truncation_rejected(self, saved, cut):
+        saved.write_bytes(saved.read_bytes()[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(saved)

@@ -69,10 +69,18 @@ class TestAdam:
         assert moved[0] != 0.5
 
     def test_frozen_parameter_untouched(self):
-        p = Parameter(np.array([1.0], dtype=np.float32), "p", trainable=False)
+        p = Parameter(np.array([1.0], dtype=np.float32), "p", requires_grad=False)
         state = AdamState(lr=0.1)
         adam_step([p], [np.array([5.0], dtype=np.float32)], state)
         assert p.data[0] == 1.0
+
+    def test_no_moments_for_parameter_without_grad(self):
+        frozen = Parameter(np.array([1.0], dtype=np.float32), "frozen", requires_grad=False)
+        live = Parameter(np.array([1.0], dtype=np.float32), "live")
+        state = AdamState(lr=0.1)
+        adam_step([frozen, live], [np.array([5.0], dtype=np.float32),
+                                   np.array([5.0], dtype=np.float32)], state)
+        assert set(state.m) == set(state.v) == {"live"}
 
     def test_non_finite_gradient_rejected(self):
         from hallucinet.train import DivergenceError
@@ -278,3 +286,57 @@ class TestProtocolMulti:
         for rec in log:
             if rec.get("grad_max_post") is not None:
                 assert rec["grad_max_post"] <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_stage4_prunes_frozen_prefix(mode, tiny_dataset, tiny_dataset_ir, tiny_config,
+                                     monkeypatch):
+    """Frozen prefixes get no gradient; the first conv past the tap sees no graph."""
+    import hallucinet.model as model_mod
+    import hallucinet.train as train_mod
+
+    seen = {"on": False, "grads": [], "convs": []}
+    stage4, opt_round, conv = (train_mod._run_stage4, train_mod._optimizer_round,
+                               model_mod.conv2d)
+
+    def stage4_spy(*args, **kwargs):
+        seen["on"] = True
+        try:
+            return stage4(*args, **kwargs)
+        finally:
+            seen["on"] = False
+
+    def round_spy(params, state, clip):
+        if seen["on"]:
+            seen["grads"].append({p.name for p in params if p.grad is not None})
+        return opt_round(params, state, clip)
+
+    def conv_spy(x, weight, *args, **kwargs):
+        if seen["on"]:
+            seen["convs"].append((weight.name, x.requires_grad))
+        return conv(x, weight, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "_run_stage4", stage4_spy)
+    monkeypatch.setattr(train_mod, "_optimizer_round", round_spy)
+    monkeypatch.setattr(model_mod, "conv2d", conv_spy)
+    cfg = TrainConfig(mode=mode, batch_size=2, patch=PatchSpec(size=64, overlap=0.5),
+                      stage1_steps=1, stage4_steps=2, seed=1)
+    if mode == "single":
+        bundle, _ = run_protocol_single(tiny_dataset, tiny_config, cfg)
+        frozen_roles = ["depth"]
+    else:
+        bundle, _ = run_protocol_multi(tiny_dataset_ir, tiny_config, cfg)
+        frozen_roles = ["depth", "ir"]
+
+    assert len(seen["grads"]) == cfg.stage4_steps
+    past_tap = f"block{tiny_config.tap_depth}/conv0/weight"
+    for role in frozen_roles:
+        names = FreezeMask.for_branch_tap(bundle.branches[role]).names
+        for with_grad in seen["grads"]:
+            assert not names & with_grad
+            assert f"{role}/{past_tap}" in with_grad
+        flags = {name: {f for n, f in seen["convs"] if n == name}
+                 for name in (f"{role}/{past_tap}", f"hal_{role}/{past_tap}")}
+        assert flags[f"{role}/{past_tap}"] == {False}
+        assert flags[f"hal_{role}/{past_tap}"] == {True}
+    assert all(p.requires_grad for p in bundle.parameters())
