@@ -1,29 +1,66 @@
 """Network primitives: convolution, pooling, batchnorm, activations, softmax.
 
-Convolutions are computed as a loop over kernel offsets with a batched
-matmul per offset, which keeps everything in BLAS without an im2col
-buffer. The same three kernels (forward, input-gradient, weight-gradient)
-serve both conv2d and transposed_conv2d, since each is the adjoint of the
-other.
+Convolutions unfold one padded sample at a time into bands of im2col
+columns of bounded size and run one GEMM per band. The same three kernels
+(forward, input-gradient, weight-gradient) serve both conv2d and
+transposed_conv2d, since each is the adjoint of the other; the
+input-gradient is itself a forward convolution of the zero-dilated
+output gradient. Max pooling works on the four strided corner views of
+its windows.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, _accumulate, make_node
 
 
 # -- raw convolution kernels (no autodiff) --------------------------------
 #
-# Small kernels loop over the k*k offsets with one batched matmul each.
-# When the kernel is a multiple of the stride (the x32 upsampling head:
-# k = 2s), looping over s*s offsets would be Python-bound, so a tiled
-# path reinterprets the padded raster as (tiles, s, tiles, s) and runs
-# (k/s)^2 einsums instead.
+# Small kernels unfold one padded sample at a time into a column buffer of
+# shape (Ci*kh*kw, rows*Wo), one band of output rows at a time, and run one
+# GEMM per band. Bands are sized by _BAND_BYTES, so the buffer does not grow
+# with the image. When the kernel is a multiple of the stride (the x32
+# upsampling head: k = 2s), unfolding would copy each input pixel (k/s)^2
+# times at a large stride, so a tiled path reinterprets the padded raster
+# as (tiles, s, tiles, s) and runs (k/s)^2 einsums instead.
+
+_BAND_BYTES = 4 << 20  # column buffer budget of one band
+
 
 def _tileable(stride: int, kh: int, kw: int, hp: int, wp: int) -> bool:
     return (stride > 2 and kh % stride == 0 and kw % stride == 0
             and hp % stride == 0 and wp % stride == 0)
+
+
+def _col_bands(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+               ho: int, wo: int):
+    """Yield (sample, r0, r1, cols) with cols the im2col block of output rows r0:r1.
+
+    cols[(c, u, v), (i - r0) * wo + j] = padded x[sample, c, stride*i + u,
+    stride*j + v], so w.reshape(Co, -1) @ cols is that band of the output.
+    One buffer serves every band; a band's cols are only valid until the
+    next one is requested.
+    """
+    n, ci, h, wd = x.shape
+    k = ci * kh * kw
+    rows = max(1, min(ho, _BAND_BYTES // (k * wo * x.dtype.itemsize)))
+    buf = np.empty(k * rows * wo, dtype=x.dtype)
+    xp = np.zeros((ci, h + 2 * padding, wd + 2 * padding), dtype=x.dtype) if padding else None
+    for sample in range(n):
+        if padding:
+            xp[:, padding:padding + h, padding:padding + wd] = x[sample]
+        else:
+            xp = x[sample]
+        # win[c, u, v, i, j] = xp[c, stride*i + u, stride*j + v]
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        win = win.transpose(0, 3, 4, 1, 2)
+        for r0 in range(0, ho, rows):
+            r1 = min(ho, r0 + rows)
+            cols = buf[:k * (r1 - r0) * wo].reshape(ci, kh, kw, r1 - r0, wo)
+            np.copyto(cols, win[:, :, :, r0:r1])
+            yield sample, r0, r1, cols.reshape(k, (r1 - r0) * wo)
 
 
 def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -35,9 +72,9 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nda
     wo = (wd + 2 * padding - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output would be empty for input {h}x{wd}, kernel {kh}x{kw}")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    hp, wp = xp.shape[2:]
+    hp, wp = h + 2 * padding, wd + 2 * padding
     if _tileable(stride, kh, kw, hp, wp):
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
         s = stride
         tiles = xp.reshape(n, ci, hp // s, s, wp // s, s)
         out = np.zeros((n, co, ho, wo), dtype=x.dtype)
@@ -47,12 +84,20 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nda
                 ws = w[:, :, mi * s:(mi + 1) * s, mj * s:(mj + 1) * s]
                 out += np.einsum("nciajb,dcab->ndij", xt, ws, optimize=True)
         return out
-    out = np.zeros((n, co, ho * wo), dtype=x.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
-            out += np.matmul(w[:, :, u, v], xs.reshape(n, ci, ho * wo))
+    out = np.empty((n, co, ho * wo), dtype=x.dtype)
+    w2 = w.reshape(co, -1)
+    for sample, r0, r1, cols in _col_bands(x, kh, kw, stride, padding, ho, wo):
+        np.matmul(w2, cols, out=out[sample, :, r0 * wo:r1 * wo])
     return out.reshape(n, co, ho, wo)
+
+
+def _dilated_span(offset: int, stride: int, count: int, extent: int) -> tuple[slice, slice]:
+    """Slices placing samples 0..count-1 at offset + stride*i, kept inside [0, extent)."""
+    lo = max(0, -(offset // stride))
+    hi = min(count, (extent - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    return slice(lo, hi), slice(offset + stride * lo, offset + stride * (hi - 1) + 1, stride)
 
 
 def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
@@ -61,8 +106,8 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
     _, ci, kh, kw = w.shape
     h, wd = in_hw
     hp, wp = h + 2 * padding, wd + 2 * padding
-    dxp = np.zeros((n, ci, hp, wp), dtype=dout.dtype)
     if _tileable(stride, kh, kw, hp, wp):
+        dxp = np.zeros((n, ci, hp, wp), dtype=dout.dtype)
         s = stride
         tiles = dxp.reshape(n, ci, hp // s, s, wp // s, s)
         for mi in range(kh // s):
@@ -70,16 +115,18 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
                 ws = w[:, :, mi * s:(mi + 1) * s, mj * s:(mj + 1) * s]
                 tiles[:, :, mi:mi + ho, :, mj:mj + wo, :] += np.einsum(
                     "ncij,cdab->ndiajb", dout, ws, optimize=True)
-    else:
-        dflat = dout.reshape(n, co, ho * wo)
-        for u in range(kh):
-            for v in range(kw):
-                contrib = np.matmul(w[:, :, u, v].T, dflat).reshape(n, ci, ho, wo)
-                # fixed (u,v): distinct (i,j) hit distinct padded positions
-                dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += contrib
-    if padding:
         return dxp[:, :, padding:padding + h, padding:padding + wd]
-    return dxp
+    # dx is the stride-1 correlation of the zero-dilated dout, padded by
+    # k-1-p, with the flipped and transposed kernel. The raster is sized
+    # to give exactly h x wd outputs, which also covers the rows and
+    # columns past the last window when (h + 2p - k) % stride > 0; dout
+    # entries of windows that saw only padding fall outside it.
+    src_i, dst_i = _dilated_span(kh - 1 - padding, stride, ho, h + kh - 1)
+    src_j, dst_j = _dilated_span(kw - 1 - padding, stride, wo, wd + kw - 1)
+    dilated = np.zeros((n, co, h + kh - 1, wd + kw - 1), dtype=dout.dtype)
+    dilated[:, :, dst_i, dst_j] = dout[:, :, src_i, src_j]
+    flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    return _conv_fwd(dilated, flipped, 1, 0)
 
 
 def _conv_dw(dout: np.ndarray, x: np.ndarray, stride: int, padding: int,
@@ -87,10 +134,10 @@ def _conv_dw(dout: np.ndarray, x: np.ndarray, stride: int, padding: int,
     n, co, ho, wo = dout.shape
     _, ci = x.shape[:2]
     kh, kw = kernel_hw
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    hp, wp = xp.shape[2:]
-    dw = np.empty((co, ci, kh, kw), dtype=dout.dtype)
+    hp, wp = x.shape[2] + 2 * padding, x.shape[3] + 2 * padding
     if _tileable(stride, kh, kw, hp, wp):
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+        dw = np.empty((co, ci, kh, kw), dtype=dout.dtype)
         s = stride
         tiles = xp.reshape(n, ci, hp // s, s, wp // s, s)
         for mi in range(kh // s):
@@ -99,11 +146,13 @@ def _conv_dw(dout: np.ndarray, x: np.ndarray, stride: int, padding: int,
                 dw[:, :, mi * s:(mi + 1) * s, mj * s:(mj + 1) * s] = np.einsum(
                     "ndij,nciajb->dcab", dout, xt, optimize=True)
         return dw
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
-            dw[:, :, u, v] = np.tensordot(dout, xs, axes=([0, 2, 3], [0, 2, 3]))
-    return dw
+    dw = np.zeros((co, ci * kh * kw), dtype=dout.dtype)
+    part = np.empty_like(dw)
+    dflat = dout.reshape(n, co, ho * wo)
+    for sample, r0, r1, cols in _col_bands(x, kh, kw, stride, padding, ho, wo):
+        np.matmul(dflat[sample, :, r0 * wo:r1 * wo], cols.T, out=part)
+        dw += part
+    return dw.reshape(co, ci, kh, kw)
 
 
 # -- differentiable ops ----------------------------------------------------
@@ -174,19 +223,21 @@ def maxpool2(x: Tensor) -> Tensor:
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even spatial extents, got {h}x{w}")
-    windows = (x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(n, c, h // 2, w // 2, 4))
-    idx = windows.argmax(axis=-1)
-    data = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    # the four corners of every window, in row-major window order
+    corners = [(slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
+    v = [x.data[:, :, ri, rj] for ri, rj in corners]
+    data = np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
 
     def backw(out):
         if x.requires_grad:
-            dwin = np.zeros_like(windows)
-            np.put_along_axis(dwin, idx[..., None], out.grad[..., None], axis=-1)
-            dx = (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
-                  .transpose(0, 1, 2, 4, 3, 5)
-                  .reshape(n, c, h, w))
+            dx = np.empty_like(x.data)
+            open_ = np.ones(data.shape, dtype=bool)  # windows whose maximum is not yet taken
+            hit = np.empty_like(open_)
+            for (ri, rj), corner in zip(corners, v):
+                np.equal(corner, data, out=hit)
+                hit &= open_
+                dx[:, :, ri, rj] = np.where(hit, out.grad, 0)
+                open_ ^= hit  # hit is a subset of open_
             _accumulate(x, dx)
 
     return make_node(data, "maxpool2", (x,), backw)
@@ -201,13 +252,6 @@ class BatchNormState:
         self.running_var = np.ones(channels, dtype=dtype)
         self.momentum = momentum
         self.eps = eps
-
-    def copy(self) -> "BatchNormState":
-        dup = BatchNormState(len(self.running_mean), self.momentum, self.eps,
-                             self.running_mean.dtype)
-        dup.running_mean = self.running_mean.copy()
-        dup.running_var = self.running_var.copy()
-        return dup
 
 
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
@@ -265,11 +309,10 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
     def backw(out):
+        # out > 0 exactly where x > 0, so no mask is kept from the forward
         if x.requires_grad:
-            _accumulate(x, out.grad * mask)
+            _accumulate(x, out.grad * (out.data > 0))
 
     return make_node(np.maximum(x.data, 0), "relu", (x,), backw)
 
@@ -282,14 +325,6 @@ def sigmoid(x: Tensor) -> Tensor:
             _accumulate(x, out.grad * s * (1.0 - s))
 
     return make_node(s, "sigmoid", (x,), backw)
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
 
 
 def channel_softmax(x: Tensor) -> Tensor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .engine import (
 )
 
 CHECKPOINT_MAGIC = b"HCKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2 appends a CRC32 of the tensor records; 1 has none
 
 
 class MissingModalityError(RuntimeError):
@@ -318,7 +319,8 @@ def ensemble_predict(bundle_a: ModelBundle, bundle_b: ModelBundle,
 # -- checkpoint io -----------------------------------------------------------
 
 def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
-    """One file: JSON header (config, roles, stage) + named tensor records.
+    """One file: JSON header (config, roles, stage) + named tensor records
+    + the CRC32 of those records (4 bytes, little-endian).
 
     The bytes go to a temporary file in the target directory, which then
     replaces `path` in one step, so a reader never sees a partial file.
@@ -349,8 +351,12 @@ def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
+            crc = 0
             for name in header["tensors"]:
-                fh.write(tensor_to_bytes(tensors[name]))
+                record = tensor_to_bytes(tensors[name])
+                crc = zlib.crc32(record, crc)
+                fh.write(record)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -364,16 +370,22 @@ def _read_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     header = json.loads(blob[8:8 + hlen].decode("utf-8"))
     if header.get("format") != "hallucinet-checkpoint":
         raise CheckpointError("not a checkpoint file (bad header)")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format version {header.get('format_version')!r}")
-    offset = 8 + hlen
+    version = header.get("format_version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointError(f"unsupported checkpoint format version {version!r}")
+    start = offset = 8 + hlen
     tensors: dict[str, np.ndarray] = {}
     for name in header["tensors"]:
         arr, offset = tensor_from_bytes(blob, offset)
         tensors[name] = arr
-    if offset != len(blob):
-        raise CheckpointError(f"{len(blob) - offset} trailing bytes after the last tensor")
+    extra = len(blob) - offset - (4 if version == CHECKPOINT_VERSION else 0)
+    if extra < 0:
+        raise CheckpointError("truncated checksum")
+    if extra > 0:
+        raise CheckpointError(f"{extra} trailing bytes after the last record")
+    if version == CHECKPOINT_VERSION and (
+            zlib.crc32(memoryview(blob)[start:offset]) != struct.unpack_from("<I", blob, offset)[0]):
+        raise CheckpointError("tensor records do not match their checksum")
     return header, tensors
 
 

@@ -244,15 +244,21 @@ class TestInfer:
         assert code == 6
 
 
+def _flip_middle_byte(blob: bytes) -> bytes:
+    mid = len(blob) // 2
+    return blob[:mid] + bytes([blob[mid] ^ 0xFF]) + blob[mid + 1:]
+
+
 class TestCorruptCheckpoint:
-    @pytest.mark.parametrize("damage", ["truncate", "trailing", "header"])
+    @pytest.mark.parametrize("damage", ["truncate", "trailing", "header", "flip"])
     @pytest.mark.parametrize("command", ["eval", "infer"])
     def test_exit_five(self, trained, tmp_path, command, damage):
         _, out = trained
         blob = (out / "checkpoint_stage4.ckpt").read_bytes()
         blob = {"truncate": blob[:len(blob) // 2],
                 "trailing": blob + b"junk",
-                "header": blob[:8] + b"!" + blob[9:]}[damage]
+                "header": blob[:8] + b"!" + blob[9:],
+                "flip": _flip_middle_byte(blob)}[damage]
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(blob)
         if command == "eval":

@@ -7,7 +7,6 @@ from hallucinet.engine import (
     NonFiniteError,
     Parameter,
     Tensor,
-    activation,
     backward,
     batchnorm,
     bilinear_kernel,
@@ -122,7 +121,7 @@ class TestBatchnorm:
 
 class TestActivations:
     def test_sigmoid_values(self):
-        assert activation(t([0.0]), "sigmoid").data[0] == pytest.approx(0.5)
+        assert sigmoid(t([0.0])).data[0] == pytest.approx(0.5)
         assert sigmoid(t([np.log(3.0)])).data[0] == pytest.approx(0.75)
 
     def test_relu_clamps_negative(self, rng):
@@ -130,10 +129,6 @@ class TestActivations:
         out = relu(t(x)).data
         assert np.all(out[x < 0] == 0)
         assert np.allclose(out[x > 0], x[x > 0])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            activation(t([1.0]), "tanh")
 
 
 class TestChannelSoftmax:

@@ -367,7 +367,7 @@ class TestCheckpointRobustness:
 
     def test_unknown_format_version_rejected(self, saved):
         blob = saved.read_bytes()
-        old = b'"format_version": 1,'
+        old = b'"format_version": 2,'
         assert old in blob
         saved.write_bytes(blob.replace(old, b'"format_version": 9,'))
         with pytest.raises(CheckpointError, match="version 9"):
@@ -383,3 +383,35 @@ class TestCheckpointRobustness:
         saved.write_bytes(saved.read_bytes()[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(saved)
+
+    def test_flipped_payload_byte_rejected(self, saved):
+        blob = bytearray(saved.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(saved)
+
+    def test_version_one_without_checksum_loads(self, saved):
+        import json
+        import struct
+
+        blob = saved.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 4)
+        header = json.loads(blob[8:8 + hlen])
+        assert header["format_version"] == 2
+        header["format_version"] = 1
+        head = json.dumps(header).encode("utf-8")
+        # a version-1 file: the same header and records, no checksum after them
+        v1 = blob[:4] + struct.pack("<I", len(head)) + head + blob[8 + hlen:-4]
+        v1_path = saved.with_name("v1.ckpt")
+        v1_path.write_bytes(v1)
+        old, new = load_checkpoint(v1_path), load_checkpoint(saved)
+        assert old.stage == new.stage == "stage1"
+        for role in new.branches:
+            for p, q in zip(old.branches[role].parameters(), new.branches[role].parameters()):
+                assert p.name == q.name and np.array_equal(p.data, q.data)
+            for name, arr in new.branches[role].buffers().items():
+                assert np.array_equal(old.branches[role].buffers()[name], arr)
+        v1_path.write_bytes(v1 + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(v1_path)
