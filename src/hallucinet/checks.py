@@ -2,7 +2,8 @@
 
 Each case draws fresh random inputs per point and checks the analytic
 gradient of a scalar functional against central differences in float64.
-Nonsmooth ops (relu, maxpool) are sampled away from their kinks.
+Nonsmooth ops (relu, fused batchnorm+relu, maxpool) are sampled away
+from their kinks.
 """
 from __future__ import annotations
 
@@ -107,6 +108,47 @@ def _check_batchnorm(rng, bias):
     return max(errs)
 
 
+def _check_batchnorm_relu(rng, bias):
+    """The fused train-mode op the model runs, sampled away from the kink."""
+    scale = rng.normal(size=2) + 2.0
+    shift = rng.normal(size=2)
+    coef = rng.normal(size=(2, 2, 3, 3))
+
+    def run(xt, st, sh, relu=True):
+        state = BatchNormState(2, dtype=np.float64)
+        return batchnorm(xt, st, sh, state, "train", relu=relu)
+
+    x = rng.normal(size=(2, 2, 3, 3))
+    while np.abs(run(_t(x), _t(scale), _t(shift), relu=False).data).min() < 0.1:
+        x = rng.normal(size=(2, 2, 3, 3))
+    errs = [
+        finite_diff_check(lambda t: _scalarize(run(t, _t(scale), _t(shift)), coef), x, grad_bias=bias),
+        finite_diff_check(lambda t: _scalarize(run(_t(x), t, _t(shift)), coef), scale, grad_bias=bias),
+        finite_diff_check(lambda t: _scalarize(run(_t(x), _t(scale), t), coef), shift, grad_bias=bias),
+    ]
+    return max(errs)
+
+
+def _check_batchnorm_infer(rng, bias):
+    x = rng.normal(size=(2, 3, 3, 3))
+    scale = rng.normal(size=3) + 2.0
+    shift = rng.normal(size=3)
+    coef = rng.normal(size=(2, 3, 3, 3))
+    state = BatchNormState(3, dtype=np.float64)
+    state.running_mean = rng.normal(size=3)
+    state.running_var = rng.uniform(0.5, 2.0, size=3)
+
+    def run(xt, st, sh):
+        return _scalarize(batchnorm(xt, st, sh, state, "infer"), coef)
+
+    errs = [
+        finite_diff_check(lambda t: run(t, _t(scale), _t(shift)), x, grad_bias=bias),
+        finite_diff_check(lambda t: run(_t(x), t, _t(shift)), scale, grad_bias=bias),
+        finite_diff_check(lambda t: run(_t(x), _t(scale), t), shift, grad_bias=bias),
+    ]
+    return max(errs)
+
+
 def _check_relu(rng, bias):
     x = _away_from_zero(rng, (2, 3, 4, 4))
     coef = rng.normal(size=(2, 3, 4, 4))
@@ -202,6 +244,8 @@ CASES = [
     ("hallucination_loss", _check_hallucination),
     ("composite_loss_single", _check_composite_single),
     ("composite_loss_multi", _check_composite_multi),
+    ("batchnorm_relu", _check_batchnorm_relu),
+    ("batchnorm_infer", _check_batchnorm_infer),
 ]
 
 

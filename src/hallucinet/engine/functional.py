@@ -255,57 +255,74 @@ class BatchNormState:
 
 
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
-              mode: str) -> Tensor:
-    """Per-channel batch normalization over (N,H,W).
+              mode: str, relu: bool = False) -> Tensor:
+    """Per-channel batch normalization over (N,H,W), optionally rectified.
 
     Train mode normalizes with batch statistics and advances the running
-    averages; infer mode uses the stored running statistics.
+    averages; infer mode uses the stored running statistics. Per channel,
+    the output is x*a + b with a = scale*inv_std and b = shift - mean*a,
+    clamped at 0 when `relu` is set, written into one buffer in place.
+
+    The node keeps no normalized copy of x: its backward reads x from
+    the parent and the ReLU mask from its own output, and folds the batch
+    statistics' gradient into dx = a*g + k2*x + k3 with per-channel k2
+    and k3 from sum(g) and sum(g*x).
     """
     n, c, h, w = x.data.shape
-    eps = state.eps
-    g = scale.data[:, None, None]
+    m = n * h * w
+    xv = x.data.reshape(n, c, h * w)
+    dtype = x.data.dtype
     if mode == "train":
-        m = n * h * w
         if m < 2:
             raise ValueError("batchnorm train mode needs at least 2 values per channel")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        # a float64 sum keeps the mean exact to well below the spread when
+        # |mean| >> std; var is the second moment about the rounded mean
+        mean = np.einsum("ncp->c", xv, dtype=np.float64) / m
+        centre = mean.astype(dtype)
+        data = np.subtract(xv, centre[:, None])
+        var = np.einsum("ncp,ncp->c", data, data) / m - (mean - centre) ** 2
         mom = state.momentum
         state.running_mean = ((1 - mom) * state.running_mean + mom * mean).astype(state.running_mean.dtype)
         state.running_var = ((1 - mom) * state.running_var + mom * var).astype(state.running_var.dtype)
-
-        def backw(out):
-            dxhat = out.grad * g
-            if x.requires_grad:
-                axis = (0, 2, 3)
-                mean_d = dxhat.mean(axis=axis)[:, None, None]
-                mean_dx = (dxhat * xhat).mean(axis=axis)[:, None, None]
-                dx = inv_std[:, None, None] * (dxhat - mean_d - xhat * mean_dx)
-                _accumulate(x, dx)
-            if scale.requires_grad:
-                _accumulate(scale, (out.grad * xhat).sum(axis=(0, 2, 3)))
-            if shift.requires_grad:
-                _accumulate(shift, out.grad.sum(axis=(0, 2, 3)))
-
     elif mode == "infer":
-        inv_std = 1.0 / np.sqrt(state.running_var + eps)
-        xhat = (x.data - state.running_mean[:, None, None]) * inv_std[:, None, None]
-
-        def backw(out):
-            if x.requires_grad:
-                _accumulate(x, out.grad * g * inv_std[:, None, None])
-            if scale.requires_grad:
-                _accumulate(scale, (out.grad * xhat).sum(axis=(0, 2, 3)))
-            if shift.requires_grad:
-                _accumulate(shift, out.grad.sum(axis=(0, 2, 3)))
-
+        mean = state.running_mean.astype(np.float64)
+        var = state.running_var.astype(np.float64)
+        centre = state.running_mean.astype(dtype)
+        data = np.subtract(xv, centre[:, None])
     else:
         raise ValueError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    a = scale.data * inv_std
+    # x*a + b, taken about the float centre for precision: (x - centre)*a + b + centre*a
+    data *= a.astype(dtype)[:, None]
+    data += (shift.data - (mean - centre) * a).astype(dtype)[:, None]
+    if relu:
+        np.maximum(data, 0, out=data)
 
-    data = g * xhat + shift.data[:, None, None]
-    return make_node(data, "batchnorm", (x, scale, shift), backw)
+    def backw(out):
+        xv = x.data.reshape(n, c, h * w)
+        g = out.grad.reshape(n, c, h * w)
+        if relu:
+            g = g * (out.data.reshape(n, c, h * w) > 0)
+        sum_g = np.einsum("ncp->c", g, dtype=np.float64)
+        # sum of g * (x - mean), the gradient of scale over inv_std
+        sum_gxc = np.einsum("ncp,ncp->c", g, xv, dtype=np.float64) - mean * sum_g
+        if scale.requires_grad:
+            _accumulate(scale, sum_gxc * inv_std)
+        if shift.requires_grad:
+            _accumulate(shift, sum_g)
+        if x.requires_grad:
+            # g is a fresh array once masked, so it can become dx
+            dx = np.multiply(g, a.astype(dtype)[:, None], out=g if relu else None)
+            if mode == "train":
+                # mean and var depend on x: dx gains k2*x + k3
+                k2 = -a * inv_std ** 2 * sum_gxc / m
+                k3 = -a * sum_g / m - k2 * mean
+                dx += xv * k2.astype(dtype)[:, None]
+                dx += k3.astype(dtype)[:, None]
+            _accumulate(x, dx.reshape(x.data.shape))
+
+    return make_node(data.reshape(x.data.shape), "batchnorm", (x, scale, shift), backw)
 
 
 def relu(x: Tensor) -> Tensor:

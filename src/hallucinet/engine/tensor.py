@@ -78,16 +78,8 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not an engine op")
-        return mul(self, 1.0 / float(other))
 
 
 class Parameter(Tensor):

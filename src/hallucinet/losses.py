@@ -1,5 +1,6 @@
 """Loss terms: median-frequency-balanced cross-entropy, feature mimicry
-between branch taps, and the composite single/multi-missing objectives.
+between branch taps, score fusion, and the composite single/multi-missing
+objectives.
 """
 from __future__ import annotations
 
@@ -117,8 +118,15 @@ class LossBreakdown:
                    if name not in self.hallucination_terms)
 
 
-def _fuse(logit_list: list[Tensor]) -> Tensor:
-    acc = logit_list[0]
+def fuse_logits(logit_list: list[Tensor]) -> Tensor:
+    """Elementwise arithmetic mean of raw branch scores."""
+    if not logit_list:
+        raise ValueError("cannot fuse an empty logit list")
+    first = logit_list[0]
+    for other in logit_list[1:]:
+        if other.shape != first.shape:
+            raise ValueError(f"logit shape mismatch: {other.shape} vs {first.shape}")
+    acc = first
     for t in logit_list[1:]:
         acc = acc + t
     return mul(acc, 1.0 / len(logit_list))
@@ -146,8 +154,8 @@ def composite_loss_single(outputs, labels: np.ndarray, weights: ClassWeights,
         "depth": ce(depth.logits),
         "rgb": ce(rgb.logits),
         "hal": ce(hal.logits),
-        "rgb+depth": ce(_fuse([rgb.logits, depth.logits])),
-        "rgb+hal": ce(_fuse([rgb.logits, hal.logits])),
+        "rgb+depth": ce(fuse_logits([rgb.logits, depth.logits])),
+        "rgb+hal": ce(fuse_logits([rgb.logits, hal.logits])),
     }
     return LossBreakdown(terms, gamma, SINGLE_HAL_TERMS)
 
@@ -172,10 +180,10 @@ def composite_loss_multi(outputs, labels: np.ndarray, weights: ClassWeights,
         "rgb": ce(rgb.logits),
         "hal_depth": ce(hal_depth.logits),
         "hal_ir": ce(hal_ir.logits),
-        "rgb+hal_ir+depth": ce(_fuse([rgb.logits, hal_ir.logits, depth.logits])),
-        "rgb+ir+hal_depth": ce(_fuse([rgb.logits, ir.logits, hal_depth.logits])),
-        "rgb+ir+depth": ce(_fuse([rgb.logits, ir.logits, depth.logits])),
-        "rgb+hal_ir+hal_depth": ce(_fuse([rgb.logits, hal_ir.logits, hal_depth.logits])),
+        "rgb+hal_ir+depth": ce(fuse_logits([rgb.logits, hal_ir.logits, depth.logits])),
+        "rgb+ir+hal_depth": ce(fuse_logits([rgb.logits, ir.logits, hal_depth.logits])),
+        "rgb+ir+depth": ce(fuse_logits([rgb.logits, ir.logits, depth.logits])),
+        "rgb+hal_ir+hal_depth": ce(fuse_logits([rgb.logits, hal_ir.logits, hal_depth.logits])),
     }
     return LossBreakdown(terms, gamma, MULTI_HAL_TERMS)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -29,13 +30,15 @@ from .engine import (
     conv2d,
     frozen,
     maxpool2,
-    mul,
-    relu,
     transposed_conv2d,
 )
+from .losses import fuse_logits
 
 CHECKPOINT_MAGIC = b"HCKP"
-CHECKPOINT_VERSION = 2  # 2 appends a CRC32 of the tensor records; 1 has none
+# 3 drops the conv biases of the conv-BN-ReLU units; 2 and 3 end with a
+# CRC32 of the tensor records, 1 has none
+CHECKPOINT_VERSION = 3
+_CONV_BIAS = re.compile(r"(.+/block\d+)/conv(\d+)/bias")  # formats 1 and 2 only
 
 
 class MissingModalityError(RuntimeError):
@@ -101,18 +104,18 @@ class _ConvBnRelu:
         cname = f"{prefix}/conv{conv_idx}"
         bname = f"{prefix}/bn{conv_idx}"
         self.weight = Parameter(_conv_init(rng, out_ch, in_ch, 3, dtype), f"{cname}/weight")
-        self.bias = Parameter(np.zeros(out_ch, dtype=dtype), f"{cname}/bias")
         self.scale = Parameter(np.ones(out_ch, dtype=dtype), f"{bname}/scale")
         self.shift = Parameter(np.zeros(out_ch, dtype=dtype), f"{bname}/shift")
         self.state = BatchNormState(out_ch, dtype=dtype)
         self.bn_name = bname
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        y = conv2d(x, self.weight, self.bias, stride=self.stride, padding=1)
-        return relu(batchnorm(y, self.scale, self.shift, self.state, mode))
+        # no conv bias: batchnorm subtracts the mean, so it would cancel
+        y = conv2d(x, self.weight, None, stride=self.stride, padding=1)
+        return batchnorm(y, self.scale, self.shift, self.state, mode, relu=True)
 
     def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias, self.scale, self.shift]
+        return [self.weight, self.scale, self.shift]
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {f"{self.bn_name}/running_mean": self.state.running_mean,
@@ -222,20 +225,6 @@ def init_hallucination_from(target: BranchNet, input_channels: int,
     return hal
 
 
-def fuse_logits(logit_list: list[Tensor]) -> Tensor:
-    """Elementwise arithmetic mean of raw branch scores."""
-    if not logit_list:
-        raise ValueError("cannot fuse an empty logit list")
-    first = logit_list[0]
-    for other in logit_list[1:]:
-        if other.shape != first.shape:
-            raise ValueError(f"logit shape mismatch: {other.shape} vs {first.shape}")
-    acc = first
-    for t in logit_list[1:]:
-        acc = acc + t
-    return mul(acc, 1.0 / len(logit_list))
-
-
 @dataclass
 class ModelBundle:
     """Per-modality branches plus hallucination branches, keyed by role."""
@@ -320,11 +309,7 @@ def ensemble_predict(bundle_a: ModelBundle, bundle_b: ModelBundle,
 
 def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
     """One file: JSON header (config, roles, stage) + named tensor records
-    + the CRC32 of those records (4 bytes, little-endian).
-
-    The bytes go to a temporary file in the target directory, which then
-    replaces `path` in one step, so a reader never sees a partial file.
-    """
+    + the CRC32 of those records (4 bytes, little-endian)."""
     tensors: dict[str, np.ndarray] = {}
     branch_meta = []
     for role in sorted(bundle.branches):
@@ -343,6 +328,15 @@ def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
         "branches": branch_meta,
         "tensors": list(tensors),
     }
+    _write_checkpoint(path, header, tensors)
+
+
+def _write_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]):
+    """Write header and the records it lists, then their CRC32.
+
+    The bytes go to a temporary file in the target directory, which then
+    replaces `path` in one step, so a reader never sees a partial file.
+    """
     blob = json.dumps(header).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -371,19 +365,20 @@ def _read_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if header.get("format") != "hallucinet-checkpoint":
         raise CheckpointError("not a checkpoint file (bad header)")
     version = header.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint format version {version!r}")
     start = offset = 8 + hlen
     tensors: dict[str, np.ndarray] = {}
     for name in header["tensors"]:
         arr, offset = tensor_from_bytes(blob, offset)
         tensors[name] = arr
-    extra = len(blob) - offset - (4 if version == CHECKPOINT_VERSION else 0)
+    checksummed = version >= 2
+    extra = len(blob) - offset - (4 if checksummed else 0)
     if extra < 0:
         raise CheckpointError("truncated checksum")
     if extra > 0:
         raise CheckpointError(f"{extra} trailing bytes after the last record")
-    if version == CHECKPOINT_VERSION and (
+    if checksummed and (
             zlib.crc32(memoryview(blob)[start:offset]) != struct.unpack_from("<I", blob, offset)[0]):
         raise CheckpointError("tensor records do not match their checksum")
     return header, tensors
@@ -400,7 +395,21 @@ def load_checkpoint(path) -> ModelBundle:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
 
 
+def _fold_conv_biases(tensors: dict[str, np.ndarray]):
+    """Move the conv biases of formats 1 and 2 into the running means.
+
+    A bias in front of batchnorm cancels in train mode, and in infer mode
+    BN(conv + b) with running mean rm equals BN(conv) with rm - b.
+    """
+    for name in [n for n in tensors if _CONV_BIAS.fullmatch(n)]:
+        block, idx = _CONV_BIAS.fullmatch(name).groups()
+        mean = f"{block}/bn{idx}/running_mean"
+        tensors[mean] = tensors[mean] - tensors.pop(name)
+
+
 def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> ModelBundle:
+    if header["format_version"] < 3:
+        _fold_conv_biases(tensors)
     config = BranchConfig.from_json(header["config"])
     branches: dict[str, BranchNet] = {}
     rng = np.random.default_rng(0)  # values are overwritten below
@@ -410,11 +419,14 @@ def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Mod
         for p in branch.parameters():
             if p.name not in tensors:
                 raise CheckpointError(f"checkpoint missing tensor {p.name}")
-            if tensors[p.name].shape != p.data.shape:
+            arr = tensors.pop(p.name)
+            if arr.shape != p.data.shape:
                 raise CheckpointError(f"checkpoint tensor {p.name} has wrong shape")
-            p.data = tensors[p.name].astype(branch.dtype)
-        branch.set_buffers({name: tensors[name] for name in branch.buffers()})
+            p.data = arr.astype(branch.dtype)
+        branch.set_buffers({name: tensors.pop(name) for name in branch.buffers()})
         branches[role] = branch
+    if tensors:
+        raise CheckpointError(f"checkpoint tensors no branch uses: {', '.join(sorted(tensors))}")
     return ModelBundle(config=config, branches=branches,
                        role_modalities=dict(header["role_modalities"]),
                        stage=header.get("stage", "init"))

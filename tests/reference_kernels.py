@@ -1,11 +1,15 @@
-"""Reference convolution and pooling kernels for the engine's tests.
+"""Reference convolution, pooling and batchnorm kernels for the engine's tests.
 
 These are the engine's earlier kernels: one batched matmul per kernel
-offset for convolution, and a reshape/argmax window gather for 2x2 max
-pooling. They are slow but follow the definitions directly, so the
-banded im2col and strided-view kernels are checked against them.
+offset for convolution, a reshape/argmax window gather for 2x2 max
+pooling, and batchnorm and ReLU as two ops, with batchnorm keeping its
+normalized input for the backward. They are slow but follow the
+definitions directly, so the banded im2col, strided-view and fused
+batchnorm kernels are checked against them.
 """
 import numpy as np
+
+from hallucinet.engine.tensor import _accumulate, make_node
 
 
 def _pad(x, padding):
@@ -76,3 +80,54 @@ def maxpool2_bwd(x, dout):
     return (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
             .transpose(0, 1, 2, 4, 3, 5)
             .reshape(n, c, h, w))
+
+
+def batchnorm(x, scale, shift, state, mode):
+    """Unfused batchnorm: mean/var over axes (0, 2, 3), xhat kept for backward."""
+    n, c, h, w = x.data.shape
+    eps = state.eps
+    g = scale.data[:, None, None]
+    if mode == "train":
+        mean = x.data.mean(axis=(0, 2, 3))
+        var = x.data.var(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        mom = state.momentum
+        state.running_mean = ((1 - mom) * state.running_mean + mom * mean).astype(state.running_mean.dtype)
+        state.running_var = ((1 - mom) * state.running_var + mom * var).astype(state.running_var.dtype)
+
+        def backw(out):
+            dxhat = out.grad * g
+            if x.requires_grad:
+                axis = (0, 2, 3)
+                mean_d = dxhat.mean(axis=axis)[:, None, None]
+                mean_dx = (dxhat * xhat).mean(axis=axis)[:, None, None]
+                dx = inv_std[:, None, None] * (dxhat - mean_d - xhat * mean_dx)
+                _accumulate(x, dx)
+            if scale.requires_grad:
+                _accumulate(scale, (out.grad * xhat).sum(axis=(0, 2, 3)))
+            if shift.requires_grad:
+                _accumulate(shift, out.grad.sum(axis=(0, 2, 3)))
+
+    else:
+        inv_std = 1.0 / np.sqrt(state.running_var + eps)
+        xhat = (x.data - state.running_mean[:, None, None]) * inv_std[:, None, None]
+
+        def backw(out):
+            if x.requires_grad:
+                _accumulate(x, out.grad * g * inv_std[:, None, None])
+            if scale.requires_grad:
+                _accumulate(scale, (out.grad * xhat).sum(axis=(0, 2, 3)))
+            if shift.requires_grad:
+                _accumulate(shift, out.grad.sum(axis=(0, 2, 3)))
+
+    data = g * xhat + shift.data[:, None, None]
+    return make_node(data, "batchnorm", (x, scale, shift), backw)
+
+
+def relu(x):
+    def backw(out):
+        if x.requires_grad:
+            _accumulate(x, out.grad * (out.data > 0))
+
+    return make_node(np.maximum(x.data, 0), "relu", (x,), backw)

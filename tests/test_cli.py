@@ -270,6 +270,22 @@ class TestCorruptCheckpoint:
         assert code == 5
 
 
+    def test_unused_tensor_exit_five(self, trained, tmp_path):
+        import hallucinet.model as model_mod
+
+        _, out = trained
+        header, tensors = model_mod._read_checkpoint(
+            (out / "checkpoint_stage4.ckpt").read_bytes())
+        tensors["rgb/block0/conv0/bias"] = np.zeros(6, dtype=np.float32)
+        header["tensors"].append("rgb/block0/conv0/bias")
+        ckpt = tmp_path / "stray.ckpt"
+        model_mod._write_checkpoint(ckpt, header, tensors)
+        code = main(["eval", "--manifest", str(out / "dataset" / "manifest.json"),
+                     "--checkpoint", str(ckpt), "--tile", "64", "--halo", "16",
+                     "--out", str(tmp_path / "o")])
+        assert code == 5
+
+
 class TestThreadCap:
     def _fake_threadpoolctl(self, monkeypatch):
         import sys
@@ -314,7 +330,7 @@ class TestGradCheckCommand:
         for op in ("conv2d", "transposed_conv2d", "maxpool2", "batchnorm", "relu",
                    "sigmoid", "channel_softmax", "weighted_cross_entropy",
                    "hallucination_loss", "composite_loss_single",
-                   "composite_loss_multi"):
+                   "composite_loss_multi", "batchnorm_relu", "batchnorm_infer"):
             assert sum(1 for l in lines if l.startswith(f"{op} ")) == 1
 
     def test_corrupted_gradient_exits_nonzero(self):

@@ -1,9 +1,22 @@
-"""Banded im2col convolution and strided-view pooling against reference kernels."""
+"""Banded im2col convolution, strided-view pooling and fused batchnorm
+against reference kernels."""
 import numpy as np
 import pytest
 
 import hallucinet.engine.functional as functional
-from hallucinet.engine import Parameter, Tensor, backward, conv2d, maxpool2, mul, relu, tsum
+import reference_kernels
+from hallucinet.engine import (
+    BatchNormState,
+    Parameter,
+    Tensor,
+    backward,
+    batchnorm,
+    conv2d,
+    maxpool2,
+    mul,
+    relu,
+    tsum,
+)
 from reference_kernels import conv_dw, conv_dx, conv_fwd, maxpool2_bwd, maxpool2_fwd
 
 # relative to the reference's largest absolute value, fixed per dtype
@@ -94,3 +107,63 @@ def test_relu_gradient_on_signed_zeros():
     backward(tsum(mul(relu(xt), Tensor(g))))
     expected = g * (x > 0)  # the mask the gradient has always used
     assert xt.grad.tobytes() == expected.tobytes()
+
+
+# the conv-BN-ReLU units of the default branch at batch 4 and 256^2 input
+UNIT_SHAPES = [(4, 32, 128, 128), (4, 64, 64, 64), (4, 128, 32, 32), (4, 256, 16, 16)]
+
+
+def _bn_run(bn, x, scale, shift, mean, var, dout, mode, fused_relu):
+    """Output, dx, dscale, dshift and running stats of one batchnorm(+ReLU)."""
+    state = BatchNormState(len(scale), dtype=x.dtype)
+    state.running_mean, state.running_var = mean.copy(), var.copy()
+    xt, st, sh = Tensor(x, requires_grad=True), Parameter(scale, "s"), Parameter(shift, "b")
+    if bn is batchnorm:
+        y = batchnorm(xt, st, sh, state, mode, relu=fused_relu)
+    else:
+        y = bn(xt, st, sh, state, mode)
+        if fused_relu:
+            y = reference_kernels.relu(y)
+    backward(tsum(mul(y, Tensor(dout))))
+    return {"out": y.data, "dx": xt.grad, "dscale": st.grad, "dshift": sh.grad,
+            "running_mean": state.running_mean, "running_var": state.running_var}
+
+
+@pytest.mark.parametrize("fused_relu", [True, False], ids=["relu", "plain"])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("shape,offset", [(s, 1.0) for s in UNIT_SHAPES]
+                         + [(UNIT_SHAPES[0], 100.0)],
+                         ids=[f"{s[1]}ch" for s in UNIT_SHAPES] + ["32ch-mean100std"])
+def test_fused_batchnorm_matches_float64_reference(rng, shape, offset, mode, fused_relu):
+    n, c, h, w = shape
+    std = rng.uniform(0.5, 2.0, size=c)
+    mean = offset * std * rng.choice([-1.0, 1.0], size=c)
+    x = (rng.normal(size=shape) * std[:, None, None] + mean[:, None, None]).astype(np.float32)
+    scale = rng.uniform(0.5, 1.5, size=c).astype(np.float32)
+    shift = rng.normal(scale=0.5, size=c).astype(np.float32)
+    run_mean = (mean + rng.normal(scale=0.1, size=c) * std).astype(np.float32)
+    run_var = (std ** 2 * rng.uniform(0.8, 1.2, size=c)).astype(np.float32)
+    ref_in = [a.astype(np.float64) for a in (x, scale, shift, run_mean, run_var)]
+    dout = rng.normal(size=shape)
+    if fused_relu:
+        # float32 and float64 may disagree on the mask right at the kink
+        pre = _bn_run(reference_kernels.batchnorm, *ref_in, dout, mode, False)["out"]
+        dout[np.abs(pre) < 1e-3] = 0.0
+    ref = _bn_run(reference_kernels.batchnorm, *ref_in, dout, mode, fused_relu)
+    got = _bn_run(batchnorm, x, scale, shift, run_mean, run_var,
+                  dout.astype(np.float32), mode, fused_relu)
+    for key, want in ref.items():
+        assert got[key].dtype == np.float32 and got[key].shape == want.shape, key
+        err = np.abs(got[key] - want).max()
+        assert err <= 1e-5 * np.abs(want).max(), (key, err)
+
+
+def test_fused_batchnorm_leaves_inputs_untouched(rng):
+    x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+    grad = rng.normal(size=x.shape).astype(np.float32)
+    xt, before = Tensor(x, requires_grad=True), x.copy()
+    y = batchnorm(xt, Parameter(np.ones(3), "s"), Parameter(np.zeros(3), "b"),
+                  BatchNormState(3), "train", relu=True)
+    y.grad = grad
+    y._backward(y)
+    assert np.array_equal(x, before) and np.array_equal(y.grad, grad)

@@ -92,6 +92,38 @@ class TestBuildForward:
         assert "rgb/score/weight" in names and "rgb/upsample/weight" in names
 
 
+def _buffer_bytes(arr: np.ndarray) -> int:
+    """Bytes of the buffer an array keeps alive (its base, for a view)."""
+    return (arr if arr.base is None else arr.base).nbytes
+
+
+class TestTrainForwardMemory:
+    def test_two_arrays_held_per_conv_unit(self, tiny_config, rng):
+        import tracemalloc
+
+        n, size = 2, 128
+        branch = build_branch(tiny_config, 3, "rgb", 0)
+        itemsize = np.dtype(np.float32).itemsize
+        units = pools = 0
+        side = size // tiny_config.first_conv_stride
+        for width, convs in tiny_config.blocks:
+            units += convs * n * width * side * side * itemsize
+            side //= 2
+            pools += n * width * side * side * itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x = rng.random((n, 3, size, size), dtype=np.float32)
+            out = branch.forward(x, "train")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.logits.requires_grad  # the graph for backward is alive
+        # per unit: the conv output (batchnorm's input) and the fused output
+        bound = 2 * units + pools + _buffer_bytes(out.logits.data) + x.nbytes
+        assert held <= 1.05 * bound, (held, bound)
+
+
 class TestFuseLogits:
     def test_mean_idempotent(self, rng):
         z = t64(rng.normal(size=(1, 3, 2, 2)))
@@ -367,7 +399,7 @@ class TestCheckpointRobustness:
 
     def test_unknown_format_version_rejected(self, saved):
         blob = saved.read_bytes()
-        old = b'"format_version": 2,'
+        old = b'"format_version": 3,'
         assert old in blob
         saved.write_bytes(blob.replace(old, b'"format_version": 9,'))
         with pytest.raises(CheckpointError, match="version 9"):
@@ -391,6 +423,56 @@ class TestCheckpointRobustness:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(saved)
 
+    def test_version_two_conv_biases_fold_into_running_mean(self, tiny_config, tmp_path, rng):
+        import hallucinet.model as model_mod
+
+        bundle = _bundle(tiny_config, {"rgb": 3, "depth": 1, "hal_depth": 3},
+                         {"rgb": "color", "depth": "height"})
+        for branch in bundle.branches.values():
+            for unit in (u for units in branch.blocks for u in units):
+                c = unit.state.running_mean.shape[0]
+                unit.state.running_mean = rng.normal(size=c).astype(np.float32)
+                unit.state.running_var = rng.uniform(0.5, 2.0, size=c).astype(np.float32)
+        new_path, old_path = tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
+        save_checkpoint(bundle, new_path, stage="stage4")
+        header, tensors = model_mod._read_checkpoint(new_path.read_bytes())
+        # a format-2 file: every conv unit has a bias, and since BN(conv + b)
+        # with running mean rm + b is BN(conv) with rm, it predicts the same
+        biases, names = {}, []
+        for name in header["tensors"]:
+            names.append(name)
+            if name.endswith("/weight") and "/block" in name:
+                bias = name[:-len("weight")] + "bias"
+                mean = bias.replace("/conv", "/bn").replace("/bias", "/running_mean")
+                biases[mean] = tensors[bias] = rng.normal(size=tensors[mean].shape).astype(np.float32)
+                tensors[mean] = tensors[mean] + biases[mean]
+                names.append(bias)
+        header.update(format_version=2, tensors=names)
+        model_mod._write_checkpoint(old_path, header, tensors)
+        loaded = load_checkpoint(old_path)
+        assert not [p.name for p in loaded.parameters() if "/conv" in p.name
+                    and p.name.endswith("/bias")]
+        assert [p.name for p in loaded.parameters()] == [p.name for p in bundle.parameters()]
+        for role, branch in loaded.branches.items():
+            for name, arr in branch.buffers().items():
+                if name.endswith("/running_mean"):
+                    assert np.array_equal(arr, tensors[name] - biases[name])
+        inputs = {"color": rng.random((1, 3, 64, 64), dtype=np.float32),
+                  "height": rng.random((1, 1, 64, 64), dtype=np.float32)}
+        for avail in ({"depth": True}, {"depth": False}):
+            want = predict_probs(bundle, inputs, avail)
+            assert np.abs(predict_probs(loaded, inputs, avail) - want).max() <= 1e-5
+
+    def test_unused_tensor_rejected(self, saved):
+        import hallucinet.model as model_mod
+
+        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        tensors["rgb/block0/extra"] = np.zeros(3, dtype=np.float32)
+        header["tensors"].append("rgb/block0/extra")
+        model_mod._write_checkpoint(saved, header, tensors)
+        with pytest.raises(CheckpointError, match="rgb/block0/extra"):
+            load_checkpoint(saved)
+
     def test_version_one_without_checksum_loads(self, saved):
         import json
         import struct
@@ -398,7 +480,7 @@ class TestCheckpointRobustness:
         blob = saved.read_bytes()
         (hlen,) = struct.unpack_from("<I", blob, 4)
         header = json.loads(blob[8:8 + hlen])
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         header["format_version"] = 1
         head = json.dumps(header).encode("utf-8")
         # a version-1 file: the same header and records, no checksum after them
