@@ -70,7 +70,7 @@ DEFAULT_CONFIG = {
         "seed": 0,
         "hallucinate": None,
     },
-    "eval": {"scenario": "all", "split": "test", "tile_size": 256, "halo": 64},
+    "eval": {"scenario": "all", "split": "test", "tile_size": None, "halo": None},
 }
 
 # dict-valued keys whose sub-keys are free-form
@@ -300,7 +300,7 @@ def _parse_availability(text: str | None) -> dict[str, bool]:
 
 def cmd_infer(args) -> int:
     from .data import read_tensor_file, write_tensor_file
-    from .evaluate import tiled_inference
+    from .evaluate import plan_windows, tiled_inference
     from .model import MissingModalityError, load_checkpoint, select_branches
 
     bundle = load_checkpoint(args.checkpoint)
@@ -322,8 +322,10 @@ def cmd_infer(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_tensor_file(out, class_map.astype(np.uint8))
+    plan = plan_windows(bundle, class_map.shape, args.tile, args.halo)
     routing = {"selected_branches": selected,
-               "availability": {r: bool(v) for r, v in availability.items()}}
+               "availability": {r: bool(v) for r, v in availability.items()},
+               "windows": plan.count, "window_hw": list(plan.window), "halo": plan.halo}
     out.with_suffix(".routing.json").write_text(json.dumps(routing, indent=2) + "\n")
     if args.png:
         write_png(args.png, class_map_to_rgb(class_map))
@@ -345,6 +347,13 @@ def cmd_grad_check(args) -> int:
     print(f"{'all gradients verified' if ok else 'gradient check FAILED'} "
           f"({len(results)} ops, {args.points} points each)")
     return 0 if ok else 1
+
+
+TILE_HELP = ("window side for a scene whose forward exceeds the memory budget "
+             "(default: the largest that fits); a multiple of the model's downsample "
+             "factor, larger than twice the halo. A scene within the budget is one forward")
+HALO_HELP = ("window overlap on each side (default and minimum: the receptive radius "
+             "rounded up to the downsample factor; a smaller value is raised to it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,18 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=["single", "ensemble", "hallucination", "full"],
                    default="hallucination")
     p.add_argument("--split", default="test")
-    p.add_argument("--tile", type=int, default=256)
-    p.add_argument("--halo", type=int, default=64)
+    p.add_argument("--tile", type=int, default=None, help=TILE_HELP)
+    p.add_argument("--halo", type=int, default=None, help=HALO_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("infer", help="tiled inference over one scene directory")
+    p = sub.add_parser("infer", help="class map of one scene directory")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--availability", default=None,
                    help="comma list, e.g. height=false,ir=true")
-    p.add_argument("--tile", type=int, default=256)
-    p.add_argument("--halo", type=int, default=64)
+    p.add_argument("--tile", type=int, default=None, help=TILE_HELP)
+    p.add_argument("--halo", type=int, default=None, help=HALO_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--png", default=None)
     p.set_defaults(fn=cmd_infer)

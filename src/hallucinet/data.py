@@ -173,18 +173,24 @@ def load_manifest(path) -> DatasetManifest:
 
 def load_scene(manifest: DatasetManifest, scene_id: str,
                modalities=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Load (C,H,W) float rasters per modality and the (H,W) uint8 labels."""
+    """Load (C,H,W) float rasters per modality and the (H,W) uint8 labels.
+
+    Every raster must have the labels' extent.
+    """
     names = modalities if modalities is not None else [m.name for m in manifest.modalities]
     scene_dir = manifest.scene_dir(scene_id)
+    labels = read_tensor_file(scene_dir / "labels.mtns")
+    if labels.ndim != 2:
+        raise ValueError("labels must be (H,W)")
     rasters = {}
     for name in names:
         arr = read_tensor_file(scene_dir / f"{name}.mtns")
         if arr.ndim != 3:
             raise ValueError(f"modality raster {name} must be (C,H,W)")
+        if arr.shape[1:] != labels.shape:
+            raise ValueError(f"scene {scene_id}: raster {name} is {arr.shape[1]}x{arr.shape[2]}, "
+                             f"labels are {labels.shape[0]}x{labels.shape[1]}")
         rasters[name] = arr.astype(np.float32)
-    labels = read_tensor_file(scene_dir / "labels.mtns")
-    if labels.ndim != 2:
-        raise ValueError("labels must be (H,W)")
     return rasters, labels
 
 

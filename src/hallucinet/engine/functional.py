@@ -115,7 +115,8 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
                 ws = w[:, :, mi * s:(mi + 1) * s, mj * s:(mj + 1) * s]
                 tiles[:, :, mi:mi + ho, :, mj:mj + wo, :] += np.einsum(
                     "ncij,cdab->ndiajb", dout, ws, optimize=True)
-        return dxp[:, :, padding:padding + h, padding:padding + wd]
+        # a copy, so the result does not keep the padded raster alive
+        return dxp[:, :, padding:padding + h, padding:padding + wd].copy()
     # dx is the stride-1 correlation of the zero-dilated dout, padded by
     # k-1-p, with the flipped and transposed kernel. The raster is sized
     # to give exactly h x wd outputs, which also covers the rows and

@@ -1,5 +1,5 @@
 """Evaluation: boundary erosion, confusion accumulation, segmentation
-metrics, halo-stitched tiled inference, and availability-aware scoring.
+metrics, exact tiled inference, and availability-aware scoring.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import DatasetManifest, load_scene
 from .losses import IGNORE_LABEL
-from .model import MissingModalityError, ModelBundle, predict
+from .model import BranchConfig, MissingModalityError, ModelBundle, predict
 
 EROSION_RADIUS = 3
 
@@ -156,60 +156,143 @@ def metrics(conf: ConfusionMatrix, excluded_classes=(), mode: str = "",
     )
 
 
-def _edge_distance(tile: int) -> np.ndarray:
-    idx = np.arange(tile)
-    d = np.minimum(idx, tile - 1 - idx)
-    return np.minimum.outer(d, d)
+# Byte budget of one inference forward: a 1024x1024 scene through three
+# default branches fits. A scene estimated to need more runs in square
+# windows of the largest side that fits.
+_FORWARD_BYTES = 160 << 20
 
 
-def _tile_origins(extent: int, tile: int, step: int) -> list[int]:
-    limit = extent - tile
-    origins = list(range(0, limit + 1, step))
-    if origins[-1] != limit:
-        origins.append(limit)
-    return origins
+def forward_bytes_per_pixel(config: BranchConfig, branches: int, itemsize: int) -> float:
+    """Estimated peak bytes per input pixel of one forward fusing `branches` branches.
+
+    Branches run one after another, so the peak is the larger of two
+    moments. One is the widest conv unit, counted with its input, the
+    padded copy it convolves, its conv output and its batchnorm output,
+    while the other branches' logits wait. The other is the fused head,
+    which holds every branch's logits, their mean and the softmax
+    temporaries. The engine's im2col band buffer (`_BAND_BYTES` in
+    `engine.functional`) comes on top; it does not grow with the window.
+    """
+    widest = 0.0
+    channels, area = 0, 1  # area: input pixels per pixel of the current level
+    for b, (width, n_convs) in enumerate(config.blocks):
+        for i in range(n_convs):
+            if b == 0 and i == 0:
+                area *= config.first_conv_stride ** 2
+            widest = max(widest, 2 * (channels + width) / area)
+            channels = width
+        area *= 4
+    c = config.class_count
+    return itemsize * max(widest + (branches - 1) * c, (branches + 4) * c)
+
+
+@dataclass(frozen=True)
+class WindowPlan:
+    """Forward windows over a scene edge-padded to the downsample factor.
+
+    Per axis, each entry is (origin, start, stop): the window's first
+    pixel and the pixels [start, stop) it contributes, those where it
+    lies farthest from a window edge inside the scene.
+    """
+    extent: tuple[int, int]
+    window: tuple[int, int]
+    halo: int
+    rows: tuple[tuple[int, int, int], ...]
+    cols: tuple[tuple[int, int, int], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.rows) * len(self.cols)
+
+
+def _round_up(value: int, factor: int) -> int:
+    return -(-value // factor) * factor
+
+
+def _axis_windows(extent: int, side: int, step: int) -> tuple[int, tuple]:
+    """Window length and (origin, start, stop) entries along one axis.
+
+    Windows start `step` apart, the last one flush with the far border,
+    and each pixel goes to the window whose centre is nearest (the
+    earlier on a tie). That is also the window where the pixel lies
+    farthest from a window edge inside the scene, at least
+    (side - step)/2 px, since only the windows that touch a scene border
+    hold the pixels near it.
+    """
+    if extent <= side:
+        return extent, ((0, 0, extent),)
+    origins = list(range(0, extent - side, step)) + [extent - side]
+    bounds = [0] + [(a + b + side) // 2 for a, b in zip(origins, origins[1:])] + [extent]
+    return side, tuple(zip(origins, bounds, bounds[1:]))
+
+
+def plan_windows(bundle: ModelBundle, extent_hw: tuple[int, int],
+                 tile: int | None = None, halo: int | None = None) -> WindowPlan:
+    """Windows for tiled inference over a scene of `extent_hw` pixels.
+
+    The scene is edge-padded to a multiple of the downsample factor f. If
+    a forward of every branch of the bundle over it fits `_FORWARD_BYTES`
+    (as `forward_bytes_per_pixel` estimates it), the plan is one window.
+    Otherwise windows of side `tile` (default: the largest multiple of f
+    that fits the budget) start on the f-grid, `tile - 2*halo` apart.
+    The halo is at least the receptive radius rounded up to f, so every
+    pixel's output equals that of one forward over the padded scene;
+    a smaller `halo` is raised to it. `tile` must be a multiple of f,
+    and, when windows are needed, larger than twice the halo.
+    """
+    config = bundle.config
+    factor = config.downsample_factor
+    if tile is not None and (tile <= 0 or tile % factor):
+        raise ValueError(f"tile size {tile} must be a positive multiple of the model's "
+                         f"downsample factor {factor}")
+    if halo is not None and halo < 0:
+        raise ValueError(f"halo must be non-negative, got {halo}")
+    halo = _round_up(max(config.receptive_radius, halo or 0), factor)
+    hp, wp = (_round_up(e, factor) for e in extent_hw)
+    itemsize = np.dtype(next(iter(bundle.branches.values())).dtype).itemsize
+    per_px = forward_bytes_per_pixel(config, len(bundle.branches), itemsize)
+    if hp * wp * per_px <= _FORWARD_BYTES:
+        return WindowPlan((hp, wp), (hp, wp), halo, ((0, 0, hp),), ((0, 0, wp),))
+    side = tile if tile is not None else int((_FORWARD_BYTES / per_px) ** 0.5) // factor * factor
+    if side <= 2 * halo:
+        raise ValueError(f"window side {side} must exceed twice the halo {halo} "
+                         f"for a {hp}x{wp} scene over the forward budget")
+    (wh, rows), (ww, cols) = (_axis_windows(e, side, side - 2 * halo) for e in (hp, wp))
+    return WindowPlan((hp, wp), (wh, ww), halo, rows, cols)
 
 
 def tiled_inference(bundle: ModelBundle, rasters: dict[str, np.ndarray],
-                    availability: dict[str, bool], tile: int = 256,
-                    halo: int = 64, predictor=None) -> np.ndarray:
-    """Class map for a full scene from overlapping tiles.
+                    availability: dict[str, bool], tile: int | None = None,
+                    halo: int | None = None, predictor=None) -> np.ndarray:
+    """(H, W) class map of a scene, equal at every pixel to one forward
+    over the scene edge-padded to the downsample factor.
 
-    Each output pixel comes from the tile in which it lies farthest from
-    a tile edge; with a halo at least the receptive-field radius this
-    makes interior predictions independent of the tiling.
+    The rasters must share their extent. A scene that fits the forward
+    budget is one window; a larger one runs in the windows of
+    `plan_windows` (`tile`, `halo`: see there), each pixel taken from the
+    window where it lies farthest from an edge inside the scene.
     """
-    factor = bundle.config.downsample_factor
-    if tile % factor:
-        raise ValueError(f"tile size {tile} must be divisible by the model's "
-                         f"downsample factor {factor}")
-    if not 0 <= halo < tile // 2:
-        raise ValueError("halo must be smaller than half the tile")
+    extents = {name: arr.shape[-2:] for name, arr in rasters.items()}
+    if len(set(extents.values())) > 1:
+        raise ValueError("scene rasters differ in extent: " + ", ".join(
+            f"{name} {h}x{w}" for name, (h, w) in extents.items()))
     if predictor is None:
         def predictor(inputs, avail):
             return predict(bundle, inputs, avail)
 
-    some = next(iter(rasters.values()))
-    h, w = some.shape[-2:]
-    pad_h, pad_w = max(0, tile - h), max(0, tile - w)
-    if pad_h or pad_w:
-        rasters = {name: np.pad(arr, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
+    h, w = next(iter(extents.values()))
+    plan = plan_windows(bundle, (h, w), tile, halo)
+    hp, wp = plan.extent
+    if (hp, wp) != (h, w):
+        rasters = {name: np.pad(arr, ((0, 0), (0, hp - h), (0, wp - w)), mode="edge")
                    for name, arr in rasters.items()}
-    hp, wp = h + pad_h, w + pad_w
-
-    out = np.zeros((hp, wp), dtype=np.int64)
-    best = np.full((hp, wp), -1, dtype=np.int64)
-    edge_d = _edge_distance(tile)
-    step = tile - 2 * halo if halo else tile
-    for r in _tile_origins(hp, tile, step):
-        for c in _tile_origins(wp, tile, step):
-            inputs = {name: arr[None, :, r:r + tile, c:c + tile]
-                      for name, arr in rasters.items()}
+    wh, ww = plan.window
+    out = np.empty((hp, wp), dtype=np.int64)
+    for r, r0, r1 in plan.rows:
+        for c, c0, c1 in plan.cols:
+            inputs = {name: arr[None, :, r:r + wh, c:c + ww] for name, arr in rasters.items()}
             pred = predictor(inputs, availability)[0]
-            window_best = best[r:r + tile, c:c + tile]
-            take = edge_d > window_best
-            out[r:r + tile, c:c + tile][take] = pred[take]
-            window_best[take] = edge_d[take]
+            out[r0:r1, c0:c1] = pred[r0 - r:r1 - r, c0 - c:c1 - c]
     return out[:h, :w]
 
 
@@ -227,13 +310,14 @@ def _forced_availability(bundle: ModelBundle, scenario: str,
 
 
 def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
-             scenario: str = "all", tile: int = 256, halo: int = 64,
-             predictor=None) -> tuple[EvalReport, ConfusionMatrix]:
+             scenario: str = "all", tile: int | None = None,
+             halo: int | None = None, predictor=None) -> tuple[EvalReport, ConfusionMatrix]:
     """Score a trained bundle over a split under one availability policy.
 
     Scenario "1"/"3" force every hallucinated modality absent, "2" honors
     the per-scene manifest flags, "all" forces everything available. The
-    same bundle serves every mode; no retraining happens here.
+    same bundle serves every mode; no retraining happens here. `tile`,
+    `halo` and `predictor` go to `tiled_inference`.
     """
     records = manifest.splits.get(split, [])
     if not records:

@@ -71,6 +71,31 @@ class BranchConfig:
     def downsample_factor(self) -> int:
         return self.first_conv_stride * 2 ** len(self.blocks)
 
+    @property
+    def receptive_radius(self) -> int:
+        """Farthest distance in pixels between an output pixel and an input
+        pixel it depends on (Araujo et al., Distill 2019).
+
+        The conv/pool stack gives pixel i of its output, at jump f (the
+        downsample factor), the input support [f*i + lo, f*i + hi]. The
+        transposed head (kernel 2f, stride f, padding f/2) makes output
+        pixel y depend on stack pixels floor((y + f/2)/f) - 1 and the one
+        after it, so over the f phases of y the support reaches hi + f/2
+        px to one side and 3f/2 - 1 - lo px to the other.
+        """
+        lo = hi = 0
+        jump = 1
+        for b, (_, n_convs) in enumerate(self.blocks):
+            for i in range(n_convs):
+                lo -= jump  # 3x3 conv, padding 1
+                hi += jump
+                if b == 0 and i == 0:
+                    jump *= self.first_conv_stride
+            hi += jump  # 2x2 pool
+            jump *= 2
+        half = jump // 2
+        return max(hi + half, 3 * half - 1 - lo)
+
     def to_json(self) -> dict:
         return {"class_count": self.class_count,
                 "blocks": [list(b) for b in self.blocks],

@@ -218,6 +218,8 @@ class TestInfer:
         assert code == 0
         routing = json.loads(dest.with_suffix(".routing.json").read_text())
         assert set(routing["selected_branches"]) == {"rgb", "hal_depth"}
+        # a 96x96 scene fits the forward budget: one window, halo = radius 16
+        assert (routing["windows"], routing["window_hw"], routing["halo"]) == (1, [96, 96], 16)
         class_map = read_tensor_file(dest)
         labels = read_tensor_file(scene / "labels.mtns")
         assert class_map.shape == labels.shape
@@ -232,6 +234,25 @@ class TestInfer:
         assert main(args(tmp_path / "m1.mtns")) == 0
         assert main(args(tmp_path / "m2.mtns")) == 0
         assert (tmp_path / "m1.mtns").read_bytes() == (tmp_path / "m2.mtns").read_bytes()
+
+    @pytest.mark.parametrize("small", ["color", "height"])
+    def test_rasters_of_different_extents_exit_two(self, trained, tmp_path, capsys, small):
+        from hallucinet.data import write_tensor_file
+
+        _, out = trained
+        scene_src = out / "dataset" / "scenes" / "scene_005"
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        for mod in ("color", "height"):
+            arr = read_tensor_file(scene_src / f"{mod}.mtns")
+            write_tensor_file(scene / f"{mod}.mtns", arr[:, :64, :64] if mod == small else arr)
+        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--scene", str(scene), "--availability", "height=true",
+                     "--out", str(tmp_path / "m.mtns")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{small} 64x64" in err and "96x96" in err
+        assert not (tmp_path / "m.mtns").exists()
 
     def test_missing_modality_exit_six(self, trained, tmp_path):
         _, out = trained

@@ -206,6 +206,22 @@ class TestClassFrequencies:
             class_frequencies(manifest, "val")
 
 
+class TestLoadScene:
+    @pytest.mark.parametrize("color_hw, labels_hw", [((8, 8), (10, 10)), ((10, 12), (10, 10))])
+    def test_raster_extent_must_match_labels(self, tmp_path, color_hw, labels_hw):
+        d = tmp_path / "scenes" / "s0"
+        d.mkdir(parents=True)
+        write_tensor_file(d / "color.mtns", np.zeros((3, *color_hw), dtype=np.float32))
+        write_tensor_file(d / "labels.mtns", np.zeros(labels_hw, dtype=np.uint8))
+        doc = {"class_count": 2, "class_names": ["a", "b"],
+               "modalities": [{"name": "color", "channels": 3}],
+               "splits": {"test": [{"id": "s0", "availability": {}}]}}
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        with pytest.raises(ValueError, match="raster color is .* labels are 10x10"):
+            load_scene(manifest, "s0")
+
+
 class TestSynthetic:
     def test_same_seed_bit_identical(self, tmp_path):
         cfg = SyntheticConfig(scene_count=4, size=96, train_scenes=2, val_scenes=1)

@@ -2,18 +2,31 @@
 import numpy as np
 import pytest
 
+import hallucinet.evaluate as evaluate_mod
+from hallucinet.data import load_scene
+from hallucinet.engine.functional import _BAND_BYTES
 from hallucinet.evaluate import (
     ConfusionMatrix,
     EvalReport,
     accumulate,
     boundary_eroded_mask,
     evaluate,
+    forward_bytes_per_pixel,
     load_report,
     metrics,
+    plan_windows,
     save_report,
     tiled_inference,
 )
-from hallucinet.model import ModelBundle, build_branch, init_hallucination_from
+from hallucinet.model import (
+    BranchConfig,
+    ModelBundle,
+    build_branch,
+    ensemble_predict,
+    init_hallucination_from,
+    predict,
+    predict_probs,
+)
 
 
 def brute_force_erosion(labels, radius=3, ignore=255):
@@ -195,7 +208,7 @@ class TestTiledInference:
         interior = out[32:-32, 32:-32]
         assert (interior == interior.flat[0]).all()
 
-    def test_tiling_invariance_in_interior(self, tiny_config, rng):
+    def test_tiling_invariance_in_interior(self, tiny_config, rng, monkeypatch):
         branch = build_branch(tiny_config, 3, "rgb", 33)
         bundle = ModelBundle(tiny_config, {"rgb": branch}, {"rgb": "color"})
         raster = rng.random((3, 192, 192), dtype=np.float32)
@@ -204,6 +217,10 @@ class TestTiledInference:
         margin = 48
         inner = (slice(margin, -margin), slice(margin, -margin))
         assert np.array_equal(a[inner], b[inner])
+        # windows forced by a budget below the scene: equal everywhere
+        monkeypatch.setattr(evaluate_mod, "_FORWARD_BYTES", 1 << 16)
+        assert plan_windows(bundle, (192, 192), 144).count == 16
+        assert np.array_equal(tiled_inference(bundle, {"color": raster}, {}, tile=144), a)
 
     def test_small_scene_padded(self, single_bundle, rng):
         raster = rng.random((3, 48, 40), dtype=np.float32)
@@ -232,7 +249,165 @@ class TestTiledInference:
             tiled_inference(bundle, {"color": raster}, {}, tile=40, halo=8)
 
 
+def _calibrated(branch, channels: int, seed: int):
+    """Give every batchnorm the statistics of one random batch.
+
+    With the initial statistics the activations shrink layer by layer and
+    one class wins at every pixel, which would hide a wrong window.
+    """
+    units = [u for block in branch.blocks for u in block]
+    for u in units:
+        u.state.momentum = 1.0
+    x = np.random.default_rng(seed).random((1, channels, 64, 64), dtype=np.float32)
+    branch.forward(x, "train")
+    for u in units:
+        u.state.momentum = 0.1
+    return branch
+
+
+@pytest.fixture()
+def hal_bundle(tiny_config):
+    """Scenario-1 roster: rgb and depth, and hal_depth fed by color."""
+    depth = _calibrated(build_branch(tiny_config, 1, "depth", 2), 1, 2)
+    return ModelBundle(tiny_config,
+                       {"rgb": _calibrated(build_branch(tiny_config, 3, "rgb", 1), 3, 1),
+                        "depth": depth,
+                        "hal_depth": _calibrated(init_hallucination_from(depth, 3, 3), 3, 3)},
+                       {"rgb": "color", "depth": "height"})
+
+
+def _scene(rng, h, w):
+    return {"color": rng.random((3, h, w), dtype=np.float32),
+            "height": rng.random((1, h, w), dtype=np.float32)}
+
+
+def _padded_forward(predictor, rasters, availability, factor):
+    """One forward over the scene edge-padded to the factor, cropped back."""
+    h, w = next(iter(rasters.values())).shape[-2:]
+    pad = ((0, 0), (0, -h % factor), (0, -w % factor))
+    inputs = {k: np.pad(v, pad, mode="edge")[None] for k, v in rasters.items()}
+    return predictor(inputs, availability)[0, :h, :w]
+
+
+def _prob_bits(bundle):
+    """Predictor whose 'class map' is the bit pattern of the class-0 probability."""
+    def predictor(inputs, availability):
+        probs = predict_probs(bundle, inputs, availability)
+        return probs[:, 0].view(np.int32)
+    return predictor
+
+
+SCENARIO_1 = {"depth": False}
+
+
+class TestExactTiling:
+    @pytest.fixture()
+    def windowed(self, hal_bundle, monkeypatch):
+        """A forward budget whose derived window side is 160."""
+        per_px = forward_bytes_per_pixel(hal_bundle.config, len(hal_bundle.branches), 4)
+        monkeypatch.setattr(evaluate_mod, "_FORWARD_BYTES", int(160 * 160 * per_px))
+        return hal_bundle
+
+    @pytest.mark.parametrize("hw", [(200, 168), (208, 176), (300, 257)])
+    @pytest.mark.parametrize("tile", [None, 144, 176])
+    def test_windows_equal_one_padded_forward(self, windowed, rng, hw, tile):
+        rasters = _scene(rng, *hw)
+        plan = plan_windows(windowed, hw, tile)
+        assert plan.count > 1 and plan.halo == 64
+        assert plan.window[0] == (tile or 160)
+        factor = windowed.config.downsample_factor
+        bits = _prob_bits(windowed)
+        tiled = tiled_inference(windowed, rasters, SCENARIO_1, tile, predictor=bits)
+        assert np.array_equal(tiled, _padded_forward(bits, rasters, SCENARIO_1, factor))
+        classes = tiled_inference(windowed, rasters, SCENARIO_1, tile)
+        whole = _padded_forward(lambda i, a: predict(windowed, i, a), rasters, SCENARIO_1,
+                                factor)
+        assert np.array_equal(classes, whole)
+        assert len(np.unique(whole)) > 1
+
+    def test_ensemble_predictor_windows(self, windowed, tiny_config, rng):
+        other = ModelBundle(tiny_config,
+                            {"rgb": _calibrated(build_branch(tiny_config, 3, "rgb", 9), 3, 9)},
+                            {"rgb": "color"})
+
+        def ensemble(inputs, availability):
+            return ensemble_predict(windowed, other, inputs, availability)
+
+        rasters = _scene(rng, 200, 168)
+        tiled = tiled_inference(windowed, rasters, SCENARIO_1, predictor=ensemble)
+        whole = _padded_forward(ensemble, rasters, SCENARIO_1, 16)
+        assert np.array_equal(tiled, whole)
+
+    def test_scene_within_budget_is_one_window(self, hal_bundle):
+        plan = plan_windows(hal_bundle, (200, 168), tile=144, halo=8)
+        assert plan.count == 1
+        assert plan.window == plan.extent == (208, 176)
+        assert plan.halo == 64
+
+    def test_halo_raised_to_exact_and_rounded_to_factor(self, windowed):
+        assert plan_windows(windowed, (300, 300), halo=8).halo == 64
+        assert plan_windows(windowed, (300, 300), 176, halo=70).halo == 80
+
+    def test_tile_not_above_twice_halo_rejected_when_windows_needed(self, windowed):
+        assert plan_windows(windowed, (128, 128), tile=128).count == 1
+        with pytest.raises(ValueError, match="twice the halo 64"):
+            plan_windows(windowed, (300, 300), tile=128)
+
+    def test_pixels_taken_once_and_away_from_interior_edges(self, windowed):
+        plan = plan_windows(windowed, (300, 257), 144)
+        for entries, extent, side in ((plan.rows, 304, 144), (plan.cols, 272, 144)):
+            assert [e[1] for e in entries[1:]] == [e[2] for e in entries[:-1]]
+            assert entries[0][1] == 0 and entries[-1][2] == extent
+            for origin, start, stop in entries:
+                assert origin % 16 == 0
+                assert origin == 0 or start - origin >= plan.halo
+                assert origin + side == extent or origin + side - stop >= plan.halo
+
+    @pytest.mark.parametrize("order", [("color", "height"), ("height", "color")])
+    def test_rasters_of_different_extents_rejected(self, hal_bundle, rng, order):
+        shapes = {"color": (3, 64, 64), "height": (1, 128, 128)}
+        rasters = {name: rng.random(shapes[name], dtype=np.float32) for name in order}
+        with pytest.raises(ValueError, match="differ in extent") as err:
+            tiled_inference(hal_bundle, rasters, {"depth": True})
+        assert "color 64x64" in str(err.value) and "height 128x128" in str(err.value)
+
+    @pytest.mark.parametrize("blocks, roster", [(None, 1), (None, 3), ("default", 1)])
+    def test_estimate_bounds_predict_peak(self, tiny_config, hal_bundle, rng, blocks, roster):
+        import tracemalloc
+
+        if blocks == "default":
+            cfg = BranchConfig(class_count=4)
+            bundle = ModelBundle(cfg, {"rgb": build_branch(cfg, 3, "rgb", 1)},
+                                 {"rgb": "color"})
+        elif roster == 1:
+            bundle = ModelBundle(tiny_config, {"rgb": hal_bundle.branches["rgb"]},
+                                 {"rgb": "color"})
+        else:
+            bundle = hal_bundle
+        for side in (128, 256):
+            inputs = {k: v[None] for k, v in _scene(rng, side, side).items()}
+            for availability in ({"depth": True}, SCENARIO_1):
+                tracemalloc.start()
+                try:
+                    predict_probs(bundle, inputs, availability)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                per_px = forward_bytes_per_pixel(bundle.config, len(bundle.branches), 4)
+                assert peak <= per_px * side * side + _BAND_BYTES, (side, peak)
+
+
 class TestEvaluate:
+    def test_confusion_equals_whole_scene_predict(self, hal_bundle, tiny_dataset):
+        _, conf = evaluate(hal_bundle, tiny_dataset, "test", "1")
+        expected = ConfusionMatrix.zeros(tiny_dataset.class_count)
+        for rec in tiny_dataset.splits["test"]:
+            rasters, labels = load_scene(tiny_dataset, rec.scene_id, ["color"])
+            pred = predict(hal_bundle, {"color": rasters["color"][None]}, SCENARIO_1)[0]
+            accumulate(expected, pred, labels, boundary_eroded_mask(labels))
+        assert np.array_equal(conf.counts, expected.counts)
+        assert np.count_nonzero(conf.counts) > 1
+
     def test_copy_hal_equals_all_available(self, tiny_config, tiny_dataset):
         # hal is a bit-exact copy of depth and, via the modality shim, reads
         # the same raster: scenario-1 routing must equal all-available

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hallucinet.engine import Tensor, channel_softmax
+from hallucinet.engine import Tensor, channel_softmax, frozen
 from hallucinet.model import (
     BranchConfig,
     CheckpointError,
@@ -41,6 +41,40 @@ class TestBranchConfig:
         with pytest.raises(ValueError):
             BranchConfig(class_count=4, blocks=((0, 2),))
 
+    @pytest.mark.parametrize("blocks, stride, size, radius", [
+        (((8, 2), (16, 2), (24, 2)), 2, 192, 50),
+        (((32, 2), (64, 2), (128, 2), (256, 2)), 2, 320, 106),
+        (((6, 1),) * 4, 1, 160, 38),
+    ])
+    def test_receptive_radius_equals_impulse_probe(self, blocks, stride, size, radius):
+        cfg = BranchConfig(class_count=4, blocks=blocks, first_conv_stride=stride,
+                           tap_depth=2)
+        assert cfg.receptive_radius == radius
+        assert _impulse_reach(cfg, size) == radius
+
+
+def _impulse_reach(config: BranchConfig, size: int) -> int:
+    """Farthest distance from one changed input pixel to an output pixel
+    whose logits change, over every phase of the downsample factor."""
+    branch = build_branch(config, 3, "rgb", 7)
+    x = np.random.default_rng(7).random((1, 3, size, size), dtype=np.float32)
+    factor = config.downsample_factor
+    centre = size // 2 - size // 2 % factor
+    reach = 0
+    with frozen(branch.parameters()):
+        base = branch.forward(x).logits.data[0]
+        for phase in range(0, factor, 2):
+            # the row probes one phase, the column the next
+            r, c = centre + phase, centre + phase + 1
+            probe = x.copy()
+            probe[0, :, r, c] += 50.0
+            changed = (branch.forward(probe).logits.data[0] != base).any(axis=0)
+            rows = np.flatnonzero(changed.any(axis=1))
+            cols = np.flatnonzero(changed.any(axis=0))
+            assert 0 < rows[0] and rows[-1] < size - 1 and 0 < cols[0] and cols[-1] < size - 1
+            reach = max(reach, r - rows[0], rows[-1] - r, c - cols[0], cols[-1] - c)
+    return int(reach)
+
 
 class TestBuildForward:
     def test_default_geometry(self, rng):
@@ -72,6 +106,23 @@ class TestBuildForward:
         o1 = branch.forward(x, "infer")
         o2 = branch.forward(x, "infer")
         assert np.array_equal(o1.logits.data, o2.logits.data)
+
+    def test_logits_own_their_data(self, tiny_config, rng):
+        import tracemalloc
+
+        branch = build_branch(tiny_config, 3, "rgb", 0)
+        x = rng.random((1, 3, 128, 128), dtype=np.float32)
+        with frozen(branch.parameters()):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                logits = branch.forward(x).logits.data
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert logits.flags.owndata
+        # a view of the padded upsampling raster would hold 144^2/128^2 of it
+        assert held <= logits.nbytes + 16 * 1024, (held, logits.nbytes)
 
     def test_channel_mismatch(self, tiny_config, rng):
         branch = build_branch(tiny_config, 3, "rgb", 0)
