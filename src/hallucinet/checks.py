@@ -7,6 +7,7 @@ from their kinks.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,11 @@ from .engine import (
 )
 from .losses import (
     ClassWeights,
-    composite_loss_multi,
-    composite_loss_single,
+    composite_loss,
     hallucination_loss,
     weighted_cross_entropy,
 )
-from .model import BranchOutput
+from .model import ROSTER, BranchOutput
 
 TOLERANCE = 1e-4
 
@@ -182,40 +182,16 @@ def _check_hallucination(rng, bias):
         lambda t: hallucination_loss(_t(target), t), hal, grad_bias=bias)
 
 
-def _single_outputs(rng):
-    taps = {r: rng.normal(size=(1, 2, 2, 2)) for r in ("rgb", "depth", "hal")}
-    logits = {r: rng.normal(size=(1, 3, 4, 4)) * 2 for r in ("rgb", "depth", "hal")}
-    labels = rng.integers(0, 3, size=(1, 4, 4))
-    weights = ClassWeights(rng.uniform(0.5, 2.0, size=3))
-    return taps, logits, labels, weights
-
-
-def _check_composite_single(rng, bias):
-    taps, logits, labels, weights = _single_outputs(rng)
-    gamma = 2.5
-
-    def build(probe_role, probe_kind, t):
-        outs = {}
-        for role in ("rgb", "depth", "hal"):
-            tap = t if (role == probe_role and probe_kind == "tap") else _t(taps[role])
-            lg = t if (role == probe_role and probe_kind == "logits") else _t(logits[role])
-            outs[role] = BranchOutput(tap=tap, logits=lg)
-        return composite_loss_single(outs, labels, weights, gamma).total
-
-    errs = [finite_diff_check(lambda t: build(role, "logits", t), logits[role], grad_bias=bias)
-            for role in ("rgb", "depth", "hal")]
-    # the target tap carries stop-gradient, so only the hal tap is checked
-    errs.append(finite_diff_check(lambda t: build("hal", "tap", t), taps["hal"], grad_bias=bias))
-    return max(errs)
-
-
-def _check_composite_multi(rng, bias):
-    roles = ("rgb", "ir", "depth", "hal_ir", "hal_depth")
+def _check_composite(k, gamma, rng, bias):
+    """The objective over the first k optional roles of the roster, probed
+    at every logit and every hallucination tap."""
+    optional = ROSTER[1:1 + k]
+    hals = tuple(f"hal_{r}" for r in optional)
+    roles = ("rgb", *optional, *hals)
     taps = {r: rng.normal(size=(1, 2, 2, 2)) for r in roles}
     logits = {r: rng.normal(size=(1, 3, 4, 4)) * 2 for r in roles}
     labels = rng.integers(0, 3, size=(1, 4, 4))
     weights = ClassWeights(rng.uniform(0.5, 2.0, size=3))
-    gamma = 3.0
 
     def build(probe_role, probe_kind, t):
         outs = {}
@@ -223,12 +199,13 @@ def _check_composite_multi(rng, bias):
             tap = t if (role == probe_role and probe_kind == "tap") else _t(taps[role])
             lg = t if (role == probe_role and probe_kind == "logits") else _t(logits[role])
             outs[role] = BranchOutput(tap=tap, logits=lg)
-        return composite_loss_multi(outs, labels, weights, gamma).total
+        return composite_loss(outs, labels, weights, gamma).total
 
     errs = [finite_diff_check(lambda t: build(role, "logits", t), logits[role], grad_bias=bias)
             for role in roles]
+    # the target taps carry stop-gradient, so only the hal taps are checked
     errs += [finite_diff_check(lambda t: build(role, "tap", t), taps[role], grad_bias=bias)
-             for role in ("hal_ir", "hal_depth")]
+             for role in hals]
     return max(errs)
 
 
@@ -242,8 +219,8 @@ CASES = [
     ("channel_softmax", _check_softmax),
     ("weighted_cross_entropy", _check_cross_entropy),
     ("hallucination_loss", _check_hallucination),
-    ("composite_loss_single", _check_composite_single),
-    ("composite_loss_multi", _check_composite_multi),
+    ("composite_loss_single", functools.partial(_check_composite, 1, 2.5)),
+    ("composite_loss_multi", functools.partial(_check_composite, 2, 3.0)),
     ("batchnorm_relu", _check_batchnorm_relu),
     ("batchnorm_infer", _check_batchnorm_infer),
 ]

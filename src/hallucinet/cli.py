@@ -70,7 +70,6 @@ DEFAULT_CONFIG = {
         "seed": 0,
         "hallucinate": None,
     },
-    "eval": {"scenario": "all", "split": "test", "tile_size": None, "halo": None},
 }
 
 # dict-valued keys whose sub-keys are free-form
@@ -206,7 +205,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     from .data import load_manifest
     from .synthetic import generate_synthetic
-    from .train import run_protocol_multi, run_protocol_single
+    from .train import run_protocol
 
     config = load_config(args.config)
     if args.seed is not None:
@@ -223,14 +222,8 @@ def cmd_train(args) -> int:
         raise ConfigError("data section needs a manifest path or a synthetic block")
 
     model_config = _model_config(config, manifest.class_count)
-    train_config = _train_config(config)
-    if train_config.mode == "single":
-        bundle, log = run_protocol_single(manifest, model_config, train_config,
-                                          out_dir=out,
-                                          hallucinate=config["train"]["hallucinate"])
-    else:
-        bundle, log = run_protocol_multi(manifest, model_config, train_config,
-                                         out_dir=out)
+    bundle, _ = run_protocol(manifest, model_config, _train_config(config), out_dir=out,
+                             hallucinate=config["train"]["hallucinate"])
     print(f"trained {len(bundle.branches)} branches "
           f"({', '.join(sorted(bundle.branches))}); logs and checkpoints in {out}")
     return 0

@@ -1,9 +1,11 @@
 """Loss terms: median-frequency-balanced cross-entropy, feature mimicry
-between branch taps, score fusion, and the composite single/multi-missing
-objectives.
+between branch taps, score fusion, and the composite objective over the
+optional roles.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -13,13 +15,6 @@ from .engine import Tensor, channel_softmax, clamp_min, gather_channel, log, mul
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-12
-
-SINGLE_HAL_TERMS = ("hallucinate",)
-SINGLE_CE_TERMS = ("depth", "rgb", "hal", "rgb+depth", "rgb+hal")
-MULTI_HAL_TERMS = ("hallucinate_ir", "hallucinate_depth")
-MULTI_CE_TERMS = ("ir", "depth", "rgb", "hal_depth", "hal_ir",
-                  "rgb+hal_ir+depth", "rgb+ir+hal_depth", "rgb+ir+depth",
-                  "rgb+hal_ir+hal_depth")
 
 
 @dataclass(frozen=True)
@@ -132,60 +127,48 @@ def fuse_logits(logit_list: list[Tensor]) -> Tensor:
     return mul(acc, 1.0 / len(logit_list))
 
 
-def composite_loss_single(outputs, labels: np.ndarray, weights: ClassWeights,
-                          gamma: float) -> LossBreakdown:
-    """Six-term objective for one hallucinated modality.
+def fusion_roster(roles, available) -> list[str]:
+    """Branches fused for one availability pattern of the optional roles:
+    rgb, then each role's real branch if available, else `hal_<role>`."""
+    return ["rgb"] + [r if a else f"hal_{r}" for r, a in zip(roles, available)]
 
-    `outputs` maps the roles rgb, depth, hal to objects carrying `.tap`
-    and `.logits`. All cross-entropy terms share the minibatch and class
-    weights; the mimicry term is unweighted.
+
+def composite_loss(outputs, labels: np.ndarray, weights: ClassWeights,
+                   gamma: float) -> LossBreakdown:
+    """The objective over the optional roles of `outputs`, in their order.
+
+    `outputs` maps rgb, each optional role and its `hal_<role>` branch to
+    objects carrying `.tap` and `.logits`. For k roles the terms are, in
+    order: the mimicry term `hallucinate_<role>` per role; cross-entropy on
+    each role, on rgb and on each `hal_<role>`; and cross-entropy on the
+    fusion of each of the 2^k availability patterns, all available first,
+    named by its `fusion_roster` joined with "+". That is 6 terms for k=1
+    and 11 for k=2. The cross-entropy terms share the minibatch and class
+    weights; the mimicry terms are unweighted and scaled by gamma.
     """
-    for role in ("rgb", "depth", "hal"):
-        if role not in outputs:
-            raise ValueError(f"missing branch output: {role}")
-    rgb, depth = outputs["rgb"], outputs["depth"]
-    hal = outputs["hal"]
+    roles = [r for r in outputs if r != "rgb" and not r.startswith("hal_")]
+    hals = [f"hal_{r}" for r in roles]
+    if not roles or set(outputs) != {"rgb", *roles, *hals}:
+        raise ValueError("outputs need rgb plus a real and a hal_ branch per optional "
+                         f"role, got {sorted(outputs)}")
 
     def ce(logits):
         return weighted_cross_entropy(logits, labels, weights)
 
-    terms = {
-        "hallucinate": hallucination_loss(depth.tap, hal.tap),
-        "depth": ce(depth.logits),
-        "rgb": ce(rgb.logits),
-        "hal": ce(hal.logits),
-        "rgb+depth": ce(fuse_logits([rgb.logits, depth.logits])),
-        "rgb+hal": ce(fuse_logits([rgb.logits, hal.logits])),
-    }
-    return LossBreakdown(terms, gamma, SINGLE_HAL_TERMS)
+    terms = {f"hallucinate_{r}": hallucination_loss(outputs[r].tap, outputs[h].tap)
+             for r, h in zip(roles, hals)}
+    for name in (*roles, "rgb", *hals):
+        terms[name] = ce(outputs[name].logits)
+    for pattern in itertools.product((True, False), repeat=len(roles)):
+        fused = fusion_roster(roles, pattern)
+        terms["+".join(fused)] = ce(fuse_logits([outputs[n].logits for n in fused]))
+    return LossBreakdown(terms, gamma, tuple(f"hallucinate_{r}" for r in roles))
 
 
-def composite_loss_multi(outputs, labels: np.ndarray, weights: ClassWeights,
-                         gamma: float) -> LossBreakdown:
-    """Eleven-term objective for two hallucinated modalities (ir and depth)."""
-    for role in ("rgb", "ir", "depth", "hal_ir", "hal_depth"):
-        if role not in outputs:
-            raise ValueError(f"missing branch output: {role}")
-    rgb, ir, depth = outputs["rgb"], outputs["ir"], outputs["depth"]
-    hal_ir, hal_depth = outputs["hal_ir"], outputs["hal_depth"]
-
-    def ce(logits):
-        return weighted_cross_entropy(logits, labels, weights)
-
-    terms = {
-        "hallucinate_ir": hallucination_loss(ir.tap, hal_ir.tap),
-        "hallucinate_depth": hallucination_loss(depth.tap, hal_depth.tap),
-        "ir": ce(ir.logits),
-        "depth": ce(depth.logits),
-        "rgb": ce(rgb.logits),
-        "hal_depth": ce(hal_depth.logits),
-        "hal_ir": ce(hal_ir.logits),
-        "rgb+hal_ir+depth": ce(fuse_logits([rgb.logits, hal_ir.logits, depth.logits])),
-        "rgb+ir+hal_depth": ce(fuse_logits([rgb.logits, ir.logits, hal_depth.logits])),
-        "rgb+ir+depth": ce(fuse_logits([rgb.logits, ir.logits, depth.logits])),
-        "rgb+hal_ir+hal_depth": ce(fuse_logits([rgb.logits, hal_ir.logits, hal_depth.logits])),
-    }
-    return LossBreakdown(terms, gamma, MULTI_HAL_TERMS)
+# perfbench --trace 1 wraps the objective under this name
+composite_loss_single = composite_loss
+# perfbench --trace 1 wraps this too; a distinct object keeps the objective wrapped once
+composite_loss_multi = functools.partial(composite_loss)
 
 
 @dataclass(frozen=True)

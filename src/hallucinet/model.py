@@ -32,13 +32,17 @@ from .engine import (
     maxpool2,
     transposed_conv2d,
 )
-from .losses import fuse_logits
+from .losses import fuse_logits, fusion_roster
 
 CHECKPOINT_MAGIC = b"HCKP"
 # 3 drops the conv biases of the conv-BN-ReLU units; 2 and 3 end with a
 # CRC32 of the tensor records, 1 has none
 CHECKPOINT_VERSION = 3
 _CONV_BIAS = re.compile(r"(.+/block\d+)/conv(\d+)/bias")  # formats 1 and 2 only
+
+# Branch roles in routing order: rgb reads the always-available modality,
+# the optional roles follow. Training names its k optional roles from here.
+ROSTER = ("rgb", "depth", "ir")
 
 
 class MissingModalityError(RuntimeError):
@@ -259,8 +263,8 @@ class ModelBundle:
     stage: str = "init"
 
     def optional_roles(self) -> list[str]:
-        order = [r for r in ("depth", "ir") if r in self.branches]
-        return order
+        """Real branches besides rgb, in roster order (that of `role_modalities`)."""
+        return [r for r in self.role_modalities if r != "rgb" and r in self.branches]
 
     def hallucinated_roles(self) -> list[str]:
         return [r for r in self.optional_roles() if f"hal_{r}" in self.branches]
@@ -284,15 +288,12 @@ class ModelBundle:
 def select_branches(bundle: ModelBundle, availability: dict[str, bool]) -> list[str]:
     """Branch roles to fuse: rgb always, real branch if available, else its
     hallucination branch fed by the always-available modality."""
-    selected = ["rgb"]
-    for role in bundle.optional_roles():
-        if availability.get(role, True):
-            selected.append(role)
-        elif f"hal_{role}" in bundle.branches:
-            selected.append(f"hal_{role}")
-        else:
-            raise MissingModalityError(
-                f"modality for branch {role} unavailable and no hallucination branch exists")
+    roles = bundle.optional_roles()
+    selected = fusion_roster(roles, [availability.get(r, True) for r in roles])
+    for role in selected:
+        if role not in bundle.branches:
+            raise MissingModalityError(f"modality for branch {role[len('hal_'):]} "
+                                       "unavailable and no hallucination branch exists")
     return selected
 
 

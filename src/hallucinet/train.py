@@ -1,9 +1,9 @@
 """Optimization and the staged training protocol.
 
 Stages: (1) pretrain each real branch on its own cross-entropy, (2) seed
-the hallucination branch from the trained target branch, (3) calibrate
+each hallucination branch from its trained target branch, (3) calibrate
 the mimicry-loss weight on one batch, (4) fine-tune everything jointly
-with the target branch frozen up to the tap depth.
+with the target branches frozen up to the tap depth.
 """
 from __future__ import annotations
 
@@ -19,12 +19,13 @@ from .losses import (
     ClassWeights,
     GammaPolicy,
     LossBreakdown,
-    composite_loss_multi,
-    composite_loss_single,
+    calibrate_gamma,
+    composite_loss,
     compute_class_weights,
     weighted_cross_entropy,
 )
 from .model import (
+    ROSTER,
     BranchConfig,
     BranchNet,
     ModelBundle,
@@ -201,20 +202,9 @@ def train_branch(branch: BranchNet, sampler: PatchSampler, modality: str,
     return curve
 
 
-def _forward_joint(bundle: ModelBundle, roles: list[str], batch, mode: str = "train"):
-    outputs = {}
-    for role in roles:
-        branch = bundle.branches[role]
-        outputs[role] = branch.forward(batch[bundle.input_modality(role)], mode)
-    return outputs
-
-
-def _hal_rename(outputs: dict, mode: str) -> dict:
-    """Map bundle roles onto the loss-term vocabulary of the objective."""
-    if mode == "single":
-        return {"rgb": outputs["rgb"], "depth": outputs["depth"],
-                "hal": outputs["hal_depth"]}
-    return outputs
+def _forward_joint(bundle: ModelBundle, roles: list[str], batch):
+    return {role: bundle.branches[role].forward(batch[bundle.input_modality(role)], "train")
+            for role in roles}
 
 
 def _checkpoint(bundle: ModelBundle, out_dir, stage: str):
@@ -222,16 +212,38 @@ def _checkpoint(bundle: ModelBundle, out_dir, stage: str):
         save_checkpoint(bundle, Path(out_dir) / f"checkpoint_{stage}.ckpt", stage)
 
 
-def run_protocol_single(manifest: DatasetManifest, model_config: BranchConfig,
-                        config: TrainConfig, out_dir=None,
-                        hallucinate: str | None = None):
-    """Full single-missing-modality protocol; returns (bundle, log records)."""
-    always = manifest.always_available
+def _optional_modalities(manifest: DatasetManifest, mode: str,
+                         hallucinate: str | None) -> list[str]:
+    """The modalities of the optional roles: one for mode single, two for multi."""
     optional = manifest.optional_modalities
-    if not optional:
-        raise ValueError("dataset has no optional modality to hallucinate")
-    target_mod = hallucinate if hallucinate is not None else optional[0]
-    role_modalities = {"rgb": always, "depth": target_mod}
+    named = ", ".join(optional) or "none"
+    if hallucinate is not None:
+        if mode != "single":
+            raise ValueError(f"train.hallucinate is for mode 'single'; mode {mode!r} "
+                             f"hallucinates the optional modalities in order ({named})")
+        if hallucinate not in optional:
+            raise ValueError(f"train.hallucinate {hallucinate!r} is not an optional "
+                             f"modality ({named})")
+        return [hallucinate]
+    k = 1 if mode == "single" else 2
+    if len(optional) < k:
+        raise ValueError(f"mode {mode!r} hallucinates {k} optional modalities; "
+                         f"the dataset has {len(optional)} ({named})")
+    return optional[:k]
+
+
+def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
+                 config: TrainConfig, out_dir=None, hallucinate: str | None = None):
+    """The staged protocol over rgb and k optional roles; returns (bundle, log).
+
+    Mode single hallucinates one optional modality (`hallucinate`, by
+    default the first) under role depth; mode multi (Problem Scenario 3)
+    hallucinates the first two, under roles depth and ir.
+    """
+    always = manifest.always_available
+    mods = [always, *_optional_modalities(manifest, config.mode, hallucinate)]
+    role_modalities = dict(zip(ROSTER, mods))
+    roles = list(role_modalities)[1:]
 
     frequencies = class_frequencies(manifest, "train")
     weights = mfb_class_weights(frequencies, config.mfb)
@@ -239,101 +251,45 @@ def run_protocol_single(manifest: DatasetManifest, model_config: BranchConfig,
     _log_setup(log, frequencies, weights, config)
 
     sampler1 = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                            seed=config.seed * 10 + 1,
-                            modalities=[always, target_mod])
-    rgb = build_branch(model_config, manifest.modality_channels(always), "rgb",
-                       np.random.default_rng([config.seed, 1]))
-    depth = build_branch(model_config, manifest.modality_channels(target_mod), "depth",
-                         np.random.default_rng([config.seed, 2]))
-    train_branch(rgb, sampler1, always, config.stage1_steps, config.lr_stage1,
-                 config.clip_threshold, weights, log)
-    train_branch(depth, sampler1, target_mod, config.stage1_steps, config.lr_stage1,
-                 config.clip_threshold, weights, log)
+                            seed=config.seed * 10 + 1, modalities=mods)
+    branches = {}
+    for i, (role, mod) in enumerate(role_modalities.items()):
+        branches[role] = build_branch(model_config, manifest.modality_channels(mod), role,
+                                      np.random.default_rng([config.seed, 1 + i]))
+        train_branch(branches[role], sampler1, mod, config.stage1_steps, config.lr_stage1,
+                     config.clip_threshold, weights, log)
 
-    bundle = ModelBundle(model_config, {"rgb": rgb, "depth": depth},
-                         role_modalities, stage="stage1")
+    bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
     _checkpoint(bundle, out_dir, "stage1")
 
-    hal = init_hallucination_from(depth, manifest.modality_channels(always),
-                                  np.random.default_rng([config.seed, 3]))
-    bundle.branches["hal_depth"] = hal
+    rgb_ch = manifest.modality_channels(always)
+    for j, role in enumerate(roles):  # stream 2k+1+j: 3 for single, 5 and 6 for multi
+        rng = np.random.default_rng([config.seed, 2 * len(roles) + 1 + j])
+        bundle.branches[f"hal_{role}"] = init_hallucination_from(branches[role], rgb_ch, rng)
     bundle.stage = "stage2"
     _checkpoint(bundle, out_dir, "stage2")
 
     sampler4 = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                            seed=config.seed * 10 + 4,
-                            modalities=[always, target_mod])
-    roles = ["rgb", "depth", "hal_depth"]
+                            seed=config.seed * 10 + 4, modalities=mods)
+    joint = ["rgb", *roles, *(f"hal_{r}" for r in roles)]
 
     def breakdown_for(batch, labels, gamma) -> LossBreakdown:
-        outputs = _hal_rename(_forward_joint(bundle, roles, batch), "single")
-        return composite_loss_single(outputs, labels, weights, gamma)
+        return composite_loss(_forward_joint(bundle, joint, batch), labels, weights, gamma)
 
     gamma, calibration = _calibrate(bundle, sampler4, breakdown_for, config, log)
-    _run_stage4(bundle, ["depth"], roles, sampler4, breakdown_for, gamma, config, log,
+    _run_stage4(bundle, roles, joint, sampler4, breakdown_for, gamma, config, log,
                 skip_batches=calibration)
     _checkpoint(bundle, out_dir, "stage4")
     _write_log(out_dir, log)
     return bundle, log
 
 
-def run_protocol_multi(manifest: DatasetManifest, model_config: BranchConfig,
-                       config: TrainConfig, out_dir=None):
-    """Two-hallucination protocol (Problem Scenario 3); returns (bundle, log)."""
-    always = manifest.always_available
-    optional = manifest.optional_modalities
-    if len(optional) < 2:
-        raise ValueError("multi protocol needs two optional modalities")
-    depth_mod, ir_mod = optional[0], optional[1]
-    role_modalities = {"rgb": always, "depth": depth_mod, "ir": ir_mod}
-
-    frequencies = class_frequencies(manifest, "train")
-    weights = mfb_class_weights(frequencies, config.mfb)
-    log: list[dict] = []
-    _log_setup(log, frequencies, weights, config)
-    mods = [always, depth_mod, ir_mod]
-
-    sampler1 = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                            seed=config.seed * 10 + 1, modalities=mods)
-    branches = {}
-    for i, (role, mod) in enumerate([("rgb", always), ("depth", depth_mod), ("ir", ir_mod)]):
-        branch = build_branch(model_config, manifest.modality_channels(mod), role,
-                              np.random.default_rng([config.seed, 1 + i]))
-        train_branch(branch, sampler1, mod, config.stage1_steps, config.lr_stage1,
-                     config.clip_threshold, weights, log)
-        branches[role] = branch
-
-    bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
-    _checkpoint(bundle, out_dir, "stage1")
-
-    rgb_ch = manifest.modality_channels(always)
-    bundle.branches["hal_depth"] = init_hallucination_from(
-        branches["depth"], rgb_ch, np.random.default_rng([config.seed, 5]))
-    bundle.branches["hal_ir"] = init_hallucination_from(
-        branches["ir"], rgb_ch, np.random.default_rng([config.seed, 6]))
-    bundle.stage = "stage2"
-    _checkpoint(bundle, out_dir, "stage2")
-
-    sampler4 = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                            seed=config.seed * 10 + 4, modalities=mods)
-    roles = ["rgb", "depth", "ir", "hal_depth", "hal_ir"]
-
-    def breakdown_for(batch, labels, gamma) -> LossBreakdown:
-        outputs = _forward_joint(bundle, roles, batch)
-        return composite_loss_multi(outputs, labels, weights, gamma)
-
-    gamma, calibration = _calibrate(bundle, sampler4, breakdown_for, config, log)
-    _run_stage4(bundle, ["depth", "ir"], roles, sampler4, breakdown_for, gamma,
-                config, log, skip_batches=calibration)
-    _checkpoint(bundle, out_dir, "stage4")
-    _write_log(out_dir, log)
-    return bundle, log
+# perfbench/workloads.py runs the protocol under these names
+run_protocol_single = run_protocol_multi = run_protocol
 
 
 def _calibrate(bundle, sampler, breakdown_for, config: TrainConfig, log):
     """Stage 3: compute gamma on the leading calibration batches."""
-    from .losses import calibrate_gamma
-
     n_batches = max(1, config.gamma.sample_batches)
     gammas = []
     consumed = 0

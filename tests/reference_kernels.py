@@ -1,4 +1,4 @@
-"""Reference convolution, pooling and batchnorm kernels for the engine's tests.
+"""Reference kernels and objectives for the engine's and the losses' tests.
 
 These are the engine's earlier kernels: one batched matmul per kernel
 offset for convolution, a reshape/argmax window gather for 2x2 max
@@ -6,10 +6,20 @@ pooling, and batchnorm and ReLU as two ops, with batchnorm keeping its
 normalized input for the backward. They are slow but follow the
 definitions directly, so the banded im2col, strided-view and fused
 batchnorm kernels are checked against them.
+
+The two composite objectives at the end are the earlier hand-written
+rosters for one and two hallucinated modalities, so the roster-driven
+`losses.composite_loss` is checked against them.
 """
 import numpy as np
 
 from hallucinet.engine.tensor import _accumulate, make_node
+from hallucinet.losses import (
+    LossBreakdown,
+    fuse_logits,
+    hallucination_loss,
+    weighted_cross_entropy,
+)
 
 
 def _pad(x, padding):
@@ -131,3 +141,53 @@ def relu(x):
             _accumulate(x, out.grad * (out.data > 0))
 
     return make_node(np.maximum(x.data, 0), "relu", (x,), backw)
+
+
+# Term names of the two objectives below -> names in `losses.composite_loss`;
+# names not listed are the same in both.
+SINGLE_NAMES = {"hallucinate": "hallucinate_depth", "hal": "hal_depth",
+                "rgb+hal": "rgb+hal_depth"}
+MULTI_NAMES = {"rgb+hal_ir+depth": "rgb+depth+hal_ir", "rgb+ir+hal_depth": "rgb+hal_depth+ir",
+               "rgb+ir+depth": "rgb+depth+ir", "rgb+hal_ir+hal_depth": "rgb+hal_depth+hal_ir"}
+
+
+def composite_loss_single(outputs, labels, weights, gamma):
+    """Six-term objective over the roles rgb, depth and hal."""
+    rgb, depth, hal = outputs["rgb"], outputs["depth"], outputs["hal"]
+
+    def ce(logits):
+        return weighted_cross_entropy(logits, labels, weights)
+
+    terms = {
+        "hallucinate": hallucination_loss(depth.tap, hal.tap),
+        "depth": ce(depth.logits),
+        "rgb": ce(rgb.logits),
+        "hal": ce(hal.logits),
+        "rgb+depth": ce(fuse_logits([rgb.logits, depth.logits])),
+        "rgb+hal": ce(fuse_logits([rgb.logits, hal.logits])),
+    }
+    return LossBreakdown(terms, gamma, ("hallucinate",))
+
+
+def composite_loss_multi(outputs, labels, weights, gamma):
+    """Eleven-term objective over rgb, ir, depth, hal_ir and hal_depth."""
+    rgb, ir, depth = outputs["rgb"], outputs["ir"], outputs["depth"]
+    hal_ir, hal_depth = outputs["hal_ir"], outputs["hal_depth"]
+
+    def ce(logits):
+        return weighted_cross_entropy(logits, labels, weights)
+
+    terms = {
+        "hallucinate_ir": hallucination_loss(ir.tap, hal_ir.tap),
+        "hallucinate_depth": hallucination_loss(depth.tap, hal_depth.tap),
+        "ir": ce(ir.logits),
+        "depth": ce(depth.logits),
+        "rgb": ce(rgb.logits),
+        "hal_depth": ce(hal_depth.logits),
+        "hal_ir": ce(hal_ir.logits),
+        "rgb+hal_ir+depth": ce(fuse_logits([rgb.logits, hal_ir.logits, depth.logits])),
+        "rgb+ir+hal_depth": ce(fuse_logits([rgb.logits, ir.logits, hal_depth.logits])),
+        "rgb+ir+depth": ce(fuse_logits([rgb.logits, ir.logits, depth.logits])),
+        "rgb+hal_ir+hal_depth": ce(fuse_logits([rgb.logits, hal_ir.logits, hal_depth.logits])),
+    }
+    return LossBreakdown(terms, gamma, ("hallucinate_ir", "hallucinate_depth"))

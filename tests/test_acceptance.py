@@ -21,8 +21,7 @@ from hallucinet.evaluate import (
 from hallucinet.losses import (
     ClassWeights,
     GammaPolicy,
-    composite_loss_multi,
-    composite_loss_single,
+    composite_loss,
     compute_class_weights,
 )
 from hallucinet.model import (
@@ -35,7 +34,7 @@ from hallucinet.model import (
     save_checkpoint,
 )
 from hallucinet.synthetic import SyntheticConfig, generate_synthetic
-from hallucinet.train import TrainConfig, run_protocol_multi, run_protocol_single, train_single_branch_model
+from hallucinet.train import TrainConfig, run_protocol, train_single_branch_model
 
 from hallucinet.engine import Tensor
 
@@ -122,12 +121,12 @@ def test_criterion_5_loss_accounting(rng):
         labels = rng.integers(0, c, size=(1, 4, 4))
         weights = ClassWeights(rng.uniform(0.5, 2.0, size=c))
         gamma = float(rng.uniform(0.5, 50.0))
-        bd = composite_loss_single({r: rand_out(c) for r in ("rgb", "depth", "hal")},
-                                   labels, weights, gamma)
+        bd = composite_loss({r: rand_out(c) for r in ("rgb", "depth", "hal_depth")},
+                            labels, weights, gamma)
         ok &= len(bd.terms) == 6
         ok &= abs(bd.total_value() - bd.recompose()) <= 1e-6 * abs(bd.total_value())
-        bdm = composite_loss_multi(
-            {r: rand_out(c) for r in ("rgb", "ir", "depth", "hal_ir", "hal_depth")},
+        bdm = composite_loss(
+            {r: rand_out(c) for r in ("rgb", "depth", "ir", "hal_depth", "hal_ir")},
             labels, weights, gamma)
         ok &= len(bdm.terms) == 11
         ok &= abs(bdm.total_value() - bdm.recompose()) <= 1e-6 * abs(bdm.total_value())

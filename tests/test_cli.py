@@ -27,7 +27,6 @@ class TestConfigResolution:
     def test_defaults_materialized(self):
         resolved = resolve_config({})
         assert resolved["train"]["batch_size"] == 4
-        assert resolved["eval"]["scenario"] == "all"
         assert resolved["model"]["tap_depth"] == 3
 
     def test_unknown_key_rejected(self):
@@ -40,6 +39,15 @@ class TestConfigResolution:
 
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"train": {"bogus": 1}})
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_eval_section_rejected(self, tmp_path):
+        # eval takes its settings from flags only; a config section would be ignored
+        from hallucinet.cli import ConfigError
+
+        with pytest.raises(ConfigError):
+            resolve_config({"eval": {"scenario": "1"}})
+        cfg = write_config(tmp_path, {"eval": {"scenario": "1"}})
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
@@ -134,6 +142,24 @@ class TestTrain:
             other = sum(v for k, v in rec["terms"].items()
                         if not k.startswith("hallucinate"))
             assert rec["total"] == pytest.approx(rec["gamma"] * hal + other, rel=1e-6)
+
+    def test_hallucinate_always_available_exit_two(self, tmp_path):
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["train"]["hallucinate"] = "color"
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "checkpoint_stage1.ckpt").exists()
+
+    def test_hallucinate_with_multi_mode_exit_two(self, tmp_path):
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["data"]["synthetic"]["include_ir"] = True
+        doc["train"]["mode"] = "multi"
+        doc["train"]["hallucinate"] = "ir"
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "checkpoint_stage1.ckpt").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):

@@ -13,8 +13,7 @@ from hallucinet.train import (
     adam_step,
     clip_gradients,
     mfb_class_weights,
-    run_protocol_multi,
-    run_protocol_single,
+    run_protocol,
     train_single_branch_model,
 )
 
@@ -103,7 +102,7 @@ class TestMfbWeights:
 
 @pytest.fixture(scope="module")
 def single_run(tiny_dataset, tiny_config):
-    bundle, log = run_protocol_single(tiny_dataset, tiny_config, FAST)
+    bundle, log = run_protocol(tiny_dataset, tiny_config, FAST)
     return bundle, log
 
 
@@ -123,7 +122,7 @@ class TestProtocolSingle:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = TrainConfig(batch_size=4, patch=PatchSpec(size=64, overlap=0.5),
                               stage1_steps=2, stage4_steps=1, seed=3)
-            run_protocol_single(tiny_dataset, tiny_config, cfg, out_dir=tmp)
+            run_protocol(tiny_dataset, tiny_config, cfg, out_dir=tmp)
             staged = load_checkpoint(f"{tmp}/checkpoint_stage2.ckpt")
             depth = {p.name.split("/", 1)[1]: p.data
                      for p in staged.branches["depth"].parameters()}
@@ -158,7 +157,7 @@ class TestProtocolSingle:
 
         train_mod._run_stage4 = wrapped
         try:
-            bundle, _ = run_protocol_single(tiny_dataset, tiny_config, cfg)
+            bundle, _ = run_protocol(tiny_dataset, tiny_config, cfg)
         finally:
             train_mod._run_stage4 = original
         assert probe["names"]
@@ -169,7 +168,7 @@ class TestProtocolSingle:
 
     def test_unfrozen_depth_layers_move(self, single_run, tiny_dataset, tiny_config):
         bundle, _ = single_run
-        staged, _ = run_protocol_single(
+        staged, _ = run_protocol(
             tiny_dataset, tiny_config,
             TrainConfig(batch_size=4, patch=PatchSpec(size=64, overlap=0.5),
                         stage1_steps=FAST.stage1_steps, stage4_steps=1, seed=0))
@@ -184,8 +183,8 @@ class TestProtocolSingle:
         assert stage4
         for rec in stage4:
             gamma = rec["gamma"]
-            hal = sum(v for k, v in rec["terms"].items() if k == "hallucinate")
-            other = sum(v for k, v in rec["terms"].items() if k != "hallucinate")
+            hal = sum(v for k, v in rec["terms"].items() if k.startswith("hallucinate"))
+            other = sum(v for k, v in rec["terms"].items() if not k.startswith("hallucinate"))
             recomposed = gamma * hal + other
             assert rec["total"] == pytest.approx(recomposed, rel=1e-6)
 
@@ -195,8 +194,8 @@ class TestProtocolSingle:
         assert len(cal) == 1
         terms = cal[0]["terms"]
         gamma = cal[0]["gamma"]
-        others = max(v for k, v in terms.items() if k != "hallucinate")
-        assert gamma * terms["hallucinate"] == pytest.approx(10.0 * others, rel=1e-6)
+        others = max(v for k, v in terms.items() if not k.startswith("hallucinate"))
+        assert gamma * terms["hallucinate_depth"] == pytest.approx(10.0 * others, rel=1e-6)
 
     def test_setup_record_logs_weights(self, single_run):
         _, log = single_run
@@ -204,6 +203,11 @@ class TestProtocolSingle:
         assert setup["stage"] == "setup"
         assert len(setup["class_weights"]) == 4
         assert setup["mfb"] is True
+
+    def test_always_available_modality_rejected(self, tiny_dataset, tiny_config):
+        # color is what the hallucination branch reads, not a modality to hallucinate
+        with pytest.raises(ValueError, match="not an optional modality \\(height\\)"):
+            run_protocol(tiny_dataset, tiny_config, FAST, hallucinate="color")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_surfaces_with_stage_tag(self, tiny_dataset, tiny_config):
@@ -213,7 +217,7 @@ class TestProtocolSingle:
                           stage1_steps=3, stage4_steps=3, seed=0, lr_stage1=1e12,
                           clip_threshold=1e12)
         with pytest.raises(DivergenceError):
-            run_protocol_single(tiny_dataset, tiny_config, cfg)
+            run_protocol(tiny_dataset, tiny_config, cfg)
 
 
 class TestDeterminism:
@@ -222,8 +226,8 @@ class TestDeterminism:
 
         cfg = TrainConfig(batch_size=4, patch=PatchSpec(size=64, overlap=0.5),
                           stage1_steps=3, stage4_steps=3, seed=7)
-        b1, _ = run_protocol_single(tiny_dataset, tiny_config, cfg)
-        b2, _ = run_protocol_single(tiny_dataset, tiny_config, cfg)
+        b1, _ = run_protocol(tiny_dataset, tiny_config, cfg)
+        b2, _ = run_protocol(tiny_dataset, tiny_config, cfg)
         save_checkpoint(b1, tmp_path / "a.ckpt")
         save_checkpoint(b2, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
@@ -256,7 +260,7 @@ def multi_run(tiny_dataset_ir, tiny_config):
     cfg = TrainConfig(mode="multi", batch_size=4,
                       patch=PatchSpec(size=64, overlap=0.5),
                       stage1_steps=4, stage4_steps=6, seed=0)
-    return run_protocol_multi(tiny_dataset_ir, tiny_config, cfg)
+    return run_protocol(tiny_dataset_ir, tiny_config, cfg)
 
 
 class TestProtocolMulti:
@@ -280,6 +284,12 @@ class TestProtocolMulti:
         other = sum(v for k, v in rec["terms"].items()
                     if not k.startswith("hallucinate"))
         assert rec["total"] == pytest.approx(rec["gamma"] * hal + other, rel=1e-6)
+
+    def test_hallucinate_rejected(self, tiny_dataset_ir, tiny_config):
+        # mode multi hallucinates every optional modality; naming one is an error
+        cfg = TrainConfig(mode="multi", stage1_steps=1, stage4_steps=1)
+        with pytest.raises(ValueError, match="in order \\(height, ir\\)"):
+            run_protocol(tiny_dataset_ir, tiny_config, cfg, hallucinate="ir")
 
     def test_clip_bound_in_log(self, multi_run):
         _, log = multi_run
@@ -322,10 +332,10 @@ def test_stage4_prunes_frozen_prefix(mode, tiny_dataset, tiny_dataset_ir, tiny_c
     cfg = TrainConfig(mode=mode, batch_size=2, patch=PatchSpec(size=64, overlap=0.5),
                       stage1_steps=1, stage4_steps=2, seed=1)
     if mode == "single":
-        bundle, _ = run_protocol_single(tiny_dataset, tiny_config, cfg)
+        bundle, _ = run_protocol(tiny_dataset, tiny_config, cfg)
         frozen_roles = ["depth"]
     else:
-        bundle, _ = run_protocol_multi(tiny_dataset_ir, tiny_config, cfg)
+        bundle, _ = run_protocol(tiny_dataset_ir, tiny_config, cfg)
         frozen_roles = ["depth", "ir"]
 
     assert len(seen["grads"]) == cfg.stage4_steps
