@@ -265,8 +265,7 @@ def cmd_eval(args) -> int:
         def predictor(inputs, availability):
             return ensemble_predict(bundle, bundle_b, inputs, availability)
 
-    report, conf = evaluate(bundle, manifest, args.split, scenario,
-                            tile=args.tile, halo=args.halo, predictor=predictor)
+    report, conf = evaluate(bundle, manifest, args.split, scenario, predictor=predictor)
     report.mode = f"scenario={scenario} baseline={args.baseline}"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,12 +309,11 @@ def cmd_infer(args) -> int:
             raise MissingModalityError(f"scene lacks required modality file {path}")
         rasters[mod] = read_tensor_file(path)
 
-    class_map = tiled_inference(bundle, rasters, availability,
-                                tile=args.tile, halo=args.halo)
+    class_map = tiled_inference(bundle, rasters, availability)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_tensor_file(out, class_map.astype(np.uint8))
-    plan = plan_windows(bundle, class_map.shape, args.tile, args.halo)
+    plan = plan_windows(bundle, class_map.shape)
     routing = {"selected_branches": selected,
                "availability": {r: bool(v) for r, v in availability.items()},
                "windows": plan.count, "window_hw": list(plan.window), "halo": plan.halo}
@@ -340,13 +338,6 @@ def cmd_grad_check(args) -> int:
     print(f"{'all gradients verified' if ok else 'gradient check FAILED'} "
           f"({len(results)} ops, {args.points} points each)")
     return 0 if ok else 1
-
-
-TILE_HELP = ("window side for a scene whose forward exceeds the memory budget "
-             "(default: the largest that fits); a multiple of the model's downsample "
-             "factor, larger than twice the halo. A scene within the budget is one forward")
-HALO_HELP = ("window overlap on each side (default and minimum: the receptive radius "
-             "rounded up to the downsample factor; a smaller value is raised to it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=["single", "ensemble", "hallucination", "full"],
                    default="hallucination")
     p.add_argument("--split", default="test")
-    p.add_argument("--tile", type=int, default=None, help=TILE_HELP)
-    p.add_argument("--halo", type=int, default=None, help=HALO_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
 
@@ -385,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--availability", default=None,
                    help="comma list, e.g. height=false,ir=true")
-    p.add_argument("--tile", type=int, default=None, help=TILE_HELP)
-    p.add_argument("--halo", type=int, default=None, help=HALO_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--png", default=None)
     p.set_defaults(fn=cmd_infer)

@@ -61,9 +61,6 @@ class Tensor:
         """Same value, cut off from the graph (stop-gradient)."""
         return Tensor(self.data, requires_grad=False, op="detach")
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- arithmetic sugar ------------------------------------------------
     def __add__(self, other):
         return add(self, other)

@@ -157,8 +157,8 @@ def metrics(conf: ConfusionMatrix, excluded_classes=(), mode: str = "",
 
 
 # Byte budget of one inference forward: a 1024x1024 scene through three
-# default branches fits. A scene estimated to need more runs in square
-# windows of the largest side that fits.
+# default branches fits. A scene estimated to need more runs in windows
+# no larger than the largest square that fits.
 _FORWARD_BYTES = 160 << 20
 
 
@@ -209,68 +209,62 @@ def _round_up(value: int, factor: int) -> int:
     return -(-value // factor) * factor
 
 
-def _axis_windows(extent: int, side: int, step: int) -> tuple[int, tuple]:
+def _axis_windows(extent: int, side: int, halo: int, factor: int) -> tuple[int, tuple]:
     """Window length and (origin, start, stop) entries along one axis.
 
-    Windows start `step` apart, the last one flush with the far border,
-    and each pixel goes to the window whose centre is nearest (the
-    earlier on a tie). That is also the window where the pixel lies
-    farthest from a window edge inside the scene, at least
-    (side - step)/2 px, since only the windows that touch a scene border
-    hold the pixels near it.
+    An axis longer than `side` gets as many windows as windows of `side`
+    overlapping by 2*halo would need, each the shortest multiple of
+    `factor` that still covers the axis with that overlap. The last one
+    is flush with the far border, and each pixel goes to the window whose
+    centre is nearest (the earlier on a tie): there it lies at least
+    `halo` px from any window edge inside the scene.
     """
     if extent <= side:
         return extent, ((0, 0, extent),)
-    origins = list(range(0, extent - side, step)) + [extent - side]
-    bounds = [0] + [(a + b + side) // 2 for a, b in zip(origins, origins[1:])] + [extent]
-    return side, tuple(zip(origins, bounds, bounds[1:]))
+    n = -(-(extent - side) // (side - 2 * halo)) + 1
+    length = _round_up(-(-(extent + 2 * halo * (n - 1)) // n), factor)
+    origins = list(range(0, extent - length, length - 2 * halo)) + [extent - length]
+    bounds = [0] + [(a + b + length) // 2 for a, b in zip(origins, origins[1:])] + [extent]
+    return length, tuple(zip(origins, bounds, bounds[1:]))
 
 
-def plan_windows(bundle: ModelBundle, extent_hw: tuple[int, int],
-                 tile: int | None = None, halo: int | None = None) -> WindowPlan:
+def plan_windows(bundle: ModelBundle, extent_hw: tuple[int, int]) -> WindowPlan:
     """Windows for tiled inference over a scene of `extent_hw` pixels.
 
     The scene is edge-padded to a multiple of the downsample factor f. If
     a forward of every branch of the bundle over it fits `_FORWARD_BYTES`
     (as `forward_bytes_per_pixel` estimates it), the plan is one window.
-    Otherwise windows of side `tile` (default: the largest multiple of f
-    that fits the budget) start on the f-grid, `tile - 2*halo` apart.
-    The halo is at least the receptive radius rounded up to f, so every
-    pixel's output equals that of one forward over the padded scene;
-    a smaller `halo` is raised to it. `tile` must be a multiple of f,
-    and, when windows are needed, larger than twice the halo.
+    Otherwise windows start on the f-grid and overlap by twice the halo,
+    the receptive radius rounded up to f, so every pixel's output equals
+    that of one forward over the padded scene. Per axis they are as few
+    as windows of the largest square side that fits the budget would be,
+    and no longer than they need to be to cover it.
     """
     config = bundle.config
     factor = config.downsample_factor
-    if tile is not None and (tile <= 0 or tile % factor):
-        raise ValueError(f"tile size {tile} must be a positive multiple of the model's "
-                         f"downsample factor {factor}")
-    if halo is not None and halo < 0:
-        raise ValueError(f"halo must be non-negative, got {halo}")
-    halo = _round_up(max(config.receptive_radius, halo or 0), factor)
+    halo = _round_up(config.receptive_radius, factor)
     hp, wp = (_round_up(e, factor) for e in extent_hw)
     itemsize = np.dtype(next(iter(bundle.branches.values())).dtype).itemsize
     per_px = forward_bytes_per_pixel(config, len(bundle.branches), itemsize)
     if hp * wp * per_px <= _FORWARD_BYTES:
         return WindowPlan((hp, wp), (hp, wp), halo, ((0, 0, hp),), ((0, 0, wp),))
-    side = tile if tile is not None else int((_FORWARD_BYTES / per_px) ** 0.5) // factor * factor
+    side = int((_FORWARD_BYTES / per_px) ** 0.5) // factor * factor
     if side <= 2 * halo:
-        raise ValueError(f"window side {side} must exceed twice the halo {halo} "
-                         f"for a {hp}x{wp} scene over the forward budget")
-    (wh, rows), (ww, cols) = (_axis_windows(e, side, side - 2 * halo) for e in (hp, wp))
+        raise ValueError(f"window side {side} that fits the forward budget must exceed "
+                         f"twice the halo {halo} for a {hp}x{wp} scene")
+    (wh, rows), (ww, cols) = (_axis_windows(e, side, halo, factor) for e in (hp, wp))
     return WindowPlan((hp, wp), (wh, ww), halo, rows, cols)
 
 
 def tiled_inference(bundle: ModelBundle, rasters: dict[str, np.ndarray],
-                    availability: dict[str, bool], tile: int | None = None,
-                    halo: int | None = None, predictor=None) -> np.ndarray:
+                    availability: dict[str, bool], predictor=None) -> np.ndarray:
     """(H, W) class map of a scene, equal at every pixel to one forward
     over the scene edge-padded to the downsample factor.
 
     The rasters must share their extent. A scene that fits the forward
     budget is one window; a larger one runs in the windows of
-    `plan_windows` (`tile`, `halo`: see there), each pixel taken from the
-    window where it lies farthest from an edge inside the scene.
+    `plan_windows`, each pixel taken from the window where it lies
+    farthest from an edge inside the scene.
     """
     extents = {name: arr.shape[-2:] for name, arr in rasters.items()}
     if len(set(extents.values())) > 1:
@@ -281,7 +275,7 @@ def tiled_inference(bundle: ModelBundle, rasters: dict[str, np.ndarray],
             return predict(bundle, inputs, avail)
 
     h, w = next(iter(extents.values()))
-    plan = plan_windows(bundle, (h, w), tile, halo)
+    plan = plan_windows(bundle, (h, w))
     hp, wp = plan.extent
     if (hp, wp) != (h, w):
         rasters = {name: np.pad(arr, ((0, 0), (0, hp - h), (0, wp - w)), mode="edge")
@@ -316,9 +310,11 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
 
     Scenario "1"/"3" force every hallucinated modality absent, "2" honors
     the per-scene manifest flags, "all" forces everything available. The
-    same bundle serves every mode; no retraining happens here. `tile`,
-    `halo` and `predictor` go to `tiled_inference`.
+    same bundle serves every mode; no retraining happens here.
+    `predictor` goes to `tiled_inference`.
     """
+    # tile and halo are ignored, accepted only because the benchmark's
+    # eval workload passes them; benchmark v2 (ROADMAP item 6) drops them.
     records = manifest.splits.get(split, [])
     if not records:
         raise ValueError(f"split {split!r} is empty")
@@ -334,7 +330,7 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
         except FileNotFoundError as exc:
             raise MissingModalityError(
                 f"scene {rec.scene_id} lacks a modality flagged available: {exc}") from exc
-        pred = tiled_inference(bundle, rasters, availability, tile, halo, predictor)
+        pred = tiled_inference(bundle, rasters, availability, predictor)
         mask = boundary_eroded_mask(labels)
         accumulate(conf, pred, labels, mask)
     report = metrics(conf, excluded_classes=manifest.excluded_classes,

@@ -180,6 +180,8 @@ class GammaPolicy:
     def __post_init__(self):
         if self.multiplier <= 0:
             raise ValueError("gamma multiplier must be positive")
+        if self.sample_batches < 1:
+            raise ValueError("gamma sample batches must be positive")
 
 
 def calibrate_gamma(breakdown: LossBreakdown, policy: GammaPolicy) -> float:

@@ -74,6 +74,14 @@ class SyntheticConfig:
             raise ValueError("texture_fraction must be in [0, 1]")
         if not 0.0 <= self.pair_crossover <= 0.5:
             raise ValueError("pair_crossover must be in [0, 0.5]")
+        optional = ("height", "ir") if self.include_ir else ("height",)
+        for mod, frac in self.availability.items():
+            if mod not in optional:
+                raise ValueError(f"availability names {mod!r}, not an optional modality "
+                                 f"of this config ({', '.join(optional)})")
+            if not isinstance(frac, (int, float)) or not 0.0 <= frac <= 1.0:
+                raise ValueError(f"availability of {mod!r} must be a number in [0, 1], "
+                                 f"got {frac!r}")
 
     def split_counts(self) -> tuple[int, int, int]:
         val = self.val_scenes if self.val_scenes is not None else max(1, self.scene_count // 10)

@@ -57,7 +57,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("single", "multi"):
             raise ValueError("mode must be 'single' or 'multi'")
-        if self.stage1_steps < 1 or self.stage4_steps < 1 or self.batch_size < 1:
+        if self.stage1_steps < 1 or self.stage4_steps < 1 or self.batch_size < 1 \
+                or (self.baseline_steps is not None and self.baseline_steps < 1):
             raise ValueError("step budgets and batch size must be positive")
         if self.clip_threshold <= 0:
             raise ValueError("clip threshold must be positive")
@@ -290,10 +291,9 @@ run_protocol_single = run_protocol_multi = run_protocol
 
 def _calibrate(bundle, sampler, breakdown_for, config: TrainConfig, log):
     """Stage 3: compute gamma on the leading calibration batches."""
-    n_batches = max(1, config.gamma.sample_batches)
     gammas = []
     consumed = 0
-    for batch, labels in sampler.batches(n_batches):
+    for batch, labels in sampler.batches(config.gamma.sample_batches):
         with frozen(bundle.parameters()):  # values only: no graph
             bd = breakdown_for(batch, labels, 1.0)
         gammas.append(calibrate_gamma(bd, config.gamma))

@@ -88,6 +88,19 @@ class TestGenData:
         cfg = write_config(tmp_path, {"data": {"manifest": "x.json"}})
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("availability", [{"height": -0.5}, {"height": "0.5"},
+                                              {"depth": 0.0}])
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_bad_availability_exit_two(self, tmp_path, capsys, command, availability):
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["data"]["synthetic"]["availability"] = availability
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "availability" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "dataset").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -177,8 +190,7 @@ class TestEval:
         manifest = out / "dataset" / "manifest.json"
         ckpt = out / "checkpoint_stage4.ckpt"
         e1, e2 = tmp_path / "e1", tmp_path / "e2"
-        args = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
-                "--tile", "64", "--halo", "16"]
+        args = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]
         assert main(args + ["--scenario", "1", "--out", str(e1)]) == 0
         assert main(args + ["--scenario", "all", "--out", str(e2)]) == 0
         r1 = json.loads((e1 / "report.json").read_text())
@@ -194,7 +206,7 @@ class TestEval:
         e = tmp_path / "e"
         assert main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
                      "--manifest", str(manifest), "--scenario", "1",
-                     "--tile", "64", "--halo", "16", "--out", str(e)]) == 0
+                     "--out", str(e)]) == 0
         doc = json.loads((e / "report.json").read_text())
         conf = ConfusionMatrix(read_tensor_file(e / "confusion.mtns").astype(np.int64))
         names = json.loads((manifest).read_text())["class_names"]
@@ -214,8 +226,7 @@ class TestEval:
         ckpt = str(out / "checkpoint_stage4.ckpt")
         code = main(["eval", "--checkpoint", ckpt, "--checkpoint-b", ckpt,
                      "--manifest", str(out / "dataset" / "manifest.json"),
-                     "--baseline", "ensemble", "--tile", "64", "--halo", "16",
-                     "--out", str(tmp_path / "e")])
+                     "--baseline", "ensemble", "--out", str(tmp_path / "e")])
         assert code == 0
 
     def test_mismatched_manifest_exit_five(self, trained, tmp_path):
@@ -232,6 +243,16 @@ class TestEval:
         assert code == 5
 
 
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_no_window_options(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert "--checkpoint" in text
+    assert "--tile" not in text and "--halo" not in text
+
+
 class TestInfer:
     def test_routing_and_dims(self, trained, tmp_path):
         _, out = trained
@@ -239,7 +260,7 @@ class TestInfer:
         dest = tmp_path / "map.mtns"
         code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
                      "--scene", str(scene), "--availability", "height=false",
-                     "--tile", "64", "--halo", "16", "--out", str(dest),
+                     "--out", str(dest),
                      "--png", str(tmp_path / "map.png")])
         assert code == 0
         routing = json.loads(dest.with_suffix(".routing.json").read_text())
@@ -255,8 +276,7 @@ class TestInfer:
         _, out = trained
         scene = out / "dataset" / "scenes" / "scene_005"
         args = lambda p: ["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                          "--scene", str(scene), "--tile", "64", "--halo", "16",
-                          "--out", str(p)]
+                          "--scene", str(scene), "--out", str(p)]
         assert main(args(tmp_path / "m1.mtns")) == 0
         assert main(args(tmp_path / "m2.mtns")) == 0
         assert (tmp_path / "m1.mtns").read_bytes() == (tmp_path / "m2.mtns").read_bytes()
@@ -312,8 +332,7 @@ class TestCorruptCheckpoint:
             args = ["eval", "--manifest", str(out / "dataset" / "manifest.json")]
         else:
             args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005")]
-        code = main(args + ["--checkpoint", str(ckpt), "--tile", "64", "--halo", "16",
-                            "--out", str(tmp_path / "o")])
+        code = main(args + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == 5
 
 
@@ -328,8 +347,7 @@ class TestCorruptCheckpoint:
         ckpt = tmp_path / "stray.ckpt"
         model_mod._write_checkpoint(ckpt, header, tensors)
         code = main(["eval", "--manifest", str(out / "dataset" / "manifest.json"),
-                     "--checkpoint", str(ckpt), "--tile", "64", "--halo", "16",
-                     "--out", str(tmp_path / "o")])
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == 5
 
 

@@ -274,6 +274,19 @@ class TestSynthetic:
         flags = [rec.availability["height"] for rec in manifest.splits["test"]]
         assert sum(flags) == 2 and len(flags) == 4
 
+    @pytest.mark.parametrize("availability, include_ir, match", [
+        ({"height": -0.5}, False, "in \\[0, 1\\]"),
+        ({"height": 1.5}, False, "in \\[0, 1\\]"),
+        ({"ir": 2.0}, True, "in \\[0, 1\\]"),
+        ({"height": "0.5"}, False, "a number in \\[0, 1\\], got '0.5'"),
+        ({"depth": 0.0}, False, "'depth', not an optional modality"),
+        ({"color": 0.5}, True, "'color', not an optional modality"),
+        ({"ir": 0.5}, False, "'ir', not an optional modality of this config \\(height\\)"),
+    ], ids=["negative", "above-one", "ir-above-one", "string", "unknown", "required", "ir-not-generated"])
+    def test_bad_availability_rejected(self, availability, include_ir, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticConfig(include_ir=include_ir, availability=availability)
+
 
 class TestPatchSampler:
     def test_deterministic_batches(self, tiny_dataset):

@@ -193,18 +193,24 @@ def single_bundle(tiny_config):
     return ModelBundle(tiny_config, {"rgb": branch}, {"rgb": "color"})
 
 
+def _force_side(monkeypatch, bundle, side):
+    """Set the forward budget so that the derived window side is `side`."""
+    per_px = forward_bytes_per_pixel(bundle.config, len(bundle.branches), 4)
+    monkeypatch.setattr(evaluate_mod, "_FORWARD_BYTES", int(side * side * per_px))
+
+
 class TestTiledInference:
     def test_scene_equals_tile_matches_direct(self, single_bundle, rng):
         from hallucinet.model import predict
 
         raster = rng.random((3, 64, 64), dtype=np.float32)
-        tiled = tiled_inference(single_bundle, {"color": raster}, {}, tile=64, halo=8)
+        tiled = tiled_inference(single_bundle, {"color": raster}, {})
         direct = predict(single_bundle, {"color": raster[None]}, {})[0]
         assert np.array_equal(tiled, direct)
 
     def test_constant_scene_constant_interior(self, single_bundle):
         raster = np.full((3, 128, 128), 0.4, dtype=np.float32)
-        out = tiled_inference(single_bundle, {"color": raster}, {}, tile=64, halo=16)
+        out = tiled_inference(single_bundle, {"color": raster}, {})
         interior = out[32:-32, 32:-32]
         assert (interior == interior.flat[0]).all()
 
@@ -212,29 +218,19 @@ class TestTiledInference:
         branch = build_branch(tiny_config, 3, "rgb", 33)
         bundle = ModelBundle(tiny_config, {"rgb": branch}, {"rgb": "color"})
         raster = rng.random((3, 192, 192), dtype=np.float32)
-        a = tiled_inference(bundle, {"color": raster}, {}, tile=96, halo=32)
-        b = tiled_inference(bundle, {"color": raster}, {}, tile=160, halo=32)
-        margin = 48
-        inner = (slice(margin, -margin), slice(margin, -margin))
-        assert np.array_equal(a[inner], b[inner])
+        a = tiled_inference(bundle, {"color": raster}, {})
+        assert plan_windows(bundle, (192, 192)).count == 1
         # windows forced by a budget below the scene: equal everywhere
-        monkeypatch.setattr(evaluate_mod, "_FORWARD_BYTES", 1 << 16)
-        assert plan_windows(bundle, (192, 192), 144).count == 16
-        assert np.array_equal(tiled_inference(bundle, {"color": raster}, {}, tile=144), a)
+        _force_side(monkeypatch, bundle, 144)
+        assert plan_windows(bundle, (192, 192)).count == 16
+        assert np.array_equal(tiled_inference(bundle, {"color": raster}, {}), a)
 
     def test_small_scene_padded(self, single_bundle, rng):
         raster = rng.random((3, 48, 40), dtype=np.float32)
-        out = tiled_inference(single_bundle, {"color": raster}, {}, tile=64, halo=8)
+        out = tiled_inference(single_bundle, {"color": raster}, {})
         assert out.shape == (48, 40)
 
-    def test_tile_divisibility_checked(self, single_bundle, rng):
-        with pytest.raises(ValueError):
-            tiled_inference(single_bundle, {"color": rng.random((3, 64, 64),
-                                                                dtype=np.float32)},
-                            {}, tile=50, halo=8)
-
-
-    def test_tile_follows_downsample_factor(self, rng):
+    def test_tile_follows_downsample_factor(self, rng, monkeypatch):
         from hallucinet.model import BranchConfig, predict
 
         cfg = BranchConfig(class_count=4, blocks=((6, 1),) * 4, first_conv_stride=1,
@@ -242,11 +238,13 @@ class TestTiledInference:
         assert cfg.downsample_factor == 16
         bundle = ModelBundle(cfg, {"rgb": build_branch(cfg, 3, "rgb", 5)},
                              {"rgb": "color"})
-        raster = rng.random((3, 48, 48), dtype=np.float32)
-        tiled = tiled_inference(bundle, {"color": raster}, {}, tile=48, halo=8)
-        assert np.array_equal(tiled, predict(bundle, {"color": raster[None]}, {})[0])
-        with pytest.raises(ValueError, match="downsample factor 16"):
-            tiled_inference(bundle, {"color": raster}, {}, tile=40, halo=8)
+        raster = rng.random((3, 200, 168), dtype=np.float32)
+        whole = _padded_forward(lambda i, a: predict(bundle, i, a), {"color": raster}, {}, 16)
+        _force_side(monkeypatch, bundle, 144)
+        plan = plan_windows(bundle, (200, 168))
+        assert plan.halo == 48 and plan.count == 6 and plan.window == (144, 144)
+        assert all(origin % 16 == 0 for origin, _, _ in plan.rows + plan.cols)
+        assert np.array_equal(tiled_inference(bundle, {"color": raster}, {}), whole)
 
 
 def _calibrated(branch, channels: int, seed: int):
@@ -304,22 +302,23 @@ class TestExactTiling:
     @pytest.fixture()
     def windowed(self, hal_bundle, monkeypatch):
         """A forward budget whose derived window side is 160."""
-        per_px = forward_bytes_per_pixel(hal_bundle.config, len(hal_bundle.branches), 4)
-        monkeypatch.setattr(evaluate_mod, "_FORWARD_BYTES", int(160 * 160 * per_px))
+        _force_side(monkeypatch, hal_bundle, 160)
         return hal_bundle
 
     @pytest.mark.parametrize("hw", [(200, 168), (208, 176), (300, 257)])
-    @pytest.mark.parametrize("tile", [None, 144, 176])
-    def test_windows_equal_one_padded_forward(self, windowed, rng, hw, tile):
+    @pytest.mark.parametrize("side", [None, 144, 176])
+    def test_windows_equal_one_padded_forward(self, windowed, rng, monkeypatch, hw, side):
+        if side is not None:
+            _force_side(monkeypatch, windowed, side)
         rasters = _scene(rng, *hw)
-        plan = plan_windows(windowed, hw, tile)
+        plan = plan_windows(windowed, hw)
         assert plan.count > 1 and plan.halo == 64
-        assert plan.window[0] == (tile or 160)
+        assert max(plan.window) == (side or 160)
         factor = windowed.config.downsample_factor
         bits = _prob_bits(windowed)
-        tiled = tiled_inference(windowed, rasters, SCENARIO_1, tile, predictor=bits)
+        tiled = tiled_inference(windowed, rasters, SCENARIO_1, predictor=bits)
         assert np.array_equal(tiled, _padded_forward(bits, rasters, SCENARIO_1, factor))
-        classes = tiled_inference(windowed, rasters, SCENARIO_1, tile)
+        classes = tiled_inference(windowed, rasters, SCENARIO_1)
         whole = _padded_forward(lambda i, a: predict(windowed, i, a), rasters, SCENARIO_1,
                                 factor)
         assert np.array_equal(classes, whole)
@@ -339,29 +338,56 @@ class TestExactTiling:
         assert np.array_equal(tiled, whole)
 
     def test_scene_within_budget_is_one_window(self, hal_bundle):
-        plan = plan_windows(hal_bundle, (200, 168), tile=144, halo=8)
+        plan = plan_windows(hal_bundle, (200, 168))
         assert plan.count == 1
         assert plan.window == plan.extent == (208, 176)
         assert plan.halo == 64
 
     def test_halo_raised_to_exact_and_rounded_to_factor(self, windowed):
-        assert plan_windows(windowed, (300, 300), halo=8).halo == 64
-        assert plan_windows(windowed, (300, 300), 176, halo=70).halo == 80
+        # the receptive radius 50 rounded up to the factor 16
+        assert windowed.config.receptive_radius == 50
+        assert plan_windows(windowed, (300, 300)).halo == 64
 
-    def test_tile_not_above_twice_halo_rejected_when_windows_needed(self, windowed):
-        assert plan_windows(windowed, (128, 128), tile=128).count == 1
-        with pytest.raises(ValueError, match="twice the halo 64"):
-            plan_windows(windowed, (300, 300), tile=128)
+    def test_tile_not_above_twice_halo_rejected_when_windows_needed(self, hal_bundle,
+                                                                     monkeypatch):
+        _force_side(monkeypatch, hal_bundle, 128)
+        assert plan_windows(hal_bundle, (128, 128)).count == 1
+        with pytest.raises(ValueError, match="window side 128 .* twice the halo 64"):
+            plan_windows(hal_bundle, (300, 300))
 
-    def test_pixels_taken_once_and_away_from_interior_edges(self, windowed):
-        plan = plan_windows(windowed, (300, 257), 144)
-        for entries, extent, side in ((plan.rows, 304, 144), (plan.cols, 272, 144)):
-            assert [e[1] for e in entries[1:]] == [e[2] for e in entries[:-1]]
-            assert entries[0][1] == 0 and entries[-1][2] == extent
-            for origin, start, stop in entries:
-                assert origin % 16 == 0
-                assert origin == 0 or start - origin >= plan.halo
-                assert origin + side == extent or origin + side - stop >= plan.halo
+    def test_pixels_taken_once_and_away_from_interior_edges(self, hal_bundle, monkeypatch):
+        per_px = forward_bytes_per_pixel(hal_bundle.config, len(hal_bundle.branches), 4)
+        extents = [(300, 257), (257, 300), (300, 300), (208, 176), (1000, 150), (150, 1000),
+                   (1056, 1056), (2048, 1000)]
+        for side in (144, 160, 176, 320):
+            _force_side(monkeypatch, hal_bundle, side)
+            for hw in extents:
+                plan = plan_windows(hal_bundle, hw)
+                assert plan.halo == 64
+                assert plan.window[0] * plan.window[1] * per_px <= evaluate_mod._FORWARD_BYTES
+                for entries, extent, length in zip((plan.rows, plan.cols), plan.extent,
+                                                   plan.window):
+                    assert extent % 16 == 0 and length % 16 == 0
+                    assert [e[1] for e in entries[1:]] == [e[2] for e in entries[:-1]]
+                    assert entries[0][1] == 0 and entries[-1][2] == extent
+                    for origin, start, stop in entries:
+                        assert origin % 16 == 0 and start < stop
+                        assert origin <= start and stop <= origin + length <= extent
+                        assert origin == 0 or start - origin >= plan.halo
+                        assert origin + length == extent or origin + length - stop >= plan.halo
+
+    @pytest.mark.parametrize("side, count, window, ratio", [(1056, 4, 672, 1.62),
+                                                            (2048, 9, 864, 1.60)])
+    def test_default_bundle_windows_shrink_to_cover(self, side, count, window, ratio):
+        # three default branches: a derived side of 1024 and a halo of 128
+        cfg = BranchConfig(class_count=4)
+        depth = build_branch(cfg, 1, "depth", 2)
+        bundle = ModelBundle(cfg, {"rgb": build_branch(cfg, 3, "rgb", 1), "depth": depth,
+                                   "hal_depth": init_hallucination_from(depth, 3, 3)},
+                             {"rgb": "color", "depth": "height"})
+        plan = plan_windows(bundle, (side, side))
+        assert (plan.count, plan.window, plan.halo) == (count, (window, window), 128)
+        assert plan.count * window * window / side ** 2 == pytest.approx(ratio, abs=0.005)
 
     @pytest.mark.parametrize("order", [("color", "height"), ("height", "color")])
     def test_rasters_of_different_extents_rejected(self, hal_bundle, rng, order):
@@ -417,10 +443,8 @@ class TestEvaluate:
         shim = {"rgb": "height", "depth": "height"}
         bundle = ModelBundle(tiny_config, {"rgb": rgb, "depth": depth,
                                            "hal_depth": hal}, shim)
-        rep_all, conf_all = evaluate(bundle, tiny_dataset, "test", "all",
-                                     tile=64, halo=16)
-        rep_s1, conf_s1 = evaluate(bundle, tiny_dataset, "test", "1",
-                                   tile=64, halo=16)
+        rep_all, conf_all = evaluate(bundle, tiny_dataset, "test", "all")
+        rep_s1, conf_s1 = evaluate(bundle, tiny_dataset, "test", "1")
         assert np.array_equal(conf_all.counts, conf_s1.counts)
         assert rep_all.overall_accuracy == rep_s1.overall_accuracy
 
@@ -438,19 +462,25 @@ class TestEvaluate:
         bundle = ModelBundle(tiny_config, {"rgb": rgb, "depth": depth,
                                            "hal_depth": hal},
                              {"rgb": "color", "depth": "height"})
-        evaluate(bundle, tiny_dataset, "test", "1", tile=64, halo=16, predictor=spy)
+        evaluate(bundle, tiny_dataset, "test", "1", predictor=spy)
         assert all(not a["depth"] for a in seen)
         seen.clear()
-        evaluate(bundle, tiny_dataset, "test", "all", tile=64, halo=16, predictor=spy)
+        evaluate(bundle, tiny_dataset, "test", "all", predictor=spy)
         assert all(a["depth"] for a in seen)
 
     def test_report_regeneration_from_confusion(self, tiny_config, tiny_dataset):
         rgb = build_branch(tiny_config, 3, "rgb", 4)
         bundle = ModelBundle(tiny_config, {"rgb": rgb}, {"rgb": "color"})
-        report, conf = evaluate(bundle, tiny_dataset, "test", "all", tile=64, halo=16)
+        report, conf = evaluate(bundle, tiny_dataset, "test", "all")
         regenerated = metrics(conf, excluded_classes=tiny_dataset.excluded_classes,
                               mode=report.mode, class_names=tiny_dataset.class_names)
         assert regenerated.to_json() == report.to_json()
+
+    def test_window_keywords_ignored(self, hal_bundle, tiny_dataset):
+        # the benchmark's eval workload still passes tile and halo
+        _, plain = evaluate(hal_bundle, tiny_dataset, "test", "1")
+        _, ignored = evaluate(hal_bundle, tiny_dataset, "test", "1", tile=64, halo=16)
+        assert np.array_equal(plain.counts, ignored.counts)
 
     def test_empty_split_rejected(self, tiny_config, tiny_dataset):
         rgb = build_branch(tiny_config, 3, "rgb", 4)

@@ -378,3 +378,8 @@ class TestGamma:
     def test_multiplier_must_be_positive(self):
         with pytest.raises(ValueError):
             GammaPolicy(multiplier=0.0)
+
+    @pytest.mark.parametrize("batches", [0, -3])
+    def test_sample_batches_must_be_positive(self, batches):
+        with pytest.raises(ValueError, match="sample batches"):
+            GammaPolicy(sample_batches=batches)

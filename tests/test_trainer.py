@@ -255,6 +255,12 @@ class TestDeterminism:
         assert logs[0] == logs[1]
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_baseline_budget_must_be_positive(steps):
+    with pytest.raises(ValueError, match="step budgets"):
+        TrainConfig(baseline_steps=steps)
+
+
 @pytest.fixture(scope="module")
 def multi_run(tiny_dataset_ir, tiny_config):
     cfg = TrainConfig(mode="multi", batch_size=4,
