@@ -1,23 +1,38 @@
 """Batch command-line surface: gen-data, train, eval, infer, grad-check.
 
-All commands take JSON configuration with strict (unknown keys rejected)
-schemas, write the fully resolved config next to their artifacts, and
-map failures onto stable exit codes:
+gen-data and train read a JSON config whose schema is the config
+dataclasses themselves (see RunConfig) and write the config that ran
+next to their artifacts. Failures map onto stable exit codes:
   2 invalid config, 3 I/O failure, 4 training divergence,
   5 checkpoint/manifest mismatch, 6 missing modality.
 """
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import struct
 import sys
 import zlib
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .checks import run_gradcheck_suite
+from .config import ConfigError, build, check_keys, keywords, typed
+from .data import atomic_write, load_manifest, read_tensor_file, write_json, write_tensor_file
+from .evaluate import evaluate, plan_windows, report_table, save_report, tiled_inference
+from .model import (
+    BranchConfig,
+    CheckpointError,
+    MissingModalityError,
+    ensemble_predict,
+    load_checkpoint,
+    select_branches,
+)
+from .synthetic import SyntheticConfig, generate_synthetic
+from .train import DivergenceError, TrainConfig, run_protocol
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -26,79 +41,55 @@ EXIT_MISMATCH = 5
 EXIT_MISSING_MODALITY = 6
 
 
-class ConfigError(ValueError):
+class MismatchError(RuntimeError):
     pass
 
 
-_SYNTH_DEFAULTS = {
-    "seed": 0,
-    "scene_count": 30,
-    "size": 256,
-    "class_count": 4,
-    "rare_fraction": 0.015,
-    "include_ir": False,
-    "train_scenes": None,
-    "val_scenes": None,
-    "color_noise": 0.08,
-    "pair_noise": 0.08,
-    "texture_fraction": 1.0,
-    "ir_noise": 0.07,
-    "availability": {},
-}
+@dataclass
+class RunConfig:
+    """A config file, each section built into the object it configures.
 
-DEFAULT_CONFIG = {
-    "data": {"manifest": None, "synthetic": None},
-    "model": {
-        "blocks": [[32, 2], [64, 2], [128, 2], [256, 2]],
-        "first_conv_stride": 2,
-        "tap_depth": 3,
-    },
-    "objective": {"mfb": True, "gamma_multiplier": 10.0, "gamma_sample_batches": 1},
-    "train": {
-        "mode": "single",
-        "batch_size": 4,
-        "patch_size": 256,
-        "overlap": 0.5,
-        "flips": True,
-        "rotations": True,
-        "stage1_steps": 300,
-        "stage4_steps": 300,
-        "baseline_steps": None,
-        "lr_stage1": 1e-3,
-        "lr_stage4": 1e-4,
-        "clip_threshold": 1.0,
-        "seed": 0,
-        "hallucinate": None,
-    },
-}
+    Layout: `data.manifest` (a path) or `data.synthetic` (`seed` and the
+    fields of SyntheticConfig); `model`, the fields of BranchConfig but
+    `class_count`, which the dataset sets; `train`, the fields of
+    TrainConfig.
+    """
+    manifest: str | None
+    seed: int
+    synthetic: SyntheticConfig | None
+    model: dict  # BranchConfig keywords
+    train: TrainConfig
 
-# dict-valued keys whose sub-keys are free-form
-_OPEN_KEYS = {"availability"}
+    def branch_config(self, class_count: int) -> BranchConfig:
+        return BranchConfig(class_count=class_count, **self.model)
+
+    def save(self, model: BranchConfig, out_dir: Path):
+        """Write resolved_config.json: the config file that builds these
+        objects again, with every default written out."""
+        synth = None if self.synthetic is None else {"seed": self.seed, **asdict(self.synthetic)}
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_json(out_dir / "resolved_config.json",
+                   {"data": {"manifest": self.manifest, "synthetic": synth},
+                    "model": {k: v for k, v in asdict(model).items() if k != "class_count"},
+                    "train": asdict(self.train)})
 
 
-def _merge(defaults, user, path=""):
-    if not isinstance(user, dict):
-        raise ConfigError(f"section {path or 'root'} must be a JSON object")
-    out = copy.deepcopy(defaults)
-    for key, value in user.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key {path + key!r}")
-        if isinstance(defaults[key], dict) and key not in _OPEN_KEYS and value is not None:
-            out[key] = _merge(defaults[key], value, path + key + ".")
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def resolve_config(doc: dict) -> dict:
-    resolved = _merge(DEFAULT_CONFIG, doc)
-    synth = doc.get("data", {}).get("synthetic")
+def resolve_config(doc) -> RunConfig:
+    check_keys(doc, "", ("data", "model", "train"))
+    data = check_keys(doc.get("data", {}), "data", ("manifest", "synthetic"))
+    seed, synth = 0, data.get("synthetic")
     if synth is not None:
-        resolved["data"]["synthetic"] = _merge(_SYNTH_DEFAULTS, synth, "data.synthetic.")
-    return resolved
+        synth = dict(typed(dict, synth, "data.synthetic"))
+        seed = typed(int, synth.pop("seed", 0), "data.synthetic.seed")
+        synth = build(SyntheticConfig, synth, "data.synthetic")
+    return RunConfig(manifest=typed(str | None, data.get("manifest"), "data.manifest"),
+                     seed=seed, synthetic=synth,
+                     model=keywords(BranchConfig, doc.get("model", {}), "model",
+                                    given=("class_count",)),
+                     train=build(TrainConfig, doc.get("train", {}), "train"))
 
 
-def load_config(path) -> dict:
+def load_config(path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -106,49 +97,6 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return resolve_config(doc)
-
-
-def _persist_resolved(config: dict, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(json.dumps(config, indent=2) + "\n")
-
-
-def _synth_config(block: dict):
-    from .synthetic import SyntheticConfig
-
-    kwargs = {k: v for k, v in block.items() if k != "seed"}
-    return int(block["seed"]), SyntheticConfig(**kwargs)
-
-
-def _model_config(config: dict, class_count: int):
-    from .model import BranchConfig
-
-    m = config["model"]
-    return BranchConfig(class_count=class_count,
-                        blocks=tuple(tuple(b) for b in m["blocks"]),
-                        first_conv_stride=int(m["first_conv_stride"]),
-                        tap_depth=int(m["tap_depth"]))
-
-
-def _train_config(config: dict):
-    from .data import PatchSpec
-    from .losses import GammaPolicy
-    from .train import TrainConfig
-
-    t = config["train"]
-    o = config["objective"]
-    patch = PatchSpec(size=int(t["patch_size"]), overlap=float(t["overlap"]),
-                      flips=bool(t["flips"]), rotations=bool(t["rotations"]))
-    return TrainConfig(
-        mode=t["mode"], batch_size=int(t["batch_size"]), patch=patch,
-        stage1_steps=int(t["stage1_steps"]), stage4_steps=int(t["stage4_steps"]),
-        baseline_steps=None if t["baseline_steps"] is None else int(t["baseline_steps"]),
-        lr_stage1=float(t["lr_stage1"]), lr_stage4=float(t["lr_stage4"]),
-        clip_threshold=float(t["clip_threshold"]), seed=int(t["seed"]),
-        mfb=bool(o["mfb"]),
-        gamma=GammaPolicy(multiplier=float(o["gamma_multiplier"]),
-                          sample_batches=int(o["gamma_sample_batches"])),
-    )
 
 
 # -- png export --------------------------------------------------------------
@@ -171,7 +119,8 @@ def write_png(path, rgb: np.ndarray):
     header = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
     blob = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
             + chunk(b"IDAT", zlib.compress(raw, 9)) + chunk(b"IEND", b""))
-    Path(path).write_bytes(blob)
+    with atomic_write(path, "wb") as fh:
+        fh.write(blob)
 
 
 def class_map_to_rgb(class_map: np.ndarray) -> np.ndarray:
@@ -184,18 +133,14 @@ def class_map_to_rgb(class_map: np.ndarray) -> np.ndarray:
 # -- commands ----------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    from .synthetic import generate_synthetic
-
     config = load_config(args.config)
-    if config["data"]["synthetic"] is None:
+    if config.synthetic is None:
         raise ConfigError("gen-data needs a data.synthetic block")
-    seed, synth = _synth_config(config["data"]["synthetic"])
     if args.seed is not None:
-        seed = args.seed
-        config["data"]["synthetic"]["seed"] = seed
+        config.seed = args.seed
     out = Path(args.out)
-    _persist_resolved(config, out)
-    manifest = generate_synthetic(seed, synth, out)
+    config.save(config.branch_config(config.synthetic.class_count), out)
+    manifest = generate_synthetic(config.seed, config.synthetic, out)
     print(f"dataset written to {out} "
           f"({sum(len(v) for v in manifest.splits.values())} scenes, "
           f"{manifest.class_count} classes)")
@@ -203,35 +148,29 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .data import load_manifest
-    from .synthetic import generate_synthetic
-    from .train import run_protocol
-
     config = load_config(args.config)
     if args.seed is not None:
-        config["train"]["seed"] = args.seed
-    out = Path(args.out)
-    _persist_resolved(config, out)
-
-    if config["data"]["manifest"] is not None:
-        manifest = load_manifest(config["data"]["manifest"])
-    elif config["data"]["synthetic"] is not None:
-        seed, synth = _synth_config(config["data"]["synthetic"])
-        manifest = generate_synthetic(seed, synth, out / "dataset")
+        config.train.seed = args.seed
+    manifest = None
+    if config.manifest is not None:
+        manifest = load_manifest(config.manifest)
+        model_config = config.branch_config(manifest.class_count)
+    elif config.synthetic is not None:
+        model_config = config.branch_config(config.synthetic.class_count)
     else:
         raise ConfigError("data section needs a manifest path or a synthetic block")
+    out = Path(args.out)
+    config.save(model_config, out)
+    if manifest is None:
+        manifest = generate_synthetic(config.seed, config.synthetic, out / "dataset")
 
-    model_config = _model_config(config, manifest.class_count)
-    bundle, _ = run_protocol(manifest, model_config, _train_config(config), out_dir=out,
-                             hallucinate=config["train"]["hallucinate"])
+    bundle, _ = run_protocol(manifest, model_config, config.train, out_dir=out)
     print(f"trained {len(bundle.branches)} branches "
           f"({', '.join(sorted(bundle.branches))}); logs and checkpoints in {out}")
     return 0
 
 
 def _load_bundle_checked(path, manifest):
-    from .model import load_checkpoint
-
     bundle = load_checkpoint(path)
     if bundle.config.class_count != manifest.class_count:
         raise MismatchError(
@@ -244,22 +183,14 @@ def _load_bundle_checked(path, manifest):
     return bundle
 
 
-class MismatchError(RuntimeError):
-    pass
-
-
 def cmd_eval(args) -> int:
-    from .data import load_manifest, write_tensor_file
-    from .evaluate import evaluate, report_table, save_report
-    from .model import ensemble_predict
-
+    if (args.baseline == "ensemble") != (args.checkpoint_b is not None):
+        raise ConfigError("--baseline ensemble and --checkpoint-b go together")
     manifest = load_manifest(args.manifest)
     bundle = _load_bundle_checked(args.checkpoint, manifest)
     scenario = "all" if args.baseline == "full" else args.scenario
     predictor = None
     if args.baseline == "ensemble":
-        if not args.checkpoint_b:
-            raise ConfigError("ensemble baseline needs --checkpoint-b")
         bundle_b = _load_bundle_checked(args.checkpoint_b, manifest)
 
         def predictor(inputs, availability):
@@ -291,12 +222,13 @@ def _parse_availability(text: str | None) -> dict[str, bool]:
 
 
 def cmd_infer(args) -> int:
-    from .data import read_tensor_file, write_tensor_file
-    from .evaluate import plan_windows, tiled_inference
-    from .model import MissingModalityError, load_checkpoint, select_branches
-
     bundle = load_checkpoint(args.checkpoint)
     flags = _parse_availability(args.availability)
+    optional = [bundle.role_modalities[role] for role in bundle.optional_roles()]
+    unknown = sorted(set(flags) - set(optional))
+    if unknown:
+        raise ConfigError(f"--availability names {', '.join(unknown)}, not optional "
+                          f"modalities of this checkpoint ({', '.join(optional) or 'none'})")
     availability = bundle.availability_from_modalities(flags)
     selected = select_branches(bundle, availability)
 
@@ -317,7 +249,7 @@ def cmd_infer(args) -> int:
     routing = {"selected_branches": selected,
                "availability": {r: bool(v) for r, v in availability.items()},
                "windows": plan.count, "window_hw": list(plan.window), "halo": plan.halo}
-    out.with_suffix(".routing.json").write_text(json.dumps(routing, indent=2) + "\n")
+    write_json(out.with_suffix(".routing.json"), routing)
     if args.png:
         write_png(args.png, class_map_to_rgb(class_map))
     print(f"class map {class_map.shape} written to {out}; branches: {selected}")
@@ -325,8 +257,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    from .checks import run_gradcheck_suite
-
     results = run_gradcheck_suite(points=args.points, seed=args.seed,
                                   corrupt=args.self_test_corrupt)
     width = max(len(r.name) for r in results)
@@ -413,32 +343,21 @@ def _limit_threads():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from .model import CheckpointError, MissingModalityError
-    from .train import DivergenceError
-
+    args = build_parser().parse_args(argv)
     try:
         _limit_threads()
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MismatchError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except MissingModalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_MODALITY
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as exc:
+        # first match wins: CheckpointError and ConfigError are ValueErrors
+        for kinds, code in (((MismatchError, CheckpointError), EXIT_MISMATCH),
+                            (DivergenceError, EXIT_DIVERGENCE),
+                            (MissingModalityError, EXIT_MISSING_MODALITY),
+                            ((ValueError, KeyError), EXIT_CONFIG),
+                            (OSError, EXIT_IO)):
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -9,12 +9,15 @@ Dataset directory layout:
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, build, typed
 from .losses import IGNORE_LABEL
 
 MAGIC = b"MTNS"
@@ -72,8 +75,29 @@ def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.copy(), pos + nbytes
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Yield a temporary file in the directory of `path` that replaces
+    `path` in one step when the block ends cleanly, so a reader never
+    sees a partial file and a failed write leaves the old one intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, doc):
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def write_tensor_file(path, tensor: np.ndarray):
-    Path(path).write_bytes(tensor_to_bytes(tensor))
+    with atomic_write(path, "wb") as fh:
+        fh.write(tensor_to_bytes(tensor))
 
 
 def read_tensor_file(path) -> np.ndarray:
@@ -139,23 +163,27 @@ class DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path=None):
-    path = Path(path) if path is not None else manifest.root / "manifest.json"
-    path.write_text(json.dumps(manifest.to_json(), indent=2) + "\n")
+    write_json(path if path is not None else manifest.root / "manifest.json", manifest.to_json())
+
+
+@dataclass
+class _SceneEntry:  # a scene as manifest.json lists it
+    id: str
+    availability: dict[str, bool]
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read a manifest; a malformed document raises ValueError naming the
+    file and the field."""
     path = Path(path)
-    doc = json.loads(path.read_text())
-    manifest = DatasetManifest(
-        root=path.parent,
-        class_count=int(doc["class_count"]),
-        class_names=list(doc["class_names"]),
-        modalities=[ModalitySpec(m["name"], int(m["channels"])) for m in doc["modalities"]],
-        splits={split: [SceneRecord(rec["id"], dict(rec["availability"]))
-                        for rec in recs]
-                for split, recs in doc["splits"].items()},
-        excluded_classes=[int(c) for c in doc.get("excluded_classes", [])],
-    )
+    try:
+        doc = typed(dict, json.loads(path.read_text()), "the document")
+        splits = typed(dict[str, list[_SceneEntry]], doc.pop("splits", None), "splits")
+        manifest = build(DatasetManifest, doc, "", root=path.parent, splits={
+            split: [SceneRecord(e.id, e.availability) for e in entries]
+            for split, entries in splits.items()})
+    except (json.JSONDecodeError, ConfigError) as exc:
+        raise ValueError(f"malformed manifest {path}: {exc}") from None
     seen: set[str] = set()
     for split, recs in manifest.splits.items():
         for rec in recs:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetManifest, load_scene
+from .config import build
+from .data import DatasetManifest, load_scene, write_json
 from .losses import IGNORE_LABEL
 from .model import BranchConfig, MissingModalityError, ModelBundle, predict
 
@@ -109,12 +110,8 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, doc: dict) -> "EvalReport":
-        per = doc["per_class"]
-        return cls(precision=per["precision"], recall=per["recall"], f1=per["f1"],
-                   iou=per["iou"], overall_accuracy=doc["overall_accuracy"],
-                   mean_class_accuracy=doc["mean_class_accuracy"],
-                   average_f1=doc["average_f1"], mode=doc.get("mode", ""),
-                   class_names=doc.get("class_names", []))
+        doc = dict(doc)
+        return build(cls, {**doc.pop("per_class"), **doc}, "")
 
 
 def metrics(conf: ConfusionMatrix, excluded_classes=(), mode: str = "",
@@ -357,7 +354,7 @@ def report_table(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path):
-    Path(path).write_text(json.dumps(report.to_json(), indent=2) + "\n")
+    write_json(path, report.to_json())
 
 
 def load_report(path) -> EvalReport:

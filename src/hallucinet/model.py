@@ -10,16 +10,16 @@ restoring input resolution. The activation after the pooling layer at
 from __future__ import annotations
 
 import json
-import os
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import tensor_from_bytes, tensor_to_bytes
+from .config import build
+from .data import atomic_write, tensor_from_bytes, tensor_to_bytes
 from .engine import (
     BatchNormState,
     Parameter,
@@ -69,7 +69,6 @@ class BranchConfig:
             raise ValueError(f"tap depth {self.tap_depth} outside 1..{len(self.blocks)}")
         if self.first_conv_stride < 1:
             raise ValueError("first conv stride must be positive")
-        object.__setattr__(self, "blocks", tuple((int(w), int(n)) for w, n in self.blocks))
 
     @property
     def downsample_factor(self) -> int:
@@ -99,19 +98,6 @@ class BranchConfig:
             jump *= 2
         half = jump // 2
         return max(hi + half, 3 * half - 1 - lo)
-
-    def to_json(self) -> dict:
-        return {"class_count": self.class_count,
-                "blocks": [list(b) for b in self.blocks],
-                "first_conv_stride": self.first_conv_stride,
-                "tap_depth": self.tap_depth}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BranchConfig":
-        return cls(class_count=int(doc["class_count"]),
-                   blocks=tuple(tuple(b) for b in doc["blocks"]),
-                   first_conv_stride=int(doc["first_conv_stride"]),
-                   tap_depth=int(doc["tap_depth"]))
 
 
 @dataclass
@@ -349,7 +335,7 @@ def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
         "format": "hallucinet-checkpoint",
         "format_version": CHECKPOINT_VERSION,
         "stage": stage if stage is not None else bundle.stage,
-        "config": bundle.config.to_json(),
+        "config": asdict(bundle.config),
         "role_modalities": bundle.role_modalities,
         "branches": branch_meta,
         "tensors": list(tensors),
@@ -358,28 +344,18 @@ def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
 
 
 def _write_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]):
-    """Write header and the records it lists, then their CRC32.
-
-    The bytes go to a temporary file in the target directory, which then
-    replaces `path` in one step, so a reader never sees a partial file.
-    """
+    """Write header and the records it lists, then their CRC32, atomically."""
     blob = json.dumps(header).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            crc = 0
-            for name in header["tensors"]:
-                record = tensor_to_bytes(tensors[name])
-                crc = zlib.crc32(record, crc)
-                fh.write(record)
-            fh.write(struct.pack("<I", crc))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        crc = 0
+        for name in header["tensors"]:
+            record = tensor_to_bytes(tensors[name])
+            crc = zlib.crc32(record, crc)
+            fh.write(record)
+        fh.write(struct.pack("<I", crc))
 
 
 def _read_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
@@ -436,7 +412,7 @@ def _fold_conv_biases(tensors: dict[str, np.ndarray]):
 def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> ModelBundle:
     if header["format_version"] < 3:
         _fold_conv_biases(tensors)
-    config = BranchConfig.from_json(header["config"])
+    config = build(BranchConfig, header["config"], "config")
     branches: dict[str, BranchNet] = {}
     rng = np.random.default_rng(0)  # values are overwritten below
     for meta in header["branches"]:

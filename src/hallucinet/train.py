@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetManifest, PatchSampler, PatchSpec, class_frequencies
+from .data import DatasetManifest, PatchSampler, PatchSpec, atomic_write, class_frequencies
 from .engine import NonFiniteError, Parameter, backward, frozen
 from .losses import (
     ClassWeights,
@@ -53,10 +53,14 @@ class TrainConfig:
     seed: int = 0
     mfb: bool = True
     gamma: GammaPolicy = field(default_factory=GammaPolicy)
+    hallucinate: str | None = None  # mode single: the optional modality; default the first
 
     def __post_init__(self):
         if self.mode not in ("single", "multi"):
             raise ValueError("mode must be 'single' or 'multi'")
+        if self.hallucinate is not None and self.mode != "single":
+            raise ValueError(f"train.hallucinate is for mode 'single'; mode {self.mode!r} "
+                             "hallucinates the optional modalities in order")
         if self.stage1_steps < 1 or self.stage4_steps < 1 or self.batch_size < 1 \
                 or (self.baseline_steps is not None and self.baseline_steps < 1):
             raise ValueError("step budgets and batch size must be positive")
@@ -213,36 +217,32 @@ def _checkpoint(bundle: ModelBundle, out_dir, stage: str):
         save_checkpoint(bundle, Path(out_dir) / f"checkpoint_{stage}.ckpt", stage)
 
 
-def _optional_modalities(manifest: DatasetManifest, mode: str,
-                         hallucinate: str | None) -> list[str]:
+def _optional_modalities(manifest: DatasetManifest, config: TrainConfig) -> list[str]:
     """The modalities of the optional roles: one for mode single, two for multi."""
     optional = manifest.optional_modalities
     named = ", ".join(optional) or "none"
-    if hallucinate is not None:
-        if mode != "single":
-            raise ValueError(f"train.hallucinate is for mode 'single'; mode {mode!r} "
-                             f"hallucinates the optional modalities in order ({named})")
-        if hallucinate not in optional:
-            raise ValueError(f"train.hallucinate {hallucinate!r} is not an optional "
+    if config.hallucinate is not None:
+        if config.hallucinate not in optional:
+            raise ValueError(f"train.hallucinate {config.hallucinate!r} is not an optional "
                              f"modality ({named})")
-        return [hallucinate]
-    k = 1 if mode == "single" else 2
+        return [config.hallucinate]
+    k = 1 if config.mode == "single" else 2
     if len(optional) < k:
-        raise ValueError(f"mode {mode!r} hallucinates {k} optional modalities; "
+        raise ValueError(f"mode {config.mode!r} hallucinates {k} optional modalities; "
                          f"the dataset has {len(optional)} ({named})")
     return optional[:k]
 
 
 def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
-                 config: TrainConfig, out_dir=None, hallucinate: str | None = None):
+                 config: TrainConfig, out_dir=None):
     """The staged protocol over rgb and k optional roles; returns (bundle, log).
 
-    Mode single hallucinates one optional modality (`hallucinate`, by
-    default the first) under role depth; mode multi (Problem Scenario 3)
+    Mode single hallucinates one optional modality (`config.hallucinate`,
+    by default the first) under role depth; mode multi (Problem Scenario 3)
     hallucinates the first two, under roles depth and ir.
     """
     always = manifest.always_available
-    mods = [always, *_optional_modalities(manifest, config.mode, hallucinate)]
+    mods = [always, *_optional_modalities(manifest, config)]
     role_modalities = dict(zip(ROSTER, mods))
     roles = list(role_modalities)[1:]
 
@@ -361,7 +361,6 @@ def train_single_branch_model(manifest: DatasetManifest, model_config: BranchCon
 def _write_log(out_dir, log, name: str = "train_log.jsonl"):
     if out_dir is None:
         return
-    path = Path(out_dir) / name
-    with open(path, "w") as fh:
+    with atomic_write(Path(out_dir) / name) as fh:
         for record in log:
             fh.write(json.dumps(record) + "\n")

@@ -1,5 +1,6 @@
 """Command-line surface: config resolution, commands, exit codes."""
 import json
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 
 from hallucinet.cli import main, resolve_config
 from hallucinet.data import read_tensor_file
+from hallucinet.model import BranchConfig
+from hallucinet.synthetic import SyntheticConfig
+from hallucinet.train import TrainConfig
 
 TINY_TRAIN = {
     "data": {"synthetic": {"seed": 5, "scene_count": 6, "size": 96,
                            "train_scenes": 4, "val_scenes": 1}},
     "model": {"blocks": [[6, 1], [10, 1]], "tap_depth": 1},
-    "train": {"patch_size": 64, "stage1_steps": 2, "stage4_steps": 2,
+    "train": {"patch": {"size": 64}, "stage1_steps": 2, "stage4_steps": 2,
               "batch_size": 2},
 }
 
@@ -26,8 +30,8 @@ def write_config(tmp_path, doc, name="cfg.json"):
 class TestConfigResolution:
     def test_defaults_materialized(self):
         resolved = resolve_config({})
-        assert resolved["train"]["batch_size"] == 4
-        assert resolved["model"]["tap_depth"] == 3
+        assert resolved.train.batch_size == 4
+        assert resolved.branch_config(4).tap_depth == 3
 
     def test_unknown_key_rejected(self):
         from hallucinet.cli import ConfigError
@@ -49,6 +53,100 @@ class TestConfigResolution:
             resolve_config({"eval": {"scenario": "1"}})
         cfg = write_config(tmp_path, {"eval": {"scenario": "1"}})
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+# a value other than the default for every config field, by section
+OTHER_VALUES = {
+    "data.synthetic": {
+        "scene_count": 12, "size": 128, "class_count": 5, "rare_fraction": 0.02,
+        "include_ir": True, "train_scenes": 8, "val_scenes": 2, "color_noise": 0.1,
+        "pair_noise": 0.05, "texture_fraction": 0.5, "pair_crossover": 0.2,
+        "shadow_length": 3, "shadow_strength": 0.2, "ir_noise": 0.05,
+        "road_width": [0.05, 0.1], "building_side": [0.1, 0.2], "rare_radius": [5.0, 8.0],
+        "availability": {"height": 0.5}},
+    "model": {"blocks": [[8, 1], [16, 1], [24, 1], [32, 1]], "first_conv_stride": 1,
+              "tap_depth": 1},
+    "train": {
+        "mode": "multi", "batch_size": 2,
+        "patch": {"size": 128, "overlap": 0.25, "flips": False, "rotations": False},
+        "stage1_steps": 5, "stage4_steps": 6, "baseline_steps": 7, "lr_stage1": 0.01,
+        "lr_stage4": 0.001, "clip_threshold": 2.0, "seed": 3, "mfb": False,
+        "gamma": {"multiplier": 5.0, "sample_batches": 2}, "hallucinate": "height"},
+}
+
+
+def _nest(section: str, doc: dict) -> dict:
+    for key in reversed(section.split(".")):
+        doc = {key: doc}
+    return doc
+
+
+def _built(config, section: str):
+    return {"data.synthetic": config.synthetic, "model": config.branch_config(4),
+            "train": config.train}[section]
+
+
+class TestConfigSchema:
+    """The config schema is the dataclasses: every field, typed strictly."""
+
+    @pytest.mark.parametrize("section, name", [
+        *(("data.synthetic", f.name) for f in fields(SyntheticConfig)),
+        *(("model", f.name) for f in fields(BranchConfig) if f.name != "class_count"),
+        *(("train", f.name) for f in fields(TrainConfig))])
+    def test_every_field_settable(self, section, name):
+        value = OTHER_VALUES[section][name]
+        config = resolve_config(_nest(section, {name: value}))
+        default = _built(resolve_config(_nest(section, {})), section)
+        got = getattr(_built(config, section), name)
+        assert got != getattr(default, name)
+        assert json.loads(json.dumps(asdict(got) if is_dataclass(got) else got)) == value
+
+    @pytest.mark.parametrize("section, doc, key", [
+        ("train", {"patch": {"flips": "false"}}, "train.patch.flips"),
+        ("train", {"mfb": "false"}, "train.mfb"),
+        ("train", {"patch": {"size": 64.9}}, "train.patch.size"),
+        ("model", {"blocks": [[32, 2.5]]}, "model.blocks[0][1]"),
+        ("data.synthetic", {"texture_fraction": "1"}, "data.synthetic.texture_fraction"),
+        ("data.synthetic", {"seed": True}, "data.synthetic.seed"),
+        ("train", {"seed": True}, "train.seed"),
+        ("data.synthetic", {"road_width": [0.05]}, "data.synthetic.road_width"),
+        ("train", {"baseline_steps": 1.0}, "train.baseline_steps"),
+    ])
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_wrong_type_exit_two(self, tmp_path, capsys, command, section, doc, key):
+        cfg = json.loads(json.dumps(TINY_TRAIN))
+        target = cfg
+        for part in section.split("."):
+            target = target.setdefault(part, {})
+        target.update(doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"objective": {"mfb": False}}, "objective"),
+        ({"train": {"patch_size": 64}}, "train.patch_size"),
+        ({"train": {"overlap": 0.5}}, "train.overlap"),
+        ({"train": {"flips": False}}, "train.flips"),
+        ({"train": {"rotations": False}}, "train.rotations"),
+        ({"model": {"class_count": 4}}, "model.class_count"),
+    ])
+    def test_old_and_derived_keys_exit_two(self, tmp_path, capsys, doc, key):
+        cfg = write_config(tmp_path, dict(json.loads(json.dumps(TINY_TRAIN)), **doc))
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown key {key}" in capsys.readouterr().err
+
+    def test_resolved_config_reloads_to_equal_objects(self, tmp_path):
+        doc = _nest("data.synthetic", dict(OTHER_VALUES["data.synthetic"], seed=9))
+        doc["model"] = OTHER_VALUES["model"]
+        doc["train"] = dict(OTHER_VALUES["train"], mode="single")
+        out = tmp_path / "ds"
+        assert main(["gen-data", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        first = resolve_config(doc)
+        again = resolve_config(json.loads((out / "resolved_config.json").read_text()))
+        assert again == first
+        assert again.branch_config(5) == first.branch_config(5)
 
 
 class TestGenData:
@@ -137,7 +235,7 @@ class TestTrain:
 
     def test_mfb_off_logs_unit_weights(self, tmp_path):
         doc = json.loads(json.dumps(TINY_TRAIN))
-        doc["objective"] = {"mfb": False}
+        doc["train"]["mfb"] = False
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
@@ -173,6 +271,17 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "checkpoint_stage1.ckpt").exists()
+
+    def test_resolved_config_retrains_identically(self, trained, tmp_path):
+        _, out = trained
+        resolved = out / "resolved_config.json"
+        first, again = resolve_config(TINY_TRAIN), resolve_config(json.loads(resolved.read_text()))
+        assert (again.seed, again.synthetic, again.train, again.branch_config(4)) == \
+            (first.seed, first.synthetic, first.train, first.branch_config(4))
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--config", str(resolved), "--out", str(rerun)]) == 0
+        for name in ("checkpoint_stage4.ckpt", "train_log.jsonl", "resolved_config.json"):
+            assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
@@ -220,6 +329,28 @@ class TestEval:
                      "--manifest", str(out / "dataset" / "manifest.json"),
                      "--baseline", "ensemble", "--out", str(tmp_path / "e")])
         assert code == 2
+
+    def test_second_checkpoint_needs_ensemble_baseline(self, trained, tmp_path, capsys):
+        _, out = trained
+        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--checkpoint-b", str(tmp_path / "absent.ckpt"),
+                     "--manifest", str(out / "dataset" / "manifest.json"),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "--checkpoint-b" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_malformed_manifest_exit_two(self, trained, tmp_path, capsys):
+        _, out = trained
+        doc = json.loads((out / "dataset" / "manifest.json").read_text())
+        doc["modalities"][1]["channels"] = None
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "modalities[1].channels" in err
 
     def test_ensemble_baseline_runs(self, trained, tmp_path):
         _, out = trained
@@ -271,6 +402,19 @@ class TestInfer:
         labels = read_tensor_file(scene / "labels.mtns")
         assert class_map.shape == labels.shape
         assert (tmp_path / "map.png").read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
+
+    @pytest.mark.parametrize("flags, named", [("heigth=false", "heigth"),
+                                              ("color=false", "color"),
+                                              ("height=false,ir=true,x=true", "ir, x")])
+    def test_unknown_availability_names_exit_two(self, trained, tmp_path, capsys, flags, named):
+        _, out = trained
+        dest = tmp_path / "map.mtns"
+        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--scene", str(out / "dataset" / "scenes" / "scene_005"),
+                     "--availability", flags, "--out", str(dest)])
+        assert code == 2
+        assert f"--availability names {named}, not optional" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_rerun_identical_bytes(self, trained, tmp_path):
         _, out = trained

@@ -9,6 +9,7 @@ from hallucinet.data import (
     PatchSampler,
     PatchSpec,
     TensorFileError,
+    atomic_write,
     augment,
     class_frequencies,
     extract_patch_grid,
@@ -220,6 +221,56 @@ class TestLoadScene:
         manifest = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(ValueError, match="raster color is .* labels are 10x10"):
             load_scene(manifest, "s0")
+
+
+class TestManifest:
+    DOC = {"class_count": 2, "class_names": ["a", "b"],
+           "modalities": [{"name": "color", "channels": 3}],
+           "splits": {"test": [{"id": "s0", "availability": {"height": True}}]}}
+
+    @pytest.mark.parametrize("damage, field", [
+        (lambda d: d["modalities"][0].update(channels=None), "modalities[0].channels"),
+        (lambda d: d["modalities"][0].pop("channels"), "modalities[0].channels"),
+        (lambda d: d.update(class_count="2"), "class_count"),
+        (lambda d: d.pop("splits"), "splits"),
+        (lambda d: d["splits"]["test"][0].update(availability={"height": 1}),
+         "splits.test[0].availability.height"),
+        (lambda d: d.update(class_names="ab"), "class_names"),
+        (lambda d: d.update(modalities=[{"name": "color", "channels": 3, "bands": 3}]),
+         "modalities[0].bands"),
+        (lambda d: d.clear(), "line 1 column 1"),  # not JSON
+    ])
+    def test_malformed_document_names_file_and_field(self, tmp_path, damage, field):
+        doc = json.loads(json.dumps(self.DOC))
+        damage(doc)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc) if doc else "")
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        assert str(path) in str(err.value) and field in str(err.value)
+
+
+class TestAtomicWrite:
+    def test_failure_mid_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(b"previous")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+    def test_failed_log_write_keeps_previous_file(self, tmp_path):
+        # the third record cannot be serialized: two lines are already written
+        from hallucinet.train import _write_log
+
+        _write_log(tmp_path, [{"step": 0}])
+        previous = (tmp_path / "train_log.jsonl").read_bytes()
+        with pytest.raises(TypeError):
+            _write_log(tmp_path, [{"step": 0}, {"step": 1}, {"step": object()}])
+        assert (tmp_path / "train_log.jsonl").read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["train_log.jsonl"]
 
 
 class TestSynthetic:
