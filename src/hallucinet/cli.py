@@ -89,9 +89,15 @@ def resolve_config(doc) -> RunConfig:
                      train=build(TrainConfig, doc.get("train", {}), "train"))
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config is not valid JSON: {name} is not a number")
+
+
 def load_config(path) -> RunConfig:
+    """The RunConfig of a JSON file; NaN and the infinities, which Python's
+    json accepts, are rejected like any other invalid JSON."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except FileNotFoundError as exc:
         raise ConfigError(f"config not found: {exc}") from exc
     except json.JSONDecodeError as exc:

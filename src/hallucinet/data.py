@@ -199,6 +199,19 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
+def read_labels(manifest: DatasetManifest, scene_id: str) -> np.ndarray:
+    """The (H,W) labels of a scene; every value must be a class id below
+    the manifest's class count or IGNORE_LABEL."""
+    labels = read_tensor_file(manifest.scene_dir(scene_id) / "labels.mtns")
+    if labels.ndim != 2:
+        raise ValueError(f"scene {scene_id}: labels must be (H,W)")
+    stray = labels[(labels >= manifest.class_count) & (labels != IGNORE_LABEL)]
+    if stray.size:
+        raise ValueError(f"scene {scene_id}: label {stray.min()} is neither a class id "
+                         f"below {manifest.class_count} nor the ignore label {IGNORE_LABEL}")
+    return labels
+
+
 def load_scene(manifest: DatasetManifest, scene_id: str,
                modalities=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Load (C,H,W) float rasters per modality and the (H,W) uint8 labels.
@@ -207,9 +220,7 @@ def load_scene(manifest: DatasetManifest, scene_id: str,
     """
     names = modalities if modalities is not None else [m.name for m in manifest.modalities]
     scene_dir = manifest.scene_dir(scene_id)
-    labels = read_tensor_file(scene_dir / "labels.mtns")
-    if labels.ndim != 2:
-        raise ValueError("labels must be (H,W)")
+    labels = read_labels(manifest, scene_id)
     rasters = {}
     for name in names:
         arr = read_tensor_file(scene_dir / f"{name}.mtns")
@@ -291,9 +302,9 @@ def class_frequencies(manifest: DatasetManifest, split: str) -> np.ndarray:
         raise ValueError(f"split {split!r} is empty")
     counts = np.zeros(manifest.class_count, dtype=np.int64)
     for rec in records:
-        labels = read_tensor_file(manifest.scene_dir(rec.scene_id) / "labels.mtns")
-        flat = labels[labels != IGNORE_LABEL].astype(np.int64)
-        counts += np.bincount(flat, minlength=manifest.class_count)[:manifest.class_count]
+        labels = read_labels(manifest, rec.scene_id)
+        counts += np.bincount(labels[labels != IGNORE_LABEL].astype(np.int64),
+                              minlength=manifest.class_count)
     total = counts.sum()
     if total == 0:
         raise ValueError("split contains only ignored pixels")

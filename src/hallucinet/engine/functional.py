@@ -359,6 +359,8 @@ def channel_softmax(x: Tensor) -> Tensor:
     return make_node(p, "channel_softmax", (x,), backw)
 
 
+# Not called by the program (softmax_nll fuses it); kept exported because
+# the benchmark's probes (perfbench/probes.py) look it up by name.
 def gather_channel(x: Tensor, index: np.ndarray) -> Tensor:
     """Pick x[n, index[n,i,j], i, j] for every pixel; index is constant."""
     idx = index[:, None, :, :]
@@ -371,3 +373,62 @@ def gather_channel(x: Tensor, index: np.ndarray) -> Tensor:
             _accumulate(x, dx)
 
     return make_node(data, "gather_channel", (x,), backw)
+
+
+def softmax_nll(logits: list[Tensor], index: np.ndarray, pixel_w: np.ndarray,
+                scale: float, floor: float) -> Tensor:
+    """scale * sum(pixel_w * log(max(p[index], floor))) as one node, with p
+    the channel softmax of the mean of `logits`.
+
+    The value and every gradient must equal, bit for bit, those of the
+    op chain mean -> channel_softmax -> gather_channel -> clamp_min ->
+    log -> mul -> tsum -> mul (tests/reference_kernels.py), so that
+    checkpoints and logged losses do not depend on which one ran: the
+    mean is ((a + b) + c) * (1/k) in the dtype, and each step rounds as
+    in that chain. The node keeps the softmax, the label-channel
+    probability and the floor mask; backward turns the softmax buffer
+    into the logits' gradient, the same array for every input.
+    """
+    first = logits[0]
+    for other in logits[1:]:
+        if other.shape != first.shape:
+            raise ValueError(f"logit shape mismatch: {other.shape} vs {first.shape}")
+    k = len(logits)
+    dtype = first.dtype
+    if k == 1:
+        p = np.subtract(first.data, first.data.max(axis=1, keepdims=True))
+    else:
+        p = first.data + logits[1].data
+        for t in logits[2:]:
+            p += t.data
+        inv_k = np.asarray(1.0 / k, dtype=dtype)
+        p *= inv_k
+        p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    idx = index[:, None]
+    p_l = np.take_along_axis(p, idx, axis=1)[:, 0]
+    mask = p_l > floor
+    terms = np.maximum(p_l, floor)
+    np.log(terms, out=terms)
+    terms *= pixel_w
+    scale = np.asarray(scale, dtype=dtype)
+    value = np.asarray(terms.sum(), dtype=dtype) * scale
+
+    def backw(out):
+        g = out.grad * scale * pixel_w
+        g /= np.maximum(p_l, floor)
+        g *= mask
+        # inner is the channel sum of g * p, nonzero only at the label;
+        # adding the other channels' exact zeros turns a -0 into +0
+        inner = g * p_l + 0
+        label = p_l * (g - inner)
+        dx = np.multiply(p, np.subtract(0, inner)[:, None], out=p)
+        np.put_along_axis(dx, idx, label[:, None], axis=1)
+        if k > 1:
+            dx *= inv_k
+        for t in logits:
+            if t.requires_grad:
+                _accumulate(t, dx)
+
+    return make_node(np.asarray(value, dtype=dtype), "softmax_nll", tuple(logits), backw)

@@ -181,6 +181,8 @@ def mul(a, b) -> Tensor:
     return make_node(a.data * b.data, "mul", (a, b), backward)
 
 
+# Not called by the program (softmax_nll fuses it); kept exported because
+# the benchmark's probes (perfbench/probes.py) look it up by name.
 def log(a: Tensor) -> Tensor:
     def backward(out):
         if a.requires_grad:
@@ -189,6 +191,8 @@ def log(a: Tensor) -> Tensor:
     return make_node(np.log(a.data), "log", (a,), backward)
 
 
+# Not called by the program (softmax_nll fuses it); kept exported because
+# the benchmark's probes (perfbench/probes.py) look it up by name.
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(a, floor); gradient passes only where a > floor."""
     mask = a.data > floor

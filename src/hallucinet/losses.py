@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Tensor, channel_softmax, clamp_min, gather_channel, log, mul, sigmoid, tmean, tsum
+from .engine import Tensor, mul, sigmoid, softmax_nll, tmean
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-12
@@ -49,21 +49,30 @@ def compute_class_weights(frequencies) -> ClassWeights:
     return ClassWeights(np.median(f) / f)
 
 
-def weighted_cross_entropy(logits: Tensor, labels: np.ndarray,
-                           weights: ClassWeights,
-                           ignore_label: int = IGNORE_LABEL) -> Tensor:
-    """Mean of -w_label * log(softmax prob of the true class) over non-ignored pixels."""
+def _pixel_targets(labels: np.ndarray, weights: ClassWeights, dtype,
+                   ignore_label: int = IGNORE_LABEL):
+    """(label-channel index, per-pixel weight, -1/n) for `softmax_nll`:
+    an ignored pixel reads channel 0 at weight 0, and n counts the others."""
     labels = np.asarray(labels)
     valid = labels != ignore_label
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("all pixels ignored: cross-entropy undefined")
-    safe = np.where(valid, labels, 0).astype(np.int64)
-    pixel_w = np.where(valid, weights.weights[safe], 0.0).astype(logits.dtype)
+    index = np.where(valid, labels, 0).astype(np.int64)
+    pixel_w = np.where(valid, weights.weights[index], 0.0).astype(dtype)
+    return index, pixel_w, -1.0 / n_valid
 
-    probs = gather_channel(channel_softmax(logits), safe)
-    logp = log(clamp_min(probs, PROB_FLOOR))
-    return mul(tsum(mul(logp, Tensor(pixel_w))), -1.0 / n_valid)
+
+def weighted_cross_entropy(logits: Tensor | list[Tensor], labels: np.ndarray,
+                           weights: ClassWeights,
+                           ignore_label: int = IGNORE_LABEL) -> Tensor:
+    """Mean of -w_label * log(softmax prob of the true class) over non-ignored
+    pixels; a list of logits is fused first, to their mean as `fuse_logits`."""
+    logits = [logits] if isinstance(logits, Tensor) else list(logits)
+    if not logits:
+        raise ValueError("cannot fuse an empty logit list")
+    targets = _pixel_targets(labels, weights, logits[0].dtype, ignore_label)
+    return softmax_nll(logits, *targets, PROB_FLOOR)
 
 
 def hallucination_loss(tap_target: Tensor, tap_hal: Tensor) -> Tensor:
@@ -152,16 +161,18 @@ def composite_loss(outputs, labels: np.ndarray, weights: ClassWeights,
         raise ValueError("outputs need rgb plus a real and a hal_ branch per optional "
                          f"role, got {sorted(outputs)}")
 
-    def ce(logits):
-        return weighted_cross_entropy(logits, labels, weights)
+    targets = _pixel_targets(labels, weights, outputs["rgb"].logits.dtype)
+
+    def ce(names):
+        return softmax_nll([outputs[n].logits for n in names], *targets, PROB_FLOOR)
 
     terms = {f"hallucinate_{r}": hallucination_loss(outputs[r].tap, outputs[h].tap)
              for r, h in zip(roles, hals)}
     for name in (*roles, "rgb", *hals):
-        terms[name] = ce(outputs[name].logits)
+        terms[name] = ce([name])
     for pattern in itertools.product((True, False), repeat=len(roles)):
         fused = fusion_roster(roles, pattern)
-        terms["+".join(fused)] = ce(fuse_logits([outputs[n].logits for n in fused]))
+        terms["+".join(fused)] = ce(fused)
     return LossBreakdown(terms, gamma, tuple(f"hallucinate_{r}" for r in roles))
 
 

@@ -7,6 +7,10 @@ normalized input for the backward. They are slow but follow the
 definitions directly, so the banded im2col, strided-view and fused
 batchnorm kernels are checked against them.
 
+`cross_entropy_chain` is the earlier weighted cross-entropy, a chain of
+eight engine ops, written out in numpy node by node, so the fused
+`softmax_nll` op is checked bit for bit against it.
+
 The two composite objectives at the end are the earlier hand-written
 rosters for one and two hallucinated modalities, so the roster-driven
 `losses.composite_loss` is checked against them.
@@ -141,6 +145,53 @@ def relu(x):
             _accumulate(x, out.grad * (out.data > 0))
 
     return make_node(np.maximum(x.data, 0), "relu", (x,), backw)
+
+
+def cross_entropy_chain(logits, labels, class_weights, upstream=1.0,
+                        ignore_label=255, floor=1e-12):
+    """Value and per-input gradients of the earlier weighted cross-entropy
+    on the fusion of the arrays `logits`, given the upstream gradient.
+
+    Each step is one node of the earlier chain, fuse_logits (add, add,
+    mul) -> channel_softmax -> gather_channel -> clamp_min -> log -> mul
+    -> tsum -> mul, with that node's forward and backward arithmetic.
+    """
+    dtype = logits[0].dtype
+    k = len(logits)
+    valid = labels != ignore_label
+    index = np.where(valid, labels, 0).astype(np.int64)
+    pixel_w = np.where(valid, class_weights[index], 0.0).astype(dtype)
+    scale = np.asarray(-1.0 / int(valid.sum()), dtype=dtype)
+    inv_k = np.asarray(1.0 / k, dtype=dtype)
+
+    x = logits[0]
+    for other in logits[1:]:
+        x = x + other
+    if k > 1:
+        x = x * inv_k
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    idx = index[:, None]
+    p_l = np.take_along_axis(p, idx, axis=1)[:, 0]
+    mask = p_l > floor
+    clamped = np.maximum(p_l, floor)
+    weighted = np.log(clamped) * pixel_w
+    total = np.asarray(weighted.sum(), dtype=dtype)
+    value = np.asarray(total * scale, dtype=dtype)
+
+    g = np.asarray(np.asarray(upstream, dtype=dtype) * scale, dtype=dtype)  # mul
+    g = np.full(weighted.shape, g, dtype=dtype)                            # tsum
+    g = g * pixel_w                                                        # mul
+    g = g / clamped                                                        # log
+    g = g * mask                                                           # clamp_min
+    dp = np.zeros_like(p)                                                  # gather_channel
+    np.put_along_axis(dp, idx, g[:, None], axis=1)
+    inner = (dp * p).sum(axis=1, keepdims=True)                            # channel_softmax
+    dx = p * (dp - inner)
+    if k > 1:
+        dx = dx * inv_k  # the fusion's mul; its adds pass dx to every input
+    return value, [dx] * k
 
 
 # Term names of the two objectives below -> names in `losses.composite_loss`;

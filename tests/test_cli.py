@@ -1,5 +1,7 @@
 """Command-line surface: config resolution, commands, exit codes."""
 import json
+import re
+import shutil
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from hallucinet.cli import main, resolve_config
-from hallucinet.data import read_tensor_file
+from hallucinet.data import read_tensor_file, write_tensor_file
 from hallucinet.model import BranchConfig
 from hallucinet.synthetic import SyntheticConfig
 from hallucinet.train import TrainConfig
@@ -200,6 +202,30 @@ class TestGenData:
         assert not (out / "dataset").exists()
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_non_finite_number_exit_two(tmp_path, capsys, command, constant):
+    # Python's json reads these tokens as floats; a config must not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_TRAIN).replace('"stage1_steps": 2',
+                                                  f'"lr_stage1": {constant}, "stage1_steps": 2'))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert constant in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _stray_label_copy(dataset: Path, dest: Path) -> Path:
+    """A copy of `dataset` whose scenes each have one pixel labelled 9,
+    neither a class id of its 4 classes nor the ignore label."""
+    shutil.copytree(dataset, dest)
+    for path in (dest / "scenes").rglob("labels.mtns"):
+        labels = read_tensor_file(path).copy()
+        labels[0, 0] = 9
+        write_tensor_file(path, labels)
+    return dest / "manifest.json"
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_train")
@@ -283,6 +309,16 @@ class TestTrain:
         for name in ("checkpoint_stage4.ckpt", "train_log.jsonl", "resolved_config.json"):
             assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
+    def test_stray_label_exit_two(self, trained, tmp_path, capsys):
+        _, out = trained
+        manifest = _stray_label_copy(out / "dataset", tmp_path / "ds")
+        doc = {**TINY_TRAIN, "data": {"manifest": str(manifest)}}
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, doc),
+                     "--out", str(run)]) == 2
+        assert re.search(r"scene scene_\d+: label 9 ", capsys.readouterr().err)
+        assert not (run / "checkpoint_stage1.ckpt").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
         # an update of magnitude ~1e38 overflows the next float32 conv
@@ -351,6 +387,14 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and "modalities[1].channels" in err
+
+    def test_stray_label_exit_two(self, trained, tmp_path, capsys):
+        _, out = trained
+        manifest = _stray_label_copy(out / "dataset", tmp_path / "ds")
+        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert re.search(r"scene scene_\d+: label 9 ", capsys.readouterr().err)
 
     def test_ensemble_baseline_runs(self, trained, tmp_path):
         _, out = trained

@@ -206,6 +206,15 @@ class TestClassFrequencies:
         with pytest.raises(ValueError):
             class_frequencies(manifest, "val")
 
+    @pytest.mark.parametrize("reader", [class_frequencies, lambda m, _: load_scene(m, "s1")])
+    def test_label_outside_classes_rejected(self, tmp_path, reader):
+        # 3 is no class id of the 3 classes and not the ignore label 255
+        stray = np.zeros((8, 8), dtype=np.uint8)
+        stray[2, 3] = 3
+        manifest = self._write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8), stray])
+        with pytest.raises(ValueError, match="scene s1: label 3 "):
+            reader(manifest, "train")
+
 
 class TestLoadScene:
     @pytest.mark.parametrize("color_hw, labels_hw", [((8, 8), (10, 10)), ((10, 12), (10, 10))])

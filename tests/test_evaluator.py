@@ -186,6 +186,15 @@ class TestMetrics:
         back = load_report(tmp_path / "r.json")
         assert back.to_json() == rep.to_json()
 
+    def test_report_with_nan_scores_loads(self, tmp_path):
+        # unlike a config, a report may hold NaN, which json writes as a bare token
+        rep = metrics(ConfusionMatrix(np.eye(3, dtype=np.int64) + 1))
+        rep.f1[1] = rep.average_f1 = float("nan")
+        save_report(rep, tmp_path / "r.json")
+        back = load_report(tmp_path / "r.json")
+        assert np.isnan(back.f1[1]) and np.isnan(back.average_f1)
+        assert back.f1[0] == rep.f1[0]
+
 
 @pytest.fixture()
 def single_bundle(tiny_config):

@@ -1,5 +1,5 @@
-"""Banded im2col convolution, strided-view pooling and fused batchnorm
-against reference kernels."""
+"""Banded im2col convolution, strided-view pooling, fused batchnorm and
+the fused cross-entropy against reference kernels."""
 import numpy as np
 import pytest
 
@@ -17,7 +17,15 @@ from hallucinet.engine import (
     relu,
     tsum,
 )
-from reference_kernels import conv_dw, conv_dx, conv_fwd, maxpool2_bwd, maxpool2_fwd
+from hallucinet.losses import ClassWeights, weighted_cross_entropy
+from reference_kernels import (
+    conv_dw,
+    conv_dx,
+    conv_fwd,
+    cross_entropy_chain,
+    maxpool2_bwd,
+    maxpool2_fwd,
+)
 
 # relative to the reference's largest absolute value, fixed per dtype
 TOLERANCE = {np.float64: 1e-12, np.float32: 1e-5}
@@ -167,3 +175,34 @@ def test_fused_batchnorm_leaves_inputs_untouched(rng):
     y.grad = grad
     y._backward(y)
     assert np.array_equal(x, before) and np.array_equal(y.grad, grad)
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float32).view(np.uint32)
+
+
+@pytest.mark.parametrize("upstream", [1.0, -0.37])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fused_cross_entropy_bit_identical_to_chain(rng, k, upstream):
+    n, c, h, w = 2, 5, 6, 7
+    labels = rng.integers(0, c, size=(n, h, w))
+    labels[0, :2] = 255  # ignored pixels
+    arrays = [(rng.normal(size=(n, c, h, w)) * 3).astype(np.float32) for _ in range(k)]
+    # a label logit 40 below the others: its probability, about 4e-18, is
+    # clamped at the floor and passes no gradient
+    floored = (labels == 1) & (rng.random((n, h, w)) < 0.5)
+    for a in arrays:
+        a[:, 1][floored] -= 40.0
+    weights = rng.uniform(0.5, 3.0, size=c)
+
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    loss = weighted_cross_entropy(tensors if k > 1 else tensors[0], labels, ClassWeights(weights))
+    backward(mul(loss, upstream))
+    value, grads = cross_entropy_chain(arrays, labels, weights, upstream=np.float32(upstream))
+
+    assert floored.any() and (labels == 255).any()
+    assert loss.data.dtype == np.float32
+    assert _bits(loss.data) == _bits(value)
+    for t, ref in zip(tensors, grads):
+        assert t.grad.dtype == np.float32
+        assert np.array_equal(_bits(t.grad), _bits(ref))

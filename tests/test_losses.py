@@ -1,5 +1,6 @@
 """Objective: MFB weights, cross-entropy, mimicry loss, composites, gamma."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,30 @@ class TestCompositeMulti:
         expect = gamma * (vals["hallucinate_ir"] + vals["hallucinate_depth"]) + sum(
             v for k, v in vals.items() if not k.startswith("hallucinate"))
         assert bd.total_value() == pytest.approx(expect, rel=1e-6)
+
+
+def test_objective_holds_one_class_sized_array_per_term(rng):
+    # between forward and backward, each cross-entropy term of the k=2
+    # objective may keep one (N,C,H,W) array and two (N,H,W) arrays, and
+    # the terms may share four more (N,H,W) arrays
+    n, c, h, w = 2, 4, 64, 64
+    roles = ("rgb", "depth", "ir", "hal_depth", "hal_ir")
+    out = {r: BranchOutput(tap=Tensor(rng.normal(size=(1, 2, 2, 2)).astype(np.float32),
+                                      requires_grad=True),
+                           logits=Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32),
+                                         requires_grad=True))
+           for r in roles}
+    labels = rng.integers(0, c, size=(n, h, w))
+    tracemalloc.start()
+    try:
+        bd = composite_loss(out, labels, ClassWeights.uniform(c), 2.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ce_terms = len(bd.terms) - len(bd.hallucination_terms)
+    class_bytes, pixel_bytes = 4 * n * c * h * w, 4 * n * h * w
+    assert ce_terms == 9
+    assert held <= ce_terms * (class_bytes + 2 * pixel_bytes) + 4 * pixel_bytes
 
 
 def test_benchmark_probe_names():
