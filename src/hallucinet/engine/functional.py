@@ -5,8 +5,8 @@ columns of bounded size and run one GEMM per band. The same three kernels
 (forward, input-gradient, weight-gradient) serve both conv2d and
 transposed_conv2d, since each is the adjoint of the other; the
 input-gradient is itself a forward convolution of the zero-dilated
-output gradient. Max pooling works on the four strided corner views of
-its windows.
+(at stride 1, merely padded) output gradient. Max pooling works on the
+four strided corner views of its windows.
 """
 from __future__ import annotations
 
@@ -118,15 +118,19 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
         # a copy, so the result does not keep the padded raster alive
         return dxp[:, :, padding:padding + h, padding:padding + wd].copy()
     # dx is the stride-1 correlation of the zero-dilated dout, padded by
-    # k-1-p, with the flipped and transposed kernel. The raster is sized
-    # to give exactly h x wd outputs, which also covers the rows and
+    # k-1-p, with the flipped and transposed kernel. At stride 1 with
+    # p <= k-1 nothing is dilated or cropped, so the forward kernel pads
+    # dout itself and builds the same columns. Otherwise the raster is
+    # sized to give exactly h x wd outputs, which also covers the rows and
     # columns past the last window when (h + 2p - k) % stride > 0; dout
     # entries of windows that saw only padding fall outside it.
+    flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    if stride == 1 and kh == kw and padding <= kh - 1:
+        return _conv_fwd(dout, flipped, 1, kh - 1 - padding)
     src_i, dst_i = _dilated_span(kh - 1 - padding, stride, ho, h + kh - 1)
     src_j, dst_j = _dilated_span(kw - 1 - padding, stride, wo, wd + kw - 1)
     dilated = np.zeros((n, co, h + kh - 1, wd + kw - 1), dtype=dout.dtype)
     dilated[:, :, dst_i, dst_j] = dout[:, :, src_i, src_j]
-    flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     return _conv_fwd(dilated, flipped, 1, 0)
 
 
@@ -231,13 +235,17 @@ def maxpool2(x: Tensor) -> Tensor:
 
     def backw(out):
         if x.requires_grad:
-            dx = np.empty_like(x.data)
+            xd = x.data
+            dx = np.empty_like(xd)
+            bits = np.dtype(f"u{xd.dtype.itemsize}")
+            g = out.grad.view(bits)
             open_ = np.ones(data.shape, dtype=bool)  # windows whose maximum is not yet taken
             hit = np.empty_like(open_)
-            for (ri, rj), corner in zip(corners, v):
-                np.equal(corner, data, out=hit)
+            for ri, rj in corners:
+                np.equal(xd[:, :, ri, rj], data, out=hit)
                 hit &= open_
-                dx[:, :, ri, rj] = np.where(hit, out.grad, 0)
+                # where(hit, grad, 0) by its bits, written in place; -0 stays -0
+                np.multiply(g, hit, out=dx[:, :, ri, rj].view(bits))
                 open_ ^= hit  # hit is a subset of open_
             _accumulate(x, dx)
 
@@ -267,7 +275,9 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
     The node keeps no normalized copy of x: its backward reads x from
     the parent and the ReLU mask from its own output, and folds the batch
     statistics' gradient into dx = a*g + k2*x + k3 with per-channel k2
-    and k3 from sum(g) and sum(g*x).
+    and k3 from sum(g) and sum(g*x). A node that records a graph edge
+    can also rebuild its output bit for bit from x (`Tensor.recompute`),
+    so the output may be released once the next op has read it.
     """
     n, c, h, w = x.data.shape
     m = n * h * w
@@ -295,10 +305,22 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
     inv_std = 1.0 / np.sqrt(var + state.eps)
     a = scale.data * inv_std
     # x*a + b, taken about the float centre for precision: (x - centre)*a + b + centre*a
-    data *= a.astype(dtype)[:, None]
-    data += (shift.data - (mean - centre) * a).astype(dtype)[:, None]
-    if relu:
-        np.maximum(data, 0, out=data)
+    a32 = a.astype(dtype)[:, None]
+    b32 = (shift.data - (mean - centre) * a).astype(dtype)[:, None]
+
+    def affine(y):  # in place: y*a32 + b32, rectified when relu is set
+        y *= a32
+        y += b32
+        if relu:
+            np.maximum(y, 0, out=y)
+        return y
+
+    affine(data)
+
+    def recompute() -> np.ndarray:
+        # the forward's own vectors and op order, so the bits are the same
+        y = np.subtract(x.data.reshape(n, c, h * w), centre[:, None])
+        return affine(y).reshape(n, c, h, w)
 
     def backw(out):
         xv = x.data.reshape(n, c, h * w)
@@ -314,7 +336,7 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
             _accumulate(shift, sum_g)
         if x.requires_grad:
             # g is a fresh array once masked, so it can become dx
-            dx = np.multiply(g, a.astype(dtype)[:, None], out=g if relu else None)
+            dx = np.multiply(g, a32, out=g if relu else None)
             if mode == "train":
                 # mean and var depend on x: dx gains k2*x + k3
                 k2 = -a * inv_std ** 2 * sum_gxc / m
@@ -323,7 +345,10 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
                 dx += k3.astype(dtype)[:, None]
             _accumulate(x, dx.reshape(x.data.shape))
 
-    return make_node(data.reshape(x.data.shape), "batchnorm", (x, scale, shift), backw)
+    out = make_node(data.reshape(x.data.shape), "batchnorm", (x, scale, shift), backw)
+    if out.requires_grad:
+        out.recompute = recompute
+    return out
 
 
 def relu(x: Tensor) -> Tensor:

@@ -30,29 +30,46 @@ def _as_float_array(data, dtype=None) -> np.ndarray:
 
 
 class Tensor:
-    """A node of the computation graph: value, op tag, parents, gradient."""
+    """A node of the computation graph: value, op tag, parents, gradient.
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward")
+    A tensor given a `recompute` function can be released: its array is
+    freed, shape and dtype stay, and the next read of `.data` rebuilds
+    the value, bit for bit, and holds it again.
+    """
+
+    __slots__ = ("_data", "_spec", "grad", "requires_grad", "op", "parents",
+                 "_backward", "recompute")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None,
                  op: str = "leaf", parents: tuple = ()):
-        self.data = _as_float_array(data, dtype)
+        self._data = _as_float_array(data, dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = op
         self.parents = parents
         self._backward = None
+        self.recompute = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self.recompute()
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray):
+        self._data = value
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._spec[0] if self._data is None else self._data.shape
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._spec[1] if self._data is None else self._data.dtype
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self.op!r}, grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, op={self.op!r}, grad={self.requires_grad})"
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -115,6 +132,13 @@ def frozen(params):
             p.requires_grad = flag
 
 
+def release(t: Tensor):
+    """Free the array of a tensor that can recompute it; otherwise do nothing."""
+    if t.recompute is not None and t._data is not None:
+        t._spec = (t._data.shape, t._data.dtype)
+        t._data = None
+
+
 def _wrap(value, like: Tensor) -> Tensor:
     if isinstance(value, Tensor):
         return value
@@ -148,7 +172,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray):
-    grad = _unbroadcast(np.asarray(grad, dtype=tensor.dtype), tensor.data.shape)
+    grad = _unbroadcast(np.asarray(grad, dtype=tensor.dtype), tensor.shape)
     # accumulation is out-of-place, so sharing the upstream buffer is safe
     tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
@@ -255,10 +279,13 @@ def backward(root: Tensor):
     Each node's backward hook runs exactly once, in reverse topological
     order, so repeated runs on the same values give bit-identical grads.
     The graph is released as the pass goes: once its hook has run, a
-    non-leaf node drops the hook, its parent links and its gradient, so
-    activations are freed before the pass ends. Leaves keep their grads.
-    A released node keeps a hook that raises, and a backward that would
-    reach one raises ValueError before touching any gradient.
+    non-leaf node drops the hook, its parent links and its gradient, a
+    recomputable node drops its value again, and the pass stops holding
+    the node. So an activation that no caller holds is freed as soon as
+    every node that reads it has been processed. Leaves keep their
+    grads, and a node the caller holds keeps (or can recompute) its
+    value. A released node keeps a hook that raises, and a backward that
+    would reach one raises ValueError before touching any gradient.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -269,7 +296,8 @@ def backward(root: Tensor):
         if node._backward is _released:
             _released(node)
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
+    for i in range(len(order) - 1, -1, -1):
+        node, order[i] = order[i], None
         hook = node._backward
         if hook is None:
             continue
@@ -277,3 +305,4 @@ def backward(root: Tensor):
         node._backward = _released
         node.parents = ()
         node.grad = None
+        release(node)

@@ -30,6 +30,7 @@ from .engine import (
     conv2d,
     frozen,
     maxpool2,
+    release,
     transposed_conv2d,
 )
 from .losses import fuse_logits, fusion_roster
@@ -127,6 +128,7 @@ class _ConvBnRelu:
     def forward(self, x: Tensor, mode: str) -> Tensor:
         # no conv bias: batchnorm subtracts the mean, so it would cancel
         y = conv2d(x, self.weight, None, stride=self.stride, padding=1)
+        release(x)  # a previous unit's output: its batchnorm can rebuild it
         return batchnorm(y, self.scale, self.shift, self.state, mode, relu=True)
 
     def parameters(self) -> list[Parameter]:
@@ -179,7 +181,9 @@ class BranchNet:
         for b, units in enumerate(self.blocks):
             for unit in units:
                 t = unit.forward(t, mode)
-            t = maxpool2(t)
+            pooled = maxpool2(t)
+            release(t)
+            t = pooled
             if b == self.config.tap_depth - 1:
                 tap = t
         scores = conv2d(t, self.score_weight, self.score_bias)

@@ -212,6 +212,12 @@ def _forward_joint(bundle: ModelBundle, roles: list[str], batch):
             for role in roles}
 
 
+def _make_out_dir(out_dir):
+    """Create `out_dir` before any training, so no save can find it missing."""
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+
+
 def _checkpoint(bundle: ModelBundle, out_dir, stage: str):
     if out_dir is not None:
         save_checkpoint(bundle, Path(out_dir) / f"checkpoint_{stage}.ckpt", stage)
@@ -243,6 +249,7 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     """
     always = manifest.always_available
     mods = [always, *_optional_modalities(manifest, config)]
+    _make_out_dir(out_dir)
     role_modalities = dict(zip(ROSTER, mods))
     roles = list(role_modalities)[1:]
 
@@ -338,6 +345,7 @@ def train_single_branch_model(manifest: DatasetManifest, model_config: BranchCon
                               config: TrainConfig, variant: int = 0,
                               out_dir=None) -> tuple[ModelBundle, list[dict]]:
     """Baseline: one branch on the always-available modality only."""
+    _make_out_dir(out_dir)
     always = manifest.always_available
     frequencies = class_frequencies(manifest, "train")
     weights = mfb_class_weights(frequencies, config.mfb)

@@ -15,6 +15,7 @@ from hallucinet.engine import (
     finite_diff_check,
     maxpool2,
     mul,
+    release,
     relu,
     sigmoid,
     transposed_conv2d,
@@ -289,6 +290,86 @@ class TestGraphRelease:
         assert extra.grad is None
         for p, g in zip(params, before):
             assert np.array_equal(p.grad, g)
+
+
+class TestRelease:
+    def _released(self, rng, calls):
+        value = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+
+        def recompute():
+            calls.append(1)
+            return value.copy()
+
+        x = Tensor(value.copy())
+        x.recompute = recompute
+        release(x)
+        return x, value
+
+    def test_shape_and_dtype_without_recomputing(self, rng):
+        calls = []
+        x, value = self._released(rng, calls)
+        assert x.shape == value.shape and x.dtype == np.float32
+        assert "shape=(2, 3, 4, 5)" in repr(x)
+        assert calls == []
+
+    def test_data_and_detach_recompute_exact_values(self, rng):
+        calls = []
+        x, value = self._released(rng, calls)
+        assert x.data.tobytes() == value.tobytes()
+        assert x.detach().data.tobytes() == value.tobytes()
+        assert len(calls) == 1  # the recomputed value is held again
+        release(x)
+        assert x.detach().data.tobytes() == value.tobytes() and len(calls) == 2
+
+    def test_tensor_without_recompute_keeps_its_array(self, rng):
+        x = Tensor(rng.normal(size=(3, 3)))
+        held = x.data
+        release(x)
+        assert x.data is held
+
+    def test_gradient_reaches_a_released_tensor(self, rng):
+        calls = []
+        x, value = self._released(rng, calls)
+        x.requires_grad = True
+        w = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), "w")
+        backward(tsum(conv2d(x, w, None, padding=1)))
+        assert x.grad.shape == value.shape and len(calls) == 1  # read for dw only
+        release(x)
+        assert x.detach().data.tobytes() == value.tobytes()
+
+
+class TestBackwardFreesProcessedNodes:
+    def test_processed_nodes_not_held_to_the_end(self, rng):
+        import tracemalloc
+
+        from hallucinet.engine.tensor import _accumulate, make_node
+
+        seen = []
+
+        def probe(x):
+            def hook(out):
+                seen.append(tracemalloc.get_traced_memory()[0])
+                _accumulate(x, out.grad)
+
+            return make_node(x.data.copy(), "probe", (x,), hook)
+
+        x = Parameter(rng.normal(size=(128, 128)), "x")
+        nbytes = x.data.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = probe(x)
+            for _ in range(8):
+                y = mul(y, 1.5)
+            loss = tsum(y)
+            del y
+            backward(loss)
+        finally:
+            tracemalloc.stop()
+        # when the first node's hook runs, the eight later ones are gone:
+        # only its value, its gradient and x's gradient remain
+        assert seen[0] - base <= 4 * nbytes, (seen[0] - base, nbytes)
+        assert np.array_equal(x.grad, np.full(x.shape, 1.5 ** 8))
 
 
 class TestFrozen:

@@ -14,6 +14,7 @@ from hallucinet.engine import (
     conv2d,
     maxpool2,
     mul,
+    release,
     relu,
     tsum,
 )
@@ -106,6 +107,19 @@ def test_maxpool_bit_identical_on_tied_zeros(rng, dtype):
     ref_out, ref_dx = maxpool2_fwd(x), maxpool2_bwd(x, dout)
     assert out.data.dtype == ref_out.dtype and out.data.tobytes() == ref_out.tobytes()
     assert xt.grad.dtype == ref_dx.dtype and xt.grad.tobytes() == ref_dx.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_backward_keeps_signed_zeros_of_the_gradient(rng, dtype):
+    x = _post_relu(rng, (2, 3, 8, 10), dtype)
+    dout = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
+    dout[rng.random(dout.shape) < 0.3] = -0.0
+    dout[rng.random(dout.shape) < 0.2] = 0.0
+    xt = Tensor(x, requires_grad=True)
+    backward(tsum(mul(maxpool2(xt), Tensor(dout))))
+    ref = maxpool2_bwd(x, dout)
+    assert np.signbit(ref[ref == 0]).any() and (x == 0).sum() > x.size // 4
+    assert xt.grad.dtype == ref.dtype and xt.grad.tobytes() == ref.tobytes()
 
 
 def test_relu_gradient_on_signed_zeros():
@@ -206,3 +220,66 @@ def test_fused_cross_entropy_bit_identical_to_chain(rng, k, upstream):
     for t, ref in zip(tensors, grads):
         assert t.grad.dtype == np.float32
         assert np.array_equal(_bits(t.grad), _bits(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fused_relu", [True, False])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batchnorm_recompute_bit_identical(rng, mode, fused_relu, dtype):
+    c = 5
+    x = (rng.normal(size=(3, c, 6, 7)) * 2 + 40).astype(dtype)
+    state = BatchNormState(c, dtype=dtype)
+    state.running_mean = rng.normal(40, 1, size=c).astype(dtype)
+    state.running_var = rng.uniform(2, 5, size=c).astype(dtype)
+    scale = Parameter(rng.uniform(0.5, 2, size=c).astype(dtype), "s")
+    shift = Parameter(rng.normal(size=c).astype(dtype), "b")
+    y = batchnorm(Tensor(x, requires_grad=True), scale, shift, state, mode, relu=fused_relu)
+    expected = y.data.copy()
+    assert y.recompute().tobytes() == expected.tobytes()
+    release(y)
+    assert y._data is None
+    assert y.data.dtype == dtype and y.data.tobytes() == expected.tobytes()
+    assert (expected == 0).any() == fused_relu
+
+
+def test_batchnorm_without_graph_has_no_recompute(rng):
+    x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+    y = batchnorm(Tensor(x), Parameter(np.ones(3, np.float32), "s", requires_grad=False),
+                  Parameter(np.zeros(3, np.float32), "b", requires_grad=False),
+                  BatchNormState(3), "train", relu=True)
+    held = y.data
+    release(y)
+    assert y.recompute is None and y.data is held
+
+
+def _conv_dx_dilated(dout, w, padding):
+    """The stride-1 input gradient through an explicitly zero-padded raster."""
+    k = w.shape[-1]
+    pad = k - 1 - padding
+    raster = np.pad(dout, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    return functional._conv_fwd(raster, flipped, 1, 0)
+
+
+# the stride-1 3x3 convs of the default branch (one sample of batch 4)
+STRIDE1_SHAPES = [(32, 32, 128), (32, 64, 64), (64, 64, 64), (64, 128, 32),
+                  (128, 128, 32), (128, 256, 16), (256, 256, 16)]
+
+
+@pytest.mark.parametrize("ci,co,side", STRIDE1_SHAPES)
+def test_stride1_conv_dx_bit_identical_to_dilated(rng, ci, co, side):
+    w = rng.normal(size=(co, ci, 3, 3)).astype(np.float32)
+    dout = rng.normal(size=(1, co, side, side)).astype(np.float32)
+    got = functional._conv_dx(dout, w, 1, 1, (side, side))
+    assert got.tobytes() == _conv_dx_dilated(dout, w, 1).tobytes()
+
+
+@pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 2), (5, 2), (4, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stride1_conv_dx_bit_identical_at_other_paddings(rng, k, padding, dtype):
+    h, wd = 9, 7
+    w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+    dout = rng.normal(size=(2, 4, h + 2 * padding - k + 1, wd + 2 * padding - k + 1)).astype(dtype)
+    got = functional._conv_dx(dout, w, 1, padding, (h, wd))
+    assert got.shape == (2, 3, h, wd)
+    assert got.tobytes() == _conv_dx_dilated(dout, w, padding).tobytes()

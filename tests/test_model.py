@@ -149,7 +149,7 @@ def _buffer_bytes(arr: np.ndarray) -> int:
 
 
 class TestTrainForwardMemory:
-    def test_two_arrays_held_per_conv_unit(self, tiny_config, rng):
+    def test_one_array_held_per_conv_unit(self, tiny_config, rng):
         import tracemalloc
 
         n, size = 2, 128
@@ -170,9 +170,37 @@ class TestTrainForwardMemory:
         finally:
             tracemalloc.stop()
         assert out.logits.requires_grad  # the graph for backward is alive
-        # per unit: the conv output (batchnorm's input) and the fused output
-        bound = 2 * units + pools + _buffer_bytes(out.logits.data) + x.nbytes
+        # per unit only the conv output (batchnorm's input): the fused
+        # batchnorm-ReLU output is released once the next op has read it
+        bound = units + pools + _buffer_bytes(out.logits.data) + x.nbytes
         assert held <= 1.05 * bound, (held, bound)
+
+    def test_release_changes_no_gradient_or_statistic(self, tiny_config, rng, monkeypatch):
+        import hallucinet.model as model_mod
+        from hallucinet.engine import backward, mul, tsum
+
+        x = rng.random((2, 3, 64, 64), dtype=np.float32)
+        upstream = rng.normal(size=(2, tiny_config.class_count, 64, 64)).astype(np.float32)
+        real_release = model_mod.release
+
+        def train_step(release):
+            monkeypatch.setattr(model_mod, "release", release)
+            branch = build_branch(tiny_config, 3, "rgb", 0)
+            out = branch.forward(x, "train")
+            loss = tsum(mul(out.logits, Tensor(upstream))) + tsum(mul(out.tap, out.tap))
+            backward(loss)
+            grads = [p.grad.tobytes() for p in branch.parameters()]
+            return grads, [a.tobytes() for a in branch.buffers().values()]
+
+        released = []
+
+        def counting_release(t):
+            released.append(t.recompute is not None)
+            real_release(t)
+
+        assert train_step(counting_release) == train_step(lambda t: None)
+        units = sum(convs for _, convs in tiny_config.blocks)
+        assert sum(released) == units  # every unit's output, once
 
 
 class TestFuseLogits:

@@ -257,6 +257,24 @@ class TestDeterminism:
         assert logs[0] == logs[1]
 
 
+class TestMissingOutDir:
+    CFG = TrainConfig(batch_size=2, patch=PatchSpec(size=64, overlap=0.5),
+                      stage1_steps=1, stage4_steps=1, baseline_steps=1, seed=4)
+
+    def test_run_protocol_creates_out_dir(self, tiny_dataset, tiny_config, tmp_path):
+        out = tmp_path / "new" / "run"
+        run_protocol(tiny_dataset, tiny_config, self.CFG, out_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint_stage1.ckpt", "checkpoint_stage2.ckpt", "checkpoint_stage4.ckpt",
+            "train_log.jsonl"]
+
+    def test_baseline_creates_out_dir(self, tiny_dataset, tiny_config, tmp_path):
+        out = tmp_path / "new" / "baseline"
+        train_single_branch_model(tiny_dataset, tiny_config, self.CFG, variant=1, out_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "baseline1_log.jsonl", "checkpoint_baseline1.ckpt"]
+
+
 @pytest.mark.parametrize("steps", [0, -3])
 def test_baseline_budget_must_be_positive(steps):
     with pytest.raises(ValueError, match="step budgets"):
