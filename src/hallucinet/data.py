@@ -192,6 +192,8 @@ def load_manifest(path) -> DatasetManifest:
             seen.add(rec.scene_id)
             scene_dir = manifest.scene_dir(rec.scene_id)
             for mod in manifest.modalities:
+                if rec.availability.get(mod.name) is False:
+                    continue  # flagged absent: its raster need not exist
                 if not (scene_dir / f"{mod.name}.mtns").exists():
                     raise FileNotFoundError(f"missing raster {scene_dir / (mod.name + '.mtns')}")
             if not (scene_dir / "labels.mtns").exists():
@@ -364,10 +366,10 @@ class PatchSampler:
             batch = {name: np.stack(arrs).astype(np.float32) for name, arrs in mods.items()}
             yield batch, np.stack(labs).astype(np.int64)
 
-    def batches(self, steps: int, start_epoch: int = 0):
+    def batches(self, steps: int):
         """Yield exactly `steps` batches, crossing epochs as needed."""
         produced = 0
-        epoch_idx = start_epoch
+        epoch_idx = 0
         while produced < steps:
             for batch in self.epoch(epoch_idx):
                 yield batch

@@ -92,9 +92,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class Parameter(Tensor):
     """A named leaf tensor of a model; `requires_grad=False` holds it fixed."""

@@ -12,7 +12,7 @@ import numpy as np
 from .config import build
 from .data import DatasetManifest, load_scene, write_json
 from .losses import IGNORE_LABEL
-from .model import BranchConfig, MissingModalityError, ModelBundle, predict
+from .model import BranchConfig, MissingModalityError, ModelBundle, predict, select_branches
 
 EROSION_RADIUS = 3
 
@@ -318,10 +318,7 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
     conf = ConfusionMatrix.zeros(manifest.class_count)
     for rec in records:
         availability = _forced_availability(bundle, scenario, rec.availability)
-        needed = {bundle.input_modality("rgb")}
-        for role, avail in availability.items():
-            if avail:
-                needed.add(bundle.role_modalities[role])
+        needed = {bundle.input_modality(r) for r in select_branches(bundle, availability)}
         try:
             rasters, labels = load_scene(manifest, rec.scene_id, sorted(needed))
         except FileNotFoundError as exc:

@@ -7,6 +7,7 @@ with the target branches frozen up to the tap depth.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,42 +121,18 @@ def adam_step(params: list[Parameter], grads, state: AdamState):
         p.data = p.data - (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
 
 
-class FreezeMask:
-    """Names of parameters held fixed during joint fine-tuning.
-
-    Stage 4 passes `select(params)` to `engine.frozen`, which turns their
-    `requires_grad` off for the stage. The engine then prunes the frozen
-    prefix from the graph: it gets no gradient and no Adam moments.
-    """
-
-    def __init__(self, names):
-        self.names = frozenset(names)
-
-    @classmethod
-    def for_branch_tap(cls, branch: BranchNet) -> "FreezeMask":
-        """All parameters in blocks at or before the tap depth."""
-        names = []
-        for b in range(branch.config.tap_depth):
-            for unit in branch.blocks[b]:
-                names.extend(p.name for p in unit.parameters())
-        return cls(names)
-
-    def select(self, params: list[Parameter]) -> list[Parameter]:
-        return [p for p in params if p.name in self.names]
-
-
-def _grad_norms(params) -> tuple[list, float]:
-    grads = [p.grad for p in params]
-    pre = max((float(np.max(np.abs(g))) for g in grads if g is not None and g.size),
-              default=0.0)
-    return grads, pre
+def _tap_prefix(branch: BranchNet) -> list[Parameter]:
+    """The parameters of the blocks up to the tap depth, frozen in stage 4."""
+    return [p for units in branch.blocks[:branch.config.tap_depth]
+            for unit in units for p in unit.parameters()]
 
 
 def _optimizer_round(params, state: AdamState, clip_threshold: float):
-    grads, pre = _grad_norms(params)
+    """Clip, step and clear the gradients; return max |g| before and after clipping."""
+    grads = [p.grad for p in params]
     clipped = clip_gradients(grads, clip_threshold)
-    post = max((float(np.max(np.abs(g))) for g in clipped if g is not None and g.size),
-               default=0.0)
+    pre, post = (max((float(np.max(np.abs(g))) for g in gs if g is not None and g.size),
+                     default=0.0) for gs in (grads, clipped))
     adam_step(params, clipped, state)
     for p in params:
         p.grad = None
@@ -173,38 +150,66 @@ def mfb_class_weights(frequencies: np.ndarray, enabled: bool = True) -> ClassWei
     return ClassWeights(weights)
 
 
-def _log_setup(log: list, frequencies: np.ndarray, weights: ClassWeights,
-               config: TrainConfig):
-    log.append({"stage": "setup", "step": 0,
-                "class_frequencies": [float(f) for f in frequencies],
-                "class_weights": [float(w) for w in weights.weights],
-                "mfb": config.mfb, "seed": config.seed})
+def _fit(tag: str, params: list[Parameter], batches, loss_terms, lr: float,
+         clip_threshold: float, log: list, gamma: float | None = None):
+    """Adam on `params` over `batches`, one logged step per batch.
 
-
-def train_branch(branch: BranchNet, sampler: PatchSampler, modality: str,
-                 steps: int, lr: float, clip_threshold: float,
-                 weights: ClassWeights, log: list | None = None,
-                 stage: str = "stage1") -> list[float]:
-    """Minimize the branch's own weighted cross-entropy; returns the loss curve."""
-    params = branch.parameters()
+    `loss_terms(batch, labels)` returns (named term tensors, total); the
+    total is minimized and every term's value is logged.
+    """
     state = AdamState(lr=lr)
-    curve = []
-    tag = f"{stage}:{branch.role}"
+    step = 0
     try:
-        for step, (batch, labels) in enumerate(sampler.batches(steps)):
-            out = branch.forward(batch[modality], "train")
-            loss = weighted_cross_entropy(out.logits, labels, weights)
-            value = loss.item()
-            backward(loss)
+        for step, (batch, labels) in enumerate(batches):
+            terms, total = loss_terms(batch, labels)
+            values = {name: term.item() for name, term in terms.items()}
+            value = total.item()
+            backward(total)
             pre, post = _optimizer_round(params, state, clip_threshold)
-            curve.append(value)
-            if log is not None:
-                log.append({"stage": tag, "step": step, "terms": {branch.role: value},
-                            "total": value, "gamma": None,
-                            "grad_max_pre": pre, "grad_max_post": post})
+            log.append({"stage": tag, "step": step, "terms": values, "total": value,
+                        "gamma": gamma, "grad_max_pre": pre, "grad_max_post": post})
     except NonFiniteError as exc:
-        raise DivergenceError(f"{tag} diverged at step {len(curve)}: {exc}") from exc
-    return curve
+        raise DivergenceError(f"{tag} diverged at step {step}: {exc}") from exc
+
+
+def _own_loss(branch: BranchNet, modality: str, weights: ClassWeights):
+    """The branch's own weighted cross-entropy, as `_fit` loss terms."""
+    def loss_terms(batch, labels):
+        loss = weighted_cross_entropy(branch.forward(batch[modality], "train").logits,
+                                      labels, weights)
+        return {branch.role: loss}, loss
+    return loss_terms
+
+
+def _start(manifest: DatasetManifest, config: TrainConfig, out_dir):
+    """Create `out_dir` before any training, so no save can find it missing;
+    return the class weights and the log opened with the setup record."""
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    frequencies = class_frequencies(manifest, "train")
+    weights = mfb_class_weights(frequencies, config.mfb)
+    log = [{"stage": "setup", "step": 0,
+            "class_frequencies": [float(f) for f in frequencies],
+            "class_weights": [float(w) for w in weights.weights],
+            "mfb": config.mfb, "seed": config.seed}]
+    return weights, log
+
+
+def _pretrain(manifest: DatasetManifest, model_config: BranchConfig, config: TrainConfig,
+              weights: ClassWeights, log: list, role_modalities: dict[str, str], tag: str,
+              sampler_seed: int, stream: int, steps: int) -> dict[str, BranchNet]:
+    """Build branch i of `role_modalities` from rng stream `stream + i` and
+    fit it alone on its own cross-entropy, every branch on the same batches."""
+    sampler = PatchSampler(manifest, "train", config.patch, config.batch_size,
+                           seed=sampler_seed, modalities=list(role_modalities.values()))
+    branches = {}
+    for i, (role, mod) in enumerate(role_modalities.items()):
+        branch = build_branch(model_config, manifest.modality_channels(mod), role,
+                              np.random.default_rng([config.seed, stream + i]))
+        _fit(f"{tag}:{role}", branch.parameters(), sampler.batches(steps),
+             _own_loss(branch, mod, weights), config.lr_stage1, config.clip_threshold, log)
+        branches[role] = branch
+    return branches
 
 
 def _forward_joint(bundle: ModelBundle, roles: list[str], batch):
@@ -212,15 +217,9 @@ def _forward_joint(bundle: ModelBundle, roles: list[str], batch):
             for role in roles}
 
 
-def _make_out_dir(out_dir):
-    """Create `out_dir` before any training, so no save can find it missing."""
+def _checkpoint(bundle: ModelBundle, out_dir, name: str):
     if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-
-
-def _checkpoint(bundle: ModelBundle, out_dir, stage: str):
-    if out_dir is not None:
-        save_checkpoint(bundle, Path(out_dir) / f"checkpoint_{stage}.ckpt", stage)
+        save_checkpoint(bundle, Path(out_dir) / f"checkpoint_{name}.ckpt")
 
 
 def _optional_modalities(manifest: DatasetManifest, config: TrainConfig) -> list[str]:
@@ -249,24 +248,12 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     """
     always = manifest.always_available
     mods = [always, *_optional_modalities(manifest, config)]
-    _make_out_dir(out_dir)
+    weights, log = _start(manifest, config, out_dir)
     role_modalities = dict(zip(ROSTER, mods))
     roles = list(role_modalities)[1:]
 
-    frequencies = class_frequencies(manifest, "train")
-    weights = mfb_class_weights(frequencies, config.mfb)
-    log: list[dict] = []
-    _log_setup(log, frequencies, weights, config)
-
-    sampler1 = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                            seed=config.seed * 10 + 1, modalities=mods)
-    branches = {}
-    for i, (role, mod) in enumerate(role_modalities.items()):
-        branches[role] = build_branch(model_config, manifest.modality_channels(mod), role,
-                                      np.random.default_rng([config.seed, 1 + i]))
-        train_branch(branches[role], sampler1, mod, config.stage1_steps, config.lr_stage1,
-                     config.clip_threshold, weights, log)
-
+    branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
+                         "stage1", config.seed * 10 + 1, 1, config.stage1_steps)
     bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
     _checkpoint(bundle, out_dir, "stage1")
 
@@ -284,9 +271,20 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     def breakdown_for(batch, labels, gamma) -> LossBreakdown:
         return composite_loss(_forward_joint(bundle, joint, batch), labels, weights, gamma)
 
-    gamma, calibration = _calibrate(bundle, sampler4, breakdown_for, config, log)
-    _run_stage4(bundle, roles, joint, sampler4, breakdown_for, gamma, config, log,
-                skip_batches=calibration)
+    gamma = _calibrate(bundle, sampler4, breakdown_for, config, log)
+
+    def joint_loss(batch, labels):
+        bd = breakdown_for(batch, labels, gamma)
+        return bd.terms, bd.total
+
+    calibration = config.gamma.sample_batches  # those batches are not trained on
+    batches = itertools.islice(sampler4.batches(calibration + config.stage4_steps),
+                               calibration, None)
+    params = [p for role in joint for p in bundle.branches[role].parameters()]
+    with frozen(p for role in roles for p in _tap_prefix(bundle.branches[role])):
+        _fit("stage4", params, batches, joint_loss, config.lr_stage4,
+             config.clip_threshold, log, gamma)
+    bundle.stage = "stage4"
     _checkpoint(bundle, out_dir, "stage4")
     _write_log(out_dir, log)
     return bundle, log
@@ -296,73 +294,32 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
 run_protocol_single = run_protocol_multi = run_protocol
 
 
-def _calibrate(bundle, sampler, breakdown_for, config: TrainConfig, log):
+def _calibrate(bundle, sampler, breakdown_for, config: TrainConfig, log) -> float:
     """Stage 3: compute gamma on the leading calibration batches."""
     gammas = []
-    consumed = 0
-    for batch, labels in sampler.batches(config.gamma.sample_batches):
+    for step, (batch, labels) in enumerate(sampler.batches(config.gamma.sample_batches)):
         with frozen(bundle.parameters()):  # values only: no graph
             bd = breakdown_for(batch, labels, 1.0)
         gammas.append(calibrate_gamma(bd, config.gamma))
-        consumed += 1
-        log.append({"stage": "stage3", "step": consumed - 1,
+        log.append({"stage": "stage3", "step": step,
                     "terms": bd.term_values(), "total": bd.total_value(),
                     "gamma": gammas[-1], "grad_max_pre": None, "grad_max_post": None})
-    gamma = float(np.mean(gammas))
     bundle.stage = "stage3"
-    return gamma, consumed
-
-
-def _run_stage4(bundle: ModelBundle, frozen_roles: list[str], roles: list[str],
-                sampler, breakdown_for, gamma: float, config: TrainConfig, log,
-                skip_batches: int = 0):
-    params = []
-    for role in roles:
-        params.extend(bundle.branches[role].parameters())
-    held = [p for r in frozen_roles
-            for p in FreezeMask.for_branch_tap(bundle.branches[r]).select(params)]
-    state = AdamState(lr=config.lr_stage4)
-    try:
-        with frozen(held):
-            stream = sampler.batches(config.stage4_steps + skip_batches)
-            for step, (batch, labels) in enumerate(stream):
-                if step < skip_batches:
-                    continue  # calibration batches are not trained on
-                bd = breakdown_for(batch, labels, gamma)
-                values = bd.term_values()
-                total = bd.total_value()
-                backward(bd.total)
-                pre, post = _optimizer_round(params, state, config.clip_threshold)
-                log.append({"stage": "stage4", "step": step - skip_batches,
-                            "terms": values, "total": total, "gamma": gamma,
-                            "grad_max_pre": pre, "grad_max_post": post})
-    except NonFiniteError as exc:
-        raise DivergenceError(f"stage4 diverged: {exc}") from exc
-    bundle.stage = "stage4"
+    return float(np.mean(gammas))
 
 
 def train_single_branch_model(manifest: DatasetManifest, model_config: BranchConfig,
                               config: TrainConfig, variant: int = 0,
                               out_dir=None) -> tuple[ModelBundle, list[dict]]:
     """Baseline: one branch on the always-available modality only."""
-    _make_out_dir(out_dir)
-    always = manifest.always_available
-    frequencies = class_frequencies(manifest, "train")
-    weights = mfb_class_weights(frequencies, config.mfb)
-    log: list[dict] = []
-    _log_setup(log, frequencies, weights, config)
-    sampler = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                           seed=config.seed * 10 + 7 + variant, modalities=[always])
-    branch = build_branch(model_config, manifest.modality_channels(always), "rgb",
-                          np.random.default_rng([config.seed, 40 + variant]))
-    train_branch(branch, sampler, always, config.baseline_budget(), config.lr_stage1,
-                 config.clip_threshold, weights, log, stage="baseline")
-    bundle = ModelBundle(model_config, {"rgb": branch}, {"rgb": always},
-                         stage="baseline")
-    if out_dir is not None:
-        save_checkpoint(bundle, Path(out_dir) / f"checkpoint_baseline{variant}.ckpt",
-                        "baseline")
-        _write_log(out_dir, log, name=f"baseline{variant}_log.jsonl")
+    weights, log = _start(manifest, config, out_dir)
+    role_modalities = {"rgb": manifest.always_available}
+    branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
+                         "baseline", config.seed * 10 + 7 + variant, 40 + variant,
+                         config.baseline_budget())
+    bundle = ModelBundle(model_config, branches, role_modalities, stage="baseline")
+    _checkpoint(bundle, out_dir, f"baseline{variant}")
+    _write_log(out_dir, log, name=f"baseline{variant}_log.jsonl")
     return bundle, log
 
 

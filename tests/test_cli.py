@@ -404,6 +404,30 @@ class TestEval:
                      "--baseline", "ensemble", "--out", str(tmp_path / "e")])
         assert code == 0
 
+    def test_unavailable_raster_may_be_absent(self, trained, tmp_path):
+        """A test scene flagged without height needs no height raster; a
+        scene flagged with it still does (exit 3)."""
+        _, out = trained
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["data"]["synthetic"]["availability"] = {"height": 0.0}
+        ds = tmp_path / "ds"
+        assert main(["gen-data", "--config", write_config(tmp_path, doc),
+                     "--out", str(ds)]) == 0
+        manifest = ds / "manifest.json"
+        tests = json.loads(manifest.read_text())["splits"]["test"]
+        assert tests and all(rec["availability"] == {"height": False} for rec in tests)
+        for rec in tests:
+            (ds / "scenes" / rec["id"] / "height.mtns").unlink()
+        args = ["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                "--manifest", str(manifest)]
+        for scenario in ("1", "2"):
+            assert main(args + ["--scenario", scenario,
+                                "--out", str(tmp_path / f"e{scenario}")]) == 0
+        manifest_doc = json.loads(manifest.read_text())
+        manifest_doc["splits"]["test"][0]["availability"] = {"height": True}
+        manifest.write_text(json.dumps(manifest_doc))
+        assert main(args + ["--scenario", "1", "--out", str(tmp_path / "e3")]) == 3
+
     def test_mismatched_manifest_exit_five(self, trained, tmp_path):
         _, out = trained
         other = {"data": {"synthetic": {"seed": 1, "scene_count": 4, "size": 96,

@@ -259,6 +259,25 @@ class TestManifest:
         assert str(path) in str(err.value) and field in str(err.value)
 
 
+    @pytest.mark.parametrize("availability, loads", [
+        ({"height": False}, True), ({"height": True}, False), ({}, False)])
+    def test_raster_required_unless_flagged_absent(self, tmp_path, availability, loads):
+        d = tmp_path / "scenes" / "s0"
+        d.mkdir(parents=True)
+        write_tensor_file(d / "color.mtns", np.zeros((3, 8, 8), dtype=np.float32))
+        write_tensor_file(d / "labels.mtns", np.zeros((8, 8), dtype=np.uint8))
+        doc = json.loads(json.dumps(self.DOC))
+        doc["modalities"].append({"name": "height", "channels": 1})
+        doc["splits"]["test"][0]["availability"] = availability
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        if loads:
+            assert load_manifest(path).splits["test"][0].availability == availability
+        else:
+            with pytest.raises(FileNotFoundError, match="missing raster .*height.mtns"):
+                load_manifest(path)
+
+
 class TestAtomicWrite:
     def test_failure_mid_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "artifact.bin"

@@ -20,6 +20,7 @@ from hallucinet.evaluate import (
 )
 from hallucinet.model import (
     BranchConfig,
+    MissingModalityError,
     ModelBundle,
     build_branch,
     ensemble_predict,
@@ -27,6 +28,7 @@ from hallucinet.model import (
     predict,
     predict_probs,
 )
+from hallucinet.synthetic import SyntheticConfig, generate_synthetic
 
 
 def brute_force_erosion(labels, radius=3, ignore=255):
@@ -476,6 +478,22 @@ class TestEvaluate:
         seen.clear()
         evaluate(bundle, tiny_dataset, "test", "all", predictor=spy)
         assert all(a["depth"] for a in seen)
+
+    def test_scenario_2_reads_only_routed_rasters(self, hal_bundle, tiny_config, tmp_path):
+        """A scene flagged without height is routed to hal_depth and needs
+        no height raster; without hal_depth it is a missing modality."""
+        cfg = SyntheticConfig(scene_count=4, size=96, class_count=4, train_scenes=2,
+                              val_scenes=1, availability={"height": 0.0})
+        dataset = generate_synthetic(3, cfg, tmp_path)
+        (tmp_path / "scenes" / "scene_003" / "height.mtns").unlink()
+        _, conf2 = evaluate(hal_bundle, dataset, "test", "2")
+        _, conf1 = evaluate(hal_bundle, dataset, "test", "1")
+        assert np.array_equal(conf2.counts, conf1.counts)
+        without_hal = ModelBundle(tiny_config, {r: hal_bundle.branches[r]
+                                                for r in ("rgb", "depth")},
+                                  hal_bundle.role_modalities)
+        with pytest.raises(MissingModalityError, match="no hallucination branch"):
+            evaluate(without_hal, dataset, "test", "2")
 
     def test_report_regeneration_from_confusion(self, tiny_config, tiny_dataset):
         rgb = build_branch(tiny_config, 3, "rgb", 4)

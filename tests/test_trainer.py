@@ -10,8 +10,9 @@ from hallucinet.losses import GammaPolicy
 from hallucinet.model import BranchConfig
 from hallucinet.train import (
     AdamState,
-    FreezeMask,
+    DivergenceError,
     TrainConfig,
+    _tap_prefix,
     adam_step,
     clip_gradients,
     mfb_class_weights,
@@ -84,8 +85,6 @@ class TestAdam:
         assert set(state.m) == set(state.v) == {"live"}
 
     def test_non_finite_gradient_rejected(self):
-        from hallucinet.train import DivergenceError
-
         p = Parameter(np.array([1.0], dtype=np.float32), "p")
         with pytest.raises(DivergenceError):
             adam_step([p], [np.array([np.nan], dtype=np.float32)], AdamState(lr=0.1))
@@ -135,36 +134,19 @@ class TestProtocolSingle:
                     continue  # fresh: channel counts differ (1 vs 3)
                 assert np.array_equal(value, hal[key])
 
-    def test_frozen_parameters_bit_identical(self, tiny_dataset, tiny_config):
+    def test_frozen_parameters_bit_identical(self, tiny_dataset, tiny_config, tmp_path):
+        from hallucinet.model import load_checkpoint
+
         cfg = TrainConfig(batch_size=4, patch=PatchSpec(size=64, overlap=0.5),
                           stage1_steps=2, stage4_steps=4, seed=5)
-        probe = {}
-
-        import hallucinet.train as train_mod
-
-        original = train_mod._run_stage4
-
-        def wrapped(bundle, frozen_roles, roles, sampler, breakdown_for, gamma,
-                    config, log, skip_batches=0):
-            mask = FreezeMask.for_branch_tap(bundle.branches["depth"])
-            probe["names"] = mask.names
-            probe["before"] = {p.name: p.data.copy()
-                               for p in bundle.branches["depth"].parameters()
-                               if p.name in mask.names}
-            original(bundle, frozen_roles, roles, sampler, breakdown_for, gamma,
-                     config, log, skip_batches)
-            probe["after"] = {p.name: p.data.copy()
-                              for p in bundle.branches["depth"].parameters()
-                              if p.name in mask.names}
-
-        train_mod._run_stage4 = wrapped
-        try:
-            bundle, _ = run_protocol(tiny_dataset, tiny_config, cfg)
-        finally:
-            train_mod._run_stage4 = original
-        assert probe["names"]
-        for name in probe["before"]:
-            assert np.array_equal(probe["before"][name], probe["after"][name])
+        bundle, _ = run_protocol(tiny_dataset, tiny_config, cfg, out_dir=tmp_path)
+        staged = load_checkpoint(tmp_path / "checkpoint_stage2.ckpt")
+        before = _tap_prefix(staged.branches["depth"])
+        after = _tap_prefix(bundle.branches["depth"])
+        assert before and [p.name for p in before] == [p.name for p in after]
+        for b, a in zip(before, after):
+            # the checkpoint stores float32, as the branches train
+            assert b.data.dtype == a.data.dtype and np.array_equal(b.data, a.data)
         # trainable flags restored after the stage
         assert all(p.trainable for p in bundle.branches["depth"].parameters())
 
@@ -213,13 +195,45 @@ class TestProtocolSingle:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_surfaces_with_stage_tag(self, tiny_dataset, tiny_config):
-        from hallucinet.train import DivergenceError
-
         cfg = TrainConfig(batch_size=4, patch=PatchSpec(size=64, overlap=0.5),
                           stage1_steps=3, stage4_steps=3, seed=0, lr_stage1=1e12,
                           clip_threshold=1e12)
         with pytest.raises(DivergenceError):
             run_protocol(tiny_dataset, tiny_config, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage4_divergence_names_its_step(self, tiny_dataset, tiny_config):
+        cfg = replace(FAST, stage1_steps=1, stage4_steps=4, lr_stage4=1e12,
+                      clip_threshold=1e12)
+        with pytest.raises(DivergenceError, match="stage4 diverged at step"):
+            run_protocol(tiny_dataset, tiny_config, cfg)
+
+    def test_calibration_batches_are_not_trained_on(self, tiny_dataset, tiny_config,
+                                                    monkeypatch):
+        """Stage 3 and stage 4 read one sampler stream in order, each batch once."""
+        import hallucinet.train as train_mod
+        from hallucinet.data import PatchSampler
+
+        seen = []
+        objective = train_mod.composite_loss
+
+        def objective_spy(outputs, labels, *args, **kwargs):
+            seen.append(labels.copy())
+            return objective(outputs, labels, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "composite_loss", objective_spy)
+        cfg = replace(FAST, stage1_steps=1, stage4_steps=3,
+                      gamma=GammaPolicy(sample_batches=2))
+        _, log = run_protocol(tiny_dataset, tiny_config, cfg)
+        assert [rec["step"] for rec in log if rec["stage"] == "stage3"] == [0, 1]
+        assert [rec["step"] for rec in log if rec["stage"] == "stage4"] == [0, 1, 2]
+        sampler = PatchSampler(tiny_dataset, "train", cfg.patch, cfg.batch_size,
+                               seed=cfg.seed * 10 + 4, modalities=["color", "height"])
+        stream = [labels for _, labels in sampler.batches(2 + cfg.stage4_steps)]
+        assert len(seen) == len(stream)
+        for got, want in zip(seen, stream):
+            assert np.array_equal(got, want)
+        assert len({labels.tobytes() for labels in seen}) == len(seen)
 
 
 class TestDeterminism:
@@ -331,13 +345,12 @@ def test_stage4_prunes_frozen_prefix(mode, tiny_dataset, tiny_dataset_ir, tiny_c
     import hallucinet.train as train_mod
 
     seen = {"on": False, "grads": [], "convs": []}
-    stage4, opt_round, conv = (train_mod._run_stage4, train_mod._optimizer_round,
-                               model_mod.conv2d)
+    fit, opt_round, conv = train_mod._fit, train_mod._optimizer_round, model_mod.conv2d
 
-    def stage4_spy(*args, **kwargs):
-        seen["on"] = True
+    def fit_spy(tag, *args, **kwargs):
+        seen["on"] = tag == "stage4"
         try:
-            return stage4(*args, **kwargs)
+            return fit(tag, *args, **kwargs)
         finally:
             seen["on"] = False
 
@@ -351,7 +364,7 @@ def test_stage4_prunes_frozen_prefix(mode, tiny_dataset, tiny_dataset_ir, tiny_c
             seen["convs"].append((weight.name, x.requires_grad))
         return conv(x, weight, *args, **kwargs)
 
-    monkeypatch.setattr(train_mod, "_run_stage4", stage4_spy)
+    monkeypatch.setattr(train_mod, "_fit", fit_spy)
     monkeypatch.setattr(train_mod, "_optimizer_round", round_spy)
     monkeypatch.setattr(model_mod, "conv2d", conv_spy)
     cfg = TrainConfig(mode=mode, batch_size=2, patch=PatchSpec(size=64, overlap=0.5),
@@ -366,7 +379,8 @@ def test_stage4_prunes_frozen_prefix(mode, tiny_dataset, tiny_dataset_ir, tiny_c
     assert len(seen["grads"]) == cfg.stage4_steps
     past_tap = f"block{tiny_config.tap_depth}/conv0/weight"
     for role in frozen_roles:
-        names = FreezeMask.for_branch_tap(bundle.branches[role]).names
+        names = {p.name for p in _tap_prefix(bundle.branches[role])}
+        assert names
         for with_grad in seen["grads"]:
             assert not names & with_grad
             assert f"{role}/{past_tap}" in with_grad
