@@ -142,8 +142,6 @@ def cmd_gen_data(args) -> int:
     config = load_config(args.config)
     if config.synthetic is None:
         raise ConfigError("gen-data needs a data.synthetic block")
-    if args.seed is not None:
-        config.seed = args.seed
     out = Path(args.out)
     config.save(config.branch_config(config.synthetic.class_count), out)
     manifest = generate_synthetic(config.seed, config.synthetic, out)
@@ -155,8 +153,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    if args.seed is not None:
-        config.train.seed = args.seed
     manifest = None
     if config.manifest is not None:
         manifest = load_manifest(config.manifest)
@@ -189,21 +185,30 @@ def _load_bundle_checked(path, manifest):
     return bundle
 
 
+def _roster(bundle) -> str:
+    """The branches of a bundle, each with the modality it reads."""
+    return ", ".join(f"{role} ({bundle.input_modality(role)})" for role in sorted(bundle.branches))
+
+
 def cmd_eval(args) -> int:
-    if (args.baseline == "ensemble") != (args.checkpoint_b is not None):
-        raise ConfigError("--baseline ensemble and --checkpoint-b go together")
+    """Score one checkpoint, or with --checkpoint-b the ensemble of two of
+    one roster; report.json's mode names the scenario and their stages."""
     manifest = load_manifest(args.manifest)
     bundle = _load_bundle_checked(args.checkpoint, manifest)
-    scenario = "all" if args.baseline == "full" else args.scenario
+    mode = f"scenario={args.scenario} stage={bundle.stage}"
     predictor = None
-    if args.baseline == "ensemble":
+    if args.checkpoint_b is not None:
         bundle_b = _load_bundle_checked(args.checkpoint_b, manifest)
+        if _roster(bundle) != _roster(bundle_b):
+            raise MismatchError(f"an ensemble needs one roster: {args.checkpoint} has branches "
+                                f"{_roster(bundle)}; {args.checkpoint_b} has {_roster(bundle_b)}")
+        mode += f" ensemble={bundle_b.stage}"
 
         def predictor(inputs, availability):
             return ensemble_predict(bundle, bundle_b, inputs, availability)
 
-    report, conf = evaluate(bundle, manifest, args.split, scenario, predictor=predictor)
-    report.mode = f"scenario={scenario} baseline={args.baseline}"
+    report, conf = evaluate(bundle, manifest, args.split, args.scenario, predictor=predictor)
+    report.mode = mode
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_report(report, out / "report.json")
@@ -285,22 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="run the staged training protocol")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--checkpoint-b", default=None, help="second model for the ensemble baseline")
+    p.add_argument("--checkpoint-b", default=None,
+                   help="second model of the same roster: evaluate the ensemble of both")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--scenario", choices=["1", "2", "3", "all"], default="all")
-    p.add_argument("--baseline", choices=["single", "ensemble", "hallucination", "full"],
-                   default="hallucination")
+    p.add_argument("--scenario", choices=["1", "2", "all"], default="all")
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)

@@ -30,6 +30,10 @@ class TensorFileError(ValueError):
     """Malformed or unsupported tensor file."""
 
 
+class MissingModalityError(RuntimeError):
+    """A scene lacks a modality that a branch or training stage reads."""
+
+
 def tensor_to_bytes(tensor: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(tensor)
     code = _CODE_FOR_DTYPE.get(arr.dtype)
@@ -162,8 +166,8 @@ class DatasetManifest:
         }
 
 
-def save_manifest(manifest: DatasetManifest, path=None):
-    write_json(path if path is not None else manifest.root / "manifest.json", manifest.to_json())
+def save_manifest(manifest: DatasetManifest):
+    write_json(manifest.root / "manifest.json", manifest.to_json())
 
 
 @dataclass
@@ -247,8 +251,6 @@ class PatchSpec:
     def __post_init__(self):
         if not 0 <= self.overlap < 1:
             raise ValueError("overlap must be in [0, 1)")
-        if self.size % 32 != 0:
-            raise ValueError("patch size must be divisible by 32")
 
     def transform_ids(self) -> list[int]:
         rots = range(4) if self.rotations else (0,)
@@ -317,7 +319,9 @@ class PatchSampler:
     """Deterministic minibatch stream over a split.
 
     Scenes are held in memory (desk scale). The patch order and the
-    augmentation draw are fully determined by (seed, epoch).
+    augmentation draw are fully determined by (seed, epoch). A scene
+    that flags one of the sampled modalities unavailable raises
+    MissingModalityError.
     """
 
     def __init__(self, manifest: DatasetManifest, split: str, spec: PatchSpec,
@@ -333,6 +337,10 @@ class PatchSampler:
         if not records:
             raise ValueError(f"split {split!r} is empty")
         for rec in records:
+            for name in self.modalities:
+                if rec.availability.get(name) is False:
+                    raise MissingModalityError(f"{split} scene {rec.scene_id} flags modality "
+                                               f"{name!r} unavailable, and training reads it")
             rasters, labels = load_scene(manifest, rec.scene_id, self.modalities)
             scene_idx = len(self.scenes)
             self.scenes.append((rasters, labels))

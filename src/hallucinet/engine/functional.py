@@ -183,20 +183,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return make_node(data, "conv2d", parents, backw)
 
 
-def transposed_conv2d(x: Tensor, weight: Tensor, stride: int,
-                      padding: int | None = None) -> Tensor:
+def transposed_conv2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
     """Fractional-strided convolution of (N,Ci,H,W) with (Ci,Co,k,k).
 
-    Default padding (k - stride)/2 makes the output exactly stride times
-    the input extents (the FCN upsampling configuration).
+    Padding (k - stride)/2 makes the output exactly stride times the
+    input extents (the FCN upsampling configuration).
     """
     ci, co, kh, kw = weight.data.shape
     if x.data.shape[1] != ci:
         raise ValueError(f"transposed_conv2d channel mismatch: input {x.data.shape[1]}, weight {ci}")
-    if padding is None:
-        if (kh - stride) % 2 != 0:
-            raise ValueError(f"kernel {kh} minus stride {stride} must be even to infer padding")
-        padding = (kh - stride) // 2
+    if (kh - stride) % 2 != 0:
+        raise ValueError(f"kernel {kh} minus stride {stride} must be even to infer padding")
+    padding = (kh - stride) // 2
     h, wd = x.data.shape[2:]
     out_hw = ((h - 1) * stride - 2 * padding + kh, (wd - 1) * stride - 2 * padding + kw)
     # forward of the transpose is the input-gradient kernel of conv2d
@@ -211,13 +209,13 @@ def transposed_conv2d(x: Tensor, weight: Tensor, stride: int,
     return make_node(data, "transposed_conv2d", (x, weight), backw)
 
 
-def bilinear_kernel(channels: int, kernel_size: int, dtype=np.float32) -> np.ndarray:
+def bilinear_kernel(channels: int, kernel_size: int) -> np.ndarray:
     """Per-channel bilinear upsampling weights, shape (C, C, k, k)."""
     factor = (kernel_size + 1) // 2
     center = factor - 1 if kernel_size % 2 == 1 else factor - 0.5
     og = np.ogrid[:kernel_size, :kernel_size]
     filt = ((1 - abs(og[0] - center) / factor) * (1 - abs(og[1] - center) / factor))
-    weight = np.zeros((channels, channels, kernel_size, kernel_size), dtype=dtype)
+    weight = np.zeros((channels, channels, kernel_size, kernel_size), dtype=np.float32)
     for c in range(channels):
         weight[c, c] = filt
     return weight
@@ -255,12 +253,11 @@ def maxpool2(x: Tensor) -> Tensor:
 class BatchNormState:
     """Running mean/variance of one batchnorm layer."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float32):
+    momentum, eps = 0.1, 1e-5
+
+    def __init__(self, channels: int, dtype=np.float32):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
@@ -384,8 +381,7 @@ def channel_softmax(x: Tensor) -> Tensor:
     return make_node(p, "channel_softmax", (x,), backw)
 
 
-# Not called by the program (softmax_nll fuses it); kept exported because
-# the benchmark's probes (perfbench/probes.py) look it up by name.
+# Unused by the program (softmax_nll fuses it); perfbench/probes.py looks it up by name.
 def gather_channel(x: Tensor, index: np.ndarray) -> Tensor:
     """Pick x[n, index[n,i,j], i, j] for every pixel; index is constant."""
     idx = index[:, None, :, :]

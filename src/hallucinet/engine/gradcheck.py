@@ -1,8 +1,8 @@
 """Finite-difference gradient oracle.
 
 The checker runs in float64; central differences with per-coordinate
-steps scaled by the coordinate magnitude keep truncation and roundoff
-error far below the 1e-4 acceptance tolerance.
+steps of 1e-5 times the coordinate magnitude (at least 1) keep truncation
+and roundoff error far below the 1e-4 acceptance tolerance.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .tensor import Tensor, backward
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], point: np.ndarray,
-                      epsilon: float = 1e-5, grad_bias: float = 0.0) -> float:
+                      grad_bias: float = 0.0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Per coordinate: |analytic - central| / max(1, |central|). `grad_bias`
@@ -33,7 +33,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], point: np.ndarray,
     flat = x0.reshape(-1)
     worst = 0.0
     for i in range(flat.size):
-        step = epsilon * max(1.0, abs(flat[i]))
+        step = 1e-5 * max(1.0, abs(flat[i]))
         orig = flat[i]
         flat[i] = orig + step
         f_hi = f(Tensor(x0, dtype=np.float64)).item()

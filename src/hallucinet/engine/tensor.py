@@ -40,13 +40,12 @@ class Tensor:
     __slots__ = ("_data", "_spec", "grad", "requires_grad", "op", "parents",
                  "_backward", "recompute")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None,
-                 op: str = "leaf", parents: tuple = ()):
+    def __init__(self, data, requires_grad: bool = False, dtype=None, op: str = "leaf"):
         self._data = _as_float_array(data, dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = op
-        self.parents = parents
+        self.parents: tuple = ()
         self._backward = None
         self.recompute = None
 
@@ -202,8 +201,7 @@ def mul(a, b) -> Tensor:
     return make_node(a.data * b.data, "mul", (a, b), backward)
 
 
-# Not called by the program (softmax_nll fuses it); kept exported because
-# the benchmark's probes (perfbench/probes.py) look it up by name.
+# Unused by the program (softmax_nll fuses it); perfbench/probes.py looks it up by name.
 def log(a: Tensor) -> Tensor:
     def backward(out):
         if a.requires_grad:
@@ -212,8 +210,7 @@ def log(a: Tensor) -> Tensor:
     return make_node(np.log(a.data), "log", (a,), backward)
 
 
-# Not called by the program (softmax_nll fuses it); kept exported because
-# the benchmark's probes (perfbench/probes.py) look it up by name.
+# Unused by the program (softmax_nll fuses it); perfbench/probes.py looks it up by name.
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(a, floor); gradient passes only where a > floor."""
     mask = a.data > floor

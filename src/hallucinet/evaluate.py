@@ -28,7 +28,7 @@ def _disk_offsets(radius: int) -> list[tuple[int, int]]:
 _OFFSETS = _disk_offsets(EROSION_RADIUS)
 
 
-def boundary_eroded_mask(labels: np.ndarray, ignore_label: int = IGNORE_LABEL) -> np.ndarray:
+def boundary_eroded_mask(labels: np.ndarray) -> np.ndarray:
     """True where a pixel is excluded from evaluation.
 
     A pixel is excluded iff some differently-labeled pixel lies within
@@ -36,7 +36,7 @@ def boundary_eroded_mask(labels: np.ndarray, ignore_label: int = IGNORE_LABEL) -
     it carries the ignore label itself.
     """
     h, w = labels.shape
-    mask = labels == ignore_label
+    mask = labels == IGNORE_LABEL
     for du, dv in _OFFSETS:
         r0, r1 = max(0, -du), min(h, h - du)
         c0, c1 = max(0, -dv), min(w, w - dv)
@@ -59,9 +59,6 @@ class ConfusionMatrix:
     @property
     def class_count(self) -> int:
         return self.counts.shape[0]
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -241,8 +238,7 @@ def plan_windows(bundle: ModelBundle, extent_hw: tuple[int, int]) -> WindowPlan:
     factor = config.downsample_factor
     halo = _round_up(config.receptive_radius, factor)
     hp, wp = (_round_up(e, factor) for e in extent_hw)
-    itemsize = np.dtype(next(iter(bundle.branches.values())).dtype).itemsize
-    per_px = forward_bytes_per_pixel(config, len(bundle.branches), itemsize)
+    per_px = forward_bytes_per_pixel(config, len(bundle.branches), np.dtype(np.float32).itemsize)
     if hp * wp * per_px <= _FORWARD_BYTES:
         return WindowPlan((hp, wp), (hp, wp), halo, ((0, 0, hp),), ((0, 0, wp),))
     side = int((_FORWARD_BYTES / per_px) ** 0.5) // factor * factor
@@ -294,7 +290,7 @@ def _forced_availability(bundle: ModelBundle, scenario: str,
         return {r: True for r in roles}
     if scenario == "2":
         return bundle.availability_from_modalities(scene_flags)
-    if scenario in ("1", "3"):
+    if scenario == "1":
         hallucinated = set(bundle.hallucinated_roles())
         return {r: r not in hallucinated for r in roles}
     raise ValueError(f"unknown scenario {scenario!r}")
@@ -305,7 +301,7 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
              halo: int | None = None, predictor=None) -> tuple[EvalReport, ConfusionMatrix]:
     """Score a trained bundle over a split under one availability policy.
 
-    Scenario "1"/"3" force every hallucinated modality absent, "2" honors
+    Scenario "1" forces every hallucinated modality absent, "2" honors
     the per-scene manifest flags, "all" forces everything available. The
     same bundle serves every mode; no retraining happens here.
     `predictor` goes to `tiled_inference`.

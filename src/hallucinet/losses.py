@@ -49,12 +49,11 @@ def compute_class_weights(frequencies) -> ClassWeights:
     return ClassWeights(np.median(f) / f)
 
 
-def _pixel_targets(labels: np.ndarray, weights: ClassWeights, dtype,
-                   ignore_label: int = IGNORE_LABEL):
+def _pixel_targets(labels: np.ndarray, weights: ClassWeights, dtype):
     """(label-channel index, per-pixel weight, -1/n) for `softmax_nll`:
     an ignored pixel reads channel 0 at weight 0, and n counts the others."""
     labels = np.asarray(labels)
-    valid = labels != ignore_label
+    valid = labels != IGNORE_LABEL
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("all pixels ignored: cross-entropy undefined")
@@ -64,14 +63,13 @@ def _pixel_targets(labels: np.ndarray, weights: ClassWeights, dtype,
 
 
 def weighted_cross_entropy(logits: Tensor | list[Tensor], labels: np.ndarray,
-                           weights: ClassWeights,
-                           ignore_label: int = IGNORE_LABEL) -> Tensor:
+                           weights: ClassWeights) -> Tensor:
     """Mean of -w_label * log(softmax prob of the true class) over non-ignored
     pixels; a list of logits is fused first, to their mean as `fuse_logits`."""
     logits = [logits] if isinstance(logits, Tensor) else list(logits)
     if not logits:
         raise ValueError("cannot fuse an empty logit list")
-    targets = _pixel_targets(labels, weights, logits[0].dtype, ignore_label)
+    targets = _pixel_targets(labels, weights, logits[0].dtype)
     return softmax_nll(logits, *targets, PROB_FLOOR)
 
 

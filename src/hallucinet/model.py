@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import build
-from .data import atomic_write, tensor_from_bytes, tensor_to_bytes
+from .data import MissingModalityError, atomic_write, tensor_from_bytes, tensor_to_bytes
 from .engine import (
     BatchNormState,
     Parameter,
@@ -44,10 +44,6 @@ _CONV_BIAS = re.compile(r"(.+/block\d+)/conv(\d+)/bias")  # formats 1 and 2 only
 # Branch roles in routing order: rgb reads the always-available modality,
 # the optional roles follow. Training names its k optional roles from here.
 ROSTER = ("rgb", "depth", "ir")
-
-
-class MissingModalityError(RuntimeError):
-    """A selected branch has no input raster to consume."""
 
 
 class CheckpointError(ValueError):
@@ -107,22 +103,21 @@ class BranchOutput:
     logits: Tensor
 
 
-def _conv_init(rng: np.random.Generator, out_ch: int, in_ch: int, k: int,
-               dtype) -> np.ndarray:
+def _conv_init(rng: np.random.Generator, out_ch: int, in_ch: int, k: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(in_ch * k * k)
-    return rng.uniform(-bound, bound, size=(out_ch, in_ch, k, k)).astype(dtype)
+    return rng.uniform(-bound, bound, size=(out_ch, in_ch, k, k)).astype(np.float32)
 
 
 class _ConvBnRelu:
     def __init__(self, prefix: str, in_ch: int, out_ch: int, stride: int,
-                 rng: np.random.Generator, dtype, conv_idx: int):
+                 rng: np.random.Generator, conv_idx: int):
         self.stride = stride
         cname = f"{prefix}/conv{conv_idx}"
         bname = f"{prefix}/bn{conv_idx}"
-        self.weight = Parameter(_conv_init(rng, out_ch, in_ch, 3, dtype), f"{cname}/weight")
-        self.scale = Parameter(np.ones(out_ch, dtype=dtype), f"{bname}/scale")
-        self.shift = Parameter(np.zeros(out_ch, dtype=dtype), f"{bname}/shift")
-        self.state = BatchNormState(out_ch, dtype=dtype)
+        self.weight = Parameter(_conv_init(rng, out_ch, in_ch, 3), f"{cname}/weight")
+        self.scale = Parameter(np.ones(out_ch, dtype=np.float32), f"{bname}/scale")
+        self.shift = Parameter(np.zeros(out_ch, dtype=np.float32), f"{bname}/shift")
+        self.state = BatchNormState(out_ch)
         self.bn_name = bname
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
@@ -140,36 +135,34 @@ class _ConvBnRelu:
 
 
 class BranchNet:
-    """One fully convolutional branch with tap and full-resolution logits."""
+    """One fully convolutional float32 branch with tap and full-resolution logits."""
 
     def __init__(self, config: BranchConfig, input_channels: int, role: str,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         self.config = config
         self.input_channels = input_channels
         self.role = role
-        self.dtype = dtype
         self.blocks: list[list[_ConvBnRelu]] = []
         ch = input_channels
         for b, (width, n_convs) in enumerate(config.blocks):
             units = []
             for i in range(n_convs):
                 stride = config.first_conv_stride if (b == 0 and i == 0) else 1
-                units.append(_ConvBnRelu(f"{role}/block{b}", ch, width, stride,
-                                         rng, dtype, i))
+                units.append(_ConvBnRelu(f"{role}/block{b}", ch, width, stride, rng, i))
                 ch = width
             self.blocks.append(units)
-        self.score_weight = Parameter(_conv_init(rng, config.class_count, ch, 1, dtype),
+        self.score_weight = Parameter(_conv_init(rng, config.class_count, ch, 1),
                                       f"{role}/score/weight")
-        self.score_bias = Parameter(np.zeros(config.class_count, dtype=dtype),
+        self.score_bias = Parameter(np.zeros(config.class_count, dtype=np.float32),
                                     f"{role}/score/bias")
         factor = config.downsample_factor
         self.upsample_weight = Parameter(
-            bilinear_kernel(config.class_count, 2 * factor, dtype=dtype),
+            bilinear_kernel(config.class_count, 2 * factor),
             f"{role}/upsample/weight")
 
     def forward(self, x, mode: str = "infer") -> BranchOutput:
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.dtype))
+            x = Tensor(np.asarray(x, dtype=np.float32))
         n, c, h, w = x.shape
         if c != self.input_channels:
             raise ValueError(f"branch {self.role} expects {self.input_channels} channels, got {c}")
@@ -212,12 +205,11 @@ class BranchNet:
                 unit.state.running_var = values[f"{unit.bn_name}/running_var"].copy()
 
 
-def build_branch(config: BranchConfig, input_channels: int, role: str,
-                 rng, dtype=np.float32) -> BranchNet:
+def build_branch(config: BranchConfig, input_channels: int, role: str, rng) -> BranchNet:
     """Construct a branch; `rng` is a seed int or a numpy Generator."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return BranchNet(config, input_channels, role, rng, dtype)
+    return BranchNet(config, input_channels, role, rng)
 
 
 def init_hallucination_from(target: BranchNet, input_channels: int,
@@ -230,8 +222,7 @@ def init_hallucination_from(target: BranchNet, input_channels: int,
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    hal = BranchNet(target.config, input_channels, f"hal_{target.role}", rng,
-                    target.dtype)
+    hal = BranchNet(target.config, input_channels, f"hal_{target.role}", rng)
     src_params = target.parameters()
     dst_params = hal.parameters()
     for src, dst in zip(src_params, dst_params):
@@ -428,7 +419,7 @@ def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Mod
             arr = tensors.pop(p.name)
             if arr.shape != p.data.shape:
                 raise CheckpointError(f"checkpoint tensor {p.name} has wrong shape")
-            p.data = arr.astype(branch.dtype)
+            p.data = arr.astype(np.float32)
         branch.set_buffers({name: tensors.pop(name) for name in branch.buffers()})
         branches[role] = branch
     if tensors:

@@ -76,9 +76,6 @@ class TrainConfig:
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -92,14 +89,15 @@ def clip_gradients(grads, threshold: float):
 
 
 def adam_step(params: list[Parameter], grads, state: AdamState):
-    """Bias-corrected Adam update of the parameters that require grad.
+    """Bias-corrected Adam update (betas 0.9 and 0.999, eps 1e-8) of the
+    parameters that require grad.
 
     A parameter with no gradient, or with `requires_grad` off (frozen), is
     skipped entirely: it is not moved and no m/v moments are kept for it.
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = 0.9, 0.999
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
     for p, g in zip(params, grads):
@@ -118,7 +116,7 @@ def adam_step(params: list[Parameter], grads, state: AdamState):
         state.v[p.name] = v
         mhat = m / corr1
         vhat = v / corr2
-        p.data = p.data - (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
+        p.data = p.data - (state.lr * mhat / (np.sqrt(vhat) + 1e-8)).astype(p.data.dtype)
 
 
 def _tap_prefix(branch: BranchNet) -> list[Parameter]:
@@ -181,9 +179,15 @@ def _own_loss(branch: BranchNet, modality: str, weights: ClassWeights):
     return loss_terms
 
 
-def _start(manifest: DatasetManifest, config: TrainConfig, out_dir):
-    """Create `out_dir` before any training, so no save can find it missing;
-    return the class weights and the log opened with the setup record."""
+def _start(manifest: DatasetManifest, model_config: BranchConfig, config: TrainConfig,
+           out_dir):
+    """Check that patches fit the model, and create `out_dir` before any
+    training, so no save can find it missing; return the class weights
+    and the log opened with the setup record."""
+    factor = model_config.downsample_factor
+    if config.patch.size % factor:
+        raise ValueError(f"train.patch.size {config.patch.size} must be divisible by the "
+                         f"model's downsample factor {factor}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     frequencies = class_frequencies(manifest, "train")
@@ -248,7 +252,7 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     """
     always = manifest.always_available
     mods = [always, *_optional_modalities(manifest, config)]
-    weights, log = _start(manifest, config, out_dir)
+    weights, log = _start(manifest, model_config, config, out_dir)
     role_modalities = dict(zip(ROSTER, mods))
     roles = list(role_modalities)[1:]
 
@@ -312,7 +316,7 @@ def train_single_branch_model(manifest: DatasetManifest, model_config: BranchCon
                               config: TrainConfig, variant: int = 0,
                               out_dir=None) -> tuple[ModelBundle, list[dict]]:
     """Baseline: one branch on the always-available modality only."""
-    weights, log = _start(manifest, config, out_dir)
+    weights, log = _start(manifest, model_config, config, out_dir)
     role_modalities = {"rgb": manifest.always_available}
     branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
                          "baseline", config.seed * 10 + 7 + variant, 40 + variant,

@@ -2,17 +2,17 @@
 import json
 import re
 import shutil
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hallucinet.cli import main, resolve_config
-from hallucinet.data import read_tensor_file, write_tensor_file
+from hallucinet.data import load_manifest, read_tensor_file, write_tensor_file
 from hallucinet.model import BranchConfig
 from hallucinet.synthetic import SyntheticConfig
-from hallucinet.train import TrainConfig
+from hallucinet.train import TrainConfig, train_single_branch_model
 
 TINY_TRAIN = {
     "data": {"synthetic": {"seed": 5, "scene_count": 6, "size": 96,
@@ -236,6 +236,19 @@ def trained(tmp_path_factory):
     return tmp, out
 
 
+@pytest.fixture(scope="module")
+def baselines(trained):
+    """Checkpoints of single-branch baseline variants 0 and 1 on the trained run's data."""
+    tmp, out = trained
+    manifest = load_manifest(out / "dataset" / "manifest.json")
+    config = resolve_config(TINY_TRAIN)
+    run = tmp / "baselines"
+    for variant in (0, 1):
+        train_single_branch_model(manifest, config.branch_config(manifest.class_count),
+                                  replace(config.train, baseline_steps=1), variant, run)
+    return [run / f"checkpoint_baseline{v}.ckpt" for v in (0, 1)]
+
+
 class TestTrain:
     def test_single_mode_artifacts(self, trained):
         _, out = trained
@@ -319,6 +332,33 @@ class TestTrain:
         assert re.search(r"scene scene_\d+: label 9 ", capsys.readouterr().err)
         assert not (run / "checkpoint_stage1.ckpt").exists()
 
+    @pytest.mark.parametrize("raster_kept", [True, False])
+    def test_train_scene_flagged_without_height_exit_six(self, trained, tmp_path, capsys,
+                                                         raster_kept):
+        _, out = trained
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        doc = json.loads((ds / "manifest.json").read_text())
+        scene = doc["splits"]["train"][0]
+        scene["availability"]["height"] = False
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        if not raster_kept:
+            (ds / "scenes" / scene["id"] / "height.mtns").unlink()
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(ds / "manifest.json")}})
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run)]) == 6
+        assert f"scene {scene['id']} flags modality 'height'" in capsys.readouterr().err
+        assert not (run / "checkpoint_stage1.ckpt").exists()
+
+    def test_patch_off_the_downsample_factor_exit_two(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["model"]["blocks"] = [[4, 1]] * 5  # factor 2 * 2**5 = 64
+        doc["train"]["patch"]["size"] = 96
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
+        assert "train.patch.size 96" in capsys.readouterr().err
+        assert not (run / "checkpoint_stage1.ckpt").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
         # an update of magnitude ~1e38 overflows the next float32 conv
@@ -340,7 +380,7 @@ class TestEval:
         assert main(args + ["--scenario", "all", "--out", str(e2)]) == 0
         r1 = json.loads((e1 / "report.json").read_text())
         r2 = json.loads((e2 / "report.json").read_text())
-        assert r1["mode"] != r2["mode"]
+        assert (r1["mode"], r2["mode"]) == ("scenario=1 stage=stage4", "scenario=all stage=stage4")
         assert (e1 / "confusion.mtns").exists()
 
     def test_report_regeneration_from_confusion(self, trained, tmp_path):
@@ -358,23 +398,6 @@ class TestEval:
         regenerated = metrics(conf, mode=doc["mode"], class_names=names)
         assert regenerated.overall_accuracy == pytest.approx(doc["overall_accuracy"])
         assert regenerated.f1 == pytest.approx(doc["per_class"]["f1"])
-
-    def test_ensemble_baseline_needs_second_checkpoint(self, trained, tmp_path):
-        _, out = trained
-        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--manifest", str(out / "dataset" / "manifest.json"),
-                     "--baseline", "ensemble", "--out", str(tmp_path / "e")])
-        assert code == 2
-
-    def test_second_checkpoint_needs_ensemble_baseline(self, trained, tmp_path, capsys):
-        _, out = trained
-        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--checkpoint-b", str(tmp_path / "absent.ckpt"),
-                     "--manifest", str(out / "dataset" / "manifest.json"),
-                     "--out", str(tmp_path / "e")])
-        assert code == 2
-        assert "--checkpoint-b" in capsys.readouterr().err
-        assert not (tmp_path / "e").exists()
 
     def test_malformed_manifest_exit_two(self, trained, tmp_path, capsys):
         _, out = trained
@@ -401,8 +424,35 @@ class TestEval:
         ckpt = str(out / "checkpoint_stage4.ckpt")
         code = main(["eval", "--checkpoint", ckpt, "--checkpoint-b", ckpt,
                      "--manifest", str(out / "dataset" / "manifest.json"),
-                     "--baseline", "ensemble", "--out", str(tmp_path / "e")])
+                     "--out", str(tmp_path / "e")])
         assert code == 0
+        doc = json.loads((tmp_path / "e" / "report.json").read_text())
+        assert doc["mode"] == "scenario=all stage=stage4 ensemble=stage4"
+
+    def test_ensemble_of_two_baselines_runs(self, trained, baselines, tmp_path):
+        _, out = trained
+        code = main(["eval", "--checkpoint", str(baselines[0]), "--checkpoint-b",
+                     str(baselines[1]), "--manifest", str(out / "dataset" / "manifest.json"),
+                     "--scenario", "1", "--out", str(tmp_path / "e")])
+        assert code == 0
+        doc = json.loads((tmp_path / "e" / "report.json").read_text())
+        assert doc["mode"] == "scenario=1 stage=baseline ensemble=baseline"
+
+    @pytest.mark.parametrize("scenario", ["1", "all"])
+    @pytest.mark.parametrize("baseline_first", [True, False])
+    def test_ensemble_of_two_rosters_exit_five(self, trained, baselines, tmp_path, capsys,
+                                               scenario, baseline_first):
+        _, out = trained
+        pair = [str(baselines[0]), str(out / "checkpoint_stage4.ckpt")]
+        if not baseline_first:
+            pair.reverse()
+        code = main(["eval", "--checkpoint", pair[0], "--checkpoint-b", pair[1],
+                     "--manifest", str(out / "dataset" / "manifest.json"),
+                     "--scenario", scenario, "--out", str(tmp_path / "e")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "one roster" in err and pair[0] in err and pair[1] in err
+        assert not (tmp_path / "e").exists()
 
     def test_unavailable_raster_may_be_absent(self, trained, tmp_path):
         """A test scene flagged without height needs no height raster; a
@@ -440,6 +490,18 @@ class TestEval:
                      "--manifest", str(ds / "manifest.json"),
                      "--out", str(tmp_path / "e")])
         assert code == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--config", "c.json", "--out", "o", "--seed", "1"],
+    ["train", "--config", "c.json", "--out", "o", "--seed", "1"],
+    ["eval", "--checkpoint", "c", "--manifest", "m", "--out", "o", "--baseline", "ensemble"],
+    ["eval", "--checkpoint", "c", "--manifest", "m", "--out", "o", "--scenario", "3"],
+], ids=["gen-data-seed", "train-seed", "eval-baseline", "eval-scenario-3"])
+def test_removed_options_exit_two(argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["eval", "infer"])

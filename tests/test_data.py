@@ -105,8 +105,6 @@ class TestPatchGrid:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            PatchSpec(size=100)
-        with pytest.raises(ValueError):
             PatchSpec(overlap=1.0)
 
 

@@ -109,7 +109,7 @@ class TestBatchnorm:
         assert np.allclose(out.std(axis=(0, 2, 3)), 2.0, atol=1e-2)
 
     def test_running_average_advances(self, rng):
-        state = BatchNormState(1, momentum=0.1)
+        state = BatchNormState(1)
         x = t(np.full((2, 1, 4, 4), 5.0))
         batchnorm(x, t(np.ones(1)), t(np.zeros(1)), state, "train")
         assert np.isclose(state.running_mean[0], 0.5)

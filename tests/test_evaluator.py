@@ -118,7 +118,7 @@ class TestConfusion:
         whole = accumulate(ConfusionMatrix.zeros(3), preds, labels, mask)
         top = accumulate(ConfusionMatrix.zeros(3), preds[:4], labels[:4], mask[:4])
         bottom = accumulate(ConfusionMatrix.zeros(3), preds[4:], labels[4:], mask[4:])
-        assert np.array_equal(whole.counts, (top + bottom).counts)
+        assert np.array_equal(whole.counts, top.counts + bottom.counts)
 
 
 class TestMetrics:

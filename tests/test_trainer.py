@@ -1,10 +1,11 @@
 """Trainer: Adam, clipping, freezing, staged protocol, determinism."""
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hallucinet.data import PatchSpec
+from hallucinet.data import MissingModalityError, PatchSpec
 from hallucinet.engine import Parameter
 from hallucinet.losses import GammaPolicy
 from hallucinet.model import BranchConfig
@@ -287,6 +288,41 @@ class TestMissingOutDir:
         train_single_branch_model(tiny_dataset, tiny_config, self.CFG, variant=1, out_dir=out)
         assert sorted(p.name for p in out.iterdir()) == [
             "baseline1_log.jsonl", "checkpoint_baseline1.ckpt"]
+
+
+class TestTrainingStart:
+    """Checks that run before any step: the patch size against the model's
+    downsample factor, and the train scenes' availability flags."""
+    CFG = TestMissingOutDir.CFG
+
+    def test_patch_a_multiple_of_the_factor_not_of_32(self, tiny_dataset):
+        config = BranchConfig(class_count=4, blocks=((6, 1), (10, 1)), tap_depth=1)
+        assert config.downsample_factor == 8
+        bundle, _ = run_protocol(tiny_dataset, config, replace(self.CFG, patch=PatchSpec(size=48)))
+        assert bundle.stage == "stage4"
+
+    @pytest.mark.parametrize("trainer", [run_protocol, train_single_branch_model])
+    @pytest.mark.parametrize("blocks, size, factor", [
+        (((8, 2), (16, 2), (24, 2)), 100, 16), (((4, 1),) * 5, 96, 64)])
+    def test_patch_off_the_factor_rejected(self, tiny_dataset, tmp_path, trainer, blocks,
+                                           size, factor):
+        config = BranchConfig(class_count=4, blocks=blocks, tap_depth=1)
+        cfg = replace(self.CFG, patch=PatchSpec(size=size))
+        with pytest.raises(ValueError, match=f"train.patch.size {size} must be divisible "
+                                             f"by the model's downsample factor {factor}"):
+            trainer(tiny_dataset, config, cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_flagged_train_scene_rejected_unless_unread(self, tiny_dataset, tiny_config,
+                                                        tmp_path):
+        manifest = copy.deepcopy(tiny_dataset)
+        rec = manifest.splits["train"][0]
+        rec.availability["height"] = False
+        with pytest.raises(MissingModalityError, match=f"scene {rec.scene_id} .*'height'"):
+            run_protocol(manifest, tiny_config, self.CFG, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "checkpoint_stage1.ckpt").exists()
+        bundle, _ = train_single_branch_model(manifest, tiny_config, self.CFG)
+        assert set(bundle.branches) == {"rgb"}
 
 
 @pytest.mark.parametrize("steps", [0, -3])
