@@ -48,13 +48,14 @@ def _t(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64), dtype=np.float64)
 
 
-def _scalarize(out: Tensor, coeffs: np.ndarray) -> Tensor:
-    return tsum(mul(out, _t(coeffs)))
-
-
-def _away_from_zero(rng, shape, margin=0.1):
-    x = rng.normal(size=shape)
-    return x + np.sign(x) * margin
+def _probe_each(op, inputs, bias, coef=None) -> float:
+    """Worst error of `op` over its inputs, each probed in turn with the
+    others held fixed; a non-scalar output is reduced to sum(coef * output)."""
+    def probed(i, t):
+        out = op(*(t if j == i else _t(x) for j, x in enumerate(inputs)))
+        return out if coef is None else tsum(mul(out, _t(coef)))
+    return max(finite_diff_check(functools.partial(probed, i), x, grad_bias=bias)
+               for i, x in enumerate(inputs))
 
 
 def _check_conv2d(rng, bias):
@@ -62,23 +63,14 @@ def _check_conv2d(rng, bias):
     w = rng.normal(size=(4, 3, 3, 3))
     b = rng.normal(size=4)
     coef = rng.normal(size=(2, 4, 3, 3))
-    errs = [
-        finite_diff_check(lambda t: _scalarize(conv2d(t, _t(w), _t(b), 2, 1), coef), x, grad_bias=bias),
-        finite_diff_check(lambda t: _scalarize(conv2d(_t(x), t, _t(b), 2, 1), coef), w, grad_bias=bias),
-        finite_diff_check(lambda t: _scalarize(conv2d(_t(x), _t(w), t, 2, 1), coef), b, grad_bias=bias),
-    ]
-    return max(errs)
+    return _probe_each(lambda *t: conv2d(*t, 2, 1), [x, w, b], bias, coef)
 
 
 def _check_transposed(rng, bias):
     x = rng.normal(size=(2, 3, 4, 4))
     w = rng.normal(size=(3, 2, 4, 4))
     coef = rng.normal(size=(2, 2, 8, 8))
-    errs = [
-        finite_diff_check(lambda t: _scalarize(transposed_conv2d(t, _t(w), 2), coef), x, grad_bias=bias),
-        finite_diff_check(lambda t: _scalarize(transposed_conv2d(_t(x), t, 2), coef), w, grad_bias=bias),
-    ]
-    return max(errs)
+    return _probe_each(lambda *t: transposed_conv2d(*t, 2), [x, w], bias, coef)
 
 
 def _check_maxpool(rng, bias):
@@ -87,7 +79,15 @@ def _check_maxpool(rng, bias):
     x = (base + rng.normal(scale=0.05, size=(2, 2, 2, 3, 4)))
     x = (x.reshape(2, 2, 2, 3, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 2, 4, 6))
     coef = rng.normal(size=(2, 2, 2, 3))
-    return finite_diff_check(lambda t: _scalarize(maxpool2(t), coef), x, grad_bias=bias)
+    return _probe_each(maxpool2, [x], bias, coef)
+
+
+def _batchnorm(mode: str, relu: bool = False, state: BatchNormState | None = None):
+    """batchnorm on (x, scale, shift), in train mode from fresh statistics."""
+    def op(x, scale, shift):
+        stats = state if state is not None else BatchNormState(x.shape[1], dtype=np.float64)
+        return batchnorm(x, scale, shift, stats, mode, relu=relu)
+    return op
 
 
 def _check_batchnorm(rng, bias):
@@ -95,17 +95,7 @@ def _check_batchnorm(rng, bias):
     scale = rng.normal(size=2) + 2.0
     shift = rng.normal(size=2)
     coef = rng.normal(size=(3, 2, 4, 4))
-
-    def run(xt, st, sh):
-        state = BatchNormState(2, dtype=np.float64)
-        return _scalarize(batchnorm(xt, st, sh, state, "train"), coef)
-
-    errs = [
-        finite_diff_check(lambda t: run(t, _t(scale), _t(shift)), x, grad_bias=bias),
-        finite_diff_check(lambda t: run(_t(x), t, _t(shift)), scale, grad_bias=bias),
-        finite_diff_check(lambda t: run(_t(x), _t(scale), t), shift, grad_bias=bias),
-    ]
-    return max(errs)
+    return _probe_each(_batchnorm("train"), [x, scale, shift], bias, coef)
 
 
 def _check_batchnorm_relu(rng, bias):
@@ -113,20 +103,10 @@ def _check_batchnorm_relu(rng, bias):
     scale = rng.normal(size=2) + 2.0
     shift = rng.normal(size=2)
     coef = rng.normal(size=(2, 2, 3, 3))
-
-    def run(xt, st, sh, relu=True):
-        state = BatchNormState(2, dtype=np.float64)
-        return batchnorm(xt, st, sh, state, "train", relu=relu)
-
     x = rng.normal(size=(2, 2, 3, 3))
-    while np.abs(run(_t(x), _t(scale), _t(shift), relu=False).data).min() < 0.1:
+    while np.abs(_batchnorm("train")(_t(x), _t(scale), _t(shift)).data).min() < 0.1:
         x = rng.normal(size=(2, 2, 3, 3))
-    errs = [
-        finite_diff_check(lambda t: _scalarize(run(t, _t(scale), _t(shift)), coef), x, grad_bias=bias),
-        finite_diff_check(lambda t: _scalarize(run(_t(x), t, _t(shift)), coef), scale, grad_bias=bias),
-        finite_diff_check(lambda t: _scalarize(run(_t(x), _t(scale), t), coef), shift, grad_bias=bias),
-    ]
-    return max(errs)
+    return _probe_each(_batchnorm("train", relu=True), [x, scale, shift], bias, coef)
 
 
 def _check_batchnorm_infer(rng, bias):
@@ -137,49 +117,39 @@ def _check_batchnorm_infer(rng, bias):
     state = BatchNormState(3, dtype=np.float64)
     state.running_mean = rng.normal(size=3)
     state.running_var = rng.uniform(0.5, 2.0, size=3)
-
-    def run(xt, st, sh):
-        return _scalarize(batchnorm(xt, st, sh, state, "infer"), coef)
-
-    errs = [
-        finite_diff_check(lambda t: run(t, _t(scale), _t(shift)), x, grad_bias=bias),
-        finite_diff_check(lambda t: run(_t(x), t, _t(shift)), scale, grad_bias=bias),
-        finite_diff_check(lambda t: run(_t(x), _t(scale), t), shift, grad_bias=bias),
-    ]
-    return max(errs)
+    return _probe_each(_batchnorm("infer", state=state), [x, scale, shift], bias, coef)
 
 
 def _check_relu(rng, bias):
-    x = _away_from_zero(rng, (2, 3, 4, 4))
+    x = rng.normal(size=(2, 3, 4, 4))
+    x = x + np.sign(x) * 0.1  # away from the kink
     coef = rng.normal(size=(2, 3, 4, 4))
-    return finite_diff_check(lambda t: _scalarize(relu(t), coef), x, grad_bias=bias)
+    return _probe_each(relu, [x], bias, coef)
 
 
 def _check_sigmoid(rng, bias):
     x = rng.normal(size=(2, 3, 4, 4)) * 2
     coef = rng.normal(size=(2, 3, 4, 4))
-    return finite_diff_check(lambda t: _scalarize(sigmoid(t), coef), x, grad_bias=bias)
+    return _probe_each(sigmoid, [x], bias, coef)
 
 
 def _check_softmax(rng, bias):
     x = rng.normal(size=(2, 4, 3, 3)) * 2
     coef = rng.normal(size=(2, 4, 3, 3))
-    return finite_diff_check(lambda t: _scalarize(channel_softmax(t), coef), x, grad_bias=bias)
+    return _probe_each(channel_softmax, [x], bias, coef)
 
 
 def _check_cross_entropy(rng, bias):
     logits = rng.normal(size=(2, 4, 4, 4)) * 2
     labels = rng.integers(0, 4, size=(2, 4, 4))
     weights = ClassWeights(rng.uniform(0.5, 3.0, size=4))
-    return finite_diff_check(
-        lambda t: weighted_cross_entropy(t, labels, weights), logits, grad_bias=bias)
+    return _probe_each(lambda t: weighted_cross_entropy(t, labels, weights), [logits], bias)
 
 
 def _check_hallucination(rng, bias):
     target = rng.normal(size=(2, 3, 4, 4))
     hal = rng.normal(size=(2, 3, 4, 4))
-    return finite_diff_check(
-        lambda t: hallucination_loss(_t(target), t), hal, grad_bias=bias)
+    return _probe_each(lambda t: hallucination_loss(_t(target), t), [hal], bias)
 
 
 def _check_composite(k, gamma, rng, bias):
@@ -193,20 +163,13 @@ def _check_composite(k, gamma, rng, bias):
     labels = rng.integers(0, 3, size=(1, 4, 4))
     weights = ClassWeights(rng.uniform(0.5, 2.0, size=3))
 
-    def build(probe_role, probe_kind, t):
-        outs = {}
-        for role in roles:
-            tap = t if (role == probe_role and probe_kind == "tap") else _t(taps[role])
-            lg = t if (role == probe_role and probe_kind == "logits") else _t(logits[role])
-            outs[role] = BranchOutput(tap=tap, logits=lg)
+    def loss(*probed):
+        # the target taps carry stop-gradient, so only the hal taps are probed
+        tap = {r: _t(taps[r]) for r in roles} | dict(zip(hals, probed[len(roles):]))
+        outs = {r: BranchOutput(tap=tap[r], logits=lg) for r, lg in zip(roles, probed)}
         return composite_loss(outs, labels, weights, gamma).total
 
-    errs = [finite_diff_check(lambda t: build(role, "logits", t), logits[role], grad_bias=bias)
-            for role in roles]
-    # the target taps carry stop-gradient, so only the hal taps are checked
-    errs += [finite_diff_check(lambda t: build(role, "tap", t), taps[role], grad_bias=bias)
-             for role in hals]
-    return max(errs)
+    return _probe_each(loss, [logits[r] for r in roles] + [taps[r] for r in hals], bias)
 
 
 CASES = [

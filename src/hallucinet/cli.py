@@ -32,17 +32,13 @@ from .model import (
     select_branches,
 )
 from .synthetic import SyntheticConfig, generate_synthetic
-from .train import DivergenceError, TrainConfig, run_protocol
+from .train import DivergenceError, TrainConfig, check_protocol, run_protocol
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 EXIT_MISMATCH = 5
 EXIT_MISSING_MODALITY = 6
-
-
-class MismatchError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -157,10 +153,13 @@ def cmd_train(args) -> int:
     if config.manifest is not None:
         manifest = load_manifest(config.manifest)
         model_config = config.branch_config(manifest.class_count)
+        modalities = manifest.modalities
     elif config.synthetic is not None:
         model_config = config.branch_config(config.synthetic.class_count)
+        modalities = config.synthetic.modalities
     else:
         raise ConfigError("data section needs a manifest path or a synthetic block")
+    check_protocol(modalities, model_config, config.train)  # before anything is written
     out = Path(args.out)
     config.save(model_config, out)
     if manifest is None:
@@ -175,13 +174,13 @@ def cmd_train(args) -> int:
 def _load_bundle_checked(path, manifest):
     bundle = load_checkpoint(path)
     if bundle.config.class_count != manifest.class_count:
-        raise MismatchError(
+        raise CheckpointError(
             f"checkpoint has {bundle.config.class_count} classes, "
             f"manifest {manifest.class_count}")
     known = {m.name for m in manifest.modalities}
     for role, mod in bundle.role_modalities.items():
         if mod not in known:
-            raise MismatchError(f"checkpoint branch {role} reads unknown modality {mod!r}")
+            raise CheckpointError(f"checkpoint branch {role} reads unknown modality {mod!r}")
     return bundle
 
 
@@ -195,20 +194,19 @@ def cmd_eval(args) -> int:
     one roster; report.json's mode names the scenario and their stages."""
     manifest = load_manifest(args.manifest)
     bundle = _load_bundle_checked(args.checkpoint, manifest)
-    mode = f"scenario={args.scenario} stage={bundle.stage}"
-    predictor = None
+    predictor, suffix = None, ""
     if args.checkpoint_b is not None:
         bundle_b = _load_bundle_checked(args.checkpoint_b, manifest)
         if _roster(bundle) != _roster(bundle_b):
-            raise MismatchError(f"an ensemble needs one roster: {args.checkpoint} has branches "
+            raise CheckpointError(f"an ensemble needs one roster: {args.checkpoint} has branches "
                                 f"{_roster(bundle)}; {args.checkpoint_b} has {_roster(bundle_b)}")
-        mode += f" ensemble={bundle_b.stage}"
+        suffix = f" ensemble={bundle_b.stage}"
 
         def predictor(inputs, availability):
             return ensemble_predict(bundle, bundle_b, inputs, availability)
 
     report, conf = evaluate(bundle, manifest, args.split, args.scenario, predictor=predictor)
-    report.mode = mode
+    report.mode += suffix
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_report(report, out / "report.json")
@@ -357,7 +355,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except Exception as exc:
         # first match wins: CheckpointError and ConfigError are ValueErrors
-        for kinds, code in (((MismatchError, CheckpointError), EXIT_MISMATCH),
+        for kinds, code in ((CheckpointError, EXIT_MISMATCH),
                             (DivergenceError, EXIT_DIVERGENCE),
                             (MissingModalityError, EXIT_MISSING_MODALITY),
                             ((ValueError, KeyError), EXIT_CONFIG),

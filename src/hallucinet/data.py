@@ -74,9 +74,8 @@ def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if len(blob) < pos + nbytes:
         raise TensorFileError("truncated payload")
     arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).reshape(shape)
-    if dtype == np.dtype("<f4"):
-        arr = arr.astype(np.float32)
-    return arr.copy(), pos + nbytes
+    # the one copy: writable, apart from `blob`, in native byte order
+    return arr.astype(dtype.type), pos + nbytes
 
 
 @contextmanager
@@ -138,10 +137,6 @@ class DatasetManifest:
     @property
     def always_available(self) -> str:
         return self.modalities[0].name
-
-    @property
-    def optional_modalities(self) -> list[str]:
-        return [m.name for m in self.modalities[1:]]
 
     def modality_channels(self, name: str) -> int:
         for m in self.modalities:
@@ -235,7 +230,7 @@ def load_scene(manifest: DatasetManifest, scene_id: str,
         if arr.shape[1:] != labels.shape:
             raise ValueError(f"scene {scene_id}: raster {name} is {arr.shape[1]}x{arr.shape[2]}, "
                              f"labels are {labels.shape[0]}x{labels.shape[1]}")
-        rasters[name] = arr.astype(np.float32)
+        rasters[name] = arr.astype(np.float32, copy=False)
     return rasters, labels
 
 
@@ -260,20 +255,19 @@ class PatchSpec:
         return ids
 
 
+def axis_origins(extent: int, length: int, step: int) -> list[int]:
+    """Origins of windows of `length` along an axis of `extent`: one every
+    `step`, and the last one flush with the far border."""
+    return list(range(0, extent - length, step)) + [extent - length]
+
+
 def extract_patch_grid(height: int, width: int, spec: PatchSpec) -> list[tuple[int, int]]:
     """Patch origins on a stride grid, final origin clamped to cover borders."""
     if height < spec.size or width < spec.size:
         raise ValueError(f"image {height}x{width} smaller than patch {spec.size}")
     stride = max(1, int(round(spec.size * (1.0 - spec.overlap))))
-
-    def axis_origins(extent: int) -> list[int]:
-        limit = extent - spec.size
-        origins = list(range(0, limit + 1, stride))
-        if origins[-1] != limit:
-            origins.append(limit)
-        return origins
-
-    return [(r, c) for r in axis_origins(height) for c in axis_origins(width)]
+    rows, cols = (axis_origins(e, spec.size, stride) for e in (height, width))
+    return [(r, c) for r in rows for c in cols]
 
 
 def augment(arrays, transform_id: int):
@@ -371,7 +365,7 @@ class PatchSampler:
                 for name, arr in zip(self.modalities, stack[:-1]):
                     mods[name].append(arr)
                 labs.append(stack[-1])
-            batch = {name: np.stack(arrs).astype(np.float32) for name, arrs in mods.items()}
+            batch = {name: np.stack(arrs) for name, arrs in mods.items()}
             yield batch, np.stack(labs).astype(np.int64)
 
     def batches(self, steps: int):

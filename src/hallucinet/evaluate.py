@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import build
-from .data import DatasetManifest, load_scene, write_json
+from .data import DatasetManifest, axis_origins, load_scene, write_json
 from .losses import IGNORE_LABEL
 from .model import BranchConfig, MissingModalityError, ModelBundle, predict, select_branches
 
@@ -217,7 +217,7 @@ def _axis_windows(extent: int, side: int, halo: int, factor: int) -> tuple[int, 
         return extent, ((0, 0, extent),)
     n = -(-(extent - side) // (side - 2 * halo)) + 1
     length = _round_up(-(-(extent + 2 * halo * (n - 1)) // n), factor)
-    origins = list(range(0, extent - length, length - 2 * halo)) + [extent - length]
+    origins = axis_origins(extent, length, length - 2 * halo)
     bounds = [0] + [(a + b + length) // 2 for a, b in zip(origins, origins[1:])] + [extent]
     return length, tuple(zip(origins, bounds, bounds[1:]))
 
@@ -304,7 +304,8 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
     Scenario "1" forces every hallucinated modality absent, "2" honors
     the per-scene manifest flags, "all" forces everything available. The
     same bundle serves every mode; no retraining happens here.
-    `predictor` goes to `tiled_inference`.
+    `predictor` goes to `tiled_inference`. The report's mode reads
+    `scenario=<scenario> stage=<bundle.stage>`.
     """
     # tile and halo are ignored, accepted only because the benchmark's
     # eval workload passes them; benchmark v2 (ROADMAP item 6) drops them.
@@ -324,7 +325,8 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
         mask = boundary_eroded_mask(labels)
         accumulate(conf, pred, labels, mask)
     report = metrics(conf, excluded_classes=manifest.excluded_classes,
-                     mode=f"scenario={scenario}", class_names=manifest.class_names)
+                     mode=f"scenario={scenario} stage={bundle.stage}",
+                     class_names=manifest.class_names)
     return report, conf
 
 

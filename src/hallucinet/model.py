@@ -47,7 +47,9 @@ ROSTER = ("rgb", "depth", "ir")
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is truncated, corrupt or of an unknown format version."""
+    """A checkpoint file is truncated, corrupt or of an unknown format version,
+    or does not match the dataset or the other checkpoint it is used with:
+    a different class count, an unknown modality or another roster."""
 
 
 @dataclass(frozen=True)
@@ -207,9 +209,7 @@ class BranchNet:
 
 def build_branch(config: BranchConfig, input_channels: int, role: str, rng) -> BranchNet:
     """Construct a branch; `rng` is a seed int or a numpy Generator."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return BranchNet(config, input_channels, role, rng)
+    return BranchNet(config, input_channels, role, np.random.default_rng(rng))
 
 
 def init_hallucination_from(target: BranchNet, input_channels: int,
@@ -220,9 +220,8 @@ def init_hallucination_from(target: BranchNet, input_channels: int,
     the first conv layer is re-initialized fresh; everything else
     (including batchnorm running statistics) is copied.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    hal = BranchNet(target.config, input_channels, f"hal_{target.role}", rng)
+    hal = BranchNet(target.config, input_channels, f"hal_{target.role}",
+                    np.random.default_rng(rng))
     src_params = target.parameters()
     dst_params = hal.parameters()
     for src, dst in zip(src_params, dst_params):

@@ -74,7 +74,7 @@ class SyntheticConfig:
             raise ValueError("texture_fraction must be in [0, 1]")
         if not 0.0 <= self.pair_crossover <= 0.5:
             raise ValueError("pair_crossover must be in [0, 0.5]")
-        optional = ("height", "ir") if self.include_ir else ("height",)
+        optional = [m.name for m in self.modalities[1:]]
         for mod, frac in self.availability.items():
             if mod not in optional:
                 raise ValueError(f"availability names {mod!r}, not an optional modality "
@@ -82,6 +82,12 @@ class SyntheticConfig:
             if not isinstance(frac, (int, float)) or not 0.0 <= frac <= 1.0:
                 raise ValueError(f"availability of {mod!r} must be a number in [0, 1], "
                                  f"got {frac!r}")
+
+    @property
+    def modalities(self) -> list[ModalitySpec]:
+        """color, then the optional modalities: height, and ir if included."""
+        return [ModalitySpec("color", 3), ModalitySpec("height", 1),
+                *([ModalitySpec("ir", 1)] if self.include_ir else [])]
 
     def split_counts(self) -> tuple[int, int, int]:
         val = self.val_scenes if self.val_scenes is not None else max(1, self.scene_count // 10)
@@ -261,13 +267,9 @@ def generate_synthetic(seed: int, cfg: SyntheticConfig, out_dir) -> DatasetManif
     (out / "scenes").mkdir(parents=True, exist_ok=True)
     train_n, val_n, test_n = cfg.split_counts()
 
-    modalities = [ModalitySpec("color", 3), ModalitySpec("height", 1)]
-    if cfg.include_ir:
-        modalities.append(ModalitySpec("ir", 1))
-
     splits: dict[str, list[SceneRecord]] = {"train": [], "val": [], "test": []}
     avail_rng = np.random.default_rng([seed, 7])
-    optional = [m.name for m in modalities[1:]]
+    optional = [m.name for m in cfg.modalities[1:]]
     test_available = {}
     for mod in optional:
         frac = cfg.availability.get(mod, 1.0)
@@ -299,7 +301,7 @@ def generate_synthetic(seed: int, cfg: SyntheticConfig, out_dir) -> DatasetManif
         root=out,
         class_count=cfg.class_count,
         class_names=class_names(cfg),
-        modalities=modalities,
+        modalities=cfg.modalities,
         splits=splits,
     )
     save_manifest(manifest)

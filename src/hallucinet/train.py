@@ -14,7 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetManifest, PatchSampler, PatchSpec, atomic_write, class_frequencies
+from .data import (
+    DatasetManifest,
+    ModalitySpec,
+    PatchSampler,
+    PatchSpec,
+    atomic_write,
+    class_frequencies,
+)
 from .engine import NonFiniteError, Parameter, backward, frozen
 from .losses import (
     ClassWeights,
@@ -179,15 +186,17 @@ def _own_loss(branch: BranchNet, modality: str, weights: ClassWeights):
     return loss_terms
 
 
-def _start(manifest: DatasetManifest, model_config: BranchConfig, config: TrainConfig,
-           out_dir):
-    """Check that patches fit the model, and create `out_dir` before any
-    training, so no save can find it missing; return the class weights
-    and the log opened with the setup record."""
+def _check_patch(model_config: BranchConfig, config: TrainConfig):
     factor = model_config.downsample_factor
     if config.patch.size % factor:
         raise ValueError(f"train.patch.size {config.patch.size} must be divisible by the "
                          f"model's downsample factor {factor}")
+
+
+def _start(manifest: DatasetManifest, config: TrainConfig, out_dir):
+    """Create `out_dir` before any training, so no save can find it
+    missing; return the class weights and the log opened with the setup
+    record."""
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     frequencies = class_frequencies(manifest, "train")
@@ -226,20 +235,24 @@ def _checkpoint(bundle: ModelBundle, out_dir, name: str):
         save_checkpoint(bundle, Path(out_dir) / f"checkpoint_{name}.ckpt")
 
 
-def _optional_modalities(manifest: DatasetManifest, config: TrainConfig) -> list[str]:
-    """The modalities of the optional roles: one for mode single, two for multi."""
-    optional = manifest.optional_modalities
+def check_protocol(modalities: list[ModalitySpec], model_config: BranchConfig,
+                   config: TrainConfig) -> list[str]:
+    """The modalities of `run_protocol`'s roles, the always-available one
+    first; raises ValueError if the configs and the dataset's modality
+    list alone rule the run out."""
+    optional = [m.name for m in modalities[1:]]
     named = ", ".join(optional) or "none"
     if config.hallucinate is not None:
         if config.hallucinate not in optional:
             raise ValueError(f"train.hallucinate {config.hallucinate!r} is not an optional "
                              f"modality ({named})")
-        return [config.hallucinate]
+        optional = [config.hallucinate]
     k = 1 if config.mode == "single" else 2
     if len(optional) < k:
         raise ValueError(f"mode {config.mode!r} hallucinates {k} optional modalities; "
                          f"the dataset has {len(optional)} ({named})")
-    return optional[:k]
+    _check_patch(model_config, config)
+    return [modalities[0].name, *optional[:k]]
 
 
 def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
@@ -250,9 +263,8 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     by default the first) under role depth; mode multi (Problem Scenario 3)
     hallucinates the first two, under roles depth and ir.
     """
-    always = manifest.always_available
-    mods = [always, *_optional_modalities(manifest, config)]
-    weights, log = _start(manifest, model_config, config, out_dir)
+    mods = check_protocol(manifest.modalities, model_config, config)
+    weights, log = _start(manifest, config, out_dir)
     role_modalities = dict(zip(ROSTER, mods))
     roles = list(role_modalities)[1:]
 
@@ -261,7 +273,7 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
     _checkpoint(bundle, out_dir, "stage1")
 
-    rgb_ch = manifest.modality_channels(always)
+    rgb_ch = manifest.modality_channels(mods[0])
     for j, role in enumerate(roles):  # stream 2k+1+j: 3 for single, 5 and 6 for multi
         rng = np.random.default_rng([config.seed, 2 * len(roles) + 1 + j])
         bundle.branches[f"hal_{role}"] = init_hallucination_from(branches[role], rgb_ch, rng)
@@ -316,7 +328,8 @@ def train_single_branch_model(manifest: DatasetManifest, model_config: BranchCon
                               config: TrainConfig, variant: int = 0,
                               out_dir=None) -> tuple[ModelBundle, list[dict]]:
     """Baseline: one branch on the always-available modality only."""
-    weights, log = _start(manifest, model_config, config, out_dir)
+    _check_patch(model_config, config)
+    weights, log = _start(manifest, config, out_dir)
     role_modalities = {"rgb": manifest.always_available}
     branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
                          "baseline", config.seed * 10 + 7 + variant, 40 + variant,

@@ -10,7 +10,8 @@ import pytest
 
 from hallucinet.cli import main, resolve_config
 from hallucinet.data import load_manifest, read_tensor_file, write_tensor_file
-from hallucinet.model import BranchConfig
+from hallucinet.evaluate import evaluate
+from hallucinet.model import BranchConfig, load_checkpoint
 from hallucinet.synthetic import SyntheticConfig
 from hallucinet.train import TrainConfig, train_single_branch_model
 
@@ -255,8 +256,6 @@ class TestTrain:
         assert (out / "checkpoint_stage4.ckpt").exists()
         assert (out / "train_log.jsonl").exists()
         assert (out / "resolved_config.json").exists()
-        from hallucinet.model import load_checkpoint
-
         bundle = load_checkpoint(out / "checkpoint_stage4.ckpt")
         assert len(bundle.branches) == 3
 
@@ -267,8 +266,6 @@ class TestTrain:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
-        from hallucinet.model import load_checkpoint
-
         bundle = load_checkpoint(out / "checkpoint_stage4.ckpt")
         assert len(bundle.branches) == 5
 
@@ -357,7 +354,22 @@ class TestTrain:
         run = tmp_path / "run"
         assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
         assert "train.patch.size 96" in capsys.readouterr().err
-        assert not (run / "checkpoint_stage1.ckpt").exists()
+        assert not run.exists()  # no resolved config, no dataset
+
+    @pytest.mark.parametrize("data", ["synthetic", "manifest"])
+    def test_multi_mode_with_one_optional_modality_writes_nothing(self, trained, tmp_path,
+                                                                  capsys, data):
+        # refused on the modality list of the config or the manifest, before
+        # the resolved config or the synthetic dataset is written
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["train"]["mode"] = "multi"
+        if data == "manifest":
+            doc["data"] = {"manifest": str(trained[1] / "dataset" / "manifest.json")}
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
+        assert "hallucinates 2 optional modalities; the dataset has 1 (height)" \
+            in capsys.readouterr().err
+        assert not run.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
@@ -382,6 +394,10 @@ class TestEval:
         r2 = json.loads((e2 / "report.json").read_text())
         assert (r1["mode"], r2["mode"]) == ("scenario=1 stage=stage4", "scenario=all stage=stage4")
         assert (e1 / "confusion.mtns").exists()
+        # the library's evaluate gives the same label as the command
+        bundle, dataset = load_checkpoint(ckpt), load_manifest(manifest)
+        assert [evaluate(bundle, dataset, "test", s)[0].mode for s in ("1", "all")] == \
+            [r1["mode"], r2["mode"]]
 
     def test_report_regeneration_from_confusion(self, trained, tmp_path):
         from hallucinet.evaluate import ConfusionMatrix, metrics

@@ -11,6 +11,7 @@ from hallucinet.data import (
     TensorFileError,
     atomic_write,
     augment,
+    axis_origins,
     class_frequencies,
     extract_patch_grid,
     load_manifest,
@@ -73,6 +74,18 @@ class TestTensorFile:
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(TensorFileError):
             write_tensor_file(tmp_path / "t.mtns", np.ones(3, dtype=np.int32))
+
+
+class TestAxisOrigins:
+    def test_every_step_then_flush_with_the_border(self):
+        for extent in range(1, 41):
+            for length in range(1, extent + 1):
+                for step in range(1, length + 1):
+                    origins = axis_origins(extent, length, step)
+                    gaps = [b - a for a, b in zip(origins, origins[1:])]
+                    assert (origins[0], origins[-1]) == (0, extent - length)
+                    assert all(g == step for g in gaps[:-1])
+                    assert all(0 < g <= step for g in gaps[-1:])
 
 
 class TestPatchGrid:
