@@ -66,11 +66,13 @@ def _check_conv2d(rng, bias):
     return _probe_each(lambda *t: conv2d(*t, 2, 1), [x, w, b], bias, coef)
 
 
-def _check_transposed(rng, bias):
-    x = rng.normal(size=(2, 3, 4, 4))
-    w = rng.normal(size=(3, 2, 4, 4))
-    coef = rng.normal(size=(2, 2, 8, 8))
-    return _probe_each(lambda *t: transposed_conv2d(*t, 2), [x, w], bias, coef)
+def _check_transposed(stride, scores, rng, bias):
+    """The upsampling head, kernel 2*stride, from (n, c, h, w) scores to 2 channels."""
+    n, c, h, w = scores
+    x = rng.normal(size=scores)
+    wt = rng.normal(size=(c, 2, 2 * stride, 2 * stride))
+    coef = rng.normal(size=(n, 2, h * stride, w * stride))
+    return _probe_each(lambda *t: transposed_conv2d(*t, stride), [x, wt], bias, coef)
 
 
 def _check_maxpool(rng, bias):
@@ -174,7 +176,7 @@ def _check_composite(k, gamma, rng, bias):
 
 CASES = [
     ("conv2d", _check_conv2d),
-    ("transposed_conv2d", _check_transposed),
+    ("transposed_conv2d", functools.partial(_check_transposed, 2, (2, 3, 4, 4))),
     ("maxpool2", _check_maxpool),
     ("batchnorm", _check_batchnorm),
     ("relu", _check_relu),
@@ -186,6 +188,7 @@ CASES = [
     ("composite_loss_multi", functools.partial(_check_composite, 2, 3.0)),
     ("batchnorm_relu", _check_batchnorm_relu),
     ("batchnorm_infer", _check_batchnorm_infer),
+    ("transposed_conv2d_x8", functools.partial(_check_transposed, 8, (1, 2, 3, 5))),
 ]
 
 

@@ -1,12 +1,13 @@
 """Network primitives: convolution, pooling, batchnorm, activations, softmax.
 
 Convolutions unfold one padded sample at a time into bands of im2col
-columns of bounded size and run one GEMM per band. The same three kernels
-(forward, input-gradient, weight-gradient) serve both conv2d and
-transposed_conv2d, since each is the adjoint of the other; the
-input-gradient is itself a forward convolution of the zero-dilated
-(at stride 1, merely padded) output gradient. Max pooling works on the
-four strided corner views of its windows.
+columns of bounded size and run one GEMM per band. Three kernels
+(forward, input-gradient, weight-gradient) serve conv2d; the
+input-gradient is itself a forward convolution of the zero-dilated (at
+stride 1, merely padded) output gradient. transposed_conv2d, the
+upsampling head, does not use them: it runs as dense GEMMs on the grid of
+its stride-sized output tiles. Max pooling works on the four strided
+corner views of its windows.
 """
 from __future__ import annotations
 
@@ -21,17 +22,9 @@ from .tensor import Tensor, _accumulate, make_node
 # Small kernels unfold one padded sample at a time into a column buffer of
 # shape (Ci*kh*kw, rows*Wo), one band of output rows at a time, and run one
 # GEMM per band. Bands are sized by _BAND_BYTES, so the buffer does not grow
-# with the image. When the kernel is a multiple of the stride (the x32
-# upsampling head: k = 2s), unfolding would copy each input pixel (k/s)^2
-# times at a large stride, so a tiled path reinterprets the padded raster
-# as (tiles, s, tiles, s) and runs (k/s)^2 einsums instead.
+# with the image.
 
 _BAND_BYTES = 4 << 20  # column buffer budget of one band
-
-
-def _tileable(stride: int, kh: int, kw: int, hp: int, wp: int) -> bool:
-    return (stride > 2 and kh % stride == 0 and kw % stride == 0
-            and hp % stride == 0 and wp % stride == 0)
 
 
 def _col_bands(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
@@ -72,18 +65,6 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nda
     wo = (wd + 2 * padding - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output would be empty for input {h}x{wd}, kernel {kh}x{kw}")
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if _tileable(stride, kh, kw, hp, wp):
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-        s = stride
-        tiles = xp.reshape(n, ci, hp // s, s, wp // s, s)
-        out = np.zeros((n, co, ho, wo), dtype=x.dtype)
-        for mi in range(kh // s):
-            for mj in range(kw // s):
-                xt = tiles[:, :, mi:mi + ho, :, mj:mj + wo, :]
-                ws = w[:, :, mi * s:(mi + 1) * s, mj * s:(mj + 1) * s]
-                out += np.einsum("nciajb,dcab->ndij", xt, ws, optimize=True)
-        return out
     out = np.empty((n, co, ho * wo), dtype=x.dtype)
     w2 = w.reshape(co, -1)
     for sample, r0, r1, cols in _col_bands(x, kh, kw, stride, padding, ho, wo):
@@ -105,18 +86,6 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
     n, co, ho, wo = dout.shape
     _, ci, kh, kw = w.shape
     h, wd = in_hw
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if _tileable(stride, kh, kw, hp, wp):
-        dxp = np.zeros((n, ci, hp, wp), dtype=dout.dtype)
-        s = stride
-        tiles = dxp.reshape(n, ci, hp // s, s, wp // s, s)
-        for mi in range(kh // s):
-            for mj in range(kw // s):
-                ws = w[:, :, mi * s:(mi + 1) * s, mj * s:(mj + 1) * s]
-                tiles[:, :, mi:mi + ho, :, mj:mj + wo, :] += np.einsum(
-                    "ncij,cdab->ndiajb", dout, ws, optimize=True)
-        # a copy, so the result does not keep the padded raster alive
-        return dxp[:, :, padding:padding + h, padding:padding + wd].copy()
     # dx is the stride-1 correlation of the zero-dilated dout, padded by
     # k-1-p, with the flipped and transposed kernel. At stride 1 with
     # p <= k-1 nothing is dilated or cropped, so the forward kernel pads
@@ -139,18 +108,6 @@ def _conv_dw(dout: np.ndarray, x: np.ndarray, stride: int, padding: int,
     n, co, ho, wo = dout.shape
     _, ci = x.shape[:2]
     kh, kw = kernel_hw
-    hp, wp = x.shape[2] + 2 * padding, x.shape[3] + 2 * padding
-    if _tileable(stride, kh, kw, hp, wp):
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-        dw = np.empty((co, ci, kh, kw), dtype=dout.dtype)
-        s = stride
-        tiles = xp.reshape(n, ci, hp // s, s, wp // s, s)
-        for mi in range(kh // s):
-            for mj in range(kw // s):
-                xt = tiles[:, :, mi:mi + ho, :, mj:mj + wo, :]
-                dw[:, :, mi * s:(mi + 1) * s, mj * s:(mj + 1) * s] = np.einsum(
-                    "ndij,nciajb->dcab", dout, xt, optimize=True)
-        return dw
     dw = np.zeros((co, ci * kh * kw), dtype=dout.dtype)
     part = np.empty_like(dw)
     dflat = dout.reshape(n, co, ho * wo)
@@ -183,28 +140,87 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return make_node(data, "conv2d", parents, backw)
 
 
+# -- the upsampling head -----------------------------------------------------
+#
+# A transposed convolution with stride s and a k x k kernel, k <= m*s, adds
+# x[i] * w[a] at raster row s*i + a. So row s*t + r of the uncropped raster
+# is the sum over mu < m of x[t - mu] * w[s*mu + r], for every phase r < s
+# at once: on the grid of T = h + m - 1 tiles of s x s pixels, the head is
+# one GEMM of each tile's (c, m, m) window of the scores with the weight as
+# a (c*m*m, d*s*s) matrix, and the output is that raster cropped by the
+# padding (k - s)/2, taken in one transposing copy. The backward uses the
+# same layouts: with G the output gradient on the tile grid, dw is
+# windows^T @ G and dx gathers the windows' gradient G @ W^T.
+
+def _head_weight(w: np.ndarray, s: int, m: int) -> np.ndarray:
+    """(c, d, k, k) weights as the (c*m*m, d*s*s) GEMM matrix, rows (c, a, b)
+    for window offset (a, b) = tap (m-1-mu, m-1-nu), zero past the kernel."""
+    c, d, k = w.shape[:3]
+    if m * s > k:
+        w = np.pad(w, ((0, 0), (0, 0), (0, m * s - k), (0, m * s - k)))
+    w6 = w.reshape(c, d, m, s, m, s)[:, :, ::-1, :, ::-1]
+    return w6.transpose(0, 2, 4, 1, 3, 5).reshape(c * m * m, d * s * s)
+
+
+def _crop_spans(p: int, s: int, h: int) -> list[tuple[slice, slice, slice]]:
+    """(output phases, tiles, tile phases) that place output row s*t + r,
+    t < h, at row s*t + r + p of the tile grid's raster: the crop."""
+    q, p0 = divmod(p, s)
+    spans = [(slice(0, s - p0), slice(q, q + h), slice(p0, s))]
+    if p0:
+        spans.append((slice(s - p0, s), slice(q + 1, q + 1 + h), slice(0, p0)))
+    return spans
+
+
 def transposed_conv2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
     """Fractional-strided convolution of (N,Ci,H,W) with (Ci,Co,k,k).
 
     Padding (k - stride)/2 makes the output exactly stride times the
     input extents (the FCN upsampling configuration).
     """
-    ci, co, kh, kw = weight.data.shape
-    if x.data.shape[1] != ci:
-        raise ValueError(f"transposed_conv2d channel mismatch: input {x.data.shape[1]}, weight {ci}")
-    if (kh - stride) % 2 != 0:
-        raise ValueError(f"kernel {kh} minus stride {stride} must be even to infer padding")
-    padding = (kh - stride) // 2
-    h, wd = x.data.shape[2:]
-    out_hw = ((h - 1) * stride - 2 * padding + kh, (wd - 1) * stride - 2 * padding + kw)
-    # forward of the transpose is the input-gradient kernel of conv2d
-    data = _conv_dx(x.data, weight.data, stride, padding, out_hw)
+    c, d, k, kw = weight.data.shape
+    n, cx, h, wd = x.data.shape
+    if cx != c:
+        raise ValueError(f"transposed_conv2d channel mismatch: input {cx}, weight {c}")
+    if kw != k or k < stride:
+        raise ValueError(f"transposed_conv2d needs a square kernel of at least the stride "
+                         f"{stride}, got {k}x{kw}")
+    if (k - stride) % 2 != 0:
+        raise ValueError(f"kernel {k} minus stride {stride} must be even to infer padding")
+    s, m = stride, -(-k // stride)
+    tt, tu = h + m - 1, wd + m - 1
+    spans = [(ro, co, rt, ct, rp, cp)
+             for ro, rt, rp in _crop_spans((k - s) // 2, s, h)
+             for co, ct, cp in _crop_spans((k - s) // 2, s, wd)]
+    # windows[(n, t, u), (c, a, b)] = x[n, c, t + a - (m-1), u + b - (m-1)], zero outside
+    xp = np.pad(x.data, ((0, 0), (0, 0), (m - 1, m - 1), (m - 1, m - 1)))
+    windows = sliding_window_view(xp, (m, m), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
+    windows = windows.reshape(n * tt * tu, c * m * m)
+    grid = (windows @ _head_weight(weight.data, s, m)).reshape(n, tt, tu, d, s, s)
+    data = np.empty((n, d, h * s, wd * s), dtype=x.data.dtype)
+    tiled = data.reshape(n, d, h, s, wd, s)
+    for ro, co, rt, ct, rp, cp in spans:
+        np.copyto(tiled[:, :, :, ro, :, co], grid[:, rt, ct, :, rp, cp].transpose(0, 3, 1, 4, 2, 5))
+    del grid
 
     def backw(out):
-        if x.requires_grad:
-            _accumulate(x, _conv_fwd(out.grad, weight.data, stride, padding))
+        g = np.zeros((n, tt, tu, d, s, s), dtype=out.grad.dtype)
+        og = out.grad.reshape(n, d, h, s, wd, s)
+        for ro, co, rt, ct, rp, cp in spans:
+            np.copyto(g[:, rt, ct, :, rp, cp], og[:, :, :, ro, :, co].transpose(0, 2, 4, 1, 3, 5))
+        g = g.reshape(n * tt * tu, d * s * s)
         if weight.requires_grad:
-            _accumulate(weight, _conv_dw(x.data, out.grad, stride, padding, (kh, kw)))
+            dw = (windows.T @ g).reshape(c, m, m, d, s, s)[:, ::-1, ::-1]
+            dw = dw.transpose(0, 3, 1, 4, 2, 5).reshape(c, d, m * s, m * s)
+            _accumulate(weight, dw[:, :, :k, :k])
+        if x.requires_grad:
+            taps = (g @ _head_weight(weight.data, s, m).T).reshape(n, tt, tu, c, m, m)
+            dx = np.zeros(x.data.shape, dtype=taps.dtype)
+            for a in range(m):
+                for b in range(m):
+                    tap = taps[:, m - 1 - a:m - 1 - a + h, m - 1 - b:m - 1 - b + wd, :, a, b]
+                    dx += tap.transpose(0, 3, 1, 2)
+            _accumulate(x, dx)
 
     return make_node(data, "transposed_conv2d", (x, weight), backw)
 
@@ -396,10 +412,11 @@ def gather_channel(x: Tensor, index: np.ndarray) -> Tensor:
     return make_node(data, "gather_channel", (x,), backw)
 
 
-def softmax_nll(logits: list[Tensor], index: np.ndarray, pixel_w: np.ndarray,
+def softmax_nll(logits: list[Tensor], flat_index: np.ndarray, pixel_w: np.ndarray,
                 scale: float, floor: float) -> Tensor:
-    """scale * sum(pixel_w * log(max(p[index], floor))) as one node, with p
-    the channel softmax of the mean of `logits`.
+    """scale * sum(pixel_w * log(max(p_l, floor))) as one node, with p the
+    channel softmax of the mean of `logits` and p_l its elements at
+    `flat_index` in the flattened (N,C,H,W) order: each pixel's label.
 
     The value and every gradient must equal, bit for bit, those of the
     op chain mean -> channel_softmax -> gather_channel -> clamp_min ->
@@ -427,8 +444,7 @@ def softmax_nll(logits: list[Tensor], index: np.ndarray, pixel_w: np.ndarray,
         p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    idx = index[:, None]
-    p_l = np.take_along_axis(p, idx, axis=1)[:, 0]
+    p_l = p.take(flat_index)
     mask = p_l > floor
     terms = np.maximum(p_l, floor)
     np.log(terms, out=terms)
@@ -445,7 +461,7 @@ def softmax_nll(logits: list[Tensor], index: np.ndarray, pixel_w: np.ndarray,
         inner = g * p_l + 0
         label = p_l * (g - inner)
         dx = np.multiply(p, np.subtract(0, inner)[:, None], out=p)
-        np.put_along_axis(dx, idx, label[:, None], axis=1)
+        np.put(dx, flat_index, label)
         if k > 1:
             dx *= inv_k
         for t in logits:

@@ -49,17 +49,25 @@ def compute_class_weights(frequencies) -> ClassWeights:
     return ClassWeights(np.median(f) / f)
 
 
-def _pixel_targets(labels: np.ndarray, weights: ClassWeights, dtype):
-    """(label-channel index, per-pixel weight, -1/n) for `softmax_nll`:
-    an ignored pixel reads channel 0 at weight 0, and n counts the others."""
+def _pixel_targets(labels: np.ndarray, weights: ClassWeights, logits: Tensor):
+    """(flat label index, per-pixel weight, -1/n) for `softmax_nll` on
+    (N,C,H,W) logits of `logits`' shape: pixel (b, i, j) reads element
+    ((b*C + label)*H + i)*W + j of the flattened logits. An ignored pixel
+    reads channel 0 at weight 0, and n counts the others."""
     labels = np.asarray(labels)
+    n, c, h, w = logits.shape
+    if labels.shape != (n, h, w):
+        raise ValueError(f"labels of shape {labels.shape} do not fit logits of shape {logits.shape}")
     valid = labels != IGNORE_LABEL
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("all pixels ignored: cross-entropy undefined")
     index = np.where(valid, labels, 0).astype(np.int64)
-    pixel_w = np.where(valid, weights.weights[index], 0.0).astype(dtype)
-    return index, pixel_w, -1.0 / n_valid
+    if index.min() < 0 or index.max() >= c:
+        raise ValueError(f"labels must be class ids below {c} or {IGNORE_LABEL}")
+    pixel_w = np.where(valid, weights.weights[index], 0.0).astype(logits.dtype)
+    cell = np.arange(n)[:, None, None] * (c * h * w) + np.arange(h * w).reshape(h, w)
+    return index * (h * w) + cell, pixel_w, -1.0 / n_valid
 
 
 def weighted_cross_entropy(logits: Tensor | list[Tensor], labels: np.ndarray,
@@ -69,7 +77,7 @@ def weighted_cross_entropy(logits: Tensor | list[Tensor], labels: np.ndarray,
     logits = [logits] if isinstance(logits, Tensor) else list(logits)
     if not logits:
         raise ValueError("cannot fuse an empty logit list")
-    targets = _pixel_targets(labels, weights, logits[0].dtype)
+    targets = _pixel_targets(labels, weights, logits[0])
     return softmax_nll(logits, *targets, PROB_FLOOR)
 
 
@@ -159,7 +167,7 @@ def composite_loss(outputs, labels: np.ndarray, weights: ClassWeights,
         raise ValueError("outputs need rgb plus a real and a hal_ branch per optional "
                          f"role, got {sorted(outputs)}")
 
-    targets = _pixel_targets(labels, weights, outputs["rgb"].logits.dtype)
+    targets = _pixel_targets(labels, weights, outputs["rgb"].logits)
 
     def ce(names):
         return softmax_nll([outputs[n].logits for n in names], *targets, PROB_FLOOR)

@@ -89,41 +89,55 @@ class AdamState:
 
 
 def clip_gradients(grads, threshold: float):
-    """Elementwise clamp to [-threshold, threshold]."""
+    """Elementwise clamp to [-threshold, threshold], in place; returns `grads`."""
     if threshold <= 0:
         raise ValueError("clip threshold must be positive")
-    return [None if g is None else np.clip(g, -threshold, threshold) for g in grads]
+    for g in grads:
+        if g is not None:
+            np.clip(g, -threshold, threshold, out=g)
+    return grads
 
 
 def adam_step(params: list[Parameter], grads, state: AdamState):
     """Bias-corrected Adam update (betas 0.9 and 0.999, eps 1e-8) of the
-    parameters that require grad.
+    parameters that require grad; the moments are updated in place.
 
     A parameter with no gradient, or with `requires_grad` off (frozen), is
     skipped entirely: it is not moved and no m/v moments are kept for it.
+    Every gradient is checked before anything moves, so a non-finite one
+    raises DivergenceError with the parameters and the state untouched.
     """
+    live = [(p, g) for p, g in zip(params, grads) if g is not None and p.requires_grad]
+    for p, g in live:
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient for {p.name}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = 0.9, 0.999
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    for p, g in zip(params, grads):
-        if g is None or not p.requires_grad:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {p.name}")
+    for p, g in live:
         m = state.m.get(p.name)
         if m is None:
-            m = np.zeros_like(p.data)
+            m = state.m[p.name] = np.zeros_like(p.data)
             state.v[p.name] = np.zeros_like(p.data)
         v = state.v[p.name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[p.name] = m
-        state.v[p.name] = v
-        mhat = m / corr1
-        vhat = v / corr2
-        p.data = p.data - (state.lr * mhat / (np.sqrt(vhat) + 1e-8)).astype(p.data.dtype)
+        # b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and the step
+        # lr*mhat / (sqrt(vhat) + eps), rounded as written, in two buffers
+        step = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        v *= b2
+        v += step
+        denom = np.divide(v, corr2)
+        np.sqrt(denom, out=denom)
+        denom += 1e-8
+        np.divide(m, corr1, out=step)
+        step *= state.lr
+        step /= denom
+        p.data = p.data - step
 
 
 def _tap_prefix(branch: BranchNet) -> list[Parameter]:
@@ -135,10 +149,14 @@ def _tap_prefix(branch: BranchNet) -> list[Parameter]:
 def _optimizer_round(params, state: AdamState, clip_threshold: float):
     """Clip, step and clear the gradients; return max |g| before and after clipping."""
     grads = [p.grad for p in params]
-    clipped = clip_gradients(grads, clip_threshold)
-    pre, post = (max((float(np.max(np.abs(g))) for g in gs if g is not None and g.size),
-                     default=0.0) for gs in (grads, clipped))
-    adam_step(params, clipped, state)
+    # max |g| and its clipped value, at the threshold in g's dtype as the clip
+    # rounds it; abs() makes a max of -0 read 0
+    peaks = [(abs(float(max(g.max(), -g.min()))), float(g.dtype.type(clip_threshold)))
+             for g in grads if g is not None and g.size]
+    pre = max((peak for peak, _ in peaks), default=0.0)
+    post = max((min(peak, cap) for peak, cap in peaks), default=0.0)
+    clip_gradients(grads, clip_threshold)
+    adam_step(params, grads, state)
     for p in params:
         p.grad = None
     return pre, post

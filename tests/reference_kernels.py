@@ -11,9 +11,12 @@ batchnorm kernels are checked against them.
 eight engine ops, written out in numpy node by node, so the fused
 `softmax_nll` op is checked bit for bit against it.
 
-The two composite objectives at the end are the earlier hand-written
-rosters for one and two hallucinated modalities, so the roster-driven
+The two composite objectives are the earlier hand-written rosters for
+one and two hallucinated modalities, so the roster-driven
 `losses.composite_loss` is checked against them.
+
+`optimizer_round` is the earlier out-of-place clip and Adam step, so the
+in-place `train._optimizer_round` is checked bit for bit against it.
 """
 import numpy as np
 
@@ -242,3 +245,35 @@ def composite_loss_multi(outputs, labels, weights, gamma):
         "rgb+hal_ir+hal_depth": ce(fuse_logits([rgb.logits, hal_ir.logits, hal_depth.logits])),
     }
     return LossBreakdown(terms, gamma, ("hallucinate_ir", "hallucinate_depth"))
+
+
+def optimizer_round(params, state, clip_threshold):
+    """Clip, Adam-step and clear the gradients out of place, as the earlier
+    `train._optimizer_round`; returns max |g| before and after clipping."""
+    grads = [p.grad for p in params]
+    clipped = [None if g is None else np.clip(g, -clip_threshold, clip_threshold) for g in grads]
+    pre, post = (max((float(np.max(np.abs(g))) for g in gs if g is not None and g.size),
+                     default=0.0) for gs in (grads, clipped))
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = 0.9, 0.999
+    corr1 = 1.0 - b1 ** t
+    corr2 = 1.0 - b2 ** t
+    for p, g in zip(params, clipped):
+        if g is None or not p.requires_grad:
+            continue
+        m = state.m.get(p.name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            state.v[p.name] = np.zeros_like(p.data)
+        v = state.v[p.name]
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        state.m[p.name] = m
+        state.v[p.name] = v
+        mhat = m / corr1
+        vhat = v / corr2
+        p.data = p.data - (state.lr * mhat / (np.sqrt(vhat) + 1e-8)).astype(p.data.dtype)
+    for p in params:
+        p.grad = None
+    return pre, post

@@ -685,7 +685,8 @@ class TestGradCheckCommand:
         for op in ("conv2d", "transposed_conv2d", "maxpool2", "batchnorm", "relu",
                    "sigmoid", "channel_softmax", "weighted_cross_entropy",
                    "hallucination_loss", "composite_loss_single",
-                   "composite_loss_multi", "batchnorm_relu", "batchnorm_infer"):
+                   "composite_loss_multi", "batchnorm_relu", "batchnorm_infer",
+                   "transposed_conv2d_x8"):
             assert sum(1 for l in lines if l.startswith(f"{op} ")) == 1
 
     def test_corrupted_gradient_exits_nonzero(self):

@@ -173,6 +173,12 @@ class TestTransposedConv:
         with pytest.raises(ValueError):
             transposed_conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((3, 1, 4, 4))), 2)
 
+    @pytest.mark.parametrize("kernel,stride", [((4, 6), 2), ((1, 1), 3)],
+                             ids=["nonsquare", "below_stride"])
+    def test_kernel_shape_refused(self, kernel, stride):
+        with pytest.raises(ValueError, match="square kernel of at least the stride"):
+            transposed_conv2d(t(np.ones((1, 2, 3, 3))), t(np.ones((2, 1) + kernel)), stride)
+
 
 class TestBackward:
     def test_sum_gradient_ones(self, rng):

@@ -16,6 +16,7 @@ from hallucinet.engine import (
     mul,
     release,
     relu,
+    transposed_conv2d,
     tsum,
 )
 from hallucinet.losses import ClassWeights, weighted_cross_entropy
@@ -85,9 +86,38 @@ def test_columns_over_budget_split_into_bands(rng):
         _check_conv(rng, n, ci, co, hw, k, 1, 1, dtype)
 
 
-def test_tiled_upsampling_path_matches_reference(rng):
-    # k = 2 * stride with stride > 2 takes the einsum path of all three kernels
+def _check_head(rng, n, c, d, hw, stride, k, dtype):
+    """transposed_conv2d against the float64 adjoint of the reference conv:
+    its output is conv_dx, its dx conv_fwd and its dw conv_dw."""
+    padding = (k - stride) // 2
+    x = rng.normal(size=(n, c) + hw)
+    w = rng.normal(size=(c, d, k, k))
+    out_hw = (hw[0] * stride, hw[1] * stride)
+    dout = rng.normal(size=(n, d) + out_hw)
+    xt = Tensor(x.astype(dtype), requires_grad=True)
+    wt = Parameter(w.astype(dtype), "w")
+    y = transposed_conv2d(xt, wt, stride)
+    backward(tsum(mul(y, Tensor(dout.astype(dtype)))))
+    _assert_close(y.data, conv_dx(x, w, stride, padding, out_hw).astype(dtype), dtype)
+    _assert_close(xt.grad, conv_fwd(dout, w, stride, padding).astype(dtype), dtype)
+    _assert_close(wt.grad, conv_dw(x, dout, stride, padding, (k, k)).astype(dtype), dtype)
+
+
+@pytest.mark.parametrize("hw", [(3, 3), (4, 2), (3, 5)], ids=["odd", "even", "nonsquare"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("stride", [2, 4, 8, 32])
+def test_upsampling_head_matches_float64_reference(rng, stride, batch, hw):
     for dtype in (np.float64, np.float32):
+        _check_head(rng, batch, 3, 2, hw, stride, 2 * stride, dtype)
+
+
+def test_tiled_upsampling_path_matches_reference(rng):
+    # the head's tile-grid GEMMs with more than one tap per axis (k = 2s)
+    # and with a kernel that is not a multiple of the stride (k = 5, s = 3);
+    # conv2d with k = 2s at stride 4 runs the banded im2col kernels
+    for dtype in (np.float64, np.float32):
+        _check_head(rng, 2, 3, 2, (4, 6), 4, 8, dtype)
+        _check_head(rng, 2, 3, 2, (4, 6), 3, 5, dtype)
         _check_conv(rng, 2, 3, 2, (16, 24), 8, 4, 2, dtype)
 
 

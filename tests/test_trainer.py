@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hallucinet.train as train_mod
+import reference_kernels
 from hallucinet.data import MissingModalityError, PatchSpec
 from hallucinet.engine import Parameter
 from hallucinet.losses import GammaPolicy
@@ -89,6 +91,66 @@ class TestAdam:
         p = Parameter(np.array([1.0], dtype=np.float32), "p")
         with pytest.raises(DivergenceError):
             adam_step([p], [np.array([np.nan], dtype=np.float32)], AdamState(lr=0.1))
+
+    def test_non_finite_gradient_moves_nothing(self):
+        a = Parameter(np.array([1.0, -1.0], dtype=np.float32), "a")
+        b = Parameter(np.array([2.0], dtype=np.float32), "b")
+        c = Parameter(np.array([3.0], dtype=np.float32), "c")
+        state = AdamState(lr=0.1)
+        adam_step([a, b], [np.full(2, 0.5, np.float32), np.ones(1, np.float32)], state)
+
+        def snapshot():
+            arrays = [a.data, b.data, c.data, *state.m.values(), *state.v.values()]
+            return [x.tobytes() for x in arrays], sorted(state.m), sorted(state.v), state.step_count
+
+        before = snapshot()
+        # a comes before the bad gradient and b after it
+        with pytest.raises(DivergenceError, match="gradient for c$"):
+            adam_step([a, c, b], [np.full(2, 0.5, np.float32), np.array([np.nan], np.float32),
+                                  np.ones(1, np.float32)], state)
+        assert snapshot() == before
+
+
+def _float_bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("grads", ["beyond_threshold", "signed_zeros"])
+def test_optimizer_round_bit_identical_to_out_of_place(rng, grads):
+    """Three in-place rounds against the earlier out-of-place clip and Adam:
+    mixed shapes, a frozen parameter with a gradient, a parameter without
+    one, and a threshold float32 cannot hold exactly."""
+    shapes = [(4, 3, 3, 3), (4,), (2, 5), (1,), (3,)]
+    init = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    runs = []
+    for _ in range(2):
+        params = [Parameter(a.copy(), f"p{i}") for i, a in enumerate(init)]
+        params[1].requires_grad = False
+        runs.append((params, AdamState(lr=1e-2)))
+    (params, state), (ref_params, ref_state) = runs
+    for _ in range(3):
+        if grads == "beyond_threshold":
+            draws = [rng.normal(scale=2.0, size=s).astype(np.float32) for s in shapes]
+        else:
+            draws = [np.full(s, -0.0, dtype=np.float32) for s in shapes]
+        draws[4] = None
+        for p, q, g in zip(params, ref_params, draws):
+            p.grad = None if g is None else g.copy()
+            q.grad = None if g is None else g.copy()
+        logged = train_mod._optimizer_round(params, state, 0.7)
+        expected = reference_kernels.optimizer_round(ref_params, ref_state, 0.7)
+        assert [_float_bits(v) for v in logged] == [_float_bits(v) for v in expected]
+        for p, q in zip(params, ref_params):
+            assert p.grad is None and p.data.tobytes() == q.data.tobytes(), p.name
+        assert state.step_count == ref_state.step_count
+        assert set(state.m) == set(ref_state.m) == {"p0", "p2", "p3"}
+        for name in state.m:
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+    if grads == "beyond_threshold":
+        assert logged[0] > 0.7 and logged[1] == float(np.float32(0.7))
+    else:
+        assert logged == (0.0, 0.0)
 
 
 class TestMfbWeights:
