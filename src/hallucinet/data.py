@@ -93,9 +93,11 @@ def atomic_write(path, mode: str = "w"):
         tmp.unlink(missing_ok=True)
 
 
-def write_json(path, doc):
+def write_json(path, doc, allow_nan: bool = False):
+    """Write `doc` atomically; NaN and the infinities, which are not JSON,
+    raise ValueError unless `allow_nan` is set."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=allow_nan) + "\n")
 
 
 def write_tensor_file(path, tensor: np.ndarray):

@@ -354,7 +354,9 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
                 # mean and var depend on x: dx gains k2*x + k3
                 k2 = -a * inv_std ** 2 * sum_gxc / m
                 k3 = -a * sum_g / m - k2 * mean
-                dx += xv * k2.astype(dtype)[:, None]
+                k2c = k2.astype(dtype)[:, None]
+                for sample in range(n):  # xv * k2 one sample at a time
+                    dx[sample] += xv[sample] * k2c
                 dx += k3.astype(dtype)[:, None]
             _accumulate(x, dx.reshape(x.data.shape))
 
@@ -412,6 +414,22 @@ def gather_channel(x: Tensor, index: np.ndarray) -> Tensor:
     return make_node(data, "gather_channel", (x,), backw)
 
 
+def _mean_softmax(logits: list[Tensor], inv_k) -> np.ndarray:
+    """Channel softmax of the mean of `logits`, in a fresh buffer."""
+    first = logits[0]
+    if len(logits) == 1:
+        p = np.subtract(first.data, first.data.max(axis=1, keepdims=True))
+    else:
+        p = first.data + logits[1].data
+        for t in logits[2:]:
+            p += t.data
+        p *= inv_k
+        p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def softmax_nll(logits: list[Tensor], flat_index: np.ndarray, pixel_w: np.ndarray,
                 scale: float, floor: float) -> Tensor:
     """scale * sum(pixel_w * log(max(p_l, floor))) as one node, with p the
@@ -423,9 +441,10 @@ def softmax_nll(logits: list[Tensor], flat_index: np.ndarray, pixel_w: np.ndarra
     log -> mul -> tsum -> mul (tests/reference_kernels.py), so that
     checkpoints and logged losses do not depend on which one ran: the
     mean is ((a + b) + c) * (1/k) in the dtype, and each step rounds as
-    in that chain. The node keeps the softmax, the label-channel
-    probability and the floor mask; backward turns the softmax buffer
-    into the logits' gradient, the same array for every input.
+    in that chain. The node keeps the label-channel probability and the
+    floor mask; backward rebuilds the softmax from the logits, bit for
+    bit, and turns it into the logits' gradient, the same array for
+    every input.
     """
     first = logits[0]
     for other in logits[1:]:
@@ -433,18 +452,8 @@ def softmax_nll(logits: list[Tensor], flat_index: np.ndarray, pixel_w: np.ndarra
             raise ValueError(f"logit shape mismatch: {other.shape} vs {first.shape}")
     k = len(logits)
     dtype = first.dtype
-    if k == 1:
-        p = np.subtract(first.data, first.data.max(axis=1, keepdims=True))
-    else:
-        p = first.data + logits[1].data
-        for t in logits[2:]:
-            p += t.data
-        inv_k = np.asarray(1.0 / k, dtype=dtype)
-        p *= inv_k
-        p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    p_l = p.take(flat_index)
+    inv_k = np.asarray(1.0 / k, dtype=dtype)
+    p_l = _mean_softmax(logits, inv_k).take(flat_index)
     mask = p_l > floor
     terms = np.maximum(p_l, floor)
     np.log(terms, out=terms)
@@ -460,6 +469,7 @@ def softmax_nll(logits: list[Tensor], flat_index: np.ndarray, pixel_w: np.ndarra
         # adding the other channels' exact zeros turns a -0 into +0
         inner = g * p_l + 0
         label = p_l * (g - inner)
+        p = _mean_softmax(logits, inv_k)
         dx = np.multiply(p, np.subtract(0, inner)[:, None], out=p)
         np.put(dx, flat_index, label)
         if k > 1:

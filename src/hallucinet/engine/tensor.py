@@ -11,6 +11,7 @@ holds no activations for it.
 """
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -267,7 +268,37 @@ def _released(node: Tensor):
                      "its graph was already differentiated")
 
 
-def backward(root: Tensor):
+def _owners(groups) -> dict[int, int]:
+    """Map id(node) -> group index over every graph node a group's tensors
+    reach through their parents; raise if two groups reach one node."""
+    owner: dict[int, int] = {}
+    for g, seeds in enumerate(groups):
+        stack = [t for t in seeds if t.requires_grad]
+        while stack:
+            node = stack.pop()
+            held = owner.setdefault(id(node), g)
+            if held != g:
+                raise ValueError(f"backward groups {held} and {g} share a {node.op} node")
+            stack.extend(p for p in node.parents if owner.get(id(p)) != g)
+    return owner
+
+
+def _run_hooks(nodes: list):
+    """Run and release each node's hook in list order, dropping the list's
+    hold on a node once it has been processed."""
+    for i, node in enumerate(nodes):
+        nodes[i] = None
+        hook = node._backward
+        if hook is None:
+            continue
+        hook(node)
+        node._backward = _released
+        node.parents = ()
+        node.grad = None
+        release(node)
+
+
+def backward(root: Tensor, groups=(), run=None):
     """Populate .grad for every leaf reachable from a scalar root.
 
     Each node's backward hook runs exactly once, in reverse topological
@@ -280,6 +311,18 @@ def backward(root: Tensor):
     grads, and a node the caller holds keeps (or can recompute) its
     value. A released node keeps a hook that raises, and a backward that
     would reach one raises ValueError before touching any gradient.
+
+    `groups` splits the pass. Each group is a list of tensors, and its
+    subgraph is every node they reach through their parents; groups that
+    share a node raise ValueError before any gradient is touched. The
+    nodes of no group, which join the groups, run first, in the order
+    above. Then `run` (by default one after another) gets one task per
+    group, which runs that group's nodes in the same relative order. No
+    node outside a group reads from it, so every hook still runs after
+    the hooks of all nodes that read its output; and where a node is read
+    from inside and outside its group, its gradient sums the same terms,
+    the outside ones first, which is the same sum bit for bit when there
+    are two.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -289,14 +332,16 @@ def backward(root: Tensor):
     for node in order:
         if node._backward is _released:
             _released(node)
+    owner = _owners(groups)
+    parts: list[list] = [[] for _ in range(len(groups) + 1)]  # the joint nodes last
+    for node in reversed(order):
+        parts[owner.get(id(node), -1)].append(node)
+    del order
     root.grad = np.ones_like(root.data)
-    for i in range(len(order) - 1, -1, -1):
-        node, order[i] = order[i], None
-        hook = node._backward
-        if hook is None:
-            continue
-        hook(node)
-        node._backward = _released
-        node.parents = ()
-        node.grad = None
-        release(node)
+    _run_hooks(parts.pop())
+    tasks = [functools.partial(_run_hooks, part) for part in parts]
+    if run is None:
+        for task in tasks:
+            task()
+    else:
+        run(tasks)

@@ -308,7 +308,7 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
     `scenario=<scenario> stage=<bundle.stage>`.
     """
     # tile and halo are ignored, accepted only because the benchmark's
-    # eval workload passes them; benchmark v2 (ROADMAP item 6) drops them.
+    # eval workload passes them; benchmark v2 (ROADMAP item 4) drops them.
     records = manifest.splits.get(split, [])
     if not records:
         raise ValueError(f"split {split!r} is empty")
@@ -349,7 +349,8 @@ def report_table(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path):
-    write_json(path, report.to_json())
+    # a score may be NaN, which load_report reads back
+    write_json(path, report.to_json(), allow_nan=True)
 
 
 def load_report(path) -> EvalReport:

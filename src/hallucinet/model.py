@@ -339,7 +339,7 @@ def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
 
 def _write_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]):
     """Write header and the records it lists, then their CRC32, atomically."""
-    blob = json.dumps(header).encode("utf-8")
+    blob = json.dumps(header, allow_nan=False).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))

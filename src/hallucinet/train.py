@@ -7,8 +7,10 @@ with the target branches frozen up to the tap depth.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +28,6 @@ from .engine import NonFiniteError, Parameter, backward, frozen
 from .losses import (
     ClassWeights,
     GammaPolicy,
-    LossBreakdown,
     calibrate_gamma,
     composite_loss,
     compute_class_weights,
@@ -41,6 +42,7 @@ from .model import (
     init_hallucination_from,
     save_checkpoint,
 )
+from .parallel import branch_workers, run_in_order
 
 
 class DivergenceError(RuntimeError):
@@ -147,12 +149,23 @@ def _tap_prefix(branch: BranchNet) -> list[Parameter]:
 
 
 def _optimizer_round(params, state: AdamState, clip_threshold: float):
-    """Clip, step and clear the gradients; return max |g| before and after clipping."""
+    """Clip, step and clear the gradients; return max |g| before and after clipping.
+
+    A non-finite gradient raises DivergenceError before anything is
+    clipped or moved.
+    """
     grads = [p.grad for p in params]
     # max |g| and its clipped value, at the threshold in g's dtype as the clip
-    # rounds it; abs() makes a max of -0 read 0
-    peaks = [(abs(float(max(g.max(), -g.min()))), float(g.dtype.type(clip_threshold)))
-             for g in grads if g is not None and g.size]
+    # rounds it; abs() makes a max of -0 read 0. max and min propagate NaN,
+    # so a peak is finite exactly when its whole gradient is
+    peaks = []
+    for p, g in zip(params, grads):
+        if g is None or not g.size:
+            continue
+        peak = abs(float(max(g.max(), -g.min())))
+        if not math.isfinite(peak):
+            raise DivergenceError(f"non-finite gradient for {p.name}")
+        peaks.append((peak, float(g.dtype.type(clip_threshold))))
     pre = max((peak for peak, _ in peaks), default=0.0)
     post = max((min(peak, cap) for peak, cap in peaks), default=0.0)
     clip_gradients(grads, clip_threshold)
@@ -174,20 +187,23 @@ def mfb_class_weights(frequencies: np.ndarray, enabled: bool = True) -> ClassWei
 
 
 def _fit(tag: str, params: list[Parameter], batches, loss_terms, lr: float,
-         clip_threshold: float, log: list, gamma: float | None = None):
+         clip_threshold: float, log: list, gamma: float | None = None, run=run_in_order):
     """Adam on `params` over `batches`, one logged step per batch.
 
-    `loss_terms(batch, labels)` returns (named term tensors, total); the
-    total is minimized and every term's value is logged.
+    `loss_terms(batch, labels)` returns (named term tensors, total,
+    branch groups); the total is minimized and every term's value is
+    logged. The backward pass runs each group of tensors' subgraph as one
+    task of `run` (`engine.backward`).
     """
     state = AdamState(lr=lr)
     step = 0
     try:
         for step, (batch, labels) in enumerate(batches):
-            terms, total = loss_terms(batch, labels)
+            terms, total, groups = loss_terms(batch, labels)
             values = {name: term.item() for name, term in terms.items()}
             value = total.item()
-            backward(total)
+            backward(total, groups, run)
+            del groups  # the branch outputs, freed before the next forward
             pre, post = _optimizer_round(params, state, clip_threshold)
             log.append({"stage": tag, "step": step, "terms": values, "total": value,
                         "gamma": gamma, "grad_max_pre": pre, "grad_max_post": post})
@@ -200,7 +216,7 @@ def _own_loss(branch: BranchNet, modality: str, weights: ClassWeights):
     def loss_terms(batch, labels):
         loss = weighted_cross_entropy(branch.forward(batch[modality], "train").logits,
                                       labels, weights)
-        return {branch.role: loss}, loss
+        return {branch.role: loss}, loss, ()
     return loss_terms
 
 
@@ -228,24 +244,50 @@ def _start(manifest: DatasetManifest, config: TrainConfig, out_dir):
 
 def _pretrain(manifest: DatasetManifest, model_config: BranchConfig, config: TrainConfig,
               weights: ClassWeights, log: list, role_modalities: dict[str, str], tag: str,
-              sampler_seed: int, stream: int, steps: int) -> dict[str, BranchNet]:
+              sampler_seed: int, stream: int, steps: int,
+              run=run_in_order) -> dict[str, BranchNet]:
     """Build branch i of `role_modalities` from rng stream `stream + i` and
-    fit it alone on its own cross-entropy, every branch on the same batches."""
+    fit it alone on its own cross-entropy, every branch on the same batches.
+
+    Each branch is one task of `run`, with its own batch stream and log
+    records, which join `log` in roster order.
+    """
     sampler = PatchSampler(manifest, "train", config.patch, config.batch_size,
                            seed=sampler_seed, modalities=list(role_modalities.values()))
-    branches = {}
-    for i, (role, mod) in enumerate(role_modalities.items()):
+
+    def fit(i, role, mod):
         branch = build_branch(model_config, manifest.modality_channels(mod), role,
                               np.random.default_rng([config.seed, stream + i]))
+        records = []
         _fit(f"{tag}:{role}", branch.parameters(), sampler.batches(steps),
-             _own_loss(branch, mod, weights), config.lr_stage1, config.clip_threshold, log)
-        branches[role] = branch
-    return branches
+             _own_loss(branch, mod, weights), config.lr_stage1, config.clip_threshold,
+             records)
+        return branch, records
+
+    fitted = run([functools.partial(fit, i, role, mod)
+                  for i, (role, mod) in enumerate(role_modalities.items())])
+    for _, records in fitted:
+        log.extend(records)
+    return {role: branch for role, (branch, _) in zip(role_modalities, fitted)}
 
 
-def _forward_joint(bundle: ModelBundle, roles: list[str], batch):
-    return {role: bundle.branches[role].forward(batch[bundle.input_modality(role)], "train")
-            for role in roles}
+def _forward_joint(bundle: ModelBundle, roles: list[str], batch, run):
+    """Each role's train-mode forward, one task of `run` per branch."""
+    outputs = run([functools.partial(bundle.branches[role].forward,
+                                     batch[bundle.input_modality(role)], "train")
+                   for role in roles])
+    return dict(zip(roles, outputs))
+
+
+def _mmap_threshold(model_config: BranchConfig, config: TrainConfig) -> int:
+    """Half the bytes of a step's largest activation, the first conv unit's
+    output: from this size up, malloc maps blocks and unmaps them when
+    freed (`parallel.branch_workers`). At the default that is 4 MiB, so the
+    second block's activations and the logits are mapped too; the full
+    8 MiB left them in the heap and read 2-5% more peak RSS, and a quarter
+    cost 8% in step time (train-single)."""
+    side = config.patch.size // model_config.first_conv_stride
+    return config.batch_size * model_config.blocks[0][0] * side * side * 4 // 2  # float32
 
 
 def _checkpoint(bundle: ModelBundle, out_dir, name: str):
@@ -285,41 +327,45 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     weights, log = _start(manifest, config, out_dir)
     role_modalities = dict(zip(ROSTER, mods))
     roles = list(role_modalities)[1:]
+    # the branches of each stage run as tasks of `run`
+    with branch_workers(_mmap_threshold(model_config, config)) as run:
+        branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
+                             "stage1", config.seed * 10 + 1, 1, config.stage1_steps, run)
+        bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
+        _checkpoint(bundle, out_dir, "stage1")
 
-    branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
-                         "stage1", config.seed * 10 + 1, 1, config.stage1_steps)
-    bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
-    _checkpoint(bundle, out_dir, "stage1")
+        rgb_ch = manifest.modality_channels(mods[0])
+        for j, role in enumerate(roles):  # stream 2k+1+j: 3 for single, 5 and 6 for multi
+            rng = np.random.default_rng([config.seed, 2 * len(roles) + 1 + j])
+            bundle.branches[f"hal_{role}"] = init_hallucination_from(branches[role], rgb_ch,
+                                                                     rng)
+        bundle.stage = "stage2"
+        _checkpoint(bundle, out_dir, "stage2")
 
-    rgb_ch = manifest.modality_channels(mods[0])
-    for j, role in enumerate(roles):  # stream 2k+1+j: 3 for single, 5 and 6 for multi
-        rng = np.random.default_rng([config.seed, 2 * len(roles) + 1 + j])
-        bundle.branches[f"hal_{role}"] = init_hallucination_from(branches[role], rgb_ch, rng)
-    bundle.stage = "stage2"
-    _checkpoint(bundle, out_dir, "stage2")
+        sampler4 = PatchSampler(manifest, "train", config.patch, config.batch_size,
+                                seed=config.seed * 10 + 4, modalities=mods)
+        joint = ["rgb", *roles, *(f"hal_{r}" for r in roles)]
 
-    sampler4 = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                            seed=config.seed * 10 + 4, modalities=mods)
-    joint = ["rgb", *roles, *(f"hal_{r}" for r in roles)]
+        def forward_loss(batch, labels, gamma):
+            outputs = _forward_joint(bundle, joint, batch, run)
+            return outputs, composite_loss(outputs, labels, weights, gamma)
 
-    def breakdown_for(batch, labels, gamma) -> LossBreakdown:
-        return composite_loss(_forward_joint(bundle, joint, batch), labels, weights, gamma)
+        gamma = _calibrate(bundle, sampler4, forward_loss, config, log)
 
-    gamma = _calibrate(bundle, sampler4, breakdown_for, config, log)
+        def joint_loss(batch, labels):
+            outputs, bd = forward_loss(batch, labels, gamma)
+            # one backward group per branch: its subgraph from its logits and tap
+            return bd.terms, bd.total, [[out.logits, out.tap] for out in outputs.values()]
 
-    def joint_loss(batch, labels):
-        bd = breakdown_for(batch, labels, gamma)
-        return bd.terms, bd.total
-
-    calibration = config.gamma.sample_batches  # those batches are not trained on
-    batches = itertools.islice(sampler4.batches(calibration + config.stage4_steps),
-                               calibration, None)
-    params = [p for role in joint for p in bundle.branches[role].parameters()]
-    with frozen(p for role in roles for p in _tap_prefix(bundle.branches[role])):
-        _fit("stage4", params, batches, joint_loss, config.lr_stage4,
-             config.clip_threshold, log, gamma)
-    bundle.stage = "stage4"
-    _checkpoint(bundle, out_dir, "stage4")
+        calibration = config.gamma.sample_batches  # those batches are not trained on
+        batches = itertools.islice(sampler4.batches(calibration + config.stage4_steps),
+                                   calibration, None)
+        params = [p for role in joint for p in bundle.branches[role].parameters()]
+        with frozen(p for role in roles for p in _tap_prefix(bundle.branches[role])):
+            _fit("stage4", params, batches, joint_loss, config.lr_stage4,
+                 config.clip_threshold, log, gamma, run)
+        bundle.stage = "stage4"
+        _checkpoint(bundle, out_dir, "stage4")
     _write_log(out_dir, log)
     return bundle, log
 
@@ -328,12 +374,12 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
 run_protocol_single = run_protocol_multi = run_protocol
 
 
-def _calibrate(bundle, sampler, breakdown_for, config: TrainConfig, log) -> float:
+def _calibrate(bundle, sampler, forward_loss, config: TrainConfig, log) -> float:
     """Stage 3: compute gamma on the leading calibration batches."""
     gammas = []
     for step, (batch, labels) in enumerate(sampler.batches(config.gamma.sample_batches)):
         with frozen(bundle.parameters()):  # values only: no graph
-            bd = breakdown_for(batch, labels, 1.0)
+            _, bd = forward_loss(batch, labels, 1.0)
         gammas.append(calibrate_gamma(bd, config.gamma))
         log.append({"stage": "stage3", "step": step,
                     "terms": bd.term_values(), "total": bd.total_value(),
@@ -363,4 +409,4 @@ def _write_log(out_dir, log, name: str = "train_log.jsonl"):
         return
     with atomic_write(Path(out_dir) / name) as fh:
         for record in log:
-            fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps(record, allow_nan=False) + "\n")

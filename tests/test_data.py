@@ -311,6 +311,21 @@ class TestAtomicWrite:
         assert (tmp_path / "train_log.jsonl").read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["train_log.jsonl"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_artifacts_refuse_non_json_numbers(self, tmp_path, value):
+        # json.dumps would write the bare tokens NaN and Infinity
+        from hallucinet.data import write_json
+        from hallucinet.model import _write_checkpoint
+        from hallucinet.train import _write_log
+
+        with pytest.raises(ValueError):
+            _write_log(tmp_path, [{"step": 0, "grad_max_pre": value}])
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "doc.json", {"x": [1.0, value]})
+        with pytest.raises(ValueError):
+            _write_checkpoint(tmp_path / "c.ckpt", {"x": value, "tensors": []}, {})
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSynthetic:
     def test_same_seed_bit_identical(self, tmp_path):

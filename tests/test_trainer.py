@@ -111,6 +111,25 @@ class TestAdam:
         assert snapshot() == before
 
 
+@pytest.mark.parametrize("bad", [[np.inf, 0.5, -np.inf], [0.5, np.nan, 0.25]])
+def test_optimizer_round_rejects_non_finite_before_clipping(bad):
+    """A non-finite gradient is neither clamped nor applied: the round
+    raises with the parameters, the moments and the step count untouched."""
+    p = Parameter(np.ones(3, dtype=np.float32), "p")
+    state = AdamState(lr=0.1)
+    p.grad = np.full(3, 0.5, np.float32)
+    train_mod._optimizer_round([p], state, 1.0)
+
+    def snapshot():
+        return p.data.tobytes(), state.m["p"].tobytes(), state.v["p"].tobytes(), state.step_count
+
+    before = snapshot()
+    p.grad = np.array(bad, dtype=np.float32)
+    with pytest.raises(DivergenceError, match="gradient for p$"):
+        train_mod._optimizer_round([p], state, 1.0)
+    assert snapshot() == before
+
+
 def _float_bits(value: float) -> bytes:
     return np.float64(value).tobytes()
 
