@@ -31,6 +31,7 @@ from .model import (
     load_checkpoint,
     select_branches,
 )
+from .parallel import limit_blas_threads
 from .synthetic import SyntheticConfig, generate_synthetic
 from .train import DivergenceError, TrainConfig, check_protocol, run_protocol
 
@@ -77,6 +78,8 @@ def resolve_config(doc) -> RunConfig:
     if synth is not None:
         synth = dict(typed(dict, synth, "data.synthetic"))
         seed = typed(int, synth.pop("seed", 0), "data.synthetic.seed")
+        if seed < 0:
+            raise ConfigError(f"data.synthetic.seed must be non-negative, got {seed}")
         synth = build(SyntheticConfig, synth, "data.synthetic")
     return RunConfig(manifest=typed(str | None, data.get("manifest"), "data.manifest"),
                      seed=seed, synthetic=synth,
@@ -324,12 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _limit_threads():
-    """Apply the HALLUCINET_THREADS cap to the BLAS pools numpy has loaded.
-
-    BLAS reads thread variables from the environment only when it loads,
-    which has happened by now, so the cap needs threadpoolctl; without it
-    a warning says that the cap was not applied.
-    """
+    """Apply the HALLUCINET_THREADS cap to the BLAS numpy has loaded, through
+    the thread control `parallel` owns; warn if there is none."""
     cap = os.environ.get("HALLUCINET_THREADS")
     if not cap:
         return
@@ -339,13 +338,9 @@ def _limit_threads():
         threads = 0
     if threads < 1:
         raise ConfigError(f"HALLUCINET_THREADS must be a positive integer, got {cap!r}")
-    try:
-        import threadpoolctl
-    except ImportError:
-        print("warning: threadpoolctl is not installed; HALLUCINET_THREADS was not applied",
-              file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(threads)
+    if not limit_blas_threads(threads):
+        print("warning: neither threadpoolctl nor an OpenBLAS thread control is available; "
+              "HALLUCINET_THREADS was not applied", file=sys.stderr)
 
 
 def main(argv=None) -> int:

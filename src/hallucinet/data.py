@@ -246,6 +246,8 @@ class PatchSpec:
     rotations: bool = True
 
     def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"train.patch.size must be at least 1, got {self.size}")
         if not 0 <= self.overlap < 1:
             raise ValueError("overlap must be in [0, 1)")
 
@@ -321,12 +323,11 @@ class PatchSampler:
     """
 
     def __init__(self, manifest: DatasetManifest, split: str, spec: PatchSpec,
-                 batch_size: int, seed: int, modalities=None):
+                 batch_size: int, seed: int, modalities):
         self.spec = spec
         self.batch_size = batch_size
         self.seed = seed
-        self.modalities = list(modalities) if modalities is not None \
-            else [m.name for m in manifest.modalities]
+        self.modalities = list(modalities)
         self.scenes = []
         self.index: list[tuple[int, int, int]] = []
         records = manifest.splits.get(split, [])

@@ -10,7 +10,6 @@ restoring input resolution. The activation after the pooling layer at
 from __future__ import annotations
 
 import json
-import re
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -36,10 +35,7 @@ from .engine import (
 from .losses import fuse_logits, fusion_roster
 
 CHECKPOINT_MAGIC = b"HCKP"
-# 3 drops the conv biases of the conv-BN-ReLU units; 2 and 3 end with a
-# CRC32 of the tensor records, 1 has none
-CHECKPOINT_VERSION = 3
-_CONV_BIAS = re.compile(r"(.+/block\d+)/conv(\d+)/bias")  # formats 1 and 2 only
+CHECKPOINT_VERSION = 3  # the one version written and read
 
 # Branch roles in routing order: rgb reads the always-available modality,
 # the optional roles follow. Training names its k optional roles from here.
@@ -361,21 +357,19 @@ def _read_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if header.get("format") != "hallucinet-checkpoint":
         raise CheckpointError("not a checkpoint file (bad header)")
     version = header.get("format_version")
-    if version not in (1, 2, CHECKPOINT_VERSION):
-        raise CheckpointError(f"unsupported checkpoint format version {version!r}")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint format version {json.dumps(version)}")
     start = offset = 8 + hlen
     tensors: dict[str, np.ndarray] = {}
     for name in header["tensors"]:
         arr, offset = tensor_from_bytes(blob, offset)
         tensors[name] = arr
-    checksummed = version >= 2
-    extra = len(blob) - offset - (4 if checksummed else 0)
+    extra = len(blob) - offset - 4
     if extra < 0:
         raise CheckpointError("truncated checksum")
     if extra > 0:
         raise CheckpointError(f"{extra} trailing bytes after the last record")
-    if checksummed and (
-            zlib.crc32(memoryview(blob)[start:offset]) != struct.unpack_from("<I", blob, offset)[0]):
+    if zlib.crc32(memoryview(blob)[start:offset]) != struct.unpack_from("<I", blob, offset)[0]:
         raise CheckpointError("tensor records do not match their checksum")
     return header, tensors
 
@@ -391,21 +385,7 @@ def load_checkpoint(path) -> ModelBundle:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
 
 
-def _fold_conv_biases(tensors: dict[str, np.ndarray]):
-    """Move the conv biases of formats 1 and 2 into the running means.
-
-    A bias in front of batchnorm cancels in train mode, and in infer mode
-    BN(conv + b) with running mean rm equals BN(conv) with rm - b.
-    """
-    for name in [n for n in tensors if _CONV_BIAS.fullmatch(n)]:
-        block, idx = _CONV_BIAS.fullmatch(name).groups()
-        mean = f"{block}/bn{idx}/running_mean"
-        tensors[mean] = tensors[mean] - tensors.pop(name)
-
-
 def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> ModelBundle:
-    if header["format_version"] < 3:
-        _fold_conv_biases(tensors)
     config = build(BranchConfig, header["config"], "config")
     branches: dict[str, BranchNet] = {}
     rng = np.random.default_rng(0)  # values are overwritten below

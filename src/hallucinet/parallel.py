@@ -6,19 +6,20 @@ releases the interpreter lock in its GEMMs, copies and ufuncs, so the
 threads overlap, and a branch does the same arithmetic on any thread, so
 results do not depend on the worker count.
 
-The thread budget is the BLAS thread count the process already has, as
-HALLUCINET_THREADS (applied through threadpoolctl), OPENBLAS_NUM_THREADS
-or the usable cores set it. Inside `branch_workers`, BLAS runs one
-thread per worker, capped through threadpoolctl where it is installed
-and through the loaded OpenBLAS's own `*set_num_threads*` where it is
-not; with neither, the tasks run one after another, after one warning.
+This module owns the BLAS thread count. It reads and sets it through
+threadpoolctl where that is installed, and through the loaded OpenBLAS's
+own `*set_num_threads*` where it is not; `limit_blas_threads` applies
+HALLUCINET_THREADS that way. The thread budget is the count the process
+already has, as HALLUCINET_THREADS, OPENBLAS_NUM_THREADS or the usable
+cores set it. Inside `branch_workers`, BLAS runs one thread per worker;
+with neither control, the tasks run one after another, after one warning.
 """
 from __future__ import annotations
 
 import ctypes
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 # glibc mallopt parameters (malloc.h)
@@ -57,21 +58,21 @@ def _openblas_symbols() -> list[tuple]:
     return found
 
 
-@contextmanager
-def _openblas_limit(symbols, threads: int):
-    saved = [get() for get, _ in symbols]
-    for _, put in symbols:
+def _openblas_limit(symbols, threads: int) -> ExitStack:
+    """Set every loaded OpenBLAS to `threads` now; leaving the returned
+    context puts back the counts they had."""
+    restore = ExitStack()
+    for get, put in symbols:
+        restore.callback(put, get())
         put(threads)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(symbols, saved):
-            put(n)
+    return restore
 
 
 def _blas_control():
-    """(thread count, limit) of the loaded BLAS, where `limit(n)` is a
-    context that holds it at n threads; None if nothing can set it."""
+    """(thread count, limit) of the loaded BLAS, where `limit(n)` sets it
+    to n threads at once and returns a context that puts back the old
+    count on exit, like threadpoolctl's `threadpool_limits`; None if
+    nothing can set it."""
     try:
         import threadpoolctl
     except ImportError:
@@ -85,6 +86,15 @@ def _blas_control():
     if symbols:
         return max(get() for get, _ in symbols), lambda n: _openblas_limit(symbols, n)
     return None
+
+
+def limit_blas_threads(threads: int) -> bool:
+    """Set the loaded BLAS to `threads` threads for the rest of the
+    process; False if nothing can set it."""
+    control = _blas_control()
+    if control is not None:
+        control[1](threads)
+    return control is not None
 
 
 def _malloc_policy(mmap_threshold: int):

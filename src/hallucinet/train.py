@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("step budgets and batch size must be positive")
         if self.clip_threshold <= 0:
             raise ValueError("clip threshold must be positive")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be non-negative, got {self.seed}")
 
     def baseline_budget(self) -> int:
         return self.baseline_steps if self.baseline_steps is not None \

@@ -114,6 +114,11 @@ class TestConfigSchema:
         ("train", {"seed": True}, "train.seed"),
         ("data.synthetic", {"road_width": [0.05]}, "data.synthetic.road_width"),
         ("train", {"baseline_steps": 1.0}, "train.baseline_steps"),
+        # out of range: refused as the config is built, before anything is written
+        ("train", {"patch": {"size": 0}}, "train.patch.size"),
+        ("train", {"patch": {"size": -64}}, "train.patch.size"),
+        ("data.synthetic", {"seed": -1}, "data.synthetic.seed"),
+        ("train", {"seed": -1}, "train.seed"),
     ])
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_wrong_type_exit_two(self, tmp_path, capsys, command, section, doc, key):
@@ -626,6 +631,28 @@ class TestCorruptCheckpoint:
         assert code == 5
 
 
+    @pytest.mark.parametrize("version", [1, 2, True])
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_old_format_version_exit_five(self, trained, tmp_path, capsys, command, version):
+        # every version but 3 is refused by name, true (== 1 in Python) too;
+        # the flipped payload byte would also fail the checksum
+        import hallucinet.model as model_mod
+
+        _, out = trained
+        header, tensors = model_mod._read_checkpoint(
+            (out / "checkpoint_stage4.ckpt").read_bytes())
+        header["format_version"] = version
+        ckpt = tmp_path / "old.ckpt"
+        model_mod._write_checkpoint(ckpt, header, tensors)
+        ckpt.write_bytes(_flip_middle_byte(ckpt.read_bytes()))
+        if command == "eval":
+            args = ["eval", "--manifest", str(out / "dataset" / "manifest.json")]
+        else:
+            args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005")]
+        code = main(args + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert f"format version {json.dumps(version)}" in capsys.readouterr().err
+
     def test_unused_tensor_exit_five(self, trained, tmp_path):
         import hallucinet.model as model_mod
 
@@ -648,7 +675,8 @@ class TestThreadCap:
 
         calls = []
         fake = types.ModuleType("threadpoolctl")
-        fake.threadpool_limits = calls.append
+        fake.threadpool_info = lambda: [{"user_api": "blas", "num_threads": 2}]
+        fake.threadpool_limits = lambda threads, user_api=None: calls.append((threads, user_api))
         monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
         return calls
 
@@ -656,7 +684,28 @@ class TestThreadCap:
         calls = self._fake_threadpoolctl(monkeypatch)
         monkeypatch.setenv("HALLUCINET_THREADS", "2")
         assert main(["grad-check", "--points", "1"]) == 0
-        assert calls == [2]
+        assert calls == [(2, "blas")]
+
+    def test_cap_applied_through_openblas(self, monkeypatch, capsys):
+        import sys
+
+        import hallucinet.parallel as parallel
+
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        symbols = parallel._openblas_symbols()
+        if not symbols:
+            pytest.skip("numpy has loaded no OpenBLAS")
+        saved = [get() for get, _ in symbols]
+        monkeypatch.setenv("HALLUCINET_THREADS", "1")
+        try:
+            for _, put in symbols:
+                put(2)
+            assert main(["grad-check", "--points", "1"]) == 0
+            assert [get() for get, _ in symbols] == [1] * len(symbols)
+        finally:
+            for (_, put), n in zip(symbols, saved):
+                put(n)
+        assert "warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("cap", ["two", "0", "-1", "1.5"])
     def test_bad_cap_exits_two(self, monkeypatch, cap):
@@ -669,7 +718,10 @@ class TestThreadCap:
         import os
         import sys
 
+        import hallucinet.parallel as parallel
+
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        monkeypatch.setattr(parallel, "_openblas_symbols", lambda: [])  # and no OpenBLAS
         monkeypatch.setenv("HALLUCINET_THREADS", "2")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         assert main(["grad-check", "--points", "1"]) == 0

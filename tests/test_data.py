@@ -119,6 +119,9 @@ class TestPatchGrid:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PatchSpec(overlap=1.0)
+        for size in (0, -64):
+            with pytest.raises(ValueError, match="train.patch.size must be at least 1"):
+                PatchSpec(size=size)
 
 
 class TestAugment:
@@ -394,10 +397,12 @@ class TestSynthetic:
 
 
 class TestPatchSampler:
+    MODALITIES = ["color", "height"]
+
     def test_deterministic_batches(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
-        s1 = PatchSampler(tiny_dataset, "train", spec, 4, seed=9)
-        s2 = PatchSampler(tiny_dataset, "train", spec, 4, seed=9)
+        s1 = PatchSampler(tiny_dataset, "train", spec, 4, seed=9, modalities=self.MODALITIES)
+        s2 = PatchSampler(tiny_dataset, "train", spec, 4, seed=9, modalities=self.MODALITIES)
         for (b1, l1), (b2, l2) in zip(s1.epoch(0), s2.epoch(0)):
             assert np.array_equal(l1, l2)
             for k in b1:
@@ -405,13 +410,13 @@ class TestPatchSampler:
 
     def test_epochs_differ(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
-        s = PatchSampler(tiny_dataset, "train", spec, 4, seed=9)
+        s = PatchSampler(tiny_dataset, "train", spec, 4, seed=9, modalities=self.MODALITIES)
         l0 = next(iter(s.epoch(0)))[1]
         l1 = next(iter(s.epoch(1)))[1]
         assert not np.array_equal(l0, l1)
 
     def test_batches_counts_steps(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
-        s = PatchSampler(tiny_dataset, "train", spec, 4, seed=9)
+        s = PatchSampler(tiny_dataset, "train", spec, 4, seed=9, modalities=self.MODALITIES)
         n = sum(1 for _ in s.batches(2 * s.patches_per_epoch // 4 + 3))
         assert n == 2 * s.patches_per_epoch // 4 + 3

@@ -477,12 +477,18 @@ class TestCheckpointRobustness:
         assert sorted(p.name for p in saved.parent.iterdir()) == ["m.ckpt"]
 
     def test_unknown_format_version_rejected(self, saved):
-        blob = saved.read_bytes()
-        old = b'"format_version": 3,'
-        assert old in blob
-        saved.write_bytes(blob.replace(old, b'"format_version": 9,'))
-        with pytest.raises(CheckpointError, match="version 9"):
-            load_checkpoint(saved)
+        import json
+
+        import hallucinet.model as model_mod
+
+        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        assert header["format_version"] == 3
+        # true equals 1 in Python but is no version
+        for version in (1, 2, True, 9):
+            header["format_version"] = version
+            model_mod._write_checkpoint(saved, header, tensors)
+            with pytest.raises(CheckpointError, match=f"version {json.dumps(version)}$"):
+                load_checkpoint(saved)
 
     def test_trailing_bytes_rejected(self, saved):
         saved.write_bytes(saved.read_bytes() + b"\x00")
@@ -502,46 +508,6 @@ class TestCheckpointRobustness:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(saved)
 
-    def test_version_two_conv_biases_fold_into_running_mean(self, tiny_config, tmp_path, rng):
-        import hallucinet.model as model_mod
-
-        bundle = _bundle(tiny_config, {"rgb": 3, "depth": 1, "hal_depth": 3},
-                         {"rgb": "color", "depth": "height"})
-        for branch in bundle.branches.values():
-            for unit in (u for units in branch.blocks for u in units):
-                c = unit.state.running_mean.shape[0]
-                unit.state.running_mean = rng.normal(size=c).astype(np.float32)
-                unit.state.running_var = rng.uniform(0.5, 2.0, size=c).astype(np.float32)
-        new_path, old_path = tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
-        save_checkpoint(bundle, new_path, stage="stage4")
-        header, tensors = model_mod._read_checkpoint(new_path.read_bytes())
-        # a format-2 file: every conv unit has a bias, and since BN(conv + b)
-        # with running mean rm + b is BN(conv) with rm, it predicts the same
-        biases, names = {}, []
-        for name in header["tensors"]:
-            names.append(name)
-            if name.endswith("/weight") and "/block" in name:
-                bias = name[:-len("weight")] + "bias"
-                mean = bias.replace("/conv", "/bn").replace("/bias", "/running_mean")
-                biases[mean] = tensors[bias] = rng.normal(size=tensors[mean].shape).astype(np.float32)
-                tensors[mean] = tensors[mean] + biases[mean]
-                names.append(bias)
-        header.update(format_version=2, tensors=names)
-        model_mod._write_checkpoint(old_path, header, tensors)
-        loaded = load_checkpoint(old_path)
-        assert not [p.name for p in loaded.parameters() if "/conv" in p.name
-                    and p.name.endswith("/bias")]
-        assert [p.name for p in loaded.parameters()] == [p.name for p in bundle.parameters()]
-        for role, branch in loaded.branches.items():
-            for name, arr in branch.buffers().items():
-                if name.endswith("/running_mean"):
-                    assert np.array_equal(arr, tensors[name] - biases[name])
-        inputs = {"color": rng.random((1, 3, 64, 64), dtype=np.float32),
-                  "height": rng.random((1, 1, 64, 64), dtype=np.float32)}
-        for avail in ({"depth": True}, {"depth": False}):
-            want = predict_probs(bundle, inputs, avail)
-            assert np.abs(predict_probs(loaded, inputs, avail) - want).max() <= 1e-5
-
     def test_unused_tensor_rejected(self, saved):
         import hallucinet.model as model_mod
 
@@ -551,28 +517,3 @@ class TestCheckpointRobustness:
         model_mod._write_checkpoint(saved, header, tensors)
         with pytest.raises(CheckpointError, match="rgb/block0/extra"):
             load_checkpoint(saved)
-
-    def test_version_one_without_checksum_loads(self, saved):
-        import json
-        import struct
-
-        blob = saved.read_bytes()
-        (hlen,) = struct.unpack_from("<I", blob, 4)
-        header = json.loads(blob[8:8 + hlen])
-        assert header["format_version"] == 3
-        header["format_version"] = 1
-        head = json.dumps(header).encode("utf-8")
-        # a version-1 file: the same header and records, no checksum after them
-        v1 = blob[:4] + struct.pack("<I", len(head)) + head + blob[8 + hlen:-4]
-        v1_path = saved.with_name("v1.ckpt")
-        v1_path.write_bytes(v1)
-        old, new = load_checkpoint(v1_path), load_checkpoint(saved)
-        assert old.stage == new.stage == "stage1"
-        for role in new.branches:
-            for p, q in zip(old.branches[role].parameters(), new.branches[role].parameters()):
-                assert p.name == q.name and np.array_equal(p.data, q.data)
-            for name, arr in new.branches[role].buffers().items():
-                assert np.array_equal(old.branches[role].buffers()[name], arr)
-        v1_path.write_bytes(v1 + b"\x00")
-        with pytest.raises(CheckpointError, match="trailing"):
-            load_checkpoint(v1_path)
