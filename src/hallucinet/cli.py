@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import run_gradcheck_suite
 from .config import ConfigError, build, check_keys, keywords, typed
-from .data import atomic_write, load_manifest, read_tensor_file, write_json, write_tensor_file
+from .data import atomic_write, load_manifest, read_rasters, write_json, write_tensor_file
 from .evaluate import evaluate, plan_windows, report_table, save_report, tiled_inference
 from .model import (
     BranchConfig,
@@ -160,6 +160,9 @@ def cmd_train(args) -> int:
     elif config.synthetic is not None:
         model_config = config.branch_config(config.synthetic.class_count)
         modalities = config.synthetic.modalities
+        if config.train.patch.size > config.synthetic.size:
+            raise ConfigError(f"train.patch.size {config.train.patch.size} is larger than the "
+                              f"scenes of data.synthetic.size {config.synthetic.size}")
     else:
         raise ConfigError("data section needs a manifest path or a synthetic block")
     check_protocol(modalities, model_config, config.train)  # before anything is written
@@ -180,10 +183,15 @@ def _load_bundle_checked(path, manifest):
         raise CheckpointError(
             f"checkpoint has {bundle.config.class_count} classes, "
             f"manifest {manifest.class_count}")
-    known = {m.name for m in manifest.modalities}
+    channels = {m.name: m.channels for m in manifest.modalities}
     for role, mod in bundle.role_modalities.items():
-        if mod not in known:
+        if mod not in channels:
             raise CheckpointError(f"checkpoint branch {role} reads unknown modality {mod!r}")
+    for role, branch in bundle.branches.items():
+        mod = bundle.input_modality(role)
+        if branch.input_channels != channels[mod]:
+            raise CheckpointError(f"checkpoint branch {role} takes {branch.input_channels} "
+                                  f"channels of {mod!r}, the manifest gives {channels[mod]}")
     return bundle
 
 
@@ -244,15 +252,7 @@ def cmd_infer(args) -> int:
     availability = bundle.availability_from_modalities(flags)
     selected = select_branches(bundle, availability)
 
-    scene_dir = Path(args.scene)
-    needed = sorted({bundle.input_modality(role) for role in selected})
-    rasters = {}
-    for mod in needed:
-        path = scene_dir / f"{mod}.mtns"
-        if not path.exists():
-            raise MissingModalityError(f"scene lacks required modality file {path}")
-        rasters[mod] = read_tensor_file(path)
-
+    rasters = read_rasters(args.scene, sorted({bundle.input_modality(role) for role in selected}))
     class_map = tiled_inference(bundle, rasters, availability)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

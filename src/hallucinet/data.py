@@ -215,6 +215,22 @@ def read_labels(manifest: DatasetManifest, scene_id: str) -> np.ndarray:
     return labels
 
 
+def read_rasters(scene_dir, names) -> dict[str, np.ndarray]:
+    """The (C,H,W) float raster of each modality in `names` in a scene directory; a missing
+    file raises MissingModalityError and one of another rank ValueError, naming the file."""
+    rasters = {}
+    for name in names:
+        path = Path(scene_dir) / f"{name}.mtns"
+        try:
+            arr = read_tensor_file(path)
+        except FileNotFoundError:
+            raise MissingModalityError(f"scene lacks required modality file {path}") from None
+        if arr.ndim != 3:
+            raise ValueError(f"modality raster {path} must be (C,H,W), got shape {arr.shape}")
+        rasters[name] = arr.astype(np.float32, copy=False)
+    return rasters
+
+
 def load_scene(manifest: DatasetManifest, scene_id: str,
                modalities=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Load (C,H,W) float rasters per modality and the (H,W) uint8 labels.
@@ -222,17 +238,12 @@ def load_scene(manifest: DatasetManifest, scene_id: str,
     Every raster must have the labels' extent.
     """
     names = modalities if modalities is not None else [m.name for m in manifest.modalities]
-    scene_dir = manifest.scene_dir(scene_id)
     labels = read_labels(manifest, scene_id)
-    rasters = {}
-    for name in names:
-        arr = read_tensor_file(scene_dir / f"{name}.mtns")
-        if arr.ndim != 3:
-            raise ValueError(f"modality raster {name} must be (C,H,W)")
+    rasters = read_rasters(manifest.scene_dir(scene_id), names)
+    for name, arr in rasters.items():
         if arr.shape[1:] != labels.shape:
             raise ValueError(f"scene {scene_id}: raster {name} is {arr.shape[1]}x{arr.shape[2]}, "
                              f"labels are {labels.shape[0]}x{labels.shape[1]}")
-        rasters[name] = arr.astype(np.float32, copy=False)
     return rasters, labels
 
 

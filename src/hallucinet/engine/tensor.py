@@ -16,6 +16,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ..parallel import run_in_order
+
 FLOAT_DTYPES = (np.float32, np.float64)
 
 
@@ -298,7 +300,7 @@ def _run_hooks(nodes: list):
         release(node)
 
 
-def backward(root: Tensor, groups=(), run=None):
+def backward(root: Tensor, groups=(), run=run_in_order):
     """Populate .grad for every leaf reachable from a scalar root.
 
     Each node's backward hook runs exactly once, in reverse topological
@@ -316,7 +318,7 @@ def backward(root: Tensor, groups=(), run=None):
     subgraph is every node they reach through their parents; groups that
     share a node raise ValueError before any gradient is touched. The
     nodes of no group, which join the groups, run first, in the order
-    above. Then `run` (by default one after another) gets one task per
+    above. Then `run` (by default `run_in_order`) gets one task per
     group, which runs that group's nodes in the same relative order. No
     node outside a group reads from it, so every hook still runs after
     the hooks of all nodes that read its output; and where a node is read
@@ -339,9 +341,4 @@ def backward(root: Tensor, groups=(), run=None):
     del order
     root.grad = np.ones_like(root.data)
     _run_hooks(parts.pop())
-    tasks = [functools.partial(_run_hooks, part) for part in parts]
-    if run is None:
-        for task in tasks:
-            task()
-    else:
-        run(tasks)
+    run([functools.partial(_run_hooks, part) for part in parts])

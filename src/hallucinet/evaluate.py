@@ -12,7 +12,7 @@ import numpy as np
 from .config import build
 from .data import DatasetManifest, axis_origins, load_scene, write_json
 from .losses import IGNORE_LABEL
-from .model import BranchConfig, MissingModalityError, ModelBundle, predict, select_branches
+from .model import BranchConfig, ModelBundle, predict, select_branches
 
 EROSION_RADIUS = 3
 
@@ -316,11 +316,7 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
     for rec in records:
         availability = _forced_availability(bundle, scenario, rec.availability)
         needed = {bundle.input_modality(r) for r in select_branches(bundle, availability)}
-        try:
-            rasters, labels = load_scene(manifest, rec.scene_id, sorted(needed))
-        except FileNotFoundError as exc:
-            raise MissingModalityError(
-                f"scene {rec.scene_id} lacks a modality flagged available: {exc}") from exc
+        rasters, labels = load_scene(manifest, rec.scene_id, sorted(needed))
         pred = tiled_inference(bundle, rasters, availability, predictor)
         mask = boundary_eroded_mask(labels)
         accumulate(conf, pred, labels, mask)

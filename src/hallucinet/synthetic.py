@@ -12,6 +12,7 @@ rare class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -40,6 +41,11 @@ _HEIGHT_RANGE = {
     BRUSH: (0.08, 0.40),
 }
 _IR_BASE = {BACKGROUND: 0.35, ROAD: 0.45, BUILDING: 0.58, RARE: 0.88, BRUSH: 0.70}
+_COLOR_NOISE, _PAIR_NOISE, _IR_NOISE = 0.08, 0.08, 0.07
+_SHADOW_LENGTH, _SHADOW_STRENGTH = 5, 0.3  # pixels, darkening factor
+_ROAD_WIDTH = (0.055, 0.09)     # fraction of scene size
+_BUILDING_SIDE = (0.09, 0.22)   # fraction of scene size
+_RARE_RADIUS = (6.0, 9.0)       # pixels
 
 
 @dataclass(frozen=True)
@@ -51,25 +57,24 @@ class SyntheticConfig:
     include_ir: bool = False
     train_scenes: int | None = None
     val_scenes: int | None = None
-    color_noise: float = 0.08
-    pair_noise: float = 0.08
     texture_fraction: float = 1.0
     pair_crossover: float = 0.0
-    shadow_length: int = 5
-    shadow_strength: float = 0.3
-    ir_noise: float = 0.07
-    road_width: tuple[float, float] = (0.055, 0.09)   # fraction of scene size
-    building_side: tuple[float, float] = (0.09, 0.22)  # fraction of scene size
-    rare_radius: tuple[float, float] = (6.0, 9.0)      # pixels
     availability: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        """Every refusal of a config, so one that builds always generates."""
         if self.class_count < 4:
             raise ValueError("need at least 4 classes (background, pair, rare)")
         if self.size < 64 or self.size % 32:
             raise ValueError("scene size must be >= 64 and divisible by 32")
         if self.scene_count < 3:
             raise ValueError("need at least 3 scenes for train/val/test")
+        self.split_counts()
+        # the discs paint at least one disc, and separated small discs cannot cover more than 0.15
+        one_disc = np.pi * _RARE_RADIUS[0] ** 2 / self.size ** 2
+        if self.rare_fraction != 0 and not one_disc <= self.rare_fraction <= 0.15:
+            raise ValueError(f"rare_fraction must be 0 or in [{one_disc:.4g} (one disc of a "
+                             f"{self.size}x{self.size} scene), 0.15], got {self.rare_fraction}")
         if not 0.0 <= self.texture_fraction <= 1.0:
             raise ValueError("texture_fraction must be in [0, 1]")
         if not 0.0 <= self.pair_crossover <= 0.5:
@@ -97,7 +102,8 @@ class SyntheticConfig:
             train = self.scene_count - val - max(2, self.scene_count // 5)
         test = self.scene_count - train - val
         if min(train, val, test) < 1:
-            raise ValueError(f"invalid split (train={train}, val={val}, test={test})")
+            raise ValueError(f"invalid train_scenes/val_scenes split (train={train}, val={val}, "
+                             f"test={test})")
         return train, val, test
 
 
@@ -113,8 +119,8 @@ def _paint_labels(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
     # strips are usually roads and rectangles usually buildings; a
     # crossover fraction swaps a shape's class (and with it the height the
     # renderer assigns), so shape alone cannot fully disambiguate the pair
-    rw_lo = max(6, int(cfg.road_width[0] * s))
-    rw_hi = max(rw_lo + 2, int(cfg.road_width[1] * s))
+    rw_lo = max(6, int(_ROAD_WIDTH[0] * s))
+    rw_hi = max(rw_lo + 2, int(_ROAD_WIDTH[1] * s))
     for _ in range(int(rng.integers(2, 4))):
         width = int(rng.integers(rw_lo, rw_hi))
         pos = int(rng.integers(0, s - width))
@@ -124,8 +130,8 @@ def _paint_labels(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
         else:
             labels[:, pos:pos + width] = klass
 
-    lo = max(8, int(cfg.building_side[0] * s))
-    hi = max(lo + 4, int(cfg.building_side[1] * s))
+    lo = max(8, int(_BUILDING_SIDE[0] * s))
+    hi = max(lo + 4, int(_BUILDING_SIDE[1] * s))
     for _ in range(int(rng.integers(5, 9))):
         h = int(rng.integers(lo, hi))
         w = int(rng.integers(lo, hi))
@@ -133,29 +139,24 @@ def _paint_labels(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
         c = int(rng.integers(0, s - w))
         labels[r:r + h, c:c + w] = BUILDING if rng.random() >= cfg.pair_crossover else ROAD
 
-    if cfg.class_count >= 5:
-        for klass in range(BRUSH, cfg.class_count):
-            for _ in range(int(rng.integers(2, 4))):
-                ay = rng.uniform(0.05 * s, 0.12 * s)
-                ax = rng.uniform(0.05 * s, 0.12 * s)
-                cy, cx = rng.uniform(0, s, size=2)
-                yy, xx = np.ogrid[:s, :s]
-                blob = ((yy - cy) / ay) ** 2 + ((xx - cx) / ax) ** 2 <= 1.0
-                labels[blob] = klass
+    for klass in range(BRUSH, cfg.class_count):
+        for _ in range(int(rng.integers(2, 4))):
+            ay = rng.uniform(0.05 * s, 0.12 * s)
+            ax = rng.uniform(0.05 * s, 0.12 * s)
+            cy, cx = rng.uniform(0, s, size=2)
+            yy, xx = np.ogrid[:s, :s]
+            blob = ((yy - cy) / ay) ** 2 + ((xx - cx) / ax) ** 2 <= 1.0
+            labels[blob] = klass
 
     if cfg.rare_fraction > 0:
         target = cfg.rare_fraction * s * s
-        min_area = np.pi * cfg.rare_radius[0] ** 2
-        if target < min_area:
-            raise ValueError("infeasible config: rare-class target below one disc")
-        if cfg.rare_fraction > 0.15:
-            raise ValueError("infeasible config: rare-class fraction too large for small discs")
+        min_area = np.pi * _RARE_RADIUS[0] ** 2
         attempts = 0
         while attempts < 400:
             painted = int((labels == RARE).sum())
             if painted >= target - min_area / 2:
                 break
-            radius = rng.uniform(*cfg.rare_radius)
+            radius = rng.uniform(*_RARE_RADIUS)
             cy = rng.uniform(radius, s - radius)
             cx = rng.uniform(radius, s - radius)
             disc = _disc_mask(s, cy, cx, radius)
@@ -190,11 +191,11 @@ def _render_color(cfg: SyntheticConfig, labels: np.ndarray,
     pair = (labels == ROAD) | (labels == BUILDING)
     color[:, pair] = _PAIR_GRAY
 
-    noise = rng.normal(scale=cfg.color_noise, size=(3, s, s))
+    noise = rng.normal(scale=_COLOR_NOISE, size=(3, s, s))
     # same-magnitude noise on the pair; buildings get it checker-signed so
     # the marginal distribution matches roads exactly but the spatial
     # pattern does not
-    pair_noise = rng.normal(scale=cfg.pair_noise, size=(3, s, s))
+    pair_noise = rng.normal(scale=_PAIR_NOISE, size=(3, s, s))
     yy, xx = np.indices((s, s))
     checker = np.where((yy + xx) % 2 == 0, 1.0, -1.0)
     textured = (labels == BUILDING) & (rng.random(size=(s, s)) < cfg.texture_fraction)
@@ -212,13 +213,12 @@ def _render_color(cfg: SyntheticConfig, labels: np.ndarray,
     # high shapes darken the background to their south-east: a dense color
     # correlate of height; pair-class pixels themselves stay untouched, so
     # the road/building marginals remain exactly equal
-    if cfg.shadow_length > 0 and cfg.shadow_strength > 0:
-        high = labels == BUILDING
-        shadow = np.zeros_like(high)
-        for d in range(1, cfg.shadow_length + 1):
-            shadow[d:, d:] |= high[:-d, :-d]
-        shadow &= labels == BACKGROUND
-        color[:, shadow] *= 1.0 - cfg.shadow_strength
+    high = labels == BUILDING
+    shadow = np.zeros_like(high)
+    for d in range(1, _SHADOW_LENGTH + 1):
+        shadow[d:, d:] |= high[:-d, :-d]
+    shadow &= labels == BACKGROUND
+    color[:, shadow] *= 1.0 - _SHADOW_STRENGTH
     return np.clip(color, 0.0, 1.0).astype(np.float32)
 
 
@@ -240,7 +240,7 @@ def _render_ir(cfg: SyntheticConfig, labels: np.ndarray,
     ir = np.zeros((1, s, s), dtype=np.float64)
     for klass in range(cfg.class_count):
         ir[0][labels == klass] = _IR_BASE.get(min(klass, BRUSH), _IR_BASE[BRUSH])
-    ir += rng.normal(scale=cfg.ir_noise, size=(1, s, s))
+    ir += rng.normal(scale=_IR_NOISE, size=(1, s, s))
     return np.clip(ir, 0.0, 1.0).astype(np.float32)
 
 
@@ -261,8 +261,6 @@ def class_names(cfg: SyntheticConfig) -> list[str]:
 
 def generate_synthetic(seed: int, cfg: SyntheticConfig, out_dir) -> DatasetManifest:
     """Materialize the dataset under out_dir and return its manifest."""
-    from pathlib import Path
-
     out = Path(out_dir)
     (out / "scenes").mkdir(parents=True, exist_ok=True)
     train_n, val_n, test_n = cfg.split_counts()
@@ -270,12 +268,10 @@ def generate_synthetic(seed: int, cfg: SyntheticConfig, out_dir) -> DatasetManif
     splits: dict[str, list[SceneRecord]] = {"train": [], "val": [], "test": []}
     avail_rng = np.random.default_rng([seed, 7])
     optional = [m.name for m in cfg.modalities[1:]]
-    test_available = {}
+    test_available = {}  # per optional modality, the test scenes that carry it
     for mod in optional:
-        frac = cfg.availability.get(mod, 1.0)
-        k = int(round(frac * test_n))
-        chosen = avail_rng.permutation(test_n)[:k]
-        test_available[mod] = set(int(i) for i in chosen)
+        k = round(cfg.availability.get(mod, 1.0) * test_n)
+        test_available[mod] = set(avail_rng.permutation(test_n)[:k].tolist())
 
     for idx in range(cfg.scene_count):
         rng = np.random.default_rng([seed, 101, idx])
@@ -287,15 +283,10 @@ def generate_synthetic(seed: int, cfg: SyntheticConfig, out_dir) -> DatasetManif
             write_tensor_file(scene_dir / f"{name}.mtns", arr)
         write_tensor_file(scene_dir / "labels.mtns", labels)
 
-        if idx < train_n:
-            split, avail = "train", {m: True for m in optional}
-        elif idx < train_n + val_n:
-            split, avail = "val", {m: True for m in optional}
-        else:
-            t = idx - train_n - val_n
-            avail = {m: t in test_available[m] for m in optional}
-            split = "test"
-        splits[split].append(SceneRecord(scene_id, avail))
+        t = idx - train_n - val_n  # the index among the test scenes
+        split = "train" if idx < train_n else "val" if t < 0 else "test"
+        splits[split].append(SceneRecord(scene_id, {m: t < 0 or t in test_available[m]
+                                                    for m in optional}))
 
     manifest = DatasetManifest(
         root=out,

@@ -62,11 +62,8 @@ class TestConfigResolution:
 OTHER_VALUES = {
     "data.synthetic": {
         "scene_count": 12, "size": 128, "class_count": 5, "rare_fraction": 0.02,
-        "include_ir": True, "train_scenes": 8, "val_scenes": 2, "color_noise": 0.1,
-        "pair_noise": 0.05, "texture_fraction": 0.5, "pair_crossover": 0.2,
-        "shadow_length": 3, "shadow_strength": 0.2, "ir_noise": 0.05,
-        "road_width": [0.05, 0.1], "building_side": [0.1, 0.2], "rare_radius": [5.0, 8.0],
-        "availability": {"height": 0.5}},
+        "include_ir": True, "train_scenes": 8, "val_scenes": 2, "texture_fraction": 0.5,
+        "pair_crossover": 0.2, "availability": {"height": 0.5}},
     "model": {"blocks": [[8, 1], [16, 1], [24, 1], [32, 1]], "first_conv_stride": 1,
               "tap_depth": 1},
     "train": {
@@ -112,7 +109,7 @@ class TestConfigSchema:
         ("data.synthetic", {"texture_fraction": "1"}, "data.synthetic.texture_fraction"),
         ("data.synthetic", {"seed": True}, "data.synthetic.seed"),
         ("train", {"seed": True}, "train.seed"),
-        ("data.synthetic", {"road_width": [0.05]}, "data.synthetic.road_width"),
+        ("model", {"blocks": [[8]]}, "model.blocks[0]"),
         ("train", {"baseline_steps": 1.0}, "train.baseline_steps"),
         # out of range: refused as the config is built, before anything is written
         ("train", {"patch": {"size": 0}}, "train.patch.size"),
@@ -206,6 +203,23 @@ class TestGenData:
         assert "availability" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
         assert not (out / "dataset").exists()
+
+    @pytest.mark.parametrize("synthetic, key", [
+        ({"train_scenes": 9}, "train_scenes"),
+        ({"val_scenes": 0}, "val_scenes"),
+        ({"rare_fraction": -0.5}, "rare_fraction"),
+        ({"rare_fraction": 0.0001}, "rare_fraction"),  # below one disc of a 96x96 scene
+        ({"rare_fraction": 0.2}, "rare_fraction"),
+    ])
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_config_it_cannot_generate_writes_nothing(self, tmp_path, capsys, command,
+                                                      synthetic, key):
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["data"]["synthetic"].update(synthetic)
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
@@ -361,6 +375,15 @@ class TestTrain:
         assert "train.patch.size 96" in capsys.readouterr().err
         assert not run.exists()  # no resolved config, no dataset
 
+    def test_patch_larger_than_the_scenes_exit_two(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["train"]["patch"]["size"] = 128
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "train.patch.size 128" in err and "data.synthetic.size 96" in err
+        assert not run.exists()  # no resolved config, no dataset
+
     @pytest.mark.parametrize("data", ["synthetic", "manifest"])
     def test_multi_mode_with_one_optional_modality_writes_nothing(self, trained, tmp_path,
                                                                   capsys, data):
@@ -499,6 +522,24 @@ class TestEval:
         manifest.write_text(json.dumps(manifest_doc))
         assert main(args + ["--scenario", "1", "--out", str(tmp_path / "e3")]) == 3
 
+    def test_channel_count_mismatch_exit_five(self, trained, tmp_path, capsys):
+        # a 4-channel color modality against branches that take 3, refused
+        # before any scene is read
+        _, out = trained
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        for path in (ds / "scenes").rglob("color.mtns"):
+            color = read_tensor_file(path)
+            write_tensor_file(path, np.concatenate([color, color[:1]]))
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["modalities"][0]["channels"] = 4
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--manifest", str(ds / "manifest.json"), "--out", str(tmp_path / "e")])
+        assert code == 5
+        assert "takes 3 channels of 'color', the manifest gives 4" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_mismatched_manifest_exit_five(self, trained, tmp_path):
         _, out = trained
         other = {"data": {"synthetic": {"seed": 1, "scene_count": 4, "size": 96,
@@ -593,6 +634,20 @@ class TestInfer:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{small} 64x64" in err and "96x96" in err
+        assert not (tmp_path / "m.mtns").exists()
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_raster_of_wrong_rank_exit_two(self, trained, tmp_path, capsys, rank):
+        _, out = trained
+        color = read_tensor_file(out / "dataset" / "scenes" / "scene_005" / "color.mtns")
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        write_tensor_file(scene / "color.mtns", color[0] if rank == 2 else color[None])
+        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--scene", str(scene), "--availability", "height=false",
+                     "--out", str(tmp_path / "m.mtns")])
+        assert code == 2
+        assert f"modality raster {scene / 'color.mtns'} must be (C,H,W)" in capsys.readouterr().err
         assert not (tmp_path / "m.mtns").exists()
 
     def test_missing_modality_exit_six(self, trained, tmp_path):

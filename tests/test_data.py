@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hallucinet.data import (
+    MissingModalityError,
     PatchSampler,
     PatchSpec,
     TensorFileError,
@@ -16,6 +17,7 @@ from hallucinet.data import (
     extract_patch_grid,
     load_manifest,
     load_scene,
+    read_rasters,
     read_tensor_file,
     write_tensor_file,
 )
@@ -245,6 +247,13 @@ class TestLoadScene:
         with pytest.raises(ValueError, match="raster color is .* labels are 10x10"):
             load_scene(manifest, "s0")
 
+    def test_reader_names_the_file(self, tmp_path):
+        write_tensor_file(tmp_path / "color.mtns", np.zeros((8, 8), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"color.mtns must be \(C,H,W\), got shape \(8, 8\)"):
+            read_rasters(tmp_path, ["color"])
+        with pytest.raises(MissingModalityError, match="height.mtns"):
+            read_rasters(tmp_path, ["height"])
+
 
 class TestManifest:
     DOC = {"class_count": 2, "class_names": ["a", "b"],
@@ -370,10 +379,9 @@ class TestSynthetic:
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
     def test_infeasible_rare_fraction(self, tmp_path):
-        cfg = SyntheticConfig(scene_count=4, size=96, rare_fraction=0.0001,
-                              train_scenes=2, val_scenes=1)
-        with pytest.raises(ValueError):
-            generate_synthetic(1, cfg, tmp_path / "x")
+        with pytest.raises(ValueError, match="rare_fraction must be 0 or in"):
+            SyntheticConfig(scene_count=4, size=96, rare_fraction=0.0001,
+                            train_scenes=2, val_scenes=1)
 
     def test_availability_schedule(self, tmp_path):
         cfg = SyntheticConfig(scene_count=8, size=96, train_scenes=3, val_scenes=1,

@@ -489,6 +489,8 @@ class TestEvaluate:
         _, conf2 = evaluate(hal_bundle, dataset, "test", "2")
         _, conf1 = evaluate(hal_bundle, dataset, "test", "1")
         assert np.array_equal(conf2.counts, conf1.counts)
+        with pytest.raises(MissingModalityError, match="scene_003/height.mtns"):
+            evaluate(hal_bundle, dataset, "test", "all")  # forces height available
         without_hal = ModelBundle(tiny_config, {r: hal_bundle.branches[r]
                                                 for r in ("rgb", "depth")},
                                   hal_bundle.role_modalities)
