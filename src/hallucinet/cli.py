@@ -21,7 +21,8 @@ import numpy as np
 
 from .checks import run_gradcheck_suite
 from .config import ConfigError, build, check_keys, keywords, typed
-from .data import atomic_write, load_manifest, read_rasters, write_json, write_tensor_file
+from .data import (atomic_write, load_manifest, read_labels, read_rasters, write_json,
+                   write_tensor_file)
 from .evaluate import evaluate, plan_windows, report_table, save_report, tiled_inference
 from .model import (
     BranchConfig,
@@ -157,15 +158,20 @@ def cmd_train(args) -> int:
         manifest = load_manifest(config.manifest)
         model_config = config.branch_config(manifest.class_count)
         modalities = manifest.modalities
+        extents = {f"train scene {rec.scene_id}": read_labels(manifest, rec.scene_id).shape
+                   for rec in manifest.splits.get("train", [])}
     elif config.synthetic is not None:
         model_config = config.branch_config(config.synthetic.class_count)
         modalities = config.synthetic.modalities
-        if config.train.patch.size > config.synthetic.size:
-            raise ConfigError(f"train.patch.size {config.train.patch.size} is larger than the "
-                              f"scenes of data.synthetic.size {config.synthetic.size}")
+        size = config.synthetic.size
+        extents = {f"the scenes of data.synthetic.size {size}": (size, size)}
     else:
         raise ConfigError("data section needs a manifest path or a synthetic block")
     check_protocol(modalities, model_config, config.train)  # before anything is written
+    patch = config.train.patch.size
+    for scene, (height, width) in extents.items():
+        if patch > min(height, width):
+            raise ConfigError(f"train.patch.size {patch} is larger than {scene} ({height}x{width})")
     out = Path(args.out)
     config.save(model_config, out)
     if manifest is None:
@@ -339,7 +345,7 @@ def _limit_threads():
     if threads < 1:
         raise ConfigError(f"HALLUCINET_THREADS must be a positive integer, got {cap!r}")
     if not limit_blas_threads(threads):
-        print("warning: neither threadpoolctl nor an OpenBLAS thread control is available; "
+        print("warning: no OpenBLAS thread control is available; "
               "HALLUCINET_THREADS was not applied", file=sys.stderr)
 
 

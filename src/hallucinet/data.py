@@ -175,7 +175,8 @@ class _SceneEntry:  # a scene as manifest.json lists it
 
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest; a malformed document raises ValueError naming the
-    file and the field."""
+    file and the field, and a raster missing for a modality its scene
+    does not flag absent MissingModalityError naming the file."""
     path = Path(path)
     try:
         doc = typed(dict, json.loads(path.read_text()), "the document")
@@ -183,6 +184,9 @@ def load_manifest(path) -> DatasetManifest:
         manifest = build(DatasetManifest, doc, "", root=path.parent, splits={
             split: [SceneRecord(e.id, e.availability) for e in entries]
             for split, entries in splits.items()})
+        if len(manifest.class_names) != manifest.class_count:
+            raise ConfigError(f"class_names has length {len(manifest.class_names)}, "
+                              f"class_count is {manifest.class_count}")
     except (json.JSONDecodeError, ConfigError) as exc:
         raise ValueError(f"malformed manifest {path}: {exc}") from None
     seen: set[str] = set()
@@ -192,11 +196,10 @@ def load_manifest(path) -> DatasetManifest:
                 raise ValueError(f"scene {rec.scene_id} appears in more than one split")
             seen.add(rec.scene_id)
             scene_dir = manifest.scene_dir(rec.scene_id)
-            for mod in manifest.modalities:
-                if rec.availability.get(mod.name) is False:
-                    continue  # flagged absent: its raster need not exist
-                if not (scene_dir / f"{mod.name}.mtns").exists():
-                    raise FileNotFoundError(f"missing raster {scene_dir / (mod.name + '.mtns')}")
+            for mod in manifest.modalities:  # one flagged absent need have no raster
+                raster = scene_dir / f"{mod.name}.mtns"
+                if rec.availability.get(mod.name) is not False and not raster.exists():
+                    raise MissingModalityError(f"missing raster {raster}")
             if not (scene_dir / "labels.mtns").exists():
                 raise FileNotFoundError(f"missing labels for scene {rec.scene_id}")
     return manifest

@@ -7,12 +7,12 @@ threads overlap, and a branch does the same arithmetic on any thread, so
 results do not depend on the worker count.
 
 This module owns the BLAS thread count. It reads and sets it through
-threadpoolctl where that is installed, and through the loaded OpenBLAS's
-own `*set_num_threads*` where it is not; `limit_blas_threads` applies
-HALLUCINET_THREADS that way. The thread budget is the count the process
-already has, as HALLUCINET_THREADS, OPENBLAS_NUM_THREADS or the usable
-cores set it. Inside `branch_workers`, BLAS runs one thread per worker;
-with neither control, the tasks run one after another, after one warning.
+the loaded OpenBLAS's own `*get/set_num_threads*`; `limit_blas_threads`
+applies HALLUCINET_THREADS that way. The thread budget is the count the
+process already has, as HALLUCINET_THREADS, OPENBLAS_NUM_THREADS or the
+usable cores set it. Inside `branch_workers`, BLAS runs one thread per
+worker; with no OpenBLAS loaded (another BLAS, or not Linux), the tasks
+run one after another, after one warning.
 """
 from __future__ import annotations
 
@@ -69,32 +69,21 @@ def _openblas_limit(symbols, threads: int) -> ExitStack:
 
 
 def _blas_control():
-    """(thread count, limit) of the loaded BLAS, where `limit(n)` sets it
-    to n threads at once and returns a context that puts back the old
-    count on exit, like threadpoolctl's `threadpool_limits`; None if
-    nothing can set it."""
-    try:
-        import threadpoolctl
-    except ImportError:
-        threadpoolctl = None
-    if threadpoolctl is not None:
-        counts = [lib["num_threads"] for lib in threadpoolctl.threadpool_info()
-                  if lib["user_api"] == "blas"]
-        if counts:
-            return max(counts), lambda n: threadpoolctl.threadpool_limits(n, user_api="blas")
+    """(thread count, limit) of the loaded OpenBLAS, where `limit(n)` sets
+    it to n threads at once and returns a context that puts back the old
+    count on exit; None if no OpenBLAS is loaded."""
     symbols = _openblas_symbols()
-    if symbols:
-        return max(get() for get, _ in symbols), lambda n: _openblas_limit(symbols, n)
-    return None
+    if not symbols:
+        return None
+    return max(get() for get, _ in symbols), lambda n: _openblas_limit(symbols, n)
 
 
 def limit_blas_threads(threads: int) -> bool:
-    """Set the loaded BLAS to `threads` threads for the rest of the
-    process; False if nothing can set it."""
-    control = _blas_control()
-    if control is not None:
-        control[1](threads)
-    return control is not None
+    """Set every loaded OpenBLAS to `threads` threads for the rest of the
+    process; False if none is loaded."""
+    symbols = _openblas_symbols()
+    _openblas_limit(symbols, threads)
+    return bool(symbols)
 
 
 def _malloc_policy(mmap_threshold: int):
@@ -133,8 +122,8 @@ def branch_workers(mmap_threshold: int):
     """
     control = _blas_control()
     if control is None:
-        warnings.warn("neither threadpoolctl nor an OpenBLAS thread control is available, "
-                      "so branches run one at a time", RuntimeWarning, stacklevel=3)
+        warnings.warn("no OpenBLAS thread control is available, so branches run one at a time",
+                      RuntimeWarning, stacklevel=3)
     if control is None or control[0] < 2:
         yield run_in_order
         return

@@ -384,6 +384,16 @@ class TestTrain:
         assert "train.patch.size 128" in err and "data.synthetic.size 96" in err
         assert not run.exists()  # no resolved config, no dataset
 
+    def test_patch_larger_than_a_manifest_scene_exit_two(self, trained, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        doc["data"] = {"manifest": str(trained[1] / "dataset" / "manifest.json")}
+        doc["train"]["patch"]["size"] = 128
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "train.patch.size 128 is larger than train scene scene_000 (96x96)" in err
+        assert not run.exists()  # no resolved config
+
     @pytest.mark.parametrize("data", ["synthetic", "manifest"])
     def test_multi_mode_with_one_optional_modality_writes_nothing(self, trained, tmp_path,
                                                                   capsys, data):
@@ -498,9 +508,9 @@ class TestEval:
         assert "one roster" in err and pair[0] in err and pair[1] in err
         assert not (tmp_path / "e").exists()
 
-    def test_unavailable_raster_may_be_absent(self, trained, tmp_path):
+    def test_unavailable_raster_may_be_absent(self, trained, tmp_path, capsys):
         """A test scene flagged without height needs no height raster; a
-        scene flagged with it still does (exit 3)."""
+        scene flagged with it still does (exit 6, naming the file)."""
         _, out = trained
         doc = json.loads(json.dumps(TINY_TRAIN))
         doc["data"]["synthetic"]["availability"] = {"height": 0.0}
@@ -520,7 +530,8 @@ class TestEval:
         manifest_doc = json.loads(manifest.read_text())
         manifest_doc["splits"]["test"][0]["availability"] = {"height": True}
         manifest.write_text(json.dumps(manifest_doc))
-        assert main(args + ["--scenario", "1", "--out", str(tmp_path / "e3")]) == 3
+        assert main(args + ["--scenario", "1", "--out", str(tmp_path / "e3")]) == 6
+        assert "height.mtns" in capsys.readouterr().err
 
     def test_channel_count_mismatch_exit_five(self, trained, tmp_path, capsys):
         # a 4-channel color modality against branches that take 3, refused
@@ -724,29 +735,9 @@ class TestCorruptCheckpoint:
 
 
 class TestThreadCap:
-    def _fake_threadpoolctl(self, monkeypatch):
-        import sys
-        import types
-
-        calls = []
-        fake = types.ModuleType("threadpoolctl")
-        fake.threadpool_info = lambda: [{"user_api": "blas", "num_threads": 2}]
-        fake.threadpool_limits = lambda threads, user_api=None: calls.append((threads, user_api))
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        return calls
-
-    def test_cap_applied(self, monkeypatch):
-        calls = self._fake_threadpoolctl(monkeypatch)
-        monkeypatch.setenv("HALLUCINET_THREADS", "2")
-        assert main(["grad-check", "--points", "1"]) == 0
-        assert calls == [(2, "blas")]
-
     def test_cap_applied_through_openblas(self, monkeypatch, capsys):
-        import sys
-
         import hallucinet.parallel as parallel
 
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
         symbols = parallel._openblas_symbols()
         if not symbols:
             pytest.skip("numpy has loaded no OpenBLAS")
@@ -764,19 +755,20 @@ class TestThreadCap:
 
     @pytest.mark.parametrize("cap", ["two", "0", "-1", "1.5"])
     def test_bad_cap_exits_two(self, monkeypatch, cap):
-        calls = self._fake_threadpoolctl(monkeypatch)
+        import hallucinet.parallel as parallel
+
+        applied = []  # a spy OpenBLAS of two threads that records each count it is set to
+        monkeypatch.setattr(parallel, "_openblas_symbols", lambda: [(lambda: 2, applied.append)])
         monkeypatch.setenv("HALLUCINET_THREADS", cap)
         assert main(["grad-check", "--points", "1"]) == 2
-        assert calls == []
+        assert applied == []
 
-    def test_missing_threadpoolctl_warns(self, monkeypatch, capsys):
+    def test_without_openblas_warns(self, monkeypatch, capsys):
         import os
-        import sys
 
         import hallucinet.parallel as parallel
 
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        monkeypatch.setattr(parallel, "_openblas_symbols", lambda: [])  # and no OpenBLAS
+        monkeypatch.setattr(parallel, "_openblas_symbols", lambda: [])
         monkeypatch.setenv("HALLUCINET_THREADS", "2")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         assert main(["grad-check", "--points", "1"]) == 0

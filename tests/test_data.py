@@ -268,6 +268,8 @@ class TestManifest:
         (lambda d: d["splits"]["test"][0].update(availability={"height": 1}),
          "splits.test[0].availability.height"),
         (lambda d: d.update(class_names="ab"), "class_names"),
+        (lambda d: d.update(class_names=["a"]), "class_names has length 1, class_count is 2"),
+        (lambda d: d.update(class_names=["a", "b", "c"]), "class_names has length 3"),
         (lambda d: d.update(modalities=[{"name": "color", "channels": 3, "bands": 3}]),
          "modalities[0].bands"),
         (lambda d: d.clear(), "line 1 column 1"),  # not JSON
@@ -297,7 +299,7 @@ class TestManifest:
         if loads:
             assert load_manifest(path).splits["test"][0].availability == availability
         else:
-            with pytest.raises(FileNotFoundError, match="missing raster .*height.mtns"):
+            with pytest.raises(MissingModalityError, match="missing raster .*height.mtns"):
                 load_manifest(path)
 
 

@@ -3,6 +3,7 @@ does not depend on the worker count."""
 import sys
 import threading
 import time
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -14,6 +15,7 @@ import pytest
 import hallucinet.model as model_mod
 import hallucinet.parallel as parallel
 import hallucinet.train as train_mod
+from hallucinet.cli import main
 from hallucinet.data import PatchSpec
 from hallucinet.engine import backward, frozen, mul
 from hallucinet.losses import ClassWeights, composite_loss
@@ -167,16 +169,42 @@ def test_protocol_does_not_depend_on_the_worker_count(mode, tiny_dataset, tiny_d
 
 def test_without_a_blas_control_branches_run_in_order(tiny_dataset, tiny_config, tmp_path,
                                                       monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     monkeypatch.setattr(parallel, "_openblas_symbols", lambda: [])
     seen = _fit_threads(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_protocol(tiny_dataset, tiny_config, TINY, out_dir=tmp_path / "seq")
-    notes = [w for w in caught if "threadpoolctl" in str(w.message)]
+    notes = [w for w in caught if "OpenBLAS" in str(w.message)]
     assert len(notes) == 1 and "one at a time" in str(notes[0].message)
     threads = {thread for _, thread in seen["fit"]} | set(seen["forward"])
     assert threads == {threading.main_thread()}
+
+
+def test_a_stray_threadpoolctl_plays_no_part(tiny_dataset, tiny_config, tmp_path, monkeypatch):
+    """With a threadpoolctl module in the process whose every function
+    raises, HALLUCINET_THREADS still goes through OpenBLAS, and training
+    writes the artifacts it writes without that module."""
+    symbols = parallel._openblas_symbols()
+    if not symbols:
+        pytest.skip("numpy has loaded no OpenBLAS")
+    run_protocol(tiny_dataset, tiny_config, TINY, out_dir=tmp_path / "plain")
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("threadpoolctl was called")
+
+    stray = types.ModuleType("threadpoolctl")
+    stray.threadpool_info = stray.threadpool_limits = refuse
+    monkeypatch.setitem(sys.modules, "threadpoolctl", stray)
+    saved = [get() for get, _ in symbols]
+    monkeypatch.setenv("HALLUCINET_THREADS", "1")
+    try:
+        assert main(["grad-check", "--points", "1"]) == 0
+        assert [get() for get, _ in symbols] == [1] * len(symbols)
+    finally:
+        for (_, put), n in zip(symbols, saved):
+            put(n)
+    run_protocol(tiny_dataset, tiny_config, TINY, out_dir=tmp_path / "stray")
+    assert _artifacts(tmp_path / "stray") == _artifacts(tmp_path / "plain")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
