@@ -249,6 +249,9 @@ def _parse_availability(text: str | None) -> dict[str, bool]:
 
 def cmd_infer(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
+    if bundle.config.class_count > 256:
+        raise ConfigError(f"infer writes class ids as uint8; the checkpoint has "
+                          f"{bundle.config.class_count} classes, more than 256")
     flags = _parse_availability(args.availability)
     optional = [bundle.role_modalities[role] for role in bundle.optional_roles()]
     unknown = sorted(set(flags) - set(optional))

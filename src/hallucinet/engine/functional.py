@@ -7,14 +7,16 @@ input-gradient is itself a forward convolution of the zero-dilated (at
 stride 1, merely padded) output gradient. transposed_conv2d, the
 upsampling head, does not use them: it runs as dense GEMMs on the grid of
 its stride-sized output tiles. Max pooling works on the four strided
-corner views of its windows.
+corner views of its windows. An infer-mode conv unit that builds no
+graph (conv, batchnorm with ReLU, and a block's pooling) is one banded
+kernel, `conv_bn_relu`, bit for bit the output of those ops.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, _accumulate, make_node
+from .tensor import NonFiniteError, Tensor, _accumulate, check_finite, make_node
 
 
 # -- raw convolution kernels (no autodiff) --------------------------------
@@ -364,6 +366,115 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
     if out.requires_grad:
         out.recompute = recompute
     return out
+
+
+# -- the inference kernel of a conv unit -------------------------------------
+#
+# The kernel works over the output-row bands of `_col_bands`: each band's
+# im2col columns are read straight from the unpadded input, its GEMM is
+# the one `_conv_fwd` runs, and the batchnorm affine with its ReLU, then
+# the 2x2 pooling, are applied to the band as it lands. Every GEMM keeps
+# its shape and every elementwise step is batchnorm's and maxpool2's,
+# element by element, so the output is the op chain's, bit for bit.
+
+def _fill_cols(cols: np.ndarray, xs: np.ndarray, stride: int, padding: int, r0: int):
+    """cols[c, u, v, i, j] = padded xs[c, stride*(r0 + i) + u, stride*j + v],
+    the band of `_col_bands` that starts at output row r0, read from the
+    unpadded sample xs (C, H, W) and zero where the window lies in the padding."""
+    _, kh, kw, rows, wo = cols.shape
+    h, wd = xs.shape[1:]
+    for u in range(kh):
+        di, si = _dilated_span(stride * r0 + u - padding, stride, rows, h)
+        for v in range(kw):
+            dj, sj = _dilated_span(v - padding, stride, wo, wd)
+            tap = cols[:, u, v]
+            np.copyto(tap[:, di, dj], xs[:, si, sj])
+            if di.start:
+                tap[:, :di.start] = 0
+            if di.stop < rows:
+                tap[:, di.stop:] = 0
+            if dj.start:
+                tap[:, di, :dj.start] = 0
+            if dj.stop < wo:
+                tap[:, di, dj.stop:] = 0
+
+
+def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+                 state: BatchNormState, stride: int, padding: int, pool: bool) -> np.ndarray:
+    """conv2d without bias -> batchnorm(..., "infer", relu=True), then
+    maxpool2 when `pool` is set, on arrays and without a graph.
+
+    It holds its output and one band: no padded copy of x, no conv output
+    besides the one the affine overwrites, no pre-pool activation. When
+    pooling, a band that ends on the first row of a pooling pair carries
+    that row over to the next band. A non-finite value raises
+    NonFiniteError naming the op of the chain that would have raised:
+    conv2d if any conv output is non-finite, otherwise batchnorm.
+    """
+    n, ci, h, wd = x.shape
+    co, ci_w, kh, kw = weight.shape
+    if ci != ci_w:
+        raise ValueError(f"conv2d channel mismatch: input {ci}, weight {ci_w}")
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    if ho <= 0 or wo <= 0:
+        raise ValueError(f"conv2d output would be empty for input {h}x{wd}, kernel {kh}x{kw}")
+    if pool and (ho % 2 or wo % 2):
+        raise ValueError(f"maxpool2 needs even spatial extents, got {ho}x{wo}")
+    dtype = x.dtype
+    # batchnorm's infer-mode vectors, computed as it computes them
+    mean = state.running_mean.astype(np.float64)
+    centre = state.running_mean.astype(dtype)
+    a = scale * (1.0 / np.sqrt(state.running_var.astype(np.float64) + state.eps))
+    a32 = a.astype(dtype)[:, None]
+    b32 = (shift - (mean - centre) * a).astype(dtype)[:, None]
+    centre = centre[:, None]
+
+    k = ci * kh * kw
+    rows = max(1, min(ho, _BAND_BYTES // (k * wo * dtype.itemsize)))  # as in _col_bands
+    col_buf = np.empty(k * rows * wo, dtype=dtype)
+    w2 = weight.reshape(co, -1)
+    if pool:
+        out = np.empty((n, co, ho // 2, wo // 2), dtype=dtype)
+        band = np.empty((co, (rows + 1) * wo), dtype=dtype)  # a carried row, then a band
+        half = np.empty((co, (rows + 1) // 2, wo // 2), dtype=dtype)
+    else:
+        out = np.empty((n, co, ho * wo), dtype=dtype)
+    bn_finite = True
+    carry = 0
+    for sample in range(n):
+        for r0 in range(0, ho, rows):
+            r1 = min(ho, r0 + rows)
+            cols = col_buf[:k * (r1 - r0) * wo].reshape(ci, kh, kw, r1 - r0, wo)
+            _fill_cols(cols, x[sample], stride, padding, r0)
+            if pool:
+                y = band[:, carry * wo:(carry + r1 - r0) * wo]
+            else:
+                y = out[sample, :, r0 * wo:r1 * wo]
+            np.matmul(w2, cols.reshape(k, (r1 - r0) * wo), out=y)
+            check_finite(y, "conv2d")
+            np.subtract(y, centre, out=y)
+            y *= a32
+            y += b32
+            np.maximum(y, 0, out=y)
+            bn_finite = bn_finite and bool(np.isfinite(y).all())
+            if not pool:
+                continue
+            held = carry + r1 - r0  # rows in the band buffer
+            pairs = held // 2
+            if pairs:
+                quad = band[:, :2 * pairs * wo].reshape(co, pairs, 2, wo)
+                dst = out[sample, :, (r0 - carry) // 2:(r0 - carry) // 2 + pairs]
+                # maxpool2's corners and pairing: max(max(v0, v1), max(v2, v3))
+                np.maximum(quad[:, :, 0, 0::2], quad[:, :, 0, 1::2], out=dst)
+                np.maximum(quad[:, :, 1, 0::2], quad[:, :, 1, 1::2], out=half[:, :pairs])
+                np.maximum(dst, half[:, :pairs], out=dst)
+            carry = held % 2
+            if carry and held > 1:
+                band[:, :wo] = band[:, (held - 1) * wo:held * wo]
+    if not bn_finite:
+        raise NonFiniteError("non-finite values produced by batchnorm")
+    return out if pool else out.reshape(n, co, ho, wo)
 
 
 def relu(x: Tensor) -> Tensor:

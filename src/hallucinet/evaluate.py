@@ -159,13 +159,20 @@ _FORWARD_BYTES = 160 << 20
 def forward_bytes_per_pixel(config: BranchConfig, branches: int, itemsize: int) -> float:
     """Estimated peak bytes per input pixel of one forward fusing `branches` branches.
 
-    Branches run one after another, so the peak is the larger of two
-    moments. One is the widest conv unit, counted with its input, the
-    padded copy it convolves, its conv output and its batchnorm output,
-    while the other branches' logits wait. The other is the fused head,
-    which holds every branch's logits, their mean and the softmax
-    temporaries. The engine's im2col band buffer (`_BAND_BYTES` in
-    `engine.functional`) comes on top; it does not grow with the window.
+    The selected branches run side by side, one per branch worker
+    (`model.predict_probs`), and the peak is the larger of two moments.
+    In one, two branches are each at their widest conv unit while the
+    other branches' logits wait. A unit's inference kernel
+    (`engine.conv_bn_relu`) holds only its input and its output: no
+    padded copy, no batchnorm buffer apart from the conv output and, on
+    a block's last unit, no pre-pool activation. So the two units hold
+    at most the four arrays that one unit of the op chain held, its
+    input, padded copy, conv output and batchnorm output, which is what
+    the widest term counts; each further worker can add up to half of
+    it. The other moment is the fused head, which holds every branch's
+    logits, their mean and the softmax temporaries. The kernels' band
+    buffers, under `_BAND_BYTES` of im2col columns (`engine.functional`)
+    per branch in flight, come on top; they do not grow with the window.
     """
     widest = 0.0
     channels, area = 0, 1  # area: input pixels per pixel of the current level
@@ -227,7 +234,8 @@ def plan_windows(bundle: ModelBundle, extent_hw: tuple[int, int]) -> WindowPlan:
 
     The scene is edge-padded to a multiple of the downsample factor f. If
     a forward of every branch of the bundle over it fits `_FORWARD_BYTES`
-    (as `forward_bytes_per_pixel` estimates it), the plan is one window.
+    (as `forward_bytes_per_pixel` estimates it, with the selected
+    branches side by side), the plan is one window.
     Otherwise windows start on the f-grid and overlap by twice the halo,
     the receptive radius rounded up to f, so every pixel's output equals
     that of one forward over the padded scene. Per axis they are as few

@@ -9,6 +9,7 @@ restoring input resolution. The activation after the pooling layer at
 """
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
@@ -27,12 +28,14 @@ from .engine import (
     bilinear_kernel,
     channel_softmax,
     conv2d,
+    conv_bn_relu,
     frozen,
     maxpool2,
     release,
     transposed_conv2d,
 )
 from .losses import fuse_logits, fusion_roster
+from .parallel import branch_workers, run_in_order
 
 CHECKPOINT_MAGIC = b"HCKP"
 CHECKPOINT_VERSION = 3  # the one version written and read
@@ -118,11 +121,22 @@ class _ConvBnRelu:
         self.state = BatchNormState(out_ch)
         self.bn_name = bname
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
+    def forward(self, x: Tensor, mode: str, pool: bool) -> Tensor:
+        """The unit's output, 2x2 max-pooled if `pool` (a block's last unit)."""
+        if mode == "infer" and not any(t.requires_grad for t in (x, *self.parameters())):
+            # no graph to build: the whole unit is one banded kernel
+            return Tensor(conv_bn_relu(x.data, self.weight.data, self.scale.data,
+                                       self.shift.data, self.state, self.stride, 1, pool),
+                          op="conv_bn_relu")
         # no conv bias: batchnorm subtracts the mean, so it would cancel
         y = conv2d(x, self.weight, None, stride=self.stride, padding=1)
         release(x)  # a previous unit's output: its batchnorm can rebuild it
-        return batchnorm(y, self.scale, self.shift, self.state, mode, relu=True)
+        out = batchnorm(y, self.scale, self.shift, self.state, mode, relu=True)
+        if not pool:
+            return out
+        pooled = maxpool2(out)
+        release(out)
+        return pooled
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.scale, self.shift]
@@ -170,11 +184,8 @@ class BranchNet:
         t = x
         tap = None
         for b, units in enumerate(self.blocks):
-            for unit in units:
-                t = unit.forward(t, mode)
-            pooled = maxpool2(t)
-            release(t)
-            t = pooled
+            for i, unit in enumerate(units):
+                t = unit.forward(t, mode, pool=i == len(units) - 1)
             if b == self.config.tap_depth - 1:
                 tap = t
         scores = conv2d(t, self.score_weight, self.score_bias)
@@ -273,21 +284,39 @@ def select_branches(bundle: ModelBundle, availability: dict[str, bool]) -> list[
     return selected
 
 
+def _mmap_threshold(config: BranchConfig, shape) -> int:
+    """Half the bytes of a forward's largest activation, the first conv
+    unit's output, for an input of `shape` (N, C, H, W): the malloc
+    threshold of `parallel.branch_workers`, as `train._mmap_threshold`
+    takes it for a training batch."""
+    n, _, h, w = shape
+    s = config.first_conv_stride
+    return n * config.blocks[0][0] * (h // s) * (w // s) * 4 // 2  # float32
+
+
 def predict_probs(bundle: ModelBundle, inputs: dict[str, np.ndarray],
                   availability: dict[str, bool]) -> np.ndarray:
     """Fused per-pixel class probabilities (softmax of mean raw scores).
 
     The forward runs with every parameter frozen, so it builds no graph.
+    Two or more selected branches run as tasks of `parallel.branch_workers`;
+    a lone branch runs on the calling thread with every BLAS thread.
     """
     selected = select_branches(bundle, availability)
-    logits = []
+    tasks = []
+    for role in selected:
+        mod = bundle.input_modality(role)
+        if mod not in inputs:
+            raise MissingModalityError(f"branch {role} needs modality {mod!r}")
+        tasks.append(functools.partial(bundle.branches[role].forward, inputs[mod], "infer"))
     with frozen(bundle.parameters()):
-        for role in selected:
-            mod = bundle.input_modality(role)
-            if mod not in inputs:
-                raise MissingModalityError(f"branch {role} needs modality {mod!r}")
-            logits.append(bundle.branches[role].forward(inputs[mod], "infer").logits)
-        return channel_softmax(fuse_logits(logits)).data
+        if len(tasks) == 1:
+            outputs = run_in_order(tasks)
+        else:
+            threshold = _mmap_threshold(bundle.config, np.shape(tasks[0].args[0]))
+            with branch_workers(threshold) as run:
+                outputs = run(tasks)
+    return channel_softmax(fuse_logits([out.logits for out in outputs])).data
 
 
 def predict(bundle: ModelBundle, inputs: dict[str, np.ndarray],

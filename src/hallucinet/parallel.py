@@ -1,10 +1,18 @@
 """Branch tasks on worker threads, one BLAS thread per worker.
 
-The branches of a bundle share no parameter, so stage 1 fits them, and
-stage 4 runs their forward and backward passes, side by side. numpy
-releases the interpreter lock in its GEMMs, copies and ufuncs, so the
-threads overlap, and a branch does the same arithmetic on any thread, so
-results do not depend on the worker count.
+The branches of a bundle share no parameter, so stage 1 fits them,
+stage 4 runs their forward and backward passes, and `model.predict_probs`
+runs the selected branches' inference, side by side. numpy releases the
+interpreter lock in its GEMMs, copies and ufuncs, so the threads overlap,
+and a branch does the same arithmetic on any thread, so results do not
+depend on the worker count.
+
+A task is a whole branch, not a share of one kernel. After a GEMM on
+two threads, OpenBLAS's idle thread spins for 100 to 150 ms, so kernel
+work cannot share the cores with multi-threaded BLAS: on 2 cores
+(OpenBLAS 0.3.31), a 16 MiB elementwise pass split over two Python
+threads took 8.4 ms right after such a GEMM, 7.7 ms on one thread and
+5.0 ms split after 300 ms of idle.
 
 This module owns the BLAS thread count. It reads and sets it through
 the loaded OpenBLAS's own `*get/set_num_threads*`; `limit_blas_threads`

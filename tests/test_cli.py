@@ -661,6 +661,28 @@ class TestInfer:
         assert f"modality raster {scene / 'color.mtns'} must be (C,H,W)" in capsys.readouterr().err
         assert not (tmp_path / "m.mtns").exists()
 
+    def test_class_ids_beyond_uint8_exit_two_before_inference(self, trained, tmp_path, capsys,
+                                                               monkeypatch):
+        import hallucinet.cli as cli_mod
+        from hallucinet.model import ModelBundle, build_branch, save_checkpoint
+
+        _, out = trained
+        config = BranchConfig(class_count=257, blocks=((6, 1), (10, 1)), tap_depth=1)
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(ModelBundle(config, {"rgb": build_branch(config, 3, "rgb", 1)},
+                                    {"rgb": "color"}), ckpt)
+
+        def no_inference(*args, **kwargs):
+            raise AssertionError("inference ran")
+
+        monkeypatch.setattr(cli_mod, "tiled_inference", no_inference)
+        code = main(["infer", "--checkpoint", str(ckpt),
+                     "--scene", str(out / "dataset" / "scenes" / "scene_005"),
+                     "--out", str(tmp_path / "m.mtns")])
+        assert code == 2
+        assert "257 classes" in capsys.readouterr().err
+        assert not (tmp_path / "m.mtns").exists()
+
     def test_missing_modality_exit_six(self, trained, tmp_path):
         _, out = trained
         scene_src = out / "dataset" / "scenes" / "scene_005"

@@ -1,8 +1,11 @@
 """Evaluator: erosion oracle, confusion, metrics, tiled inference, routing."""
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 import hallucinet.evaluate as evaluate_mod
+import hallucinet.parallel as parallel
 from hallucinet.data import load_scene
 from hallucinet.engine.functional import _BAND_BYTES
 from hallucinet.evaluate import (
@@ -408,10 +411,17 @@ class TestExactTiling:
             tiled_inference(hal_bundle, rasters, {"depth": True})
         assert "color 64x64" in str(err.value) and "height 128x128" in str(err.value)
 
-    @pytest.mark.parametrize("blocks, roster", [(None, 1), (None, 3), ("default", 1)])
-    def test_estimate_bounds_predict_peak(self, tiny_config, hal_bundle, rng, blocks, roster):
+    @pytest.mark.parametrize("blocks, roster", [(None, 1), (None, 3), (None, 5),
+                                                ("default", 1)])
+    def test_estimate_bounds_predict_peak(self, tiny_config, hal_bundle, rng, monkeypatch,
+                                          blocks, roster):
+        """With the selected branches in flight on two workers: 2 of the
+        3-branch roster, and 3 of the mode-multi roster's 5."""
         import tracemalloc
 
+        control = parallel._blas_control()
+        limit = control[1] if control else (lambda n: nullcontext())
+        monkeypatch.setattr(parallel, "_blas_control", lambda: (2, limit))
         if blocks == "default":
             cfg = BranchConfig(class_count=4)
             bundle = ModelBundle(cfg, {"rgb": build_branch(cfg, 3, "rgb", 1)},
@@ -419,10 +429,18 @@ class TestExactTiling:
         elif roster == 1:
             bundle = ModelBundle(tiny_config, {"rgb": hal_bundle.branches["rgb"]},
                                  {"rgb": "color"})
-        else:
+        elif roster == 3:
             bundle = hal_bundle
+        else:
+            ir = _calibrated(build_branch(tiny_config, 1, "ir", 4), 1, 4)
+            bundle = ModelBundle(tiny_config,
+                                 {**hal_bundle.branches, "ir": ir,
+                                  "hal_ir": _calibrated(init_hallucination_from(ir, 3, 5), 3, 5)},
+                                 {"rgb": "color", "depth": "height", "ir": "ir"})
         for side in (128, 256):
-            inputs = {k: v[None] for k, v in _scene(rng, side, side).items()}
+            scene = _scene(rng, side, side)
+            scene["ir"] = rng.random((1, side, side), dtype=np.float32)
+            inputs = {k: v[None] for k, v in scene.items()}
             for availability in ({"depth": True}, SCENARIO_1):
                 tracemalloc.start()
                 try:

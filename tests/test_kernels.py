@@ -7,6 +7,7 @@ import hallucinet.engine.functional as functional
 import reference_kernels
 from hallucinet.engine import (
     BatchNormState,
+    NonFiniteError,
     Parameter,
     Tensor,
     backward,
@@ -313,3 +314,113 @@ def test_stride1_conv_dx_bit_identical_at_other_paddings(rng, k, padding, dtype)
     got = functional._conv_dx(dout, w, 1, padding, (h, wd))
     assert got.shape == (2, 3, h, wd)
     assert got.tobytes() == _conv_dx_dilated(dout, w, padding).tobytes()
+
+
+def _unit_state(rng, co):
+    """Non-trivial running statistics and affine of one batchnorm layer."""
+    state = BatchNormState(co)
+    state.running_mean = rng.normal(0.0, 0.5, co).astype(np.float32)
+    state.running_var = rng.uniform(0.05, 2.0, co).astype(np.float32)
+    scale = rng.uniform(-1.5, 1.5, co).astype(np.float32)
+    shift = rng.normal(0.0, 0.5, co).astype(np.float32)
+    return state, scale, shift
+
+
+def _unit_chain(x, w, scale, shift, state, stride, pool):
+    """conv2d -> infer-mode batchnorm with ReLU (-> maxpool2), without a graph."""
+    frozen_ = [Parameter(a, name, requires_grad=False)
+               for a, name in ((w, "w"), (scale, "s"), (shift, "b"))]
+    y = conv2d(Tensor(x), frozen_[0], None, stride=stride, padding=1)
+    y = batchnorm(y, frozen_[1], frozen_[2], state, "infer", relu=True)
+    return maxpool2(y).data if pool else y.data
+
+
+def _band_rows(monkeypatch, rows, ci, wo):
+    """Bands of `rows` output rows for a 3x3 conv of ci channels, wo wide."""
+    monkeypatch.setattr(functional, "_BAND_BYTES", rows * ci * 9 * wo * 4)
+
+
+# (input, output) widths of the tiny branch (TINY_BLOCKS) and the default one
+UNIT_WIDTHS = {"tiny": (8, 16), "default": (32, 64)}
+
+
+@pytest.mark.parametrize("bands", ["one", "three_rows"])
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("widths", list(UNIT_WIDTHS))
+def test_conv_unit_kernel_bit_identical_to_op_chain(rng, monkeypatch, widths, stride, batch,
+                                                    pool, bands):
+    ci, co = UNIT_WIDTHS[widths]
+    ho, wo = 8, 6
+    x = rng.normal(size=(batch, ci, ho * stride, wo * stride)).astype(np.float32)
+    w = rng.normal(0.0, 0.3, size=(co, ci, 3, 3)).astype(np.float32)
+    state, scale, shift = _unit_state(rng, co)
+    if bands == "three_rows":
+        # bands of 3, 3 and 2 rows: the first ends on an unpaired row, which carries
+        _band_rows(monkeypatch, 3, ci, wo)
+    expected = _unit_chain(x, w, scale, shift, state, stride, pool)
+    got = functional.conv_bn_relu(x, w, scale, shift, state, stride, 1, pool)
+    assert got.shape == expected.shape and got.dtype == np.float32
+    assert got.tobytes() == expected.tobytes()
+    assert (expected == 0).any() and (expected > 0).any()
+
+
+def test_conv_unit_kernel_reads_strided_input(rng, monkeypatch):
+    # a window of a scene, as tiled inference passes it
+    scene = rng.normal(size=(3, 40, 36)).astype(np.float32)
+    x = scene[None, :, 5:37, 2:34]
+    w = rng.normal(size=(8, 3, 3, 3)).astype(np.float32)
+    state, scale, shift = _unit_state(rng, 8)
+    _band_rows(monkeypatch, 5, 3, 16)
+    expected = _unit_chain(np.ascontiguousarray(x), w, scale, shift, state, 2, True)
+    got = functional.conv_bn_relu(x, w, scale, shift, state, 2, 1, True)
+    assert got.tobytes() == expected.tobytes()
+
+
+def _raised(fn):
+    with pytest.raises(NonFiniteError) as err:
+        fn()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("case", ["nan_input", "inf_hidden_by_relu", "affine_overflow",
+                                  "overflow_then_nan"])
+def test_conv_unit_kernel_raises_where_the_chain_raises(rng, monkeypatch, case, pool):
+    ci, co, ho, wo = 4, 6, 8, 6
+    x = rng.normal(size=(1, ci, ho, wo)).astype(np.float32)
+    w = rng.normal(size=(co, ci, 3, 3)).astype(np.float32)
+    state, scale, shift = _unit_state(rng, co)
+    _band_rows(monkeypatch, 3, ci, wo)
+    if case == "nan_input":
+        x[0, 1, 5, 2] = np.nan
+    elif case == "inf_hidden_by_relu":
+        # +inf times a negative scale is -inf, which the ReLU turns into 0
+        w = np.abs(w)
+        x = np.abs(x)
+        x[0, :, 6, 3] = np.inf
+        scale = -np.abs(scale)
+    else:
+        # the first band overflows in the affine, with finite conv outputs
+        scale[2] = 3e38
+        state.running_var[2] = 1.0
+        if case == "overflow_then_nan":
+            x[0, 0, 7, 1] = np.nan  # a later band's conv output is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _raised(lambda: _unit_chain(x, w, scale, shift, state, 1, pool))
+        assert expected == _raised(
+            lambda: functional.conv_bn_relu(x, w, scale, shift, state, 1, 1, pool))
+    op = "batchnorm" if case == "affine_overflow" else "conv2d"
+    assert expected == f"non-finite values produced by {op}"
+
+
+def test_conv_unit_kernel_refuses_what_the_chain_refuses(rng):
+    state, scale, shift = _unit_state(rng, 4)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    with pytest.raises(ValueError, match="channel mismatch: input 2, weight 3"):
+        functional.conv_bn_relu(np.zeros((1, 2, 8, 8), np.float32), w, scale, shift, state,
+                                1, 1, False)
+    with pytest.raises(ValueError, match="maxpool2 needs even spatial extents, got 7x8"):
+        functional.conv_bn_relu(np.zeros((1, 3, 7, 8), np.float32), w, scale, shift, state,
+                                1, 1, True)

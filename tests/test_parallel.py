@@ -249,3 +249,90 @@ def test_mmap_threshold_is_half_the_largest_activation():
     # batch 4 x 32 channels x (256 / 2)^2 float32 = 8 MiB at the default settings
     config = model_mod.BranchConfig(class_count=4)
     assert train_mod._mmap_threshold(config, TrainConfig()) == 4 << 20
+    # inference takes it for the window: one 512^2 window holds as much
+    assert model_mod._mmap_threshold(config, (1, 3, 512, 512)) == 4 << 20
+    assert model_mod._mmap_threshold(config, (4, 3, 256, 256)) == 4 << 20
+
+
+def _predict_roster(config):
+    """The mode-multi roster, batchnorm statistics from one train-mode batch each."""
+    rng = np.random.default_rng(8)
+    channels = {"rgb": 3, "depth": 1, "ir": 1, "hal_depth": 3, "hal_ir": 3}
+    branches = {}
+    for i, (role, ch) in enumerate(channels.items()):
+        branch = build_branch(config, ch, role, 20 + i)
+        for unit in (u for units in branch.blocks for u in units):
+            unit.state.momentum = 1.0
+            unit.shift.data = rng.normal(0, 0.2, unit.shift.data.shape).astype(np.float32)
+        branch.forward(rng.random((1, ch, 64, 64), dtype=np.float32), "train")
+        branches[role] = branch
+    bundle = model_mod.ModelBundle(config, branches,
+                                   {"rgb": "color", "depth": "height", "ir": "ir"})
+    inputs = {"color": rng.random((2, 3, 64, 96), dtype=np.float32),
+              "height": rng.random((2, 1, 64, 96), dtype=np.float32),
+              "ir": rng.random((2, 1, 64, 96), dtype=np.float32)}
+    return bundle, inputs
+
+
+@pytest.mark.parametrize("blocks", ["tiny", "default"])
+def test_predict_does_not_depend_on_the_worker_count(blocks, tiny_config, monkeypatch):
+    config = tiny_config if blocks == "tiny" else model_mod.BranchConfig(class_count=4)
+    bundle, inputs = _predict_roster(config)
+    runs = []
+    for workers in (1, 2):
+        with monkeypatch.context() as m:
+            _budget(m, workers)
+            seen = _fit_threads(m)
+            probs = {str(av): model_mod.predict_probs(bundle, inputs, av).tobytes()
+                     for av in ({}, {"depth": False}, {"depth": False, "ir": False})}
+        if workers == 1:
+            assert set(seen["forward"]) == {threading.main_thread()}
+        else:
+            assert threading.main_thread() not in seen["forward"]
+        runs.append(probs)
+    assert runs[0] == runs[1]
+
+
+def test_predict_puts_back_every_blas_thread_count(tiny_config, monkeypatch):
+    symbols = parallel._openblas_symbols()
+    if not symbols:
+        pytest.skip("numpy has loaded no OpenBLAS")
+    _budget(monkeypatch, 2)
+    bundle, inputs = _predict_roster(tiny_config)
+    during = []
+    forward = model_mod.BranchNet.forward
+
+    def forward_spy(self, *args, **kwargs):
+        during.append([get() for get, _ in symbols])
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod.BranchNet, "forward", forward_spy)
+    saved = [get() for get, _ in symbols]
+    try:
+        for _, put in symbols:
+            put(2)
+        model_mod.predict_probs(bundle, inputs, {})
+        assert [get() for get, _ in symbols] == [2] * len(symbols)
+        # a branch raises inside its task: the rgb input has one channel
+        wrong = {**inputs, "color": inputs["height"]}
+        with pytest.raises(ValueError, match="branch rgb expects 3 channels, got 1"):
+            model_mod.predict_probs(bundle, wrong, {"depth": False})
+        assert [get() for get, _ in symbols] == [2] * len(symbols)
+    finally:
+        for (_, put), n in zip(symbols, saved):
+            put(n)
+    assert len(during) == 6 and all(counts == [1] * len(symbols) for counts in during)
+
+
+def test_predict_runs_a_lone_branch_on_the_calling_thread(tiny_config, monkeypatch):
+    """So it keeps every BLAS thread, where a worker would have one."""
+    _budget(monkeypatch, 2)
+    full, inputs = _predict_roster(tiny_config)
+    seen = _fit_threads(monkeypatch)
+    bundle = model_mod.ModelBundle(tiny_config, {"rgb": full.branches["rgb"]},
+                                   {"rgb": "color"})
+    probs = model_mod.predict_probs(bundle, inputs, {})
+    assert seen["forward"] == [threading.main_thread()]
+    with frozen(bundle.parameters()):
+        logits = bundle.branches["rgb"].forward(inputs["color"]).logits
+    assert probs.tobytes() == model_mod.channel_softmax(logits).data.tobytes()
