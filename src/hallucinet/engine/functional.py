@@ -7,9 +7,10 @@ input-gradient is itself a forward convolution of the zero-dilated (at
 stride 1, merely padded) output gradient. transposed_conv2d, the
 upsampling head, does not use them: it runs as dense GEMMs on the grid of
 its stride-sized output tiles. Max pooling works on the four strided
-corner views of its windows. An infer-mode conv unit that builds no
-graph (conv, batchnorm with ReLU, and a block's pooling) is one banded
-kernel, `conv_bn_relu`, bit for bit the output of those ops.
+corner views of its windows. A conv unit that builds no graph (conv,
+batchnorm with ReLU, and a block's pooling) is one kernel, bit for bit
+the output of those ops: `conv_bn_relu`, banded, in infer mode, and
+`conv_bn_relu_train`, which normalizes in the conv output, in train mode.
 """
 from __future__ import annotations
 
@@ -239,15 +240,22 @@ def bilinear_kernel(channels: int, kernel_size: int) -> np.ndarray:
     return weight
 
 
-def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling; gradient goes to the first maximum in row-major window order."""
-    n, c, h, w = x.data.shape
+def _pool2(x: np.ndarray) -> np.ndarray:
+    """2x2 max pooling of an array: max(max(v0, v1), max(v2, v3)) over the
+    four corners of every window, in row-major window order."""
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even spatial extents, got {h}x{w}")
+    v = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    out = np.maximum(v[0], v[1])
+    return np.maximum(out, np.maximum(v[2], v[3]), out=out)
+
+
+def maxpool2(x: Tensor) -> Tensor:
+    """2x2 max pooling; gradient goes to the first maximum in row-major window order."""
+    data = _pool2(x.data)
     # the four corners of every window, in row-major window order
     corners = [(slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
-    v = [x.data[:, :, ri, rj] for ri, rj in corners]
-    data = np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
 
     def backw(out):
         if x.requires_grad:
@@ -278,6 +286,37 @@ class BatchNormState:
         self.running_var = np.ones(channels, dtype=dtype)
 
 
+def _batch_stats(xv: np.ndarray, state: BatchNormState, out: np.ndarray | None = None):
+    """Train-mode batchnorm's statistics of (N, C, P) values: returns
+    (mean, centre, var, xv - centre) and advances the running averages.
+    The centred values go to `out` (which may be xv), else to a new array."""
+    m = xv.shape[0] * xv.shape[2]
+    if m < 2:
+        raise ValueError("batchnorm train mode needs at least 2 values per channel")
+    # a float64 sum keeps the mean exact to well below the spread when
+    # |mean| >> std; var is the second moment about the rounded mean
+    mean = np.einsum("ncp->c", xv, dtype=np.float64) / m
+    centre = mean.astype(xv.dtype)
+    centred = np.subtract(xv, centre[:, None], out=out)
+    var = np.einsum("ncp,ncp->c", centred, centred) / m - (mean - centre) ** 2
+    mom = state.momentum
+    state.running_mean = ((1 - mom) * state.running_mean + mom * mean).astype(state.running_mean.dtype)
+    state.running_var = ((1 - mom) * state.running_var + mom * var).astype(state.running_var.dtype)
+    return mean, centre, var, centred
+
+
+def _affine_vectors(scale: np.ndarray, shift: np.ndarray, mean, centre: np.ndarray, var,
+                    eps: float):
+    """(inv_std, a, a32, b32): batchnorm's output is (x - centre)*a32 + b32,
+    x*a + b taken about the float centre for precision, with a = scale*inv_std
+    and b = shift - mean*a; a32 and b32 are (C, 1) in the centre's dtype."""
+    inv_std = 1.0 / np.sqrt(var + eps)
+    a = scale * inv_std
+    a32 = a.astype(centre.dtype)[:, None]
+    b32 = (shift - (mean - centre) * a).astype(centre.dtype)[:, None]
+    return inv_std, a, a32, b32
+
+
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
               mode: str, relu: bool = False) -> Tensor:
     """Per-channel batch normalization over (N,H,W), optionally rectified.
@@ -299,17 +338,7 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
     xv = x.data.reshape(n, c, h * w)
     dtype = x.data.dtype
     if mode == "train":
-        if m < 2:
-            raise ValueError("batchnorm train mode needs at least 2 values per channel")
-        # a float64 sum keeps the mean exact to well below the spread when
-        # |mean| >> std; var is the second moment about the rounded mean
-        mean = np.einsum("ncp->c", xv, dtype=np.float64) / m
-        centre = mean.astype(dtype)
-        data = np.subtract(xv, centre[:, None])
-        var = np.einsum("ncp,ncp->c", data, data) / m - (mean - centre) ** 2
-        mom = state.momentum
-        state.running_mean = ((1 - mom) * state.running_mean + mom * mean).astype(state.running_mean.dtype)
-        state.running_var = ((1 - mom) * state.running_var + mom * var).astype(state.running_var.dtype)
+        mean, centre, var, data = _batch_stats(xv, state)
     elif mode == "infer":
         mean = state.running_mean.astype(np.float64)
         var = state.running_var.astype(np.float64)
@@ -317,11 +346,8 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
         data = np.subtract(xv, centre[:, None])
     else:
         raise ValueError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    a = scale.data * inv_std
-    # x*a + b, taken about the float centre for precision: (x - centre)*a + b + centre*a
-    a32 = a.astype(dtype)[:, None]
-    b32 = (shift.data - (mean - centre) * a).astype(dtype)[:, None]
+    inv_std, a, a32, b32 = _affine_vectors(scale.data, shift.data, mean, centre, var,
+                                           state.eps)
 
     def affine(y):  # in place: y*a32 + b32, rectified when relu is set
         y *= a32
@@ -423,11 +449,9 @@ def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np
         raise ValueError(f"maxpool2 needs even spatial extents, got {ho}x{wo}")
     dtype = x.dtype
     # batchnorm's infer-mode vectors, computed as it computes them
-    mean = state.running_mean.astype(np.float64)
     centre = state.running_mean.astype(dtype)
-    a = scale * (1.0 / np.sqrt(state.running_var.astype(np.float64) + state.eps))
-    a32 = a.astype(dtype)[:, None]
-    b32 = (shift - (mean - centre) * a).astype(dtype)[:, None]
+    _, _, a32, b32 = _affine_vectors(scale, shift, state.running_mean.astype(np.float64),
+                                     centre, state.running_var.astype(np.float64), state.eps)
     centre = centre[:, None]
 
     k = ci * kh * kw
@@ -475,6 +499,33 @@ def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np
     if not bn_finite:
         raise NonFiniteError("non-finite values produced by batchnorm")
     return out if pool else out.reshape(n, co, ho, wo)
+
+
+def conv_bn_relu_train(x: np.ndarray, weight: np.ndarray, scale: np.ndarray,
+                       shift: np.ndarray, state: BatchNormState, stride: int, padding: int,
+                       pool: bool) -> np.ndarray:
+    """conv2d without bias -> batchnorm(..., "train", relu=True), then
+    maxpool2 when `pool` is set, on arrays and without a graph: a frozen
+    prefix in train mode, or a forward with every parameter frozen.
+
+    The batch statistics need the whole conv output, so the kernel is not
+    banded. It normalizes in the conv output's buffer, where batchnorm
+    writes a second one, and never writes into x. The output and the
+    running statistics are the chain's, bit for bit, and so is a failure:
+    NonFiniteError names conv2d if any conv output is non-finite, else
+    batchnorm, whose running statistics have then advanced as the chain's.
+    """
+    y = _conv_fwd(x, weight, stride, padding)
+    check_finite(y, "conv2d")
+    n, c, h, w = y.shape
+    yv = y.reshape(n, c, h * w)
+    mean, centre, var, _ = _batch_stats(yv, state, out=yv)
+    _, _, a32, b32 = _affine_vectors(scale, shift, mean, centre, var, state.eps)
+    yv *= a32
+    yv += b32
+    np.maximum(yv, 0, out=yv)
+    check_finite(y, "batchnorm")
+    return _pool2(y) if pool else y
 
 
 def relu(x: Tensor) -> Tensor:

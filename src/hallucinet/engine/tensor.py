@@ -324,7 +324,9 @@ def backward(root: Tensor, groups=(), run=run_in_order):
     the hooks of all nodes that read its output; and where a node is read
     from inside and outside its group, its gradient sums the same terms,
     the outside ones first, which is the same sum bit for bit when there
-    are two.
+    are two. Once the graph is partitioned, a `groups` list is emptied, so
+    that the pass alone holds the groups' tensors and a group's outputs
+    are freed when its task has run, not when the whole pass ends.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -336,6 +338,8 @@ def backward(root: Tensor, groups=(), run=run_in_order):
             _released(node)
     owner = _owners(groups)
     parts: list[list] = [[] for _ in range(len(groups) + 1)]  # the joint nodes last
+    if isinstance(groups, list):
+        groups.clear()
     for node in reversed(order):
         parts[owner.get(id(node), -1)].append(node)
     del order

@@ -29,6 +29,7 @@ from .engine import (
     channel_softmax,
     conv2d,
     conv_bn_relu,
+    conv_bn_relu_train,
     frozen,
     maxpool2,
     release,
@@ -123,12 +124,13 @@ class _ConvBnRelu:
 
     def forward(self, x: Tensor, mode: str, pool: bool) -> Tensor:
         """The unit's output, 2x2 max-pooled if `pool` (a block's last unit)."""
-        if mode == "infer" and not any(t.requires_grad for t in (x, *self.parameters())):
-            # no graph to build: the whole unit is one banded kernel
-            return Tensor(conv_bn_relu(x.data, self.weight.data, self.scale.data,
-                                       self.shift.data, self.state, self.stride, 1, pool),
-                          op="conv_bn_relu")
-        # no conv bias: batchnorm subtracts the mean, so it would cancel
+        kernel = {"infer": conv_bn_relu, "train": conv_bn_relu_train}.get(mode)
+        if kernel and not any(t.requires_grad for t in (x, *self.parameters())):
+            # no graph to build: the whole unit is one kernel
+            return Tensor(kernel(x.data, self.weight.data, self.scale.data, self.shift.data,
+                                 self.state, self.stride, 1, pool), op=kernel.__name__)
+        # no conv bias: batchnorm subtracts the mean, so it would cancel; it
+        # also refuses an unknown mode
         y = conv2d(x, self.weight, None, stride=self.stride, padding=1)
         release(x)  # a previous unit's output: its batchnorm can rebuild it
         out = batchnorm(y, self.scale, self.shift, self.state, mode, relu=True)
@@ -172,7 +174,9 @@ class BranchNet:
             bilinear_kernel(config.class_count, 2 * factor),
             f"{role}/upsample/weight")
 
-    def forward(self, x, mode: str = "infer") -> BranchOutput:
+    def prefix(self, x, mode: str = "infer") -> Tensor:
+        """The tap of input x: the blocks up to the tap depth, the first
+        part of `forward`."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float32))
         n, c, h, w = x.shape
@@ -181,16 +185,25 @@ class BranchNet:
         factor = self.config.downsample_factor
         if h % factor or w % factor:
             raise ValueError(f"input extents must be divisible by {factor}, got {h}x{w}")
-        t = x
-        tap = None
-        for b, units in enumerate(self.blocks):
+        return self._blocks(x, mode, self.blocks[:self.config.tap_depth])
+
+    def forward(self, x, mode: str = "infer", tap: Tensor | None = None) -> BranchOutput:
+        """The tap and the logits of input x. Given `tap`, x's `prefix`
+        computed before, only the blocks past the tap run and x is not read."""
+        if tap is None:
+            tap = self.prefix(x, mode)
+        t = self._blocks(tap, mode, self.blocks[self.config.tap_depth:])
+        scores = conv2d(t, self.score_weight, self.score_bias)
+        logits = transposed_conv2d(scores, self.upsample_weight,
+                                   stride=self.config.downsample_factor)
+        return BranchOutput(tap=tap, logits=logits)
+
+    @staticmethod
+    def _blocks(t: Tensor, mode: str, blocks) -> Tensor:
+        for units in blocks:
             for i, unit in enumerate(units):
                 t = unit.forward(t, mode, pool=i == len(units) - 1)
-            if b == self.config.tap_depth - 1:
-                tap = t
-        scores = conv2d(t, self.score_weight, self.score_bias)
-        logits = transposed_conv2d(scores, self.upsample_weight, stride=factor)
-        return BranchOutput(tap=tap, logits=logits)
+        return t
 
     def parameters(self) -> list[Parameter]:
         params = []

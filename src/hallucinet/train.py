@@ -195,7 +195,8 @@ def _fit(tag: str, params: list[Parameter], batches, loss_terms, lr: float,
     `loss_terms(batch, labels)` returns (named term tensors, total,
     branch groups); the total is minimized and every term's value is
     logged. The backward pass runs each group of tensors' subgraph as one
-    task of `run` (`engine.backward`).
+    task of `run` (`engine.backward`), which empties the groups list, so
+    that a branch's outputs are freed once its task has run.
     """
     state = AdamState(lr=lr)
     step = 0
@@ -204,8 +205,7 @@ def _fit(tag: str, params: list[Parameter], batches, loss_terms, lr: float,
             terms, total, groups = loss_terms(batch, labels)
             values = {name: term.item() for name, term in terms.items()}
             value = total.item()
-            backward(total, groups, run)
-            del groups  # the branch outputs, freed before the next forward
+            backward(total, groups, run)  # empties groups: outputs go with their task
             pre, post = _optimizer_round(params, state, clip_threshold)
             log.append({"stage": tag, "step": step, "terms": values, "total": value,
                         "gamma": gamma, "grad_max_pre": pre, "grad_max_post": post})
@@ -273,12 +273,52 @@ def _pretrain(manifest: DatasetManifest, model_config: BranchConfig, config: Tra
     return {role: branch for role, (branch, _) in zip(role_modalities, fitted)}
 
 
-def _forward_joint(bundle: ModelBundle, roles: list[str], batch, run):
-    """Each role's train-mode forward, one task of `run` per branch."""
-    outputs = run([functools.partial(bundle.branches[role].forward,
-                                     batch[bundle.input_modality(role)], "train")
-                   for role in roles])
-    return dict(zip(roles, outputs))
+def _forward_joint(bundle: ModelBundle, roles: list[str], batch, run, targets=(), taps=None):
+    """Each role's train-mode forward, one task of `run` per branch, the
+    tasks and the outputs in the order of `roles`. The `targets` forward
+    only past their taps of this batch (`BranchNet.prefix`), which the
+    future `taps`, a task of `run` started before, maps them to."""
+    def forward(role):
+        tap = taps.result()[role] if role in targets else None
+        return bundle.branches[role].forward(batch[bundle.input_modality(role)], "train",
+                                             tap=tap)
+
+    return dict(zip(roles, run([functools.partial(forward, role) for role in roles])))
+
+
+class _Lookahead:
+    """A batch stream read one batch ahead, with `task(batch)` started on
+    each batch as it is drawn (`start` is `Workers.start`).
+
+    Iterating yields each (batch, labels) in turn, and `taps` is then the
+    future of that batch's task. `advance()` draws the next batch, and so
+    starts its task, without waiting: called during a step, it lets the
+    task overlap the rest of the step; otherwise the next iteration
+    draws. No task starts past the last batch. A task's failure is raised
+    where its future is read, by the step of its batch; a step that fails
+    before that leaves it unread.
+    """
+
+    def __init__(self, batches, task, start):
+        self._batches = iter(batches)
+        self._task, self._start = task, start
+        self._next = None  # the drawn (batch, labels, future), or () past the last
+        self.taps = None
+
+    def advance(self):
+        if self._next is None:
+            item = next(self._batches, None)
+            self._next = () if item is None else (
+                *item, self._start(functools.partial(self._task, item[0])))
+
+    def __iter__(self):
+        while True:
+            self.advance()
+            if not self._next:
+                return
+            batch, labels, self.taps = self._next
+            self._next = None
+            yield batch, labels
 
 
 def _mmap_threshold(model_config: BranchConfig, config: TrainConfig) -> int:
@@ -346,23 +386,34 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
 
         sampler4 = PatchSampler(manifest, "train", config.patch, config.batch_size,
                                 seed=config.seed * 10 + 4, modalities=mods)
-        joint = ["rgb", *roles, *(f"hal_{r}" for r in roles)]
+        hals = [f"hal_{r}" for r in roles]
+        joint = ["rgb", *hals, *roles]  # the branches that run in full first
 
-        def forward_loss(batch, labels, gamma):
-            outputs = _forward_joint(bundle, joint, batch, run)
-            return outputs, composite_loss(outputs, labels, weights, gamma)
+        def objective(batch, labels, gamma):
+            return composite_loss(_forward_joint(bundle, joint, batch, run), labels, weights,
+                                  gamma)
 
-        gamma = _calibrate(bundle, sampler4, forward_loss, config, log)
+        gamma = _calibrate(bundle, sampler4, objective, config, log)
 
-        def joint_loss(batch, labels):
-            outputs, bd = forward_loss(batch, labels, gamma)
-            # one backward group per branch: its subgraph from its logits and tap
-            return bd.terms, bd.total, [[out.logits, out.tap] for out in outputs.values()]
+        def target_taps(batch):
+            """The frozen targets' train-mode taps of one batch, in roster order."""
+            return {role: bundle.branches[role].prefix(batch[role_modalities[role]], "train")
+                    for role in roles}
 
         calibration = config.gamma.sample_batches  # those batches are not trained on
-        batches = itertools.islice(sampler4.batches(calibration + config.stage4_steps),
-                                   calibration, None)
-        params = [p for role in joint for p in bundle.branches[role].parameters()]
+        batches = _Lookahead(itertools.islice(sampler4.batches(calibration + config.stage4_steps),
+                                              calibration, None), target_taps, run.start)
+
+        def joint_loss(batch, labels):
+            outputs = _forward_joint(bundle, joint, batch, run, roles, batches.taps)
+            batches.advance()  # the next batch's taps overlap this step's loss and backward
+            bd = composite_loss(outputs, labels, weights, gamma)
+            # one backward group per branch, its subgraph from its logits and
+            # tap, in task order: the longest first, as the targets stop at their taps
+            return bd.terms, bd.total, [[out.logits, out.tap] for out in outputs.values()]
+
+        # in roster order, which decides the parameter a non-finite gradient names
+        params = [p for role in ("rgb", *roles, *hals) for p in bundle.branches[role].parameters()]
         with frozen(p for role in roles for p in _tap_prefix(bundle.branches[role])):
             _fit("stage4", params, batches, joint_loss, config.lr_stage4,
                  config.clip_threshold, log, gamma, run)
@@ -376,12 +427,13 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
 run_protocol_single = run_protocol_multi = run_protocol
 
 
-def _calibrate(bundle, sampler, forward_loss, config: TrainConfig, log) -> float:
-    """Stage 3: compute gamma on the leading calibration batches."""
+def _calibrate(bundle, sampler, objective, config: TrainConfig, log) -> float:
+    """Stage 3: compute gamma on the leading calibration batches;
+    `objective(batch, labels, gamma)` is the joint `LossBreakdown`."""
     gammas = []
     for step, (batch, labels) in enumerate(sampler.batches(config.gamma.sample_batches)):
         with frozen(bundle.parameters()):  # values only: no graph
-            _, bd = forward_loss(batch, labels, 1.0)
+            bd = objective(batch, labels, 1.0)
         gammas.append(calibrate_gamma(bd, config.gamma))
         log.append({"stage": "stage3", "step": step,
                     "terms": bd.term_values(), "total": bd.total_value(),

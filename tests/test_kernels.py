@@ -326,12 +326,12 @@ def _unit_state(rng, co):
     return state, scale, shift
 
 
-def _unit_chain(x, w, scale, shift, state, stride, pool):
-    """conv2d -> infer-mode batchnorm with ReLU (-> maxpool2), without a graph."""
+def _unit_chain(x, w, scale, shift, state, stride, pool, mode="infer"):
+    """conv2d -> batchnorm with ReLU (-> maxpool2), without a graph."""
     frozen_ = [Parameter(a, name, requires_grad=False)
                for a, name in ((w, "w"), (scale, "s"), (shift, "b"))]
     y = conv2d(Tensor(x), frozen_[0], None, stride=stride, padding=1)
-    y = batchnorm(y, frozen_[1], frozen_[2], state, "infer", relu=True)
+    y = batchnorm(y, frozen_[1], frozen_[2], state, mode, relu=True)
     return maxpool2(y).data if pool else y.data
 
 
@@ -424,3 +424,75 @@ def test_conv_unit_kernel_refuses_what_the_chain_refuses(rng):
     with pytest.raises(ValueError, match="maxpool2 needs even spatial extents, got 7x8"):
         functional.conv_bn_relu(np.zeros((1, 3, 7, 8), np.float32), w, scale, shift, state,
                                 1, 1, True)
+
+
+def _twin(state):
+    twin = BatchNormState(len(state.running_mean))
+    twin.running_mean = state.running_mean.copy()
+    twin.running_var = state.running_var.copy()
+    return twin
+
+
+def _same_stats(a, b):
+    return (a.running_mean.tobytes() == b.running_mean.tobytes()
+            and a.running_var.tobytes() == b.running_var.tobytes())
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("widths", list(UNIT_WIDTHS))
+def test_train_unit_kernel_bit_identical_to_op_chain(rng, widths, stride, batch, pool):
+    ci, co = UNIT_WIDTHS[widths]
+    x = rng.normal(2.0, 1.0, size=(batch, ci, 8 * stride, 6 * stride)).astype(np.float32)
+    x.flags.writeable = False  # the kernel never writes into its input
+    w = rng.normal(0.05, 0.3, size=(co, ci, 3, 3)).astype(np.float32)
+    chain_state, scale, shift = _unit_state(rng, co)
+    state = _twin(chain_state)
+    before = state.running_mean.copy()
+    expected = _unit_chain(x, w, scale, shift, chain_state, stride, pool, "train")
+    got = functional.conv_bn_relu_train(x, w, scale, shift, state, stride, 1, pool)
+    assert got.shape == expected.shape and got.dtype == np.float32
+    assert got.tobytes() == expected.tobytes()
+    assert (expected == 0).any() and (expected > 0).any()
+    assert _same_stats(state, chain_state) and not np.array_equal(state.running_mean, before)
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("case", ["nan_input", "inf_input", "affine_overflow"])
+def test_train_unit_kernel_raises_where_the_chain_raises(rng, case, pool):
+    ci, co = 4, 6
+    x = rng.normal(size=(2, ci, 8, 6)).astype(np.float32)
+    w = rng.normal(size=(co, ci, 3, 3)).astype(np.float32)
+    chain_state, scale, shift = _unit_state(rng, co)
+    if case == "nan_input":
+        x[1, 1, 5, 2] = np.nan
+    elif case == "inf_input":
+        # +inf times a negative scale would be -inf, which the ReLU turns into 0
+        w, x = np.abs(w), np.abs(x)
+        x[0, :, 6, 3] = np.inf
+        scale = -np.abs(scale)
+    else:
+        # finite conv outputs, but one channel's affine overflows
+        w[2] *= 1e-3
+        scale[2] = 3e38
+    x.flags.writeable = False
+    state = _twin(chain_state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _raised(lambda: _unit_chain(x, w, scale, shift, chain_state, 1, pool, "train"))
+        assert expected == _raised(
+            lambda: functional.conv_bn_relu_train(x, w, scale, shift, state, 1, 1, pool))
+    op = "batchnorm" if case == "affine_overflow" else "conv2d"
+    assert expected == f"non-finite values produced by {op}"
+    assert _same_stats(state, chain_state)
+
+
+def test_train_unit_kernel_refuses_what_the_chain_refuses(rng):
+    state, scale, shift = _unit_state(rng, 4)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    with pytest.raises(ValueError, match="at least 2 values per channel"):
+        functional.conv_bn_relu_train(np.ones((1, 3, 1, 1), np.float32), w, scale, shift,
+                                      state, 1, 1, False)
+    with pytest.raises(ValueError, match="maxpool2 needs even spatial extents, got 7x8"):
+        functional.conv_bn_relu_train(np.ones((1, 3, 7, 8), np.float32), w, scale, shift,
+                                      state, 1, 1, True)

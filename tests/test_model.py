@@ -129,6 +129,13 @@ class TestBuildForward:
         with pytest.raises(ValueError):
             branch.forward(rng.random((1, 1, 64, 64), dtype=np.float32))
 
+    def test_unknown_mode_rejected(self, tiny_config, rng):
+        branch = build_branch(tiny_config, 3, "rgb", 0)
+        x = rng.random((1, 3, 64, 64), dtype=np.float32)
+        for frozen_params in ([], branch.parameters()):  # with and without a graph
+            with frozen(frozen_params), pytest.raises(ValueError, match="mode must be"):
+                branch.forward(x, "eval")
+
     def test_indivisible_extent_rejected(self, tiny_config, rng):
         branch = build_branch(tiny_config, 3, "rgb", 0)
         with pytest.raises(ValueError):
@@ -141,6 +148,25 @@ class TestBuildForward:
         assert all(n.startswith("rgb/") for n in names)
         assert "rgb/block0/conv0/weight" in names
         assert "rgb/score/weight" in names and "rgb/upsample/weight" in names
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_forward_from_a_tap_equals_the_whole_forward(self, tiny_config, rng, mode):
+        """With the prefix frozen, as stage 4 holds a target branch, the
+        prefix and then the blocks past it are the whole forward, bit for
+        bit: tap, logits and running statistics."""
+        from hallucinet.train import _tap_prefix
+
+        x = rng.random((2, 1, 64, 64), dtype=np.float32)
+        runs = []
+        for split in (False, True):
+            branch = build_branch(tiny_config, 1, "depth", 5)
+            with frozen(_tap_prefix(branch)):
+                tap = branch.prefix(x, mode) if split else None
+                out = branch.forward(x, mode, tap=tap)
+            assert out.logits.requires_grad and not out.tap.requires_grad
+            runs.append([out.tap.data.tobytes(), out.logits.data.tobytes(),
+                         *(a.tobytes() for a in branch.buffers().values())])
+        assert runs[0] == runs[1]
 
 
 def _buffer_bytes(arr: np.ndarray) -> int:

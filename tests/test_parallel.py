@@ -5,6 +5,7 @@ import threading
 import time
 import types
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
@@ -16,7 +17,7 @@ import hallucinet.model as model_mod
 import hallucinet.parallel as parallel
 import hallucinet.train as train_mod
 from hallucinet.cli import main
-from hallucinet.data import PatchSpec
+from hallucinet.data import PatchSampler, PatchSpec
 from hallucinet.engine import backward, frozen, mul
 from hallucinet.losses import ClassWeights, composite_loss
 from hallucinet.model import build_branch
@@ -97,6 +98,183 @@ def test_split_refuses_groups_that_share_a_node(tiny_config):
     backward(bd.total, [[o.logits, o.tap] for o in outputs.values()])  # the graph is intact
 
 
+def test_backward_frees_a_group_once_its_task_has_run(tiny_config):
+    """The pass does not hold a finished group's outputs while the other
+    groups run: a weakref to its logits array is dead before they end."""
+    branches, inputs, labels, weights, prefix = _joint_step(tiny_config, 1)
+    with frozen(prefix):
+        outputs = {role: b.forward(inputs[role], "train") for role, b in branches.items()}
+        bd = composite_loss(outputs, labels, weights, 3.0)
+    groups = [[o.logits, o.tap] for o in outputs.values()]
+    logits = [weakref.ref(o.logits.data) for o in outputs.values()]
+    del outputs
+    dead = []
+
+    def run(tasks):
+        results = []
+        for task in tasks:
+            results.append(task())
+            dead.append([ref() is None for ref in logits])
+        return results
+
+    backward(bd.total, groups, run)
+    assert groups == []
+    assert dead == [[True, False, False], [True, True, False], [True, True, True]]
+    assert all(p.grad is not None for p in branches["rgb"].parameters())
+
+
+def _stage4_spies(monkeypatch, events):
+    """Append stage-4 events to `events`: ("start",) for each task started
+    without a wait, (role, input bytes) for each branch's prefix (the first
+    part of each full forward too), ("forward", role) for each forward,
+    ("groups", roles) for each backward and ("round",) for each optimizer
+    round."""
+    on = {"stage4": False}
+    fit, start = train_mod._fit, parallel.Workers.start
+    prefix, opt_round = model_mod.BranchNet.prefix, train_mod._optimizer_round
+    forward, split_backward = model_mod.BranchNet.forward, train_mod.backward
+    roles = {}  # id of each forward's logits -> its branch
+
+    def forward_spy(self, *args, **kwargs):
+        out = forward(self, *args, **kwargs)
+        if on["stage4"]:
+            events.append(("forward", self.role))
+            roles[id(out.logits)] = self.role
+        return out
+
+    def backward_spy(root, groups=(), run=parallel.run_in_order):
+        if on["stage4"]:
+            events.append(("groups", [roles[id(logits)] for logits, _ in groups]))
+        return split_backward(root, groups, run)
+
+    def fit_spy(tag, *args, **kwargs):
+        on["stage4"] = tag == "stage4"
+        try:
+            return fit(tag, *args, **kwargs)
+        finally:
+            on["stage4"] = False
+
+    def start_spy(self, task):
+        if on["stage4"]:
+            events.append(("start",))
+        return start(self, task)
+
+    def prefix_spy(self, x, mode="infer"):
+        if on["stage4"]:
+            events.append((self.role, np.asarray(x).tobytes()))
+        return prefix(self, x, mode)
+
+    def round_spy(*args):
+        if on["stage4"]:
+            events.append(("round",))
+        return opt_round(*args)
+
+    monkeypatch.setattr(train_mod, "_fit", fit_spy)
+    monkeypatch.setattr(parallel.Workers, "start", start_spy)
+    monkeypatch.setattr(model_mod.BranchNet, "prefix", prefix_spy)
+    monkeypatch.setattr(model_mod.BranchNet, "forward", forward_spy)
+    monkeypatch.setattr(train_mod, "backward", backward_spy)
+    monkeypatch.setattr(train_mod, "_optimizer_round", round_spy)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_stage4_computes_each_target_tap_once_one_batch_ahead(mode, workers, tiny_dataset,
+                                                              tiny_dataset_ir, tiny_config,
+                                                              monkeypatch):
+    dataset = tiny_dataset if mode == "single" else tiny_dataset_ir
+    cfg = replace(TINY, mode=mode, stage4_steps=4)
+    targets = {"depth": "height", "ir": "ir"} if mode == "multi" else {"depth": "height"}
+    _budget(monkeypatch, workers)
+    events = []
+    _stage4_spies(monkeypatch, events)
+    run_protocol(dataset, tiny_config, cfg)
+
+    sampler = PatchSampler(dataset, "train", cfg.patch, cfg.batch_size, seed=cfg.seed * 10 + 4,
+                           modalities=["color", *targets.values()])
+    calibration = cfg.gamma.sample_batches
+    stream = [batch for batch, _ in sampler.batches(calibration + cfg.stage4_steps)]
+    # one prefix per target and batch, in roster order, none past the last batch
+    assert [e for e in events if e[0] in targets] == [
+        (role, batch[mod].tobytes()) for batch in stream[calibration:]
+        for role, mod in targets.items()]
+    starts = [i for i, e in enumerate(events) if e == ("start",)]
+    rounds = [i for i, e in enumerate(events) if e == ("round",)]
+    assert len(starts) == len(rounds) == cfg.stage4_steps
+    # batch t+1's prefixes start before step t's optimizer round; one
+    # thread runs them at once
+    for t in range(cfg.stage4_steps - 1):
+        assert starts[t + 1] < rounds[t]
+        if workers == 1:
+            assert events[starts[t + 1] + 1][0] == "depth"
+    # the branches that run in full first, in the forward and the backward
+    order = ["rgb", *(f"hal_{r}" for r in targets), *targets]
+    assert [e for e in events if e[0] == "groups"] == [("groups", order)] * cfg.stage4_steps
+    if workers == 1:
+        assert [e[1] for e in events if e[0] == "forward"] == order * cfg.stage4_steps
+
+
+def _branch_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("branch")]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stage4_failures_name_their_step_and_leave_no_worker(workers, tiny_dataset,
+                                                             tiny_config, monkeypatch):
+    """A NaN in batch t+1's height raster fails in its prefix, during step
+    t, and is raised as step t+1's; a failure of step t itself, with the
+    next prefix in flight, is raised as step t's."""
+    _budget(monkeypatch, workers)
+    cfg = replace(TINY, stage4_steps=4)
+    nan_batch = cfg.gamma.sample_batches + 2  # stage-4 step 2
+    batches, prefix = PatchSampler.batches, model_mod.BranchNet.prefix
+    rounds = []
+
+    def planted(self, steps):
+        for i, (batch, labels) in enumerate(batches(self, steps)):
+            if self.seed == cfg.seed * 10 + 4 and i == nan_batch:
+                batch = {**batch, "height": batch["height"].copy()}
+                batch["height"][1, 0, 5, 7] = np.nan
+            yield batch, labels
+
+    def slow_prefix(self, x, mode="infer"):
+        if self.role == "depth" and np.isnan(x).any():
+            time.sleep(0.3)  # still running when step 1 fails
+        return prefix(self, x, mode)
+
+    opt_round = train_mod._optimizer_round
+
+    def round_spy(params, *args):
+        rounds.append(len(params))
+        return opt_round(params, *args)
+
+    monkeypatch.setattr(PatchSampler, "batches", planted)
+    monkeypatch.setattr(model_mod.BranchNet, "prefix", slow_prefix)
+    monkeypatch.setattr(train_mod, "_optimizer_round", round_spy)
+    with pytest.raises(DivergenceError,
+                       match="^stage4 diverged at step 2: non-finite values produced by conv2d"):
+        run_protocol(tiny_dataset, tiny_config, cfg)
+    # stage 4's rounds step three branches' parameters, stage 1's one branch's
+    assert rounds.count(max(rounds)) == 2  # steps 0 and 1
+    assert _branch_threads() == []
+
+    objective = train_mod.composite_loss
+    calls = []
+
+    def failing_step1(*args, **kwargs):
+        bd = objective(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == cfg.gamma.sample_batches + 2:  # stage-4 step 1
+            bd.total = mul(bd.total, np.float32(np.inf))
+        return bd
+
+    monkeypatch.setattr(train_mod, "composite_loss", failing_step1)
+    with pytest.raises(DivergenceError,
+                       match="^stage4 diverged at step 1: non-finite values produced by mul"):
+        run_protocol(tiny_dataset, tiny_config, cfg)
+    assert _branch_threads() == []
+
+
 def test_run_waits_for_every_task_and_raises_the_first_in_order(monkeypatch):
     _budget(monkeypatch, 2)
     finished = []
@@ -165,6 +343,27 @@ def test_protocol_does_not_depend_on_the_worker_count(mode, tiny_dataset, tiny_d
         runs.append(_artifacts(tmp_path / f"w{workers}"))
     for name in runs[0]:
         assert runs[0][name] == runs[1][name], name
+
+
+def test_stage4_lookahead_under_many_switching_workers(tiny_dataset_ir, tiny_config, tmp_path,
+                                                     monkeypatch):
+    """Four workers, more than the cores of a small machine, switching
+    often, with two targets' taps computed one batch ahead: the artifacts
+    are those of one thread."""
+    cfg = replace(TINY, mode="multi", stage4_steps=4)
+    runs = []
+    interval = sys.getswitchinterval()
+    for workers in (1, 4):
+        with monkeypatch.context() as m:
+            _budget(m, workers)
+            sys.setswitchinterval(1e-5 if workers > 1 else interval)
+            try:
+                run_protocol(tiny_dataset_ir, tiny_config, cfg, out_dir=tmp_path / f"w{workers}")
+            finally:
+                sys.setswitchinterval(interval)
+        runs.append(_artifacts(tmp_path / f"w{workers}"))
+    assert runs[0] == runs[1]
+    assert _branch_threads() == []
 
 
 def test_without_a_blas_control_branches_run_in_order(tiny_dataset, tiny_config, tmp_path,
@@ -252,6 +451,18 @@ def test_mmap_threshold_is_half_the_largest_activation():
     # inference takes it for the window: one 512^2 window holds as much
     assert model_mod._mmap_threshold(config, (1, 3, 512, 512)) == 4 << 20
     assert model_mod._mmap_threshold(config, (4, 3, 256, 256)) == 4 << 20
+
+
+def test_openblas_is_looked_up_once_per_process(monkeypatch):
+    """The mapped libraries are read once: a second look finds the first
+    result, even once the maps can no longer be read."""
+    found = parallel._openblas_symbols()
+
+    def unreadable(self, *args, **kwargs):
+        raise AssertionError("/proc/self/maps read again")
+
+    monkeypatch.setattr(parallel.Path, "read_text", unreadable)
+    assert parallel._openblas_symbols() is found
 
 
 def _predict_roster(config):
