@@ -1,16 +1,16 @@
 """Network primitives: convolution, pooling, batchnorm, activations, softmax.
 
-Convolutions unfold one padded sample at a time into bands of im2col
-columns of bounded size and run one GEMM per band. Three kernels
-(forward, input-gradient, weight-gradient) serve conv2d; the
-input-gradient is itself a forward convolution of the zero-dilated (at
-stride 1, merely padded) output gradient. transposed_conv2d, the
-upsampling head, does not use them: it runs as dense GEMMs on the grid of
-its stride-sized output tiles. Max pooling works on the four strided
-corner views of its windows. A conv unit that builds no graph (conv,
-batchnorm with ReLU, and a block's pooling) is one kernel, bit for bit
-the output of those ops: `conv_bn_relu`, banded, in infer mode, and
-`conv_bn_relu_train`, which normalizes in the conv output, in train mode.
+Convolutions unfold one sample at a time, a band of output rows at a
+time, into im2col columns of bounded size read from the unpadded input,
+and run one GEMM per band. Three kernels (forward, input-gradient,
+weight-gradient) serve conv2d; the input-gradient is itself a forward
+convolution of the zero-dilated (at stride 1, merely padded) output
+gradient. transposed_conv2d, the upsampling head, does not use them: it
+runs as dense GEMMs on the grid of its stride-sized output tiles. Max
+pooling works on the four strided corner views of its windows. A conv
+unit that builds no graph (conv, batchnorm with ReLU, and a block's
+pooling) is one kernel in either batchnorm mode, `conv_bn_relu`, bit for
+bit the output of those ops.
 """
 from __future__ import annotations
 
@@ -22,10 +22,10 @@ from .tensor import NonFiniteError, Tensor, _accumulate, check_finite, make_node
 
 # -- raw convolution kernels (no autodiff) --------------------------------
 #
-# Small kernels unfold one padded sample at a time into a column buffer of
-# shape (Ci*kh*kw, rows*Wo), one band of output rows at a time, and run one
-# GEMM per band. Bands are sized by _BAND_BYTES, so the buffer does not grow
-# with the image.
+# Small kernels unfold one sample at a time into a column buffer of shape
+# (Ci*kh*kw, rows*Wo), one band of output rows at a time, read straight
+# from the unpadded input, and run one GEMM per band. Bands are sized by
+# _BAND_BYTES, so the buffer does not grow with the image.
 
 _BAND_BYTES = 4 << 20  # column buffer budget of one band
 
@@ -35,42 +35,54 @@ def _col_bands(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     """Yield (sample, r0, r1, cols) with cols the im2col block of output rows r0:r1.
 
     cols[(c, u, v), (i - r0) * wo + j] = padded x[sample, c, stride*i + u,
-    stride*j + v], so w.reshape(Co, -1) @ cols is that band of the output.
-    One buffer serves every band; a band's cols are only valid until the
-    next one is requested.
+    stride*j + v], zero where the window lies in the padding, so
+    w.reshape(Co, -1) @ cols is that band of the output. One buffer serves
+    every band; a band's cols are only valid until the next one is requested.
     """
     n, ci, h, wd = x.shape
     k = ci * kh * kw
     rows = max(1, min(ho, _BAND_BYTES // (k * wo * x.dtype.itemsize)))
     buf = np.empty(k * rows * wo, dtype=x.dtype)
-    xp = np.zeros((ci, h + 2 * padding, wd + 2 * padding), dtype=x.dtype) if padding else None
     for sample in range(n):
-        if padding:
-            xp[:, padding:padding + h, padding:padding + wd] = x[sample]
-        else:
-            xp = x[sample]
-        # win[c, u, v, i, j] = xp[c, stride*i + u, stride*j + v]
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        win = win.transpose(0, 3, 4, 1, 2)
         for r0 in range(0, ho, rows):
             r1 = min(ho, r0 + rows)
             cols = buf[:k * (r1 - r0) * wo].reshape(ci, kh, kw, r1 - r0, wo)
-            np.copyto(cols, win[:, :, :, r0:r1])
+            for u in range(kh):
+                di, si = _dilated_span(stride * r0 + u - padding, stride, r1 - r0, h)
+                for v in range(kw):
+                    dj, sj = _dilated_span(v - padding, stride, wo, wd)
+                    tap = cols[:, u, v]
+                    np.copyto(tap[:, di, dj], x[sample, :, si, sj])
+                    if di.start:
+                        tap[:, :di.start] = 0
+                    if di.stop < r1 - r0:
+                        tap[:, di.stop:] = 0
+                    if dj.start:
+                        tap[:, di, :dj.start] = 0
+                    if dj.stop < wo:
+                        tap[:, di, dj.stop:] = 0
             yield sample, r0, r1, cols.reshape(k, (r1 - r0) * wo)
 
 
-def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    n, ci, h, wd = x.shape
-    co, ci_w, kh, kw = w.shape
+def _conv_extent(x_shape, w_shape, stride: int, padding: int) -> tuple[int, int]:
+    """conv2d's output extents (Ho, Wo); refuses mismatched channels and an empty output."""
+    _, ci, h, wd = x_shape
+    _, ci_w, kh, kw = w_shape
     if ci != ci_w:
         raise ValueError(f"conv2d channel mismatch: input {ci}, weight {ci_w}")
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output would be empty for input {h}x{wd}, kernel {kh}x{kw}")
+    return ho, wo
+
+
+def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    ho, wo = _conv_extent(x.shape, w.shape, stride, padding)
+    n, co = x.shape[0], w.shape[0]
     out = np.empty((n, co, ho * wo), dtype=x.dtype)
     w2 = w.reshape(co, -1)
-    for sample, r0, r1, cols in _col_bands(x, kh, kw, stride, padding, ho, wo):
+    for sample, r0, r1, cols in _col_bands(x, *w.shape[2:], stride, padding, ho, wo):
         np.matmul(w2, cols, out=out[sample, :, r0 * wo:r1 * wo])
     return out.reshape(n, co, ho, wo)
 
@@ -91,11 +103,11 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
     h, wd = in_hw
     # dx is the stride-1 correlation of the zero-dilated dout, padded by
     # k-1-p, with the flipped and transposed kernel. At stride 1 with
-    # p <= k-1 nothing is dilated or cropped, so the forward kernel pads
-    # dout itself and builds the same columns. Otherwise the raster is
-    # sized to give exactly h x wd outputs, which also covers the rows and
-    # columns past the last window when (h + 2p - k) % stride > 0; dout
-    # entries of windows that saw only padding fall outside it.
+    # p <= k-1 nothing is dilated or cropped, so the forward kernel reads
+    # dout with that padding and no raster is built. Otherwise the raster
+    # is sized to give exactly h x wd outputs, which also covers the rows
+    # and columns past the last window when (h + 2p - k) % stride > 0;
+    # dout entries of windows that saw only padding fall outside it.
     flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     if stride == 1 and kh == kw and padding <= kh - 1:
         return _conv_fwd(dout, flipped, 1, kh - 1 - padding)
@@ -240,14 +252,15 @@ def bilinear_kernel(channels: int, kernel_size: int) -> np.ndarray:
     return weight
 
 
-def _pool2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pooling of an array: max(max(v0, v1), max(v2, v3)) over the
-    four corners of every window, in row-major window order."""
-    h, w = x.shape[2:]
+def _pool2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2x2 max pooling over the last two axes of an array, into `out` if
+    given: max(max(v0, v1), max(v2, v3)) over the four corners of every
+    window, in row-major window order."""
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even spatial extents, got {h}x{w}")
-    v = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-    out = np.maximum(v[0], v[1])
+    v = [x[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    out = np.maximum(v[0], v[1], out=out)
     return np.maximum(out, np.maximum(v[2], v[3]), out=out)
 
 
@@ -394,138 +407,92 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
     return out
 
 
-# -- the inference kernel of a conv unit -------------------------------------
+# -- the graph-free kernel of a conv unit -------------------------------------
 #
-# The kernel works over the output-row bands of `_col_bands`: each band's
-# im2col columns are read straight from the unpadded input, its GEMM is
-# the one `_conv_fwd` runs, and the batchnorm affine with its ReLU, then
-# the 2x2 pooling, are applied to the band as it lands. Every GEMM keeps
-# its shape and every elementwise step is batchnorm's and maxpool2's,
-# element by element, so the output is the op chain's, bit for bit.
-
-def _fill_cols(cols: np.ndarray, xs: np.ndarray, stride: int, padding: int, r0: int):
-    """cols[c, u, v, i, j] = padded xs[c, stride*(r0 + i) + u, stride*j + v],
-    the band of `_col_bands` that starts at output row r0, read from the
-    unpadded sample xs (C, H, W) and zero where the window lies in the padding."""
-    _, kh, kw, rows, wo = cols.shape
-    h, wd = xs.shape[1:]
-    for u in range(kh):
-        di, si = _dilated_span(stride * r0 + u - padding, stride, rows, h)
-        for v in range(kw):
-            dj, sj = _dilated_span(v - padding, stride, wo, wd)
-            tap = cols[:, u, v]
-            np.copyto(tap[:, di, dj], xs[:, si, sj])
-            if di.start:
-                tap[:, :di.start] = 0
-            if di.stop < rows:
-                tap[:, di.stop:] = 0
-            if dj.start:
-                tap[:, di, :dj.start] = 0
-            if dj.stop < wo:
-                tap[:, di, dj.stop:] = 0
-
+# In infer mode the kernel works over the output-row bands of `_col_bands`:
+# each band's GEMM is the one `_conv_fwd` runs, and batchnorm's centring,
+# its affine with the ReLU, then the 2x2 pooling, are applied to the band
+# as it lands. Train mode's batch statistics need the whole conv output, so
+# it runs `_conv_fwd` and centres that buffer in place, then sends each
+# sample through the same affine, ReLU and pooling. Every GEMM keeps its
+# shape and every elementwise step is batchnorm's and maxpool2's, element
+# by element, so the output is the op chain's, bit for bit.
 
 def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-                 state: BatchNormState, stride: int, padding: int, pool: bool) -> np.ndarray:
-    """conv2d without bias -> batchnorm(..., "infer", relu=True), then
+                 state: BatchNormState, mode: str, stride: int, padding: int,
+                 pool: bool) -> np.ndarray:
+    """conv2d without bias -> batchnorm(..., mode, relu=True), then
     maxpool2 when `pool` is set, on arrays and without a graph.
 
-    It holds its output and one band: no padded copy of x, no conv output
-    besides the one the affine overwrites, no pre-pool activation. When
-    pooling, a band that ends on the first row of a pooling pair carries
-    that row over to the next band. A non-finite value raises
+    Infer mode holds its output and one band: no conv output besides the
+    one the affine overwrites, no pre-pool activation. When pooling, a band
+    that ends on the first row of a pooling pair carries that row over to
+    the next band. Train mode normalizes in the conv output's buffer, where
+    batchnorm writes a second one, and advances the running statistics as
+    the chain does. Neither writes into x. A non-finite value raises
     NonFiniteError naming the op of the chain that would have raised:
     conv2d if any conv output is non-finite, otherwise batchnorm.
     """
-    n, ci, h, wd = x.shape
-    co, ci_w, kh, kw = weight.shape
-    if ci != ci_w:
-        raise ValueError(f"conv2d channel mismatch: input {ci}, weight {ci_w}")
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (wd + 2 * padding - kw) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise ValueError(f"conv2d output would be empty for input {h}x{wd}, kernel {kh}x{kw}")
-    if pool and (ho % 2 or wo % 2):
-        raise ValueError(f"maxpool2 needs even spatial extents, got {ho}x{wo}")
+    ho, wo = _conv_extent(x.shape, weight.shape, stride, padding)
+    n, co = x.shape[0], weight.shape[0]
     dtype = x.dtype
-    # batchnorm's infer-mode vectors, computed as it computes them
-    centre = state.running_mean.astype(dtype)
-    _, _, a32, b32 = _affine_vectors(scale, shift, state.running_mean.astype(np.float64),
-                                     centre, state.running_var.astype(np.float64), state.eps)
+    if mode == "train":
+        conv = _conv_fwd(x, weight, stride, padding).reshape(n, co, ho * wo)
+        check_finite(conv, "conv2d")
+        mean, centre, var, _ = _batch_stats(conv, state, out=conv)
+        bands = ((sample, 0, ho, None) for sample in range(n))
+    elif mode == "infer":
+        # batchnorm's infer-mode vectors, computed as it computes them
+        mean = state.running_mean.astype(np.float64)
+        var = state.running_var.astype(np.float64)
+        centre = state.running_mean.astype(dtype)
+        bands = _col_bands(x, *weight.shape[2:], stride, padding, ho, wo)
+    else:
+        raise ValueError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
+    if pool and (ho % 2 or wo % 2):  # after train mode's statistics advanced, as in the chain
+        raise ValueError(f"maxpool2 needs even spatial extents, got {ho}x{wo}")
+    _, _, a32, b32 = _affine_vectors(scale, shift, mean, centre, var, state.eps)
     centre = centre[:, None]
-
-    k = ci * kh * kw
-    rows = max(1, min(ho, _BAND_BYTES // (k * wo * dtype.itemsize)))  # as in _col_bands
-    col_buf = np.empty(k * rows * wo, dtype=dtype)
     w2 = weight.reshape(co, -1)
     if pool:
         out = np.empty((n, co, ho // 2, wo // 2), dtype=dtype)
-        band = np.empty((co, (rows + 1) * wo), dtype=dtype)  # a carried row, then a band
-        half = np.empty((co, (rows + 1) // 2, wo // 2), dtype=dtype)
     else:
-        out = np.empty((n, co, ho * wo), dtype=dtype)
+        out = conv if mode == "train" else np.empty((n, co, ho * wo), dtype=dtype)
+    band = None  # infer mode, pooling: a carried row, then a band
     bn_finite = True
     carry = 0
-    for sample in range(n):
-        for r0 in range(0, ho, rows):
-            r1 = min(ho, r0 + rows)
-            cols = col_buf[:k * (r1 - r0) * wo].reshape(ci, kh, kw, r1 - r0, wo)
-            _fill_cols(cols, x[sample], stride, padding, r0)
-            if pool:
-                y = band[:, carry * wo:(carry + r1 - r0) * wo]
-            else:
-                y = out[sample, :, r0 * wo:r1 * wo]
-            np.matmul(w2, cols.reshape(k, (r1 - r0) * wo), out=y)
+    for sample, r0, r1, cols in bands:
+        if cols is None:  # train mode: the sample's centred conv output
+            held = y = conv[sample]
+        elif pool:
+            if band is None:
+                band = np.empty((co, (r1 - r0 + 1) * wo), dtype=dtype)
+            held = band[:, :(carry + r1 - r0) * wo]
+            y = held[:, carry * wo:]
+        else:
+            y = out[sample, :, r0 * wo:r1 * wo]
+        if cols is not None:
+            np.matmul(w2, cols, out=y)
             check_finite(y, "conv2d")
             np.subtract(y, centre, out=y)
-            y *= a32
-            y += b32
-            np.maximum(y, 0, out=y)
-            bn_finite = bn_finite and bool(np.isfinite(y).all())
-            if not pool:
-                continue
-            held = carry + r1 - r0  # rows in the band buffer
-            pairs = held // 2
-            if pairs:
-                quad = band[:, :2 * pairs * wo].reshape(co, pairs, 2, wo)
-                dst = out[sample, :, (r0 - carry) // 2:(r0 - carry) // 2 + pairs]
-                # maxpool2's corners and pairing: max(max(v0, v1), max(v2, v3))
-                np.maximum(quad[:, :, 0, 0::2], quad[:, :, 0, 1::2], out=dst)
-                np.maximum(quad[:, :, 1, 0::2], quad[:, :, 1, 1::2], out=half[:, :pairs])
-                np.maximum(dst, half[:, :pairs], out=dst)
-            carry = held % 2
-            if carry and held > 1:
-                band[:, :wo] = band[:, (held - 1) * wo:held * wo]
+        y *= a32
+        y += b32
+        np.maximum(y, 0, out=y)
+        bn_finite = bn_finite and bool(np.isfinite(y).all())
+        if not pool:
+            continue
+        rows = held.shape[1] // wo
+        pairs = rows // 2
+        if pairs:
+            row = (r0 - carry) // 2
+            _pool2(held[:, :2 * pairs * wo].reshape(co, 2 * pairs, wo),
+                   out=out[sample, :, row:row + pairs])
+        carry = rows % 2
+        if carry and rows > 1:
+            held[:, :wo] = held[:, (rows - 1) * wo:]
     if not bn_finite:
         raise NonFiniteError("non-finite values produced by batchnorm")
     return out if pool else out.reshape(n, co, ho, wo)
-
-
-def conv_bn_relu_train(x: np.ndarray, weight: np.ndarray, scale: np.ndarray,
-                       shift: np.ndarray, state: BatchNormState, stride: int, padding: int,
-                       pool: bool) -> np.ndarray:
-    """conv2d without bias -> batchnorm(..., "train", relu=True), then
-    maxpool2 when `pool` is set, on arrays and without a graph: a frozen
-    prefix in train mode, or a forward with every parameter frozen.
-
-    The batch statistics need the whole conv output, so the kernel is not
-    banded. It normalizes in the conv output's buffer, where batchnorm
-    writes a second one, and never writes into x. The output and the
-    running statistics are the chain's, bit for bit, and so is a failure:
-    NonFiniteError names conv2d if any conv output is non-finite, else
-    batchnorm, whose running statistics have then advanced as the chain's.
-    """
-    y = _conv_fwd(x, weight, stride, padding)
-    check_finite(y, "conv2d")
-    n, c, h, w = y.shape
-    yv = y.reshape(n, c, h * w)
-    mean, centre, var, _ = _batch_stats(yv, state, out=yv)
-    _, _, a32, b32 = _affine_vectors(scale, shift, mean, centre, var, state.eps)
-    yv *= a32
-    yv += b32
-    np.maximum(yv, 0, out=yv)
-    check_finite(y, "batchnorm")
-    return _pool2(y) if pool else y
 
 
 def relu(x: Tensor) -> Tensor:

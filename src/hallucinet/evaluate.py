@@ -166,11 +166,10 @@ def forward_bytes_per_pixel(config: BranchConfig, branches: int, itemsize: int) 
     (`engine.conv_bn_relu`) holds only its input and its output: no
     padded copy, no batchnorm buffer apart from the conv output and, on
     a block's last unit, no pre-pool activation. So the two units hold
-    at most the four arrays that one unit of the op chain held, its
-    input, padded copy, conv output and batchnorm output, which is what
-    the widest term counts; each further worker can add up to half of
-    it. The other moment is the fused head, which holds every branch's
-    logits, their mean and the softmax temporaries. The kernels' band
+    two inputs and two outputs at most, which is what the widest term
+    counts; each further worker can add up to half of it. The other
+    moment is the fused head, which holds every branch's logits, their
+    mean and the softmax temporaries. The kernels' band
     buffers, under `_BAND_BYTES` of im2col columns (`engine.functional`)
     per branch in flight, come on top; they do not grow with the window.
     """

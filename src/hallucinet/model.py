@@ -29,7 +29,6 @@ from .engine import (
     channel_softmax,
     conv2d,
     conv_bn_relu,
-    conv_bn_relu_train,
     frozen,
     maxpool2,
     release,
@@ -124,11 +123,11 @@ class _ConvBnRelu:
 
     def forward(self, x: Tensor, mode: str, pool: bool) -> Tensor:
         """The unit's output, 2x2 max-pooled if `pool` (a block's last unit)."""
-        kernel = {"infer": conv_bn_relu, "train": conv_bn_relu_train}.get(mode)
-        if kernel and not any(t.requires_grad for t in (x, *self.parameters())):
+        if not any(t.requires_grad for t in (x, *self.parameters())):
             # no graph to build: the whole unit is one kernel
-            return Tensor(kernel(x.data, self.weight.data, self.scale.data, self.shift.data,
-                                 self.state, self.stride, 1, pool), op=kernel.__name__)
+            return Tensor(conv_bn_relu(x.data, self.weight.data, self.scale.data,
+                                       self.shift.data, self.state, mode, self.stride, 1, pool),
+                          op="conv_bn_relu")
         # no conv bias: batchnorm subtracts the mean, so it would cancel; it
         # also refuses an unknown mode
         y = conv2d(x, self.weight, None, stride=self.stride, padding=1)
@@ -299,9 +298,12 @@ def select_branches(bundle: ModelBundle, availability: dict[str, bool]) -> list[
 
 def _mmap_threshold(config: BranchConfig, shape) -> int:
     """Half the bytes of a forward's largest activation, the first conv
-    unit's output, for an input of `shape` (N, C, H, W): the malloc
-    threshold of `parallel.branch_workers`, as `train._mmap_threshold`
-    takes it for a training batch."""
+    unit's output, for an input of `shape` (N, C, H, W): from this size
+    up, malloc maps blocks and unmaps them when freed
+    (`parallel.branch_workers`). For a default training batch that is
+    4 MiB, so the second block's activations and the logits are mapped
+    too; the full 8 MiB left them in the heap and read 2-5% more peak RSS,
+    and a quarter cost 8% in step time (train-single)."""
     n, _, h, w = shape
     s = config.first_conv_stride
     return n * config.blocks[0][0] * (h // s) * (w // s) * 4 // 2  # float32

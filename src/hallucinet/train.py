@@ -38,6 +38,7 @@ from .model import (
     BranchConfig,
     BranchNet,
     ModelBundle,
+    _mmap_threshold,
     build_branch,
     init_hallucination_from,
     save_checkpoint,
@@ -321,17 +322,6 @@ class _Lookahead:
             yield batch, labels
 
 
-def _mmap_threshold(model_config: BranchConfig, config: TrainConfig) -> int:
-    """Half the bytes of a step's largest activation, the first conv unit's
-    output: from this size up, malloc maps blocks and unmaps them when
-    freed (`parallel.branch_workers`). At the default that is 4 MiB, so the
-    second block's activations and the logits are mapped too; the full
-    8 MiB left them in the heap and read 2-5% more peak RSS, and a quarter
-    cost 8% in step time (train-single)."""
-    side = config.patch.size // model_config.first_conv_stride
-    return config.batch_size * model_config.blocks[0][0] * side * side * 4 // 2  # float32
-
-
 def _checkpoint(bundle: ModelBundle, out_dir, name: str):
     if out_dir is not None:
         save_checkpoint(bundle, Path(out_dir) / f"checkpoint_{name}.ckpt")
@@ -369,14 +359,15 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     weights, log = _start(manifest, config, out_dir)
     role_modalities = dict(zip(ROSTER, mods))
     roles = list(role_modalities)[1:]
+    rgb_ch = manifest.modality_channels(mods[0])
+    batch_shape = (config.batch_size, rgb_ch, config.patch.size, config.patch.size)
     # the branches of each stage run as tasks of `run`
-    with branch_workers(_mmap_threshold(model_config, config)) as run:
+    with branch_workers(_mmap_threshold(model_config, batch_shape)) as run:
         branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
                              "stage1", config.seed * 10 + 1, 1, config.stage1_steps, run)
         bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
         _checkpoint(bundle, out_dir, "stage1")
 
-        rgb_ch = manifest.modality_channels(mods[0])
         for j, role in enumerate(roles):  # stream 2k+1+j: 3 for single, 5 and 6 for multi
             rng = np.random.default_rng([config.seed, 2 * len(roles) + 1 + j])
             bundle.branches[f"hal_{role}"] = init_hallucination_from(branches[role], rgb_ch,

@@ -17,8 +17,13 @@ one and two hallucinated modalities, so the roster-driven
 
 `optimizer_round` is the earlier out-of-place clip and Adam step, so the
 in-place `train._optimizer_round` is checked bit for bit against it.
+
+`col_bands` is the earlier im2col builder, which unfolds a zero-padded
+copy of each sample, so the columns `engine.functional._col_bands` reads
+from the unpadded input are checked bit for bit against it.
 """
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hallucinet.engine.tensor import _accumulate, make_node
 from hallucinet.losses import (
@@ -45,6 +50,21 @@ def conv_fwd(x, w, stride, padding):
             xs = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
             out += np.matmul(w[:, :, u, v], xs.reshape(n, ci, ho * wo))
     return out.reshape(n, co, ho, wo)
+
+
+def col_bands(x, kh, kw, stride, padding, ho, wo, rows):
+    """Yield (sample, r0, r1, cols) as `_col_bands` does for bands of
+    `rows` output rows, each unfolded from a padded copy of the sample."""
+    n, ci = x.shape[:2]
+    for sample in range(n):
+        xp = _pad(x[sample:sample + 1], padding)[0]
+        # win[c, u, v, i, j] = xp[c, stride*i + u, stride*j + v]
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        win = win.transpose(0, 3, 4, 1, 2)
+        for r0 in range(0, ho, rows):
+            r1 = min(ho, r0 + rows)
+            cols = np.ascontiguousarray(win[:, :, :, r0:r1])
+            yield sample, r0, r1, cols.reshape(ci * kh * kw, (r1 - r0) * wo)
 
 
 def conv_dx(dout, w, stride, padding, in_hw):

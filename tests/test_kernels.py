@@ -87,6 +87,24 @@ def test_columns_over_budget_split_into_bands(rng):
         _check_conv(rng, n, ci, co, hw, k, 1, 1, dtype)
 
 
+@pytest.mark.parametrize("budget", ["one_band", "two_rows"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_col_bands_equal_padded_copy_columns(rng, monkeypatch, k, stride, budget):
+    ci, (h, wd) = 3, (9, 7)
+    x = rng.normal(size=(2, ci, h, wd)).astype(np.float32)
+    for padding in range(k):
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (wd + 2 * padding - k) // stride + 1
+        rows = ho if budget == "one_band" else 2
+        monkeypatch.setattr(functional, "_BAND_BYTES", rows * ci * k * k * wo * x.itemsize)
+        got = functional._col_bands(x, k, k, stride, padding, ho, wo)
+        expected = reference_kernels.col_bands(x, k, k, stride, padding, ho, wo, rows)
+        for (*band, cols), (*ref_band, ref_cols) in zip(got, expected, strict=True):
+            assert band == ref_band and cols.shape == ref_cols.shape
+            assert cols.tobytes() == ref_cols.tobytes()
+
+
 def _check_head(rng, n, c, d, hw, stride, k, dtype):
     """transposed_conv2d against the float64 adjoint of the reference conv:
     its output is conv_dx, its dx conv_fwd and its dw conv_dw."""
@@ -340,92 +358,6 @@ def _band_rows(monkeypatch, rows, ci, wo):
     monkeypatch.setattr(functional, "_BAND_BYTES", rows * ci * 9 * wo * 4)
 
 
-# (input, output) widths of the tiny branch (TINY_BLOCKS) and the default one
-UNIT_WIDTHS = {"tiny": (8, 16), "default": (32, 64)}
-
-
-@pytest.mark.parametrize("bands", ["one", "three_rows"])
-@pytest.mark.parametrize("pool", [False, True])
-@pytest.mark.parametrize("batch", [1, 2])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("widths", list(UNIT_WIDTHS))
-def test_conv_unit_kernel_bit_identical_to_op_chain(rng, monkeypatch, widths, stride, batch,
-                                                    pool, bands):
-    ci, co = UNIT_WIDTHS[widths]
-    ho, wo = 8, 6
-    x = rng.normal(size=(batch, ci, ho * stride, wo * stride)).astype(np.float32)
-    w = rng.normal(0.0, 0.3, size=(co, ci, 3, 3)).astype(np.float32)
-    state, scale, shift = _unit_state(rng, co)
-    if bands == "three_rows":
-        # bands of 3, 3 and 2 rows: the first ends on an unpaired row, which carries
-        _band_rows(monkeypatch, 3, ci, wo)
-    expected = _unit_chain(x, w, scale, shift, state, stride, pool)
-    got = functional.conv_bn_relu(x, w, scale, shift, state, stride, 1, pool)
-    assert got.shape == expected.shape and got.dtype == np.float32
-    assert got.tobytes() == expected.tobytes()
-    assert (expected == 0).any() and (expected > 0).any()
-
-
-def test_conv_unit_kernel_reads_strided_input(rng, monkeypatch):
-    # a window of a scene, as tiled inference passes it
-    scene = rng.normal(size=(3, 40, 36)).astype(np.float32)
-    x = scene[None, :, 5:37, 2:34]
-    w = rng.normal(size=(8, 3, 3, 3)).astype(np.float32)
-    state, scale, shift = _unit_state(rng, 8)
-    _band_rows(monkeypatch, 5, 3, 16)
-    expected = _unit_chain(np.ascontiguousarray(x), w, scale, shift, state, 2, True)
-    got = functional.conv_bn_relu(x, w, scale, shift, state, 2, 1, True)
-    assert got.tobytes() == expected.tobytes()
-
-
-def _raised(fn):
-    with pytest.raises(NonFiniteError) as err:
-        fn()
-    return str(err.value)
-
-
-@pytest.mark.parametrize("pool", [False, True])
-@pytest.mark.parametrize("case", ["nan_input", "inf_hidden_by_relu", "affine_overflow",
-                                  "overflow_then_nan"])
-def test_conv_unit_kernel_raises_where_the_chain_raises(rng, monkeypatch, case, pool):
-    ci, co, ho, wo = 4, 6, 8, 6
-    x = rng.normal(size=(1, ci, ho, wo)).astype(np.float32)
-    w = rng.normal(size=(co, ci, 3, 3)).astype(np.float32)
-    state, scale, shift = _unit_state(rng, co)
-    _band_rows(monkeypatch, 3, ci, wo)
-    if case == "nan_input":
-        x[0, 1, 5, 2] = np.nan
-    elif case == "inf_hidden_by_relu":
-        # +inf times a negative scale is -inf, which the ReLU turns into 0
-        w = np.abs(w)
-        x = np.abs(x)
-        x[0, :, 6, 3] = np.inf
-        scale = -np.abs(scale)
-    else:
-        # the first band overflows in the affine, with finite conv outputs
-        scale[2] = 3e38
-        state.running_var[2] = 1.0
-        if case == "overflow_then_nan":
-            x[0, 0, 7, 1] = np.nan  # a later band's conv output is NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = _raised(lambda: _unit_chain(x, w, scale, shift, state, 1, pool))
-        assert expected == _raised(
-            lambda: functional.conv_bn_relu(x, w, scale, shift, state, 1, 1, pool))
-    op = "batchnorm" if case == "affine_overflow" else "conv2d"
-    assert expected == f"non-finite values produced by {op}"
-
-
-def test_conv_unit_kernel_refuses_what_the_chain_refuses(rng):
-    state, scale, shift = _unit_state(rng, 4)
-    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    with pytest.raises(ValueError, match="channel mismatch: input 2, weight 3"):
-        functional.conv_bn_relu(np.zeros((1, 2, 8, 8), np.float32), w, scale, shift, state,
-                                1, 1, False)
-    with pytest.raises(ValueError, match="maxpool2 needs even spatial extents, got 7x8"):
-        functional.conv_bn_relu(np.zeros((1, 3, 7, 8), np.float32), w, scale, shift, state,
-                                1, 1, True)
-
-
 def _twin(state):
     twin = BatchNormState(len(state.running_mean))
     twin.running_mean = state.running_mean.copy()
@@ -438,61 +370,153 @@ def _same_stats(a, b):
             and a.running_var.tobytes() == b.running_var.tobytes())
 
 
-@pytest.mark.parametrize("pool", [False, True])
-@pytest.mark.parametrize("batch", [1, 2])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("widths", list(UNIT_WIDTHS))
-def test_train_unit_kernel_bit_identical_to_op_chain(rng, widths, stride, batch, pool):
+# (input, output) widths of the tiny branch (TINY_BLOCKS) and the default one
+UNIT_WIDTHS = {"tiny": (8, 16), "default": (32, 64)}
+
+
+def _check_unit_kernel(rng, monkeypatch, mode, widths, stride, batch, pool, bands):
+    """conv_bn_relu equals the op chain bit for bit and leaves the running
+    statistics as the chain does: advanced in train mode, unchanged in infer."""
     ci, co = UNIT_WIDTHS[widths]
-    x = rng.normal(2.0, 1.0, size=(batch, ci, 8 * stride, 6 * stride)).astype(np.float32)
+    ho, wo = 8, 6
+    x = rng.normal(2.0, 1.0, size=(batch, ci, ho * stride, wo * stride)).astype(np.float32)
     x.flags.writeable = False  # the kernel never writes into its input
     w = rng.normal(0.05, 0.3, size=(co, ci, 3, 3)).astype(np.float32)
     chain_state, scale, shift = _unit_state(rng, co)
     state = _twin(chain_state)
     before = state.running_mean.copy()
-    expected = _unit_chain(x, w, scale, shift, chain_state, stride, pool, "train")
-    got = functional.conv_bn_relu_train(x, w, scale, shift, state, stride, 1, pool)
+    if bands == "three_rows":
+        # bands of 3, 3 and 2 rows: the first ends on an unpaired row, which carries
+        _band_rows(monkeypatch, 3, ci, wo)
+    expected = _unit_chain(x, w, scale, shift, chain_state, stride, pool, mode)
+    got = functional.conv_bn_relu(x, w, scale, shift, state, mode, stride, 1, pool)
     assert got.shape == expected.shape and got.dtype == np.float32
     assert got.tobytes() == expected.tobytes()
     assert (expected == 0).any() and (expected > 0).any()
-    assert _same_stats(state, chain_state) and not np.array_equal(state.running_mean, before)
+    assert _same_stats(state, chain_state)
+    assert np.array_equal(state.running_mean, before) == (mode == "infer")
+
+
+@pytest.mark.parametrize("bands", ["one", "three_rows"])
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("widths", list(UNIT_WIDTHS))
+def test_conv_unit_kernel_bit_identical_to_op_chain(rng, monkeypatch, widths, stride, batch,
+                                                    pool, bands):
+    _check_unit_kernel(rng, monkeypatch, "infer", widths, stride, batch, pool, bands)
 
 
 @pytest.mark.parametrize("pool", [False, True])
-@pytest.mark.parametrize("case", ["nan_input", "inf_input", "affine_overflow"])
-def test_train_unit_kernel_raises_where_the_chain_raises(rng, case, pool):
-    ci, co = 4, 6
-    x = rng.normal(size=(2, ci, 8, 6)).astype(np.float32)
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("widths", list(UNIT_WIDTHS))
+def test_train_unit_kernel_bit_identical_to_op_chain(rng, monkeypatch, widths, stride, batch,
+                                                     pool):
+    for bands in ("one", "three_rows"):
+        _check_unit_kernel(rng, monkeypatch, "train", widths, stride, batch, pool, bands)
+
+
+def test_conv_unit_kernel_reads_strided_input(rng, monkeypatch):
+    # a window of a scene, as tiled inference passes it
+    scene = rng.normal(size=(3, 40, 36)).astype(np.float32)
+    x = scene[None, :, 5:37, 2:34]
+    w = rng.normal(size=(8, 3, 3, 3)).astype(np.float32)
+    state, scale, shift = _unit_state(rng, 8)
+    _band_rows(monkeypatch, 5, 3, 16)
+    expected = _unit_chain(np.ascontiguousarray(x), w, scale, shift, state, 2, True)
+    got = functional.conv_bn_relu(x, w, scale, shift, state, "infer", 2, 1, True)
+    assert got.tobytes() == expected.tobytes()
+
+
+def _raised(fn, error=NonFiniteError):
+    with pytest.raises(error) as err:
+        fn()
+    return str(err.value)
+
+
+def _check_unit_kernel_raises(rng, monkeypatch, mode, case, pool):
+    """conv_bn_relu raises the chain's NonFiniteError and leaves the
+    running statistics as the chain leaves them."""
+    ci, co, ho, wo = 4, 6, 8, 6
+    x = rng.normal(size=(2, ci, ho, wo)).astype(np.float32)
     w = rng.normal(size=(co, ci, 3, 3)).astype(np.float32)
     chain_state, scale, shift = _unit_state(rng, co)
+    _band_rows(monkeypatch, 3, ci, wo)
     if case == "nan_input":
         x[1, 1, 5, 2] = np.nan
-    elif case == "inf_input":
-        # +inf times a negative scale would be -inf, which the ReLU turns into 0
+    elif case == "inf_hidden_by_relu":
+        # +inf times a negative scale is -inf, which the ReLU turns into 0
         w, x = np.abs(w), np.abs(x)
         x[0, :, 6, 3] = np.inf
         scale = -np.abs(scale)
     else:
-        # finite conv outputs, but one channel's affine overflows
-        w[2] *= 1e-3
+        # the first band overflows in the affine, with finite conv outputs
         scale[2] = 3e38
+        chain_state.running_var[2] = 1.0
+        if case == "overflow_then_nan":
+            x[0, 0, 7, 1] = np.nan  # a later band's conv output is NaN
     x.flags.writeable = False
     state = _twin(chain_state)
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = _raised(lambda: _unit_chain(x, w, scale, shift, chain_state, 1, pool, "train"))
+        expected = _raised(lambda: _unit_chain(x, w, scale, shift, chain_state, 1, pool, mode))
         assert expected == _raised(
-            lambda: functional.conv_bn_relu_train(x, w, scale, shift, state, 1, 1, pool))
+            lambda: functional.conv_bn_relu(x, w, scale, shift, state, mode, 1, 1, pool))
     op = "batchnorm" if case == "affine_overflow" else "conv2d"
     assert expected == f"non-finite values produced by {op}"
     assert _same_stats(state, chain_state)
 
 
-def test_train_unit_kernel_refuses_what_the_chain_refuses(rng):
+NONFINITE_CASES = ["nan_input", "inf_hidden_by_relu", "affine_overflow", "overflow_then_nan"]
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("case", NONFINITE_CASES)
+def test_conv_unit_kernel_raises_where_the_chain_raises(rng, monkeypatch, case, pool):
+    _check_unit_kernel_raises(rng, monkeypatch, "infer", case, pool)
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("case", [pytest.param(c, id="inf_input" if c == "inf_hidden_by_relu"
+                                               else c) for c in NONFINITE_CASES])
+def test_train_unit_kernel_raises_where_the_chain_raises(rng, monkeypatch, case, pool):
+    _check_unit_kernel_raises(rng, monkeypatch, "train", case, pool)
+
+
+def _check_unit_kernel_refuses(rng, mode):
+    """conv_bn_relu refuses with the chain's message and leaves the running
+    statistics as the chain leaves them: a train-mode pooling of odd
+    extents is refused once the statistics have advanced."""
+    chain_state, scale, shift = _unit_state(rng, 4)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    cases = [(np.zeros((1, 2, 8, 8), np.float32), False, "channel mismatch: input 2, weight 3"),
+             (rng.normal(size=(2, 3, 7, 8)).astype(np.float32), True,
+              "maxpool2 needs even spatial extents, got 7x8")]
+    if mode == "train":
+        cases.append((np.ones((1, 3, 1, 1), np.float32), False, "at least 2 values per channel"))
+    for x, pool, message in cases:
+        state = _twin(chain_state)
+        before = state.running_mean.copy()
+        with pytest.raises(ValueError, match=message):
+            _unit_chain(x, w, scale, shift, chain_state, 1, pool, mode)
+        with pytest.raises(ValueError, match=message):
+            functional.conv_bn_relu(x, w, scale, shift, state, mode, 1, 1, pool)
+        assert _same_stats(state, chain_state)
+        advanced = not np.array_equal(state.running_mean, before)
+        assert advanced == (mode == "train" and pool)
+
+
+def test_conv_unit_kernel_refuses_what_the_chain_refuses(rng):
+    _check_unit_kernel_refuses(rng, "infer")
     state, scale, shift = _unit_state(rng, 4)
     w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    with pytest.raises(ValueError, match="at least 2 values per channel"):
-        functional.conv_bn_relu_train(np.ones((1, 3, 1, 1), np.float32), w, scale, shift,
-                                      state, 1, 1, False)
-    with pytest.raises(ValueError, match="maxpool2 needs even spatial extents, got 7x8"):
-        functional.conv_bn_relu_train(np.ones((1, 3, 7, 8), np.float32), w, scale, shift,
-                                      state, 1, 1, True)
+    x = np.zeros((1, 3, 8, 8), np.float32)
+    message = "batchnorm mode must be 'train' or 'infer', got 'eval'"
+    with pytest.raises(ValueError, match=message):
+        _unit_chain(x, w, scale, shift, state, 1, False, "eval")
+    with pytest.raises(ValueError, match=message):
+        functional.conv_bn_relu(x, w, scale, shift, state, "eval", 1, 1, False)
+
+
+def test_train_unit_kernel_refuses_what_the_chain_refuses(rng):
+    _check_unit_kernel_refuses(rng, "train")

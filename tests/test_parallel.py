@@ -446,8 +446,9 @@ def test_failing_branch_stops_training_after_every_branch_ends(workers, tiny_dat
 
 def test_mmap_threshold_is_half_the_largest_activation():
     # batch 4 x 32 channels x (256 / 2)^2 float32 = 8 MiB at the default settings
-    config = model_mod.BranchConfig(class_count=4)
-    assert train_mod._mmap_threshold(config, TrainConfig()) == 4 << 20
+    config, tc = model_mod.BranchConfig(class_count=4), TrainConfig()
+    batch = (tc.batch_size, 3, tc.patch.size, tc.patch.size)
+    assert model_mod._mmap_threshold(config, batch) == 4 << 20
     # inference takes it for the window: one 512^2 window holds as much
     assert model_mod._mmap_threshold(config, (1, 3, 512, 512)) == 4 << 20
     assert model_mod._mmap_threshold(config, (4, 3, 256, 256)) == 4 << 20
