@@ -187,6 +187,14 @@ def load_manifest(path) -> DatasetManifest:
         if len(manifest.class_names) != manifest.class_count:
             raise ConfigError(f"class_names has length {len(manifest.class_names)}, "
                               f"class_count is {manifest.class_count}")
+        names: set[str] = set()
+        for i, mod in enumerate(manifest.modalities):
+            if mod.channels < 1:
+                raise ConfigError(f"modalities[{i}].channels must be at least 1, "
+                                  f"got {mod.channels}")
+            if mod.name in names:
+                raise ConfigError(f"modalities[{i}].name {mod.name!r} repeats an earlier modality")
+            names.add(mod.name)
     except (json.JSONDecodeError, ConfigError) as exc:
         raise ValueError(f"malformed manifest {path}: {exc}") from None
     seen: set[str] = set()

@@ -10,7 +10,9 @@ runs as dense GEMMs on the grid of its stride-sized output tiles. Max
 pooling works on the four strided corner views of its windows. A conv
 unit that builds no graph (conv, batchnorm with ReLU, and a block's
 pooling) is one kernel in either batchnorm mode, `conv_bn_relu`, bit for
-bit the output of those ops.
+bit the output of those ops. It and `batchnorm` share batchnorm's one
+home, `_normalizer` and `_affine_relu`; `channel_softmax` and the fused
+cross-entropy share one softmax, `_mean_softmax`.
 """
 from __future__ import annotations
 
@@ -299,35 +301,51 @@ class BatchNormState:
         self.running_var = np.ones(channels, dtype=dtype)
 
 
-def _batch_stats(xv: np.ndarray, state: BatchNormState, out: np.ndarray | None = None):
-    """Train-mode batchnorm's statistics of (N, C, P) values: returns
-    (mean, centre, var, xv - centre) and advances the running averages.
-    The centred values go to `out` (which may be xv), else to a new array."""
-    m = xv.shape[0] * xv.shape[2]
-    if m < 2:
-        raise ValueError("batchnorm train mode needs at least 2 values per channel")
-    # a float64 sum keeps the mean exact to well below the spread when
-    # |mean| >> std; var is the second moment about the rounded mean
-    mean = np.einsum("ncp->c", xv, dtype=np.float64) / m
-    centre = mean.astype(xv.dtype)
-    centred = np.subtract(xv, centre[:, None], out=out)
-    var = np.einsum("ncp,ncp->c", centred, centred) / m - (mean - centre) ** 2
-    mom = state.momentum
-    state.running_mean = ((1 - mom) * state.running_mean + mom * mean).astype(state.running_mean.dtype)
-    state.running_var = ((1 - mom) * state.running_var + mom * var).astype(state.running_var.dtype)
-    return mean, centre, var, centred
-
-
-def _affine_vectors(scale: np.ndarray, shift: np.ndarray, mean, centre: np.ndarray, var,
-                    eps: float):
-    """(inv_std, a, a32, b32): batchnorm's output is (x - centre)*a32 + b32,
-    x*a + b taken about the float centre for precision, with a = scale*inv_std
-    and b = shift - mean*a; a32 and b32 are (C, 1) in the centre's dtype."""
-    inv_std = 1.0 / np.sqrt(var + eps)
+def _normalizer(state: BatchNormState, mode: str, scale: np.ndarray, shift: np.ndarray,
+                dtype, xv: np.ndarray | None = None, out: np.ndarray | None = None):
+    """Batchnorm's per-channel normalization in `mode`: returns (centred,
+    centre, a32, b32, mean, inv_std, a), so that the output is
+    (x - centre)*a32 + b32, x*a + b taken about the rounded centre for
+    precision, with a = scale*inv_std and b = shift - mean*a; centre, a32
+    and b32 are (C, 1) in `dtype`. Train mode takes mean and var from the
+    (N, C, P) values `xv` and advances the running averages; infer mode
+    reads them from `state`. When xv is given, centred is xv - centre,
+    written to `out` (which may be xv), else to a new array."""
+    if mode == "train":
+        m = xv.shape[0] * xv.shape[2]
+        if m < 2:
+            raise ValueError("batchnorm train mode needs at least 2 values per channel")
+        # a float64 sum keeps the mean exact to well below the spread when
+        # |mean| >> std; var is the second moment about the rounded mean
+        mean = np.einsum("ncp->c", xv, dtype=np.float64) / m
+    elif mode == "infer":
+        mean = state.running_mean.astype(np.float64)
+    else:
+        raise ValueError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
+    centre = mean.astype(dtype)
+    centred = None if xv is None else np.subtract(xv, centre[:, None], out=out)
+    if mode == "train":
+        var = np.einsum("ncp,ncp->c", centred, centred) / m - (mean - centre) ** 2
+        mom = state.momentum
+        state.running_mean = ((1 - mom) * state.running_mean + mom * mean).astype(state.running_mean.dtype)
+        state.running_var = ((1 - mom) * state.running_var + mom * var).astype(state.running_var.dtype)
+    else:
+        var = state.running_var.astype(np.float64)
+    inv_std = 1.0 / np.sqrt(var + state.eps)
     a = scale * inv_std
-    a32 = a.astype(centre.dtype)[:, None]
-    b32 = (shift - (mean - centre) * a).astype(centre.dtype)[:, None]
-    return inv_std, a, a32, b32
+    a32 = a.astype(dtype)[:, None]
+    b32 = (shift - (mean - centre) * a).astype(dtype)[:, None]
+    return centred, centre[:, None], a32, b32, mean, inv_std, a
+
+
+def _affine_relu(y: np.ndarray, a32: np.ndarray, b32: np.ndarray, relu: bool) -> np.ndarray:
+    """Batchnorm's epilogue on centred values, in place: y*a32 + b32,
+    clamped at 0 when `relu` is set."""
+    y *= a32
+    y += b32
+    if relu:
+        np.maximum(y, 0, out=y)
+    return y
 
 
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
@@ -348,33 +366,15 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
     """
     n, c, h, w = x.data.shape
     m = n * h * w
-    xv = x.data.reshape(n, c, h * w)
     dtype = x.data.dtype
-    if mode == "train":
-        mean, centre, var, data = _batch_stats(xv, state)
-    elif mode == "infer":
-        mean = state.running_mean.astype(np.float64)
-        var = state.running_var.astype(np.float64)
-        centre = state.running_mean.astype(dtype)
-        data = np.subtract(xv, centre[:, None])
-    else:
-        raise ValueError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
-    inv_std, a, a32, b32 = _affine_vectors(scale.data, shift.data, mean, centre, var,
-                                           state.eps)
-
-    def affine(y):  # in place: y*a32 + b32, rectified when relu is set
-        y *= a32
-        y += b32
-        if relu:
-            np.maximum(y, 0, out=y)
-        return y
-
-    affine(data)
+    data, centre, a32, b32, mean, inv_std, a = _normalizer(
+        state, mode, scale.data, shift.data, dtype, x.data.reshape(n, c, h * w))
+    _affine_relu(data, a32, b32, relu)
 
     def recompute() -> np.ndarray:
         # the forward's own vectors and op order, so the bits are the same
-        y = np.subtract(x.data.reshape(n, c, h * w), centre[:, None])
-        return affine(y).reshape(n, c, h, w)
+        y = np.subtract(x.data.reshape(n, c, h * w), centre)
+        return _affine_relu(y, a32, b32, relu).reshape(n, c, h, w)
 
     def backw(out):
         xv = x.data.reshape(n, c, h * w)
@@ -410,13 +410,13 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
 # -- the graph-free kernel of a conv unit -------------------------------------
 #
 # In infer mode the kernel works over the output-row bands of `_col_bands`:
-# each band's GEMM is the one `_conv_fwd` runs, and batchnorm's centring,
-# its affine with the ReLU, then the 2x2 pooling, are applied to the band
-# as it lands. Train mode's batch statistics need the whole conv output, so
-# it runs `_conv_fwd` and centres that buffer in place, then sends each
-# sample through the same affine, ReLU and pooling. Every GEMM keeps its
-# shape and every elementwise step is batchnorm's and maxpool2's, element
-# by element, so the output is the op chain's, bit for bit.
+# each band's GEMM is the one `_conv_fwd` runs; batchnorm's centring, its
+# `_affine_relu`, then the 2x2 pooling, are applied to the band as it
+# lands. Train mode's batch statistics need the whole conv output, so it
+# runs `_conv_fwd`, `_normalizer` centres that buffer in place, and each
+# sample goes through the same `_affine_relu` and pooling. Every GEMM keeps
+# its shape and every elementwise step is batchnorm's and maxpool2's, so
+# the output is the op chain's, bit for bit.
 
 def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                  state: BatchNormState, mode: str, stride: int, padding: int,
@@ -436,28 +436,21 @@ def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np
     ho, wo = _conv_extent(x.shape, weight.shape, stride, padding)
     n, co = x.shape[0], weight.shape[0]
     dtype = x.dtype
+    conv = None
     if mode == "train":
         conv = _conv_fwd(x, weight, stride, padding).reshape(n, co, ho * wo)
         check_finite(conv, "conv2d")
-        mean, centre, var, _ = _batch_stats(conv, state, out=conv)
         bands = ((sample, 0, ho, None) for sample in range(n))
-    elif mode == "infer":
-        # batchnorm's infer-mode vectors, computed as it computes them
-        mean = state.running_mean.astype(np.float64)
-        var = state.running_var.astype(np.float64)
-        centre = state.running_mean.astype(dtype)
-        bands = _col_bands(x, *weight.shape[2:], stride, padding, ho, wo)
     else:
-        raise ValueError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
+        bands = _col_bands(x, *weight.shape[2:], stride, padding, ho, wo)
+    _, centre, a32, b32, *_ = _normalizer(state, mode, scale, shift, dtype, conv, out=conv)
     if pool and (ho % 2 or wo % 2):  # after train mode's statistics advanced, as in the chain
         raise ValueError(f"maxpool2 needs even spatial extents, got {ho}x{wo}")
-    _, _, a32, b32 = _affine_vectors(scale, shift, mean, centre, var, state.eps)
-    centre = centre[:, None]
     w2 = weight.reshape(co, -1)
     if pool:
         out = np.empty((n, co, ho // 2, wo // 2), dtype=dtype)
     else:
-        out = conv if mode == "train" else np.empty((n, co, ho * wo), dtype=dtype)
+        out = conv if conv is not None else np.empty((n, co, ho * wo), dtype=dtype)
     band = None  # infer mode, pooling: a carried row, then a band
     bn_finite = True
     carry = 0
@@ -475,9 +468,7 @@ def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np
             np.matmul(w2, cols, out=y)
             check_finite(y, "conv2d")
             np.subtract(y, centre, out=y)
-        y *= a32
-        y += b32
-        np.maximum(y, 0, out=y)
+        _affine_relu(y, a32, b32, True)
         bn_finite = bn_finite and bool(np.isfinite(y).all())
         if not pool:
             continue
@@ -516,9 +507,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def channel_softmax(x: Tensor) -> Tensor:
     """Per-pixel softmax over the channel axis, max-subtracted for stability."""
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = _mean_softmax([x], 1)
 
     def backw(out):
         if x.requires_grad:

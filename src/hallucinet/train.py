@@ -75,6 +75,10 @@ class TrainConfig:
         if self.stage1_steps < 1 or self.stage4_steps < 1 or self.batch_size < 1 \
                 or (self.baseline_steps is not None and self.baseline_steps < 1):
             raise ValueError("step budgets and batch size must be positive")
+        for name in ("lr_stage1", "lr_stage4"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr >= 0):
+                raise ValueError(f"train.{name} must be finite and non-negative, got {lr}")
         if self.clip_threshold <= 0:
             raise ValueError("clip threshold must be positive")
         if self.seed < 0:

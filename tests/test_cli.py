@@ -235,6 +235,32 @@ def test_non_finite_number_exit_two(tmp_path, capsys, command, constant):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("damage, field", [
+    (lambda mods: mods[1].update(channels=0), "modalities[1].channels must be at least 1"),
+    (lambda mods: mods.append(dict(mods[0])), "modalities[2].name 'color' repeats"),
+])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_manifest_modalities_write_nothing(trained, tmp_path, capsys, command, damage,
+                                               field):
+    # refused when the manifest is read, before the resolved config is written
+    _, out = trained
+    doc = json.loads((out / "dataset" / "manifest.json").read_text())
+    damage(doc["modalities"])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    dest = tmp_path / "o"
+    if command == "train":
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(manifest)}})
+        argv = ["train", "--config", cfg]
+    else:
+        argv = ["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                "--manifest", str(manifest)]
+    assert main(argv + ["--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and field in err
+    assert not dest.exists()
+
+
 def _stray_label_copy(dataset: Path, dest: Path) -> Path:
     """A copy of `dataset` whose scenes each have one pixel labelled 9,
     neither a class id of its 4 classes nor the ignore label."""
@@ -407,6 +433,18 @@ class TestTrain:
         assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
         assert "hallucinates 2 optional modalities; the dataset has 1 (height)" \
             in capsys.readouterr().err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("name", ["lr_stage1", "lr_stage4"])
+    @pytest.mark.parametrize("value", ["-0.001", "1e999"])  # json reads 1e999 as inf
+    def test_learning_rate_negative_or_infinite_writes_nothing(self, tmp_path, capsys,
+                                                               name, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_TRAIN).replace('"stage1_steps": 2',
+                                                      f'"{name}": {value}, "stage1_steps": 2'))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 2
+        assert f"train.{name} must be finite and non-negative" in capsys.readouterr().err
         assert not run.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -272,6 +272,12 @@ class TestManifest:
         (lambda d: d.update(class_names=["a", "b", "c"]), "class_names has length 3"),
         (lambda d: d.update(modalities=[{"name": "color", "channels": 3, "bands": 3}]),
          "modalities[0].bands"),
+        (lambda d: d["modalities"][0].update(channels=0),
+         "modalities[0].channels must be at least 1, got 0"),
+        (lambda d: d["modalities"][0].update(channels=-2),
+         "modalities[0].channels must be at least 1, got -2"),
+        (lambda d: d["modalities"].append({"name": "color", "channels": 1}),
+         "modalities[1].name 'color' repeats"),
         (lambda d: d.clear(), "line 1 column 1"),  # not JSON
     ])
     def test_malformed_document_names_file_and_field(self, tmp_path, damage, field):

@@ -412,6 +412,15 @@ def test_baseline_budget_must_be_positive(steps):
         TrainConfig(baseline_steps=steps)
 
 
+@pytest.mark.parametrize("lr", [-0.001, -1e-12, float("inf"), float("nan")])
+@pytest.mark.parametrize("name", ["lr_stage1", "lr_stage4"])
+def test_learning_rate_must_be_finite_and_non_negative(name, lr):
+    # a negative rate would train by gradient ascent; zero stays valid
+    with pytest.raises(ValueError, match=f"train.{name} must be finite and non-negative"):
+        TrainConfig(**{name: lr})
+    assert getattr(TrainConfig(**{name: 0.0}), name) == 0.0
+
+
 @pytest.fixture(scope="module")
 def multi_run(tiny_dataset_ir, tiny_config):
     cfg = TrainConfig(mode="multi", batch_size=4,
