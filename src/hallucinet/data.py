@@ -319,60 +319,51 @@ def augment(arrays, transform_id: int):
     return out
 
 
-def class_frequencies(manifest: DatasetManifest, split: str) -> np.ndarray:
-    """Pixel frequency per class over a split, ignore pixels excluded."""
-    records = manifest.splits.get(split, [])
-    if not records:
-        raise ValueError(f"split {split!r} is empty")
-    counts = np.zeros(manifest.class_count, dtype=np.int64)
-    for rec in records:
-        labels = read_labels(manifest, rec.scene_id)
-        counts += np.bincount(labels[labels != IGNORE_LABEL].astype(np.int64),
-                              minlength=manifest.class_count)
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("split contains only ignored pixels")
-    return counts / total
-
-
 class PatchSampler:
-    """Deterministic minibatch stream over a split.
+    """Deterministic minibatch streams over a split, each named by its seed.
 
-    Scenes are held in memory (desk scale). The patch order and the
-    augmentation draw are fully determined by (seed, epoch). A scene
-    that flags one of the sampled modalities unavailable raises
-    MissingModalityError.
+    Each scene is read once and held in memory (desk scale); `frequencies`
+    is the pixel frequency per class over the split, ignore pixels
+    excluded. The patch order and the augmentation draw are fully
+    determined by (seed, epoch). A scene that flags one of the sampled
+    modalities unavailable raises MissingModalityError.
     """
 
     def __init__(self, manifest: DatasetManifest, split: str, spec: PatchSpec,
-                 batch_size: int, seed: int, modalities):
+                 batch_size: int, modalities):
         self.spec = spec
         self.batch_size = batch_size
-        self.seed = seed
         self.modalities = list(modalities)
         self.scenes = []
         self.index: list[tuple[int, int, int]] = []
         records = manifest.splits.get(split, [])
         if not records:
             raise ValueError(f"split {split!r} is empty")
+        counts = np.zeros(manifest.class_count, dtype=np.int64)
         for rec in records:
             for name in self.modalities:
                 if rec.availability.get(name) is False:
                     raise MissingModalityError(f"{split} scene {rec.scene_id} flags modality "
                                                f"{name!r} unavailable, and training reads it")
             rasters, labels = load_scene(manifest, rec.scene_id, self.modalities)
+            counts += np.bincount(labels[labels != IGNORE_LABEL].astype(np.int64),
+                                  minlength=manifest.class_count)
             scene_idx = len(self.scenes)
             self.scenes.append((rasters, labels))
             for origin in extract_patch_grid(*labels.shape, spec):
                 self.index.append((scene_idx, *origin))
+        total = counts.sum()
+        if total == 0:
+            raise ValueError(f"split {split!r} contains only ignored pixels")
+        self.frequencies = counts / total
 
     @property
     def patches_per_epoch(self) -> int:
         return len(self.index)
 
-    def epoch(self, epoch_idx: int):
-        """Yield batches: (dict modality -> (B,C,h,w), labels (B,h,w))."""
-        rng = np.random.default_rng([self.seed, epoch_idx])
+    def epoch(self, seed: int, epoch_idx: int):
+        """Yield stream `seed`'s batches: (dict modality -> (B,C,h,w), labels (B,h,w))."""
+        rng = np.random.default_rng([seed, epoch_idx])
         order = rng.permutation(len(self.index))
         ids = self.spec.transform_ids()
         tchoice = rng.integers(0, len(ids), size=len(self.index))
@@ -393,12 +384,12 @@ class PatchSampler:
             batch = {name: np.stack(arrs) for name, arrs in mods.items()}
             yield batch, np.stack(labs).astype(np.int64)
 
-    def batches(self, steps: int):
-        """Yield exactly `steps` batches, crossing epochs as needed."""
+    def batches(self, steps: int, seed: int):
+        """Yield exactly `steps` batches of stream `seed`, crossing epochs as needed."""
         produced = 0
         epoch_idx = 0
         while produced < steps:
-            for batch in self.epoch(epoch_idx):
+            for batch in self.epoch(seed, epoch_idx):
                 yield batch
                 produced += 1
                 if produced >= steps:

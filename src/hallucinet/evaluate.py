@@ -169,9 +169,11 @@ def forward_bytes_per_pixel(config: BranchConfig, branches: int, itemsize: int) 
     two inputs and two outputs at most, which is what the widest term
     counts; each further worker can add up to half of it. The other
     moment is the fused head, which holds every branch's logits, their
-    mean and the softmax temporaries. The kernels' band
-    buffers, under `_BAND_BYTES` of im2col columns (`engine.functional`)
-    per branch in flight, come on top; they do not grow with the window.
+    mean and the softmax temporaries. The kernels' band buffers come on
+    top: each branch in flight holds under `_BAND_BYTES` of im2col columns
+    (`engine.functional`), which do not grow with the window. So a forward
+    over P pixels peaks below this estimate × P + `_BAND_BYTES` × the
+    branches in flight; `plan_windows` budgets the first term alone.
     """
     widest = 0.0
     channels, area = 0, 1  # area: input pixels per pixel of the current level

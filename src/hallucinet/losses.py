@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,19 +35,21 @@ class ClassWeights:
 
 
 def compute_class_weights(frequencies) -> ClassWeights:
-    """Median-frequency balancing: w_c = median(f) / f_c.
+    """Median-frequency balancing: w_c = median(f) / f_c over the present
+    classes, and weight 1 for a class absent from the data (f_c = 0).
 
-    The median over an even class count is the mean of the two middle
-    values. Zero frequencies are rejected; drop absent classes first.
+    The median over an even count of present classes is the mean of the
+    two middle values.
     """
     f = np.asarray(frequencies, dtype=np.float64)
     if f.ndim != 1 or f.size == 0:
         raise ValueError("frequencies must be a non-empty 1-d vector")
     if np.any(f < 0) or not np.any(f > 0):
         raise ValueError("frequencies must be nonnegative with at least one positive")
-    if np.any(f == 0):
-        raise ValueError("zero class frequency: drop classes absent from the training data")
-    return ClassWeights(np.median(f) / f)
+    weights = np.ones_like(f)
+    present = f > 0
+    weights[present] = np.median(f[present]) / f[present]
+    return ClassWeights(weights)
 
 
 def _pixel_targets(labels: np.ndarray, weights: ClassWeights, logits: Tensor):
@@ -195,8 +198,9 @@ class GammaPolicy:
     sample_batches: int = 1
 
     def __post_init__(self):
-        if self.multiplier <= 0:
-            raise ValueError("gamma multiplier must be positive")
+        if not (math.isfinite(self.multiplier) and self.multiplier > 0):
+            raise ValueError(f"train.gamma.multiplier must be finite and positive, "
+                             f"got {self.multiplier}")
         if self.sample_batches < 1:
             raise ValueError("gamma sample batches must be positive")
 

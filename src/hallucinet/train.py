@@ -22,7 +22,6 @@ from .data import (
     PatchSampler,
     PatchSpec,
     atomic_write,
-    class_frequencies,
 )
 from .engine import NonFiniteError, Parameter, backward, frozen
 from .losses import (
@@ -79,8 +78,9 @@ class TrainConfig:
             lr = getattr(self, name)
             if not (math.isfinite(lr) and lr >= 0):
                 raise ValueError(f"train.{name} must be finite and non-negative, got {lr}")
-        if self.clip_threshold <= 0:
-            raise ValueError("clip threshold must be positive")
+        if not (math.isfinite(self.clip_threshold) and self.clip_threshold > 0):
+            raise ValueError(f"train.clip_threshold must be finite and positive, "
+                             f"got {self.clip_threshold}")
         if self.seed < 0:
             raise ValueError(f"train.seed must be non-negative, got {self.seed}")
 
@@ -99,8 +99,8 @@ class AdamState:
 
 def clip_gradients(grads, threshold: float):
     """Elementwise clamp to [-threshold, threshold], in place; returns `grads`."""
-    if threshold <= 0:
-        raise ValueError("clip threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"clip threshold must be finite and positive, got {threshold}")
     for g in grads:
         if g is not None:
             np.clip(g, -threshold, threshold, out=g)
@@ -182,17 +182,6 @@ def _optimizer_round(params, state: AdamState, clip_threshold: float):
     return pre, post
 
 
-def mfb_class_weights(frequencies: np.ndarray, enabled: bool = True) -> ClassWeights:
-    """Median-frequency weights over present classes; absent classes get 1."""
-    if not enabled:
-        return ClassWeights.uniform(len(frequencies))
-    freqs = np.asarray(frequencies, dtype=np.float64)
-    weights = np.ones_like(freqs)
-    present = freqs > 0
-    weights[present] = compute_class_weights(freqs[present]).weights
-    return ClassWeights(weights)
-
-
 def _fit(tag: str, params: list[Parameter], batches, loss_terms, lr: float,
          clip_threshold: float, log: list, gamma: float | None = None, run=run_in_order):
     """Adam on `params` over `batches`, one logged step per batch.
@@ -234,39 +223,37 @@ def _check_patch(model_config: BranchConfig, config: TrainConfig):
                          f"model's downsample factor {factor}")
 
 
-def _start(manifest: DatasetManifest, config: TrainConfig, out_dir):
+def _start(sampler: PatchSampler, config: TrainConfig, out_dir):
     """Create `out_dir` before any training, so no save can find it
-    missing; return the class weights and the log opened with the setup
-    record."""
+    missing; return the class weights of the sampler's split and the log
+    opened with the setup record."""
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    frequencies = class_frequencies(manifest, "train")
-    weights = mfb_class_weights(frequencies, config.mfb)
+    weights = compute_class_weights(sampler.frequencies) if config.mfb \
+        else ClassWeights.uniform(len(sampler.frequencies))
     log = [{"stage": "setup", "step": 0,
-            "class_frequencies": [float(f) for f in frequencies],
+            "class_frequencies": [float(f) for f in sampler.frequencies],
             "class_weights": [float(w) for w in weights.weights],
             "mfb": config.mfb, "seed": config.seed}]
     return weights, log
 
 
-def _pretrain(manifest: DatasetManifest, model_config: BranchConfig, config: TrainConfig,
-              weights: ClassWeights, log: list, role_modalities: dict[str, str], tag: str,
-              sampler_seed: int, stream: int, steps: int,
-              run=run_in_order) -> dict[str, BranchNet]:
+def _pretrain(manifest: DatasetManifest, sampler: PatchSampler, model_config: BranchConfig,
+              config: TrainConfig, weights: ClassWeights, log: list,
+              role_modalities: dict[str, str], tag: str, sampler_seed: int, stream: int,
+              steps: int, run=run_in_order) -> dict[str, BranchNet]:
     """Build branch i of `role_modalities` from rng stream `stream + i` and
     fit it alone on its own cross-entropy, every branch on the same batches.
 
-    Each branch is one task of `run`, with its own batch stream and log
-    records, which join `log` in roster order.
+    Each branch is one task of `run`, with its own generator of `sampler`'s
+    stream `sampler_seed` and its own log records, which join `log` in
+    roster order.
     """
-    sampler = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                           seed=sampler_seed, modalities=list(role_modalities.values()))
-
     def fit(i, role, mod):
         branch = build_branch(model_config, manifest.modality_channels(mod), role,
                               np.random.default_rng([config.seed, stream + i]))
         records = []
-        _fit(f"{tag}:{role}", branch.parameters(), sampler.batches(steps),
+        _fit(f"{tag}:{role}", branch.parameters(), sampler.batches(steps, sampler_seed),
              _own_loss(branch, mod, weights), config.lr_stage1, config.clip_threshold,
              records)
         return branch, records
@@ -360,15 +347,17 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     hallucinates the first two, under roles depth and ir.
     """
     mods = check_protocol(manifest.modalities, model_config, config)
-    weights, log = _start(manifest, config, out_dir)
+    sampler = PatchSampler(manifest, "train", config.patch, config.batch_size, mods)
+    weights, log = _start(sampler, config, out_dir)
     role_modalities = dict(zip(ROSTER, mods))
     roles = list(role_modalities)[1:]
     rgb_ch = manifest.modality_channels(mods[0])
     batch_shape = (config.batch_size, rgb_ch, config.patch.size, config.patch.size)
     # the branches of each stage run as tasks of `run`
     with branch_workers(_mmap_threshold(model_config, batch_shape)) as run:
-        branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
-                             "stage1", config.seed * 10 + 1, 1, config.stage1_steps, run)
+        branches = _pretrain(manifest, sampler, model_config, config, weights, log,
+                             role_modalities, "stage1", config.seed * 10 + 1, 1,
+                             config.stage1_steps, run)
         bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
         _checkpoint(bundle, out_dir, "stage1")
 
@@ -379,8 +368,6 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
         bundle.stage = "stage2"
         _checkpoint(bundle, out_dir, "stage2")
 
-        sampler4 = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                                seed=config.seed * 10 + 4, modalities=mods)
         hals = [f"hal_{r}" for r in roles]
         joint = ["rgb", *hals, *roles]  # the branches that run in full first
 
@@ -388,16 +375,17 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
             return composite_loss(_forward_joint(bundle, joint, batch, run), labels, weights,
                                   gamma)
 
-        gamma = _calibrate(bundle, sampler4, objective, config, log)
+        seed4 = config.seed * 10 + 4  # the stream of stages 3 and 4
+        calibration = config.gamma.sample_batches  # those batches are not trained on
+        gamma = _calibrate(bundle, sampler.batches(calibration, seed4), objective, config, log)
 
         def target_taps(batch):
             """The frozen targets' train-mode taps of one batch, in roster order."""
             return {role: bundle.branches[role].prefix(batch[role_modalities[role]], "train")
                     for role in roles}
 
-        calibration = config.gamma.sample_batches  # those batches are not trained on
-        batches = _Lookahead(itertools.islice(sampler4.batches(calibration + config.stage4_steps),
-                                              calibration, None), target_taps, run.start)
+        stream = sampler.batches(calibration + config.stage4_steps, seed4)
+        batches = _Lookahead(itertools.islice(stream, calibration, None), target_taps, run.start)
 
         def joint_loss(batch, labels):
             outputs = _forward_joint(bundle, joint, batch, run, roles, batches.taps)
@@ -422,11 +410,11 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
 run_protocol_single = run_protocol_multi = run_protocol
 
 
-def _calibrate(bundle, sampler, objective, config: TrainConfig, log) -> float:
-    """Stage 3: compute gamma on the leading calibration batches;
+def _calibrate(bundle, batches, objective, config: TrainConfig, log) -> float:
+    """Stage 3: compute gamma on the calibration `batches`;
     `objective(batch, labels, gamma)` is the joint `LossBreakdown`."""
     gammas = []
-    for step, (batch, labels) in enumerate(sampler.batches(config.gamma.sample_batches)):
+    for step, (batch, labels) in enumerate(batches):
         with frozen(bundle.parameters()):  # values only: no graph
             bd = objective(batch, labels, 1.0)
         gammas.append(calibrate_gamma(bd, config.gamma))
@@ -442,11 +430,13 @@ def train_single_branch_model(manifest: DatasetManifest, model_config: BranchCon
                               out_dir=None) -> tuple[ModelBundle, list[dict]]:
     """Baseline: one branch on the always-available modality only."""
     _check_patch(model_config, config)
-    weights, log = _start(manifest, config, out_dir)
     role_modalities = {"rgb": manifest.always_available}
-    branches = _pretrain(manifest, model_config, config, weights, log, role_modalities,
-                         "baseline", config.seed * 10 + 7 + variant, 40 + variant,
-                         config.baseline_budget())
+    sampler = PatchSampler(manifest, "train", config.patch, config.batch_size,
+                           list(role_modalities.values()))
+    weights, log = _start(sampler, config, out_dir)
+    branches = _pretrain(manifest, sampler, model_config, config, weights, log,
+                         role_modalities, "baseline", config.seed * 10 + 7 + variant,
+                         40 + variant, config.baseline_budget())
     bundle = ModelBundle(model_config, branches, role_modalities, stage="baseline")
     _checkpoint(bundle, out_dir, f"baseline{variant}")
     _write_log(out_dir, log, name=f"baseline{variant}_log.jsonl")

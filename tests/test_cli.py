@@ -447,6 +447,19 @@ class TestTrain:
         assert f"train.{name} must be finite and non-negative" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("key, setting", [
+        ("train.clip_threshold", '"clip_threshold": 1e999'),
+        ("train.gamma.multiplier", '"gamma": {"multiplier": 1e999}'),
+    ], ids=["clip_threshold", "gamma.multiplier"])
+    def test_infinite_clip_or_gamma_writes_nothing(self, tmp_path, capsys, key, setting):
+        cfg = tmp_path / "cfg.json"  # json reads 1e999 as inf
+        cfg.write_text(json.dumps(TINY_TRAIN).replace('"stage1_steps": 2',
+                                                      f'{setting}, "stage1_steps": 2'))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 2
+        assert f"{key} must be finite and positive, got inf" in capsys.readouterr().err
+        assert not run.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
         # an update of magnitude ~1e38 overflows the next float32 conv

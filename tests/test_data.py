@@ -13,7 +13,6 @@ from hallucinet.data import (
     atomic_write,
     augment,
     axis_origins,
-    class_frequencies,
     extract_patch_grid,
     load_manifest,
     load_scene,
@@ -176,6 +175,11 @@ class TestAugment:
         assert len(set(outs)) == 8
 
 
+def sampler_frequencies(manifest, split):
+    """The class frequencies of a split, as the sampler over its color rasters holds them."""
+    return PatchSampler(manifest, split, PatchSpec(size=8), 1, ["color"]).frequencies
+
+
 class TestClassFrequencies:
     def _write_dataset(self, tmp_path, labels_by_scene):
         scenes_dir = tmp_path / "scenes"
@@ -198,7 +202,7 @@ class TestClassFrequencies:
         labels = np.zeros((10, 10), dtype=np.uint8)
         labels[5:] = 1
         manifest = self._write_dataset(tmp_path, [labels])
-        f = class_frequencies(manifest, "train")
+        f = sampler_frequencies(manifest, "train")
         assert np.allclose(f, [0.5, 0.5, 0.0])
 
     def test_ignore_excluded_and_normalized(self, tmp_path):
@@ -206,7 +210,7 @@ class TestClassFrequencies:
         labels[:5, :5] = 255
         labels[5:] = 1
         manifest = self._write_dataset(tmp_path, [labels])
-        f = class_frequencies(manifest, "train")
+        f = sampler_frequencies(manifest, "train")
         assert f.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(f, [25 / 75, 50 / 75, 0.0])
 
@@ -214,15 +218,20 @@ class TestClassFrequencies:
         labels = np.zeros((100, 100), dtype=np.uint8)
         labels[10:20, 10:20] = 2
         manifest = self._write_dataset(tmp_path, [labels])
-        f = class_frequencies(manifest, "train")
+        f = sampler_frequencies(manifest, "train")
         assert f[2] == pytest.approx(0.01, abs=1e-12)
 
     def test_empty_split_rejected(self, tmp_path):
         manifest = self._write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8)])
         with pytest.raises(ValueError):
-            class_frequencies(manifest, "val")
+            sampler_frequencies(manifest, "val")
 
-    @pytest.mark.parametrize("reader", [class_frequencies, lambda m, _: load_scene(m, "s1")])
+    def test_only_ignored_pixels_rejected(self, tmp_path):
+        manifest = self._write_dataset(tmp_path, [np.full((8, 8), 255, dtype=np.uint8)])
+        with pytest.raises(ValueError, match="split 'train' contains only ignored pixels"):
+            sampler_frequencies(manifest, "train")
+
+    @pytest.mark.parametrize("reader", [sampler_frequencies, lambda m, _: load_scene(m, "s1")])
     def test_label_outside_classes_rejected(self, tmp_path, reader):
         # 3 is no class id of the 3 classes and not the ignore label 255
         stray = np.zeros((8, 8), dtype=np.uint8)
@@ -359,7 +368,7 @@ class TestSynthetic:
                 assert np.array_equal(a, b)
 
     def test_rare_fraction_on_target(self, tiny_dataset):
-        freqs = class_frequencies(tiny_dataset, "train")
+        freqs = PatchSampler(tiny_dataset, "train", PatchSpec(size=64), 4, ["color"]).frequencies
         assert abs(freqs[3] - 0.015) < 0.005
 
     def test_pair_marginals_match_in_color(self, tiny_dataset):
@@ -417,22 +426,22 @@ class TestPatchSampler:
 
     def test_deterministic_batches(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
-        s1 = PatchSampler(tiny_dataset, "train", spec, 4, seed=9, modalities=self.MODALITIES)
-        s2 = PatchSampler(tiny_dataset, "train", spec, 4, seed=9, modalities=self.MODALITIES)
-        for (b1, l1), (b2, l2) in zip(s1.epoch(0), s2.epoch(0)):
+        s1 = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
+        s2 = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
+        for (b1, l1), (b2, l2) in zip(s1.epoch(9, 0), s2.epoch(9, 0)):
             assert np.array_equal(l1, l2)
             for k in b1:
                 assert np.array_equal(b1[k], b2[k])
 
     def test_epochs_differ(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
-        s = PatchSampler(tiny_dataset, "train", spec, 4, seed=9, modalities=self.MODALITIES)
-        l0 = next(iter(s.epoch(0)))[1]
-        l1 = next(iter(s.epoch(1)))[1]
+        s = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
+        l0 = next(iter(s.epoch(9, 0)))[1]
+        l1 = next(iter(s.epoch(9, 1)))[1]
         assert not np.array_equal(l0, l1)
 
     def test_batches_counts_steps(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
-        s = PatchSampler(tiny_dataset, "train", spec, 4, seed=9, modalities=self.MODALITIES)
-        n = sum(1 for _ in s.batches(2 * s.patches_per_epoch // 4 + 3))
+        s = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
+        n = sum(1 for _ in s.batches(2 * s.patches_per_epoch // 4 + 3, 9))
         assert n == 2 * s.patches_per_epoch // 4 + 3

@@ -36,9 +36,11 @@ class TestClassWeights:
         w = compute_class_weights([0.4, 0.4, 0.1, 0.1]).weights
         assert np.allclose(w, [0.625, 0.625, 2.5, 2.5])
 
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            compute_class_weights([0.5, 0.5, 0.0])
+    def test_absent_class_gets_unit_weight(self):
+        # the median is over the present classes 0.5, 0.3 and 0.2
+        w = compute_class_weights([0.5, 0.0, 0.3, 0.2]).weights
+        assert np.allclose(w, [0.6, 1.0, 1.0, 1.5])
+        assert w[1] == 1.0
 
     def test_weight_times_frequency_is_median(self, rng):
         for _ in range(50):
@@ -403,6 +405,12 @@ class TestGamma:
     def test_multiplier_must_be_positive(self):
         with pytest.raises(ValueError):
             GammaPolicy(multiplier=0.0)
+
+    @pytest.mark.parametrize("multiplier", [float("inf"), float("nan")])
+    def test_multiplier_must_be_finite(self, multiplier):
+        # an infinite multiplier would give an infinite gamma
+        with pytest.raises(ValueError, match="train.gamma.multiplier must be finite and positive"):
+            GammaPolicy(multiplier=multiplier)
 
     @pytest.mark.parametrize("batches", [0, -3])
     def test_sample_batches_must_be_positive(self, batches):

@@ -190,10 +190,11 @@ def test_stage4_computes_each_target_tap_once_one_batch_ahead(mode, workers, tin
     _stage4_spies(monkeypatch, events)
     run_protocol(dataset, tiny_config, cfg)
 
-    sampler = PatchSampler(dataset, "train", cfg.patch, cfg.batch_size, seed=cfg.seed * 10 + 4,
+    sampler = PatchSampler(dataset, "train", cfg.patch, cfg.batch_size,
                            modalities=["color", *targets.values()])
     calibration = cfg.gamma.sample_batches
-    stream = [batch for batch, _ in sampler.batches(calibration + cfg.stage4_steps)]
+    stream = [batch for batch, _ in sampler.batches(calibration + cfg.stage4_steps,
+                                                    cfg.seed * 10 + 4)]
     # one prefix per target and batch, in roster order, none past the last batch
     assert [e for e in events if e[0] in targets] == [
         (role, batch[mod].tobytes()) for batch in stream[calibration:]
@@ -230,9 +231,9 @@ def test_stage4_failures_name_their_step_and_leave_no_worker(workers, tiny_datas
     batches, prefix = PatchSampler.batches, model_mod.BranchNet.prefix
     rounds = []
 
-    def planted(self, steps):
-        for i, (batch, labels) in enumerate(batches(self, steps)):
-            if self.seed == cfg.seed * 10 + 4 and i == nan_batch:
+    def planted(self, steps, seed):
+        for i, (batch, labels) in enumerate(batches(self, steps, seed)):
+            if seed == cfg.seed * 10 + 4 and i == nan_batch:
                 batch = {**batch, "height": batch["height"].copy()}
                 batch["height"][1, 0, 5, 7] = np.nan
             yield batch, labels

@@ -1,6 +1,8 @@
 """Trainer: Adam, clipping, freezing, staged protocol, determinism."""
 import copy
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from hallucinet.train import (
     AdamState,
     DivergenceError,
     TrainConfig,
+    _start,
     _tap_prefix,
     adam_step,
     clip_gradients,
-    mfb_class_weights,
     run_protocol,
     train_single_branch_model,
 )
@@ -48,6 +50,13 @@ class TestClip:
     def test_threshold_positive(self):
         with pytest.raises(ValueError):
             clip_gradients([np.ones(2)], 0.0)
+
+    @pytest.mark.parametrize("threshold", [float("inf"), float("nan")])
+    def test_threshold_finite(self, threshold):
+        g = np.array([3.0, -2.0])
+        with pytest.raises(ValueError, match="clip threshold must be finite and positive"):
+            clip_gradients([g], threshold)
+        assert g.tolist() == [3.0, -2.0]
 
 
 class TestAdam:
@@ -173,14 +182,25 @@ def test_optimizer_round_bit_identical_to_out_of_place(rng, grads):
 
 
 class TestMfbWeights:
+    """`_start` weighs the classes by the sampler's frequencies."""
+
+    @staticmethod
+    def _start(frequencies, mfb=True):
+        sampler = SimpleNamespace(frequencies=np.array(frequencies))
+        return _start(sampler, replace(FAST, mfb=mfb), None)
+
     def test_uniform_when_disabled(self):
-        w = mfb_class_weights(np.array([0.5, 0.3, 0.2]), enabled=False)
+        w, log = self._start([0.5, 0.3, 0.2], mfb=False)
         assert np.allclose(w.weights, 1.0)
+        assert log[0]["class_weights"] == [1.0, 1.0, 1.0] and log[0]["mfb"] is False
 
     def test_absent_class_gets_unit_weight(self):
-        w = mfb_class_weights(np.array([0.5, 0.5, 0.0]))
+        w, _ = self._start([0.5, 0.5, 0.0])
         assert w.weights[2] == 1.0
         assert np.allclose(w.weights[:2], 1.0)
+        w, log = self._start([0.5, 0.3, 0.0, 0.2])
+        assert np.allclose(w.weights, [0.6, 1.0, 1.0, 1.5])
+        assert log[0]["class_frequencies"] == [0.5, 0.3, 0.0, 0.2]
 
 
 @pytest.fixture(scope="module")
@@ -310,12 +330,45 @@ class TestProtocolSingle:
         assert [rec["step"] for rec in log if rec["stage"] == "stage3"] == [0, 1]
         assert [rec["step"] for rec in log if rec["stage"] == "stage4"] == [0, 1, 2]
         sampler = PatchSampler(tiny_dataset, "train", cfg.patch, cfg.batch_size,
-                               seed=cfg.seed * 10 + 4, modalities=["color", "height"])
-        stream = [labels for _, labels in sampler.batches(2 + cfg.stage4_steps)]
+                               modalities=["color", "height"])
+        stream = [labels for _, labels in sampler.batches(2 + cfg.stage4_steps,
+                                                          cfg.seed * 10 + 4)]
         assert len(seen) == len(stream)
         for got, want in zip(seen, stream):
             assert np.array_equal(got, want)
         assert len({labels.tobytes() for labels in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("run, sampled", [
+    ("single", ["color", "height"]),
+    ("multi", ["color", "height", "ir"]),
+    ("baseline", ["color"]),
+])
+def test_training_reads_each_train_file_once(run, sampled, tiny_dataset, tiny_dataset_ir,
+                                             tiny_config, monkeypatch):
+    """One run reads the labels and each sampled raster of every train
+    scene once, for the class weights and every stage's batches, and
+    no other file of the dataset."""
+    import hallucinet.data as data_mod
+
+    reads = []
+    read = data_mod.read_tensor_file
+
+    def read_spy(path):
+        reads.append((Path(path).parent.name, Path(path).name))
+        return read(path)
+
+    monkeypatch.setattr(data_mod, "read_tensor_file", read_spy)
+    dataset = tiny_dataset_ir if run == "multi" else tiny_dataset
+    cfg = replace(FAST, stage1_steps=1, stage4_steps=1, baseline_steps=1,
+                  mode="multi" if run == "multi" else "single")
+    if run == "baseline":
+        train_single_branch_model(dataset, tiny_config, cfg)
+    else:
+        run_protocol(dataset, tiny_config, cfg)
+    want = [(rec.scene_id, f"{name}.mtns") for rec in dataset.splits["train"]
+            for name in ("labels", *sampled)]
+    assert sorted(reads) == sorted(want)
 
 
 class TestDeterminism:
@@ -419,6 +472,13 @@ def test_learning_rate_must_be_finite_and_non_negative(name, lr):
     with pytest.raises(ValueError, match=f"train.{name} must be finite and non-negative"):
         TrainConfig(**{name: lr})
     assert getattr(TrainConfig(**{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("inf"), float("nan")])
+def test_clip_threshold_must_be_finite_and_positive(threshold):
+    # an infinite threshold would turn clipping off
+    with pytest.raises(ValueError, match="train.clip_threshold must be finite and positive"):
+        TrainConfig(clip_threshold=threshold)
 
 
 @pytest.fixture(scope="module")
