@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import run_gradcheck_suite
 from .config import ConfigError, build, check_keys, keywords, typed
-from .data import (atomic_write, load_manifest, read_labels, read_rasters, write_json,
+from .data import (atomic_write, label_extent, load_manifest, read_rasters, write_json,
                    write_tensor_file)
 from .evaluate import evaluate, plan_windows, report_table, save_report, tiled_inference
 from .model import (
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
         manifest = load_manifest(config.manifest)
         model_config = config.branch_config(manifest.class_count)
         modalities = manifest.modalities
-        extents = {f"train scene {rec.scene_id}": read_labels(manifest, rec.scene_id).shape
+        extents = {f"train scene {rec.scene_id}": label_extent(manifest, rec.scene_id)
                    for rec in manifest.splits.get("train", [])}
     elif config.synthetic is not None:
         model_config = config.branch_config(config.synthetic.class_count)

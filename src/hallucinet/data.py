@@ -50,8 +50,8 @@ def tensor_to_bytes(tensor: np.ndarray) -> bytes:
     return header + payload
 
 
-def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one tensor record; returns (array, offset past the record)."""
+def _record_header(blob: bytes, offset: int) -> tuple[np.dtype, tuple[int, ...], int]:
+    """(dtype, shape, payload offset) of the tensor record at `offset`."""
     if blob[offset:offset + 4] != MAGIC:
         raise TensorFileError("bad magic bytes")
     if len(blob) < offset + 7:
@@ -66,7 +66,12 @@ def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if len(blob) < pos + 4 * rank:
         raise TensorFileError("truncated extents")
     shape = tuple(struct.unpack_from("<I", blob, pos + 4 * i)[0] for i in range(rank))
-    pos += 4 * rank
+    return dtype, shape, pos + 4 * rank
+
+
+def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Decode one tensor record; returns (array, offset past the record)."""
+    dtype, shape, pos = _record_header(blob, offset)
     count = 1
     for e in shape:
         count *= e
@@ -195,6 +200,16 @@ def load_manifest(path) -> DatasetManifest:
             if mod.name in names:
                 raise ConfigError(f"modalities[{i}].name {mod.name!r} repeats an earlier modality")
             names.add(mod.name)
+        for i, c in enumerate(manifest.excluded_classes):
+            if not 0 <= c < manifest.class_count:
+                raise ConfigError(f"excluded_classes[{i}] is {c}, not a class id "
+                                  f"in 0..{manifest.class_count - 1}")
+        for split, recs in manifest.splits.items():
+            for i, rec in enumerate(recs):
+                if rec.availability.get(manifest.always_available) is False:
+                    raise ConfigError(f"splits.{split}[{i}].availability flags "
+                                      f"{manifest.always_available!r} false, the "
+                                      "always-available modality")
     except (json.JSONDecodeError, ConfigError) as exc:
         raise ValueError(f"malformed manifest {path}: {exc}") from None
     seen: set[str] = set()
@@ -211,6 +226,15 @@ def load_manifest(path) -> DatasetManifest:
             if not (scene_dir / "labels.mtns").exists():
                 raise FileNotFoundError(f"missing labels for scene {rec.scene_id}")
     return manifest
+
+
+def label_extent(manifest: DatasetManifest, scene_id: str) -> tuple[int, int]:
+    """The (H, W) of a scene's labels, read from its file's header alone."""
+    with open(manifest.scene_dir(scene_id) / "labels.mtns", "rb") as fh:
+        _, shape, _ = _record_header(fh.read(7 + 4 * 255), 0)  # the longest header
+    if len(shape) != 2:
+        raise ValueError(f"scene {scene_id}: labels must be (H,W), not of shape {shape}")
+    return shape
 
 
 def read_labels(manifest: DatasetManifest, scene_id: str) -> np.ndarray:
@@ -356,10 +380,6 @@ class PatchSampler:
         if total == 0:
             raise ValueError(f"split {split!r} contains only ignored pixels")
         self.frequencies = counts / total
-
-    @property
-    def patches_per_epoch(self) -> int:
-        return len(self.index)
 
     def epoch(self, seed: int, epoch_idx: int):
         """Yield stream `seed`'s batches: (dict modality -> (B,C,h,w), labels (B,h,w))."""

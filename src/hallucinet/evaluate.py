@@ -3,13 +3,10 @@ metrics, exact tiled inference, and availability-aware scoring.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .config import build
 from .data import DatasetManifest, axis_origins, load_scene, write_json
 from .losses import IGNORE_LABEL
 from .model import BranchConfig, ModelBundle, predict, select_branches
@@ -104,11 +101,6 @@ class EvalReport:
             "mean_class_accuracy": self.mean_class_accuracy,
             "average_f1": self.average_f1,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "EvalReport":
-        doc = dict(doc)
-        return build(cls, {**doc.pop("per_class"), **doc}, "")
 
 
 def metrics(conf: ConfusionMatrix, excluded_classes=(), mode: str = "",
@@ -354,9 +346,5 @@ def report_table(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path):
-    # a score may be NaN, which load_report reads back
+    # a score may be NaN, which json writes as the bare token NaN
     write_json(path, report.to_json(), allow_nan=True)
-
-
-def load_report(path) -> EvalReport:
-    return EvalReport.from_json(json.loads(Path(path).read_text()))

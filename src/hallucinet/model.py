@@ -219,11 +219,21 @@ class BranchNet:
                 out.update(unit.buffers())
         return out
 
-    def set_buffers(self, values: dict[str, np.ndarray]):
-        for units in self.blocks:
-            for unit in units:
-                unit.state.running_mean = values[f"{unit.bn_name}/running_mean"].copy()
-                unit.state.running_var = values[f"{unit.bn_name}/running_var"].copy()
+    def tensors(self) -> dict[str, np.ndarray]:
+        """The branch's own arrays by name, as a checkpoint stores them:
+        every parameter in `parameters()` order, then every buffer."""
+        return {**{p.name: p.data for p in self.parameters()}, **self.buffers()}
+
+    def load(self, tensors: dict[str, np.ndarray]):
+        """Pop each name of `tensors()` from `tensors` and copy its value into
+        the branch's own array; a missing name or another shape raises ValueError."""
+        for name, arr in self.tensors().items():
+            if name not in tensors:
+                raise ValueError(f"missing tensor {name}")
+            value = tensors.pop(name)
+            if value.shape != arr.shape:
+                raise ValueError(f"tensor {name} has shape {value.shape}, the branch {arr.shape}")
+            arr[...] = value
 
 
 def build_branch(config: BranchConfig, input_channels: int, role: str, rng) -> BranchNet:
@@ -233,23 +243,18 @@ def build_branch(config: BranchConfig, input_channels: int, role: str, rng) -> B
 
 def init_hallucination_from(target: BranchNet, input_channels: int,
                             rng) -> BranchNet:
-    """Deep-copy the target branch into a hallucination branch.
+    """Copy the target branch into a hallucination branch.
 
     When the consumed modality's channel count differs from the target's,
-    the first conv layer is re-initialized fresh; everything else
-    (including batchnorm running statistics) is copied.
+    the first conv keeps its fresh draw; every other tensor, batchnorm
+    running statistics included, is copied.
     """
     hal = BranchNet(target.config, input_channels, f"hal_{target.role}",
                     np.random.default_rng(rng))
-    src_params = target.parameters()
-    dst_params = hal.parameters()
-    for src, dst in zip(src_params, dst_params):
-        if src.data.shape != dst.data.shape:
-            continue  # fresh first conv when channel counts differ
-        dst.data = src.data.copy()
-    prefix = target.role + "/"
-    hal.set_buffers({f"{hal.role}/{name[len(prefix):]}": arr
-                     for name, arr in target.buffers().items()})
+    tensors = {f"hal_{name}": arr for name, arr in target.tensors().items()}
+    if input_channels != target.input_channels:
+        tensors[f"{hal.role}/block0/conv0/weight"] = hal.blocks[0][0].weight.data
+    hal.load(tensors)
     return hal
 
 
@@ -361,10 +366,7 @@ def save_checkpoint(bundle: ModelBundle, path, stage: str | None = None):
     for role in sorted(bundle.branches):
         branch = bundle.branches[role]
         branch_meta.append({"role": role, "input_channels": branch.input_channels})
-        for p in branch.parameters():
-            tensors[p.name] = p.data.astype(np.float32)
-        for name, arr in branch.buffers().items():
-            tensors[name] = arr.astype(np.float32)
+        tensors.update(branch.tensors())
     header = {
         "format": "hallucinet-checkpoint",
         "format_version": CHECKPOINT_VERSION,
@@ -436,14 +438,7 @@ def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Mod
     for meta in header["branches"]:
         role = meta["role"]
         branch = BranchNet(config, int(meta["input_channels"]), role, rng)
-        for p in branch.parameters():
-            if p.name not in tensors:
-                raise CheckpointError(f"checkpoint missing tensor {p.name}")
-            arr = tensors.pop(p.name)
-            if arr.shape != p.data.shape:
-                raise CheckpointError(f"checkpoint tensor {p.name} has wrong shape")
-            p.data = arr.astype(np.float32)
-        branch.set_buffers({name: tensors.pop(name) for name in branch.buffers()})
+        branch.load(tensors)
         branches[role] = branch
     if tensors:
         raise CheckpointError(f"checkpoint tensors no branch uses: {', '.join(sorted(tensors))}")

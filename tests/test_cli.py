@@ -261,6 +261,35 @@ def test_bad_manifest_modalities_write_nothing(trained, tmp_path, capsys, comman
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("damage, field", [
+    (lambda doc: doc.update(excluded_classes=[9, -1]), "excluded_classes[0] is 9, not a class id"),
+    (lambda doc: doc.update(excluded_classes=[1, -1]), "excluded_classes[1] is -1, not a class id"),
+    (lambda doc: doc["splits"]["test"][0]["availability"].update(color=False),
+     "splits.test[0].availability flags 'color' false"),
+])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_manifest_classes_or_flags_write_nothing(trained, tmp_path, capsys, command,
+                                                     damage, field):
+    # an excluded class no class id can be, or the always-available modality
+    # flagged absent, is refused when the manifest is read
+    _, out = trained
+    doc = json.loads((out / "dataset" / "manifest.json").read_text())
+    damage(doc)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    dest = tmp_path / "o"
+    if command == "train":
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(manifest)}})
+        argv = ["train", "--config", cfg]
+    else:
+        argv = ["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                "--manifest", str(manifest)]
+    assert main(argv + ["--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed manifest {manifest}" in err and field in err
+    assert not dest.exists()
+
+
 def _stray_label_copy(dataset: Path, dest: Path) -> Path:
     """A copy of `dataset` whose scenes each have one pixel labelled 9,
     neither a class id of its 4 classes nor the ignore label."""
@@ -419,6 +448,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "train.patch.size 128 is larger than train scene scene_000 (96x96)" in err
         assert not run.exists()  # no resolved config
+
+    def test_each_file_decoded_once(self, trained, tmp_path, monkeypatch):
+        # the patch-size check reads the labels' header alone; the sampler
+        # decodes every label file and raster of the train split once
+        import hallucinet.data as data_mod
+
+        _, out = trained
+        decoded = []
+        read = data_mod.read_tensor_file
+
+        def spy(path):
+            decoded.append(Path(path))
+            return read(path)
+
+        monkeypatch.setattr(data_mod, "read_tensor_file", spy)
+        manifest = out / "dataset" / "manifest.json"
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(manifest)}})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        scenes = manifest.parent / "scenes"
+        train = [rec["id"] for rec in json.loads(manifest.read_text())["splits"]["train"]]
+        assert sorted(decoded) == sorted(scenes / i / f"{name}.mtns" for i in train
+                                         for name in ("color", "height", "labels"))
 
     @pytest.mark.parametrize("data", ["synthetic", "manifest"])
     def test_multi_mode_with_one_optional_modality_writes_nothing(self, trained, tmp_path,
@@ -805,6 +856,22 @@ class TestCorruptCheckpoint:
         code = main(["eval", "--manifest", str(out / "dataset" / "manifest.json"),
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == 5
+
+    def test_buffer_of_another_shape_exit_five(self, trained, tmp_path, capsys):
+        import hallucinet.model as model_mod
+
+        _, out = trained
+        header, tensors = model_mod._read_checkpoint(
+            (out / "checkpoint_stage4.ckpt").read_bytes())
+        tensors["rgb/block0/bn0/running_mean"] = np.zeros(1, dtype=np.float32)
+        ckpt = tmp_path / "bn.ckpt"
+        model_mod._write_checkpoint(ckpt, header, tensors)
+        dest = tmp_path / "o"
+        code = main(["eval", "--manifest", str(out / "dataset" / "manifest.json"),
+                     "--checkpoint", str(ckpt), "--out", str(dest)])
+        assert code == 5
+        assert "rgb/block0/bn0/running_mean has shape (1,)" in capsys.readouterr().err
+        assert not dest.exists()
 
 
 class TestThreadCap:

@@ -443,5 +443,5 @@ class TestPatchSampler:
     def test_batches_counts_steps(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
         s = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
-        n = sum(1 for _ in s.batches(2 * s.patches_per_epoch // 4 + 3, 9))
-        assert n == 2 * s.patches_per_epoch // 4 + 3
+        n = sum(1 for _ in s.batches(2 * len(s.index) // 4 + 3, 9))
+        assert n == 2 * len(s.index) // 4 + 3

@@ -337,24 +337,37 @@ class TestPredict:
             predict(bundle, {"height": rng.random((1, 1, 64, 64), dtype=np.float32)}, {})
 
 
+def _trained_look(branch):
+    """Give every running statistic of `branch` a value of its own, so that
+    a copy cannot match by the defaults."""
+    for i, arr in enumerate(branch.buffers().values()):
+        arr[:] = np.arange(arr.size) * 0.5 + i
+
+
 class TestHallucinationInit:
     def test_equal_channels_bit_identical(self, tiny_config):
         depth = build_branch(tiny_config, 3, "depth", 3)
+        _trained_look(depth)
         hal = init_hallucination_from(depth, 3, 5)
-        for ps, pd in zip(depth.parameters(), hal.parameters()):
-            assert np.array_equal(ps.data, pd.data)
         assert hal.role == "hal_depth"
+        src, dst = depth.tensors(), hal.tensors()
+        assert list(dst) == [f"hal_{name}" for name in src]
+        for name, arr in src.items():
+            assert np.array_equal(arr, dst[f"hal_{name}"]) and arr.dtype == dst[f"hal_{name}"].dtype
 
     def test_channel_mismatch_fresh_first_conv(self, tiny_config):
         depth = build_branch(tiny_config, 1, "depth", 3)
+        _trained_look(depth)
         hal = init_hallucination_from(depth, 3, 5)
-        src = {p.name.split("/", 1)[1]: p.data for p in depth.parameters()}
-        dst = {p.name.split("/", 1)[1]: p.data for p in hal.parameters()}
-        for key in src:
-            if key == "block0/conv0/weight":
-                assert src[key].shape != dst[key].shape
+        fresh = build_branch(tiny_config, 3, "hal_depth", 5).tensors()
+        src, dst = depth.tensors(), hal.tensors()
+        assert list(dst) == [f"hal_{name}" for name in src]
+        for name, arr in src.items():
+            if name == "depth/block0/conv0/weight":
+                assert dst[f"hal_{name}"].shape == (8, 3, 3, 3)  # RGB in, not DSM
+                assert np.array_equal(dst[f"hal_{name}"], fresh[f"hal_{name}"])
             else:
-                assert np.array_equal(src[key], dst[key])
+                assert np.array_equal(arr, dst[f"hal_{name}"])
 
     def test_copy_is_independent(self, tiny_config):
         depth = build_branch(tiny_config, 3, "depth", 3)
@@ -532,6 +545,26 @@ class TestCheckpointRobustness:
         blob[len(blob) // 2] ^= 0xFF
         saved.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("name", ["rgb/block0/bn0/running_mean", "depth/score/bias"])
+    def test_tensor_of_another_shape_rejected(self, saved, name):
+        import hallucinet.model as model_mod
+
+        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        tensors[name] = tensors[name][:1]
+        model_mod._write_checkpoint(saved, header, tensors)
+        with pytest.raises(CheckpointError, match=f"{name} has shape \\(1,\\)"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("name", ["depth/block1/bn0/running_var", "rgb/upsample/weight"])
+    def test_missing_tensor_rejected(self, saved, name):
+        import hallucinet.model as model_mod
+
+        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        header["tensors"].remove(name)
+        model_mod._write_checkpoint(saved, header, tensors)
+        with pytest.raises(CheckpointError, match=f"missing tensor {name}$"):
             load_checkpoint(saved)
 
     def test_unused_tensor_rejected(self, saved):
