@@ -194,7 +194,9 @@ CASES = [
 
 def run_gradcheck_suite(points: int = 10, tolerance: float = TOLERANCE,
                         seed: int = 0, corrupt: str | None = None) -> list[CheckResult]:
-    """Run every case at `points` random draws; returns one result per op."""
+    """Run every case at `points` (at least 1) random draws; returns one result per op."""
+    if points < 1:
+        raise ValueError(f"grad-check needs at least 1 point, got {points}")
     if corrupt is not None and corrupt not in {name for name, _ in CASES}:
         raise ValueError(f"unknown op {corrupt!r}")
     results = []

@@ -3,8 +3,9 @@
 gen-data and train read a JSON config whose schema is the config
 dataclasses themselves (see RunConfig) and write the config that ran
 next to their artifacts. Failures map onto stable exit codes:
-  2 invalid config, 3 I/O failure, 4 training divergence,
-  5 checkpoint/manifest mismatch, 6 missing modality.
+  2 invalid config, 3 I/O failure, 4 non-finite values: a diverged
+  training, or a forward that overflows, 5 checkpoint/manifest mismatch,
+  6 missing modality.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .checks import run_gradcheck_suite
 from .config import ConfigError, build, check_keys, keywords, typed
 from .data import (atomic_write, label_extent, load_manifest, read_rasters, write_json,
                    write_tensor_file)
+from .engine import NonFiniteError
 from .evaluate import evaluate, plan_windows, report_table, save_report, tiled_inference
 from .model import (
     BranchConfig,
@@ -360,7 +362,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         # first match wins: CheckpointError and ConfigError are ValueErrors
         for kinds, code in ((CheckpointError, EXIT_MISMATCH),
-                            (DivergenceError, EXIT_DIVERGENCE),
+                            ((DivergenceError, NonFiniteError), EXIT_DIVERGENCE),
                             (MissingModalityError, EXIT_MISSING_MODALITY),
                             ((ValueError, KeyError), EXIT_CONFIG),
                             (OSError, EXIT_IO)):

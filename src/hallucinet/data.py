@@ -110,11 +110,21 @@ def write_tensor_file(path, tensor: np.ndarray):
         fh.write(tensor_to_bytes(tensor))
 
 
+@contextmanager
+def _naming(path):
+    """Prefix a TensorFileError raised in the block with the file's path."""
+    try:
+        yield
+    except TensorFileError as exc:
+        raise TensorFileError(f"{path}: {exc}") from None
+
+
 def read_tensor_file(path) -> np.ndarray:
     blob = Path(path).read_bytes()
-    arr, end = tensor_from_bytes(blob)
-    if end != len(blob):
-        raise TensorFileError("trailing bytes after payload")
+    with _naming(path):
+        arr, end = tensor_from_bytes(blob)
+        if end != len(blob):
+            raise TensorFileError("trailing bytes after payload")
     return arr
 
 
@@ -230,7 +240,8 @@ def load_manifest(path) -> DatasetManifest:
 
 def label_extent(manifest: DatasetManifest, scene_id: str) -> tuple[int, int]:
     """The (H, W) of a scene's labels, read from its file's header alone."""
-    with open(manifest.scene_dir(scene_id) / "labels.mtns", "rb") as fh:
+    path = manifest.scene_dir(scene_id) / "labels.mtns"
+    with open(path, "rb") as fh, _naming(path):
         _, shape, _ = _record_header(fh.read(7 + 4 * 255), 0)  # the longest header
     if len(shape) != 2:
         raise ValueError(f"scene {scene_id}: labels must be (H,W), not of shape {shape}")

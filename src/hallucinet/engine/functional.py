@@ -11,8 +11,8 @@ pooling works on the four strided corner views of its windows. A conv
 unit that builds no graph (conv, batchnorm with ReLU, and a block's
 pooling) is one kernel in either batchnorm mode, `conv_bn_relu`, bit for
 bit the output of those ops. It and `batchnorm` share batchnorm's one
-home, `_normalizer` and `_affine_relu`; `channel_softmax` and the fused
-cross-entropy share one softmax, `_mean_softmax`.
+home, `_normalizer` and `_affine_relu`; `channel_softmax`, the fused
+cross-entropy and inference share one softmax, `mean_softmax`.
 """
 from __future__ import annotations
 
@@ -507,7 +507,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def channel_softmax(x: Tensor) -> Tensor:
     """Per-pixel softmax over the channel axis, max-subtracted for stability."""
-    p = _mean_softmax([x], 1)
+    p = mean_softmax([x])
 
     def backw(out):
         if x.requires_grad:
@@ -532,17 +532,23 @@ def gather_channel(x: Tensor, index: np.ndarray) -> Tensor:
     return make_node(data, "gather_channel", (x,), backw)
 
 
-def _mean_softmax(logits: list[Tensor], inv_k) -> np.ndarray:
-    """Channel softmax of the mean of `logits`, in a fresh buffer."""
+def mean_softmax(logits: list[Tensor]) -> np.ndarray:
+    """Channel softmax of the mean of `logits`, ((a + b) + c) * (1/k) in the
+    dtype, in a fresh buffer; a mean that overflows raises NonFiniteError."""
     first = logits[0]
+    for other in logits[1:]:
+        if other.shape != first.shape:
+            raise ValueError(f"logit shape mismatch: {other.shape} vs {first.shape}")
     if len(logits) == 1:
         p = np.subtract(first.data, first.data.max(axis=1, keepdims=True))
     else:
         p = first.data + logits[1].data
         for t in logits[2:]:
             p += t.data
-        p *= inv_k
-        p -= p.max(axis=1, keepdims=True)
+        p *= np.asarray(1.0 / len(logits), dtype=p.dtype)
+        top = p.max(axis=1, keepdims=True)
+        check_finite(top, "mean_softmax")  # the softmax is finite where its maximum is
+        p -= top
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     return p
@@ -564,14 +570,8 @@ def softmax_nll(logits: list[Tensor], flat_index: np.ndarray, pixel_w: np.ndarra
     bit, and turns it into the logits' gradient, the same array for
     every input.
     """
-    first = logits[0]
-    for other in logits[1:]:
-        if other.shape != first.shape:
-            raise ValueError(f"logit shape mismatch: {other.shape} vs {first.shape}")
-    k = len(logits)
-    dtype = first.dtype
-    inv_k = np.asarray(1.0 / k, dtype=dtype)
-    p_l = _mean_softmax(logits, inv_k).take(flat_index)
+    dtype = logits[0].dtype
+    p_l = mean_softmax(logits).take(flat_index)
     mask = p_l > floor
     terms = np.maximum(p_l, floor)
     np.log(terms, out=terms)
@@ -587,11 +587,11 @@ def softmax_nll(logits: list[Tensor], flat_index: np.ndarray, pixel_w: np.ndarra
         # adding the other channels' exact zeros turns a -0 into +0
         inner = g * p_l + 0
         label = p_l * (g - inner)
-        p = _mean_softmax(logits, inv_k)
+        p = mean_softmax(logits)
         dx = np.multiply(p, np.subtract(0, inner)[:, None], out=p)
         np.put(dx, flat_index, label)
-        if k > 1:
-            dx *= inv_k
+        if len(logits) > 1:
+            dx *= np.asarray(1.0 / len(logits), dtype=dtype)
         for t in logits:
             if t.requires_grad:
                 _accumulate(t, dx)

@@ -84,13 +84,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
@@ -160,26 +153,17 @@ def make_node(data: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def _accumulate(tensor: Tensor, grad: np.ndarray):
-    grad = _unbroadcast(np.asarray(grad, dtype=tensor.dtype), tensor.shape)
+    grad = np.asarray(grad, dtype=tensor.dtype)
+    if grad.shape != tensor.shape:
+        raise ValueError(f"gradient of shape {grad.shape} for {tensor.op} of shape {tensor.shape}")
     # accumulation is out-of-place, so sharing the upstream buffer is safe
     tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 # -- elementwise ops -----------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
+def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
 
     def backward(out):
@@ -191,8 +175,7 @@ def add(a, b) -> Tensor:
     return make_node(a.data + b.data, "add", (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
+def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
 
     def backward(out):

@@ -26,14 +26,15 @@ from .engine import (
     Tensor,
     batchnorm,
     bilinear_kernel,
-    channel_softmax,
     conv2d,
     conv_bn_relu,
     frozen,
     maxpool2,
+    mean_softmax,
     release,
     transposed_conv2d,
 )
+# unused here: perfbench/probes.py wraps model.fuse_logits under --trace 1
 from .losses import fuse_logits, fusion_roster
 from .parallel import branch_workers, run_in_order
 
@@ -316,7 +317,7 @@ def _mmap_threshold(config: BranchConfig, shape) -> int:
 
 def predict_probs(bundle: ModelBundle, inputs: dict[str, np.ndarray],
                   availability: dict[str, bool]) -> np.ndarray:
-    """Fused per-pixel class probabilities (softmax of mean raw scores).
+    """Fused per-pixel class probabilities: the objective's `mean_softmax`.
 
     The forward runs with every parameter frozen, so it builds no graph.
     Two or more selected branches run as tasks of `parallel.branch_workers`;
@@ -336,7 +337,7 @@ def predict_probs(bundle: ModelBundle, inputs: dict[str, np.ndarray],
             threshold = _mmap_threshold(bundle.config, np.shape(tasks[0].args[0]))
             with branch_workers(threshold) as run:
                 outputs = run(tasks)
-    return channel_softmax(fuse_logits([out.logits for out in outputs])).data
+    return mean_softmax([out.logits for out in outputs])
 
 
 def predict(bundle: ModelBundle, inputs: dict[str, np.ndarray],

@@ -873,6 +873,27 @@ class TestCorruptCheckpoint:
         assert "rgb/block0/bn0/running_mean has shape (1,)" in capsys.readouterr().err
         assert not dest.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_overflowing_forward_exit_four(self, trained, tmp_path, capsys, command):
+        import hallucinet.model as model_mod
+
+        _, out = trained
+        bundle = load_checkpoint(out / "checkpoint_stage4.ckpt")
+        for branch in bundle.branches.values():
+            branch.blocks[0][0].weight.data.fill(3e38)
+        ckpt = tmp_path / "overflow.ckpt"
+        model_mod.save_checkpoint(bundle, ckpt)
+        dest = tmp_path / "o"
+        if command == "eval":
+            args = ["eval", "--manifest", str(out / "dataset" / "manifest.json"),
+                    "--out", str(dest)]
+        else:
+            args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005"),
+                    "--out", str(dest / "m.mtns"), "--png", str(dest / "m.png")]
+        assert main(args + ["--checkpoint", str(ckpt)]) == 4
+        assert "non-finite values produced by conv2d" in capsys.readouterr().err
+        assert not dest.exists()
+
 
 class TestThreadCap:
     def test_cap_applied_through_openblas(self, monkeypatch, capsys):
@@ -931,3 +952,9 @@ class TestGradCheckCommand:
     def test_corrupted_gradient_exits_nonzero(self):
         assert main(["grad-check", "--points", "1",
                      "--self-test-corrupt", "conv2d"]) == 1
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    @pytest.mark.parametrize("corrupt", [[], ["--self-test-corrupt", "conv2d"]])
+    def test_points_below_one_exit_two(self, capsys, points, corrupt):
+        assert main(["grad-check", "--points", points, *corrupt]) == 2
+        assert "at least 1 point" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Data pipeline: tensor files, patch grids, augmentation, statistics,
 and the synthetic generator's guarantees."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hallucinet.data import (
     augment,
     axis_origins,
     extract_patch_grid,
+    label_extent,
     load_manifest,
     load_scene,
     read_rasters,
@@ -75,6 +77,18 @@ class TestTensorFile:
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(TensorFileError):
             write_tensor_file(tmp_path / "t.mtns", np.ones(3, dtype=np.int32))
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:9], "truncated extents"),
+        (lambda blob: blob[:20], "truncated payload"),
+        (lambda blob: blob + b"x", "trailing bytes after payload"),
+    ], ids=["extents", "payload", "trailing"])
+    def test_errors_name_the_file(self, tmp_path, damage, message):
+        path = tmp_path / "t.mtns"
+        write_tensor_file(path, np.ones((4, 4), dtype=np.float32))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(TensorFileError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_tensor_file(path)
 
 
 class TestAxisOrigins:
@@ -239,6 +253,13 @@ class TestClassFrequencies:
         manifest = self._write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8), stray])
         with pytest.raises(ValueError, match="scene s1: label 3 "):
             reader(manifest, "train")
+
+    def test_label_extent_names_the_file(self, tmp_path):
+        manifest = self._write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8)])
+        path = manifest.scene_dir("s0") / "labels.mtns"
+        path.write_bytes(path.read_bytes()[:9])
+        with pytest.raises(TensorFileError, match=f"^{re.escape(str(path))}: truncated extents$"):
+            label_extent(manifest, "s0")
 
 
 class TestLoadScene:

@@ -14,6 +14,7 @@ from hallucinet.engine import (
     conv2d,
     finite_diff_check,
     maxpool2,
+    mean_softmax,
     mul,
     release,
     relu,
@@ -21,6 +22,8 @@ from hallucinet.engine import (
     transposed_conv2d,
     tsum,
 )
+from hallucinet.engine.tensor import _accumulate, make_node
+from hallucinet.losses import fuse_logits
 
 
 def t(arr, grad=False, dtype=None):
@@ -148,6 +151,17 @@ class TestChannelSoftmax:
         p = channel_softmax(t(np.array([2.0, 0.0]).reshape(1, 2, 1, 1))).data.ravel()
         assert p == pytest.approx([0.8808, 0.1192], abs=1e-4)
 
+    def test_mean_softmax_is_the_softmax_of_the_fused_logits(self, rng):
+        logits = [t(rng.normal(size=(2, 4, 3, 3)).astype(np.float32)) for _ in range(3)]
+        for k in (1, 2, 3):
+            expected = channel_softmax(fuse_logits(logits[:k])).data
+            assert np.array_equal(mean_softmax(logits[:k]), expected)
+
+    def test_mean_softmax_of_an_overflowing_mean_raises(self):
+        big = t(np.full((1, 2, 1, 1), 3e38, dtype=np.float32))
+        with pytest.raises(NonFiniteError, match="mean_softmax"):
+            mean_softmax([big, big])
+
 
 class TestTransposedConv:
     def test_constant_preserved_by_bilinear(self):
@@ -216,6 +230,17 @@ class TestBackward:
         p = Parameter(rng.normal(size=4), "p")
         backward(tsum(p) + tsum(p))
         assert np.allclose(p.grad, 2.0)
+
+    def test_gradient_of_another_shape_raises(self, rng):
+        p = Parameter(rng.normal(size=3), "p")
+
+        def hook(out):
+            _accumulate(p, np.ones((2, 3)))
+
+        rows = make_node(np.tile(p.data, (2, 1)), "tile", (p,), hook)
+        with pytest.raises(ValueError, match=r"shape \(2, 3\) for parameter of shape \(3,\)"):
+            backward(tsum(rows))
+        assert p.grad is None
 
 
 class TestFiniteDiff:

@@ -449,17 +449,20 @@ class TestPredictBuildsNoGraph:
         expected = channel_softmax(fuse_logits(logits)).data
 
         bundle.branches["rgb"].score_bias.requires_grad = False  # restored as it was
-        outs = []
+        outs = {}
+        forward = model_mod.BranchNet.forward
 
-        def softmax_spy(x):
-            out = channel_softmax(x)
-            outs.append(out)
+        def forward_spy(branch, *args, **kwargs):
+            out = forward(branch, *args, **kwargs)
+            outs[branch.role] = out
             return out
 
-        monkeypatch.setattr(model_mod, "channel_softmax", softmax_spy)
+        monkeypatch.setattr(model_mod.BranchNet, "forward", forward_spy)
         probs = predict_probs(bundle, inputs, {"depth": False})
         assert np.array_equal(probs, expected)
-        assert len(outs) == 1 and not outs[0].requires_grad and outs[0].parents == ()
+        assert sorted(outs) == ["hal_depth", "rgb"]
+        for out in outs.values():
+            assert not out.logits.requires_grad and out.logits.parents == ()
         flags = {p.name: p.requires_grad for p in bundle.parameters()}
         assert flags.pop("rgb/score/bias") is False
         assert all(flags.values())

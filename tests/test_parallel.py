@@ -18,7 +18,7 @@ import hallucinet.parallel as parallel
 import hallucinet.train as train_mod
 from hallucinet.cli import main
 from hallucinet.data import PatchSampler, PatchSpec
-from hallucinet.engine import backward, frozen, mul
+from hallucinet.engine import backward, channel_softmax, frozen, mul
 from hallucinet.losses import ClassWeights, composite_loss
 from hallucinet.model import build_branch
 from hallucinet.train import DivergenceError, TrainConfig, run_protocol
@@ -548,4 +548,4 @@ def test_predict_runs_a_lone_branch_on_the_calling_thread(tiny_config, monkeypat
     assert seen["forward"] == [threading.main_thread()]
     with frozen(bundle.parameters()):
         logits = bundle.branches["rgb"].forward(inputs["color"]).logits
-    assert probs.tobytes() == model_mod.channel_softmax(logits).data.tobytes()
+    assert probs.tobytes() == channel_softmax(logits).data.tobytes()
