@@ -267,6 +267,8 @@ def cmd_infer(args) -> int:
     class_map = tiled_inference(bundle, rasters, availability)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    if args.png:
+        Path(args.png).parent.mkdir(parents=True, exist_ok=True)
     write_tensor_file(out, class_map.astype(np.uint8))
     plan = plan_windows(bundle, class_map.shape)
     routing = {"selected_branches": selected,

@@ -202,6 +202,9 @@ def load_manifest(path) -> DatasetManifest:
         if len(manifest.class_names) != manifest.class_count:
             raise ConfigError(f"class_names has length {len(manifest.class_names)}, "
                               f"class_count is {manifest.class_count}")
+        if not manifest.modalities:
+            raise ConfigError("modalities is empty; it must list at least the "
+                              "always-available modality")
         names: set[str] = set()
         for i, mod in enumerate(manifest.modalities):
             if mod.channels < 1:
@@ -216,6 +219,11 @@ def load_manifest(path) -> DatasetManifest:
                                   f"in 0..{manifest.class_count - 1}")
         for split, recs in manifest.splits.items():
             for i, rec in enumerate(recs):
+                unknown = sorted(set(rec.availability) - names)
+                if unknown:
+                    raise ConfigError(f"splits.{split}[{i}].availability names "
+                                      f"{', '.join(map(repr, unknown))}, not a modality "
+                                      "of the manifest")
                 if rec.availability.get(manifest.always_available) is False:
                     raise ConfigError(f"splits.{split}[{i}].availability flags "
                                       f"{manifest.always_available!r} false, the "
@@ -238,22 +246,29 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def label_extent(manifest: DatasetManifest, scene_id: str) -> tuple[int, int]:
-    """The (H, W) of a scene's labels, read from its file's header alone."""
-    path = manifest.scene_dir(scene_id) / "labels.mtns"
-    with open(path, "rb") as fh, _naming(path):
-        _, shape, _ = _record_header(fh.read(7 + 4 * 255), 0)  # the longest header
+def _check_labels(path: Path, scene_id: str, dtype: np.dtype, shape: tuple[int, ...]):
+    """Refuse a labels file that does not hold (H,W) uint8 class ids."""
+    if dtype != np.uint8:
+        raise ValueError(f"scene {scene_id}: labels {path} are {dtype}, not uint8")
     if len(shape) != 2:
         raise ValueError(f"scene {scene_id}: labels must be (H,W), not of shape {shape}")
+
+
+def label_extent(manifest: DatasetManifest, scene_id: str) -> tuple[int, int]:
+    """The (H, W) of a scene's uint8 labels, read from its file's header alone."""
+    path = manifest.scene_dir(scene_id) / "labels.mtns"
+    with open(path, "rb") as fh, _naming(path):
+        dtype, shape, _ = _record_header(fh.read(7 + 4 * 255), 0)  # the longest header
+    _check_labels(path, scene_id, dtype, shape)
     return shape
 
 
 def read_labels(manifest: DatasetManifest, scene_id: str) -> np.ndarray:
-    """The (H,W) labels of a scene; every value must be a class id below
-    the manifest's class count or IGNORE_LABEL."""
-    labels = read_tensor_file(manifest.scene_dir(scene_id) / "labels.mtns")
-    if labels.ndim != 2:
-        raise ValueError(f"scene {scene_id}: labels must be (H,W)")
+    """The (H,W) uint8 labels of a scene; every value must be a class id
+    below the manifest's class count or IGNORE_LABEL."""
+    path = manifest.scene_dir(scene_id) / "labels.mtns"
+    labels = read_tensor_file(path)
+    _check_labels(path, scene_id, labels.dtype, labels.shape)
     stray = labels[(labels >= manifest.class_count) & (labels != IGNORE_LABEL)]
     if stray.size:
         raise ValueError(f"scene {scene_id}: label {stray.min()} is neither a class id "
@@ -392,37 +407,32 @@ class PatchSampler:
             raise ValueError(f"split {split!r} contains only ignored pixels")
         self.frequencies = counts / total
 
-    def epoch(self, seed: int, epoch_idx: int):
-        """Yield stream `seed`'s batches: (dict modality -> (B,C,h,w), labels (B,h,w))."""
-        rng = np.random.default_rng([seed, epoch_idx])
-        order = rng.permutation(len(self.index))
-        ids = self.spec.transform_ids()
-        tchoice = rng.integers(0, len(ids), size=len(self.index))
-        for start in range(0, len(order), self.batch_size):
-            chunk = order[start:start + self.batch_size]
-            mods = {name: [] for name in self.modalities}
-            labs = []
-            for k in chunk:
-                scene_idx, r, c = self.index[k]
-                rasters, labels = self.scenes[scene_idx]
-                sl = (slice(r, r + self.spec.size), slice(c, c + self.spec.size))
-                stack = [rasters[name][:, sl[0], sl[1]] for name in self.modalities]
-                stack.append(labels[sl])
-                stack = augment(stack, ids[tchoice[k]])
-                for name, arr in zip(self.modalities, stack[:-1]):
-                    mods[name].append(arr)
-                labs.append(stack[-1])
-            batch = {name: np.stack(arrs) for name, arrs in mods.items()}
-            yield batch, np.stack(labs).astype(np.int64)
-
     def batches(self, steps: int, seed: int):
-        """Yield exactly `steps` batches of stream `seed`, crossing epochs as needed."""
-        produced = 0
+        """Yield exactly `steps` batches of stream `seed`, each (dict modality
+        -> (B,C,h,w), labels (B,h,w)), crossing epochs as needed: epoch e's
+        patch order and augmentations are drawn from default_rng([seed, e])."""
+        ids = self.spec.transform_ids()
         epoch_idx = 0
-        while produced < steps:
-            for batch in self.epoch(seed, epoch_idx):
-                yield batch
-                produced += 1
-                if produced >= steps:
-                    return
+        while steps > 0:
+            rng = np.random.default_rng([seed, epoch_idx])
+            order = rng.permutation(len(self.index))
+            tchoice = rng.integers(0, len(ids), size=len(self.index))
+            starts = range(0, len(order), self.batch_size)[:steps]
+            steps -= len(starts)
             epoch_idx += 1
+            for start in starts:
+                chunk = order[start:start + self.batch_size]
+                mods = {name: [] for name in self.modalities}
+                labs = []
+                for k in chunk:
+                    scene_idx, r, c = self.index[k]
+                    rasters, labels = self.scenes[scene_idx]
+                    sl = (slice(r, r + self.spec.size), slice(c, c + self.spec.size))
+                    stack = [rasters[name][:, sl[0], sl[1]] for name in self.modalities]
+                    stack.append(labels[sl])
+                    stack = augment(stack, ids[tchoice[k]])
+                    for name, arr in zip(self.modalities, stack[:-1]):
+                        mods[name].append(arr)
+                    labs.append(stack[-1])
+                batch = {name: np.stack(arrs) for name, arrs in mods.items()}
+                yield batch, np.stack(labs).astype(np.int64)

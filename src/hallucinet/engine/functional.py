@@ -159,61 +159,53 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 # -- the upsampling head -----------------------------------------------------
 #
-# A transposed convolution with stride s and a k x k kernel, k <= m*s, adds
-# x[i] * w[a] at raster row s*i + a. So row s*t + r of the uncropped raster
-# is the sum over mu < m of x[t - mu] * w[s*mu + r], for every phase r < s
-# at once: on the grid of T = h + m - 1 tiles of s x s pixels, the head is
-# one GEMM of each tile's (c, m, m) window of the scores with the weight as
-# a (c*m*m, d*s*s) matrix, and the output is that raster cropped by the
-# padding (k - s)/2, taken in one transposing copy. The backward uses the
-# same layouts: with G the output gradient on the tile grid, dw is
-# windows^T @ G and dx gathers the windows' gradient G @ W^T.
+# The head is a transposed convolution with a 2s x 2s kernel at an even
+# stride s, padded by s/2. It adds x[i] * w[a] at raster row s*i + a, so
+# row s*t + r of the uncropped raster is x[t] * w[s + r] + x[t - 1] * w[r]
+# for every phase r < s at once: on the grid of T = h + 1 tiles of s x s
+# pixels, the head is one GEMM of each tile's (c, 2, 2) window of the
+# scores with the weight as a (c*2*2, d*s*s) matrix, and the output is
+# that raster cropped by s/2, taken in one transposing copy. The backward
+# uses the same layouts: with G the output gradient on the tile grid, dw
+# is windows^T @ G and dx gathers the windows' gradient G @ W^T.
 
-def _head_weight(w: np.ndarray, s: int, m: int) -> np.ndarray:
-    """(c, d, k, k) weights as the (c*m*m, d*s*s) GEMM matrix, rows (c, a, b)
-    for window offset (a, b) = tap (m-1-mu, m-1-nu), zero past the kernel."""
-    c, d, k = w.shape[:3]
-    if m * s > k:
-        w = np.pad(w, ((0, 0), (0, 0), (0, m * s - k), (0, m * s - k)))
-    w6 = w.reshape(c, d, m, s, m, s)[:, :, ::-1, :, ::-1]
-    return w6.transpose(0, 2, 4, 1, 3, 5).reshape(c * m * m, d * s * s)
+def _head_weight(w: np.ndarray, s: int) -> np.ndarray:
+    """(c, d, 2s, 2s) weights as the (c*2*2, d*s*s) GEMM matrix, rows (c, a, b)
+    for window offset (a, b) = tap (1-mu, 1-nu)."""
+    c, d = w.shape[:2]
+    w6 = w.reshape(c, d, 2, s, 2, s)[:, :, ::-1, :, ::-1]
+    return w6.transpose(0, 2, 4, 1, 3, 5).reshape(c * 4, d * s * s)
 
 
-def _crop_spans(p: int, s: int, h: int) -> list[tuple[slice, slice, slice]]:
+def _crop_spans(s: int, h: int) -> list[tuple[slice, slice, slice]]:
     """(output phases, tiles, tile phases) that place output row s*t + r,
-    t < h, at row s*t + r + p of the tile grid's raster: the crop."""
-    q, p0 = divmod(p, s)
-    spans = [(slice(0, s - p0), slice(q, q + h), slice(p0, s))]
-    if p0:
-        spans.append((slice(s - p0, s), slice(q + 1, q + 1 + h), slice(0, p0)))
-    return spans
+    t < h, at row s*t + r + s/2 of the tile grid's raster: the crop."""
+    half = s // 2
+    return [(slice(0, half), slice(0, h), slice(half, s)),
+            (slice(half, s), slice(1, h + 1), slice(0, half))]
 
 
 def transposed_conv2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
-    """Fractional-strided convolution of (N,Ci,H,W) with (Ci,Co,k,k).
-
-    Padding (k - stride)/2 makes the output exactly stride times the
-    input extents (the FCN upsampling configuration).
-    """
+    """Fractional-strided convolution of (N,Ci,H,W) with (Ci,Co,2s,2s) at
+    an even stride s, padded by s/2: the output is exactly s times the
+    input extents (the FCN upsampling configuration)."""
     c, d, k, kw = weight.data.shape
     n, cx, h, wd = x.data.shape
     if cx != c:
         raise ValueError(f"transposed_conv2d channel mismatch: input {cx}, weight {c}")
-    if kw != k or k < stride:
-        raise ValueError(f"transposed_conv2d needs a square kernel of at least the stride "
-                         f"{stride}, got {k}x{kw}")
-    if (k - stride) % 2 != 0:
-        raise ValueError(f"kernel {k} minus stride {stride} must be even to infer padding")
-    s, m = stride, -(-k // stride)
-    tt, tu = h + m - 1, wd + m - 1
+    if stride < 2 or stride % 2 or k != 2 * stride or kw != k:
+        raise ValueError(f"transposed_conv2d takes a 2*stride square kernel at an even "
+                         f"stride, got {k}x{kw} at stride {stride}")
+    s = stride
+    tt, tu = h + 1, wd + 1
     spans = [(ro, co, rt, ct, rp, cp)
-             for ro, rt, rp in _crop_spans((k - s) // 2, s, h)
-             for co, ct, cp in _crop_spans((k - s) // 2, s, wd)]
-    # windows[(n, t, u), (c, a, b)] = x[n, c, t + a - (m-1), u + b - (m-1)], zero outside
-    xp = np.pad(x.data, ((0, 0), (0, 0), (m - 1, m - 1), (m - 1, m - 1)))
-    windows = sliding_window_view(xp, (m, m), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
-    windows = windows.reshape(n * tt * tu, c * m * m)
-    grid = (windows @ _head_weight(weight.data, s, m)).reshape(n, tt, tu, d, s, s)
+             for ro, rt, rp in _crop_spans(s, h)
+             for co, ct, cp in _crop_spans(s, wd)]
+    # windows[(n, t, u), (c, a, b)] = x[n, c, t + a - 1, u + b - 1], zero outside
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = sliding_window_view(xp, (2, 2), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
+    windows = windows.reshape(n * tt * tu, c * 4)
+    grid = (windows @ _head_weight(weight.data, s)).reshape(n, tt, tu, d, s, s)
     data = np.empty((n, d, h * s, wd * s), dtype=x.data.dtype)
     tiled = data.reshape(n, d, h, s, wd, s)
     for ro, co, rt, ct, rp, cp in spans:
@@ -227,15 +219,15 @@ def transposed_conv2d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
             np.copyto(g[:, rt, ct, :, rp, cp], og[:, :, :, ro, :, co].transpose(0, 2, 4, 1, 3, 5))
         g = g.reshape(n * tt * tu, d * s * s)
         if weight.requires_grad:
-            dw = (windows.T @ g).reshape(c, m, m, d, s, s)[:, ::-1, ::-1]
-            dw = dw.transpose(0, 3, 1, 4, 2, 5).reshape(c, d, m * s, m * s)
-            _accumulate(weight, dw[:, :, :k, :k])
+            dw = (windows.T @ g).reshape(c, 2, 2, d, s, s)[:, ::-1, ::-1]
+            dw = dw.transpose(0, 3, 1, 4, 2, 5).reshape(c, d, k, k)
+            _accumulate(weight, dw)
         if x.requires_grad:
-            taps = (g @ _head_weight(weight.data, s, m).T).reshape(n, tt, tu, c, m, m)
+            taps = (g @ _head_weight(weight.data, s).T).reshape(n, tt, tu, c, 2, 2)
             dx = np.zeros(x.data.shape, dtype=taps.dtype)
-            for a in range(m):
-                for b in range(m):
-                    tap = taps[:, m - 1 - a:m - 1 - a + h, m - 1 - b:m - 1 - b + wd, :, a, b]
+            for a in range(2):
+                for b in range(2):
+                    tap = taps[:, 1 - a:1 - a + h, 1 - b:1 - b + wd, :, a, b]
                     dx += tap.transpose(0, 3, 1, 2)
             _accumulate(x, dx)
 

@@ -105,14 +105,16 @@ class BranchOutput:
     logits: Tensor
 
 
-def _conv_init(rng: np.random.Generator, out_ch: int, in_ch: int, k: int) -> np.ndarray:
+def _conv_init(rng: np.random.Generator | None, out_ch: int, in_ch: int, k: int) -> np.ndarray:
+    if rng is None:  # an array a `load` fills
+        return np.zeros((out_ch, in_ch, k, k), dtype=np.float32)
     bound = 1.0 / np.sqrt(in_ch * k * k)
     return rng.uniform(-bound, bound, size=(out_ch, in_ch, k, k)).astype(np.float32)
 
 
 class _ConvBnRelu:
     def __init__(self, prefix: str, in_ch: int, out_ch: int, stride: int,
-                 rng: np.random.Generator, conv_idx: int):
+                 rng: np.random.Generator | None, conv_idx: int):
         self.stride = stride
         cname = f"{prefix}/conv{conv_idx}"
         bname = f"{prefix}/bn{conv_idx}"
@@ -143,16 +145,14 @@ class _ConvBnRelu:
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.scale, self.shift]
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {f"{self.bn_name}/running_mean": self.state.running_mean,
-                f"{self.bn_name}/running_var": self.state.running_var}
-
 
 class BranchNet:
-    """One fully convolutional float32 branch with tap and full-resolution logits."""
+    """One fully convolutional float32 branch with tap and full-resolution
+    logits. Its conv weights are drawn from `rng`, or are zeros when `rng`
+    is None: arrays a `load` fills."""
 
     def __init__(self, config: BranchConfig, input_channels: int, role: str,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.config = config
         self.input_channels = input_channels
         self.role = role
@@ -213,17 +213,15 @@ class BranchNet:
         params.extend([self.score_weight, self.score_bias, self.upsample_weight])
         return params
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for units in self.blocks:
-            for unit in units:
-                out.update(unit.buffers())
-        return out
-
     def tensors(self) -> dict[str, np.ndarray]:
         """The branch's own arrays by name, as a checkpoint stores them:
-        every parameter in `parameters()` order, then every buffer."""
-        return {**{p.name: p.data for p in self.parameters()}, **self.buffers()}
+        every parameter in `parameters()` order, then each batchnorm's
+        running mean and variance."""
+        out = {p.name: p.data for p in self.parameters()}
+        for unit in (u for units in self.blocks for u in units):
+            out[f"{unit.bn_name}/running_mean"] = unit.state.running_mean
+            out[f"{unit.bn_name}/running_var"] = unit.state.running_var
+        return out
 
     def load(self, tensors: dict[str, np.ndarray]):
         """Pop each name of `tensors()` from `tensors` and copy its value into
@@ -247,14 +245,14 @@ def init_hallucination_from(target: BranchNet, input_channels: int,
     """Copy the target branch into a hallucination branch.
 
     When the consumed modality's channel count differs from the target's,
-    the first conv keeps its fresh draw; every other tensor, batchnorm
-    running statistics included, is copied.
+    the first conv is drawn from `rng`, a seed int or a numpy Generator;
+    every other tensor, batchnorm running statistics included, is copied.
     """
-    hal = BranchNet(target.config, input_channels, f"hal_{target.role}",
-                    np.random.default_rng(rng))
+    hal = BranchNet(target.config, input_channels, f"hal_{target.role}", None)
     tensors = {f"hal_{name}": arr for name, arr in target.tensors().items()}
     if input_channels != target.input_channels:
-        tensors[f"{hal.role}/block0/conv0/weight"] = hal.blocks[0][0].weight.data
+        tensors[f"{hal.role}/block0/conv0/weight"] = _conv_init(
+            np.random.default_rng(rng), target.config.blocks[0][0], input_channels, 3)
     hal.load(tensors)
     return hal
 
@@ -435,10 +433,9 @@ def load_checkpoint(path) -> ModelBundle:
 def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> ModelBundle:
     config = build(BranchConfig, header["config"], "config")
     branches: dict[str, BranchNet] = {}
-    rng = np.random.default_rng(0)  # values are overwritten below
     for meta in header["branches"]:
         role = meta["role"]
-        branch = BranchNet(config, int(meta["input_channels"]), role, rng)
+        branch = BranchNet(config, int(meta["input_channels"]), role, None)
         branch.load(tensors)
         branches[role] = branch
     if tensors:

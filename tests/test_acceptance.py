@@ -2,7 +2,7 @@
 
 Criteria 1-5 and 11 are oracle/property checks, and they are all this
 module has. Criteria 6-10, the qualitative-ordering experiments that
-train the benchmark models, are pending under ROADMAP item 4.
+train the benchmark models, are pending under ROADMAP item 2.
 """
 import json
 import time

@@ -290,6 +290,64 @@ def test_bad_manifest_classes_or_flags_write_nothing(trained, tmp_path, capsys, 
     assert not dest.exists()
 
 
+def _command_on(command: str, manifest: Path, trained_out: Path, tmp_path) -> list[str]:
+    """`train` on a config that reads `manifest`, or `eval` of the trained
+    run's stage-4 checkpoint on it; --out still to be given."""
+    if command == "train":
+        return ["train", "--config",
+                write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(manifest)}})]
+    return ["eval", "--checkpoint", str(trained_out / "checkpoint_stage4.ckpt"),
+            "--manifest", str(manifest), "--scenario", "2"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_without_modalities_writes_nothing(trained, tmp_path, capsys, command):
+    # there is no always-available modality to route or train on
+    _, out = trained
+    doc = json.loads((out / "dataset" / "manifest.json").read_text())
+    doc["modalities"] = []
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    dest = tmp_path / "o"
+    assert main(_command_on(command, manifest, out, tmp_path) + ["--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed manifest {manifest}: modalities is empty" in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_availability_of_no_modality_writes_nothing(trained, tmp_path, capsys, command):
+    # a misspelled flag would leave the height branch routed as available
+    _, out = trained
+    doc = json.loads((out / "dataset" / "manifest.json").read_text())
+    doc["splits"]["test"][0]["availability"] = {"heigth": False}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    dest = tmp_path / "o"
+    assert main(_command_on(command, manifest, out, tmp_path) + ["--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert (f"malformed manifest {manifest}: splits.test[0].availability names 'heigth', "
+            "not a modality of the manifest") in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_labels_not_uint8_write_nothing(trained, tmp_path, capsys, command):
+    # float labels such as -0.5 and 2.7 would be truncated to class ids
+    _, out = trained
+    shutil.copytree(out / "dataset", tmp_path / "ds")
+    for path in (tmp_path / "ds" / "scenes").rglob("labels.mtns"):
+        labels = read_tensor_file(path).astype(np.float32)
+        labels[0, :2] = -0.5, 2.7
+        write_tensor_file(path, labels)
+    dest = tmp_path / "o"
+    argv = _command_on(command, tmp_path / "ds" / "manifest.json", out, tmp_path)
+    assert main(argv + ["--out", str(dest)]) == 2
+    assert re.search(r"scene scene_\d+: labels \S+labels\.mtns are float32, not uint8",
+                     capsys.readouterr().err)
+    assert not dest.exists()
+
+
 def _stray_label_copy(dataset: Path, dest: Path) -> Path:
     """A copy of `dataset` whose scenes each have one pixel labelled 9,
     neither a class id of its 4 classes nor the ignore label."""
@@ -707,6 +765,16 @@ class TestInfer:
         labels = read_tensor_file(scene / "labels.mtns")
         assert class_map.shape == labels.shape
         assert (tmp_path / "map.png").read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
+
+    def test_png_into_a_new_directory(self, trained, tmp_path):
+        _, out = trained
+        png = tmp_path / "new" / "dir" / "map.png"
+        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--scene", str(out / "dataset" / "scenes" / "scene_005"),
+                     "--availability", "height=false", "--out", str(tmp_path / "m.mtns"),
+                     "--png", str(png)])
+        assert code == 0
+        assert png.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
 
     @pytest.mark.parametrize("flags, named", [("heigth=false", "heigth"),
                                               ("color=false", "color"),

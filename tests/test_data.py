@@ -449,7 +449,8 @@ class TestPatchSampler:
         spec = PatchSpec(size=64, overlap=0.5)
         s1 = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
         s2 = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
-        for (b1, l1), (b2, l2) in zip(s1.epoch(9, 0), s2.epoch(9, 0)):
+        steps = -(-len(s1.index) // 4)  # one epoch
+        for (b1, l1), (b2, l2) in zip(s1.batches(steps, 9), s2.batches(steps, 9), strict=True):
             assert np.array_equal(l1, l2)
             for k in b1:
                 assert np.array_equal(b1[k], b2[k])
@@ -457,8 +458,9 @@ class TestPatchSampler:
     def test_epochs_differ(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
         s = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
-        l0 = next(iter(s.epoch(9, 0)))[1]
-        l1 = next(iter(s.epoch(9, 1)))[1]
+        per_epoch = -(-len(s.index) // 4)
+        stream = list(s.batches(per_epoch + 1, 9))
+        l0, l1 = stream[0][1], stream[per_epoch][1]  # the first batch of epochs 0 and 1
         assert not np.array_equal(l0, l1)
 
     def test_batches_counts_steps(self, tiny_dataset):

@@ -187,10 +187,13 @@ class TestTransposedConv:
         with pytest.raises(ValueError):
             transposed_conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((3, 1, 4, 4))), 2)
 
-    @pytest.mark.parametrize("kernel,stride", [((4, 6), 2), ((1, 1), 3)],
-                             ids=["nonsquare", "below_stride"])
+    # kernel 2s at an odd stride has no integer padding s/2
+    @pytest.mark.parametrize("kernel,stride", [((4, 6), 2), ((1, 1), 3), ((6, 6), 3)],
+                             ids=["nonsquare", "below_stride", "odd_stride"])
     def test_kernel_shape_refused(self, kernel, stride):
-        with pytest.raises(ValueError, match="square kernel of at least the stride"):
+        message = (r"takes a 2\*stride square kernel at an even stride, "
+                   f"got {kernel[0]}x{kernel[1]} at stride {stride}")
+        with pytest.raises(ValueError, match=message):
             transposed_conv2d(t(np.ones((1, 2, 3, 3))), t(np.ones((2, 1) + kernel)), stride)
 
 

@@ -165,7 +165,8 @@ class TestBuildForward:
                 out = branch.forward(x, mode, tap=tap)
             assert out.logits.requires_grad and not out.tap.requires_grad
             runs.append([out.tap.data.tobytes(), out.logits.data.tobytes(),
-                         *(a.tobytes() for a in branch.buffers().values())])
+                         *(a.tobytes() for name, a in branch.tensors().items()
+                           if "/running_" in name)])
         assert runs[0] == runs[1]
 
 
@@ -216,7 +217,8 @@ class TestTrainForwardMemory:
             loss = tsum(mul(out.logits, Tensor(upstream))) + tsum(mul(out.tap, out.tap))
             backward(loss)
             grads = [p.grad.tobytes() for p in branch.parameters()]
-            return grads, [a.tobytes() for a in branch.buffers().values()]
+            return grads, [a.tobytes() for name, a in branch.tensors().items()
+                           if "/running_" in name]
 
         released = []
 
@@ -340,7 +342,8 @@ class TestPredict:
 def _trained_look(branch):
     """Give every running statistic of `branch` a value of its own, so that
     a copy cannot match by the defaults."""
-    for i, arr in enumerate(branch.buffers().values()):
+    stats = [a for name, a in branch.tensors().items() if "/running_" in name]
+    for i, arr in enumerate(stats):
         arr[:] = np.arange(arr.size) * 0.5 + i
 
 
@@ -377,6 +380,24 @@ class TestHallucinationInit:
         hal.blocks[0][0].state.running_mean[:] = 5.0
         assert not np.array_equal(depth.blocks[0][0].state.running_mean,
                                   hal.blocks[0][0].state.running_mean)
+
+    @pytest.mark.parametrize("channels, draws", [(3, 0), (5, 1)], ids=["equal", "differ"])
+    def test_draws_only_a_first_conv_of_other_channels(self, tiny_config, monkeypatch,
+                                                       channels, draws):
+        import hallucinet.model as model_mod
+
+        depth = build_branch(tiny_config, 3, "depth", 3)
+        drawn = []
+        conv_init = model_mod._conv_init
+
+        def spy(rng, *shape):
+            if rng is not None:
+                drawn.append(shape)
+            return conv_init(rng, *shape)
+
+        monkeypatch.setattr(model_mod, "_conv_init", spy)
+        init_hallucination_from(depth, channels, 5)
+        assert drawn == [(tiny_config.blocks[0][0], channels, 3)] * draws
 
     def test_tap_shapes_match_target(self, tiny_config, rng):
         depth = build_branch(tiny_config, 1, "depth", 3)
@@ -426,6 +447,27 @@ class TestCheckpoint:
         for avail in ({"depth": True}, {"depth": False}):
             assert np.array_equal(predict(bundle, inputs, avail),
                                   predict(loaded, inputs, avail))
+
+    def test_load_draws_no_weights(self, tiny_config, tmp_path, monkeypatch):
+        import hallucinet.model as model_mod
+
+        bundle = _bundle(tiny_config, {"rgb": 3, "depth": 1, "hal_depth": 3},
+                         {"rgb": "color", "depth": "height"})
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bundle, path)
+        generators = []
+        conv_init = model_mod._conv_init
+
+        def spy(rng, *shape):
+            generators.append(rng)
+            return conv_init(rng, *shape)
+
+        monkeypatch.setattr(model_mod, "_conv_init", spy)
+        loaded = load_checkpoint(path)
+        assert generators and all(rng is None for rng in generators)
+        for role, branch in bundle.branches.items():
+            for name, arr in branch.tensors().items():
+                assert np.array_equal(loaded.branches[role].tensors()[name], arr)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
