@@ -22,8 +22,7 @@ import numpy as np
 
 from .checks import run_gradcheck_suite
 from .config import ConfigError, build, check_keys, keywords, typed
-from .data import (atomic_write, label_extent, load_manifest, read_rasters, write_json,
-                   write_tensor_file)
+from .data import atomic_write, load_manifest, read_rasters, write_json, write_tensor_file
 from .engine import NonFiniteError
 from .evaluate import evaluate, plan_windows, report_table, save_report, tiled_inference
 from .model import (
@@ -154,32 +153,27 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Train on a manifest or a synthetic dataset; every refusal of the
+    config or the train split comes before anything is written under
+    --out, and resolved_config.json is written with the log at the end."""
     config = load_config(args.config)
-    manifest = None
+    out = Path(args.out)
     if config.manifest is not None:
         manifest = load_manifest(config.manifest)
         model_config = config.branch_config(manifest.class_count)
-        modalities = manifest.modalities
-        extents = {f"train scene {rec.scene_id}": label_extent(manifest, rec.scene_id)
-                   for rec in manifest.splits.get("train", [])}
     elif config.synthetic is not None:
         model_config = config.branch_config(config.synthetic.class_count)
-        modalities = config.synthetic.modalities
-        size = config.synthetic.size
-        extents = {f"the scenes of data.synthetic.size {size}": (size, size)}
+        check_protocol(config.synthetic.modalities, model_config, config.train)
+        patch, size = config.train.patch.size, config.synthetic.size
+        if patch > size:
+            raise ConfigError(f"train.patch.size {patch} is larger than the scenes of "
+                              f"data.synthetic.size {size} ({size}x{size})")
+        manifest = generate_synthetic(config.seed, config.synthetic, out / "dataset")
     else:
         raise ConfigError("data section needs a manifest path or a synthetic block")
-    check_protocol(modalities, model_config, config.train)  # before anything is written
-    patch = config.train.patch.size
-    for scene, (height, width) in extents.items():
-        if patch > min(height, width):
-            raise ConfigError(f"train.patch.size {patch} is larger than {scene} ({height}x{width})")
-    out = Path(args.out)
-    config.save(model_config, out)
-    if manifest is None:
-        manifest = generate_synthetic(config.seed, config.synthetic, out / "dataset")
 
     bundle, _ = run_protocol(manifest, model_config, config.train, out_dir=out)
+    config.save(model_config, out)
     print(f"trained {len(bundle.branches)} branches "
           f"({', '.join(sorted(bundle.branches))}); logs and checkpoints in {out}")
     return 0

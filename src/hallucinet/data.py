@@ -50,8 +50,8 @@ def tensor_to_bytes(tensor: np.ndarray) -> bytes:
     return header + payload
 
 
-def _record_header(blob: bytes, offset: int) -> tuple[np.dtype, tuple[int, ...], int]:
-    """(dtype, shape, payload offset) of the tensor record at `offset`."""
+def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Decode one tensor record; returns (array, offset past the record)."""
     if blob[offset:offset + 4] != MAGIC:
         raise TensorFileError("bad magic bytes")
     if len(blob) < offset + 7:
@@ -66,12 +66,7 @@ def _record_header(blob: bytes, offset: int) -> tuple[np.dtype, tuple[int, ...],
     if len(blob) < pos + 4 * rank:
         raise TensorFileError("truncated extents")
     shape = tuple(struct.unpack_from("<I", blob, pos + 4 * i)[0] for i in range(rank))
-    return dtype, shape, pos + 4 * rank
-
-
-def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one tensor record; returns (array, offset past the record)."""
-    dtype, shape, pos = _record_header(blob, offset)
+    pos += 4 * rank
     count = 1
     for e in shape:
         count *= e
@@ -110,21 +105,14 @@ def write_tensor_file(path, tensor: np.ndarray):
         fh.write(tensor_to_bytes(tensor))
 
 
-@contextmanager
-def _naming(path):
-    """Prefix a TensorFileError raised in the block with the file's path."""
-    try:
-        yield
-    except TensorFileError as exc:
-        raise TensorFileError(f"{path}: {exc}") from None
-
-
 def read_tensor_file(path) -> np.ndarray:
     blob = Path(path).read_bytes()
-    with _naming(path):
+    try:
         arr, end = tensor_from_bytes(blob)
         if end != len(blob):
             raise TensorFileError("trailing bytes after payload")
+    except TensorFileError as exc:
+        raise TensorFileError(f"{path}: {exc}") from None
     return arr
 
 
@@ -199,6 +187,9 @@ def load_manifest(path) -> DatasetManifest:
         manifest = build(DatasetManifest, doc, "", root=path.parent, splits={
             split: [SceneRecord(e.id, e.availability) for e in entries]
             for split, entries in splits.items()})
+        if not 2 <= manifest.class_count <= 255:
+            raise ConfigError(f"class_count must be in 2..255 (labels are uint8, and "
+                              f"{IGNORE_LABEL} is the ignore label), got {manifest.class_count}")
         if len(manifest.class_names) != manifest.class_count:
             raise ConfigError(f"class_names has length {len(manifest.class_names)}, "
                               f"class_count is {manifest.class_count}")
@@ -219,6 +210,9 @@ def load_manifest(path) -> DatasetManifest:
                                   f"in 0..{manifest.class_count - 1}")
         for split, recs in manifest.splits.items():
             for i, rec in enumerate(recs):
+                if rec.scene_id in ("", ".", "..") or "/" in rec.scene_id or "\\" in rec.scene_id:
+                    raise ConfigError(f"splits.{split}[{i}].id {rec.scene_id!r} is not one "
+                                      "plain directory name")
                 unknown = sorted(set(rec.availability) - names)
                 if unknown:
                     raise ConfigError(f"splits.{split}[{i}].availability names "
@@ -246,29 +240,15 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def _check_labels(path: Path, scene_id: str, dtype: np.dtype, shape: tuple[int, ...]):
-    """Refuse a labels file that does not hold (H,W) uint8 class ids."""
-    if dtype != np.uint8:
-        raise ValueError(f"scene {scene_id}: labels {path} are {dtype}, not uint8")
-    if len(shape) != 2:
-        raise ValueError(f"scene {scene_id}: labels must be (H,W), not of shape {shape}")
-
-
-def label_extent(manifest: DatasetManifest, scene_id: str) -> tuple[int, int]:
-    """The (H, W) of a scene's uint8 labels, read from its file's header alone."""
-    path = manifest.scene_dir(scene_id) / "labels.mtns"
-    with open(path, "rb") as fh, _naming(path):
-        dtype, shape, _ = _record_header(fh.read(7 + 4 * 255), 0)  # the longest header
-    _check_labels(path, scene_id, dtype, shape)
-    return shape
-
-
 def read_labels(manifest: DatasetManifest, scene_id: str) -> np.ndarray:
     """The (H,W) uint8 labels of a scene; every value must be a class id
     below the manifest's class count or IGNORE_LABEL."""
     path = manifest.scene_dir(scene_id) / "labels.mtns"
     labels = read_tensor_file(path)
-    _check_labels(path, scene_id, labels.dtype, labels.shape)
+    if labels.dtype != np.uint8:
+        raise ValueError(f"scene {scene_id}: labels {path} are {labels.dtype}, not uint8")
+    if labels.ndim != 2:
+        raise ValueError(f"scene {scene_id}: labels must be (H,W), not of shape {labels.shape}")
     stray = labels[(labels >= manifest.class_count) & (labels != IGNORE_LABEL)]
     if stray.size:
         raise ValueError(f"scene {scene_id}: label {stray.min()} is neither a class id "
@@ -376,7 +356,9 @@ class PatchSampler:
     is the pixel frequency per class over the split, ignore pixels
     excluded. The patch order and the augmentation draw are fully
     determined by (seed, epoch). A scene that flags one of the sampled
-    modalities unavailable raises MissingModalityError.
+    modalities unavailable raises MissingModalityError; an empty split,
+    a scene smaller than the patch, malformed labels or rasters, and a
+    split of only ignored pixels raise ValueError.
     """
 
     def __init__(self, manifest: DatasetManifest, split: str, spec: PatchSpec,
@@ -396,6 +378,9 @@ class PatchSampler:
                     raise MissingModalityError(f"{split} scene {rec.scene_id} flags modality "
                                                f"{name!r} unavailable, and training reads it")
             rasters, labels = load_scene(manifest, rec.scene_id, self.modalities)
+            if spec.size > min(labels.shape):
+                raise ValueError(f"train.patch.size {spec.size} is larger than {split} scene "
+                                 f"{rec.scene_id} ({labels.shape[0]}x{labels.shape[1]})")
             counts += np.bincount(labels[labels != IGNORE_LABEL].astype(np.int64),
                                   minlength=manifest.class_count)
             scene_idx = len(self.scenes)

@@ -65,6 +65,9 @@ class SyntheticConfig:
         """Every refusal of a config, so one that builds always generates."""
         if self.class_count < 4:
             raise ValueError("need at least 4 classes (background, pair, rare)")
+        if self.class_count > 255:
+            raise ValueError(f"data.synthetic.class_count must be at most 255 (labels are "
+                             f"uint8, and 255 is the ignore label), got {self.class_count}")
         if self.size < 64 or self.size % 32:
             raise ValueError("scene size must be >= 64 and divisible by 32")
         if self.scene_count < 3:

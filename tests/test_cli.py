@@ -210,6 +210,7 @@ class TestGenData:
         ({"rare_fraction": -0.5}, "rare_fraction"),
         ({"rare_fraction": 0.0001}, "rare_fraction"),  # below one disc of a 96x96 scene
         ({"rare_fraction": 0.2}, "rare_fraction"),
+        ({"class_count": 300}, "data.synthetic.class_count must be at most 255"),
     ])
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_config_it_cannot_generate_writes_nothing(self, tmp_path, capsys, command,
@@ -266,6 +267,9 @@ def test_bad_manifest_modalities_write_nothing(trained, tmp_path, capsys, comman
     (lambda doc: doc.update(excluded_classes=[1, -1]), "excluded_classes[1] is -1, not a class id"),
     (lambda doc: doc["splits"]["test"][0]["availability"].update(color=False),
      "splits.test[0].availability flags 'color' false"),
+    (lambda doc: doc.update(class_count=256, class_names=[f"c{i}" for i in range(256)]),
+     "class_count must be in 2..255"),
+    (lambda doc: doc.update(class_count=1, class_names=["c0"]), "class_count must be in 2..255"),
 ])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_bad_manifest_classes_or_flags_write_nothing(trained, tmp_path, capsys, command,
@@ -332,6 +336,26 @@ def test_availability_of_no_modality_writes_nothing(trained, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
+def test_scene_id_outside_scenes_writes_nothing(trained, tmp_path, capsys, command):
+    # "../outside" would read the rasters of a directory beside scenes/
+    _, out = trained
+    ds = tmp_path / "ds"
+    shutil.copytree(out / "dataset", ds)
+    doc = json.loads((ds / "manifest.json").read_text())
+    split = "train" if command == "train" else "test"
+    scene = doc["splits"][split][0]
+    (ds / "scenes" / scene["id"]).rename(ds / "outside")
+    scene["id"] = "../outside"
+    (ds / "manifest.json").write_text(json.dumps(doc))
+    dest = tmp_path / "o"
+    assert main(_command_on(command, ds / "manifest.json", out, tmp_path)
+                + ["--out", str(dest)]) == 2
+    assert (f"malformed manifest {ds / 'manifest.json'}: splits.{split}[0].id '../outside' "
+            "is not one plain directory name") in capsys.readouterr().err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
 def test_labels_not_uint8_write_nothing(trained, tmp_path, capsys, command):
     # float labels such as -0.5 and 2.7 would be truncated to class ids
     _, out = trained
@@ -357,6 +381,28 @@ def _stray_label_copy(dataset: Path, dest: Path) -> Path:
         labels[0, 0] = 9
         write_tensor_file(path, labels)
     return dest / "manifest.json"
+
+
+def _train_ids(dataset: Path) -> list[str]:
+    return [rec["id"] for rec in json.loads((dataset / "manifest.json").read_text())
+            ["splits"]["train"]]
+
+
+def _empty_train_split(dataset: Path):
+    doc = json.loads((dataset / "manifest.json").read_text())
+    doc["splits"]["train"] = []
+    (dataset / "manifest.json").write_text(json.dumps(doc))
+
+
+def _ignored_train_labels(dataset: Path):
+    for scene in _train_ids(dataset):
+        path = dataset / "scenes" / scene / "labels.mtns"
+        write_tensor_file(path, np.full_like(read_tensor_file(path), 255))
+
+
+def _rank_two_height(dataset: Path):
+    path = dataset / "scenes" / _train_ids(dataset)[0] / "height.mtns"
+    write_tensor_file(path, read_tensor_file(path)[0])
 
 
 @pytest.fixture(scope="module")
@@ -459,7 +505,7 @@ class TestTrain:
         assert main(["train", "--config", write_config(tmp_path, doc),
                      "--out", str(run)]) == 2
         assert re.search(r"scene scene_\d+: label 9 ", capsys.readouterr().err)
-        assert not (run / "checkpoint_stage1.ckpt").exists()
+        assert not run.exists()  # no checkpoint, no resolved config
 
     @pytest.mark.parametrize("raster_kept", [True, False])
     def test_train_scene_flagged_without_height_exit_six(self, trained, tmp_path, capsys,
@@ -477,7 +523,25 @@ class TestTrain:
         run = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(run)]) == 6
         assert f"scene {scene['id']} flags modality 'height'" in capsys.readouterr().err
-        assert not (run / "checkpoint_stage1.ckpt").exists()
+        assert not run.exists()  # no checkpoint, no resolved config
+
+    @pytest.mark.parametrize("damage, message", [
+        (_empty_train_split, "split 'train' is empty"),
+        (_ignored_train_labels, "split 'train' contains only ignored pixels"),
+        (_rank_two_height, "height.mtns must be (C,H,W), got shape (96, 96)"),
+    ])
+    def test_train_split_defect_writes_nothing(self, trained, tmp_path, capsys, damage,
+                                               message):
+        # refused by the sampler, before anything is written under --out
+        _, out = trained
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        damage(ds)
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(ds / "manifest.json")}})
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run)]) == 2
+        assert message in capsys.readouterr().err
+        assert not run.exists()
 
     def test_patch_off_the_downsample_factor_exit_two(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY_TRAIN))
@@ -508,8 +572,8 @@ class TestTrain:
         assert not run.exists()  # no resolved config
 
     def test_each_file_decoded_once(self, trained, tmp_path, monkeypatch):
-        # the patch-size check reads the labels' header alone; the sampler
-        # decodes every label file and raster of the train split once
+        # the sampler decodes every label file and raster of the train split
+        # once, and nothing else reads them
         import hallucinet.data as data_mod
 
         _, out = trained

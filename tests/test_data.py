@@ -15,7 +15,6 @@ from hallucinet.data import (
     augment,
     axis_origins,
     extract_patch_grid,
-    label_extent,
     load_manifest,
     load_scene,
     read_rasters,
@@ -254,13 +253,6 @@ class TestClassFrequencies:
         with pytest.raises(ValueError, match="scene s1: label 3 "):
             reader(manifest, "train")
 
-    def test_label_extent_names_the_file(self, tmp_path):
-        manifest = self._write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8)])
-        path = manifest.scene_dir("s0") / "labels.mtns"
-        path.write_bytes(path.read_bytes()[:9])
-        with pytest.raises(TensorFileError, match=f"^{re.escape(str(path))}: truncated extents$"):
-            label_extent(manifest, "s0")
-
 
 class TestLoadScene:
     @pytest.mark.parametrize("color_hw, labels_hw", [((8, 8), (10, 10)), ((10, 12), (10, 10))])
@@ -309,6 +301,9 @@ class TestManifest:
         (lambda d: d["modalities"].append({"name": "color", "channels": 1}),
          "modalities[1].name 'color' repeats"),
         (lambda d: d.clear(), "line 1 column 1"),  # not JSON
+        *[(lambda d, i=i: d["splits"]["test"][0].update(id=i),
+           f"splits.test[0].id {i!r} is not one plain directory name")
+          for i in ["", ".", "..", "../outside", "a/b", "a\\b"]],
     ])
     def test_malformed_document_names_file_and_field(self, tmp_path, damage, field):
         doc = json.loads(json.dumps(self.DOC))
