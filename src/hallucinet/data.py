@@ -34,7 +34,10 @@ class MissingModalityError(RuntimeError):
     """A scene lacks a modality that a branch or training stage reads."""
 
 
-def tensor_to_bytes(tensor: np.ndarray) -> bytes:
+def tensor_record(tensor: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A tensor's record as its header and its payload, a C-contiguous
+    little-endian array whose buffer is the payload's bytes; an array
+    already in that form is not copied."""
     arr = np.ascontiguousarray(tensor)
     code = _CODE_FOR_DTYPE.get(arr.dtype)
     if code is None:
@@ -43,11 +46,7 @@ def tensor_to_bytes(tensor: np.ndarray) -> bytes:
         raise TensorFileError("rank too large")
     header = MAGIC + bytes([FORMAT_VERSION, code, arr.ndim])
     header += b"".join(struct.pack("<I", e) for e in arr.shape)
-    if code == 1:
-        payload = arr.astype("<f4").tobytes()
-    else:
-        payload = arr.tobytes()
-    return header + payload
+    return header, arr.astype(_DTYPE_CODES[code], copy=False)
 
 
 def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -101,8 +100,10 @@ def write_json(path, doc, allow_nan: bool = False):
 
 
 def write_tensor_file(path, tensor: np.ndarray):
+    header, payload = tensor_record(tensor)
     with atomic_write(path, "wb") as fh:
-        fh.write(tensor_to_bytes(tensor))
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_tensor_file(path) -> np.ndarray:
@@ -318,9 +319,8 @@ def axis_origins(extent: int, length: int, step: int) -> list[int]:
 
 
 def extract_patch_grid(height: int, width: int, spec: PatchSpec) -> list[tuple[int, int]]:
-    """Patch origins on a stride grid, final origin clamped to cover borders."""
-    if height < spec.size or width < spec.size:
-        raise ValueError(f"image {height}x{width} smaller than patch {spec.size}")
+    """Patch origins on a stride grid, final origin clamped to cover borders;
+    the image is at least one patch in each direction."""
     stride = max(1, int(round(spec.size * (1.0 - spec.overlap))))
     rows, cols = (axis_origins(e, spec.size, stride) for e in (height, width))
     return [(r, c) for r in rows for c in cols]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import build
-from .data import MissingModalityError, atomic_write, tensor_from_bytes, tensor_to_bytes
+from .data import MissingModalityError, atomic_write, tensor_from_bytes, tensor_record
 from .engine import (
     BatchNormState,
     Parameter,
@@ -387,9 +387,10 @@ def _write_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]):
         fh.write(blob)
         crc = 0
         for name in header["tensors"]:
-            record = tensor_to_bytes(tensors[name])
-            crc = zlib.crc32(record, crc)
-            fh.write(record)
+            head, payload = tensor_record(tensors[name])
+            crc = zlib.crc32(payload, zlib.crc32(head, crc))
+            fh.write(head)
+            fh.write(payload)
         fh.write(struct.pack("<I", crc))
 
 

@@ -2,7 +2,9 @@
 
 The branches of a bundle share no parameter, so stage 1 fits them,
 stage 4 runs their forward and backward passes, and `model.predict_probs`
-runs the selected branches' inference, side by side. numpy releases the
+runs the selected branches' inference, side by side.
+`synthetic.generate_synthetic` runs its scenes the same way, one task
+per scene. numpy releases the
 interpreter lock in its GEMMs, copies and ufuncs, so the threads overlap,
 and a branch does the same arithmetic on any thread, so results do not
 depend on the worker count.

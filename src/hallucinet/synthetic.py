@@ -8,10 +8,20 @@ texture whose marginal distribution equals the road noise exactly, so
 the pair is only separable in color through spatial structure. An
 optional infrared modality separates the pair weakly and highlights the
 rare class.
+
+The renderers work one channel at a time, in place: each pixel takes its
+class's value from a per-class lookup (`take`), and the class-dependent
+noise, texture, background field and shadow are written with `where=`
+masks into one float64 frame per channel. Blobs and rare discs are
+tested and painted inside their bounding windows, with a running count
+of the rare pixels painted. So a scene costs about its random draws and
+its blur, and each pixel is rounded as the direct masked-assignment
+form (`tests/reference_synthetic.py`) rounds it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +34,7 @@ from .data import (
     save_manifest,
     write_tensor_file,
 )
+from .parallel import branch_workers
 
 BACKGROUND, ROAD, BUILDING, RARE, BRUSH = 0, 1, 2, 3, 4
 
@@ -110,9 +121,10 @@ class SyntheticConfig:
         return train, val, test
 
 
-def _disc_mask(size: int, cy: float, cx: float, radius: float) -> np.ndarray:
-    yy, xx = np.ogrid[:size, :size]
-    return (yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2
+def _window(center: float, reach: float, size: int) -> slice:
+    """The rows (or columns) of the frame that a shape reaching `reach`
+    pixels from `center` can cover, with a pixel to spare for rounding."""
+    return slice(max(0, int(center - reach) - 1), min(size, int(center + reach) + 2))
 
 
 def _paint_labels(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
@@ -142,109 +154,109 @@ def _paint_labels(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
         c = int(rng.integers(0, s - w))
         labels[r:r + h, c:c + w] = BUILDING if rng.random() >= cfg.pair_crossover else ROAD
 
+    # blobs and discs are tested and painted inside their bounding windows
     for klass in range(BRUSH, cfg.class_count):
         for _ in range(int(rng.integers(2, 4))):
             ay = rng.uniform(0.05 * s, 0.12 * s)
             ax = rng.uniform(0.05 * s, 0.12 * s)
             cy, cx = rng.uniform(0, s, size=2)
-            yy, xx = np.ogrid[:s, :s]
-            blob = ((yy - cy) / ay) ** 2 + ((xx - cx) / ax) ** 2 <= 1.0
-            labels[blob] = klass
+            window = (_window(cy, ay, s), _window(cx, ax, s))
+            yy, xx = np.ogrid[window]
+            labels[window][((yy - cy) / ay) ** 2 + ((xx - cx) / ax) ** 2 <= 1.0] = klass
 
     if cfg.rare_fraction > 0:
         target = cfg.rare_fraction * s * s
         min_area = np.pi * _RARE_RADIUS[0] ** 2
-        attempts = 0
-        while attempts < 400:
-            painted = int((labels == RARE).sum())
+        painted = 0  # rare pixels so far: the shapes above paint none
+        for _ in range(400):
             if painted >= target - min_area / 2:
                 break
             radius = rng.uniform(*_RARE_RADIUS)
             cy = rng.uniform(radius, s - radius)
             cx = rng.uniform(radius, s - radius)
-            disc = _disc_mask(s, cy, cx, radius)
+            window = (_window(cy, radius, s), _window(cx, radius, s))
+            yy, xx = np.ogrid[window]
+            disc = (yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2
             # keep discs apart so erosion leaves each a surviving core
-            if (labels[disc] == RARE).any():
-                attempts += 1
-                continue
-            labels[disc] = RARE
-            attempts += 1
+            if not (labels[window][disc] == RARE).any():
+                labels[window][disc] = RARE
+                painted += int(disc.sum())
     return labels
+
+
+def _class_values(cfg: SyntheticConfig, value) -> np.ndarray:
+    """`value(klass)` of every class, stacked along the last axis, so that
+    `.take(labels)` of a row gives each pixel its class's value."""
+    return np.array([value(klass) for klass in range(cfg.class_count)]).T
+
+
+def _base_color(klass: int) -> tuple[float, float, float]:
+    if klass in (ROAD, BUILDING):
+        return (_PAIR_GRAY,) * 3
+    if klass > BRUSH:
+        return tuple(v * (0.8 + 0.1 * klass) for v in _COLOR_BASE[BRUSH])
+    return _COLOR_BASE[klass]
 
 
 def _render_color(cfg: SyntheticConfig, labels: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     s = cfg.size
-    color = np.empty((3, s, s), dtype=np.float64)
     field = gaussian_filter(rng.normal(size=(s, s)), sigma=s / 20.0)
-    field = field / max(field.std(), 1e-9) * 0.05
+    field /= max(field.std(), 1e-9)
+    field *= 0.05
 
-    for klass, base in _COLOR_BASE.items():
-        if klass >= cfg.class_count:
-            continue
-        mask = labels == klass
-        for ch in range(3):
-            color[ch][mask] = base[ch]
-    for klass in range(BRUSH + 1, cfg.class_count):
-        mask = labels == klass
-        base = _COLOR_BASE[BRUSH]
-        for ch in range(3):
-            color[ch][mask] = base[ch] * (0.8 + 0.1 * klass)
-
+    # each pixel's noise, built in place of the color noise: the pair draws
+    # the same-magnitude pair noise, and textured buildings take it
+    # checker-signed (+|n| on even pixels, -|n| on odd ones), so the
+    # marginal distribution matches roads exactly but the spatial pattern
+    # does not
+    color = rng.normal(scale=_COLOR_NOISE, size=(3, s, s))
     pair = (labels == ROAD) | (labels == BUILDING)
-    color[:, pair] = _PAIR_GRAY
-
-    noise = rng.normal(scale=_COLOR_NOISE, size=(3, s, s))
-    # same-magnitude noise on the pair; buildings get it checker-signed so
-    # the marginal distribution matches roads exactly but the spatial
-    # pattern does not
-    pair_noise = rng.normal(scale=_PAIR_NOISE, size=(3, s, s))
-    yy, xx = np.indices((s, s))
-    checker = np.where((yy + xx) % 2 == 0, 1.0, -1.0)
+    for ch in range(3):
+        np.copyto(color[ch], rng.normal(scale=_PAIR_NOISE, size=(s, s)), where=pair)
     textured = (labels == BUILDING) & (rng.random(size=(s, s)) < cfg.texture_fraction)
-    building_noise = np.where(textured, np.abs(pair_noise) * checker, pair_noise)
-    noise[:, labels == ROAD] = pair_noise[:, labels == ROAD]
-    noise[:, labels == BUILDING] = building_noise[:, labels == BUILDING]
+    flipped = textured & (np.add.outer(np.arange(s), np.arange(s)) % 2 == 1)
+    for ch in range(3):
+        np.abs(color[ch], out=color[ch], where=textured)
+        np.negative(color[ch], out=color[ch], where=flipped)
     if cfg.class_count >= 5:
-        brush_noise = rng.normal(scale=0.16, size=(3, s, s))
         brushy = labels >= BRUSH
-        noise[:, brushy] = brush_noise[:, brushy]
-
-    color += noise
-    color[:, labels == BACKGROUND] += field[labels == BACKGROUND]
+        for ch in range(3):
+            np.copyto(color[ch], rng.normal(scale=0.16, size=(s, s)), where=brushy)
 
     # high shapes darken the background to their south-east: a dense color
     # correlate of height; pair-class pixels themselves stay untouched, so
     # the road/building marginals remain exactly equal
+    background = labels == BACKGROUND
     high = labels == BUILDING
     shadow = np.zeros_like(high)
     for d in range(1, _SHADOW_LENGTH + 1):
         shadow[d:, d:] |= high[:-d, :-d]
-    shadow &= labels == BACKGROUND
-    color[:, shadow] *= 1.0 - _SHADOW_STRENGTH
-    return np.clip(color, 0.0, 1.0).astype(np.float32)
+    shadow &= background
+
+    base = _class_values(cfg, _base_color)
+    for ch in range(3):
+        np.add(color[ch], base[ch].take(labels), out=color[ch])
+        np.add(color[ch], field, out=color[ch], where=background)
+        np.multiply(color[ch], 1.0 - _SHADOW_STRENGTH, out=color[ch], where=shadow)
+    return np.clip(color, 0.0, 1.0, out=color).astype(np.float32)
 
 
 def _render_height(cfg: SyntheticConfig, labels: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    s = cfg.size
-    height = np.zeros((1, s, s), dtype=np.float64)
-    u = rng.random(size=(s, s))
-    for klass in range(cfg.class_count):
-        lo, hi = _HEIGHT_RANGE.get(min(klass, BRUSH), _HEIGHT_RANGE[BRUSH])
-        mask = labels == klass
-        height[0][mask] = lo + (hi - lo) * u[mask]
-    return height.astype(np.float32)
+    lo, hi = _class_values(cfg, lambda klass: _HEIGHT_RANGE[min(klass, BRUSH)])
+    height = rng.random(size=labels.shape)  # the position in the class's range
+    np.multiply(height, (hi - lo).take(labels), out=height)
+    np.add(height, lo.take(labels), out=height)
+    return height[None].astype(np.float32)
 
 
 def _render_ir(cfg: SyntheticConfig, labels: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
-    s = cfg.size
-    ir = np.zeros((1, s, s), dtype=np.float64)
-    for klass in range(cfg.class_count):
-        ir[0][labels == klass] = _IR_BASE.get(min(klass, BRUSH), _IR_BASE[BRUSH])
-    ir += rng.normal(scale=_IR_NOISE, size=(1, s, s))
-    return np.clip(ir, 0.0, 1.0).astype(np.float32)
+    ir = rng.normal(scale=_IR_NOISE, size=(1, *labels.shape))
+    base = _class_values(cfg, lambda klass: _IR_BASE[min(klass, BRUSH)])
+    np.add(ir[0], base.take(labels), out=ir[0])
+    return np.clip(ir, 0.0, 1.0, out=ir).astype(np.float32)
 
 
 def generate_scene(cfg: SyntheticConfig, rng: np.random.Generator):
@@ -262,12 +274,27 @@ def class_names(cfg: SyntheticConfig) -> list[str]:
     return names[:cfg.class_count]
 
 
+def _write_scene(seed: int, cfg: SyntheticConfig, out: Path, idx: int):
+    """Generate scene `idx` from its own stream and write its files."""
+    rasters, labels = generate_scene(cfg, np.random.default_rng([seed, 101, idx]))
+    scene_dir = out / "scenes" / f"scene_{idx:03d}"
+    scene_dir.mkdir(exist_ok=True)
+    for name, arr in {**rasters, "labels": labels}.items():
+        write_tensor_file(scene_dir / f"{name}.mtns", arr)
+
+
 def generate_synthetic(seed: int, cfg: SyntheticConfig, out_dir) -> DatasetManifest:
-    """Materialize the dataset under out_dir and return its manifest."""
+    """Materialize the dataset under out_dir and return its manifest.
+
+    Each scene is one task on the branch workers and writes only its own
+    files, so the files do not depend on the thread count. The manifest
+    is written once every task has ended, and not at all if one fails."""
     out = Path(out_dir)
     (out / "scenes").mkdir(parents=True, exist_ok=True)
-    train_n, val_n, test_n = cfg.split_counts()
+    with branch_workers(8 * cfg.size ** 2) as run:  # one float64 frame
+        run([partial(_write_scene, seed, cfg, out, idx) for idx in range(cfg.scene_count)])
 
+    train_n, val_n, test_n = cfg.split_counts()
     splits: dict[str, list[SceneRecord]] = {"train": [], "val": [], "test": []}
     avail_rng = np.random.default_rng([seed, 7])
     optional = [m.name for m in cfg.modalities[1:]]
@@ -275,21 +302,11 @@ def generate_synthetic(seed: int, cfg: SyntheticConfig, out_dir) -> DatasetManif
     for mod in optional:
         k = round(cfg.availability.get(mod, 1.0) * test_n)
         test_available[mod] = set(avail_rng.permutation(test_n)[:k].tolist())
-
     for idx in range(cfg.scene_count):
-        rng = np.random.default_rng([seed, 101, idx])
-        rasters, labels = generate_scene(cfg, rng)
-        scene_id = f"scene_{idx:03d}"
-        scene_dir = out / "scenes" / scene_id
-        scene_dir.mkdir(parents=True, exist_ok=True)
-        for name, arr in rasters.items():
-            write_tensor_file(scene_dir / f"{name}.mtns", arr)
-        write_tensor_file(scene_dir / "labels.mtns", labels)
-
         t = idx - train_n - val_n  # the index among the test scenes
         split = "train" if idx < train_n else "val" if t < 0 else "test"
-        splits[split].append(SceneRecord(scene_id, {m: t < 0 or t in test_available[m]
-                                                    for m in optional}))
+        splits[split].append(SceneRecord(f"scene_{idx:03d}", {m: t < 0 or t in test_available[m]
+                                                              for m in optional}))
 
     manifest = DatasetManifest(
         root=out,

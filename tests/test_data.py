@@ -1,10 +1,12 @@
 """Data pipeline: tensor files, patch grids, augmentation, statistics,
 and the synthetic generator's guarantees."""
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
+import reference_synthetic
 
 from hallucinet.data import (
     MissingModalityError,
@@ -21,7 +23,7 @@ from hallucinet.data import (
     read_tensor_file,
     write_tensor_file,
 )
-from hallucinet.synthetic import SyntheticConfig, generate_synthetic
+from hallucinet.synthetic import SyntheticConfig, generate_scene, generate_synthetic
 
 
 class TestTensorFile:
@@ -116,10 +118,6 @@ class TestPatchGrid:
         origins = extract_patch_grid(300, 256, PatchSpec())
         assert origins == [(0, 0), (44, 0)]
 
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            extract_patch_grid(128, 512, PatchSpec(size=256))
-
     def test_full_coverage(self, rng):
         spec = PatchSpec(size=64, overlap=0.25)
         for _ in range(10):
@@ -193,28 +191,29 @@ def sampler_frequencies(manifest, split):
     return PatchSampler(manifest, split, PatchSpec(size=8), 1, ["color"]).frequencies
 
 
-class TestClassFrequencies:
-    def _write_dataset(self, tmp_path, labels_by_scene):
-        scenes_dir = tmp_path / "scenes"
-        records = []
-        for i, labels in enumerate(labels_by_scene):
-            sid = f"s{i}"
-            d = scenes_dir / sid
-            d.mkdir(parents=True)
-            color = np.zeros((3, *labels.shape), dtype=np.float32)
-            write_tensor_file(d / "color.mtns", color)
-            write_tensor_file(d / "labels.mtns", labels.astype(np.uint8))
-            records.append({"id": sid, "availability": {}})
-        doc = {"class_count": 3, "class_names": ["a", "b", "c"],
-               "modalities": [{"name": "color", "channels": 3}],
-               "splits": {"train": records}}
-        (tmp_path / "manifest.json").write_text(json.dumps(doc))
-        return load_manifest(tmp_path / "manifest.json")
+def _write_dataset(tmp_path, labels_by_scene):
+    scenes_dir = tmp_path / "scenes"
+    records = []
+    for i, labels in enumerate(labels_by_scene):
+        sid = f"s{i}"
+        d = scenes_dir / sid
+        d.mkdir(parents=True)
+        color = np.zeros((3, *labels.shape), dtype=np.float32)
+        write_tensor_file(d / "color.mtns", color)
+        write_tensor_file(d / "labels.mtns", labels.astype(np.uint8))
+        records.append({"id": sid, "availability": {}})
+    doc = {"class_count": 3, "class_names": ["a", "b", "c"],
+           "modalities": [{"name": "color", "channels": 3}],
+           "splits": {"train": records}}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    return load_manifest(tmp_path / "manifest.json")
 
+
+class TestClassFrequencies:
     def test_half_and_half(self, tmp_path):
         labels = np.zeros((10, 10), dtype=np.uint8)
         labels[5:] = 1
-        manifest = self._write_dataset(tmp_path, [labels])
+        manifest = _write_dataset(tmp_path, [labels])
         f = sampler_frequencies(manifest, "train")
         assert np.allclose(f, [0.5, 0.5, 0.0])
 
@@ -222,7 +221,7 @@ class TestClassFrequencies:
         labels = np.zeros((10, 10), dtype=np.uint8)
         labels[:5, :5] = 255
         labels[5:] = 1
-        manifest = self._write_dataset(tmp_path, [labels])
+        manifest = _write_dataset(tmp_path, [labels])
         f = sampler_frequencies(manifest, "train")
         assert f.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(f, [25 / 75, 50 / 75, 0.0])
@@ -230,17 +229,17 @@ class TestClassFrequencies:
     def test_small_block(self, tmp_path):
         labels = np.zeros((100, 100), dtype=np.uint8)
         labels[10:20, 10:20] = 2
-        manifest = self._write_dataset(tmp_path, [labels])
+        manifest = _write_dataset(tmp_path, [labels])
         f = sampler_frequencies(manifest, "train")
         assert f[2] == pytest.approx(0.01, abs=1e-12)
 
     def test_empty_split_rejected(self, tmp_path):
-        manifest = self._write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8)])
+        manifest = _write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8)])
         with pytest.raises(ValueError):
             sampler_frequencies(manifest, "val")
 
     def test_only_ignored_pixels_rejected(self, tmp_path):
-        manifest = self._write_dataset(tmp_path, [np.full((8, 8), 255, dtype=np.uint8)])
+        manifest = _write_dataset(tmp_path, [np.full((8, 8), 255, dtype=np.uint8)])
         with pytest.raises(ValueError, match="split 'train' contains only ignored pixels"):
             sampler_frequencies(manifest, "train")
 
@@ -249,7 +248,7 @@ class TestClassFrequencies:
         # 3 is no class id of the 3 classes and not the ignore label 255
         stray = np.zeros((8, 8), dtype=np.uint8)
         stray[2, 3] = 3
-        manifest = self._write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8), stray])
+        manifest = _write_dataset(tmp_path, [np.zeros((8, 8), dtype=np.uint8), stray])
         with pytest.raises(ValueError, match="scene s1: label 3 "):
             reader(manifest, "train")
 
@@ -437,8 +436,37 @@ class TestSynthetic:
             SyntheticConfig(include_ir=include_ir, availability=availability)
 
 
+class TestSyntheticRenderer:
+    """The per-channel renderers against the masked-assignment ones of
+    `reference_synthetic`, byte for byte, over a grid of configs."""
+
+    @pytest.mark.parametrize("class_count", [4, 5, 6])
+    @pytest.mark.parametrize("include_ir", [False, True])
+    def test_scene_bytes_equal_to_reference(self, class_count, include_ir):
+        for texture, crossover, rare, size, seed in itertools.product(
+                (0.0, 0.5, 1.0), (0.0, 0.2), (0.0, None, 0.15), (64, 96, 128), (0, 1, 2)):
+            if rare is None and size == 64:
+                continue  # the default rare fraction is less than one disc of 64x64
+            extra = {} if rare is None else {"rare_fraction": rare}
+            cfg = SyntheticConfig(scene_count=5, size=size, class_count=class_count,
+                                  include_ir=include_ir, texture_fraction=texture,
+                                  pair_crossover=crossover, **extra)
+            rasters, labels = generate_scene(cfg, np.random.default_rng([seed, 101, 0]))
+            want_rasters, want_labels = reference_synthetic.generate_scene(
+                cfg, np.random.default_rng([seed, 101, 0]))
+            assert list(rasters) == list(want_rasters)
+            for got, want in zip([labels, *rasters.values()], [want_labels, *want_rasters.values()]):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), cfg
+
+
 class TestPatchSampler:
     MODALITIES = ["color", "height"]
+
+    def test_too_small_rejected(self, tmp_path):
+        manifest = _write_dataset(tmp_path, [np.zeros((128, 512), dtype=np.uint8)])
+        with pytest.raises(ValueError):
+            PatchSampler(manifest, "train", PatchSpec(size=256), 4, ["color"])
 
     def test_deterministic_batches(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)

@@ -554,7 +554,7 @@ class TestCheckpointRobustness:
         def broken(arr):
             raise OSError("disk full")
 
-        monkeypatch.setattr(model_mod, "tensor_to_bytes", broken)
+        monkeypatch.setattr(model_mod, "tensor_record", broken)
         with pytest.raises(OSError):
             save_checkpoint(bundle, saved)
         assert saved.read_bytes() == old

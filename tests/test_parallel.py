@@ -1,5 +1,5 @@
-"""Branch workers: the split backward, the worker pool, and training that
-does not depend on the worker count."""
+"""Branch workers: the split backward, the worker pool, and training and
+scene generation that do not depend on the worker count."""
 import sys
 import threading
 import time
@@ -15,12 +15,14 @@ import pytest
 
 import hallucinet.model as model_mod
 import hallucinet.parallel as parallel
+import hallucinet.synthetic as synthetic_mod
 import hallucinet.train as train_mod
 from hallucinet.cli import main
 from hallucinet.data import PatchSampler, PatchSpec
 from hallucinet.engine import backward, channel_softmax, frozen, mul
 from hallucinet.losses import ClassWeights, composite_loss
 from hallucinet.model import build_branch
+from hallucinet.synthetic import SyntheticConfig, generate_synthetic
 from hallucinet.train import DivergenceError, TrainConfig, run_protocol
 
 TINY = TrainConfig(batch_size=2, patch=PatchSpec(size=64, overlap=0.5),
@@ -549,3 +551,68 @@ def test_predict_runs_a_lone_branch_on_the_calling_thread(tiny_config, monkeypat
     with frozen(bundle.parameters()):
         logits = bundle.branches["rgb"].forward(inputs["color"]).logits
     assert probs.tobytes() == channel_softmax(logits).data.tobytes()
+
+
+GEN = SyntheticConfig(scene_count=6, size=96, class_count=5, include_ir=True,
+                      train_scenes=3, val_scenes=1, availability={"height": 0.5})
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_generated_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    """In order, on two workers, and on four that switch often: the same
+    files, each scene generated on the threads the budget gives."""
+    threads = {}
+    interval = sys.getswitchinterval()
+    for workers in (1, 2, 4):
+        with monkeypatch.context() as m:
+            _budget(m, workers)
+            seen = threads[workers] = []
+
+            def spy(cfg, rng, real=synthetic_mod.generate_scene, seen=seen):
+                seen.append(threading.current_thread())
+                return real(cfg, rng)
+
+            m.setattr(synthetic_mod, "generate_scene", spy)
+            sys.setswitchinterval(1e-5 if workers > 2 else interval)
+            try:
+                generate_synthetic(4, GEN, tmp_path / f"workers{workers}")
+            finally:
+                sys.setswitchinterval(interval)
+    assert threads[1] == [threading.main_thread()] * GEN.scene_count
+    for workers in (2, 4):
+        assert len(threads[workers]) == GEN.scene_count
+        assert all(t.name.startswith("branch") for t in threads[workers])
+    files = _files(tmp_path / "workers1")
+    assert len(files) == 1 + 4 * GEN.scene_count  # the manifest, three rasters and labels
+    assert _files(tmp_path / "workers2") == files
+    assert _files(tmp_path / "workers4") == files
+    assert _branch_threads() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_scene_stops_generation_and_writes_no_manifest(workers, tmp_path,
+                                                               monkeypatch):
+    _budget(monkeypatch, workers)
+    failing = np.random.default_rng([4, 101, 2]).bit_generator.state  # scene 2's stream
+
+    def generate_scene(cfg, rng, real=synthetic_mod.generate_scene):
+        if rng.bit_generator.state == failing:
+            raise RuntimeError("scene 2 failed")
+        return real(cfg, rng)
+
+    monkeypatch.setattr(synthetic_mod, "generate_scene", generate_scene)
+    with pytest.raises(RuntimeError, match="scene 2 failed"):
+        generate_synthetic(4, GEN, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+    written = sorted(p.name for p in (tmp_path / "scenes").iterdir())
+    # in order, the failure stops the scenes after it; on workers, every
+    # other scene's task ends, its files complete, before the failure is raised
+    others = [f"scene_{i:03d}" for i in range(GEN.scene_count) if i != 2]
+    assert written == (others[:2] if workers == 1 else others)
+    for name in written:
+        assert len(list((tmp_path / "scenes" / name).iterdir())) == 4
+    assert _branch_threads() == []
