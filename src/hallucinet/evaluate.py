@@ -309,7 +309,7 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
     `scenario=<scenario> stage=<bundle.stage>`.
     """
     # tile and halo are ignored, accepted only because the benchmark's
-    # eval workload passes them; benchmark v2 (ROADMAP item 4) drops them.
+    # eval workload passes them; benchmark v2 (ROADMAP item 7) drops them.
     records = manifest.splits.get(split, [])
     if not records:
         raise ValueError(f"split {split!r} is empty")

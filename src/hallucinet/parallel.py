@@ -31,7 +31,8 @@ process already has, as HALLUCINET_THREADS, OPENBLAS_NUM_THREADS or the
 usable cores set it. Inside `branch_workers`, BLAS runs one thread per
 worker; with no OpenBLAS loaded (another BLAS, or not Linux), the tasks
 run one after another, after one warning. numpy loads its BLAS when it is
-imported, so the libraries are looked up once per process.
+imported, and this module imports it, so the libraries are looked up
+once per process.
 """
 from __future__ import annotations
 
@@ -41,6 +42,10 @@ import warnings
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
+
+# a process's one look for OpenBLAS (`_openblas_symbols`) must find numpy's,
+# even when its first caller has not imported numpy yet
+import numpy  # noqa: F401
 
 # glibc mallopt parameters (malloc.h)
 _M_MMAP_THRESHOLD = -3

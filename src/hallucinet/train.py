@@ -84,10 +84,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError(f"train.seed must be non-negative, got {self.seed}")
 
-    def baseline_budget(self) -> int:
-        return self.baseline_steps if self.baseline_steps is not None \
-            else self.stage1_steps + self.stage4_steps
-
 
 @dataclass
 class AdamState:
@@ -239,30 +235,25 @@ def _start(sampler: PatchSampler, config: TrainConfig, out_dir):
 
 
 def _pretrain(manifest: DatasetManifest, sampler: PatchSampler, model_config: BranchConfig,
-              config: TrainConfig, weights: ClassWeights, log: list,
-              role_modalities: dict[str, str], tag: str, sampler_seed: int, stream: int,
-              steps: int, run=run_in_order) -> dict[str, BranchNet]:
-    """Build branch i of `role_modalities` from rng stream `stream + i` and
-    fit it alone on its own cross-entropy, every branch on the same batches.
+              config: TrainConfig, weights: ClassWeights, jobs, run=run_in_order) -> list:
+    """Fit each job's branch alone on its own cross-entropy, each job one
+    task of `run`; return the jobs' (branch, log records), in job order.
 
-    Each branch is one task of `run`, with its own generator of `sampler`'s
-    stream `sampler_seed` and its own log records, which join `log` in
-    roster order.
+    A job (tag, role, modality, init stream, batch stream, steps) builds
+    `role`'s branch on `modality` from rng stream [seed, init stream] and
+    fits it on `steps` batches of `sampler`'s stream `batch stream`,
+    logged as `tag:role`.
     """
-    def fit(i, role, mod):
+    def fit(tag, role, mod, init, stream, steps):
         branch = build_branch(model_config, manifest.modality_channels(mod), role,
-                              np.random.default_rng([config.seed, stream + i]))
+                              np.random.default_rng([config.seed, init]))
         records = []
-        _fit(f"{tag}:{role}", branch.parameters(), sampler.batches(steps, sampler_seed),
+        _fit(f"{tag}:{role}", branch.parameters(), sampler.batches(steps, stream),
              _own_loss(branch, mod, weights), config.lr_stage1, config.clip_threshold,
              records)
         return branch, records
 
-    fitted = run([functools.partial(fit, i, role, mod)
-                  for i, (role, mod) in enumerate(role_modalities.items())])
-    for _, records in fitted:
-        log.extend(records)
-    return {role: branch for role, (branch, _) in zip(role_modalities, fitted)}
+    return run([functools.partial(fit, *job) for job in jobs])
 
 
 def _forward_joint(bundle: ModelBundle, roles: list[str], batch, run, targets=(), taps=None):
@@ -355,9 +346,11 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
     batch_shape = (config.batch_size, rgb_ch, config.patch.size, config.patch.size)
     # the branches of each stage run as tasks of `run`
     with branch_workers(_mmap_threshold(model_config, batch_shape)) as run:
-        branches = _pretrain(manifest, sampler, model_config, config, weights, log,
-                             role_modalities, "stage1", config.seed * 10 + 1, 1,
-                             config.stage1_steps, run)
+        jobs = [("stage1", role, mod, 1 + i, config.seed * 10 + 1, config.stage1_steps)
+                for i, (role, mod) in enumerate(role_modalities.items())]
+        fitted = _pretrain(manifest, sampler, model_config, config, weights, jobs, run)
+        branches = {role: branch for role, (branch, _) in zip(role_modalities, fitted)}
+        log.extend(record for _, records in fitted for record in records)
         bundle = ModelBundle(model_config, branches, role_modalities, stage="stage1")
         _checkpoint(bundle, out_dir, "stage1")
 
@@ -425,22 +418,24 @@ def _calibrate(bundle, batches, objective, config: TrainConfig, log) -> float:
     return float(np.mean(gammas))
 
 
-def train_single_branch_model(manifest: DatasetManifest, model_config: BranchConfig,
-                              config: TrainConfig, variant: int = 0,
-                              out_dir=None) -> tuple[ModelBundle, list[dict]]:
-    """Baseline: one branch on the always-available modality only."""
+def train_baselines(manifest: DatasetManifest, model_config: BranchConfig,
+                    config: TrainConfig, out_dir=None) -> list[tuple[ModelBundle, list[dict]]]:
+    """The paper's baselines, one branch each on the always-available
+    modality: variant 0, the single CNN, and 1, the ensemble's second;
+    returns each one's (bundle, log). Both fit in order on one sampler."""
     _check_patch(model_config, config)
-    role_modalities = {"rgb": manifest.always_available}
-    sampler = PatchSampler(manifest, "train", config.patch, config.batch_size,
-                           list(role_modalities.values()))
-    weights, log = _start(sampler, config, out_dir)
-    branches = _pretrain(manifest, sampler, model_config, config, weights, log,
-                         role_modalities, "baseline", config.seed * 10 + 7 + variant,
-                         40 + variant, config.baseline_budget())
-    bundle = ModelBundle(model_config, branches, role_modalities, stage="baseline")
-    _checkpoint(bundle, out_dir, f"baseline{variant}")
-    _write_log(out_dir, log, name=f"baseline{variant}_log.jsonl")
-    return bundle, log
+    mod = manifest.always_available
+    sampler = PatchSampler(manifest, "train", config.patch, config.batch_size, [mod])
+    weights, setup = _start(sampler, config, out_dir)
+    steps = config.baseline_steps or config.stage1_steps + config.stage4_steps
+    jobs = [("baseline", "rgb", mod, 40 + v, config.seed * 10 + 7 + v, steps) for v in (0, 1)]
+    fitted = _pretrain(manifest, sampler, model_config, config, weights, jobs)
+    results = [(ModelBundle(model_config, {"rgb": branch}, {"rgb": mod}, stage="baseline"),
+                setup + records) for branch, records in fitted]
+    for v, (bundle, log) in enumerate(results):
+        _checkpoint(bundle, out_dir, f"baseline{v}")
+        _write_log(out_dir, log, name=f"baseline{v}_log.jsonl")
+    return results
 
 
 def _write_log(out_dir, log, name: str = "train_log.jsonl"):

@@ -2,7 +2,7 @@
 
 Criteria 1-5 and 11 are oracle/property checks, and they are all this
 module has. Criteria 6-10, the qualitative-ordering experiments that
-train the benchmark models, are pending under ROADMAP item 2.
+train the benchmark models, are pending under ROADMAP items 1 and 5.
 """
 import json
 import time
@@ -34,7 +34,7 @@ from hallucinet.model import (
     save_checkpoint,
 )
 from hallucinet.synthetic import SyntheticConfig, generate_synthetic
-from hallucinet.train import TrainConfig, run_protocol, train_single_branch_model
+from hallucinet.train import TrainConfig, run_protocol
 
 from hallucinet.engine import Tensor
 

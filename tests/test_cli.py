@@ -13,7 +13,7 @@ from hallucinet.data import load_manifest, read_tensor_file, write_tensor_file
 from hallucinet.evaluate import evaluate
 from hallucinet.model import BranchConfig, load_checkpoint
 from hallucinet.synthetic import SyntheticConfig
-from hallucinet.train import TrainConfig, train_single_branch_model
+from hallucinet.train import TrainConfig, train_baselines
 
 TINY_TRAIN = {
     "data": {"synthetic": {"seed": 5, "scene_count": 6, "size": 96,
@@ -236,139 +236,106 @@ def test_non_finite_number_exit_two(tmp_path, capsys, command, constant):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("damage, field", [
-    (lambda mods: mods[1].update(channels=0), "modalities[1].channels must be at least 1"),
-    (lambda mods: mods.append(dict(mods[0])), "modalities[2].name 'color' repeats"),
-])
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_bad_manifest_modalities_write_nothing(trained, tmp_path, capsys, command, damage,
-                                               field):
-    # refused when the manifest is read, before the resolved config is written
-    _, out = trained
-    doc = json.loads((out / "dataset" / "manifest.json").read_text())
-    damage(doc["modalities"])
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(doc))
-    dest = tmp_path / "o"
-    if command == "train":
-        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(manifest)}})
-        argv = ["train", "--config", cfg]
-    else:
-        argv = ["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                "--manifest", str(manifest)]
-    assert main(argv + ["--out", str(dest)]) == 2
-    err = capsys.readouterr().err
-    assert str(manifest) in err and field in err
-    assert not dest.exists()
+def _edited(edit):
+    """A damage that writes the trained run's manifest, `edit(doc)` applied,
+    beside the test."""
+    def damage(dataset: Path, tmp_path, split: str) -> Path:
+        doc = json.loads((dataset / "manifest.json").read_text())
+        edit(doc)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        return manifest
+    return damage
 
 
-@pytest.mark.parametrize("damage, field", [
-    (lambda doc: doc.update(excluded_classes=[9, -1]), "excluded_classes[0] is 9, not a class id"),
-    (lambda doc: doc.update(excluded_classes=[1, -1]), "excluded_classes[1] is -1, not a class id"),
-    (lambda doc: doc["splits"]["test"][0]["availability"].update(color=False),
-     "splits.test[0].availability flags 'color' false"),
-    (lambda doc: doc.update(class_count=256, class_names=[f"c{i}" for i in range(256)]),
-     "class_count must be in 2..255"),
-    (lambda doc: doc.update(class_count=1, class_names=["c0"]), "class_count must be in 2..255"),
-])
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_bad_manifest_classes_or_flags_write_nothing(trained, tmp_path, capsys, command,
-                                                     damage, field):
-    # an excluded class no class id can be, or the always-available modality
-    # flagged absent, is refused when the manifest is read
-    _, out = trained
-    doc = json.loads((out / "dataset" / "manifest.json").read_text())
-    damage(doc)
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(doc))
-    dest = tmp_path / "o"
-    if command == "train":
-        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(manifest)}})
-        argv = ["train", "--config", cfg]
-    else:
-        argv = ["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                "--manifest", str(manifest)]
-    assert main(argv + ["--out", str(dest)]) == 2
-    err = capsys.readouterr().err
-    assert f"malformed manifest {manifest}" in err and field in err
-    assert not dest.exists()
-
-
-def _command_on(command: str, manifest: Path, trained_out: Path, tmp_path) -> list[str]:
-    """`train` on a config that reads `manifest`, or `eval` of the trained
-    run's stage-4 checkpoint on it; --out still to be given."""
-    if command == "train":
-        return ["train", "--config",
-                write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(manifest)}})]
-    return ["eval", "--checkpoint", str(trained_out / "checkpoint_stage4.ckpt"),
-            "--manifest", str(manifest), "--scenario", "2"]
-
-
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_manifest_without_modalities_writes_nothing(trained, tmp_path, capsys, command):
-    # there is no always-available modality to route or train on
-    _, out = trained
-    doc = json.loads((out / "dataset" / "manifest.json").read_text())
-    doc["modalities"] = []
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(doc))
-    dest = tmp_path / "o"
-    assert main(_command_on(command, manifest, out, tmp_path) + ["--out", str(dest)]) == 2
-    err = capsys.readouterr().err
-    assert f"malformed manifest {manifest}: modalities is empty" in err
-    assert not dest.exists()
-
-
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_availability_of_no_modality_writes_nothing(trained, tmp_path, capsys, command):
-    # a misspelled flag would leave the height branch routed as available
-    _, out = trained
-    doc = json.loads((out / "dataset" / "manifest.json").read_text())
-    doc["splits"]["test"][0]["availability"] = {"heigth": False}
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(doc))
-    dest = tmp_path / "o"
-    assert main(_command_on(command, manifest, out, tmp_path) + ["--out", str(dest)]) == 2
-    err = capsys.readouterr().err
-    assert (f"malformed manifest {manifest}: splits.test[0].availability names 'heigth', "
-            "not a modality of the manifest") in err
-    assert not dest.exists()
-
-
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_scene_id_outside_scenes_writes_nothing(trained, tmp_path, capsys, command):
+def _scene_outside(dataset: Path, tmp_path, split: str) -> Path:
     # "../outside" would read the rasters of a directory beside scenes/
-    _, out = trained
     ds = tmp_path / "ds"
-    shutil.copytree(out / "dataset", ds)
+    shutil.copytree(dataset, ds)
     doc = json.loads((ds / "manifest.json").read_text())
-    split = "train" if command == "train" else "test"
     scene = doc["splits"][split][0]
     (ds / "scenes" / scene["id"]).rename(ds / "outside")
     scene["id"] = "../outside"
     (ds / "manifest.json").write_text(json.dumps(doc))
-    dest = tmp_path / "o"
-    assert main(_command_on(command, ds / "manifest.json", out, tmp_path)
-                + ["--out", str(dest)]) == 2
-    assert (f"malformed manifest {ds / 'manifest.json'}: splits.{split}[0].id '../outside' "
-            "is not one plain directory name") in capsys.readouterr().err
-    assert not dest.exists()
+    return ds / "manifest.json"
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_labels_not_uint8_write_nothing(trained, tmp_path, capsys, command):
+def _float_labels(dataset: Path, tmp_path, split: str) -> Path:
     # float labels such as -0.5 and 2.7 would be truncated to class ids
-    _, out = trained
-    shutil.copytree(out / "dataset", tmp_path / "ds")
+    shutil.copytree(dataset, tmp_path / "ds")
     for path in (tmp_path / "ds" / "scenes").rglob("labels.mtns"):
         labels = read_tensor_file(path).astype(np.float32)
         labels[0, :2] = -0.5, 2.7
         write_tensor_file(path, labels)
+    return tmp_path / "ds" / "manifest.json"
+
+
+def _malformed(field: str):
+    """The error of a manifest refused when it is read, as a regex of the
+    manifest's path and the split read; `field` may name {split}."""
+    return lambda manifest, split: re.escape(f"malformed manifest {manifest}: "
+                                             + field.format(split=split))
+
+
+# (damage(dataset, tmp_path, split) -> the damaged manifest, eval's
+# --scenario or None for its default, error(manifest, split) -> a regex of stderr)
+MANIFEST_DEFECTS = [
+    pytest.param(_edited(lambda doc: doc["modalities"][1].update(channels=0)), None,
+                 _malformed("modalities[1].channels must be at least 1"), id="zero-channels"),
+    pytest.param(_edited(lambda doc: doc["modalities"].append(dict(doc["modalities"][0]))),
+                 None, _malformed("modalities[2].name 'color' repeats"), id="repeated-modality"),
+    # an excluded class no class id can be, or the always-available
+    # modality flagged absent
+    pytest.param(_edited(lambda doc: doc.update(excluded_classes=[9, -1])), None,
+                 _malformed("excluded_classes[0] is 9, not a class id"), id="excluded-9"),
+    pytest.param(_edited(lambda doc: doc.update(excluded_classes=[1, -1])), None,
+                 _malformed("excluded_classes[1] is -1, not a class id"), id="excluded-minus-1"),
+    pytest.param(_edited(lambda doc: doc["splits"]["test"][0]["availability"].update(color=False)),
+                 None, _malformed("splits.test[0].availability flags 'color' false"),
+                 id="color-flagged-absent"),
+    pytest.param(_edited(lambda doc: doc.update(class_count=256,
+                                                class_names=[f"c{i}" for i in range(256)])),
+                 None, _malformed("class_count must be in 2..255"), id="class-count-256"),
+    pytest.param(_edited(lambda doc: doc.update(class_count=1, class_names=["c0"])), None,
+                 _malformed("class_count must be in 2..255"), id="class-count-1"),
+    # there is no always-available modality to route or train on
+    pytest.param(_edited(lambda doc: doc.update(modalities=[])), "2",
+                 _malformed("modalities is empty"), id="no-modalities"),
+    # a misspelled flag would leave the height branch routed as available
+    pytest.param(_edited(lambda doc: doc["splits"]["test"][0].update(
+                     availability={"heigth": False})), "2",
+                 _malformed("splits.test[0].availability names 'heigth', "
+                            "not a modality of the manifest"), id="misspelled-flag"),
+    pytest.param(_scene_outside, "2",
+                 _malformed("splits.{split}[0].id '../outside' is not one plain directory name"),
+                 id="scene-id-outside"),
+    pytest.param(_float_labels, "2",
+                 lambda manifest, split: r"scene scene_\d+: labels \S+labels\.mtns are "
+                                         r"float32, not uint8", id="float-labels"),
+]
+
+
+@pytest.mark.parametrize("damage, scenario, error", MANIFEST_DEFECTS)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_defect_writes_nothing(trained, tmp_path, capsys, command, damage, scenario,
+                                        error):
+    """A damaged copy of the trained run's dataset exits 2 and leaves
+    nothing under --out, for train on a config that reads it and for eval
+    of the run's stage-4 checkpoint on it: the manifest is refused when it
+    is read and a scene when it is loaded, before the resolved config is
+    written."""
+    _, out = trained
+    split = "train" if command == "train" else "test"
+    manifest = damage(out / "dataset", tmp_path, split)
+    if command == "train":
+        argv = ["train", "--config",
+                write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(manifest)}})]
+    else:
+        argv = ["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                "--manifest", str(manifest)] + (["--scenario", scenario] if scenario else [])
     dest = tmp_path / "o"
-    argv = _command_on(command, tmp_path / "ds" / "manifest.json", out, tmp_path)
     assert main(argv + ["--out", str(dest)]) == 2
-    assert re.search(r"scene scene_\d+: labels \S+labels\.mtns are float32, not uint8",
-                     capsys.readouterr().err)
+    assert re.search(error(manifest, split), capsys.readouterr().err)
     assert not dest.exists()
 
 
@@ -422,9 +389,8 @@ def baselines(trained):
     manifest = load_manifest(out / "dataset" / "manifest.json")
     config = resolve_config(TINY_TRAIN)
     run = tmp / "baselines"
-    for variant in (0, 1):
-        train_single_branch_model(manifest, config.branch_config(manifest.class_count),
-                                  replace(config.train, baseline_steps=1), variant, run)
+    train_baselines(manifest, config.branch_config(manifest.class_count),
+                    replace(config.train, baseline_steps=1), run)
     return [run / f"checkpoint_baseline{v}.ckpt" for v in (0, 1)]
 
 

@@ -1,5 +1,7 @@
 """Branch workers: the split backward, the worker pool, and training and
 scene generation that do not depend on the worker count."""
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -9,6 +11,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +470,21 @@ def test_openblas_is_looked_up_once_per_process(monkeypatch):
 
     monkeypatch.setattr(parallel.Path, "read_text", unreadable)
     assert parallel._openblas_symbols() is found
+
+
+def test_a_first_lookup_before_numpy_finds_its_openblas():
+    """A process whose first call is `limit_blas_threads`, before it has
+    imported numpy itself, finds the OpenBLAS that a process which
+    imported numpy first finds, and that this one found."""
+    env = {**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])}
+
+    def limited(first: str) -> str:
+        code = f"{first}from hallucinet.parallel import limit_blas_threads; " \
+               "print(limit_blas_threads(1))"
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout
+    found = bool(parallel._openblas_symbols())
+    assert limited("") == limited("import numpy; ") == f"{found}\n"
 
 
 def _predict_roster(config):

@@ -22,7 +22,7 @@ from hallucinet.train import (
     adam_step,
     clip_gradients,
     run_protocol,
-    train_single_branch_model,
+    train_baselines,
 )
 
 FAST = TrainConfig(batch_size=4, patch=PatchSpec(size=64, overlap=0.5),
@@ -346,9 +346,10 @@ class TestProtocolSingle:
 ])
 def test_training_reads_each_train_file_once(run, sampled, tiny_dataset, tiny_dataset_ir,
                                              tiny_config, monkeypatch):
-    """One run reads the labels and each sampled raster of every train
-    scene once, for the class weights and every stage's batches, and
-    no other file of the dataset."""
+    """One run, or one training of both baselines, reads the labels and
+    each sampled raster of every train scene once, for the class weights
+    and every stage's or variant's batches, and no other file of the
+    dataset."""
     import hallucinet.data as data_mod
 
     reads = []
@@ -363,7 +364,7 @@ def test_training_reads_each_train_file_once(run, sampled, tiny_dataset, tiny_da
     cfg = replace(FAST, stage1_steps=1, stage4_steps=1, baseline_steps=1,
                   mode="multi" if run == "multi" else "single")
     if run == "baseline":
-        train_single_branch_model(dataset, tiny_config, cfg)
+        train_baselines(dataset, tiny_config, cfg)
     else:
         run_protocol(dataset, tiny_config, cfg)
     want = [(rec.scene_id, f"{name}.mtns") for rec in dataset.splits["train"]
@@ -387,18 +388,19 @@ class TestDeterminism:
         cfg = TrainConfig(batch_size=4, patch=PatchSpec(size=64, overlap=0.5),
                           stage1_steps=2, stage4_steps=2, seed=1,
                           lr_stage1=0.0, lr_stage4=0.0, baseline_steps=2)
-        bundle, _ = train_single_branch_model(tiny_dataset, tiny_config, cfg)
         from hallucinet.model import build_branch
 
-        fresh = build_branch(tiny_config, 3, "rgb", np.random.default_rng([1, 40]))
-        for trained, init in zip(bundle.branches["rgb"].parameters(),
-                                 fresh.parameters()):
-            assert np.array_equal(trained.data, init.data)
+        baselines = train_baselines(tiny_dataset, tiny_config, cfg)
+        for stream, (bundle, _) in zip((40, 41), baselines, strict=True):
+            fresh = build_branch(tiny_config, 3, "rgb", np.random.default_rng([1, stream]))
+            for trained, init in zip(bundle.branches["rgb"].parameters(),
+                                     fresh.parameters()):
+                assert np.array_equal(trained.data, init.data)
 
     def test_same_seed_same_loss_curve(self, tiny_dataset, tiny_config):
         logs = []
         for _ in range(2):
-            _, log = train_single_branch_model(
+            (_, log), _ = train_baselines(
                 tiny_dataset, tiny_config,
                 TrainConfig(batch_size=4, patch=PatchSpec(size=64, overlap=0.5),
                             stage1_steps=2, stage4_steps=2, baseline_steps=4, seed=2))
@@ -419,9 +421,10 @@ class TestMissingOutDir:
 
     def test_baseline_creates_out_dir(self, tiny_dataset, tiny_config, tmp_path):
         out = tmp_path / "new" / "baseline"
-        train_single_branch_model(tiny_dataset, tiny_config, self.CFG, variant=1, out_dir=out)
+        train_baselines(tiny_dataset, tiny_config, self.CFG, out_dir=out)
         assert sorted(p.name for p in out.iterdir()) == [
-            "baseline1_log.jsonl", "checkpoint_baseline1.ckpt"]
+            "baseline0_log.jsonl", "baseline1_log.jsonl", "checkpoint_baseline0.ckpt",
+            "checkpoint_baseline1.ckpt"]
 
 
 class TestTrainingStart:
@@ -435,7 +438,7 @@ class TestTrainingStart:
         bundle, _ = run_protocol(tiny_dataset, config, replace(self.CFG, patch=PatchSpec(size=48)))
         assert bundle.stage == "stage4"
 
-    @pytest.mark.parametrize("trainer", [run_protocol, train_single_branch_model])
+    @pytest.mark.parametrize("trainer", [run_protocol, train_baselines])
     @pytest.mark.parametrize("blocks, size, factor", [
         (((8, 2), (16, 2), (24, 2)), 100, 16), (((4, 1),) * 5, 96, 64)])
     def test_patch_off_the_factor_rejected(self, tiny_dataset, tmp_path, trainer, blocks,
@@ -455,8 +458,8 @@ class TestTrainingStart:
         with pytest.raises(MissingModalityError, match=f"scene {rec.scene_id} .*'height'"):
             run_protocol(manifest, tiny_config, self.CFG, out_dir=tmp_path / "run")
         assert not (tmp_path / "run" / "checkpoint_stage1.ckpt").exists()
-        bundle, _ = train_single_branch_model(manifest, tiny_config, self.CFG)
-        assert set(bundle.branches) == {"rgb"}
+        for bundle, _ in train_baselines(manifest, tiny_config, self.CFG):
+            assert set(bundle.branches) == {"rgb"}
 
 
 @pytest.mark.parametrize("steps", [0, -3])
