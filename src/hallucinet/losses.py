@@ -7,8 +7,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from .engine import Tensor, mul, sigmoid, softmax_nll, tmean
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-12
+MIMICRY = "hallucinate_"  # the name prefix of the objective's mimicry terms
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,10 @@ def _pixel_targets(labels: np.ndarray, weights: ClassWeights, logits: Tensor):
     return index * (h * w) + cell, pixel_w, -1.0 / n_valid
 
 
-def weighted_cross_entropy(logits: Tensor | list[Tensor], labels: np.ndarray,
-                           weights: ClassWeights) -> Tensor:
+def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, weights: ClassWeights) -> Tensor:
     """Mean of -w_label * log(softmax prob of the true class) over non-ignored
-    pixels; a list of logits is fused first, to their mean as `fuse_logits`."""
-    logits = [logits] if isinstance(logits, Tensor) else list(logits)
-    if not logits:
-        raise ValueError("cannot fuse an empty logit list")
-    targets = _pixel_targets(labels, weights, logits[0])
-    return softmax_nll(logits, *targets, PROB_FLOOR)
+    pixels."""
+    return softmax_nll([logits], *_pixel_targets(labels, weights, logits), PROB_FLOOR)
 
 
 def hallucination_loss(tap_target: Tensor, tap_hal: Tensor) -> Tensor:
@@ -96,39 +94,10 @@ def hallucination_loss(tap_target: Tensor, tap_hal: Tensor) -> Tensor:
     return tmean(mul(diff, diff))
 
 
-@dataclass
-class LossBreakdown:
-    """All named terms of the composite objective plus the weighted total."""
+class LossBreakdown(NamedTuple):
+    """The named terms of the composite objective and their weighted total."""
     terms: dict[str, Tensor]
-    gamma: float
-    hallucination_terms: tuple[str, ...]
-    total: Tensor = field(init=False)
-
-    def __post_init__(self):
-        acc = None
-        for name, term in self.terms.items():
-            scaled = mul(term, self.gamma) if name in self.hallucination_terms else term
-            acc = scaled if acc is None else acc + scaled
-        self.total = acc
-
-    def term_values(self) -> dict[str, float]:
-        return {name: term.item() for name, term in self.terms.items()}
-
-    def total_value(self) -> float:
-        return self.total.item()
-
-    def recompose(self) -> float:
-        """Recompute the total from the individual term values."""
-        vals = self.term_values()
-        return (self.gamma * sum(vals[n] for n in self.hallucination_terms)
-                + sum(v for n, v in vals.items() if n not in self.hallucination_terms))
-
-    def raw_hallucination_value(self) -> float:
-        return sum(self.terms[n].item() for n in self.hallucination_terms)
-
-    def max_other_value(self) -> float:
-        return max(term.item() for name, term in self.terms.items()
-                   if name not in self.hallucination_terms)
+    total: Tensor
 
 
 def fuse_logits(logit_list: list[Tensor]) -> Tensor:
@@ -162,7 +131,8 @@ def composite_loss(outputs, labels: np.ndarray, weights: ClassWeights,
     fusion of each of the 2^k availability patterns, all available first,
     named by its `fusion_roster` joined with "+". That is 6 terms for k=1
     and 11 for k=2. The cross-entropy terms share the minibatch and class
-    weights; the mimicry terms are unweighted and scaled by gamma.
+    weights; the mimicry terms are unweighted. The total adds the terms in
+    order, each mimicry term times gamma.
     """
     roles = [r for r in outputs if r != "rgb" and not r.startswith("hal_")]
     hals = [f"hal_{r}" for r in roles]
@@ -175,14 +145,16 @@ def composite_loss(outputs, labels: np.ndarray, weights: ClassWeights,
     def ce(names):
         return softmax_nll([outputs[n].logits for n in names], *targets, PROB_FLOOR)
 
-    terms = {f"hallucinate_{r}": hallucination_loss(outputs[r].tap, outputs[h].tap)
+    terms = {MIMICRY + r: hallucination_loss(outputs[r].tap, outputs[h].tap)
              for r, h in zip(roles, hals)}
     for name in (*roles, "rgb", *hals):
         terms[name] = ce([name])
     for pattern in itertools.product((True, False), repeat=len(roles)):
         fused = fusion_roster(roles, pattern)
         terms["+".join(fused)] = ce(fused)
-    return LossBreakdown(terms, gamma, tuple(f"hallucinate_{r}" for r in roles))
+    scaled = (mul(term, gamma) if name.startswith(MIMICRY) else term
+              for name, term in terms.items())
+    return LossBreakdown(terms, functools.reduce(operator.add, scaled))
 
 
 # perfbench --trace 1 wraps the objective under this name
@@ -205,10 +177,12 @@ class GammaPolicy:
             raise ValueError("gamma sample batches must be positive")
 
 
-def calibrate_gamma(breakdown: LossBreakdown, policy: GammaPolicy) -> float:
-    """Weight so the scaled mimicry loss is `multiplier` times the largest other term."""
-    raw_hal = breakdown.raw_hallucination_value()
+def calibrate_gamma(values: dict[str, float], policy: GammaPolicy) -> float:
+    """Weight so the scaled mimicry loss is `multiplier` times the largest
+    other term, from the objective's term values by name."""
+    raw_hal = sum(v for name, v in values.items() if name.startswith(MIMICRY))
     if raw_hal <= 0.0:
         warnings.warn("raw hallucination loss is zero; gamma defaults to 1")
         return 1.0
-    return policy.multiplier * breakdown.max_other_value() / raw_hal
+    others = max(v for name, v in values.items() if not name.startswith(MIMICRY))
+    return policy.multiplier * others / raw_hal

@@ -441,6 +441,11 @@ def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Mod
         branches[role] = branch
     if tensors:
         raise CheckpointError(f"checkpoint tensors no branch uses: {', '.join(sorted(tensors))}")
-    return ModelBundle(config=config, branches=branches,
-                       role_modalities=dict(header["role_modalities"]),
+    # the checksum covers the tensor records only: each branch's modality must resolve
+    role_modalities = dict(header["role_modalities"])
+    missing = {"rgb" if r.startswith("hal_") else r for r in branches} - set(role_modalities)
+    if missing:
+        raise CheckpointError(f"checkpoint role_modalities names no modality of role "
+                              f"{', '.join(sorted(missing))}")
+    return ModelBundle(config=config, branches=branches, role_modalities=role_modalities,
                        stage=header.get("stage", "init"))

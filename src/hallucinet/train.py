@@ -383,10 +383,10 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
         def joint_loss(batch, labels):
             outputs = _forward_joint(bundle, joint, batch, run, roles, batches.taps)
             batches.advance()  # the next batch's taps overlap this step's loss and backward
-            bd = composite_loss(outputs, labels, weights, gamma)
+            terms, total = composite_loss(outputs, labels, weights, gamma)
             # one backward group per branch, its subgraph from its logits and
             # tap, in task order: the longest first, as the targets stop at their taps
-            return bd.terms, bd.total, [[out.logits, out.tap] for out in outputs.values()]
+            return terms, total, [[out.logits, out.tap] for out in outputs.values()]
 
         # in roster order, which decides the parameter a non-finite gradient names
         params = [p for role in ("rgb", *roles, *hals) for p in bundle.branches[role].parameters()]
@@ -404,15 +404,15 @@ run_protocol_single = run_protocol_multi = run_protocol
 
 
 def _calibrate(bundle, batches, objective, config: TrainConfig, log) -> float:
-    """Stage 3: compute gamma on the calibration `batches`;
-    `objective(batch, labels, gamma)` is the joint `LossBreakdown`."""
+    """Stage 3: gamma from the logged term values of the calibration
+    `batches`; `objective(batch, labels, gamma)` is the joint `LossBreakdown`."""
     gammas = []
     for step, (batch, labels) in enumerate(batches):
         with frozen(bundle.parameters()):  # values only: no graph
-            bd = objective(batch, labels, 1.0)
-        gammas.append(calibrate_gamma(bd, config.gamma))
-        log.append({"stage": "stage3", "step": step,
-                    "terms": bd.term_values(), "total": bd.total_value(),
+            terms, total = objective(batch, labels, 1.0)
+        values = {name: term.item() for name, term in terms.items()}
+        gammas.append(calibrate_gamma(values, config.gamma))
+        log.append({"stage": "stage3", "step": step, "terms": values, "total": total.item(),
                     "gamma": gammas[-1], "grad_max_pre": None, "grad_max_post": None})
     bundle.stage = "stage3"
     return float(np.mean(gammas))

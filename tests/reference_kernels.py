@@ -25,13 +25,8 @@ from the unpadded input are checked bit for bit against it.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hallucinet.engine.tensor import _accumulate, make_node
-from hallucinet.losses import (
-    LossBreakdown,
-    fuse_logits,
-    hallucination_loss,
-    weighted_cross_entropy,
-)
+from hallucinet.engine.tensor import _accumulate, add, make_node, mul
+from hallucinet.losses import fuse_logits, hallucination_loss, weighted_cross_entropy
 
 
 def _pad(x, padding):
@@ -225,6 +220,16 @@ MULTI_NAMES = {"rgb+hal_ir+depth": "rgb+depth+hal_ir", "rgb+ir+hal_depth": "rgb+
                "rgb+ir+depth": "rgb+depth+ir", "rgb+hal_ir+hal_depth": "rgb+hal_depth+hal_ir"}
 
 
+def _objective(terms, gamma, mimicry):
+    """(terms, total): the `mimicry` terms scaled by gamma, then all terms
+    summed in their order."""
+    total = None
+    for name, term in terms.items():
+        scaled = mul(term, gamma) if name in mimicry else term
+        total = scaled if total is None else add(total, scaled)
+    return terms, total
+
+
 def composite_loss_single(outputs, labels, weights, gamma):
     """Six-term objective over the roles rgb, depth and hal."""
     rgb, depth, hal = outputs["rgb"], outputs["depth"], outputs["hal"]
@@ -240,7 +245,7 @@ def composite_loss_single(outputs, labels, weights, gamma):
         "rgb+depth": ce(fuse_logits([rgb.logits, depth.logits])),
         "rgb+hal": ce(fuse_logits([rgb.logits, hal.logits])),
     }
-    return LossBreakdown(terms, gamma, ("hallucinate",))
+    return _objective(terms, gamma, ("hallucinate",))
 
 
 def composite_loss_multi(outputs, labels, weights, gamma):
@@ -264,7 +269,7 @@ def composite_loss_multi(outputs, labels, weights, gamma):
         "rgb+ir+depth": ce(fuse_logits([rgb.logits, ir.logits, depth.logits])),
         "rgb+hal_ir+hal_depth": ce(fuse_logits([rgb.logits, hal_ir.logits, hal_depth.logits])),
     }
-    return LossBreakdown(terms, gamma, ("hallucinate_ir", "hallucinate_depth"))
+    return _objective(terms, gamma, ("hallucinate_ir", "hallucinate_depth"))
 
 
 def optimizer_round(params, state, clip_threshold):

@@ -339,15 +339,13 @@ def test_manifest_defect_writes_nothing(trained, tmp_path, capsys, command, dama
     assert not dest.exists()
 
 
-def _stray_label_copy(dataset: Path, dest: Path) -> Path:
-    """A copy of `dataset` whose scenes each have one pixel labelled 9,
-    neither a class id of its 4 classes nor the ignore label."""
-    shutil.copytree(dataset, dest)
-    for path in (dest / "scenes").rglob("labels.mtns"):
+def _stray_labels(dataset: Path):
+    """Give each scene one pixel labelled 9, neither a class id of the 4
+    classes nor the ignore label."""
+    for path in (dataset / "scenes").rglob("labels.mtns"):
         labels = read_tensor_file(path).copy()
         labels[0, 0] = 9
         write_tensor_file(path, labels)
-    return dest / "manifest.json"
 
 
 def _train_ids(dataset: Path) -> list[str]:
@@ -370,6 +368,96 @@ def _ignored_train_labels(dataset: Path):
 def _rank_two_height(dataset: Path):
     path = dataset / "scenes" / _train_ids(dataset)[0] / "height.mtns"
     write_tensor_file(path, read_tensor_file(path)[0])
+
+
+def _flag_height_absent(raster_kept: bool):
+    """A damage that flags height absent in the first train scene, and
+    deletes its raster unless `raster_kept`."""
+    def damage(dataset: Path):
+        doc = json.loads((dataset / "manifest.json").read_text())
+        scene = doc["splits"]["train"][0]
+        scene["availability"]["height"] = False
+        (dataset / "manifest.json").write_text(json.dumps(doc))
+        if not raster_kept:
+            (dataset / "scenes" / scene["id"] / "height.mtns").unlink()
+    return damage
+
+
+def _intact(dataset: Path):
+    """No damage: the config reads an unchanged copy of the dataset."""
+
+
+def _set(settings: dict):
+    """A config edit that sets each dotted path of `settings` to its value."""
+    def edit(doc: dict) -> str:
+        for path, value in settings.items():
+            *keys, last = path.split(".")
+            node = doc
+            for key in keys:
+                node = node[key]
+            node[last] = value
+        return json.dumps(doc)
+    return edit
+
+
+def _raw(setting: str):
+    """A config edit that writes `setting` into the train section as raw
+    JSON text: json reads 1e999 as inf."""
+    return lambda doc: json.dumps(doc).replace('"stage1_steps": 2', f'{setting}, "stage1_steps": 2')
+
+
+# (damage(dataset) of a copy of the trained run's dataset, which the config
+# then reads, or None for the synthetic data; edit(config doc) -> config
+# text; train's exit code; regexes of stderr)
+TRAIN_REFUSALS = [
+    pytest.param(_stray_labels, json.dumps, 2, [r"scene scene_\d+: label 9 "], id="stray-label"),
+    pytest.param(_flag_height_absent(True), json.dumps, 6,
+                 [re.escape("scene scene_000 flags modality 'height'")],
+                 id="flagged-height-kept"),
+    pytest.param(_flag_height_absent(False), json.dumps, 6,
+                 [re.escape("scene scene_000 flags modality 'height'")],
+                 id="flagged-height-deleted"),
+    # refused by the sampler
+    pytest.param(_empty_train_split, json.dumps, 2, [re.escape("split 'train' is empty")],
+                 id="empty-train-split"),
+    pytest.param(_ignored_train_labels, json.dumps, 2,
+                 [re.escape("split 'train' contains only ignored pixels")], id="ignored-labels"),
+    pytest.param(_rank_two_height, json.dumps, 2,
+                 [re.escape("height.mtns must be (C,H,W), got shape (96, 96)")],
+                 id="rank-two-height"),
+    # factor 2 * 2**5 = 64
+    pytest.param(None, _set({"model.blocks": [[4, 1]] * 5, "train.patch.size": 96}), 2,
+                 [re.escape("train.patch.size 96")], id="patch-off-the-factor"),
+    pytest.param(None, _set({"train.patch.size": 128}), 2,
+                 [re.escape("train.patch.size 128"), re.escape("data.synthetic.size 96")],
+                 id="patch-larger-than-the-scenes"),
+    pytest.param(_intact, _set({"train.patch.size": 128}), 2,
+                 [re.escape("train.patch.size 128 is larger than train scene scene_000 (96x96)")],
+                 id="patch-larger-than-a-manifest-scene"),
+    # refused on the modality list of the config or the manifest
+    *[pytest.param(damage, _set({"train.mode": "multi"}), 2,
+                   [re.escape("hallucinates 2 optional modalities; the dataset has 1 (height)")],
+                   id=f"multi-mode-one-optional-{data}")
+      for damage, data in ((None, "synthetic"), (_intact, "manifest"))],
+    *[pytest.param(None, _raw(f'"{name}": {value}'), 2,
+                   [re.escape(f"train.{name} must be finite and non-negative")],
+                   id=f"{name}-{value}")
+      for name in ("lr_stage1", "lr_stage4") for value in ("-0.001", "1e999")],
+    pytest.param(None, _raw('"clip_threshold": 1e999'), 2,
+                 [re.escape("train.clip_threshold must be finite and positive, got inf")],
+                 id="clip_threshold-inf"),
+    pytest.param(None, _raw('"gamma": {"multiplier": 1e999}'), 2,
+                 [re.escape("train.gamma.multiplier must be finite and positive, got inf")],
+                 id="gamma.multiplier-inf"),
+    pytest.param(None, _set({"train.hallucinate": "color"}), 2,
+                 [re.escape("train.hallucinate 'color' is not an optional modality (height)")],
+                 id="hallucinate-always-available"),
+    pytest.param(None, _set({"data.synthetic.include_ir": True, "train.mode": "multi",
+                             "train.hallucinate": "ir"}), 2,
+                 [re.escape("train.hallucinate is for mode 'single'; mode 'multi' hallucinates "
+                            "the optional modalities in order")],
+                 id="hallucinate-with-multi-mode"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -434,24 +522,6 @@ class TestTrain:
                         if not k.startswith("hallucinate"))
             assert rec["total"] == pytest.approx(rec["gamma"] * hal + other, rel=1e-6)
 
-    def test_hallucinate_always_available_exit_two(self, tmp_path):
-        doc = json.loads(json.dumps(TINY_TRAIN))
-        doc["train"]["hallucinate"] = "color"
-        cfg = write_config(tmp_path, doc)
-        out = tmp_path / "run"
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
-        assert not (out / "checkpoint_stage1.ckpt").exists()
-
-    def test_hallucinate_with_multi_mode_exit_two(self, tmp_path):
-        doc = json.loads(json.dumps(TINY_TRAIN))
-        doc["data"]["synthetic"]["include_ir"] = True
-        doc["train"]["mode"] = "multi"
-        doc["train"]["hallucinate"] = "ir"
-        cfg = write_config(tmp_path, doc)
-        out = tmp_path / "run"
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
-        assert not (out / "checkpoint_stage1.ckpt").exists()
-
     def test_resolved_config_retrains_identically(self, trained, tmp_path):
         _, out = trained
         resolved = out / "resolved_config.json"
@@ -463,79 +533,25 @@ class TestTrain:
         for name in ("checkpoint_stage4.ckpt", "train_log.jsonl", "resolved_config.json"):
             assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
-    def test_stray_label_exit_two(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("damage, edit, code, errors", TRAIN_REFUSALS)
+    def test_refusal_writes_nothing(self, trained, tmp_path, capsys, damage, edit, code, errors):
+        """A refused run exits `code` before it writes anything under --out:
+        no checkpoint, no resolved config, no dataset."""
         _, out = trained
-        manifest = _stray_label_copy(out / "dataset", tmp_path / "ds")
-        doc = {**TINY_TRAIN, "data": {"manifest": str(manifest)}}
+        doc = json.loads(json.dumps(TINY_TRAIN))
+        if damage is not None:
+            ds = tmp_path / "ds"
+            shutil.copytree(out / "dataset", ds)
+            damage(ds)
+            doc["data"] = {"manifest": str(ds / "manifest.json")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(edit(doc))
         run = tmp_path / "run"
-        assert main(["train", "--config", write_config(tmp_path, doc),
-                     "--out", str(run)]) == 2
-        assert re.search(r"scene scene_\d+: label 9 ", capsys.readouterr().err)
-        assert not run.exists()  # no checkpoint, no resolved config
-
-    @pytest.mark.parametrize("raster_kept", [True, False])
-    def test_train_scene_flagged_without_height_exit_six(self, trained, tmp_path, capsys,
-                                                         raster_kept):
-        _, out = trained
-        ds = tmp_path / "ds"
-        shutil.copytree(out / "dataset", ds)
-        doc = json.loads((ds / "manifest.json").read_text())
-        scene = doc["splits"]["train"][0]
-        scene["availability"]["height"] = False
-        (ds / "manifest.json").write_text(json.dumps(doc))
-        if not raster_kept:
-            (ds / "scenes" / scene["id"] / "height.mtns").unlink()
-        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(ds / "manifest.json")}})
-        run = tmp_path / "run"
-        assert main(["train", "--config", cfg, "--out", str(run)]) == 6
-        assert f"scene {scene['id']} flags modality 'height'" in capsys.readouterr().err
-        assert not run.exists()  # no checkpoint, no resolved config
-
-    @pytest.mark.parametrize("damage, message", [
-        (_empty_train_split, "split 'train' is empty"),
-        (_ignored_train_labels, "split 'train' contains only ignored pixels"),
-        (_rank_two_height, "height.mtns must be (C,H,W), got shape (96, 96)"),
-    ])
-    def test_train_split_defect_writes_nothing(self, trained, tmp_path, capsys, damage,
-                                               message):
-        # refused by the sampler, before anything is written under --out
-        _, out = trained
-        ds = tmp_path / "ds"
-        shutil.copytree(out / "dataset", ds)
-        damage(ds)
-        cfg = write_config(tmp_path, {**TINY_TRAIN, "data": {"manifest": str(ds / "manifest.json")}})
-        run = tmp_path / "run"
-        assert main(["train", "--config", cfg, "--out", str(run)]) == 2
-        assert message in capsys.readouterr().err
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == code
+        err = capsys.readouterr().err
+        for error in errors:
+            assert re.search(error, err)
         assert not run.exists()
-
-    def test_patch_off_the_downsample_factor_exit_two(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(TINY_TRAIN))
-        doc["model"]["blocks"] = [[4, 1]] * 5  # factor 2 * 2**5 = 64
-        doc["train"]["patch"]["size"] = 96
-        run = tmp_path / "run"
-        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
-        assert "train.patch.size 96" in capsys.readouterr().err
-        assert not run.exists()  # no resolved config, no dataset
-
-    def test_patch_larger_than_the_scenes_exit_two(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(TINY_TRAIN))
-        doc["train"]["patch"]["size"] = 128
-        run = tmp_path / "run"
-        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
-        err = capsys.readouterr().err
-        assert "train.patch.size 128" in err and "data.synthetic.size 96" in err
-        assert not run.exists()  # no resolved config, no dataset
-
-    def test_patch_larger_than_a_manifest_scene_exit_two(self, trained, tmp_path, capsys):
-        doc = json.loads(json.dumps(TINY_TRAIN))
-        doc["data"] = {"manifest": str(trained[1] / "dataset" / "manifest.json")}
-        doc["train"]["patch"]["size"] = 128
-        run = tmp_path / "run"
-        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
-        err = capsys.readouterr().err
-        assert "train.patch.size 128 is larger than train scene scene_000 (96x96)" in err
-        assert not run.exists()  # no resolved config
 
     def test_each_file_decoded_once(self, trained, tmp_path, monkeypatch):
         # the sampler decodes every label file and raster of the train split
@@ -558,46 +574,6 @@ class TestTrain:
         train = [rec["id"] for rec in json.loads(manifest.read_text())["splits"]["train"]]
         assert sorted(decoded) == sorted(scenes / i / f"{name}.mtns" for i in train
                                          for name in ("color", "height", "labels"))
-
-    @pytest.mark.parametrize("data", ["synthetic", "manifest"])
-    def test_multi_mode_with_one_optional_modality_writes_nothing(self, trained, tmp_path,
-                                                                  capsys, data):
-        # refused on the modality list of the config or the manifest, before
-        # the resolved config or the synthetic dataset is written
-        doc = json.loads(json.dumps(TINY_TRAIN))
-        doc["train"]["mode"] = "multi"
-        if data == "manifest":
-            doc["data"] = {"manifest": str(trained[1] / "dataset" / "manifest.json")}
-        run = tmp_path / "run"
-        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(run)]) == 2
-        assert "hallucinates 2 optional modalities; the dataset has 1 (height)" \
-            in capsys.readouterr().err
-        assert not run.exists()
-
-    @pytest.mark.parametrize("name", ["lr_stage1", "lr_stage4"])
-    @pytest.mark.parametrize("value", ["-0.001", "1e999"])  # json reads 1e999 as inf
-    def test_learning_rate_negative_or_infinite_writes_nothing(self, tmp_path, capsys,
-                                                               name, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(TINY_TRAIN).replace('"stage1_steps": 2',
-                                                      f'"{name}": {value}, "stage1_steps": 2'))
-        run = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 2
-        assert f"train.{name} must be finite and non-negative" in capsys.readouterr().err
-        assert not run.exists()
-
-    @pytest.mark.parametrize("key, setting", [
-        ("train.clip_threshold", '"clip_threshold": 1e999'),
-        ("train.gamma.multiplier", '"gamma": {"multiplier": 1e999}'),
-    ], ids=["clip_threshold", "gamma.multiplier"])
-    def test_infinite_clip_or_gamma_writes_nothing(self, tmp_path, capsys, key, setting):
-        cfg = tmp_path / "cfg.json"  # json reads 1e999 as inf
-        cfg.write_text(json.dumps(TINY_TRAIN).replace('"stage1_steps": 2',
-                                                      f'{setting}, "stage1_steps": 2'))
-        run = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 2
-        assert f"{key} must be finite and positive, got inf" in capsys.readouterr().err
-        assert not run.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
@@ -657,9 +633,11 @@ class TestEval:
 
     def test_stray_label_exit_two(self, trained, tmp_path, capsys):
         _, out = trained
-        manifest = _stray_label_copy(out / "dataset", tmp_path / "ds")
+        shutil.copytree(out / "dataset", tmp_path / "ds")
+        _stray_labels(tmp_path / "ds")
         code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--manifest", str(manifest), "--out", str(tmp_path / "e")])
+                     "--manifest", str(tmp_path / "ds" / "manifest.json"),
+                     "--out", str(tmp_path / "e")])
         assert code == 2
         assert re.search(r"scene scene_\d+: label 9 ", capsys.readouterr().err)
 
@@ -969,6 +947,32 @@ class TestCorruptCheckpoint:
                      "--checkpoint", str(ckpt), "--out", str(dest)])
         assert code == 5
         assert "rgb/block0/bn0/running_mean has shape (1,)" in capsys.readouterr().err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("roles, missing", [({"rgb": "color"}, "depth"),
+                                                ({"depth": "height"}, "rgb")])
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_role_without_modality_exit_five(self, trained, tmp_path, capsys, command, roles,
+                                             missing):
+        # the checksum covers the tensor records, not the header's roles
+        import hallucinet.model as model_mod
+
+        _, out = trained
+        header, tensors = model_mod._read_checkpoint(
+            (out / "checkpoint_stage4.ckpt").read_bytes())
+        header["role_modalities"] = roles
+        ckpt = tmp_path / "roles.ckpt"
+        model_mod._write_checkpoint(ckpt, header, tensors)
+        dest = tmp_path / "o"
+        if command == "eval":
+            args = ["eval", "--manifest", str(out / "dataset" / "manifest.json"),
+                    "--out", str(dest)]
+        else:
+            args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005"),
+                    "--availability", "height=false",
+                    "--out", str(dest / "m.mtns"), "--png", str(dest / "m.png")]
+        assert main(args + ["--checkpoint", str(ckpt)]) == 5
+        assert f"names no modality of role {missing}" in capsys.readouterr().err
         assert not dest.exists()
 
     @pytest.mark.parametrize("command", ["eval", "infer"])

@@ -17,10 +17,11 @@ from hallucinet.engine import (
     mul,
     release,
     relu,
+    softmax_nll,
     transposed_conv2d,
     tsum,
 )
-from hallucinet.losses import ClassWeights, weighted_cross_entropy
+from hallucinet.losses import PROB_FLOOR, ClassWeights, _pixel_targets, weighted_cross_entropy
 from reference_kernels import (
     conv_dw,
     conv_dx,
@@ -257,7 +258,11 @@ def test_fused_cross_entropy_bit_identical_to_chain(rng, k, upstream):
     weights = rng.uniform(0.5, 3.0, size=c)
 
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    loss = weighted_cross_entropy(tensors if k > 1 else tensors[0], labels, ClassWeights(weights))
+    if k > 1:  # the objective's fused terms
+        loss = softmax_nll(tensors, *_pixel_targets(labels, ClassWeights(weights), tensors[0]),
+                           PROB_FLOOR)
+    else:
+        loss = weighted_cross_entropy(tensors[0], labels, ClassWeights(weights))
     backward(mul(loss, upstream))
     value, grads = cross_entropy_chain(arrays, labels, weights, upstream=np.float32(upstream))
 

@@ -24,6 +24,16 @@ def t(arr, grad=False):
                   dtype=np.float64)
 
 
+def _values(terms):
+    return {name: term.item() for name, term in terms.items()}
+
+
+def _recompose(values, gamma):
+    """The total from the term values: gamma times the mimicry terms plus the rest."""
+    return (gamma * sum(v for n, v in values.items() if n.startswith("hallucinate_"))
+            + sum(v for n, v in values.items() if not n.startswith("hallucinate_")))
+
+
 class TestClassWeights:
     def test_equal_frequencies_unit_weights(self):
         assert np.allclose(compute_class_weights([0.25] * 4).weights, 1.0)
@@ -152,17 +162,16 @@ class TestCompositeSingle:
 
     def test_hal_copy_collapses_terms(self, rng):
         out, labels, w = _outputs_single(rng, copies=True)
-        bd = composite_loss(out, labels, w, 2.0)
-        vals = bd.term_values()
+        vals = _values(composite_loss(out, labels, w, 2.0).terms)
         assert vals["hallucinate_depth"] == 0.0
         assert vals["rgb+hal_depth"] == pytest.approx(vals["rgb+depth"], rel=1e-9)
 
     def test_gamma_zero_drops_mimicry(self, rng):
         out, labels, w = _outputs_single(rng)
-        bd = composite_loss(out, labels, w, 0.0)
-        vals = bd.term_values()
+        terms, total = composite_loss(out, labels, w, 0.0)
+        vals = _values(terms)
         expect = sum(v for k, v in vals.items() if not k.startswith("hallucinate"))
-        assert bd.total_value() == pytest.approx(expect, rel=1e-6)
+        assert total.item() == pytest.approx(expect, rel=1e-6)
 
     def test_saturated_predictions_leave_only_mimicry(self, rng):
         labels = rng.integers(0, 3, size=(1, 4, 4))
@@ -172,14 +181,14 @@ class TestCompositeSingle:
                                logits=t(saturated.copy()))
                for r in ("rgb", "depth", "hal_depth")}
         gamma = 3.0
-        bd = composite_loss(out, labels, ClassWeights.uniform(3), gamma)
-        assert bd.total_value() == pytest.approx(
-            gamma * bd.term_values()["hallucinate_depth"], rel=1e-6)
+        terms, total = composite_loss(out, labels, ClassWeights.uniform(3), gamma)
+        assert total.item() == pytest.approx(gamma * terms["hallucinate_depth"].item(),
+                                             rel=1e-6)
 
     def test_total_recomposition(self, rng):
         out, labels, w = _outputs_single(rng)
-        bd = composite_loss(out, labels, w, 7.3)
-        assert bd.total_value() == pytest.approx(bd.recompose(), rel=1e-6)
+        terms, total = composite_loss(out, labels, w, 7.3)
+        assert total.item() == pytest.approx(_recompose(_values(terms), 7.3), rel=1e-6)
 
     def test_missing_branch_rejected(self, rng):
         out, labels, w = _outputs_single(rng)
@@ -192,8 +201,8 @@ class TestCompositeSingle:
         probe = Tensor(out["rgb"].logits.data.copy(), requires_grad=True,
                        dtype=np.float64)
         out["rgb"] = BranchOutput(tap=out["rgb"].tap, logits=probe)
-        bd = composite_loss(out, labels, w, 2.0)
-        backward(bd.total)
+        _, total = composite_loss(out, labels, w, 2.0)
+        backward(total)
         assert probe.grad is not None and np.any(probe.grad != 0)
 
 
@@ -225,7 +234,7 @@ class TestCompositeMulti:
 
     def test_copies_collapse_joint_terms(self, rng):
         out, labels, w = self._outputs(rng, copies=True)
-        vals = composite_loss(out, labels, w, 2.0).term_values()
+        vals = _values(composite_loss(out, labels, w, 2.0).terms)
         assert vals["hallucinate_ir"] == 0.0
         assert vals["hallucinate_depth"] == 0.0
         ref = vals["rgb+depth+ir"]
@@ -239,18 +248,18 @@ class TestCompositeMulti:
             out[role] = BranchOutput(tap=t(rng.normal(size=(1, 2, 2, 2))),
                                      logits=t(shared_logits.copy()))
         labels = rng.integers(0, 3, size=(1, 4, 4))
-        vals = composite_loss(out, labels, ClassWeights.uniform(3), 1.0).term_values()
+        vals = _values(composite_loss(out, labels, ClassWeights.uniform(3), 1.0).terms)
         ce_terms = [v for k, v in vals.items() if not k.startswith("hallucinate")]
         assert np.allclose(ce_terms, ce_terms[0], rtol=1e-9)
 
     def test_gamma_shared_between_mimicry_terms(self, rng):
         out, labels, w = self._outputs(rng)
         gamma = 5.0
-        bd = composite_loss(out, labels, w, gamma)
-        vals = bd.term_values()
+        terms, total = composite_loss(out, labels, w, gamma)
+        vals = _values(terms)
         expect = gamma * (vals["hallucinate_ir"] + vals["hallucinate_depth"]) + sum(
             v for k, v in vals.items() if not k.startswith("hallucinate"))
-        assert bd.total_value() == pytest.approx(expect, rel=1e-6)
+        assert total.item() == pytest.approx(expect, rel=1e-6)
 
 
 def test_objective_holds_no_class_sized_array_per_term(rng):
@@ -267,11 +276,11 @@ def test_objective_holds_no_class_sized_array_per_term(rng):
     labels = rng.integers(0, c, size=(n, h, w))
     tracemalloc.start()
     try:
-        bd = composite_loss(out, labels, ClassWeights.uniform(c), 2.0)
+        terms, _ = composite_loss(out, labels, ClassWeights.uniform(c), 2.0)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    ce_terms = len(bd.terms) - len(bd.hallucination_terms)
+    ce_terms = sum(not name.startswith("hallucinate_") for name in terms)
     class_bytes, pixel_bytes = 4 * n * c * h * w, 4 * n * h * w
     assert ce_terms == 9
     assert held < class_bytes + ce_terms * 2 * pixel_bytes + 4 * pixel_bytes
@@ -311,10 +320,8 @@ class TestGenerator:
         roles = ("depth", "ir", "extra")[:k]
         out = _fake_outputs(rng, roles)
         labels = rng.integers(0, 3, size=(2, 4, 4))
-        bd = composite_loss(out, labels, ClassWeights.uniform(3), 2.0)
-        names = list(bd.terms)
+        names = list(composite_loss(out, labels, ClassWeights.uniform(3), 2.0).terms)
         assert len(names) == len(set(names)) == k + (2 * k + 1) + 2 ** k
-        assert bd.hallucination_terms == tuple(f"hallucinate_{r}" for r in roles)
         assert names[:k] == [f"hallucinate_{r}" for r in roles]
         assert names[k:3 * k + 1] == [*roles, "rgb", *(f"hal_{r}" for r in roles)]
         assert all("+" in n for n in names[3 * k + 1:])
@@ -325,7 +332,7 @@ class TestGenerator:
         out = _fake_outputs(rng, roles)
         labels = rng.integers(0, 3, size=(2, 4, 4))
         weights = ClassWeights(rng.uniform(0.5, 2.0, size=3))
-        vals = composite_loss(out, labels, weights, 2.0).term_values()
+        vals = _values(composite_loss(out, labels, weights, 2.0).terms)
         bundle = ModelBundle(None, dict.fromkeys(out),
                              {"rgb": "color", **{r: f"mod_{r}" for r in roles}})
         routed = {"+".join(select_branches(bundle, dict(zip(roles, pattern))))
@@ -350,12 +357,12 @@ class TestGenerator:
             out = {keys.get(n, n): BranchOutput(tap=t(o.tap.data, True),
                                                 logits=t(o.logits.data, True))
                    for n, o in arrays.items()}
-            bd = objective(out, labels, weights, gamma)
-            backward(bd.total)
-            vals = {names.get(n, n): v for n, v in bd.term_values().items()}
+            terms, total = objective(out, labels, weights, gamma)
+            backward(total)
+            vals = {names.get(n, n): v for n, v in _values(terms).items()}
             grads = {n: (out[keys.get(n, n)].tap.grad, out[keys.get(n, n)].logits.grad)
                      for n in arrays}
-            return bd.total_value(), vals, grads
+            return total.item(), vals, grads
 
         total, vals, grads = run(composite_loss, {})
         # the single reference names the hallucination branch plain "hal"
@@ -373,33 +380,26 @@ class TestGenerator:
 
 
 class TestGamma:
-    def _fake_breakdown(self, hal, others):
-        class Fake:
-            def raw_hallucination_value(self):
-                return hal
-
-            def max_other_value(self):
-                return max(others)
-
-        return Fake()
-
     def test_reference_rule(self):
-        gamma = calibrate_gamma(self._fake_breakdown(0.5, [2.0, 1.0]), GammaPolicy())
+        # the mimicry terms count by their sum, 0.5
+        values = {"hallucinate_ir": 0.25, "hallucinate_depth": 0.25, "rgb": 2.0, "depth": 1.0}
+        gamma = calibrate_gamma(values, GammaPolicy())
         assert gamma == pytest.approx(40.0)
 
     def test_equal_terms_give_multiplier(self):
-        gamma = calibrate_gamma(self._fake_breakdown(2.0, [2.0]), GammaPolicy())
+        gamma = calibrate_gamma({"hallucinate_depth": 2.0, "rgb": 2.0}, GammaPolicy())
         assert gamma == pytest.approx(10.0)
 
     def test_defining_property(self, rng):
         hal = float(rng.uniform(0.1, 2.0))
         others = list(rng.uniform(0.1, 3.0, size=4))
-        gamma = calibrate_gamma(self._fake_breakdown(hal, others), GammaPolicy())
+        values = {"hallucinate_depth": hal} | {f"term{i}": v for i, v in enumerate(others)}
+        gamma = calibrate_gamma(values, GammaPolicy())
         assert gamma * hal == pytest.approx(10.0 * max(others), rel=1e-12)
 
     def test_zero_mimicry_warns_and_defaults(self):
         with pytest.warns(UserWarning):
-            gamma = calibrate_gamma(self._fake_breakdown(0.0, [1.0]), GammaPolicy())
+            gamma = calibrate_gamma({"hallucinate_depth": 0.0, "rgb": 1.0}, GammaPolicy())
         assert gamma == 1.0
 
     def test_multiplier_must_be_positive(self):

@@ -574,6 +574,18 @@ class TestCheckpointRobustness:
             with pytest.raises(CheckpointError, match=f"version {json.dumps(version)}$"):
                 load_checkpoint(saved)
 
+    @pytest.mark.parametrize("roles, missing", [({"rgb": "color"}, "depth"),
+                                                ({"depth": "height"}, "rgb")])
+    def test_role_without_modality_rejected(self, saved, roles, missing):
+        # the checksum covers the tensor records, not the header's roles
+        import hallucinet.model as model_mod
+
+        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        header["role_modalities"] = roles
+        model_mod._write_checkpoint(saved, header, tensors)
+        with pytest.raises(CheckpointError, match=f"names no modality of role {missing}$"):
+            load_checkpoint(saved)
+
     def test_trailing_bytes_rejected(self, saved):
         saved.write_bytes(saved.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):

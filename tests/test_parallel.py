@@ -271,7 +271,7 @@ def test_stage4_failures_name_their_step_and_leave_no_worker(workers, tiny_datas
         bd = objective(*args, **kwargs)
         calls.append(None)
         if len(calls) == cfg.gamma.sample_batches + 2:  # stage-4 step 1
-            bd.total = mul(bd.total, np.float32(np.inf))
+            bd = bd._replace(total=mul(bd.total, np.float32(np.inf)))
         return bd
 
     monkeypatch.setattr(train_mod, "composite_loss", failing_step1)

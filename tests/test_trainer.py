@@ -11,7 +11,7 @@ import hallucinet.train as train_mod
 import reference_kernels
 from hallucinet.data import MissingModalityError, PatchSpec
 from hallucinet.engine import Parameter
-from hallucinet.losses import GammaPolicy
+from hallucinet.losses import GammaPolicy, calibrate_gamma
 from hallucinet.model import BranchConfig
 from hallucinet.train import (
     AdamState,
@@ -282,6 +282,8 @@ class TestProtocolSingle:
         gamma = cal[0]["gamma"]
         others = max(v for k, v in terms.items() if not k.startswith("hallucinate"))
         assert gamma * terms["hallucinate_depth"] == pytest.approx(10.0 * others, rel=1e-6)
+        # stage 3 calibrates from exactly the term values it logs
+        assert gamma == calibrate_gamma(terms, GammaPolicy())
 
     def test_setup_record_logs_weights(self, single_run):
         _, log = single_run
