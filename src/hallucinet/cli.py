@@ -24,7 +24,7 @@ from .checks import run_gradcheck_suite
 from .config import ConfigError, build, check_keys, keywords, typed
 from .data import atomic_write, load_manifest, read_rasters, write_json, write_tensor_file
 from .engine import NonFiniteError
-from .evaluate import evaluate, plan_windows, report_table, save_report, tiled_inference
+from .evaluate import evaluate, plan_windows, report_table, tiled_inference
 from .model import (
     BranchConfig,
     CheckpointError,
@@ -207,22 +207,22 @@ def cmd_eval(args) -> int:
     one roster; report.json's mode names the scenario and their stages."""
     manifest = load_manifest(args.manifest)
     bundle = _load_bundle_checked(args.checkpoint, manifest)
-    predictor, suffix = None, ""
+    predictor = None
     if args.checkpoint_b is not None:
         bundle_b = _load_bundle_checked(args.checkpoint_b, manifest)
         if _roster(bundle) != _roster(bundle_b):
             raise CheckpointError(f"an ensemble needs one roster: {args.checkpoint} has branches "
                                 f"{_roster(bundle)}; {args.checkpoint_b} has {_roster(bundle_b)}")
-        suffix = f" ensemble={bundle_b.stage}"
 
         def predictor(inputs, availability):
             return ensemble_predict(bundle, bundle_b, inputs, availability)
 
     report, conf = evaluate(bundle, manifest, args.split, args.scenario, predictor=predictor)
-    report.mode += suffix
+    if args.checkpoint_b is not None:
+        report["mode"] += f" ensemble={bundle_b.stage}"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_report(report, out / "report.json")
+    write_json(out / "report.json", report)
     write_tensor_file(out / "confusion.mtns", conf.counts.astype(np.float32))
     print(report_table(report))
     print(f"report written to {out / 'report.json'}")

@@ -92,11 +92,11 @@ def atomic_write(path, mode: str = "w"):
         tmp.unlink(missing_ok=True)
 
 
-def write_json(path, doc, allow_nan: bool = False):
+def write_json(path, doc):
     """Write `doc` atomically; NaN and the infinities, which are not JSON,
-    raise ValueError unless `allow_nan` is set."""
+    raise ValueError."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=allow_nan) + "\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def write_tensor_file(path, tensor: np.ndarray):
@@ -259,7 +259,8 @@ def read_labels(manifest: DatasetManifest, scene_id: str) -> np.ndarray:
 
 def read_rasters(scene_dir, names) -> dict[str, np.ndarray]:
     """The (C,H,W) float raster of each modality in `names` in a scene directory; a missing
-    file raises MissingModalityError and one of another rank ValueError, naming the file."""
+    file raises MissingModalityError, and one of another rank or with a NaN or an infinity
+    ValueError, naming the file."""
     rasters = {}
     for name in names:
         path = Path(scene_dir) / f"{name}.mtns"
@@ -269,7 +270,10 @@ def read_rasters(scene_dir, names) -> dict[str, np.ndarray]:
             raise MissingModalityError(f"scene lacks required modality file {path}") from None
         if arr.ndim != 3:
             raise ValueError(f"modality raster {path} must be (C,H,W), got shape {arr.shape}")
-        rasters[name] = arr.astype(np.float32, copy=False)
+        rasters[name] = arr = arr.astype(np.float32, copy=False)
+        if arr.size and not np.isfinite([arr.min(), arr.max()]).all():  # min and max carry a NaN
+            raise ValueError(f"modality raster {path} holds "
+                             f"{arr.size - np.count_nonzero(np.isfinite(arr))} non-finite values")
     return rasters
 
 

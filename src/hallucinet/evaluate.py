@@ -3,11 +3,11 @@ metrics, exact tiled inference, and availability-aware scoring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetManifest, axis_origins, load_scene, write_json
+from .data import DatasetManifest, axis_origins, load_scene
 from .losses import IGNORE_LABEL
 from .model import BranchConfig, ModelBundle, predict, select_branches
 
@@ -78,37 +78,13 @@ def accumulate(conf: ConfusionMatrix, predictions: np.ndarray, labels: np.ndarra
     return conf
 
 
-@dataclass
-class EvalReport:
-    """Per-class and aggregate segmentation scores."""
-    precision: list[float]
-    recall: list[float]
-    f1: list[float]
-    iou: list[float]
-    overall_accuracy: float
-    mean_class_accuracy: float
-    average_f1: float
-    mode: str = ""
-    class_names: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "class_names": self.class_names,
-            "per_class": {"precision": self.precision, "recall": self.recall,
-                          "f1": self.f1, "iou": self.iou},
-            "overall_accuracy": self.overall_accuracy,
-            "mean_class_accuracy": self.mean_class_accuracy,
-            "average_f1": self.average_f1,
-        }
-
-
-def metrics(conf: ConfusionMatrix, excluded_classes=(), mode: str = "",
-            class_names=None) -> EvalReport:
-    """F1, accuracy (recall), IoU per class; overall and mean aggregates.
+def metrics(conf: ConfusionMatrix, excluded_classes=()) -> dict:
+    """Per-class precision, recall (accuracy), F1 and IoU, and the overall
+    accuracy, mean class accuracy and average F1: report.json's scores.
 
     Classes absent from the ground truth, and classes flagged excluded
-    (background/clutter), do not enter the averages.
+    (background/clutter), do not enter the averages. A ratio whose
+    denominator is 0 is 0, so no score is NaN.
     """
     n = conf.counts.astype(np.float64)
     total = n.sum()
@@ -124,22 +100,17 @@ def metrics(conf: ConfusionMatrix, excluded_classes=(), mode: str = "",
         f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
         union = t_i + pred_i - tp
         iou = np.where(union > 0, tp / np.where(union > 0, union, 1.0), 0.0)
-    overall = float(tp.sum() / total)
     included = [c for c in range(conf.class_count)
                 if t_i[c] > 0 and c not in excluded_classes]
     if not included:
         raise ValueError("no classes left to average over")
-    return EvalReport(
-        precision=[float(x) for x in precision],
-        recall=[float(x) for x in recall],
-        f1=[float(x) for x in f1],
-        iou=[float(x) for x in iou],
-        overall_accuracy=overall,
-        mean_class_accuracy=float(np.mean(recall[included])),
-        average_f1=float(np.mean(f1[included])),
-        mode=mode,
-        class_names=list(class_names) if class_names else [],
-    )
+    return {
+        "per_class": {"precision": precision.tolist(), "recall": recall.tolist(),
+                      "f1": f1.tolist(), "iou": iou.tolist()},
+        "overall_accuracy": float(tp.sum() / total),
+        "mean_class_accuracy": float(np.mean(recall[included])),
+        "average_f1": float(np.mean(f1[included])),
+    }
 
 
 # Byte budget of one inference forward: a 1024x1024 scene through three
@@ -299,14 +270,15 @@ def _forced_availability(bundle: ModelBundle, scenario: str,
 
 def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
              scenario: str = "all", tile: int | None = None,
-             halo: int | None = None, predictor=None) -> tuple[EvalReport, ConfusionMatrix]:
+             halo: int | None = None, predictor=None) -> tuple[dict, ConfusionMatrix]:
     """Score a trained bundle over a split under one availability policy.
 
     Scenario "1" forces every hallucinated modality absent, "2" honors
     the per-scene manifest flags, "all" forces everything available. The
     same bundle serves every mode; no retraining happens here.
-    `predictor` goes to `tiled_inference`. The report's mode reads
-    `scenario=<scenario> stage=<bundle.stage>`.
+    `predictor` goes to `tiled_inference`. The report is `metrics`' dict
+    led by `mode`, `scenario=<scenario> stage=<bundle.stage>`, and the
+    manifest's `class_names`.
     """
     # tile and halo are ignored, accepted only because the benchmark's
     # eval workload passes them; benchmark v2 (ROADMAP item 7) drops them.
@@ -321,30 +293,24 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
         pred = tiled_inference(bundle, rasters, availability, predictor)
         mask = boundary_eroded_mask(labels)
         accumulate(conf, pred, labels, mask)
-    report = metrics(conf, excluded_classes=manifest.excluded_classes,
-                     mode=f"scenario={scenario} stage={bundle.stage}",
-                     class_names=manifest.class_names)
-    return report, conf
+    return {"mode": f"scenario={scenario} stage={bundle.stage}",
+            "class_names": list(manifest.class_names),
+            **metrics(conf, manifest.excluded_classes)}, conf
 
 
-def report_table(report: EvalReport) -> str:
-    """Text table in the paper's column layout (per-class F1/Acc, then
-    Avg F1, Avg Acc, Acc)."""
-    names = report.class_names or [f"class{i}" for i in range(len(report.f1))]
-    header = ["Class"] + [f"{n}" for n in names] + ["Avg F1", "Avg Acc", "Acc"]
-    f1_row = ["F1"] + [f"{100 * v:.2f}" for v in report.f1]
-    acc_row = ["Acc"] + [f"{100 * v:.2f}" for v in report.recall]
-    f1_row += [f"{100 * report.average_f1:.2f}", "", ""]
-    acc_row += ["", f"{100 * report.mean_class_accuracy:.2f}",
-                f"{100 * report.overall_accuracy:.2f}"]
+def report_table(report: dict) -> str:
+    """Text table of a report in the paper's column layout (per-class
+    F1/Acc, then Avg F1, Avg Acc, Acc)."""
+    scores = report["per_class"]
+    header = ["Class", *report["class_names"], "Avg F1", "Avg Acc", "Acc"]
+    f1_row = ["F1"] + [f"{100 * v:.2f}" for v in scores["f1"]]
+    acc_row = ["Acc"] + [f"{100 * v:.2f}" for v in scores["recall"]]
+    f1_row += [f"{100 * report['average_f1']:.2f}", "", ""]
+    acc_row += ["", f"{100 * report['mean_class_accuracy']:.2f}",
+                f"{100 * report['overall_accuracy']:.2f}"]
     widths = [max(len(row[i]) for row in (header, f1_row, acc_row))
               for i in range(len(header))]
     lines = []
     for row in (header, f1_row, acc_row):
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def save_report(report: EvalReport, path):
-    # a score may be NaN, which json writes as the bare token NaN
-    write_json(path, report.to_json(), allow_nan=True)

@@ -47,18 +47,19 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_metric_oracle(rng):
     conf = ConfusionMatrix(np.array([[3, 1], [1, 2]]))
     rep = metrics(conf)
-    ok = (abs(rep.overall_accuracy - 5 / 7) < 1e-12
-          and abs(rep.mean_class_accuracy - (0.75 + 2 / 3) / 2) < 1e-12
-          and abs(rep.iou[0] - 0.6) < 1e-12 and abs(rep.iou[1] - 0.5) < 1e-12)
+    ious = rep["per_class"]["iou"]
+    ok = (abs(rep["overall_accuracy"] - 5 / 7) < 1e-12
+          and abs(rep["mean_class_accuracy"] - (0.75 + 2 / 3) / 2) < 1e-12
+          and abs(ious[0] - 0.6) < 1e-12 and abs(ious[1] - 0.5) < 1e-12)
     identity_ok = True
     for _ in range(100):
         c = int(rng.integers(2, 7))
         counts = rng.integers(0, 60, size=(c, c)) + np.eye(c, dtype=np.int64)
-        r = metrics(ConfusionMatrix(counts))
-        for f1, iou in zip(r.f1, r.iou):
+        r = metrics(ConfusionMatrix(counts))["per_class"]
+        for f1, iou in zip(r["f1"], r["iou"]):
             identity_ok &= abs(f1 - 2 * iou / (1 + iou)) < 1e-9
     report("criterion 2 (metric oracle)", ok and identity_ok,
-           f"acc={rep.overall_accuracy:.6f}, identity on 100 random matrices")
+           f"acc={rep['overall_accuracy']:.6f}, identity on 100 random matrices")
 
 
 # -- criterion 3: erosion oracle ------------------------------------------------
@@ -146,10 +147,9 @@ def test_criterion_11_round_trips(tmp_path, rng, tiny_config):
                                   predict(loaded, inputs, avail)))
 
     counts = rng.integers(0, 40, size=(4, 4)) + np.eye(4, dtype=np.int64)
-    rep = metrics(ConfusionMatrix(counts), mode="scenario=1")
+    rep = metrics(ConfusionMatrix(counts))
     write_tensor_file(tmp_path / "conf.mtns", counts.astype(np.float32))
-    regen = metrics(ConfusionMatrix(read_tensor_file(tmp_path / "conf.mtns").astype(np.int64)),
-                    mode="scenario=1")
-    ok &= regen.to_json() == rep.to_json()
+    regen = metrics(ConfusionMatrix(read_tensor_file(tmp_path / "conf.mtns").astype(np.int64)))
+    ok &= regen == rep
     report("criterion 11 (round trips)", ok,
            "100 tensor files, checkpoint predictions, report regeneration")

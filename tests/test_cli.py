@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hallucinet.model as model_mod
 from hallucinet.cli import main, resolve_config
 from hallucinet.data import load_manifest, read_tensor_file, write_tensor_file
-from hallucinet.evaluate import evaluate
+from hallucinet.evaluate import ConfusionMatrix, evaluate, metrics
 from hallucinet.model import BranchConfig, load_checkpoint
 from hallucinet.synthetic import SyntheticConfig
 from hallucinet.train import TrainConfig, train_baselines
@@ -270,6 +271,22 @@ def _float_labels(dataset: Path, tmp_path, split: str) -> Path:
     return tmp_path / "ds" / "manifest.json"
 
 
+def _first_height(manifest: Path, split: str) -> Path:
+    scene = json.loads(manifest.read_text())["splits"][split][0]["id"]
+    return manifest.parent / "scenes" / scene / "height.mtns"
+
+
+def _nan_height_corner(dataset: Path, tmp_path, split: str) -> Path:
+    """A copy of the dataset whose first scene of `split` has NaN in an 8x8
+    corner of its height raster."""
+    shutil.copytree(dataset, tmp_path / "ds")
+    path = _first_height(tmp_path / "ds" / "manifest.json", split)
+    height = read_tensor_file(path).copy()
+    height[:, :8, :8] = np.nan
+    write_tensor_file(path, height)
+    return tmp_path / "ds" / "manifest.json"
+
+
 def _malformed(field: str):
     """The error of a manifest refused when it is read, as a regex of the
     manifest's path and the split read; `field` may name {split}."""
@@ -312,6 +329,11 @@ MANIFEST_DEFECTS = [
     pytest.param(_float_labels, "2",
                  lambda manifest, split: r"scene scene_\d+: labels \S+labels\.mtns are "
                                          r"float32, not uint8", id="float-labels"),
+    # refused when the raster is read, not in the forward or mid-training
+    pytest.param(_nan_height_corner, None,
+                 lambda manifest, split: re.escape(
+                     f"modality raster {_first_height(manifest, split)} holds 64 non-finite values"),
+                 id="nan-height-corner"),
 ]
 
 
@@ -600,12 +622,10 @@ class TestEval:
         assert (e1 / "confusion.mtns").exists()
         # the library's evaluate gives the same label as the command
         bundle, dataset = load_checkpoint(ckpt), load_manifest(manifest)
-        assert [evaluate(bundle, dataset, "test", s)[0].mode for s in ("1", "all")] == \
+        assert [evaluate(bundle, dataset, "test", s)[0]["mode"] for s in ("1", "all")] == \
             [r1["mode"], r2["mode"]]
 
     def test_report_regeneration_from_confusion(self, trained, tmp_path):
-        from hallucinet.evaluate import ConfusionMatrix, metrics
-
         _, out = trained
         manifest = out / "dataset" / "manifest.json"
         e = tmp_path / "e"
@@ -614,10 +634,9 @@ class TestEval:
                      "--out", str(e)]) == 0
         doc = json.loads((e / "report.json").read_text())
         conf = ConfusionMatrix(read_tensor_file(e / "confusion.mtns").astype(np.int64))
-        names = json.loads((manifest).read_text())["class_names"]
-        regenerated = metrics(conf, mode=doc["mode"], class_names=names)
-        assert regenerated.overall_accuracy == pytest.approx(doc["overall_accuracy"])
-        assert regenerated.f1 == pytest.approx(doc["per_class"]["f1"])
+        dataset = json.loads(manifest.read_text())
+        assert doc == {"mode": "scenario=1 stage=stage4", "class_names": dataset["class_names"],
+                       **metrics(conf, dataset["excluded_classes"])}
 
     def test_malformed_manifest_exit_two(self, trained, tmp_path, capsys):
         _, out = trained
@@ -861,6 +880,23 @@ class TestInfer:
         assert "257 classes" in capsys.readouterr().err
         assert not (tmp_path / "m.mtns").exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raster_exit_two(self, trained, tmp_path, capsys, value):
+        _, out = trained
+        scene = tmp_path / "scene"
+        shutil.copytree(out / "dataset" / "scenes" / "scene_005", scene)
+        height = read_tensor_file(scene / "height.mtns").copy()
+        height[:, :8, :8] = value
+        write_tensor_file(scene / "height.mtns", height)
+        dest = tmp_path / "o"
+        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                     "--scene", str(scene), "--out", str(dest / "m.mtns"),
+                     "--png", str(dest / "m.png")])
+        assert code == 2
+        assert (f"modality raster {scene / 'height.mtns'} holds 64 non-finite values"
+                in capsys.readouterr().err)
+        assert not dest.exists()
+
     def test_missing_modality_exit_six(self, trained, tmp_path):
         _, out = trained
         scene_src = out / "dataset" / "scenes" / "scene_005"
@@ -877,124 +913,90 @@ def _flip_middle_byte(blob: bytes) -> bytes:
     return blob[:mid] + bytes([blob[mid] ^ 0xFF]) + blob[mid + 1:]
 
 
-class TestCorruptCheckpoint:
-    @pytest.mark.parametrize("damage", ["truncate", "trailing", "header", "flip"])
-    @pytest.mark.parametrize("command", ["eval", "infer"])
-    def test_exit_five(self, trained, tmp_path, command, damage):
-        _, out = trained
-        blob = (out / "checkpoint_stage4.ckpt").read_bytes()
-        blob = {"truncate": blob[:len(blob) // 2],
-                "trailing": blob + b"junk",
-                "header": blob[:8] + b"!" + blob[9:],
-                "flip": _flip_middle_byte(blob)}[damage]
-        ckpt = tmp_path / "bad.ckpt"
-        ckpt.write_bytes(blob)
-        if command == "eval":
-            args = ["eval", "--manifest", str(out / "dataset" / "manifest.json")]
-        else:
-            args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005")]
-        code = main(args + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
-        assert code == 5
+def _ckpt_bytes(edit):
+    """A damage that writes the checkpoint's bytes, `edit(blob)` applied."""
+    return lambda src, dest: dest.write_bytes(edit(src.read_bytes()))
 
 
-    @pytest.mark.parametrize("version", [1, 2, True])
-    @pytest.mark.parametrize("command", ["eval", "infer"])
-    def test_old_format_version_exit_five(self, trained, tmp_path, capsys, command, version):
-        # every version but 3 is refused by name, true (== 1 in Python) too;
-        # the flipped payload byte would also fail the checksum
-        import hallucinet.model as model_mod
+def _ckpt_records(edit):
+    """A damage that writes the checkpoint again, `edit(header, tensors)`
+    applied; the checksum covers the tensor records, not the header."""
+    def damage(src, dest):
+        header, tensors = model_mod._read_checkpoint(src.read_bytes())
+        edit(header, tensors)
+        model_mod._write_checkpoint(dest, header, tensors)
+    return damage
 
-        _, out = trained
-        header, tensors = model_mod._read_checkpoint(
-            (out / "checkpoint_stage4.ckpt").read_bytes())
-        header["format_version"] = version
-        ckpt = tmp_path / "old.ckpt"
-        model_mod._write_checkpoint(ckpt, header, tensors)
-        ckpt.write_bytes(_flip_middle_byte(ckpt.read_bytes()))
-        if command == "eval":
-            args = ["eval", "--manifest", str(out / "dataset" / "manifest.json")]
-        else:
-            args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005")]
-        code = main(args + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
-        assert code == 5
-        assert f"format version {json.dumps(version)}" in capsys.readouterr().err
 
-    def test_unused_tensor_exit_five(self, trained, tmp_path):
-        import hallucinet.model as model_mod
+def _old_version(version):
+    # every version but 3 is refused by name, true (== 1 in Python) too;
+    # the flipped payload byte would also fail the checksum
+    def damage(src, dest):
+        _ckpt_records(lambda header, _: header.update(format_version=version))(src, dest)
+        dest.write_bytes(_flip_middle_byte(dest.read_bytes()))
+    return damage
 
-        _, out = trained
-        header, tensors = model_mod._read_checkpoint(
-            (out / "checkpoint_stage4.ckpt").read_bytes())
-        tensors["rgb/block0/conv0/bias"] = np.zeros(6, dtype=np.float32)
-        header["tensors"].append("rgb/block0/conv0/bias")
-        ckpt = tmp_path / "stray.ckpt"
-        model_mod._write_checkpoint(ckpt, header, tensors)
-        code = main(["eval", "--manifest", str(out / "dataset" / "manifest.json"),
-                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
-        assert code == 5
 
-    def test_buffer_of_another_shape_exit_five(self, trained, tmp_path, capsys):
-        import hallucinet.model as model_mod
+def _unused_tensor(header, tensors):
+    tensors["rgb/block0/conv0/bias"] = np.zeros(6, dtype=np.float32)
+    header["tensors"].append("rgb/block0/conv0/bias")
 
-        _, out = trained
-        header, tensors = model_mod._read_checkpoint(
-            (out / "checkpoint_stage4.ckpt").read_bytes())
-        tensors["rgb/block0/bn0/running_mean"] = np.zeros(1, dtype=np.float32)
-        ckpt = tmp_path / "bn.ckpt"
-        model_mod._write_checkpoint(ckpt, header, tensors)
-        dest = tmp_path / "o"
-        code = main(["eval", "--manifest", str(out / "dataset" / "manifest.json"),
-                     "--checkpoint", str(ckpt), "--out", str(dest)])
-        assert code == 5
-        assert "rgb/block0/bn0/running_mean has shape (1,)" in capsys.readouterr().err
-        assert not dest.exists()
 
-    @pytest.mark.parametrize("roles, missing", [({"rgb": "color"}, "depth"),
-                                                ({"depth": "height"}, "rgb")])
-    @pytest.mark.parametrize("command", ["eval", "infer"])
-    def test_role_without_modality_exit_five(self, trained, tmp_path, capsys, command, roles,
-                                             missing):
-        # the checksum covers the tensor records, not the header's roles
-        import hallucinet.model as model_mod
+def _overflowing(src, dest):
+    """Every branch's first conv weights at 3e38."""
+    bundle = load_checkpoint(src)
+    for branch in bundle.branches.values():
+        branch.blocks[0][0].weight.data.fill(3e38)
+    model_mod.save_checkpoint(bundle, dest)
 
-        _, out = trained
-        header, tensors = model_mod._read_checkpoint(
-            (out / "checkpoint_stage4.ckpt").read_bytes())
-        header["role_modalities"] = roles
-        ckpt = tmp_path / "roles.ckpt"
-        model_mod._write_checkpoint(ckpt, header, tensors)
-        dest = tmp_path / "o"
-        if command == "eval":
-            args = ["eval", "--manifest", str(out / "dataset" / "manifest.json"),
-                    "--out", str(dest)]
-        else:
-            args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005"),
-                    "--availability", "height=false",
-                    "--out", str(dest / "m.mtns"), "--png", str(dest / "m.png")]
-        assert main(args + ["--checkpoint", str(ckpt)]) == 5
-        assert f"names no modality of role {missing}" in capsys.readouterr().err
-        assert not dest.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "infer"])
-    def test_overflowing_forward_exit_four(self, trained, tmp_path, capsys, command):
-        import hallucinet.model as model_mod
+# (damage(checkpoint, dest) writes a defective copy of the checkpoint to
+# dest, the exit code, the error text; {ckpt} stands for the copy's path)
+CHECKPOINT_DEFECTS = [
+    pytest.param(_ckpt_bytes(lambda blob: blob[:len(blob) // 2]), 5,
+                 "corrupt checkpoint {ckpt}: truncated payload", id="truncate"),
+    pytest.param(_ckpt_bytes(lambda blob: blob + b"junk"), 5,
+                 "4 trailing bytes after the last record", id="trailing"),
+    pytest.param(_ckpt_bytes(lambda blob: blob[:8] + b"!" + blob[9:]), 5,
+                 "corrupt checkpoint {ckpt}: Expecting value", id="header"),
+    pytest.param(_ckpt_bytes(_flip_middle_byte), 5,
+                 "tensor records do not match their checksum", id="flip"),
+    *[pytest.param(_old_version(version), 5, f"format version {json.dumps(version)}",
+                   id=f"version-{version}") for version in (1, 2, True)],
+    pytest.param(_ckpt_records(_unused_tensor), 5,
+                 "checkpoint tensors no branch uses: rgb/block0/conv0/bias", id="unused-tensor"),
+    pytest.param(_ckpt_records(lambda _, tensors: tensors.update(
+                     {"rgb/block0/bn0/running_mean": np.zeros(1, dtype=np.float32)})), 5,
+                 "rgb/block0/bn0/running_mean has shape (1,)", id="buffer-of-another-shape"),
+    *[pytest.param(_ckpt_records(lambda header, _, roles=roles: header.update(
+                       role_modalities=roles)), 5,
+                   f"names no modality of role {missing}", id=f"role-without-modality-{missing}")
+      for roles, missing in (({"rgb": "color"}, "depth"), ({"depth": "height"}, "rgb"))],
+    pytest.param(_overflowing, 4, "non-finite values produced by conv2d",
+                 id="overflowing-forward"),
+]
 
-        _, out = trained
-        bundle = load_checkpoint(out / "checkpoint_stage4.ckpt")
-        for branch in bundle.branches.values():
-            branch.blocks[0][0].weight.data.fill(3e38)
-        ckpt = tmp_path / "overflow.ckpt"
-        model_mod.save_checkpoint(bundle, ckpt)
-        dest = tmp_path / "o"
-        if command == "eval":
-            args = ["eval", "--manifest", str(out / "dataset" / "manifest.json"),
-                    "--out", str(dest)]
-        else:
-            args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005"),
-                    "--out", str(dest / "m.mtns"), "--png", str(dest / "m.png")]
-        assert main(args + ["--checkpoint", str(ckpt)]) == 4
-        assert "non-finite values produced by conv2d" in capsys.readouterr().err
-        assert not dest.exists()
+
+@pytest.mark.parametrize("damage, code, error", CHECKPOINT_DEFECTS)
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_checkpoint_defect_writes_nothing(trained, tmp_path, capsys, command, damage, code,
+                                          error):
+    """A defective copy of the trained run's stage-4 checkpoint exits 5, or
+    4 for a forward that overflows, under eval and infer, names the defect,
+    and leaves nothing under --out (nor infer's --png)."""
+    _, out = trained
+    ckpt = tmp_path / "bad.ckpt"
+    damage(out / "checkpoint_stage4.ckpt", ckpt)
+    dest = tmp_path / "o"
+    if command == "eval":
+        args = ["eval", "--manifest", str(out / "dataset" / "manifest.json"),
+                "--out", str(dest)]
+    else:
+        args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005"),
+                "--out", str(dest / "m.mtns"), "--png", str(dest / "m.png")]
+    assert main(args + ["--checkpoint", str(ckpt)]) == code
+    assert error.format(ckpt=ckpt) in capsys.readouterr().err
+    assert not dest.exists()
 
 
 class TestThreadCap:

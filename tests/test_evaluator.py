@@ -7,18 +7,16 @@ import pytest
 
 import hallucinet.evaluate as evaluate_mod
 import hallucinet.parallel as parallel
-from hallucinet.data import load_scene
+from hallucinet.data import load_scene, write_json
 from hallucinet.engine.functional import _BAND_BYTES
 from hallucinet.evaluate import (
     ConfusionMatrix,
-    EvalReport,
     accumulate,
     boundary_eroded_mask,
     evaluate,
     forward_bytes_per_pixel,
     metrics,
     plan_windows,
-    save_report,
     tiled_inference,
 )
 from hallucinet.model import (
@@ -128,33 +126,33 @@ class TestMetrics:
     def test_f1_from_precision_recall(self):
         # tp=24, fn=16, fp=6: precision 0.8, recall 0.6
         conf = ConfusionMatrix(np.array([[24, 16], [6, 54]]))
-        rep = metrics(conf)
-        assert rep.precision[0] == pytest.approx(0.8)
-        assert rep.recall[0] == pytest.approx(0.6)
-        assert rep.f1[0] == pytest.approx(2 * 0.8 * 0.6 / 1.4, abs=1e-4)
-        assert rep.f1[0] == pytest.approx(0.6857, abs=1e-4)
+        scores = metrics(conf)["per_class"]
+        assert scores["precision"][0] == pytest.approx(0.8)
+        assert scores["recall"][0] == pytest.approx(0.6)
+        assert scores["f1"][0] == pytest.approx(2 * 0.8 * 0.6 / 1.4, abs=1e-4)
+        assert scores["f1"][0] == pytest.approx(0.6857, abs=1e-4)
 
     def test_reference_matrix(self):
         conf = ConfusionMatrix(np.array([[3, 1], [1, 2]]))
         rep = metrics(conf)
-        assert rep.overall_accuracy == pytest.approx(5 / 7, abs=1e-12)
-        assert rep.mean_class_accuracy == pytest.approx((0.75 + 2 / 3) / 2, abs=1e-12)
-        assert rep.iou == pytest.approx([0.6, 0.5], abs=1e-12)
+        assert rep["overall_accuracy"] == pytest.approx(5 / 7, abs=1e-12)
+        assert rep["mean_class_accuracy"] == pytest.approx((0.75 + 2 / 3) / 2, abs=1e-12)
+        assert rep["per_class"]["iou"] == pytest.approx([0.6, 0.5], abs=1e-12)
 
     def test_perfect_diagonal_all_ones(self):
         rep = metrics(ConfusionMatrix(np.diag([5, 9, 2])))
-        assert rep.overall_accuracy == 1.0
-        assert rep.mean_class_accuracy == 1.0
-        assert rep.average_f1 == 1.0
-        assert all(v == 1.0 for v in rep.f1)
+        assert rep["overall_accuracy"] == 1.0
+        assert rep["mean_class_accuracy"] == 1.0
+        assert rep["average_f1"] == 1.0
+        assert all(v == 1.0 for v in rep["per_class"]["f1"])
 
     def test_f1_iou_identity(self, rng):
         for _ in range(100):
             c = int(rng.integers(2, 6))
             counts = rng.integers(0, 50, size=(c, c))
             counts[np.diag_indices(c)] += 1  # keep classes present
-            rep = metrics(ConfusionMatrix(counts))
-            for f1, iou in zip(rep.f1, rep.iou):
+            scores = metrics(ConfusionMatrix(counts))["per_class"]
+            for f1, iou in zip(scores["f1"], scores["iou"]):
                 assert f1 == pytest.approx(2 * iou / (1 + iou), abs=1e-9)
 
     def test_permutation_invariance_of_overall(self, rng):
@@ -162,23 +160,23 @@ class TestMetrics:
         counts = rng.integers(0, 30, size=(c, c))
         perm = rng.permutation(c)
         permuted = counts[np.ix_(perm, perm)]
-        assert metrics(ConfusionMatrix(counts)).overall_accuracy == pytest.approx(
-            metrics(ConfusionMatrix(permuted)).overall_accuracy, abs=1e-12)
+        assert metrics(ConfusionMatrix(counts))["overall_accuracy"] == pytest.approx(
+            metrics(ConfusionMatrix(permuted))["overall_accuracy"], abs=1e-12)
 
     def test_excluded_class_left_out_of_averages(self):
         counts = np.diag([10, 10, 10])
         counts[2, 0] = 10  # class 2 half wrong
         rep_all = metrics(ConfusionMatrix(counts))
         rep_excl = metrics(ConfusionMatrix(counts), excluded_classes=(2,))
-        assert rep_excl.mean_class_accuracy == pytest.approx(1.0)
-        assert rep_all.mean_class_accuracy < 1.0
+        assert rep_excl["mean_class_accuracy"] == pytest.approx(1.0)
+        assert rep_all["mean_class_accuracy"] < 1.0
 
     def test_absent_class_skipped(self):
         counts = np.zeros((3, 3), dtype=np.int64)
         counts[0, 0] = 5
         counts[1, 1] = 5
         rep = metrics(ConfusionMatrix(counts))
-        assert rep.mean_class_accuracy == 1.0
+        assert rep["mean_class_accuracy"] == 1.0
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -186,18 +184,10 @@ class TestMetrics:
 
     def test_report_json_round_trip(self, tmp_path, rng):
         counts = rng.integers(0, 30, size=(3, 3)) + np.eye(3, dtype=np.int64)
-        rep = metrics(ConfusionMatrix(counts), mode="scenario=1")
-        save_report(rep, tmp_path / "r.json")
-        assert json.loads((tmp_path / "r.json").read_text()) == rep.to_json()
-
-    def test_report_with_nan_scores_loads(self, tmp_path):
-        # unlike a config, a report may hold NaN, which json writes as a bare token
-        rep = metrics(ConfusionMatrix(np.eye(3, dtype=np.int64) + 1))
-        rep.f1[1] = rep.average_f1 = float("nan")
-        save_report(rep, tmp_path / "r.json")
-        back = json.loads((tmp_path / "r.json").read_text())
-        assert np.isnan(back["per_class"]["f1"][1]) and np.isnan(back["average_f1"])
-        assert back["per_class"]["f1"][0] == rep.f1[0]
+        rep = {"mode": "scenario=1", "class_names": ["a", "b", "c"],
+               **metrics(ConfusionMatrix(counts))}
+        write_json(tmp_path / "r.json", rep)
+        assert json.loads((tmp_path / "r.json").read_text()) == rep
 
 
 @pytest.fixture()
@@ -483,7 +473,7 @@ class TestEvaluate:
         rep_all, conf_all = evaluate(bundle, tiny_dataset, "test", "all")
         rep_s1, conf_s1 = evaluate(bundle, tiny_dataset, "test", "1")
         assert np.array_equal(conf_all.counts, conf_s1.counts)
-        assert rep_all.overall_accuracy == rep_s1.overall_accuracy
+        assert rep_all["overall_accuracy"] == rep_s1["overall_accuracy"]
 
     def test_scenario_flags_drive_routing(self, tiny_config, tiny_dataset):
         seen = []
@@ -527,9 +517,9 @@ class TestEvaluate:
         rgb = build_branch(tiny_config, 3, "rgb", 4)
         bundle = ModelBundle(tiny_config, {"rgb": rgb}, {"rgb": "color"})
         report, conf = evaluate(bundle, tiny_dataset, "test", "all")
-        regenerated = metrics(conf, excluded_classes=tiny_dataset.excluded_classes,
-                              mode=report.mode, class_names=tiny_dataset.class_names)
-        assert regenerated.to_json() == report.to_json()
+        assert report == {"mode": f"scenario=all stage={bundle.stage}",
+                          "class_names": tiny_dataset.class_names,
+                          **metrics(conf, tiny_dataset.excluded_classes)}
 
     def test_window_keywords_ignored(self, hal_bundle, tiny_dataset):
         # the benchmark's eval workload still passes tile and halo
