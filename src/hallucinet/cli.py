@@ -182,18 +182,19 @@ def cmd_train(args) -> int:
 def _load_bundle_checked(path, manifest):
     bundle = load_checkpoint(path)
     if bundle.config.class_count != manifest.class_count:
-        raise CheckpointError(
-            f"checkpoint has {bundle.config.class_count} classes, "
-            f"manifest {manifest.class_count}")
+        raise CheckpointError(f"checkpoint {path}: {bundle.config.class_count} classes, "
+                              f"the manifest has {manifest.class_count}")
     channels = {m.name: m.channels for m in manifest.modalities}
     for role, mod in bundle.role_modalities.items():
         if mod not in channels:
-            raise CheckpointError(f"checkpoint branch {role} reads unknown modality {mod!r}")
+            raise CheckpointError(f"checkpoint {path}: branch {role} reads unknown modality "
+                                  f"{mod!r}")
     for role, branch in bundle.branches.items():
         mod = bundle.input_modality(role)
         if branch.input_channels != channels[mod]:
-            raise CheckpointError(f"checkpoint branch {role} takes {branch.input_channels} "
-                                  f"channels of {mod!r}, the manifest gives {channels[mod]}")
+            raise CheckpointError(f"checkpoint {path}: branch {role} takes "
+                                  f"{branch.input_channels} channels of {mod!r}, "
+                                  f"the manifest gives {channels[mod]}")
     return bundle
 
 

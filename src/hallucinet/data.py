@@ -281,12 +281,16 @@ def load_scene(manifest: DatasetManifest, scene_id: str,
                modalities=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Load (C,H,W) float rasters per modality and the (H,W) uint8 labels.
 
-    Every raster must have the labels' extent.
+    Every raster must have the labels' extent and its modality's channels.
     """
     names = modalities if modalities is not None else [m.name for m in manifest.modalities]
     labels = read_labels(manifest, scene_id)
     rasters = read_rasters(manifest.scene_dir(scene_id), names)
     for name, arr in rasters.items():
+        if arr.shape[0] != manifest.modality_channels(name):
+            raise ValueError(f"modality raster {manifest.scene_dir(scene_id) / name}.mtns has "
+                             f"{arr.shape[0]} channels, the manifest gives "
+                             f"{manifest.modality_channels(name)}")
         if arr.shape[1:] != labels.shape:
             raise ValueError(f"scene {scene_id}: raster {name} is {arr.shape[1]}x{arr.shape[2]}, "
                              f"labels are {labels.shape[0]}x{labels.shape[1]}")

@@ -3,9 +3,9 @@
 Convolutions unfold one sample at a time, a band of output rows at a
 time, into im2col columns of bounded size read from the unpadded input,
 and run one GEMM per band. Three kernels (forward, input-gradient,
-weight-gradient) serve conv2d; the input-gradient is itself a forward
-convolution of the zero-dilated (at stride 1, merely padded) output
-gradient. transposed_conv2d, the upsampling head, does not use them: it
+weight-gradient) serve conv2d; the input gradient, taken at stride 1
+only, is itself a forward convolution of the padded output gradient.
+transposed_conv2d, the upsampling head, does not use them: it
 runs as dense GEMMs on the grid of its stride-sized output tiles. Max
 pooling works on the four strided corner views of its windows. A conv
 unit that builds no graph (conv, batchnorm with ReLU, and a block's
@@ -98,26 +98,12 @@ def _dilated_span(offset: int, stride: int, count: int, extent: int) -> tuple[sl
     return slice(lo, hi), slice(offset + stride * lo, offset + stride * (hi - 1) + 1, stride)
 
 
-def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
-             in_hw: tuple[int, int]) -> np.ndarray:
-    n, co, ho, wo = dout.shape
-    _, ci, kh, kw = w.shape
-    h, wd = in_hw
-    # dx is the stride-1 correlation of the zero-dilated dout, padded by
-    # k-1-p, with the flipped and transposed kernel. At stride 1 with
-    # p <= k-1 nothing is dilated or cropped, so the forward kernel reads
-    # dout with that padding and no raster is built. Otherwise the raster
-    # is sized to give exactly h x wd outputs, which also covers the rows
-    # and columns past the last window when (h + 2p - k) % stride > 0;
-    # dout entries of windows that saw only padding fall outside it.
+def _conv_dx(dout: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
+    """The input gradient of a stride-1 conv with a square kernel: the
+    forward kernel over dout, padded by k-1-p, with the flipped and
+    transposed kernel (a negative padding crops dout)."""
     flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    if stride == 1 and kh == kw and padding <= kh - 1:
-        return _conv_fwd(dout, flipped, 1, kh - 1 - padding)
-    src_i, dst_i = _dilated_span(kh - 1 - padding, stride, ho, h + kh - 1)
-    src_j, dst_j = _dilated_span(kw - 1 - padding, stride, wo, wd + kw - 1)
-    dilated = np.zeros((n, co, h + kh - 1, wd + kw - 1), dtype=dout.dtype)
-    dilated[:, :, dst_i, dst_j] = dout[:, :, src_i, src_j]
-    return _conv_fwd(dilated, flipped, 1, 0)
+    return _conv_fwd(dout, flipped, 1, w.shape[-1] - 1 - padding)
 
 
 def _conv_dw(dout: np.ndarray, x: np.ndarray, stride: int, padding: int,
@@ -138,16 +124,21 @@ def _conv_dw(dout: np.ndarray, x: np.ndarray, stride: int, padding: int,
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of (N,Ci,H,W) with (Co,Ci,kh,kw) plus bias."""
+    """Cross-correlation of (N,Ci,H,W) with (Co,Ci,kh,kw) plus bias.
+
+    Its input is differentiable at stride 1 with a square kernel only, as
+    in every conv of a branch past its first, which reads the image."""
+    k_hw = weight.data.shape[2:]
+    if x.requires_grad and (stride != 1 or k_hw[0] != k_hw[1]):
+        raise ValueError(f"conv2d differentiates its input at stride 1 with a square kernel "
+                         f"only, got stride {stride} and a {k_hw[0]}x{k_hw[1]} kernel")
     data = _conv_fwd(x.data, weight.data, stride, padding)
     if bias is not None:
         data = data + bias.data[:, None, None]
-    in_hw = x.data.shape[2:]
-    k_hw = weight.data.shape[2:]
 
     def backw(out):
         if x.requires_grad:
-            _accumulate(x, _conv_dx(out.grad, weight.data, stride, padding, in_hw))
+            _accumulate(x, _conv_dx(out.grad, weight.data, padding))
         if weight.requires_grad:
             _accumulate(weight, _conv_dw(out.grad, x.data, stride, padding, k_hw))
         if bias is not None and bias.requires_grad:
@@ -330,24 +321,23 @@ def _normalizer(state: BatchNormState, mode: str, scale: np.ndarray, shift: np.n
     return centred, centre[:, None], a32, b32, mean, inv_std, a
 
 
-def _affine_relu(y: np.ndarray, a32: np.ndarray, b32: np.ndarray, relu: bool) -> np.ndarray:
+def _affine_relu(y: np.ndarray, a32: np.ndarray, b32: np.ndarray) -> np.ndarray:
     """Batchnorm's epilogue on centred values, in place: y*a32 + b32,
-    clamped at 0 when `relu` is set."""
+    clamped at 0."""
     y *= a32
     y += b32
-    if relu:
-        np.maximum(y, 0, out=y)
+    np.maximum(y, 0, out=y)
     return y
 
 
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
-              mode: str, relu: bool = False) -> Tensor:
-    """Per-channel batch normalization over (N,H,W), optionally rectified.
+              mode: str) -> Tensor:
+    """Per-channel batch normalization over (N,H,W), rectified.
 
     Train mode normalizes with batch statistics and advances the running
     averages; infer mode uses the stored running statistics. Per channel,
-    the output is x*a + b with a = scale*inv_std and b = shift - mean*a,
-    clamped at 0 when `relu` is set, written into one buffer in place.
+    the output is max(x*a + b, 0) with a = scale*inv_std and
+    b = shift - mean*a, written into one buffer in place.
 
     The node keeps no normalized copy of x: its backward reads x from
     the parent and the ReLU mask from its own output, and folds the batch
@@ -361,18 +351,16 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
     dtype = x.data.dtype
     data, centre, a32, b32, mean, inv_std, a = _normalizer(
         state, mode, scale.data, shift.data, dtype, x.data.reshape(n, c, h * w))
-    _affine_relu(data, a32, b32, relu)
+    _affine_relu(data, a32, b32)
 
     def recompute() -> np.ndarray:
         # the forward's own vectors and op order, so the bits are the same
         y = np.subtract(x.data.reshape(n, c, h * w), centre)
-        return _affine_relu(y, a32, b32, relu).reshape(n, c, h, w)
+        return _affine_relu(y, a32, b32).reshape(n, c, h, w)
 
     def backw(out):
         xv = x.data.reshape(n, c, h * w)
-        g = out.grad.reshape(n, c, h * w)
-        if relu:
-            g = g * (out.data.reshape(n, c, h * w) > 0)
+        g = out.grad.reshape(n, c, h * w) * (out.data.reshape(n, c, h * w) > 0)
         sum_g = np.einsum("ncp->c", g, dtype=np.float64)
         # sum of g * (x - mean), the gradient of scale over inv_std
         sum_gxc = np.einsum("ncp,ncp->c", g, xv, dtype=np.float64) - mean * sum_g
@@ -382,7 +370,7 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
             _accumulate(shift, sum_g)
         if x.requires_grad:
             # g is a fresh array once masked, so it can become dx
-            dx = np.multiply(g, a32, out=g if relu else None)
+            dx = np.multiply(g, a32, out=g)
             if mode == "train":
                 # mean and var depend on x: dx gains k2*x + k3
                 k2 = -a * inv_std ** 2 * sum_gxc / m
@@ -413,7 +401,7 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
 def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                  state: BatchNormState, mode: str, stride: int, padding: int,
                  pool: bool) -> np.ndarray:
-    """conv2d without bias -> batchnorm(..., mode, relu=True), then
+    """conv2d without bias -> batchnorm(..., mode), then
     maxpool2 when `pool` is set, on arrays and without a graph.
 
     Infer mode holds its output and one band: no conv output besides the
@@ -460,7 +448,7 @@ def conv_bn_relu(x: np.ndarray, weight: np.ndarray, scale: np.ndarray, shift: np
             np.matmul(w2, cols, out=y)
             check_finite(y, "conv2d")
             np.subtract(y, centre, out=y)
-        _affine_relu(y, a32, b32, True)
+        _affine_relu(y, a32, b32)
         bn_finite = bn_finite and bool(np.isfinite(y).all())
         if not pool:
             continue

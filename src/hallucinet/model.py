@@ -135,7 +135,7 @@ class _ConvBnRelu:
         # also refuses an unknown mode
         y = conv2d(x, self.weight, None, stride=self.stride, padding=1)
         release(x)  # a previous unit's output: its batchnorm can rebuild it
-        out = batchnorm(y, self.scale, self.shift, self.state, mode, relu=True)
+        out = batchnorm(y, self.scale, self.shift, self.state, mode)
         if not pool:
             return out
         pooled = maxpool2(out)
@@ -404,7 +404,7 @@ def _read_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError("not a checkpoint file (bad header)")
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format version {json.dumps(version)}")
+        raise CheckpointError(f"unsupported format version {json.dumps(version)}")
     start = offset = 8 + hlen
     tensors: dict[str, np.ndarray] = {}
     for name in header["tensors"]:
@@ -421,14 +421,12 @@ def _read_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Rebuild a bundle; any defect of the file raises CheckpointError."""
+    """Rebuild a bundle; any defect of the file raises CheckpointError naming it."""
     blob = Path(path).read_bytes()
     try:
         return _bundle_from_checkpoint(*_read_checkpoint(blob))
-    except CheckpointError:
-        raise
     except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
 
 
 def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> ModelBundle:
@@ -440,12 +438,12 @@ def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Mod
         branch.load(tensors)
         branches[role] = branch
     if tensors:
-        raise CheckpointError(f"checkpoint tensors no branch uses: {', '.join(sorted(tensors))}")
+        raise CheckpointError(f"tensors no branch uses: {', '.join(sorted(tensors))}")
     # the checksum covers the tensor records only: each branch's modality must resolve
     role_modalities = dict(header["role_modalities"])
     missing = {"rgb" if r.startswith("hal_") else r for r in branches} - set(role_modalities)
     if missing:
-        raise CheckpointError(f"checkpoint role_modalities names no modality of role "
+        raise CheckpointError(f"role_modalities names no modality of role "
                               f"{', '.join(sorted(missing))}")
     return ModelBundle(config=config, branches=branches, role_modalities=role_modalities,
                        stage=header.get("stage", "init"))

@@ -46,7 +46,8 @@ from .parallel import branch_workers, run_in_order
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite value: the NonFiniteError of a
+    stage's step, named with the stage and the step."""
 
 
 @dataclass
@@ -94,9 +95,9 @@ class AdamState:
 
 
 def clip_gradients(grads, threshold: float):
-    """Elementwise clamp to [-threshold, threshold], in place; returns `grads`."""
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"clip threshold must be finite and positive, got {threshold}")
+    """Elementwise clamp to [-threshold, threshold], in place; returns
+    `grads`. The threshold is `TrainConfig.clip_threshold`, finite and
+    positive."""
     for g in grads:
         if g is not None:
             np.clip(g, -threshold, threshold, out=g)
@@ -109,13 +110,9 @@ def adam_step(params: list[Parameter], grads, state: AdamState):
 
     A parameter with no gradient, or with `requires_grad` off (frozen), is
     skipped entirely: it is not moved and no m/v moments are kept for it.
-    Every gradient is checked before anything moves, so a non-finite one
-    raises DivergenceError with the parameters and the state untouched.
+    The gradients are finite: `_optimizer_round` refuses any other.
     """
     live = [(p, g) for p, g in zip(params, grads) if g is not None and p.requires_grad]
-    for p, g in live:
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {p.name}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = 0.9, 0.999
@@ -154,8 +151,8 @@ def _tap_prefix(branch: BranchNet) -> list[Parameter]:
 def _optimizer_round(params, state: AdamState, clip_threshold: float):
     """Clip, step and clear the gradients; return max |g| before and after clipping.
 
-    A non-finite gradient raises DivergenceError before anything is
-    clipped or moved.
+    A non-finite gradient raises NonFiniteError naming its parameter
+    before anything is clipped or moved.
     """
     grads = [p.grad for p in params]
     # max |g| and its clipped value, at the threshold in g's dtype as the clip
@@ -167,7 +164,7 @@ def _optimizer_round(params, state: AdamState, clip_threshold: float):
             continue
         peak = abs(float(max(g.max(), -g.min())))
         if not math.isfinite(peak):
-            raise DivergenceError(f"non-finite gradient for {p.name}")
+            raise NonFiniteError(f"non-finite gradient for {p.name}")
         peaks.append((peak, float(g.dtype.type(clip_threshold))))
     pre = max((peak for peak, _ in peaks), default=0.0)
     post = max((min(peak, cap) for peak, cap in peaks), default=0.0)
@@ -405,15 +402,21 @@ run_protocol_single = run_protocol_multi = run_protocol
 
 def _calibrate(bundle, batches, objective, config: TrainConfig, log) -> float:
     """Stage 3: gamma from the logged term values of the calibration
-    `batches`; `objective(batch, labels, gamma)` is the joint `LossBreakdown`."""
+    `batches`; `objective(batch, labels, gamma)` is the joint `LossBreakdown`.
+    A NonFiniteError is raised as `_fit` raises it, as DivergenceError."""
     gammas = []
-    for step, (batch, labels) in enumerate(batches):
-        with frozen(bundle.parameters()):  # values only: no graph
-            terms, total = objective(batch, labels, 1.0)
-        values = {name: term.item() for name, term in terms.items()}
-        gammas.append(calibrate_gamma(values, config.gamma))
-        log.append({"stage": "stage3", "step": step, "terms": values, "total": total.item(),
-                    "gamma": gammas[-1], "grad_max_pre": None, "grad_max_post": None})
+    step = 0
+    try:
+        for step, (batch, labels) in enumerate(batches):
+            with frozen(bundle.parameters()):  # values only: no graph
+                terms, total = objective(batch, labels, 1.0)
+            values = {name: term.item() for name, term in terms.items()}
+            gammas.append(calibrate_gamma(values, config.gamma))
+            log.append({"stage": "stage3", "step": step, "terms": values,
+                        "total": total.item(), "gamma": gammas[-1], "grad_max_pre": None,
+                        "grad_max_post": None})
+    except NonFiniteError as exc:
+        raise DivergenceError(f"stage3 diverged at step {step}: {exc}") from exc
     bundle.stage = "stage3"
     return float(np.mean(gammas))
 

@@ -31,6 +31,17 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def refuses(argv, code, capsys, error, *paths):
+    """CI's `refuses`: `main(argv)` exits `code` with `error`, a regex, in
+    its error output, and leaves none of `paths`; returns the error output."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert re.search(error, err)
+    for path in paths:
+        assert not path.exists()
+    return err
+
+
 class TestConfigResolution:
     def test_defaults_materialized(self):
         resolved = resolve_config({})
@@ -271,19 +282,29 @@ def _float_labels(dataset: Path, tmp_path, split: str) -> Path:
     return tmp_path / "ds" / "manifest.json"
 
 
-def _first_height(manifest: Path, split: str) -> Path:
+def _first_raster(manifest: Path, split: str, modality: str) -> Path:
     scene = json.loads(manifest.read_text())["splits"][split][0]["id"]
-    return manifest.parent / "scenes" / scene / "height.mtns"
+    return manifest.parent / "scenes" / scene / f"{modality}.mtns"
 
 
 def _nan_height_corner(dataset: Path, tmp_path, split: str) -> Path:
     """A copy of the dataset whose first scene of `split` has NaN in an 8x8
     corner of its height raster."""
     shutil.copytree(dataset, tmp_path / "ds")
-    path = _first_height(tmp_path / "ds" / "manifest.json", split)
+    path = _first_raster(tmp_path / "ds" / "manifest.json", split, "height")
     height = read_tensor_file(path).copy()
     height[:, :8, :8] = np.nan
     write_tensor_file(path, height)
+    return tmp_path / "ds" / "manifest.json"
+
+
+def _four_channel_color(dataset: Path, tmp_path, split: str) -> Path:
+    """A copy of the dataset whose color rasters have a fourth channel,
+    where the manifest lists 3."""
+    shutil.copytree(dataset, tmp_path / "ds")
+    for path in (tmp_path / "ds" / "scenes").rglob("color.mtns"):
+        color = read_tensor_file(path)
+        write_tensor_file(path, np.concatenate([color, color[:1]]))
     return tmp_path / "ds" / "manifest.json"
 
 
@@ -332,8 +353,13 @@ MANIFEST_DEFECTS = [
     # refused when the raster is read, not in the forward or mid-training
     pytest.param(_nan_height_corner, None,
                  lambda manifest, split: re.escape(
-                     f"modality raster {_first_height(manifest, split)} holds 64 non-finite values"),
-                 id="nan-height-corner"),
+                     f"modality raster {_first_raster(manifest, split, 'height')} holds 64 "
+                     "non-finite values"), id="nan-height-corner"),
+    # refused when the raster is read, not at the first forward
+    pytest.param(_four_channel_color, None,
+                 lambda manifest, split: re.escape(
+                     f"modality raster {_first_raster(manifest, split, 'color')} has 4 "
+                     "channels, the manifest gives 3"), id="four-channel-color"),
 ]
 
 
@@ -644,21 +670,19 @@ class TestEval:
         doc["modalities"][1]["channels"] = None
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))
-        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--manifest", str(manifest), "--out", str(tmp_path / "e")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert str(manifest) in err and "modalities[1].channels" in err
+        refuses(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                 "--manifest", str(manifest), "--out", str(tmp_path / "e")], 2, capsys,
+                re.escape(f"malformed manifest {manifest}: modalities[1].channels"),
+                tmp_path / "e")
 
     def test_stray_label_exit_two(self, trained, tmp_path, capsys):
         _, out = trained
         shutil.copytree(out / "dataset", tmp_path / "ds")
         _stray_labels(tmp_path / "ds")
-        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--manifest", str(tmp_path / "ds" / "manifest.json"),
-                     "--out", str(tmp_path / "e")])
-        assert code == 2
-        assert re.search(r"scene scene_\d+: label 9 ", capsys.readouterr().err)
+        refuses(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                 "--manifest", str(tmp_path / "ds" / "manifest.json"),
+                 "--out", str(tmp_path / "e")], 2, capsys, r"scene scene_\d+: label 9 ",
+                tmp_path / "e")
 
     def test_ensemble_baseline_runs(self, trained, tmp_path):
         _, out = trained
@@ -687,13 +711,11 @@ class TestEval:
         pair = [str(baselines[0]), str(out / "checkpoint_stage4.ckpt")]
         if not baseline_first:
             pair.reverse()
-        code = main(["eval", "--checkpoint", pair[0], "--checkpoint-b", pair[1],
-                     "--manifest", str(out / "dataset" / "manifest.json"),
-                     "--scenario", scenario, "--out", str(tmp_path / "e")])
-        assert code == 5
-        err = capsys.readouterr().err
-        assert "one roster" in err and pair[0] in err and pair[1] in err
-        assert not (tmp_path / "e").exists()
+        refuses(["eval", "--checkpoint", pair[0], "--checkpoint-b", pair[1],
+                 "--manifest", str(out / "dataset" / "manifest.json"),
+                 "--scenario", scenario, "--out", str(tmp_path / "e")], 5, capsys,
+                re.escape(f"an ensemble needs one roster: {pair[0]} has branches ") + ".*"
+                + re.escape(f"; {pair[1]} has "), tmp_path / "e")
 
     def test_unavailable_raster_may_be_absent(self, trained, tmp_path, capsys):
         """A test scene flagged without height needs no height raster; a
@@ -732,13 +754,13 @@ class TestEval:
         doc = json.loads((ds / "manifest.json").read_text())
         doc["modalities"][0]["channels"] = 4
         (ds / "manifest.json").write_text(json.dumps(doc))
-        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--manifest", str(ds / "manifest.json"), "--out", str(tmp_path / "e")])
-        assert code == 5
-        assert "takes 3 channels of 'color', the manifest gives 4" in capsys.readouterr().err
-        assert not (tmp_path / "e").exists()
+        ckpt = out / "checkpoint_stage4.ckpt"
+        refuses(["eval", "--checkpoint", str(ckpt), "--manifest", str(ds / "manifest.json"),
+                 "--out", str(tmp_path / "e")], 5, capsys,
+                re.escape(f"checkpoint {ckpt}: branch hal_depth takes 3 channels of 'color', "
+                          "the manifest gives 4"), tmp_path / "e")
 
-    def test_mismatched_manifest_exit_five(self, trained, tmp_path):
+    def test_mismatched_manifest_exit_five(self, trained, tmp_path, capsys):
         _, out = trained
         other = {"data": {"synthetic": {"seed": 1, "scene_count": 4, "size": 96,
                                         "class_count": 5, "train_scenes": 2,
@@ -746,10 +768,10 @@ class TestEval:
         cfg = write_config(tmp_path, other)
         ds = tmp_path / "ds5"
         assert main(["gen-data", "--config", cfg, "--out", str(ds)]) == 0
-        code = main(["eval", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--manifest", str(ds / "manifest.json"),
-                     "--out", str(tmp_path / "e")])
-        assert code == 5
+        ckpt = out / "checkpoint_stage4.ckpt"
+        refuses(["eval", "--checkpoint", str(ckpt), "--manifest", str(ds / "manifest.json"),
+                 "--out", str(tmp_path / "e")], 5, capsys,
+                re.escape(f"checkpoint {ckpt}: 4 classes, the manifest has 5"), tmp_path / "e")
 
 
 @pytest.mark.parametrize("argv", [
@@ -809,12 +831,11 @@ class TestInfer:
     def test_unknown_availability_names_exit_two(self, trained, tmp_path, capsys, flags, named):
         _, out = trained
         dest = tmp_path / "map.mtns"
-        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--scene", str(out / "dataset" / "scenes" / "scene_005"),
-                     "--availability", flags, "--out", str(dest)])
-        assert code == 2
-        assert f"--availability names {named}, not optional" in capsys.readouterr().err
-        assert not dest.exists()
+        refuses(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                 "--scene", str(out / "dataset" / "scenes" / "scene_005"),
+                 "--availability", flags, "--out", str(dest)], 2, capsys,
+                re.escape(f"--availability names {named}, not optional"),
+                dest, dest.with_suffix(".routing.json"))
 
     def test_rerun_identical_bytes(self, trained, tmp_path):
         _, out = trained
@@ -836,13 +857,13 @@ class TestInfer:
         for mod in ("color", "height"):
             arr = read_tensor_file(scene_src / f"{mod}.mtns")
             write_tensor_file(scene / f"{mod}.mtns", arr[:, :64, :64] if mod == small else arr)
-        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--scene", str(scene), "--availability", "height=true",
-                     "--out", str(tmp_path / "m.mtns")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"{small} 64x64" in err and "96x96" in err
-        assert not (tmp_path / "m.mtns").exists()
+        extents = ", ".join(f"{mod} {'64x64' if mod == small else '96x96'}"
+                            for mod in ("color", "height"))
+        dest = tmp_path / "m.mtns"
+        refuses(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                 "--scene", str(scene), "--availability", "height=true", "--out", str(dest)],
+                2, capsys, re.escape(f"scene rasters differ in extent: {extents}"),
+                dest, dest.with_suffix(".routing.json"))
 
     @pytest.mark.parametrize("rank", [2, 4])
     def test_raster_of_wrong_rank_exit_two(self, trained, tmp_path, capsys, rank):
@@ -851,12 +872,11 @@ class TestInfer:
         scene = tmp_path / "scene"
         scene.mkdir()
         write_tensor_file(scene / "color.mtns", color[0] if rank == 2 else color[None])
-        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--scene", str(scene), "--availability", "height=false",
-                     "--out", str(tmp_path / "m.mtns")])
-        assert code == 2
-        assert f"modality raster {scene / 'color.mtns'} must be (C,H,W)" in capsys.readouterr().err
-        assert not (tmp_path / "m.mtns").exists()
+        dest = tmp_path / "m.mtns"
+        refuses(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                 "--scene", str(scene), "--availability", "height=false", "--out", str(dest)],
+                2, capsys, re.escape(f"modality raster {scene / 'color.mtns'} must be (C,H,W)"),
+                dest, dest.with_suffix(".routing.json"))
 
     def test_class_ids_beyond_uint8_exit_two_before_inference(self, trained, tmp_path, capsys,
                                                                monkeypatch):
@@ -873,12 +893,11 @@ class TestInfer:
             raise AssertionError("inference ran")
 
         monkeypatch.setattr(cli_mod, "tiled_inference", no_inference)
-        code = main(["infer", "--checkpoint", str(ckpt),
-                     "--scene", str(out / "dataset" / "scenes" / "scene_005"),
-                     "--out", str(tmp_path / "m.mtns")])
-        assert code == 2
-        assert "257 classes" in capsys.readouterr().err
-        assert not (tmp_path / "m.mtns").exists()
+        dest = tmp_path / "m.mtns"
+        refuses(["infer", "--checkpoint", str(ckpt),
+                 "--scene", str(out / "dataset" / "scenes" / "scene_005"), "--out", str(dest)],
+                2, capsys, re.escape("infer writes class ids as uint8; the checkpoint has "
+                                     "257 classes"), dest, dest.with_suffix(".routing.json"))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_raster_exit_two(self, trained, tmp_path, capsys, value):
@@ -889,23 +908,23 @@ class TestInfer:
         height[:, :8, :8] = value
         write_tensor_file(scene / "height.mtns", height)
         dest = tmp_path / "o"
-        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--scene", str(scene), "--out", str(dest / "m.mtns"),
-                     "--png", str(dest / "m.png")])
-        assert code == 2
-        assert (f"modality raster {scene / 'height.mtns'} holds 64 non-finite values"
-                in capsys.readouterr().err)
-        assert not dest.exists()
+        refuses(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                 "--scene", str(scene), "--out", str(dest / "m.mtns"),
+                 "--png", str(dest / "m.png")], 2, capsys,
+                re.escape(f"modality raster {scene / 'height.mtns'} holds 64 non-finite values"),
+                dest)
 
-    def test_missing_modality_exit_six(self, trained, tmp_path):
+    def test_missing_modality_exit_six(self, trained, tmp_path, capsys):
         _, out = trained
         scene_src = out / "dataset" / "scenes" / "scene_005"
         broken = tmp_path / "scene"
         broken.mkdir()
         (broken / "height.mtns").write_bytes((scene_src / "height.mtns").read_bytes())
-        code = main(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
-                     "--scene", str(broken), "--out", str(tmp_path / "m.mtns")])
-        assert code == 6
+        dest = tmp_path / "m.mtns"
+        refuses(["infer", "--checkpoint", str(out / "checkpoint_stage4.ckpt"),
+                 "--scene", str(broken), "--out", str(dest)], 6, capsys,
+                re.escape(f"scene lacks required modality file {broken / 'color.mtns'}"),
+                dest, dest.with_suffix(".routing.json"))
 
 
 def _flip_middle_byte(blob: bytes) -> bytes:
@@ -954,23 +973,27 @@ def _overflowing(src, dest):
 # dest, the exit code, the error text; {ckpt} stands for the copy's path)
 CHECKPOINT_DEFECTS = [
     pytest.param(_ckpt_bytes(lambda blob: blob[:len(blob) // 2]), 5,
-                 "corrupt checkpoint {ckpt}: truncated payload", id="truncate"),
+                 "checkpoint {ckpt}: truncated payload", id="truncate"),
     pytest.param(_ckpt_bytes(lambda blob: blob + b"junk"), 5,
-                 "4 trailing bytes after the last record", id="trailing"),
+                 "checkpoint {ckpt}: 4 trailing bytes after the last record", id="trailing"),
     pytest.param(_ckpt_bytes(lambda blob: blob[:8] + b"!" + blob[9:]), 5,
-                 "corrupt checkpoint {ckpt}: Expecting value", id="header"),
+                 "checkpoint {ckpt}: Expecting value", id="header"),
     pytest.param(_ckpt_bytes(_flip_middle_byte), 5,
-                 "tensor records do not match their checksum", id="flip"),
-    *[pytest.param(_old_version(version), 5, f"format version {json.dumps(version)}",
+                 "checkpoint {ckpt}: tensor records do not match their checksum", id="flip"),
+    *[pytest.param(_old_version(version), 5,
+                   f"checkpoint {{ckpt}}: unsupported format version {json.dumps(version)}",
                    id=f"version-{version}") for version in (1, 2, True)],
     pytest.param(_ckpt_records(_unused_tensor), 5,
-                 "checkpoint tensors no branch uses: rgb/block0/conv0/bias", id="unused-tensor"),
+                 "checkpoint {ckpt}: tensors no branch uses: rgb/block0/conv0/bias",
+                 id="unused-tensor"),
     pytest.param(_ckpt_records(lambda _, tensors: tensors.update(
                      {"rgb/block0/bn0/running_mean": np.zeros(1, dtype=np.float32)})), 5,
-                 "rgb/block0/bn0/running_mean has shape (1,)", id="buffer-of-another-shape"),
+                 "checkpoint {ckpt}: tensor rgb/block0/bn0/running_mean has shape (1,)",
+                 id="buffer-of-another-shape"),
     *[pytest.param(_ckpt_records(lambda header, _, roles=roles: header.update(
                        role_modalities=roles)), 5,
-                   f"names no modality of role {missing}", id=f"role-without-modality-{missing}")
+                   f"checkpoint {{ckpt}}: role_modalities names no modality of role {missing}",
+                   id=f"role-without-modality-{missing}")
       for roles, missing in (({"rgb": "color"}, "depth"), ({"depth": "height"}, "rgb"))],
     pytest.param(_overflowing, 4, "non-finite values produced by conv2d",
                  id="overflowing-forward"),
@@ -978,25 +1001,27 @@ CHECKPOINT_DEFECTS = [
 
 
 @pytest.mark.parametrize("damage, code, error", CHECKPOINT_DEFECTS)
-@pytest.mark.parametrize("command", ["eval", "infer"])
+@pytest.mark.parametrize("command", ["eval", "infer", "eval-b"])
 def test_checkpoint_defect_writes_nothing(trained, tmp_path, capsys, command, damage, code,
                                           error):
     """A defective copy of the trained run's stage-4 checkpoint exits 5, or
-    4 for a forward that overflows, under eval and infer, names the defect,
-    and leaves nothing under --out (nor infer's --png)."""
+    4 for a forward that overflows, under eval and infer, and as eval's
+    --checkpoint-b beside the intact one, names the defect and the copy
+    (not the intact checkpoint), and leaves nothing under --out (nor
+    infer's --png)."""
     _, out = trained
-    ckpt = tmp_path / "bad.ckpt"
-    damage(out / "checkpoint_stage4.ckpt", ckpt)
+    ckpt, intact = tmp_path / "bad.ckpt", out / "checkpoint_stage4.ckpt"
+    damage(intact, ckpt)
     dest = tmp_path / "o"
-    if command == "eval":
-        args = ["eval", "--manifest", str(out / "dataset" / "manifest.json"),
-                "--out", str(dest)]
-    else:
+    if command == "infer":
         args = ["infer", "--scene", str(out / "dataset" / "scenes" / "scene_005"),
-                "--out", str(dest / "m.mtns"), "--png", str(dest / "m.png")]
-    assert main(args + ["--checkpoint", str(ckpt)]) == code
-    assert error.format(ckpt=ckpt) in capsys.readouterr().err
-    assert not dest.exists()
+                "--out", str(dest / "m.mtns"), "--png", str(dest / "m.png"),
+                "--checkpoint", str(ckpt)]
+    else:
+        args = ["eval", "--manifest", str(out / "dataset" / "manifest.json"),
+                "--out", str(dest), "--checkpoint"]
+        args += [str(intact), "--checkpoint-b", str(ckpt)] if command == "eval-b" else [str(ckpt)]
+    assert str(intact) not in refuses(args, code, capsys, re.escape(error.format(ckpt=ckpt)), dest)
 
 
 class TestThreadCap:
@@ -1049,9 +1074,9 @@ class TestGradCheckCommand:
         for op in ("conv2d", "transposed_conv2d", "maxpool2", "batchnorm", "relu",
                    "sigmoid", "channel_softmax", "weighted_cross_entropy",
                    "hallucination_loss", "composite_loss_single",
-                   "composite_loss_multi", "batchnorm_relu", "batchnorm_infer",
-                   "transposed_conv2d_x8"):
+                   "composite_loss_multi", "batchnorm_infer", "transposed_conv2d_x8"):
             assert sum(1 for l in lines if l.startswith(f"{op} ")) == 1
+        assert lines[-1] == "all gradients verified (13 ops, 1 points each)"
 
     def test_corrupted_gradient_exits_nonzero(self):
         assert main(["grad-check", "--points", "1",

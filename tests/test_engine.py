@@ -53,6 +53,17 @@ class TestConv2d:
         out = conv2d(x, w, t(np.zeros(1)), stride=2, padding=1)
         assert out.data.shape == (1, 1, 2, 2)
 
+    @pytest.mark.parametrize("stride, kernel", [(2, (3, 3)), (3, (1, 1)), (1, (3, 1))],
+                             ids=["stride2", "stride3", "nonsquare"])
+    def test_differentiable_input_only_at_stride_one(self, stride, kernel):
+        # the input gradient is taken at stride 1 with a square kernel
+        # only; the input as data is read at any stride
+        w = t(np.ones((1, 1) + kernel), grad=True)
+        with pytest.raises(ValueError, match=f"got stride {stride} and a "
+                                             f"{kernel[0]}x{kernel[1]} kernel"):
+            conv2d(t(np.ones((1, 1, 6, 6)), grad=True), w, None, stride=stride, padding=0)
+        assert conv2d(t(np.ones((1, 1, 6, 6))), w, None, stride=stride, padding=0).requires_grad
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError):
             conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((1, 3, 3, 3))), None)
@@ -88,11 +99,15 @@ class TestMaxpool:
             maxpool2(t(np.ones((1, 1, 3, 4))))
 
 
+# batchnorm rectifies; at a shift raised by 100 its ReLU never clips
+LIFT = 100.0
+
+
 class TestBatchnorm:
     def test_train_normalizes(self, rng):
         x = t(rng.normal(3.0, 2.0, size=(4, 3, 8, 8)))
         state = BatchNormState(3)
-        out = batchnorm(x, t(np.ones(3)), t(np.zeros(3)), state, "train").data
+        out = batchnorm(x, t(np.ones(3)), t(np.full(3, LIFT)), state, "train").data - LIFT
         assert np.allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-5)
         assert np.allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
 
@@ -106,8 +121,8 @@ class TestBatchnorm:
 
     def test_affine_after_normalization(self, rng):
         x = t(rng.normal(size=(4, 2, 8, 8)))
-        out = batchnorm(x, t(np.full(2, 2.0)), t(np.full(2, 3.0)),
-                        BatchNormState(2), "train").data
+        out = batchnorm(x, t(np.full(2, 2.0)), t(np.full(2, 3.0 + LIFT)),
+                        BatchNormState(2), "train").data - LIFT
         assert np.allclose(out.mean(axis=(0, 2, 3)), 3.0, atol=1e-5)
         assert np.allclose(out.std(axis=(0, 2, 3)), 2.0, atol=1e-2)
 

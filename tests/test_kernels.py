@@ -36,8 +36,9 @@ TOLERANCE = {np.float64: 1e-12, np.float32: 1e-5}
 
 
 def _conv_grads(x, w, stride, padding, dout):
-    """Output, dx and dw of conv2d with upstream gradient `dout`."""
-    xt = Tensor(x, requires_grad=True)
+    """Output, dx and dw of conv2d with upstream gradient `dout`; the input
+    is differentiable at stride 1 only, and dx is None at another stride."""
+    xt = Tensor(x, requires_grad=stride == 1)
     wt = Parameter(w, "w")
     y = conv2d(xt, wt, None, stride=stride, padding=padding)
     backward(tsum(mul(y, Tensor(dout))))
@@ -58,7 +59,10 @@ def _check_conv(rng, n, ci, co, hw, k, stride, padding, dtype):
     dout = rng.normal(size=(n, co, ho, wo)).astype(dtype)
     out, dx, dw = _conv_grads(x, w, stride, padding, dout)
     _assert_close(out, conv_fwd(x, w, stride, padding), dtype)
-    _assert_close(dx, conv_dx(dout, w, stride, padding, hw), dtype)
+    if stride == 1:
+        _assert_close(dx, conv_dx(dout, w, stride, padding, hw), dtype)
+    else:
+        assert dx is None
     _assert_close(dw, conv_dw(dout, x, stride, padding, (k, k)), dtype)
 
 
@@ -183,47 +187,54 @@ def test_relu_gradient_on_signed_zeros():
 UNIT_SHAPES = [(4, 32, 128, 128), (4, 64, 64, 64), (4, 128, 32, 32), (4, 256, 16, 16)]
 
 
-def _bn_run(bn, x, scale, shift, mean, var, dout, mode, fused_relu):
-    """Output, dx, dscale, dshift and running stats of one batchnorm(+ReLU)."""
+# batchnorm rectifies; at a shift raised by LIFT its ReLU never clips
+LIFT = 100.0
+
+
+def _bn_run(bn, x, scale, shift, mean, var, dout, mode):
+    """Output, dx, dscale, dshift and running stats of one batchnorm with
+    ReLU: `batchnorm`, or the reference's followed by its relu."""
     state = BatchNormState(len(scale), dtype=x.dtype)
     state.running_mean, state.running_var = mean.copy(), var.copy()
     xt, st, sh = Tensor(x, requires_grad=True), Parameter(scale, "s"), Parameter(shift, "b")
-    if bn is batchnorm:
-        y = batchnorm(xt, st, sh, state, mode, relu=fused_relu)
-    else:
-        y = bn(xt, st, sh, state, mode)
-        if fused_relu:
-            y = reference_kernels.relu(y)
+    y = bn(xt, st, sh, state, mode)
+    if bn is not batchnorm:
+        y = reference_kernels.relu(y)
     backward(tsum(mul(y, Tensor(dout))))
     return {"out": y.data, "dx": xt.grad, "dscale": st.grad, "dshift": sh.grad,
             "running_mean": state.running_mean, "running_var": state.running_var}
 
 
-@pytest.mark.parametrize("fused_relu", [True, False], ids=["relu", "plain"])
+# "plain": at the shift raised by LIFT every output and gradient is the affine's
+@pytest.mark.parametrize("lift", [0.0, LIFT], ids=["relu", "plain"])
 @pytest.mark.parametrize("mode", ["train", "infer"])
 @pytest.mark.parametrize("shape,offset", [(s, 1.0) for s in UNIT_SHAPES]
                          + [(UNIT_SHAPES[0], 100.0)],
                          ids=[f"{s[1]}ch" for s in UNIT_SHAPES] + ["32ch-mean100std"])
-def test_fused_batchnorm_matches_float64_reference(rng, shape, offset, mode, fused_relu):
+def test_fused_batchnorm_matches_float64_reference(rng, shape, offset, mode, lift):
     n, c, h, w = shape
     std = rng.uniform(0.5, 2.0, size=c)
     mean = offset * std * rng.choice([-1.0, 1.0], size=c)
     x = (rng.normal(size=shape) * std[:, None, None] + mean[:, None, None]).astype(np.float32)
     scale = rng.uniform(0.5, 1.5, size=c).astype(np.float32)
-    shift = rng.normal(scale=0.5, size=c).astype(np.float32)
+    shift = rng.normal(scale=0.5, size=c).astype(np.float32) + np.float32(lift)
     run_mean = (mean + rng.normal(scale=0.1, size=c) * std).astype(np.float32)
     run_var = (std ** 2 * rng.uniform(0.8, 1.2, size=c)).astype(np.float32)
     ref_in = [a.astype(np.float64) for a in (x, scale, shift, run_mean, run_var)]
     dout = rng.normal(size=shape)
-    if fused_relu:
-        # float32 and float64 may disagree on the mask right at the kink
-        pre = _bn_run(reference_kernels.batchnorm, *ref_in, dout, mode, False)["out"]
+    if not lift:
+        # float32 and float64 may disagree on the mask right at the kink;
+        # the pre-activation is the output at the shift raised by LIFT, less LIFT
+        lifted = ref_in[:2] + [ref_in[2] + LIFT] + ref_in[3:]
+        pre = _bn_run(reference_kernels.batchnorm, *lifted, dout, mode)["out"] - LIFT
         dout[np.abs(pre) < 1e-3] = 0.0
-    ref = _bn_run(reference_kernels.batchnorm, *ref_in, dout, mode, fused_relu)
-    got = _bn_run(batchnorm, x, scale, shift, run_mean, run_var,
-                  dout.astype(np.float32), mode, fused_relu)
+    ref = _bn_run(reference_kernels.batchnorm, *ref_in, dout, mode)
+    got = _bn_run(batchnorm, x, scale, shift, run_mean, run_var, dout.astype(np.float32), mode)
+    assert (ref["out"] > 0).all() if lift else (ref["out"] == 0).any()
     for key, want in ref.items():
         assert got[key].dtype == np.float32 and got[key].shape == want.shape, key
+        if key == "out":  # compared about the lift, as the pre-activation
+            got[key], want = got[key] - np.float32(lift), want - lift
         err = np.abs(got[key] - want).max()
         assert err <= 1e-5 * np.abs(want).max(), (key, err)
 
@@ -233,7 +244,7 @@ def test_fused_batchnorm_leaves_inputs_untouched(rng):
     grad = rng.normal(size=x.shape).astype(np.float32)
     xt, before = Tensor(x, requires_grad=True), x.copy()
     y = batchnorm(xt, Parameter(np.ones(3), "s"), Parameter(np.zeros(3), "b"),
-                  BatchNormState(3), "train", relu=True)
+                  BatchNormState(3), "train")
     y.grad = grad
     y._backward(y)
     assert np.array_equal(x, before) and np.array_equal(y.grad, grad)
@@ -275,30 +286,30 @@ def test_fused_cross_entropy_bit_identical_to_chain(rng, k, upstream):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("fused_relu", [True, False])
+@pytest.mark.parametrize("clips", [True, False])
 @pytest.mark.parametrize("mode", ["train", "infer"])
-def test_batchnorm_recompute_bit_identical(rng, mode, fused_relu, dtype):
+def test_batchnorm_recompute_bit_identical(rng, mode, clips, dtype):
     c = 5
     x = (rng.normal(size=(3, c, 6, 7)) * 2 + 40).astype(dtype)
     state = BatchNormState(c, dtype=dtype)
     state.running_mean = rng.normal(40, 1, size=c).astype(dtype)
     state.running_var = rng.uniform(2, 5, size=c).astype(dtype)
     scale = Parameter(rng.uniform(0.5, 2, size=c).astype(dtype), "s")
-    shift = Parameter(rng.normal(size=c).astype(dtype), "b")
-    y = batchnorm(Tensor(x, requires_grad=True), scale, shift, state, mode, relu=fused_relu)
+    shift = Parameter((rng.normal(size=c) + (0.0 if clips else LIFT)).astype(dtype), "b")
+    y = batchnorm(Tensor(x, requires_grad=True), scale, shift, state, mode)
     expected = y.data.copy()
     assert y.recompute().tobytes() == expected.tobytes()
     release(y)
     assert y._data is None
     assert y.data.dtype == dtype and y.data.tobytes() == expected.tobytes()
-    assert (expected == 0).any() == fused_relu
+    assert (expected == 0).any() == clips
 
 
 def test_batchnorm_without_graph_has_no_recompute(rng):
     x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
     y = batchnorm(Tensor(x), Parameter(np.ones(3, np.float32), "s", requires_grad=False),
                   Parameter(np.zeros(3, np.float32), "b", requires_grad=False),
-                  BatchNormState(3), "train", relu=True)
+                  BatchNormState(3), "train")
     held = y.data
     release(y)
     assert y.recompute is None and y.data is held
@@ -322,7 +333,7 @@ STRIDE1_SHAPES = [(32, 32, 128), (32, 64, 64), (64, 64, 64), (64, 128, 32),
 def test_stride1_conv_dx_bit_identical_to_dilated(rng, ci, co, side):
     w = rng.normal(size=(co, ci, 3, 3)).astype(np.float32)
     dout = rng.normal(size=(1, co, side, side)).astype(np.float32)
-    got = functional._conv_dx(dout, w, 1, 1, (side, side))
+    got = functional._conv_dx(dout, w, 1)
     assert got.tobytes() == _conv_dx_dilated(dout, w, 1).tobytes()
 
 
@@ -332,7 +343,7 @@ def test_stride1_conv_dx_bit_identical_at_other_paddings(rng, k, padding, dtype)
     h, wd = 9, 7
     w = rng.normal(size=(4, 3, k, k)).astype(dtype)
     dout = rng.normal(size=(2, 4, h + 2 * padding - k + 1, wd + 2 * padding - k + 1)).astype(dtype)
-    got = functional._conv_dx(dout, w, 1, padding, (h, wd))
+    got = functional._conv_dx(dout, w, padding)
     assert got.shape == (2, 3, h, wd)
     assert got.tobytes() == _conv_dx_dilated(dout, w, padding).tobytes()
 
@@ -352,7 +363,7 @@ def _unit_chain(x, w, scale, shift, state, stride, pool, mode="infer"):
     frozen_ = [Parameter(a, name, requires_grad=False)
                for a, name in ((w, "w"), (scale, "s"), (shift, "b"))]
     y = conv2d(Tensor(x), frozen_[0], None, stride=stride, padding=1)
-    y = batchnorm(y, frozen_[1], frozen_[2], state, mode, relu=True)
+    y = batchnorm(y, frozen_[1], frozen_[2], state, mode)
     return maxpool2(y).data if pool else y.data
 
 

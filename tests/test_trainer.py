@@ -10,7 +10,7 @@ import pytest
 import hallucinet.train as train_mod
 import reference_kernels
 from hallucinet.data import MissingModalityError, PatchSpec
-from hallucinet.engine import Parameter
+from hallucinet.engine import NonFiniteError, Parameter, mul
 from hallucinet.losses import GammaPolicy, calibrate_gamma
 from hallucinet.model import BranchConfig
 from hallucinet.train import (
@@ -46,17 +46,6 @@ class TestClip:
         g = rng.normal(scale=5.0, size=100)
         out = clip_gradients([g], 0.7)[0]
         assert np.abs(out).max() <= 0.7
-
-    def test_threshold_positive(self):
-        with pytest.raises(ValueError):
-            clip_gradients([np.ones(2)], 0.0)
-
-    @pytest.mark.parametrize("threshold", [float("inf"), float("nan")])
-    def test_threshold_finite(self, threshold):
-        g = np.array([3.0, -2.0])
-        with pytest.raises(ValueError, match="clip threshold must be finite and positive"):
-            clip_gradients([g], threshold)
-        assert g.tolist() == [3.0, -2.0]
 
 
 class TestAdam:
@@ -96,17 +85,15 @@ class TestAdam:
                                    np.array([5.0], dtype=np.float32)], state)
         assert set(state.m) == set(state.v) == {"live"}
 
-    def test_non_finite_gradient_rejected(self):
-        p = Parameter(np.array([1.0], dtype=np.float32), "p")
-        with pytest.raises(DivergenceError):
-            adam_step([p], [np.array([np.nan], dtype=np.float32)], AdamState(lr=0.1))
-
     def test_non_finite_gradient_moves_nothing(self):
+        """The optimizer round, adam_step's caller, refuses a non-finite
+        gradient before any parameter or moment moves."""
         a = Parameter(np.array([1.0, -1.0], dtype=np.float32), "a")
         b = Parameter(np.array([2.0], dtype=np.float32), "b")
         c = Parameter(np.array([3.0], dtype=np.float32), "c")
         state = AdamState(lr=0.1)
-        adam_step([a, b], [np.full(2, 0.5, np.float32), np.ones(1, np.float32)], state)
+        a.grad, b.grad = np.full(2, 0.5, np.float32), np.ones(1, np.float32)
+        train_mod._optimizer_round([a, b], state, 1.0)
 
         def snapshot():
             arrays = [a.data, b.data, c.data, *state.m.values(), *state.v.values()]
@@ -114,9 +101,10 @@ class TestAdam:
 
         before = snapshot()
         # a comes before the bad gradient and b after it
-        with pytest.raises(DivergenceError, match="gradient for c$"):
-            adam_step([a, c, b], [np.full(2, 0.5, np.float32), np.array([np.nan], np.float32),
-                                  np.ones(1, np.float32)], state)
+        a.grad, c.grad, b.grad = (np.full(2, 0.5, np.float32), np.array([np.nan], np.float32),
+                                  np.ones(1, np.float32))
+        with pytest.raises(NonFiniteError, match="gradient for c$"):
+            train_mod._optimizer_round([a, c, b], state, 1.0)
         assert snapshot() == before
 
 
@@ -134,13 +122,43 @@ def test_optimizer_round_rejects_non_finite_before_clipping(bad):
 
     before = snapshot()
     p.grad = np.array(bad, dtype=np.float32)
-    with pytest.raises(DivergenceError, match="gradient for p$"):
+    with pytest.raises(NonFiniteError, match="gradient for p$"):
         train_mod._optimizer_round([p], state, 1.0)
     assert snapshot() == before
 
 
 def _float_bits(value: float) -> bytes:
     return np.float64(value).tobytes()
+
+
+def test_gradient_fault_names_the_stage_and_step(tiny_dataset, tiny_config, monkeypatch):
+    """A non-finite gradient stops training as a non-finite forward does:
+    with a DivergenceError naming the stage, the step and the parameter."""
+    opt_round = train_mod._optimizer_round
+
+    def poisoned(params, *args):
+        params[0].grad.flat[0] = np.nan
+        return opt_round(params, *args)
+
+    monkeypatch.setattr(train_mod, "_optimizer_round", poisoned)
+    with pytest.raises(DivergenceError, match="^stage1:rgb diverged at step 0: non-finite "
+                                              "gradient for rgb/block0/conv0/weight$"):
+        run_protocol(tiny_dataset, tiny_config, replace(FAST, stage1_steps=1, stage4_steps=1))
+
+
+def test_calibration_fault_names_stage3(tiny_dataset, tiny_config, monkeypatch):
+    """A non-finite value in stage 3's objective is a DivergenceError of
+    stage3 at its calibration step."""
+    objective = train_mod.composite_loss
+
+    def overflowing(*args, **kwargs):
+        bd = objective(*args, **kwargs)
+        return bd._replace(total=mul(bd.total, np.float32(np.inf)))
+
+    monkeypatch.setattr(train_mod, "composite_loss", overflowing)
+    with pytest.raises(DivergenceError, match="^stage3 diverged at step 0: "
+                                              "non-finite values produced by mul$"):
+        run_protocol(tiny_dataset, tiny_config, replace(FAST, stage1_steps=1, stage4_steps=1))
 
 
 @pytest.mark.parametrize("grads", ["beyond_threshold", "signed_zeros"])
@@ -481,7 +499,8 @@ def test_learning_rate_must_be_finite_and_non_negative(name, lr):
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, float("inf"), float("nan")])
 def test_clip_threshold_must_be_finite_and_positive(threshold):
-    # an infinite threshold would turn clipping off
+    # an infinite threshold would turn clipping off; clip_gradients takes
+    # the threshold of a config, so this is its one check
     with pytest.raises(ValueError, match="train.clip_threshold must be finite and positive"):
         TrainConfig(clip_threshold=threshold)
 
