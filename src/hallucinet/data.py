@@ -9,8 +9,11 @@ Dataset directory layout:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,32 +52,37 @@ def tensor_record(tensor: np.ndarray) -> tuple[bytes, np.ndarray]:
     return header, arr.astype(_DTYPE_CODES[code], copy=False)
 
 
-def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one tensor record; returns (array, offset past the record)."""
-    if blob[offset:offset + 4] != MAGIC:
+def read_record(fh, fill=np.empty, crc: int | None = None) -> tuple[np.ndarray, int | None]:
+    """Read the tensor record at `fh`'s position: its header, then its
+    payload straight into `fill(shape, dtype)`, a C-contiguous array of
+    that shape and dtype (native byte order). Returns the array and, given
+    `crc`, the CRC32 of the record's bytes continued from `crc`."""
+    head = fh.read(7)
+    if head[:4] != MAGIC:
         raise TensorFileError("bad magic bytes")
-    if len(blob) < offset + 7:
+    if len(head) < 7:
         raise TensorFileError("truncated header")
-    version, code, rank = blob[offset + 4], blob[offset + 5], blob[offset + 6]
+    version, code, rank = head[4], head[5], head[6]
     if version != FORMAT_VERSION:
         raise TensorFileError(f"unsupported format version {version}")
     dtype = _DTYPE_CODES.get(code)
     if dtype is None:
         raise TensorFileError(f"unsupported dtype code {code}")
-    pos = offset + 7
-    if len(blob) < pos + 4 * rank:
+    extents = fh.read(4 * rank)
+    if len(extents) < 4 * rank:
         raise TensorFileError("truncated extents")
-    shape = tuple(struct.unpack_from("<I", blob, pos + 4 * i)[0] for i in range(rank))
-    pos += 4 * rank
-    count = 1
-    for e in shape:
-        count *= e
-    nbytes = count * dtype.itemsize
-    if len(blob) < pos + nbytes:
+    shape = struct.unpack(f"<{rank}I", extents)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:  # before `fill` allocates
         raise TensorFileError("truncated payload")
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).reshape(shape)
-    # the one copy: writable, apart from `blob`, in native byte order
-    return arr.astype(dtype.type), pos + nbytes
+    arr = fill(shape, dtype.newbyteorder("="))
+    if fh.readinto(arr) != nbytes:
+        raise TensorFileError("truncated payload")
+    if crc is not None:
+        crc = zlib.crc32(arr, zlib.crc32(extents, zlib.crc32(head, crc)))
+    if sys.byteorder == "big":  # the payload is little-endian
+        arr.byteswap(inplace=True)
+    return arr, crc
 
 
 @contextmanager
@@ -107,11 +115,11 @@ def write_tensor_file(path, tensor: np.ndarray):
 
 
 def read_tensor_file(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
     try:
-        arr, end = tensor_from_bytes(blob)
-        if end != len(blob):
-            raise TensorFileError("trailing bytes after payload")
+        with open(path, "rb") as fh:
+            arr, _ = read_record(fh)
+            if fh.read(1):
+                raise TensorFileError("trailing bytes after payload")
     except TensorFileError as exc:
         raise TensorFileError(f"{path}: {exc}") from None
     return arr

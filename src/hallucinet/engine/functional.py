@@ -275,13 +275,18 @@ def maxpool2(x: Tensor) -> Tensor:
 
 
 class BatchNormState:
-    """Running mean/variance of one batchnorm layer."""
+    """Running mean/variance of one batchnorm layer, 0 and 1 at first,
+    held in `arrays`, a (mean, var) pair of arrays of `channels` values
+    such as views of a branch's store, or in new arrays of `dtype`. Train
+    mode writes them in place."""
 
     momentum, eps = 0.1, 1e-5
 
-    def __init__(self, channels: int, dtype=np.float32):
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+    def __init__(self, channels: int, dtype=np.float32, arrays=None):
+        self.running_mean, self.running_var = arrays or (np.empty(channels, dtype),
+                                                         np.empty(channels, dtype))
+        self.running_mean[...] = 0
+        self.running_var[...] = 1
 
 
 def _normalizer(state: BatchNormState, mode: str, scale: np.ndarray, shift: np.ndarray,
@@ -291,9 +296,9 @@ def _normalizer(state: BatchNormState, mode: str, scale: np.ndarray, shift: np.n
     (x - centre)*a32 + b32, x*a + b taken about the rounded centre for
     precision, with a = scale*inv_std and b = shift - mean*a; centre, a32
     and b32 are (C, 1) in `dtype`. Train mode takes mean and var from the
-    (N, C, P) values `xv` and advances the running averages; infer mode
-    reads them from `state`. When xv is given, centred is xv - centre,
-    written to `out` (which may be xv), else to a new array."""
+    (N, C, P) values `xv` and advances the running averages in place;
+    infer mode reads them from `state`. When xv is given, centred is
+    xv - centre, written to `out` (which may be xv), else to a new array."""
     if mode == "train":
         m = xv.shape[0] * xv.shape[2]
         if m < 2:
@@ -310,8 +315,8 @@ def _normalizer(state: BatchNormState, mode: str, scale: np.ndarray, shift: np.n
     if mode == "train":
         var = np.einsum("ncp,ncp->c", centred, centred) / m - (mean - centre) ** 2
         mom = state.momentum
-        state.running_mean = ((1 - mom) * state.running_mean + mom * mean).astype(state.running_mean.dtype)
-        state.running_var = ((1 - mom) * state.running_var + mom * var).astype(state.running_var.dtype)
+        state.running_mean[...] = (1 - mom) * state.running_mean + mom * mean
+        state.running_var[...] = (1 - mom) * state.running_var + mom * var
     else:
         var = state.running_var.astype(np.float64)
     inv_std = 1.0 / np.sqrt(var + state.eps)

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import build
-from .data import MissingModalityError, atomic_write, tensor_from_bytes, tensor_record
+from .data import MissingModalityError, atomic_write, read_record, tensor_record
 from .engine import (
     BatchNormState,
+    NonFiniteError,
     Parameter,
     Tensor,
     batchnorm,
@@ -105,23 +107,51 @@ class BranchOutput:
     logits: Tensor
 
 
-def _conv_init(rng: np.random.Generator | None, out_ch: int, in_ch: int, k: int) -> np.ndarray:
-    if rng is None:  # an array a `load` fills
-        return np.zeros((out_ch, in_ch, k, k), dtype=np.float32)
-    bound = 1.0 / np.sqrt(in_ch * k * k)
-    return rng.uniform(-bound, bound, size=(out_ch, in_ch, k, k)).astype(np.float32)
+def _conv_init(rng: np.random.Generator | None, weight: np.ndarray) -> np.ndarray:
+    """`weight`, of shape (out, in, k, k), drawn from `rng` in place, or
+    left as it is (zeros that a checkpoint or a `load` fills) when rng is
+    None."""
+    if rng is not None:
+        _, in_ch, k, _ = weight.shape
+        bound = 1.0 / np.sqrt(in_ch * k * k)
+        weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+    return weight
+
+
+def _branch_store(config: BranchConfig, input_channels: int):
+    """A zeroed float32 store for a branch's `tensors()`, and iterators
+    over its views of their shapes in that order: one over the
+    parameters', then one over the batchnorms' running means and variances."""
+    params, stats = [], []
+    ch = input_channels
+    for width, n_convs in config.blocks:
+        for _ in range(n_convs):
+            params += [(width, ch, 3, 3), (width,), (width,)]
+            stats += [(width,), (width,)]
+            ch = width
+    k, up = config.class_count, 2 * config.downsample_factor
+    params += [(k, ch, 1, 1), (k,), (k, k, up, up)]
+    shapes = params + stats
+    sizes = [math.prod(shape) for shape in shapes]
+    store = np.zeros(sum(sizes), dtype=np.float32)
+    views = [part.reshape(shape) for part, shape
+             in zip(np.split(store, np.cumsum(sizes)[:-1]), shapes)]
+    return store, iter(views[:len(params)]), iter(views[len(params):])
 
 
 class _ConvBnRelu:
-    def __init__(self, prefix: str, in_ch: int, out_ch: int, stride: int,
-                 rng: np.random.Generator | None, conv_idx: int):
+    def __init__(self, prefix: str, stride: int, rng: np.random.Generator | None,
+                 conv_idx: int, params, stats):
+        """Weight, scale and shift are the next three views of `params`,
+        the running statistics the next two of `stats` (`_branch_store`)."""
         self.stride = stride
         cname = f"{prefix}/conv{conv_idx}"
         bname = f"{prefix}/bn{conv_idx}"
-        self.weight = Parameter(_conv_init(rng, out_ch, in_ch, 3), f"{cname}/weight")
-        self.scale = Parameter(np.ones(out_ch, dtype=np.float32), f"{bname}/scale")
-        self.shift = Parameter(np.zeros(out_ch, dtype=np.float32), f"{bname}/shift")
-        self.state = BatchNormState(out_ch)
+        self.weight = Parameter(_conv_init(rng, next(params)), f"{cname}/weight")
+        self.scale = Parameter(next(params), f"{bname}/scale")
+        self.scale.data[...] = 1
+        self.shift = Parameter(next(params), f"{bname}/shift")
+        self.state = BatchNormState(len(self.scale.data), arrays=(next(stats), next(stats)))
         self.bn_name = bname
 
     def forward(self, x: Tensor, mode: str, pool: bool) -> Tensor:
@@ -149,30 +179,30 @@ class _ConvBnRelu:
 class BranchNet:
     """One fully convolutional float32 branch with tap and full-resolution
     logits. Its conv weights are drawn from `rng`, or are zeros when `rng`
-    is None: arrays a `load` fills."""
+    is None: arrays a checkpoint or a `load` fills.
+
+    Every array of `tensors()` is a view of `store`, one float32 array
+    that holds them in that order; nothing rebinds them, so training and
+    loading write into the store."""
 
     def __init__(self, config: BranchConfig, input_channels: int, role: str,
                  rng: np.random.Generator | None):
         self.config = config
         self.input_channels = input_channels
         self.role = role
+        self.store, params, stats = _branch_store(config, input_channels)
         self.blocks: list[list[_ConvBnRelu]] = []
-        ch = input_channels
-        for b, (width, n_convs) in enumerate(config.blocks):
+        for b, (_, n_convs) in enumerate(config.blocks):
             units = []
             for i in range(n_convs):
                 stride = config.first_conv_stride if (b == 0 and i == 0) else 1
-                units.append(_ConvBnRelu(f"{role}/block{b}", ch, width, stride, rng, i))
-                ch = width
+                units.append(_ConvBnRelu(f"{role}/block{b}", stride, rng, i, params, stats))
             self.blocks.append(units)
-        self.score_weight = Parameter(_conv_init(rng, config.class_count, ch, 1),
-                                      f"{role}/score/weight")
-        self.score_bias = Parameter(np.zeros(config.class_count, dtype=np.float32),
-                                    f"{role}/score/bias")
-        factor = config.downsample_factor
-        self.upsample_weight = Parameter(
-            bilinear_kernel(config.class_count, 2 * factor),
-            f"{role}/upsample/weight")
+        self.score_weight = Parameter(_conv_init(rng, next(params)), f"{role}/score/weight")
+        self.score_bias = Parameter(next(params), f"{role}/score/bias")
+        self.upsample_weight = Parameter(next(params), f"{role}/upsample/weight")
+        self.upsample_weight.data[...] = bilinear_kernel(config.class_count,
+                                                         2 * config.downsample_factor)
 
     def prefix(self, x, mode: str = "infer") -> Tensor:
         """The tap of input x: the blocks up to the tap depth, the first
@@ -252,18 +282,20 @@ def init_hallucination_from(target: BranchNet, input_channels: int,
     tensors = {f"hal_{name}": arr for name, arr in target.tensors().items()}
     if input_channels != target.input_channels:
         tensors[f"{hal.role}/block0/conv0/weight"] = _conv_init(
-            np.random.default_rng(rng), target.config.blocks[0][0], input_channels, 3)
+            np.random.default_rng(rng), hal.blocks[0][0].weight.data.copy())
     hal.load(tensors)
     return hal
 
 
 @dataclass
 class ModelBundle:
-    """Per-modality branches plus hallucination branches, keyed by role."""
+    """Per-modality branches plus hallucination branches, keyed by role;
+    `source` is the checkpoint file the bundle was loaded from, if any."""
     config: BranchConfig
     branches: dict[str, BranchNet]
     role_modalities: dict[str, str]
     stage: str = "init"
+    source: str | os.PathLike | None = None
 
     def optional_roles(self) -> list[str]:
         """Real branches besides rgb, in roster order (that of `role_modalities`)."""
@@ -307,7 +339,10 @@ def _mmap_threshold(config: BranchConfig, shape) -> int:
     (`parallel.branch_workers`). For a default training batch that is
     4 MiB, so the second block's activations and the logits are mapped
     too; the full 8 MiB left them in the heap and read 2-5% more peak RSS,
-    and a quarter cost 8% in step time (train-single)."""
+    and a quarter cost 8% in step time (train-single). The heap's trim
+    threshold is derived from it (`parallel._malloc_policy`): 16 MiB
+    for two workers at 4 MiB, so the conv band buffers just below it stay
+    in the heap between units."""
     n, _, h, w = shape
     s = config.first_conv_stride
     return n * config.blocks[0][0] * (h // s) * (w // s) * 4 // 2  # float32
@@ -319,7 +354,8 @@ def predict_probs(bundle: ModelBundle, inputs: dict[str, np.ndarray],
 
     The forward runs with every parameter frozen, so it builds no graph.
     Two or more selected branches run as tasks of `parallel.branch_workers`;
-    a lone branch runs on the calling thread with every BLAS thread.
+    a lone branch runs on the calling thread with every BLAS thread. A
+    NonFiniteError of a bundle loaded from a checkpoint names the file.
     """
     selected = select_branches(bundle, availability)
     tasks = []
@@ -328,14 +364,19 @@ def predict_probs(bundle: ModelBundle, inputs: dict[str, np.ndarray],
         if mod not in inputs:
             raise MissingModalityError(f"branch {role} needs modality {mod!r}")
         tasks.append(functools.partial(bundle.branches[role].forward, inputs[mod], "infer"))
-    with frozen(bundle.parameters()):
-        if len(tasks) == 1:
-            outputs = run_in_order(tasks)
-        else:
-            threshold = _mmap_threshold(bundle.config, np.shape(tasks[0].args[0]))
-            with branch_workers(threshold) as run:
-                outputs = run(tasks)
-    return mean_softmax([out.logits for out in outputs])
+    try:
+        with frozen(bundle.parameters()):
+            if len(tasks) == 1:
+                outputs = run_in_order(tasks)
+            else:
+                threshold = _mmap_threshold(bundle.config, np.shape(tasks[0].args[0]))
+                with branch_workers(threshold) as run:
+                    outputs = run(tasks)
+        return mean_softmax([out.logits for out in outputs])
+    except NonFiniteError as exc:
+        if bundle.source is None:
+            raise
+        raise NonFiniteError(f"checkpoint {bundle.source}: {exc}") from exc
 
 
 def predict(bundle: ModelBundle, inputs: dict[str, np.ndarray],
@@ -394,56 +435,81 @@ def _write_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]):
         fh.write(struct.pack("<I", crc))
 
 
-def _read_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and tensor records of a checkpoint file's bytes."""
-    if blob[:4] != CHECKPOINT_MAGIC:
+def load_checkpoint(path) -> ModelBundle:
+    """Rebuild a bundle, each tensor record read straight into its
+    branch's store. Any defect of the file raises CheckpointError naming
+    it: one of the structure first, then of the checksum, then of the
+    content."""
+    try:
+        with open(path, "rb") as fh:
+            bundle = _read_checkpoint(fh)
+    except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
+    bundle.source = path
+    return bundle
+
+
+def _read_checkpoint(fh) -> ModelBundle:
+    head = fh.read(8)
+    if head[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    (hlen,) = struct.unpack_from("<I", blob, 4)
-    header = json.loads(blob[8:8 + hlen].decode("utf-8"))
+    (hlen,) = struct.unpack_from("<I", head, 4)
+    header = json.loads(fh.read(hlen).decode("utf-8"))
     if header.get("format") != "hallucinet-checkpoint":
         raise CheckpointError("not a checkpoint file (bad header)")
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported format version {json.dumps(version)}")
-    start = offset = 8 + hlen
-    tensors: dict[str, np.ndarray] = {}
-    for name in header["tensors"]:
-        arr, offset = tensor_from_bytes(blob, offset)
-        tensors[name] = arr
-    extra = len(blob) - offset - 4
+    names = header["tensors"]
+    # a branch the header cannot build is reported after the checksum and
+    # the branches before it, and so is a record that no branch array of
+    # its shape and dtype takes: such a record is read into a scratch array
+    branches, fault = [], None
+    try:
+        config = build(BranchConfig, header["config"], "config")
+        for meta in header["branches"]:
+            role = meta["role"]
+            branches.append((role, BranchNet(config, int(meta["input_channels"]), role, None)))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        fault = exc
+    arrays = {name: arr for _, branch in branches for name, arr in branch.tensors().items()}
+    records: dict[str, tuple] = {}  # name: (shape, dtype) of each record read
+
+    def into(name, shape, dtype):
+        records[name] = shape, dtype
+        arr = arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            return np.empty(shape, dtype)
+        return arr
+
+    crc = 0
+    for name in names:
+        _, crc = read_record(fh, functools.partial(into, name), crc)
+    extra = os.fstat(fh.fileno()).st_size - fh.tell() - 4
     if extra < 0:
         raise CheckpointError("truncated checksum")
     if extra > 0:
         raise CheckpointError(f"{extra} trailing bytes after the last record")
-    if zlib.crc32(memoryview(blob)[start:offset]) != struct.unpack_from("<I", blob, offset)[0]:
+    if crc != struct.unpack("<I", fh.read(4))[0]:
         raise CheckpointError("tensor records do not match their checksum")
-    return header, tensors
-
-
-def load_checkpoint(path) -> ModelBundle:
-    """Rebuild a bundle; any defect of the file raises CheckpointError naming it."""
-    blob = Path(path).read_bytes()
-    try:
-        return _bundle_from_checkpoint(*_read_checkpoint(blob))
-    except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
-        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
-
-
-def _bundle_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> ModelBundle:
-    config = build(BranchConfig, header["config"], "config")
-    branches: dict[str, BranchNet] = {}
-    for meta in header["branches"]:
-        role = meta["role"]
-        branch = BranchNet(config, int(meta["input_channels"]), role, None)
-        branch.load(tensors)
-        branches[role] = branch
-    if tensors:
-        raise CheckpointError(f"tensors no branch uses: {', '.join(sorted(tensors))}")
+    for _, branch in branches:
+        for name, arr in branch.tensors().items():
+            if name not in records:
+                raise ValueError(f"missing tensor {name}")
+            shape, dtype = records.pop(name)
+            if shape != arr.shape:
+                raise ValueError(f"tensor {name} has shape {shape}, the branch {arr.shape}")
+            if dtype != arr.dtype:
+                raise ValueError(f"tensor {name} is {dtype}, the branch {arr.dtype}")
+    if fault is not None:
+        raise fault
+    if records:
+        raise CheckpointError(f"tensors no branch uses: {', '.join(sorted(records))}")
     # the checksum covers the tensor records only: each branch's modality must resolve
     role_modalities = dict(header["role_modalities"])
-    missing = {"rgb" if r.startswith("hal_") else r for r in branches} - set(role_modalities)
+    missing = {"rgb" if r.startswith("hal_") else r for r, _ in branches} - set(role_modalities)
     if missing:
         raise CheckpointError(f"role_modalities names no modality of role "
                               f"{', '.join(sorted(missing))}")
-    return ModelBundle(config=config, branches=branches, role_modalities=role_modalities,
+    return ModelBundle(config=config, branches=dict(branches), role_modalities=role_modalities,
                        stage=header.get("stage", "init"))

@@ -24,6 +24,14 @@ task still follows no 2-thread GEMM: it starts and runs inside
 `branch_workers`, where every BLAS call, the calling thread's included,
 runs on one thread, so no OpenBLAS thread is left spinning beside it.
 
+The workers share one malloc arena (`_malloc_policy`, glibc only).
+Blocks from the caller's mmap threshold up, the large activations, are
+mapped and returned to the system when freed. The free heap top is kept
+up to workers × (that threshold + one conv band buffer) before it is
+trimmed: each conv unit's band buffer sits just under a 4 MiB threshold,
+so a smaller trim threshold returned it after every unit and faulted it
+in again on the next.
+
 This module owns the BLAS thread count. It reads and sets it through
 the loaded OpenBLAS's own `*get/set_num_threads*`; `limit_blas_threads`
 applies HALLUCINET_THREADS that way. The thread budget is the count the
@@ -48,6 +56,7 @@ from pathlib import Path
 import numpy  # noqa: F401
 
 # glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 
@@ -145,18 +154,33 @@ def limit_blas_threads(threads: int) -> bool:
     return bool(symbols)
 
 
-def _malloc_policy(mmap_threshold: int):
-    """One malloc arena for every thread, and blocks of `mmap_threshold`
-    bytes or more mapped and returned to the system when freed (glibc
-    only; elsewhere nothing changes). glibc cannot read the settings
-    back, so they stay for the rest of the process."""
+@functools.cache
+def _mallopt():
+    """glibc's `mallopt(param, value)`, or None without glibc."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
-        return
+        return None
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _malloc_policy(mmap_threshold: int, workers: int):
+    """One malloc arena for every thread; blocks of `mmap_threshold` bytes
+    or more mapped and returned to the system when freed; and a free heap
+    top kept up to `workers` × (`mmap_threshold` + one conv band buffer,
+    `functional._BAND_BYTES`), what each worker frees at the top between
+    two conv units, rather than returned and faulted in again by the next
+    unit (glibc only; elsewhere nothing changes). glibc cannot read the
+    settings back, so they stay for the rest of the process."""
+    from .engine.functional import _BAND_BYTES  # the engine imports this module
+
+    mallopt = _mallopt()
+    if mallopt is None:
+        return
     mallopt(_M_ARENA_MAX, 1)
     mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
+    mallopt(_M_TRIM_THRESHOLD, workers * (mmap_threshold + _BAND_BYTES))
 
 
 @contextmanager
@@ -168,10 +192,11 @@ def branch_workers(mmap_threshold: int):
     leaving the block waits for it, also when the block raises, so no
     worker outlives it. While the block runs, BLAS is held at one thread
     per worker, and malloc keeps one arena with a fixed mmap threshold
-    (`_malloc_policy`), which should be no larger than the largest
-    activation, so that activations are returned to the system when
-    freed rather than fragmenting the heap the workers share. With a
-    budget of one thread, `run` is `run_in_order` and nothing is changed.
+    and a trim threshold derived from it (`_malloc_policy`). The mmap
+    threshold should be no larger than the largest activation, so that
+    activations are returned to the system when freed rather than
+    fragmenting the heap the workers share. With a budget of one thread,
+    `run` is `run_in_order` and nothing is changed.
     """
     control = _blas_control()
     if control is None:
@@ -181,6 +206,6 @@ def branch_workers(mmap_threshold: int):
         yield run_in_order
         return
     budget, limit = control
-    _malloc_policy(mmap_threshold)
+    _malloc_policy(mmap_threshold, budget)
     with limit(1), ThreadPoolExecutor(budget, thread_name_prefix="branch") as pool:
         yield Workers(pool)

@@ -139,7 +139,7 @@ def adam_step(params: list[Parameter], grads, state: AdamState):
         np.divide(m, corr1, out=step)
         step *= state.lr
         step /= denom
-        p.data = p.data - step
+        np.subtract(p.data, step, out=p.data)  # in place: p.data is a view of its branch's store
 
 
 def _tap_prefix(branch: BranchNet) -> list[Parameter]:

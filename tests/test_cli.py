@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from checkpoint_records import read_records
 
 import hallucinet.model as model_mod
 from hallucinet.cli import main, resolve_config
@@ -941,7 +942,7 @@ def _ckpt_records(edit):
     """A damage that writes the checkpoint again, `edit(header, tensors)`
     applied; the checksum covers the tensor records, not the header."""
     def damage(src, dest):
-        header, tensors = model_mod._read_checkpoint(src.read_bytes())
+        header, tensors = read_records(src)
         edit(header, tensors)
         model_mod._write_checkpoint(dest, header, tensors)
     return damage
@@ -990,12 +991,17 @@ CHECKPOINT_DEFECTS = [
                      {"rgb/block0/bn0/running_mean": np.zeros(1, dtype=np.float32)})), 5,
                  "checkpoint {ckpt}: tensor rgb/block0/bn0/running_mean has shape (1,)",
                  id="buffer-of-another-shape"),
+    pytest.param(_ckpt_records(lambda _, tensors: tensors.update(
+                     {"rgb/block0/bn0/scale": np.arange(
+                         len(tensors["rgb/block0/bn0/scale"]), dtype=np.uint8)})), 5,
+                 "checkpoint {ckpt}: tensor rgb/block0/bn0/scale is uint8, the branch float32",
+                 id="tensor-of-another-dtype"),
     *[pytest.param(_ckpt_records(lambda header, _, roles=roles: header.update(
                        role_modalities=roles)), 5,
                    f"checkpoint {{ckpt}}: role_modalities names no modality of role {missing}",
                    id=f"role-without-modality-{missing}")
       for roles, missing in (({"rgb": "color"}, "depth"), ({"depth": "height"}, "rgb"))],
-    pytest.param(_overflowing, 4, "non-finite values produced by conv2d",
+    pytest.param(_overflowing, 4, "checkpoint {ckpt}: non-finite values produced by conv2d",
                  id="overflowing-forward"),
 ]
 

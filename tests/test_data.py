@@ -83,7 +83,11 @@ class TestTensorFile:
         (lambda blob: blob[:9], "truncated extents"),
         (lambda blob: blob[:20], "truncated payload"),
         (lambda blob: blob + b"x", "trailing bytes after payload"),
-    ], ids=["extents", "payload", "trailing"])
+        (lambda blob: b"XXXX" + blob[4:], "bad magic bytes"),
+        (lambda blob: blob[:6], "truncated header"),
+        (lambda blob: blob[:4] + bytes([9]) + blob[5:], "unsupported format version 9"),
+        (lambda blob: blob[:5] + bytes([7]) + blob[6:], "unsupported dtype code 7"),
+    ], ids=["extents", "payload", "trailing", "magic", "header", "version", "dtype"])
     def test_errors_name_the_file(self, tmp_path, damage, message):
         path = tmp_path / "t.mtns"
         write_tensor_file(path, np.ones((4, 4), dtype=np.float32))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from checkpoint_records import assert_one_store, read_records
 
 from hallucinet.engine import Tensor, channel_softmax, frozen
 from hallucinet.model import (
@@ -390,10 +391,10 @@ class TestHallucinationInit:
         drawn = []
         conv_init = model_mod._conv_init
 
-        def spy(rng, *shape):
+        def spy(rng, weight):
             if rng is not None:
-                drawn.append(shape)
-            return conv_init(rng, *shape)
+                drawn.append(weight.shape[:3])
+            return conv_init(rng, weight)
 
         monkeypatch.setattr(model_mod, "_conv_init", spy)
         init_hallucination_from(depth, channels, 5)
@@ -474,6 +475,57 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+class TestBranchStore:
+    """Every array of a branch's `tensors()` is a view of its one store."""
+
+    @staticmethod
+    def _default_bundle():
+        config = BranchConfig(class_count=4)
+        return _bundle(config, {"rgb": 3, "depth": 1, "hal_depth": 3},
+                       {"rgb": "color", "depth": "height"})
+
+    @pytest.mark.parametrize("blocks", ["tiny", "default"])
+    def test_build(self, tiny_config, blocks):
+        config = tiny_config if blocks == "tiny" else BranchConfig(class_count=4)
+        assert_one_store(build_branch(config, 3, "rgb", 1))
+
+    @pytest.mark.parametrize("channels", [3, 5], ids=["equal", "differ"])
+    def test_hallucination_init(self, tiny_config, channels):
+        assert_one_store(init_hallucination_from(build_branch(tiny_config, 3, "depth", 3),
+                                                 channels, 5))
+
+    def test_load_reads_into_the_store(self, tiny_config, tmp_path):
+        bundle = _bundle(tiny_config, {"rgb": 3, "depth": 1, "hal_depth": 3},
+                         {"rgb": "color", "depth": "height"})
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bundle, path)
+        loaded = load_checkpoint(path)
+        for role, branch in loaded.branches.items():
+            assert_one_store(branch)
+            assert np.array_equal(branch.store, bundle.branches[role].store)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(self._default_bundle(), first, stage="stage4")
+        save_checkpoint(load_checkpoint(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_load_peak_memory_below_the_file_size_and_a_quarter(self, tmp_path):
+        """The records are read straight into the stores: no copy of the
+        file, nor a decoded copy of each tensor, is held beside them."""
+        import tracemalloc
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._default_bundle(), path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
 
 
 class TestPredictBuildsNoGraph:
@@ -565,7 +617,7 @@ class TestCheckpointRobustness:
 
         import hallucinet.model as model_mod
 
-        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        header, tensors = read_records(saved)
         assert header["format_version"] == 3
         # true equals 1 in Python but is no version
         for version in (1, 2, True, 9):
@@ -580,7 +632,7 @@ class TestCheckpointRobustness:
         # the checksum covers the tensor records, not the header's roles
         import hallucinet.model as model_mod
 
-        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        header, tensors = read_records(saved)
         header["role_modalities"] = roles
         model_mod._write_checkpoint(saved, header, tensors)
         with pytest.raises(CheckpointError, match=f"names no modality of role {missing}$"):
@@ -608,7 +660,7 @@ class TestCheckpointRobustness:
     def test_tensor_of_another_shape_rejected(self, saved, name):
         import hallucinet.model as model_mod
 
-        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        header, tensors = read_records(saved)
         tensors[name] = tensors[name][:1]
         model_mod._write_checkpoint(saved, header, tensors)
         with pytest.raises(CheckpointError, match=f"{name} has shape \\(1,\\)"):
@@ -618,7 +670,7 @@ class TestCheckpointRobustness:
     def test_missing_tensor_rejected(self, saved, name):
         import hallucinet.model as model_mod
 
-        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        header, tensors = read_records(saved)
         header["tensors"].remove(name)
         model_mod._write_checkpoint(saved, header, tensors)
         with pytest.raises(CheckpointError, match=f"missing tensor {name}$"):
@@ -627,7 +679,7 @@ class TestCheckpointRobustness:
     def test_unused_tensor_rejected(self, saved):
         import hallucinet.model as model_mod
 
-        header, tensors = model_mod._read_checkpoint(saved.read_bytes())
+        header, tensors = read_records(saved)
         tensors["rgb/block0/extra"] = np.zeros(3, dtype=np.float32)
         header["tensors"].append("rgb/block0/extra")
         model_mod._write_checkpoint(saved, header, tensors)

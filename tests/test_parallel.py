@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from checkpoint_records import assert_one_store
 
 import hallucinet.model as model_mod
 import hallucinet.parallel as parallel
@@ -281,6 +282,27 @@ def test_stage4_failures_name_their_step_and_leave_no_worker(workers, tiny_datas
     assert _branch_threads() == []
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_malloc_policy_keeps_the_heap_top(monkeypatch, workers):
+    """Under branch workers, malloc keeps one arena, maps blocks from the
+    threshold up, and keeps a free heap top of up to each worker's band
+    buffer and one block below the threshold; one thread changes nothing."""
+    from hallucinet.engine.functional import _BAND_BYTES
+
+    calls = []  # a spy mallopt that records each setting
+    monkeypatch.setattr(parallel, "_mallopt",
+                        lambda: lambda param, value: calls.append((param, value)))
+    _budget(monkeypatch, workers)
+    threshold = 4 << 20
+    with parallel.branch_workers(threshold):
+        pass
+    assert calls == ([] if workers == 1 else [
+        (parallel._M_ARENA_MAX, 1), (parallel._M_MMAP_THRESHOLD, threshold),
+        (parallel._M_TRIM_THRESHOLD, workers * (threshold + _BAND_BYTES))])
+    if workers == 2:  # the default batch's, and a 512² window's, threshold
+        assert calls[-1][1] == 16 << 20
+
+
 def test_run_waits_for_every_task_and_raises_the_first_in_order(monkeypatch):
     _budget(monkeypatch, 2)
     finished = []
@@ -339,7 +361,9 @@ def test_protocol_does_not_depend_on_the_worker_count(mode, tiny_dataset, tiny_d
         with monkeypatch.context() as m:
             _budget(m, workers)
             seen = _fit_threads(m)
-            run_protocol(dataset, tiny_config, cfg, out_dir=tmp_path / f"w{workers}")
+            bundle, _ = run_protocol(dataset, tiny_config, cfg, out_dir=tmp_path / f"w{workers}")
+        for branch in bundle.branches.values():  # trained and its statistics moved in place
+            assert_one_store(branch)
         stage1 = {thread for tag, thread in seen["fit"] if tag.startswith("stage1:")}
         if workers == 1:
             assert stage1 == {threading.main_thread()}
@@ -496,7 +520,7 @@ def _predict_roster(config):
         branch = build_branch(config, ch, role, 20 + i)
         for unit in (u for units in branch.blocks for u in units):
             unit.state.momentum = 1.0
-            unit.shift.data = rng.normal(0, 0.2, unit.shift.data.shape).astype(np.float32)
+            unit.shift.data[...] = rng.normal(0, 0.2, unit.shift.data.shape).astype(np.float32)
         branch.forward(rng.random((1, ch, 64, 64), dtype=np.float32), "train")
         branches[role] = branch
     bundle = model_mod.ModelBundle(config, branches,
