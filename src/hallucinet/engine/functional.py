@@ -27,7 +27,9 @@ from .tensor import NonFiniteError, Tensor, _accumulate, check_finite, make_node
 # Small kernels unfold one sample at a time into a column buffer of shape
 # (Ci*kh*kw, rows*Wo), one band of output rows at a time, read straight
 # from the unpadded input, and run one GEMM per band. Bands are sized by
-# _BAND_BYTES, so the buffer does not grow with the image.
+# _BAND_BYTES, so the buffer does not grow with the image. `_conv_dw` sums
+# its GEMMs band by band, so the partition fixes the bits of its gradient:
+# another budget or rows formula changes default-geometry checkpoints.
 
 _BAND_BYTES = 4 << 20  # column buffer budget of one band
 
@@ -45,14 +47,14 @@ def _col_bands(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     k = ci * kh * kw
     rows = max(1, min(ho, _BAND_BYTES // (k * wo * x.dtype.itemsize)))
     buf = np.empty(k * rows * wo, dtype=x.dtype)
+    col_spans = [_dilated_span(v - padding, stride, wo, wd) for v in range(kw)]
     for sample in range(n):
         for r0 in range(0, ho, rows):
             r1 = min(ho, r0 + rows)
             cols = buf[:k * (r1 - r0) * wo].reshape(ci, kh, kw, r1 - r0, wo)
             for u in range(kh):
                 di, si = _dilated_span(stride * r0 + u - padding, stride, r1 - r0, h)
-                for v in range(kw):
-                    dj, sj = _dilated_span(v - padding, stride, wo, wd)
+                for v, (dj, sj) in enumerate(col_spans):
                     tap = cols[:, u, v]
                     np.copyto(tap[:, di, dj], x[sample, :, si, sj])
                     if di.start:

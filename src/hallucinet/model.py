@@ -109,7 +109,7 @@ class BranchOutput:
 
 def _conv_init(rng: np.random.Generator | None, weight: np.ndarray) -> np.ndarray:
     """`weight`, of shape (out, in, k, k), drawn from `rng` in place, or
-    left as it is (zeros that a checkpoint or a `load` fills) when rng is
+    left as it is (zeros that a checkpoint or a copy fills) when rng is
     None."""
     if rng is not None:
         _, in_ch, k, _ = weight.shape
@@ -179,7 +179,7 @@ class _ConvBnRelu:
 class BranchNet:
     """One fully convolutional float32 branch with tap and full-resolution
     logits. Its conv weights are drawn from `rng`, or are zeros when `rng`
-    is None: arrays a checkpoint or a `load` fills.
+    is None: arrays a checkpoint or `init_hallucination_from` fills.
 
     Every array of `tensors()` is a view of `store`, one float32 array
     that holds them in that order; nothing rebinds them, so training and
@@ -253,17 +253,6 @@ class BranchNet:
             out[f"{unit.bn_name}/running_var"] = unit.state.running_var
         return out
 
-    def load(self, tensors: dict[str, np.ndarray]):
-        """Pop each name of `tensors()` from `tensors` and copy its value into
-        the branch's own array; a missing name or another shape raises ValueError."""
-        for name, arr in self.tensors().items():
-            if name not in tensors:
-                raise ValueError(f"missing tensor {name}")
-            value = tensors.pop(name)
-            if value.shape != arr.shape:
-                raise ValueError(f"tensor {name} has shape {value.shape}, the branch {arr.shape}")
-            arr[...] = value
-
 
 def build_branch(config: BranchConfig, input_channels: int, role: str, rng) -> BranchNet:
     """Construct a branch; `rng` is a seed int or a numpy Generator."""
@@ -274,16 +263,19 @@ def init_hallucination_from(target: BranchNet, input_channels: int,
                             rng) -> BranchNet:
     """Copy the target branch into a hallucination branch.
 
-    When the consumed modality's channel count differs from the target's,
-    the first conv is drawn from `rng`, a seed int or a numpy Generator;
-    every other tensor, batchnorm running statistics included, is copied.
+    The first conv weight leads each store (`_branch_store`), and past it
+    the two stores hold the same tensors, batchnorm running statistics
+    included: one slice copies them. The first conv weight is copied too,
+    or drawn from `rng`, a seed int or a numpy Generator, when the consumed
+    modality's channel count differs from the target's.
     """
     hal = BranchNet(target.config, input_channels, f"hal_{target.role}", None)
-    tensors = {f"hal_{name}": arr for name, arr in target.tensors().items()}
-    if input_channels != target.input_channels:
-        tensors[f"{hal.role}/block0/conv0/weight"] = _conv_init(
-            np.random.default_rng(rng), hal.blocks[0][0].weight.data.copy())
-    hal.load(tensors)
+    first, target_first = hal.blocks[0][0].weight.data, target.blocks[0][0].weight.data
+    hal.store[first.size:] = target.store[target_first.size:]
+    if input_channels == target.input_channels:
+        first[...] = target_first
+    else:
+        _conv_init(np.random.default_rng(rng), first)
     return hal
 
 

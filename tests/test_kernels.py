@@ -22,6 +22,7 @@ from hallucinet.engine import (
     tsum,
 )
 from hallucinet.losses import PROB_FLOOR, ClassWeights, _pixel_targets, weighted_cross_entropy
+from hallucinet.model import BranchConfig
 from reference_kernels import (
     conv_dw,
     conv_dx,
@@ -51,6 +52,19 @@ def _assert_close(got, ref, dtype):
     assert np.abs(got - ref).max() <= TOLERANCE[dtype] * scale
 
 
+def _band_rows(monkeypatch, rows, x_shape, k, stride, padding, dtype=np.float32):
+    """Size `_BAND_BYTES` for bands of `rows` output rows of a k x k conv
+    over inputs of `x_shape`, and assert that `_col_bands` cuts them so."""
+    n, ci, h, wd = x_shape
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    itemsize = np.dtype(dtype).itemsize
+    monkeypatch.setattr(functional, "_BAND_BYTES", rows * ci * k * k * wo * itemsize)
+    x = np.broadcast_to(np.zeros((), dtype), x_shape)
+    got = [(r0, r1) for _, r0, r1, _ in functional._col_bands(x, k, k, stride, padding, ho, wo)]
+    assert got == [(r0, min(ho, r0 + rows)) for _ in range(n) for r0 in range(0, ho, rows)]
+
+
 def _check_conv(rng, n, ci, co, hw, k, stride, padding, dtype):
     x = rng.normal(size=(n, ci) + hw).astype(dtype)
     w = rng.normal(size=(co, ci, k, k)).astype(dtype)
@@ -74,11 +88,10 @@ def _check_conv(rng, n, ci, co, hw, k, stride, padding, dtype):
 @pytest.mark.parametrize("k", [1, 3, 4])
 def test_conv_matches_reference(rng, monkeypatch, k, stride, padding, batch, hw, budget):
     ci, co = 3, 5
-    if budget == "two_rows":
-        # bands of at most two output rows, so most shapes end in a short band
-        wo = (hw[1] + 2 * padding - k) // stride + 1
-        monkeypatch.setattr(functional, "_BAND_BYTES", 2 * ci * k * k * wo * 8)
     for dtype in (np.float64, np.float32):
+        if budget == "two_rows":
+            # bands of at most two output rows, so most shapes end in a short band
+            _band_rows(monkeypatch, 2, (batch, ci) + hw, k, stride, padding, dtype)
         _check_conv(rng, batch, ci, co, hw, k, stride, padding, dtype)
 
 
@@ -108,6 +121,50 @@ def test_col_bands_equal_padded_copy_columns(rng, monkeypatch, k, stride, budget
         for (*band, cols), (*ref_band, ref_cols) in zip(got, expected, strict=True):
             assert band == ref_band and cols.shape == ref_cols.shape
             assert cols.tobytes() == ref_cols.tobytes()
+
+
+def _default_branch_convs(channels, side):
+    """(input channels, kernel, input side, stride, padding) of each conv
+    of the default branch over a side x side input, the score head last."""
+    config = BranchConfig(class_count=8)
+    convs, ci = [], channels
+    for b, (width, n_convs) in enumerate(config.blocks):
+        for i in range(n_convs):
+            stride = config.first_conv_stride if b == i == 0 else 1
+            convs.append((ci, 3, side, stride, 1))
+            ci, side = width, side // stride
+        side //= 2
+    return convs + [(ci, 1, side, 1, 0)]
+
+
+# bands per sample of each default-branch conv, for a color (3-channel) and
+# a height (1-channel) input
+@pytest.mark.parametrize("batch, side, counts", [
+    (4, 256, {3: [1, 5, 2, 3, 1, 2, 1, 1, 1], 1: [1, 5, 2, 3, 1, 2, 1, 1, 1]}),
+    (1, 512, {3: [2, 19, 5, 10, 3, 5, 2, 3, 1], 1: [1, 19, 5, 10, 3, 5, 2, 3, 1]}),
+], ids=["train-batch", "eval-scene"])
+def test_default_band_partition(batch, side, counts):
+    """At the 4 MiB budget, `_col_bands` cuts each sample of each conv of
+    the default branch into bands of max(1, min(ho, budget // (k * wo *
+    itemsize))) rows, at the training batch and on an eval scene.
+
+    `_conv_dw` sums its GEMMs band by band, so this partition fixes the
+    bits of every default-geometry weight gradient, and so of the
+    checkpoints. The smoke configs' convs each fit one band, so their
+    checkpoints cannot show another budget or rows formula; this test does.
+    """
+    for channels, want in counts.items():
+        got = []
+        for ci, k, h, stride, padding in _default_branch_convs(channels, side):
+            x = np.broadcast_to(np.float32(0), (batch, ci, h, h))
+            ho = wo = (h + 2 * padding - k) // stride + 1
+            rows = max(1, min(ho, (4 << 20) // (ci * k * k * wo * x.itemsize)))
+            bands = [(r0, r1) for _, r0, r1, _
+                     in functional._col_bands(x, k, k, stride, padding, ho, wo)]
+            assert bands == [(r0, min(ho, r0 + rows))
+                             for _ in range(batch) for r0 in range(0, ho, rows)]
+            got.append(len(bands) // batch)
+        assert got == want
 
 
 def _check_head(rng, n, c, d, hw, stride, k, dtype):
@@ -367,11 +424,6 @@ def _unit_chain(x, w, scale, shift, state, stride, pool, mode="infer"):
     return maxpool2(y).data if pool else y.data
 
 
-def _band_rows(monkeypatch, rows, ci, wo):
-    """Bands of `rows` output rows for a 3x3 conv of ci channels, wo wide."""
-    monkeypatch.setattr(functional, "_BAND_BYTES", rows * ci * 9 * wo * 4)
-
-
 def _twin(state):
     twin = BatchNormState(len(state.running_mean))
     twin.running_mean = state.running_mean.copy()
@@ -401,7 +453,7 @@ def _check_unit_kernel(rng, monkeypatch, mode, widths, stride, batch, pool, band
     before = state.running_mean.copy()
     if bands == "three_rows":
         # bands of 3, 3 and 2 rows: the first ends on an unpaired row, which carries
-        _band_rows(monkeypatch, 3, ci, wo)
+        _band_rows(monkeypatch, 3, x.shape, 3, stride, 1)
     expected = _unit_chain(x, w, scale, shift, chain_state, stride, pool, mode)
     got = functional.conv_bn_relu(x, w, scale, shift, state, mode, stride, 1, pool)
     assert got.shape == expected.shape and got.dtype == np.float32
@@ -437,7 +489,7 @@ def test_conv_unit_kernel_reads_strided_input(rng, monkeypatch):
     x = scene[None, :, 5:37, 2:34]
     w = rng.normal(size=(8, 3, 3, 3)).astype(np.float32)
     state, scale, shift = _unit_state(rng, 8)
-    _band_rows(monkeypatch, 5, 3, 16)
+    _band_rows(monkeypatch, 5, x.shape, 3, 2, 1)
     expected = _unit_chain(np.ascontiguousarray(x), w, scale, shift, state, 2, True)
     got = functional.conv_bn_relu(x, w, scale, shift, state, "infer", 2, 1, True)
     assert got.tobytes() == expected.tobytes()
@@ -456,7 +508,7 @@ def _check_unit_kernel_raises(rng, monkeypatch, mode, case, pool):
     x = rng.normal(size=(2, ci, ho, wo)).astype(np.float32)
     w = rng.normal(size=(co, ci, 3, 3)).astype(np.float32)
     chain_state, scale, shift = _unit_state(rng, co)
-    _band_rows(monkeypatch, 3, ci, wo)
+    _band_rows(monkeypatch, 3, x.shape, 3, 1, 1)
     if case == "nan_input":
         x[1, 1, 5, 2] = np.nan
     elif case == "inf_hidden_by_relu":

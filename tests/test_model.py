@@ -358,6 +358,7 @@ class TestHallucinationInit:
         assert list(dst) == [f"hal_{name}" for name in src]
         for name, arr in src.items():
             assert np.array_equal(arr, dst[f"hal_{name}"]) and arr.dtype == dst[f"hal_{name}"].dtype
+        assert hal.store.tobytes() == depth.store.tobytes()
 
     def test_channel_mismatch_fresh_first_conv(self, tiny_config):
         depth = build_branch(tiny_config, 1, "depth", 3)
@@ -372,6 +373,9 @@ class TestHallucinationInit:
                 assert np.array_equal(dst[f"hal_{name}"], fresh[f"hal_{name}"])
             else:
                 assert np.array_equal(arr, dst[f"hal_{name}"])
+        # past their first conv weights, which lead them, the stores are equal
+        first, depth_first = hal.blocks[0][0].weight.data.size, depth.blocks[0][0].weight.data.size
+        assert hal.store[first:].tobytes() == depth.store[depth_first:].tobytes()
 
     def test_copy_is_independent(self, tiny_config):
         depth = build_branch(tiny_config, 3, "depth", 3)
