@@ -2,7 +2,8 @@
 
 gen-data and train read a JSON config whose schema is the config
 dataclasses themselves (see RunConfig) and write the config that ran
-next to their artifacts. Failures map onto stable exit codes:
+next to their artifacts. Only the commands that read `data.synthetic`
+import `synthetic`, and with it scipy. Failures map onto stable exit codes:
   2 invalid config, 3 I/O failure, 4 non-finite values: a diverged
   training, or a forward that overflows, 5 checkpoint/manifest mismatch,
   6 missing modality.
@@ -17,6 +18,7 @@ import sys
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,8 +36,10 @@ from .model import (
     select_branches,
 )
 from .parallel import limit_blas_threads
-from .synthetic import SyntheticConfig, generate_synthetic
 from .train import DivergenceError, TrainConfig, check_protocol, run_protocol
+
+if TYPE_CHECKING:  # imported where it is used, since it loads scipy
+    from .synthetic import SyntheticConfig
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -78,6 +82,8 @@ def resolve_config(doc) -> RunConfig:
     data = check_keys(doc.get("data", {}), "data", ("manifest", "synthetic"))
     seed, synth = 0, data.get("synthetic")
     if synth is not None:
+        from .synthetic import SyntheticConfig
+
         synth = dict(typed(dict, synth, "data.synthetic"))
         seed = typed(int, synth.pop("seed", 0), "data.synthetic.seed")
         if seed < 0:
@@ -143,6 +149,8 @@ def cmd_gen_data(args) -> int:
     config = load_config(args.config)
     if config.synthetic is None:
         raise ConfigError("gen-data needs a data.synthetic block")
+    from .synthetic import generate_synthetic
+
     out = Path(args.out)
     config.save(config.branch_config(config.synthetic.class_count), out)
     manifest = generate_synthetic(config.seed, config.synthetic, out)
@@ -162,6 +170,8 @@ def cmd_train(args) -> int:
         manifest = load_manifest(config.manifest)
         model_config = config.branch_config(manifest.class_count)
     elif config.synthetic is not None:
+        from .synthetic import generate_synthetic
+
         model_config = config.branch_config(config.synthetic.class_count)
         check_protocol(config.synthetic.modalities, model_config, config.train)
         patch, size = config.train.patch.size, config.synthetic.size

@@ -343,7 +343,7 @@ def extract_patch_grid(height: int, width: int, spec: PatchSpec) -> list[tuple[i
 
 
 def augment(arrays, transform_id: int):
-    """Apply one of the 8 dihedral transforms to each (...,H,W) array.
+    """Views of each (...,H,W) array under one of the 8 dihedral transforms.
 
     ids 0-3: clockwise rotations by 0/90/180/270 degrees; ids 4-7: the
     same rotations after a horizontal flip. A 90-degree rotation maps
@@ -361,7 +361,7 @@ def augment(arrays, transform_id: int):
             a = np.flip(a, axis=-1)
         if rot:
             a = np.rot90(a, k=-rot, axes=(-2, -1))
-        out.append(np.ascontiguousarray(a))
+        out.append(a)
     return out
 
 
@@ -423,17 +423,20 @@ class PatchSampler:
             epoch_idx += 1
             for start in starts:
                 chunk = order[start:start + self.batch_size]
-                mods = {name: [] for name in self.modalities}
-                labs = []
-                for k in chunk:
-                    scene_idx, r, c = self.index[k]
-                    rasters, labels = self.scenes[scene_idx]
-                    sl = (slice(r, r + self.spec.size), slice(c, c + self.spec.size))
-                    stack = [rasters[name][:, sl[0], sl[1]] for name in self.modalities]
-                    stack.append(labels[sl])
-                    stack = augment(stack, ids[tchoice[k]])
-                    for name, arr in zip(self.modalities, stack[:-1]):
-                        mods[name].append(arr)
-                    labs.append(stack[-1])
-                batch = {name: np.stack(arrs) for name, arrs in mods.items()}
-                yield batch, np.stack(labs).astype(np.int64)
+                yield self._batch([(*self.index[k], ids[tchoice[k]]) for k in chunk])
+
+    def _batch(self, patches):
+        """The batch of `patches`, each (scene index, row, col, transform id):
+        every augmented patch is copied once, straight into its slot, so the
+        generator holds nothing of a batch it has yielded."""
+        size, first = self.spec.size, self.scenes[0][0]
+        out = [np.empty((len(patches), first[name].shape[0], size, size), first[name].dtype)
+               for name in self.modalities]
+        out.append(np.empty((len(patches), size, size), np.int64))
+        for i, (scene_idx, r, c, transform_id) in enumerate(patches):
+            rasters, labels = self.scenes[scene_idx]
+            rows, cols = slice(r, r + size), slice(c, c + size)
+            views = [rasters[name][:, rows, cols] for name in self.modalities]
+            for slot, view in zip(out, augment([*views, labels[rows, cols]], transform_id)):
+                slot[i] = view
+        return dict(zip(self.modalities, out)), out[-1]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetManifest, axis_origins, load_scene
+from .data import DatasetManifest, SceneRecord, axis_origins, load_scene
 from .losses import IGNORE_LABEL
 from .model import BranchConfig, ModelBundle, predict, select_branches
 
@@ -227,9 +227,10 @@ def tiled_inference(bundle: ModelBundle, rasters: dict[str, np.ndarray],
     over the scene edge-padded to the downsample factor.
 
     The rasters must share their extent. A scene that fits the forward
-    budget is one window; a larger one runs in the windows of
+    budget is one window, and its map is that of the one `predictor`
+    call, cropped to the scene. A larger one runs in the windows of
     `plan_windows`, each pixel taken from the window where it lies
-    farthest from an edge inside the scene.
+    farthest from an edge inside the scene and stitched into one map.
     """
     extents = {name: arr.shape[-2:] for name, arr in rasters.items()}
     if len(set(extents.values())) > 1:
@@ -245,6 +246,9 @@ def tiled_inference(bundle: ModelBundle, rasters: dict[str, np.ndarray],
     if (hp, wp) != (h, w):
         rasters = {name: np.pad(arr, ((0, 0), (0, hp - h), (0, wp - w)), mode="edge")
                    for name, arr in rasters.items()}
+    if plan.count == 1:
+        inputs = {name: arr[None] for name, arr in rasters.items()}
+        return predictor(inputs, availability)[0, :h, :w]
     wh, ww = plan.window
     out = np.empty((hp, wp), dtype=np.int64)
     for r, r0, r1 in plan.rows:
@@ -268,6 +272,17 @@ def _forced_availability(bundle: ModelBundle, scenario: str,
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
+def _score_scene(conf: ConfusionMatrix, bundle: ModelBundle, manifest: DatasetManifest,
+                 rec: SceneRecord, scenario: str, predictor):
+    """Add one scene's unmasked pixels to `conf`. Its rasters, labels,
+    class map and mask are freed on return, before the next scene is read."""
+    availability = _forced_availability(bundle, scenario, rec.availability)
+    needed = {bundle.input_modality(r) for r in select_branches(bundle, availability)}
+    rasters, labels = load_scene(manifest, rec.scene_id, sorted(needed))
+    pred = tiled_inference(bundle, rasters, availability, predictor)
+    accumulate(conf, pred, labels, boundary_eroded_mask(labels))
+
+
 def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
              scenario: str = "all", tile: int | None = None,
              halo: int | None = None, predictor=None) -> tuple[dict, ConfusionMatrix]:
@@ -287,12 +302,7 @@ def evaluate(bundle: ModelBundle, manifest: DatasetManifest, split: str,
         raise ValueError(f"split {split!r} is empty")
     conf = ConfusionMatrix.zeros(manifest.class_count)
     for rec in records:
-        availability = _forced_availability(bundle, scenario, rec.availability)
-        needed = {bundle.input_modality(r) for r in select_branches(bundle, availability)}
-        rasters, labels = load_scene(manifest, rec.scene_id, sorted(needed))
-        pred = tiled_inference(bundle, rasters, availability, predictor)
-        mask = boundary_eroded_mask(labels)
-        accumulate(conf, pred, labels, mask)
+        _score_scene(conf, bundle, manifest, rec, scenario, predictor)
     return {"mode": f"scenario={scenario} stage={bundle.stage}",
             "class_names": list(manifest.class_names),
             **metrics(conf, manifest.excluded_classes)}, conf

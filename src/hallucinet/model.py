@@ -380,12 +380,15 @@ def predict(bundle: ModelBundle, inputs: dict[str, np.ndarray],
 def ensemble_predict(bundle_a: ModelBundle, bundle_b: ModelBundle,
                      inputs: dict[str, np.ndarray],
                      availability: dict[str, bool]) -> np.ndarray:
-    """Average the two models' softmax probability maps, then argmax."""
+    """Average the two models' softmax probability maps, then argmax; the
+    average is taken in place, in the first model's map."""
     pa = predict_probs(bundle_a, inputs, availability)
     pb = predict_probs(bundle_b, inputs, availability)
     if pa.shape != pb.shape:
         raise ValueError(f"ensemble shape mismatch: {pa.shape} vs {pb.shape}")
-    return ((pa + pb) * 0.5).argmax(axis=1)
+    pa += pb
+    pa *= 0.5
+    return pa.argmax(axis=1)
 
 
 # -- checkpoint io -----------------------------------------------------------

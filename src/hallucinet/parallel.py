@@ -40,7 +40,9 @@ usable cores set it. Inside `branch_workers`, BLAS runs one thread per
 worker; with no OpenBLAS loaded (another BLAS, or not Linux), the tasks
 run one after another, after one warning. numpy loads its BLAS when it is
 imported, and this module imports it, so the libraries are looked up
-once per process.
+once per process. scipy's own OpenBLAS may load after that look, since
+only data generation imports scipy (`synthetic`, for `gaussian_filter`);
+it stays outside this control, and nothing calls it.
 """
 from __future__ import annotations
 

@@ -1,7 +1,10 @@
 """Command-line surface: config resolution, commands, exit codes."""
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -1028,6 +1031,27 @@ def test_checkpoint_defect_writes_nothing(trained, tmp_path, capsys, command, da
                 "--out", str(dest), "--checkpoint"]
         args += [str(intact), "--checkpoint-b", str(ckpt)] if command == "eval-b" else [str(ckpt)]
     assert str(intact) not in refuses(args, code, capsys, re.escape(error.format(ckpt=ckpt)), dest)
+
+
+def test_only_data_generation_loads_scipy(trained, tmp_path):
+    """eval and infer import no scipy; gen-data does, for `synthetic`."""
+    _, out = trained
+    env = {**os.environ, "PYTHONPATH": str(Path(model_mod.__file__).parents[1])}
+    ckpt, dataset = str(out / "checkpoint_stage4.ckpt"), out / "dataset"
+
+    def loads_scipy(*argv) -> bool:
+        code = ("import sys; from hallucinet.cli import main; code = main(sys.argv[1:]); "
+                "print('scipy' in sys.modules); sys.exit(code)")
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        return run.stdout.splitlines()[-1] == "True"
+
+    assert not loads_scipy("eval", "--checkpoint", ckpt, "--manifest",
+                           str(dataset / "manifest.json"), "--out", str(tmp_path / "eval"))
+    assert not loads_scipy("infer", "--checkpoint", ckpt, "--scene",
+                           str(dataset / "scenes" / "scene_005"), "--out", str(tmp_path / "m.mtns"))
+    assert loads_scipy("gen-data", "--config", write_config(tmp_path, TINY_TRAIN),
+                       "--out", str(tmp_path / "data"))
 
 
 class TestThreadCap:

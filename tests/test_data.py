@@ -482,6 +482,41 @@ class TestPatchSampler:
             for k in b1:
                 assert np.array_equal(b1[k], b2[k])
 
+    def test_batch_is_the_stack_of_augmented_patches(self, tiny_dataset):
+        spec = PatchSpec(size=64, overlap=0.5)
+        s = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
+        rng = np.random.default_rng([9, 0])
+        order = rng.permutation(len(s.index))
+        tchoice = rng.integers(0, len(spec.transform_ids()), size=len(s.index))
+        batch, labels = next(s.batches(1, 9))
+        patches = []
+        for k in order[:4]:
+            scene_idx, r, c = s.index[k]
+            rasters, scene_labels = s.scenes[scene_idx]
+            arrays = [rasters[name][:, r:r + 64, c:c + 64] for name in self.MODALITIES]
+            patches.append(augment([*arrays, scene_labels[r:r + 64, c:c + 64]],
+                                   spec.transform_ids()[tchoice[k]]))
+        for i, name in enumerate(self.MODALITIES):
+            want = np.stack([p[i] for p in patches])
+            assert batch[name].dtype == want.dtype and batch[name].tobytes() == want.tobytes()
+        want = np.stack([p[-1] for p in patches]).astype(np.int64)
+        assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
+
+    def test_generator_holds_no_copy_of_a_yielded_batch(self, tiny_dataset):
+        import tracemalloc
+
+        spec = PatchSpec(size=64, overlap=0.5)
+        s = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
+        stream = s.batches(2, 9)
+        tracemalloc.start()
+        try:
+            batch, labels = next(stream)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in batch.values()) + labels.nbytes
+        assert held < size + (16 << 10), (held, size)
+
     def test_epochs_differ(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
         s = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)

@@ -1,6 +1,8 @@
 """Evaluator: erosion oracle, confusion, metrics, tiled inference, routing."""
 import json
+import tracemalloc
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +230,22 @@ class TestTiledInference:
         assert plan_windows(bundle, (192, 192)).count == 16
         assert np.array_equal(tiled_inference(bundle, {"color": raster}, {}), a)
 
+    def test_one_window_allocates_only_its_map(self, single_bundle, rng):
+        raster = rng.random((3, 128, 128), dtype=np.float32)
+        assert plan_windows(single_bundle, (128, 128)).count == 1
+
+        def fresh_map(inputs, availability):
+            return np.ones((1, 128, 128), dtype=np.int64)
+
+        tracemalloc.start()
+        try:
+            out = tiled_inference(single_bundle, {"color": raster}, {}, predictor=fresh_map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no stitch buffer: the predictor's map is the only scene-sized allocation
+        assert peak < out.nbytes + out.nbytes // 8
+
     def test_small_scene_padded(self, single_bundle, rng):
         raster = rng.random((3, 48, 40), dtype=np.float32)
         out = tiled_inference(single_bundle, {"color": raster}, {})
@@ -412,8 +430,6 @@ class TestExactTiling:
         3-branch roster, and 3 of the mode-multi roster's 5. The default
         3-branch bundle is bounded with a band buffer per branch in flight,
         as `forward_bytes_per_pixel` states; the other cases fit in one."""
-        import tracemalloc
-
         control = parallel._blas_control()
         limit = control[1] if control else (lambda n: nullcontext())
         monkeypatch.setattr(parallel, "_blas_control", lambda: (2, limit))
@@ -526,6 +542,23 @@ class TestEvaluate:
         _, plain = evaluate(hal_bundle, tiny_dataset, "test", "1")
         _, ignored = evaluate(hal_bundle, tiny_dataset, "test", "1", tile=64, halo=16)
         assert np.array_equal(plain.counts, ignored.counts)
+
+    def test_peak_holds_one_scene(self, tiny_config, tiny_dataset):
+        """No scene's arrays outlive it: three scenes peak where the first alone does."""
+        rgb = build_branch(tiny_config, 3, "rgb", 4)
+        bundle = ModelBundle(tiny_config, {"rgb": rgb}, {"rgb": "color"})  # one thread
+        records = tiny_dataset.splits["train"][:3]
+        dataset = replace(tiny_dataset, splits={"one": records[:1], "three": records})
+        evaluate(bundle, dataset, "one")  # first-call allocations out of the way
+        peaks = {}
+        for split in ("one", "three"):
+            tracemalloc.start()
+            try:
+                evaluate(bundle, dataset, split)
+                peaks[split] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["three"] <= 1.01 * peaks["one"], peaks
 
     def test_empty_split_rejected(self, tiny_config, tiny_dataset):
         rgb = build_branch(tiny_config, 3, "rgb", 4)

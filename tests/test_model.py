@@ -426,6 +426,27 @@ class TestEnsemble:
         mean = (probs_a + probs_b) / 2
         assert mean.argmax(axis=1).item() == 0  # first index wins ties
 
+    def test_average_in_place_of_the_float32_maps(self, monkeypatch, rng):
+        """The class map of `(pa + pb) * 0.5`, with no map allocated beyond
+        the two and the copy that argmax makes to reduce over the class axis."""
+        import tracemalloc
+
+        import hallucinet.model as model_mod
+
+        maps = {name: rng.random((2, 4, 64, 64), dtype=np.float32) for name in "ab"}
+        maps["b"][:, 1] = maps["a"][:, 2]  # near-ties that a rounding change would move
+        monkeypatch.setattr(model_mod, "predict_probs",
+                            lambda bundle, inputs, availability: maps[bundle].copy())
+        want = ((maps["a"] + maps["b"]) * 0.5).argmax(axis=1)
+        tracemalloc.start()
+        try:
+            got = ensemble_predict("a", "b", {}, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 3 * maps["a"].nbytes + got.nbytes + (16 << 10)
+
     def test_averaged_probs_sum_to_one(self, tiny_config, rng):
         a = _bundle(tiny_config, {"rgb": 3}, {"rgb": "color"}, seed=0)
         b = _bundle(tiny_config, {"rgb": 3}, {"rgb": "color"}, seed=50)
