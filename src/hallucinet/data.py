@@ -52,11 +52,9 @@ def tensor_record(tensor: np.ndarray) -> tuple[bytes, np.ndarray]:
     return header, arr.astype(_DTYPE_CODES[code], copy=False)
 
 
-def read_record(fh, fill=np.empty, crc: int | None = None) -> tuple[np.ndarray, int | None]:
-    """Read the tensor record at `fh`'s position: its header, then its
-    payload straight into `fill(shape, dtype)`, a C-contiguous array of
-    that shape and dtype (native byte order). Returns the array and, given
-    `crc`, the CRC32 of the record's bytes continued from `crc`."""
+def _read_header(fh) -> tuple[bytes, tuple[int, ...], np.dtype]:
+    """Read and check the header of the tensor record at `fh`'s position:
+    its bytes, the tensor's shape and its (little-endian) dtype."""
     head = fh.read(7)
     if head[:4] != MAGIC:
         raise TensorFileError("bad magic bytes")
@@ -71,7 +69,15 @@ def read_record(fh, fill=np.empty, crc: int | None = None) -> tuple[np.ndarray, 
     extents = fh.read(4 * rank)
     if len(extents) < 4 * rank:
         raise TensorFileError("truncated extents")
-    shape = struct.unpack(f"<{rank}I", extents)
+    return head + extents, struct.unpack(f"<{rank}I", extents), dtype
+
+
+def read_record(fh, fill=np.empty, crc: int | None = None) -> tuple[np.ndarray, int | None]:
+    """Read the tensor record at `fh`'s position: its header, then its
+    payload straight into `fill(shape, dtype)`, a C-contiguous array of
+    that shape and dtype (native byte order). Returns the array and, given
+    `crc`, the CRC32 of the record's bytes continued from `crc`."""
+    header, shape, dtype = _read_header(fh)
     nbytes = math.prod(shape) * dtype.itemsize
     if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:  # before `fill` allocates
         raise TensorFileError("truncated payload")
@@ -79,10 +85,40 @@ def read_record(fh, fill=np.empty, crc: int | None = None) -> tuple[np.ndarray, 
     if fh.readinto(arr) != nbytes:
         raise TensorFileError("truncated payload")
     if crc is not None:
-        crc = zlib.crc32(arr, zlib.crc32(extents, zlib.crc32(head, crc)))
+        crc = zlib.crc32(arr, zlib.crc32(header, crc))
     if sys.byteorder == "big":  # the payload is little-endian
         arr.byteswap(inplace=True)
     return arr, crc
+
+
+def read_rows(path, shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the (..., H, W) tensor of `shape` in the tensor
+    file at `path`, read without the rest of its payload: an array of shape
+    (..., stop - start, W) in native byte order. The file is checked as
+    `read_tensor_file` checks it, and must still hold a tensor of `shape`;
+    either fault raises TensorFileError naming the file. Each call opens the
+    file anew, so threads may read one file at once."""
+    try:
+        with open(path, "rb") as fh:
+            _, got, dtype = _read_header(fh)
+            if got != tuple(shape):
+                raise TensorFileError(f"holds a tensor of shape {got}, not {tuple(shape)}")
+            payload = fh.tell()
+            excess = os.fstat(fh.fileno()).st_size - payload - math.prod(shape) * dtype.itemsize
+            if excess:
+                raise TensorFileError("truncated payload" if excess < 0
+                                      else "trailing bytes after payload")
+            *lead, h, w = shape
+            out = np.empty((*lead, stop - start, w), dtype.newbyteorder("="))
+            for i, strip in enumerate(out.reshape(-1, stop - start, w)):  # one per channel
+                fh.seek(payload + (i * h + start) * w * dtype.itemsize)
+                if fh.readinto(strip) != strip.nbytes:
+                    raise TensorFileError("truncated payload")
+    except TensorFileError as exc:
+        raise TensorFileError(f"{path}: {exc}") from None
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
+    return out
 
 
 @contextmanager
@@ -249,19 +285,32 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
+def _check_labels(labels: np.ndarray, path, class_count: int, where: str):
+    """Raise ValueError, its message begun with `where`, unless `labels`
+    (read from `path`) are uint8 class ids below `class_count` or IGNORE_LABEL."""
+    if labels.dtype != np.uint8:
+        raise ValueError(f"{where}: labels {path} are {labels.dtype}, not uint8")
+    stray = labels[(labels >= class_count) & (labels != IGNORE_LABEL)]
+    if stray.size:
+        raise ValueError(f"{where}: label {stray.min()} is neither a class id "
+                         f"below {class_count} nor the ignore label {IGNORE_LABEL}")
+
+
+def _check_finite(raster: np.ndarray, path):
+    """Raise ValueError naming `path` if `raster` holds a NaN or an infinity."""
+    if raster.size and not np.isfinite([raster.min(), raster.max()]).all():  # they carry a NaN
+        raise ValueError(f"modality raster {path} holds "
+                         f"{raster.size - np.count_nonzero(np.isfinite(raster))} non-finite values")
+
+
 def read_labels(manifest: DatasetManifest, scene_id: str) -> np.ndarray:
     """The (H,W) uint8 labels of a scene; every value must be a class id
     below the manifest's class count or IGNORE_LABEL."""
     path = manifest.scene_dir(scene_id) / "labels.mtns"
     labels = read_tensor_file(path)
-    if labels.dtype != np.uint8:
-        raise ValueError(f"scene {scene_id}: labels {path} are {labels.dtype}, not uint8")
-    if labels.ndim != 2:
+    if labels.dtype == np.uint8 and labels.ndim != 2:  # another dtype is refused below
         raise ValueError(f"scene {scene_id}: labels must be (H,W), not of shape {labels.shape}")
-    stray = labels[(labels >= manifest.class_count) & (labels != IGNORE_LABEL)]
-    if stray.size:
-        raise ValueError(f"scene {scene_id}: label {stray.min()} is neither a class id "
-                         f"below {manifest.class_count} nor the ignore label {IGNORE_LABEL}")
+    _check_labels(labels, path, manifest.class_count, f"scene {scene_id}")
     return labels
 
 
@@ -279,9 +328,7 @@ def read_rasters(scene_dir, names) -> dict[str, np.ndarray]:
         if arr.ndim != 3:
             raise ValueError(f"modality raster {path} must be (C,H,W), got shape {arr.shape}")
         rasters[name] = arr = arr.astype(np.float32, copy=False)
-        if arr.size and not np.isfinite([arr.min(), arr.max()]).all():  # min and max carry a NaN
-            raise ValueError(f"modality raster {path} holds "
-                             f"{arr.size - np.count_nonzero(np.isfinite(arr))} non-finite values")
+        _check_finite(arr, path)
     return rasters
 
 
@@ -365,16 +412,34 @@ def augment(arrays, transform_id: int):
     return out
 
 
+@dataclass(frozen=True)
+class _SceneFiles:  # a train scene as the sampler keeps it: its files, no pixels
+    scene_id: str
+    rasters: dict[str, Path]
+    labels: Path
+    extent: tuple[int, int]
+
+
 class PatchSampler:
     """Deterministic minibatch streams over a split, each named by its seed.
 
-    Each scene is read once and held in memory (desk scale); `frequencies`
-    is the pixel frequency per class over the split, ignore pixels
-    excluded. The patch order and the augmentation draw are fully
-    determined by (seed, epoch). A scene that flags one of the sampled
-    modalities unavailable raises MissingModalityError; an empty split,
-    a scene smaller than the patch, malformed labels or rasters, and a
-    split of only ignored pixels raise ValueError.
+    Construction reads each scene once, runs `load_scene`'s checks on it,
+    refuses the split as below and counts `frequencies`, the pixel
+    frequency per class over the split, ignore pixels excluded; it then
+    keeps only each scene's file paths and extent. A batch reads each of
+    its patches from disk: the rows of the patch's window from each
+    sampled raster and from the labels (`read_rows`), re-checked as the
+    window is read. So the sampler holds no pixels, and training holds its
+    batches in flight and one patch's rows, whatever the split's size.
+
+    The patch order and the augmentation draw are fully determined by
+    (seed, epoch). A scene that flags one of the sampled modalities
+    unavailable raises MissingModalityError; an empty split, a scene
+    smaller than the patch, malformed labels or rasters, and a split of
+    only ignored pixels raise ValueError. A file changed after
+    construction raises, naming it, when a batch reads it: TensorFileError
+    if its record is malformed or holds another shape, ValueError if the
+    window holds a NaN or an infinity or a label that is no class id.
     """
 
     def __init__(self, manifest: DatasetManifest, split: str, spec: PatchSpec,
@@ -382,7 +447,9 @@ class PatchSampler:
         self.spec = spec
         self.batch_size = batch_size
         self.modalities = list(modalities)
-        self.scenes = []
+        self.class_count = manifest.class_count
+        self.channels = {name: manifest.modality_channels(name) for name in self.modalities}
+        self.scenes: list[_SceneFiles] = []
         self.index: list[tuple[int, int, int]] = []
         records = manifest.splits.get(split, [])
         if not records:
@@ -393,16 +460,18 @@ class PatchSampler:
                 if rec.availability.get(name) is False:
                     raise MissingModalityError(f"{split} scene {rec.scene_id} flags modality "
                                                f"{name!r} unavailable, and training reads it")
-            rasters, labels = load_scene(manifest, rec.scene_id, self.modalities)
+            _, labels = load_scene(manifest, rec.scene_id, self.modalities)
             if spec.size > min(labels.shape):
                 raise ValueError(f"train.patch.size {spec.size} is larger than {split} scene "
                                  f"{rec.scene_id} ({labels.shape[0]}x{labels.shape[1]})")
             counts += np.bincount(labels[labels != IGNORE_LABEL].astype(np.int64),
                                   minlength=manifest.class_count)
-            scene_idx = len(self.scenes)
-            self.scenes.append((rasters, labels))
+            scene_dir = manifest.scene_dir(rec.scene_id)
             for origin in extract_patch_grid(*labels.shape, spec):
-                self.index.append((scene_idx, *origin))
+                self.index.append((len(self.scenes), *origin))
+            self.scenes.append(_SceneFiles(
+                rec.scene_id, {name: scene_dir / f"{name}.mtns" for name in self.modalities},
+                scene_dir / "labels.mtns", labels.shape))
         total = counts.sum()
         if total == 0:
             raise ValueError(f"split {split!r} contains only ignored pixels")
@@ -410,8 +479,9 @@ class PatchSampler:
 
     def batches(self, steps: int, seed: int):
         """Yield exactly `steps` batches of stream `seed`, each (dict modality
-        -> (B,C,h,w), labels (B,h,w)), crossing epochs as needed: epoch e's
-        patch order and augmentations are drawn from default_rng([seed, e])."""
+        -> (B,C,h,w) float32, labels (B,h,w) uint8), crossing epochs as
+        needed: epoch e's patch order and augmentations are drawn from
+        default_rng([seed, e])."""
         ids = self.spec.transform_ids()
         epoch_idx = 0
         while steps > 0:
@@ -427,16 +497,30 @@ class PatchSampler:
 
     def _batch(self, patches):
         """The batch of `patches`, each (scene index, row, col, transform id):
-        every augmented patch is copied once, straight into its slot, so the
-        generator holds nothing of a batch it has yielded."""
-        size, first = self.spec.size, self.scenes[0][0]
-        out = [np.empty((len(patches), first[name].shape[0], size, size), first[name].dtype)
+        every augmented patch is read and copied once, straight into its
+        slot, so the generator holds nothing of a batch it has yielded."""
+        size = self.spec.size
+        out = [np.empty((len(patches), self.channels[name], size, size), np.float32)
                for name in self.modalities]
-        out.append(np.empty((len(patches), size, size), np.int64))
+        out.append(np.empty((len(patches), size, size), np.uint8))
         for i, (scene_idx, r, c, transform_id) in enumerate(patches):
-            rasters, labels = self.scenes[scene_idx]
-            rows, cols = slice(r, r + size), slice(c, c + size)
-            views = [rasters[name][:, rows, cols] for name in self.modalities]
-            for slot, view in zip(out, augment([*views, labels[rows, cols]], transform_id)):
+            for slot, view in zip(out, augment(self._window(self.scenes[scene_idx], r, c),
+                                               transform_id)):
                 slot[i] = view
         return dict(zip(self.modalities, out)), out[-1]
+
+    def _window(self, scene: _SceneFiles, r: int, c: int) -> list[np.ndarray]:
+        """The patch at (r, c) of `scene`, each sampled raster's then the
+        labels': views of rows [r, r + size) read from disk, cropped to
+        columns [c, c + size) and checked as `load_scene` checks a scene."""
+        size = self.spec.size
+        cols = slice(c, c + size)
+        views = []
+        for name, path in scene.rasters.items():
+            window = read_rows(path, (self.channels[name], *scene.extent), r, r + size)[..., cols]
+            _check_finite(window, path)
+            views.append(window)
+        labels = read_rows(scene.labels, scene.extent, r, r + size)[:, cols]
+        _check_labels(labels, scene.labels, self.class_count,
+                     f"scene {scene.scene_id}: {scene.labels}, window at ({r}, {c})")
+        return [*views, labels]

@@ -371,24 +371,42 @@ def predict_probs(bundle: ModelBundle, inputs: dict[str, np.ndarray],
         raise NonFiniteError(f"checkpoint {bundle.source}: {exc}") from exc
 
 
+def _class_map(probs: np.ndarray) -> np.ndarray:
+    """The (N,H,W) int64 argmax of (N,C,H,W) finite `probs` over the class
+    axis, ties to the lowest class index: a running maximum over each
+    image's class planes, where `probs.argmax(axis=1)` would reduce a
+    contiguous copy of the whole map."""
+    out = np.zeros((len(probs), *probs.shape[2:]), np.int64)
+    best, above = np.empty(out.shape[1:], probs.dtype), np.empty(out.shape[1:], bool)
+    for planes, classes in zip(probs, out):  # contiguous planes: no ufunc buffers
+        np.copyto(best, planes[0])
+        for c in range(1, len(planes)):
+            np.greater(planes[c], best, out=above)
+            np.putmask(classes, above, c)
+            np.maximum(best, planes[c], out=best)
+    return out
+
+
 def predict(bundle: ModelBundle, inputs: dict[str, np.ndarray],
             availability: dict[str, bool]) -> np.ndarray:
     """Per-pixel class map; argmax ties go to the lowest class index."""
-    return predict_probs(bundle, inputs, availability).argmax(axis=1)
+    return _class_map(predict_probs(bundle, inputs, availability))
 
 
 def ensemble_predict(bundle_a: ModelBundle, bundle_b: ModelBundle,
                      inputs: dict[str, np.ndarray],
                      availability: dict[str, bool]) -> np.ndarray:
     """Average the two models' softmax probability maps, then argmax; the
-    average is taken in place, in the first model's map."""
+    average is taken in place, in the first model's map, and the second
+    map is dropped before the argmax."""
     pa = predict_probs(bundle_a, inputs, availability)
     pb = predict_probs(bundle_b, inputs, availability)
     if pa.shape != pb.shape:
         raise ValueError(f"ensemble shape mismatch: {pa.shape} vs {pb.shape}")
     pa += pb
     pa *= 0.5
-    return pa.argmax(axis=1)
+    del pb
+    return _class_map(pa)
 
 
 # -- checkpoint io -----------------------------------------------------------

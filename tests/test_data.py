@@ -3,6 +3,7 @@ and the synthetic generator's guarantees."""
 import itertools
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -464,6 +465,21 @@ class TestSyntheticRenderer:
                 assert got.tobytes() == want.tobytes(), cfg
 
 
+def _nan_at_origins(path, manifest, spec):
+    raster = read_tensor_file(path).copy()
+    for r, c in extract_patch_grid(*raster.shape[1:], spec):
+        raster[0, r, c] = np.nan  # inside every window of the scene
+    write_tensor_file(path, raster)
+
+
+def _truncate(path, manifest, spec):
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _stray_label(path, manifest, spec):
+    write_tensor_file(path, np.full_like(read_tensor_file(path), manifest.class_count))
+
+
 class TestPatchSampler:
     MODALITIES = ["color", "height"]
 
@@ -483,6 +499,8 @@ class TestPatchSampler:
                 assert np.array_equal(b1[k], b2[k])
 
     def test_batch_is_the_stack_of_augmented_patches(self, tiny_dataset):
+        """The batch equals the stack of the augmented windows of whole
+        scenes as `load_scene` reads them; the labels keep their uint8."""
         spec = PatchSpec(size=64, overlap=0.5)
         s = PatchSampler(tiny_dataset, "train", spec, 4, modalities=self.MODALITIES)
         rng = np.random.default_rng([9, 0])
@@ -492,15 +510,39 @@ class TestPatchSampler:
         patches = []
         for k in order[:4]:
             scene_idx, r, c = s.index[k]
-            rasters, scene_labels = s.scenes[scene_idx]
+            rasters, scene_labels = load_scene(tiny_dataset, s.scenes[scene_idx].scene_id,
+                                               self.MODALITIES)
             arrays = [rasters[name][:, r:r + 64, c:c + 64] for name in self.MODALITIES]
             patches.append(augment([*arrays, scene_labels[r:r + 64, c:c + 64]],
                                    spec.transform_ids()[tchoice[k]]))
         for i, name in enumerate(self.MODALITIES):
             want = np.stack([p[i] for p in patches])
             assert batch[name].dtype == want.dtype and batch[name].tobytes() == want.tobytes()
-        want = np.stack([p[-1] for p in patches]).astype(np.int64)
+        want = np.stack([p[-1] for p in patches])
+        assert want.dtype == np.uint8
         assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scenes", [2, 8])
+    def test_holds_no_scene(self, tmp_path, scenes):
+        """Building a sampler over `scenes` scenes and drawing a batch leaves
+        less than one scene's bytes traced beyond the batch, and the peak
+        does not grow with the split."""
+        import tracemalloc
+
+        labels = np.zeros((128, 128), dtype=np.uint8)
+        labels[64:] = 1
+        manifest = _write_dataset(tmp_path, [labels] * scenes)
+        scene = 3 * labels.nbytes * 4 + labels.nbytes  # float32 color and uint8 labels
+        tracemalloc.start()
+        try:
+            s = PatchSampler(manifest, "train", PatchSpec(size=64), 4, ["color"])
+            batch, batch_labels = next(s.batches(1, 9))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = batch["color"].nbytes + batch_labels.nbytes
+        assert held < size + scene, (held, size, scene)
+        assert peak < size + 2 * scene, (peak, size, scene)
 
     def test_generator_holds_no_copy_of_a_yielded_batch(self, tiny_dataset):
         import tracemalloc
@@ -516,6 +558,49 @@ class TestPatchSampler:
             tracemalloc.stop()
         size = sum(a.nbytes for a in batch.values()) + labels.nbytes
         assert held < size + (16 << 10), (held, size)
+
+    def test_threads_draw_the_streams_drawn_in_order(self, tiny_dataset):
+        """Streams drawn at once from more threads than cores, as stage 1's
+        branches draw theirs, are byte-equal to the same streams drawn one
+        after the other."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        s = PatchSampler(tiny_dataset, "train", PatchSpec(size=64), 2, self.MODALITIES)
+        draw = lambda seed: [(b["color"].tobytes(), b["height"].tobytes(), l.tobytes())
+                             for b, l in s.batches(12, seed)]
+        seeds = range(9, 13)
+        in_order = [draw(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                futures = [pool.submit(draw, seed) for seed in seeds]
+                at_once = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert at_once == in_order
+
+    @pytest.mark.parametrize("damage, name, error, match", [
+        (_nan_at_origins, "height", ValueError,
+         r"modality raster \S+/scenes/scene_\d+/height\.mtns holds \d+ non-finite values"),
+        (_truncate, "color", TensorFileError,
+         r"\S+/scenes/scene_\d+/color\.mtns: truncated payload"),
+        (_stray_label, "labels", ValueError,
+         r"\S+/scenes/scene_\d+/labels\.mtns, window at \(\d+, \d+\): label 4 is neither"),
+    ], ids=["nan-in-window", "truncated", "stray-label"])
+    def test_file_changed_after_construction_raises_naming_it(
+            self, tiny_dataset, tmp_path, damage, name, error, match):
+        """Each batch re-reads its windows: a file rewritten after the
+        sampler checked it raises when a batch reads it, naming the file."""
+        shutil.copytree(tiny_dataset.root, tmp_path / "ds")
+        manifest = load_manifest(tmp_path / "ds" / "manifest.json")
+        spec = PatchSpec(size=64)
+        s = PatchSampler(manifest, "train", spec, 2, self.MODALITIES)
+        for scene in s.scenes:
+            damage(manifest.scene_dir(scene.scene_id) / f"{name}.mtns", manifest, spec)
+        with pytest.raises(error, match=match):
+            next(s.batches(1, 9))
 
     def test_epochs_differ(self, tiny_dataset):
         spec = PatchSpec(size=64, overlap=0.5)
