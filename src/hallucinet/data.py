@@ -460,7 +460,7 @@ class PatchSampler:
                 if rec.availability.get(name) is False:
                     raise MissingModalityError(f"{split} scene {rec.scene_id} flags modality "
                                                f"{name!r} unavailable, and training reads it")
-            _, labels = load_scene(manifest, rec.scene_id, self.modalities)
+            labels = load_scene(manifest, rec.scene_id, self.modalities)[1]
             if spec.size > min(labels.shape):
                 raise ValueError(f"train.patch.size {spec.size} is larger than {split} scene "
                                  f"{rec.scene_id} ({labels.shape[0]}x{labels.shape[1]})")

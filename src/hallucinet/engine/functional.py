@@ -1,18 +1,19 @@
 """Network primitives: convolution, pooling, batchnorm, activations, softmax.
 
 Convolutions unfold one sample at a time, a band of output rows at a
-time, into im2col columns of bounded size read from the unpadded input,
-and run one GEMM per band. Three kernels (forward, input-gradient,
-weight-gradient) serve conv2d; the input gradient, taken at stride 1
-only, is itself a forward convolution of the padded output gradient.
-transposed_conv2d, the upsampling head, does not use them: it
-runs as dense GEMMs on the grid of its stride-sized output tiles. Max
-pooling works on the four strided corner views of its windows. A conv
-unit that builds no graph (conv, batchnorm with ReLU, and a block's
-pooling) is one kernel in either batchnorm mode, `conv_bn_relu`, bit for
-bit the output of those ops. It and `batchnorm` share batchnorm's one
-home, `_normalizer` and `_affine_relu`; `channel_softmax`, the fused
-cross-entropy and inference share one softmax, `mean_softmax`.
+time, into im2col columns of bounded size, copied from a window view of
+the band's zero-edged rows, and run one GEMM per band. Three kernels
+(forward, input-gradient, weight-gradient) serve conv2d; the input
+gradient, taken at stride 1 only, is itself a forward convolution of the
+padded output gradient. transposed_conv2d, the upsampling head, does not
+use them: it runs as dense GEMMs on the grid of its stride-sized output
+tiles. Max pooling works on the four strided corner views of its
+windows. A conv unit that builds no graph (conv, batchnorm with ReLU,
+and a block's pooling) is one kernel in either batchnorm mode,
+`conv_bn_relu`, bit for bit the output of those ops. It and `batchnorm`
+share batchnorm's one home, `_normalizer` and `_affine_relu`;
+`channel_softmax`, the fused cross-entropy and inference share one
+softmax, `mean_softmax`.
 """
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ from .tensor import NonFiniteError, Tensor, _accumulate, check_finite, make_node
 # -- raw convolution kernels (no autodiff) --------------------------------
 #
 # Small kernels unfold one sample at a time into a column buffer of shape
-# (Ci*kh*kw, rows*Wo), one band of output rows at a time, read straight
-# from the unpadded input, and run one GEMM per band. Bands are sized by
-# _BAND_BYTES, so the buffer does not grow with the image. `_conv_dw` sums
+# (Ci*kh*kw, rows*Wo), one band of output rows at a time, and run one GEMM
+# per band. Bands are sized by _BAND_BYTES, so the buffer does not grow
+# with the image; their zero-edged rows by 1/128 of it. `_conv_dw` sums
 # its GEMMs band by band, so the partition fixes the bits of its gradient:
 # another budget or rows formula changes default-geometry checkpoints.
 
@@ -40,31 +41,36 @@ def _col_bands(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
 
     cols[(c, u, v), (i - r0) * wo + j] = padded x[sample, c, stride*i + u,
     stride*j + v], zero where the window lies in the padding, so
-    w.reshape(Co, -1) @ cols is that band of the output. One buffer serves
-    every band; a band's cols are only valid until the next one is requested.
+    w.reshape(Co, -1) @ cols is that band of the output, copied a channel
+    group at a time from a window view of the band's zero-edged rows. One
+    buffer serves every band; a band's cols are valid until the next one.
     """
+    if padding < 0:  # a negative padding crops x
+        x, padding = x[:, :, -padding:padding, -padding:padding], 0
     n, ci, h, wd = x.shape
     k = ci * kh * kw
     rows = max(1, min(ho, _BAND_BYTES // (k * wo * x.dtype.itemsize)))
     buf = np.empty(k * rows * wo, dtype=x.dtype)
-    col_spans = [_dilated_span(v - padding, stride, wo, wd) for v in range(kw)]
+    span, width = stride * (rows - 1) + kh, wd + 2 * padding
+    group = max(1, min(ci, (_BAND_BYTES >> 7) // (span * width * x.dtype.itemsize)))
+    padded = np.zeros((group, span, width), dtype=x.dtype)
+    inner = padded[:, :, padding:padding + wd]  # the columns left and right stay zero
+    # win[c, u, v, i, j] = padded[c, stride*i + u, stride*j + v]
+    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    win = win.transpose(0, 3, 4, 1, 2)
     for sample in range(n):
         for r0 in range(0, ho, rows):
             r1 = min(ho, r0 + rows)
             cols = buf[:k * (r1 - r0) * wo].reshape(ci, kh, kw, r1 - r0, wo)
-            for u in range(kh):
-                di, si = _dilated_span(stride * r0 + u - padding, stride, r1 - r0, h)
-                for v, (dj, sj) in enumerate(col_spans):
-                    tap = cols[:, u, v]
-                    np.copyto(tap[:, di, dj], x[sample, :, si, sj])
-                    if di.start:
-                        tap[:, :di.start] = 0
-                    if di.stop < r1 - r0:
-                        tap[:, di.stop:] = 0
-                    if dj.start:
-                        tap[:, di, :dj.start] = 0
-                    if dj.stop < wo:
-                        tap[:, di, dj.stop:] = 0
+            start = stride * r0 - padding  # x's row at the buffer's first
+            end = start + stride * (r1 - r0 - 1) + kh
+            lo, hi = max(0, start), max(0, start, min(h, end))
+            padded[:, :lo - start] = 0  # the rows above and below x, if any
+            padded[:, hi - start:end - start] = 0
+            for c0 in range(0, ci, group):
+                g = min(group, ci - c0)
+                inner[:g, lo - start:hi - start] = x[sample, c0:c0 + g, lo:hi]
+                np.copyto(cols[c0:c0 + g], win[:g, :, :, :r1 - r0, :wo])
             yield sample, r0, r1, cols.reshape(k, (r1 - r0) * wo)
 
 
@@ -89,15 +95,6 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nda
     for sample, r0, r1, cols in _col_bands(x, *w.shape[2:], stride, padding, ho, wo):
         np.matmul(w2, cols, out=out[sample, :, r0 * wo:r1 * wo])
     return out.reshape(n, co, ho, wo)
-
-
-def _dilated_span(offset: int, stride: int, count: int, extent: int) -> tuple[slice, slice]:
-    """Slices placing samples 0..count-1 at offset + stride*i, kept inside [0, extent)."""
-    lo = max(0, -(offset // stride))
-    hi = min(count, (extent - 1 - offset) // stride + 1)
-    if hi <= lo:
-        return slice(0, 0), slice(0, 0)
-    return slice(lo, hi), slice(offset + stride * lo, offset + stride * (hi - 1) + 1, stride)
 
 
 def _conv_dx(dout: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:

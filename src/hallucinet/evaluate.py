@@ -134,9 +134,10 @@ def forward_bytes_per_pixel(config: BranchConfig, branches: int, itemsize: int) 
     moment is the fused head, which holds every branch's logits, their
     mean and the softmax temporaries. The kernels' band buffers come on
     top: each branch in flight holds under `_BAND_BYTES` of im2col columns
-    (`engine.functional`), which do not grow with the window. So a forward
-    over P pixels peaks below this estimate × P + `_BAND_BYTES` × the
-    branches in flight; `plan_windows` budgets the first term alone.
+    and one channel group's zero-edged rows (`engine.functional`), which
+    do not grow with the window's height. So a forward over P pixels
+    peaks below this estimate × P + `_BAND_BYTES` × the branches in
+    flight; `plan_windows` budgets the first term alone.
     """
     widest = 0.0
     channels, area = 0, 1  # area: input pixels per pixel of the current level

@@ -18,9 +18,9 @@ one and two hallucinated modalities, so the roster-driven
 `optimizer_round` is the earlier out-of-place clip and Adam step, so the
 in-place `train._optimizer_round` is checked bit for bit against it.
 
-`col_bands` is the earlier im2col builder, which unfolds a zero-padded
-copy of each sample, so the columns `engine.functional._col_bands` reads
-from the unpadded input are checked bit for bit against it.
+`col_bands` unfolds a zero-padded copy of each whole sample, so the
+columns `engine.functional._col_bands` builds from one channel group's
+padded band rows at a time are checked bit for bit against it.
 """
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view

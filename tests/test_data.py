@@ -544,6 +544,24 @@ class TestPatchSampler:
         assert held < size + scene, (held, size, scene)
         assert peak < size + 2 * scene, (peak, size, scene)
 
+    @pytest.mark.parametrize("scenes", [2, 8])
+    def test_construction_holds_one_scene_at_a_time(self, tmp_path, scenes):
+        """Construction reads each scene whole, one after the other: the
+        previous scene's rasters are gone before the next one is read."""
+        import tracemalloc
+
+        labels = np.zeros((128, 128), dtype=np.uint8)
+        labels[64:] = 1
+        manifest = _write_dataset(tmp_path, [labels] * scenes)
+        scene = 3 * labels.nbytes * 4 + labels.nbytes  # float32 color and uint8 labels
+        tracemalloc.start()
+        try:
+            PatchSampler(manifest, "train", PatchSpec(size=64), 4, ["color"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * scene, (peak, scene)
+
     def test_generator_holds_no_copy_of_a_yielded_batch(self, tiny_dataset):
         import tracemalloc
 

@@ -111,7 +111,7 @@ def test_columns_over_budget_split_into_bands(rng):
 def test_col_bands_equal_padded_copy_columns(rng, monkeypatch, k, stride, budget):
     ci, (h, wd) = 3, (9, 7)
     x = rng.normal(size=(2, ci, h, wd)).astype(np.float32)
-    for padding in range(k):
+    for padding in range(k + 3):  # past k too, where bands lie wholly in the padding
         ho = (h + 2 * padding - k) // stride + 1
         wo = (wd + 2 * padding - k) // stride + 1
         rows = ho if budget == "one_band" else 2
@@ -121,6 +121,21 @@ def test_col_bands_equal_padded_copy_columns(rng, monkeypatch, k, stride, budget
         for (*band, cols), (*ref_band, ref_cols) in zip(got, expected, strict=True):
             assert band == ref_band and cols.shape == ref_cols.shape
             assert cols.tobytes() == ref_cols.tobytes()
+
+
+def test_col_bands_in_channel_groups_equal_padded_copy_columns(rng):
+    """At the default budget, a 3x3 conv of 41 channels over 128^2 cuts into
+    bands of 22 rows, the last of 18, each built in channel groups of 2, the
+    last of 1; the columns equal those of a padded copy of the sample."""
+    ci, side, k = 41, 128, 3
+    x = rng.normal(size=(1, ci, side, side)).astype(np.float32)
+    rows = functional._BAND_BYTES // (ci * k * k * side * x.itemsize)
+    group = (functional._BAND_BYTES >> 7) // ((rows - 1 + k) * (side + 2) * x.itemsize)
+    assert (rows, side % rows, group, ci % group) == (22, 18, 2, 1)
+    got = functional._col_bands(x, k, k, 1, 1, side, side)
+    expected = reference_kernels.col_bands(x, k, k, 1, 1, side, side, rows)
+    for (*band, cols), (*ref_band, ref_cols) in zip(got, expected, strict=True):
+        assert band == ref_band and cols.tobytes() == ref_cols.tobytes()
 
 
 def _default_branch_convs(channels, side):
@@ -165,6 +180,31 @@ def test_default_band_partition(batch, side, counts):
                              for _ in range(batch) for r0 in range(0, ho, rows)]
             got.append(len(bands) // batch)
         assert got == want
+
+
+@pytest.mark.parametrize("side", [256, 512], ids=["train-batch", "eval-scene"])
+def test_col_bands_pad_one_channel_group_at_a_time(side):
+    """Beside its column buffer, `_col_bands` holds one channel group's
+    padded band rows: at most `_BAND_BYTES >> 7`, or one channel's rows
+    where those alone are larger, never a whole band of every channel.
+    16 KiB covers the views and the generator's Python objects."""
+    import tracemalloc
+
+    for ci, k, h, stride, padding in _default_branch_convs(3, side):
+        x = np.zeros((1, ci, h, h), dtype=np.float32)
+        ho = wo = (h + 2 * padding - k) // stride + 1
+        rows = max(1, min(ho, functional._BAND_BYTES // (ci * k * k * wo * x.itemsize)))
+        columns = ci * k * k * rows * wo * x.itemsize
+        channel = (stride * (rows - 1) + k) * (h + 2 * padding) * x.itemsize
+        tracemalloc.start()
+        try:
+            for _ in functional._col_bands(x, k, k, stride, padding, ho, wo):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pad = max(functional._BAND_BYTES >> 7, channel)
+        assert peak < columns + pad + (16 << 10), (ci, h, peak, columns, pad)
 
 
 def _check_head(rng, n, c, d, hw, stride, k, dtype):
@@ -373,10 +413,14 @@ def test_batchnorm_without_graph_has_no_recompute(rng):
 
 
 def _conv_dx_dilated(dout, w, padding):
-    """The stride-1 input gradient through an explicitly zero-padded raster."""
+    """The stride-1 input gradient through an explicitly zero-padded raster,
+    or a cropped one where the padding exceeds k - 1."""
     k = w.shape[-1]
     pad = k - 1 - padding
-    raster = np.pad(dout, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if pad < 0:
+        raster = dout[:, :, -pad:pad, -pad:pad]
+    else:
+        raster = np.pad(dout, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     flipped = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     return functional._conv_fwd(raster, flipped, 1, 0)
 
@@ -394,7 +438,7 @@ def test_stride1_conv_dx_bit_identical_to_dilated(rng, ci, co, side):
     assert got.tobytes() == _conv_dx_dilated(dout, w, 1).tobytes()
 
 
-@pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 2), (5, 2), (4, 1)])
+@pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 2), (5, 2), (4, 1), (1, 1), (3, 3)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_stride1_conv_dx_bit_identical_at_other_paddings(rng, k, padding, dtype):
     h, wd = 9, 7
