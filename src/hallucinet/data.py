@@ -91,10 +91,12 @@ def read_record(fh, fill=np.empty, crc: int | None = None) -> tuple[np.ndarray, 
     return arr, crc
 
 
-def read_rows(path, shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the (..., H, W) tensor of `shape` in the tensor
-    file at `path`, read without the rest of its payload: an array of shape
-    (..., stop - start, W) in native byte order. The file is checked as
+def read_rows(path, shape: tuple[int, ...], start: int, stop: int, first: int,
+              last: int) -> np.ndarray:
+    """Rows [start, stop) and columns [first, last) of the (..., H, W)
+    tensor of `shape` in the tensor file at `path`, read without the rest
+    of its payload: an array of shape (..., stop - start, last - first)
+    in native byte order. The file is checked as
     `read_tensor_file` checks it, and must still hold a tensor of `shape`;
     either fault raises TensorFileError naming the file. Each call opens the
     file anew, so threads may read one file at once."""
@@ -109,11 +111,15 @@ def read_rows(path, shape: tuple[int, ...], start: int, stop: int) -> np.ndarray
                 raise TensorFileError("truncated payload" if excess < 0
                                       else "trailing bytes after payload")
             *lead, h, w = shape
-            out = np.empty((*lead, stop - start, w), dtype.newbyteorder("="))
-            for i, strip in enumerate(out.reshape(-1, stop - start, w)):  # one per channel
-                fh.seek(payload + (i * h + start) * w * dtype.itemsize)
-                if fh.readinto(strip) != strip.nbytes:
-                    raise TensorFileError("truncated payload")
+            out = np.empty((*lead, stop - start, last - first), dtype.newbyteorder("="))
+            # one run per channel if the window spans whole rows, else one per row
+            runs = out.reshape(math.prod(lead), 1 if last - first == w else stop - start, -1)
+            for i, strips in enumerate(runs):
+                for j, run in enumerate(strips):
+                    row = i * h + start + j
+                    fh.seek(payload + (row * w + first) * dtype.itemsize)
+                    if fh.readinto(run) != run.nbytes:
+                        raise TensorFileError("truncated payload")
     except TensorFileError as exc:
         raise TensorFileError(f"{path}: {exc}") from None
     if sys.byteorder == "big":
@@ -427,10 +433,10 @@ class PatchSampler:
     refuses the split as below and counts `frequencies`, the pixel
     frequency per class over the split, ignore pixels excluded; it then
     keeps only each scene's file paths and extent. A batch reads each of
-    its patches from disk: the rows of the patch's window from each
-    sampled raster and from the labels (`read_rows`), re-checked as the
-    window is read. So the sampler holds no pixels, and training holds its
-    batches in flight and one patch's rows, whatever the split's size.
+    its patches from disk: the patch's window of each sampled raster and
+    of the labels (`read_rows`), re-checked as the window is read. So the
+    sampler holds no pixels, and training holds its batches in flight and
+    one patch, whatever the split's size.
 
     The patch order and the augmentation draw are fully determined by
     (seed, epoch). A scene that flags one of the sampled modalities
@@ -511,16 +517,16 @@ class PatchSampler:
 
     def _window(self, scene: _SceneFiles, r: int, c: int) -> list[np.ndarray]:
         """The patch at (r, c) of `scene`, each sampled raster's then the
-        labels': views of rows [r, r + size) read from disk, cropped to
-        columns [c, c + size) and checked as `load_scene` checks a scene."""
+        labels': rows [r, r + size) and columns [c, c + size) read from
+        disk and checked as `load_scene` checks a scene."""
         size = self.spec.size
-        cols = slice(c, c + size)
+        window = (r, r + size, c, c + size)
         views = []
         for name, path in scene.rasters.items():
-            window = read_rows(path, (self.channels[name], *scene.extent), r, r + size)[..., cols]
-            _check_finite(window, path)
-            views.append(window)
-        labels = read_rows(scene.labels, scene.extent, r, r + size)[:, cols]
+            raster = read_rows(path, (self.channels[name], *scene.extent), *window)
+            _check_finite(raster, path)
+            views.append(raster)
+        labels = read_rows(scene.labels, scene.extent, *window)
         _check_labels(labels, scene.labels, self.class_count,
                      f"scene {scene.scene_id}: {scene.labels}, window at ({r}, {c})")
         return [*views, labels]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import NonFiniteError, Tensor, _accumulate, check_finite, make_node
+from .tensor import NonFiniteError, Tensor, _accumulate, check_finite, make_node, release
 
 
 # -- raw convolution kernels (no autodiff) --------------------------------
@@ -126,14 +126,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """Cross-correlation of (N,Ci,H,W) with (Co,Ci,kh,kw) plus bias.
 
     Its input is differentiable at stride 1 with a square kernel only, as
-    in every conv of a branch past its first, which reads the image."""
+    in every conv of a branch past its first, which reads the image.
+
+    A node that records a graph edge can rebuild its output
+    (`Tensor.recompute`) with its own kernel over x and the weight as
+    they are at that read, so the bits are the forward's while the
+    weights have not moved; its backward never reads the output."""
     k_hw = weight.data.shape[2:]
     if x.requires_grad and (stride != 1 or k_hw[0] != k_hw[1]):
         raise ValueError(f"conv2d differentiates its input at stride 1 with a square kernel "
                          f"only, got stride {stride} and a {k_hw[0]}x{k_hw[1]} kernel")
-    data = _conv_fwd(x.data, weight.data, stride, padding)
-    if bias is not None:
-        data = data + bias.data[:, None, None]
+
+    def forward() -> np.ndarray:
+        data = _conv_fwd(x.data, weight.data, stride, padding)
+        return data if bias is None else data + bias.data[:, None, None]
 
     def backw(out):
         if x.requires_grad:
@@ -144,7 +150,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             _accumulate(bias, out.grad.sum(axis=(0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return make_node(data, "conv2d", parents, backw)
+    out = make_node(forward(), "conv2d", parents, backw)
+    if out.requires_grad:
+        out.recompute = forward
+    return out
 
 
 # -- the upsampling head -----------------------------------------------------
@@ -348,7 +357,10 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
     statistics' gradient into dx = a*g + k2*x + k3 with per-channel k2
     and k3 from sum(g) and sum(g*x). A node that records a graph edge
     can also rebuild its output bit for bit from x (`Tensor.recompute`),
-    so the output may be released once the next op has read it.
+    so the output may be released once the next op has read it. Its
+    backward is the last reader of both: it releases its output once it
+    has the mask, before it allocates the masked gradient, and x when it
+    is done.
     """
     n, c, h, w = x.data.shape
     m = n * h * w
@@ -364,7 +376,10 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
 
     def backw(out):
         xv = x.data.reshape(n, c, h * w)
-        g = out.grad.reshape(n, c, h * w) * (out.data.reshape(n, c, h * w) > 0)
+        mask = out.data.reshape(n, c, h * w) > 0
+        release(out)  # the mask was its last read: freed before g is allocated
+        g = out.grad.reshape(n, c, h * w) * mask
+        del mask
         sum_g = np.einsum("ncp->c", g, dtype=np.float64)
         # sum of g * (x - mean), the gradient of scale over inv_std
         sum_gxc = np.einsum("ncp,ncp->c", g, xv, dtype=np.float64) - mean * sum_g
@@ -384,6 +399,7 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, state: BatchNormState,
                     dx[sample] += xv[sample] * k2c
                 dx += k3.astype(dtype)[:, None]
             _accumulate(x, dx.reshape(x.data.shape))
+        release(x)  # no later hook reads the conv output
 
     out = make_node(data.reshape(x.data.shape), "batchnorm", (x, scale, shift), backw)
     if out.requires_grad:

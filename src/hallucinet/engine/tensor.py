@@ -37,7 +37,9 @@ class Tensor:
 
     A tensor given a `recompute` function can be released: its array is
     freed, shape and dtype stay, and the next read of `.data` rebuilds
-    the value, bit for bit, and holds it again.
+    the value and holds it again. The rebuild reads its inputs and
+    weights as they are at that read, so it is the value bit for bit as
+    long as no optimizer step has moved them in between.
     """
 
     __slots__ = ("_data", "_spec", "grad", "requires_grad", "op", "parents",
@@ -125,7 +127,13 @@ def frozen(params):
 
 
 def release(t: Tensor):
-    """Free the array of a tensor that can recompute it; otherwise do nothing."""
+    """Free the array of a tensor that can recompute it; otherwise do nothing.
+
+    The caller vouches that no weight moves before the next read. A
+    train step's forward releases batchnorm outputs, which rebuild from
+    their conv output with the forward's own vectors; of the conv
+    outputs, which read their weight, it releases only a branch's first,
+    and the backward that reads it again runs before the optimizer."""
     if t.recompute is not None and t._data is not None:
         t._spec = (t._data.shape, t._data.dtype)
         t._data = None

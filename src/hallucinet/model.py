@@ -141,10 +141,12 @@ def _branch_store(config: BranchConfig, input_channels: int):
 
 class _ConvBnRelu:
     def __init__(self, prefix: str, stride: int, rng: np.random.Generator | None,
-                 conv_idx: int, params, stats):
+                 conv_idx: int, params, stats, first: bool):
         """Weight, scale and shift are the next three views of `params`,
-        the running statistics the next two of `stats` (`_branch_store`)."""
+        the running statistics the next two of `stats` (`_branch_store`);
+        `first` marks the branch's first unit, which reads its input."""
         self.stride = stride
+        self.first = first
         cname = f"{prefix}/conv{conv_idx}"
         bname = f"{prefix}/bn{conv_idx}"
         self.weight = Parameter(_conv_init(rng, next(params)), f"{cname}/weight")
@@ -162,10 +164,15 @@ class _ConvBnRelu:
                                        self.shift.data, self.state, mode, self.stride, 1, pool),
                           op="conv_bn_relu")
         # no conv bias: batchnorm subtracts the mean, so it would cancel; it
-        # also refuses an unknown mode
+        # also refuses an unknown mode. The conv output is held until its
+        # batchnorm's backward, but the first unit's: the branch's largest
+        # activation, from its cheapest GEMM (the input's few channels), is
+        # recomputed once in backward, before the optimizer moves the weight
         y = conv2d(x, self.weight, None, stride=self.stride, padding=1)
         release(x)  # a previous unit's output: its batchnorm can rebuild it
         out = batchnorm(y, self.scale, self.shift, self.state, mode)
+        if self.first:
+            release(y)
         if not pool:
             return out
         pooled = maxpool2(out)
@@ -195,8 +202,10 @@ class BranchNet:
         for b, (_, n_convs) in enumerate(config.blocks):
             units = []
             for i in range(n_convs):
-                stride = config.first_conv_stride if (b == 0 and i == 0) else 1
-                units.append(_ConvBnRelu(f"{role}/block{b}", stride, rng, i, params, stats))
+                first = b == 0 and i == 0
+                stride = config.first_conv_stride if first else 1
+                units.append(_ConvBnRelu(f"{role}/block{b}", stride, rng, i, params, stats,
+                                         first))
             self.blocks.append(units)
         self.score_weight = Parameter(_conv_init(rng, next(params)), f"{role}/score/weight")
         self.score_bias = Parameter(next(params), f"{role}/score/bias")

@@ -21,6 +21,7 @@ from hallucinet.data import (
     load_manifest,
     load_scene,
     read_rasters,
+    read_rows,
     read_tensor_file,
     write_tensor_file,
 )
@@ -95,6 +96,38 @@ class TestTensorFile:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(TensorFileError, match=f"^{re.escape(str(path))}: {message}$"):
             read_tensor_file(path)
+
+    @pytest.mark.parametrize("shape, window", [
+        ((4, 64, 1024), (0, 16, 0, 64)),
+        ((4, 64, 1024), (40, 64, 960, 1024)),
+        ((4, 64, 1024), (7, 39, 300, 364)),
+        ((4, 64, 1024), (5, 21, 0, 1024)),
+        ((64, 96), (3, 35, 17, 49)),
+    ], ids=["left", "right", "inside", "whole-rows", "labels"])
+    def test_read_rows_window_equals_the_crop(self, tmp_path, rng, shape, window):
+        arr = rng.normal(size=shape).astype(np.float32) if len(shape) == 3 \
+            else rng.integers(0, 256, size=shape).astype(np.uint8)
+        path = tmp_path / "t.mtns"
+        write_tensor_file(path, arr)
+        r0, r1, c0, c1 = window
+        got = read_rows(path, shape, *window)
+        expected = read_tensor_file(path)[..., r0:r1, c0:c1]
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_read_rows_holds_only_the_window(self, tmp_path, rng):
+        import tracemalloc
+
+        arr = rng.normal(size=(4, 64, 1024)).astype(np.float32)
+        path = tmp_path / "t.mtns"
+        write_tensor_file(path, arr)
+        tracemalloc.start()
+        try:
+            window = read_rows(path, arr.shape, 16, 48, 512, 544)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert window.shape == (4, 32, 32)
+        assert peak <= window.nbytes + 16 * 1024, peak
 
 
 class TestAxisOrigins:

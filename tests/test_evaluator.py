@@ -429,7 +429,9 @@ class TestExactTiling:
         """With the selected branches in flight on two workers: 2 of the
         3-branch roster, and 3 of the mode-multi roster's 5. The default
         3-branch bundle is bounded with a band buffer per branch in flight,
-        as `forward_bytes_per_pixel` states; the other cases fit in one."""
+        as `forward_bytes_per_pixel` states; the other cases fit in one.
+        The peak moves with how the workers interleave, so the bound holds
+        the largest of several forwards per case."""
         control = parallel._blas_control()
         limit = control[1] if control else (lambda n: nullcontext())
         monkeypatch.setattr(parallel, "_blas_control", lambda: (2, limit))
@@ -456,14 +458,17 @@ class TestExactTiling:
             scene["ir"] = rng.random((1, side, side), dtype=np.float32)
             inputs = {k: v[None] for k, v in scene.items()}
             for availability in ({"depth": True}, SCENARIO_1):
-                tracemalloc.start()
-                try:
-                    predict_probs(bundle, inputs, availability)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                peaks = []
+                for _ in range(16):
+                    tracemalloc.start()
+                    try:
+                        predict_probs(bundle, inputs, availability)
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
                 per_px = forward_bytes_per_pixel(bundle.config, len(bundle.branches), 4)
-                assert peak <= per_px * side * side + bands * _BAND_BYTES, (side, peak)
+                bound = per_px * side * side + bands * _BAND_BYTES
+                assert max(peaks) <= bound, (side, max(peaks), bound)
 
 
 class TestEvaluate:

@@ -412,6 +412,55 @@ def test_batchnorm_without_graph_has_no_recompute(rng):
     assert y.recompute is None and y.data is held
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci, side, stride, bias", [(3, 64, 2, False), (16, 32, 1, True)])
+def test_conv2d_recompute_bit_identical(rng, ci, side, stride, bias, dtype):
+    """A branch's stride-2 first conv, which reads the batch, and a
+    stride-1 conv whose input is differentiated, here with a bias."""
+    x = Tensor(rng.normal(size=(2, ci, side, side)).astype(dtype), requires_grad=stride == 1)
+    w = Parameter(rng.normal(size=(16, ci, 3, 3)).astype(dtype), "w")
+    b = Parameter(rng.normal(size=16).astype(dtype), "b") if bias else None
+    y = conv2d(x, w, b, stride=stride, padding=1)
+    expected = y.data.copy()
+    release(y)
+    assert y._data is None and y.shape == expected.shape
+    assert y.data.dtype == dtype and y.data.tobytes() == expected.tobytes()
+
+
+def test_conv2d_without_graph_has_no_recompute(rng):
+    x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
+    w = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), "w", requires_grad=False)
+    y = conv2d(x, w, None, padding=1)
+    held = y.data
+    release(y)
+    assert y.recompute is None and y.data is held
+
+
+def test_batchnorm_backward_releases_its_output_then_its_input(rng):
+    """The hook frees its recomputed output before it allocates the masked
+    gradient, so it holds at most two output-sized arrays at once, and
+    releases the conv output it read once it is done."""
+    import tracemalloc
+
+    n, c = 2, 16
+    x = Tensor(rng.random((n, 3, 64, 64), dtype=np.float32))
+    w = Parameter(rng.normal(size=(c, 3, 3, 3)).astype(np.float32), "w")
+    y = conv2d(x, w, None, padding=1)
+    out = batchnorm(y, Parameter(np.ones(c, np.float32), "s"),
+                    Parameter(np.zeros(c, np.float32), "b"), BatchNormState(c), "train")
+    release(out)  # as a unit leaves it: the hook recomputes it for its mask
+    out.grad = rng.normal(size=out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out._backward(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out._data is None and y._data is None
+    assert y.grad.shape == y.shape
+    assert peak <= 2 * out.grad.nbytes, peak / out.grad.nbytes
+
+
 def _conv_dx_dilated(dout, w, padding):
     """The stride-1 input gradient through an explicitly zero-padded raster,
     or a cropped one where the padding exceeds k - 1."""

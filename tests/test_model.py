@@ -229,7 +229,49 @@ class TestTrainForwardMemory:
 
         assert train_step(counting_release) == train_step(lambda t: None)
         units = sum(convs for _, convs in tiny_config.blocks)
-        assert sum(released) == units  # every unit's output, once
+        # every unit's output once, and the first unit's conv output
+        assert sum(released) == units + 1
+
+    def test_default_step_releases_the_first_conv_output(self, rng):
+        """One train step of a default branch on a default batch: after the
+        forward, no first-unit conv output is held, and the backward holds
+        at most the other units' conv outputs, the pooled outputs and four
+        logits-sized arrays (the logits, the loss's product and their
+        gradients), with 1/8 of the first conv output to spare."""
+        import tracemalloc
+
+        from hallucinet.engine import backward, mul, tsum
+        from hallucinet.engine.tensor import topo_order
+
+        cfg = BranchConfig(class_count=4)
+        n, size = 4, 256
+        branch = build_branch(cfg, 3, "rgb", 0)
+        x = rng.random((n, 3, size, size), dtype=np.float32)
+        upstream = rng.normal(size=(n, 4, size, size)).astype(np.float32)
+        units = pools = 0
+        side = size // cfg.first_conv_stride
+        first = n * cfg.blocks[0][0] * side * side * 4
+        for width, convs in cfg.blocks:
+            units += convs * n * width * side * side * 4
+            side //= 2
+            pools += n * width * side * side * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = branch.forward(x, "train")
+            loss = tsum(mul(out.logits, Tensor(upstream)))
+            w0 = branch.blocks[0][0].weight
+            convs0 = [t for t in topo_order(loss)
+                      if t.op == "conv2d" and any(p is w0 for p in t.parents)]
+            assert len(convs0) == 1 and convs0[0]._data is None
+            del out, convs0
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        bound = units - first + pools + 4 * upstream.nbytes + first // 8
+        assert peak <= bound, (peak, bound)
 
 
 class TestFuseLogits:
