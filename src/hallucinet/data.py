@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 import sys
@@ -94,12 +95,13 @@ def read_record(fh, fill=np.empty, crc: int | None = None) -> tuple[np.ndarray, 
 def read_rows(path, shape: tuple[int, ...], start: int, stop: int, first: int,
               last: int) -> np.ndarray:
     """Rows [start, stop) and columns [first, last) of the (..., H, W)
-    tensor of `shape` in the tensor file at `path`, read without the rest
-    of its payload: an array of shape (..., stop - start, last - first)
-    in native byte order. The file is checked as
-    `read_tensor_file` checks it, and must still hold a tensor of `shape`;
-    either fault raises TensorFileError naming the file. Each call opens the
-    file anew, so threads may read one file at once."""
+    tensor of `shape` in the tensor file at `path`: an array of shape
+    (..., stop - start, last - first) in native byte order, copied out of
+    a read-only map of the file, so only the pages that hold the window
+    are read. The file is checked as `read_tensor_file` checks it, and
+    must still hold a tensor of `shape`; either fault raises
+    TensorFileError naming the file. Each call opens the file anew, so
+    threads may read one file at once."""
     try:
         with open(path, "rb") as fh:
             _, got, dtype = _read_header(fh)
@@ -110,20 +112,13 @@ def read_rows(path, shape: tuple[int, ...], start: int, stop: int, first: int,
             if excess:
                 raise TensorFileError("truncated payload" if excess < 0
                                       else "trailing bytes after payload")
-            *lead, h, w = shape
-            out = np.empty((*lead, stop - start, last - first), dtype.newbyteorder("="))
-            # one run per channel if the window spans whole rows, else one per row
-            runs = out.reshape(math.prod(lead), 1 if last - first == w else stop - start, -1)
-            for i, strips in enumerate(runs):
-                for j, run in enumerate(strips):
-                    row = i * h + start + j
-                    fh.seek(payload + (row * w + first) * dtype.itemsize)
-                    if fh.readinto(run) != run.nbytes:
-                        raise TensorFileError("truncated payload")
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+                window = np.ndarray(shape, dtype, mm, payload)[..., start:stop, first:last]
+                out = np.empty(window.shape, dtype.newbyteorder("="))
+                np.copyto(out, window)  # touches only the window's pages
+                del window  # the map closes only once no view holds it
     except TensorFileError as exc:
         raise TensorFileError(f"{path}: {exc}") from None
-    if sys.byteorder == "big":
-        out.byteswap(inplace=True)
     return out
 
 

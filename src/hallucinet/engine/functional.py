@@ -121,6 +121,11 @@ def _conv_dw(dout: np.ndarray, x: np.ndarray, stride: int, padding: int,
 
 # -- differentiable ops ----------------------------------------------------
 
+def _differentiated():
+    raise ValueError("read of a released conv2d output after its backward: "
+                     "a recompute would read weights the optimizer may have moved")
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of (N,Ci,H,W) with (Co,Ci,kh,kw) plus bias.
@@ -131,7 +136,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     A node that records a graph edge can rebuild its output
     (`Tensor.recompute`) with its own kernel over x and the weight as
     they are at that read, so the bits are the forward's while the
-    weights have not moved; its backward never reads the output."""
+    weights have not moved; its backward never reads the output. Once
+    the backward has run, the optimizer may move the weight: the output
+    is then kept if it is held, and a read of it raises ValueError if it
+    was released."""
     k_hw = weight.data.shape[2:]
     if x.requires_grad and (stride != 1 or k_hw[0] != k_hw[1]):
         raise ValueError(f"conv2d differentiates its input at stride 1 with a square kernel "
@@ -148,6 +156,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             _accumulate(weight, _conv_dw(out.grad, x.data, stride, padding, k_hw))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, out.grad.sum(axis=(0, 2, 3)))
+        out.recompute = None if out._data is not None else _differentiated
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = make_node(forward(), "conv2d", parents, backw)

@@ -133,7 +133,8 @@ def release(t: Tensor):
     train step's forward releases batchnorm outputs, which rebuild from
     their conv output with the forward's own vectors; of the conv
     outputs, which read their weight, it releases only a branch's first,
-    and the backward that reads it again runs before the optimizer."""
+    and the backward that reads it again runs before the optimizer. Once
+    its conv's backward has run, a released conv output raises on read."""
     if t.recompute is not None and t._data is not None:
         t._spec = (t._data.shape, t._data.dtype)
         t._data = None

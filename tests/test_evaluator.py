@@ -430,12 +430,14 @@ class TestExactTiling:
         3-branch roster, and 3 of the mode-multi roster's 5. The default
         3-branch bundle is bounded with a band buffer per branch in flight,
         as `forward_bytes_per_pixel` states; the other cases fit in one.
-        The peak moves with how the workers interleave, so the bound holds
-        the largest of several forwards per case."""
+        Where branches run on both workers the peak moves with how they
+        interleave, so the bound holds the largest of several forwards;
+        one branch takes one forward."""
         control = parallel._blas_control()
         limit = control[1] if control else (lambda n: nullcontext())
         monkeypatch.setattr(parallel, "_blas_control", lambda: (2, limit))
         bands = 2 if (blocks, roster) == ("default", 3) else 1
+        forwards = 1 if roster == 1 else 16
         if blocks == "default" and roster == 1:
             cfg = BranchConfig(class_count=4)
             bundle = ModelBundle(cfg, {"rgb": build_branch(cfg, 3, "rgb", 1)},
@@ -459,7 +461,7 @@ class TestExactTiling:
             inputs = {k: v[None] for k, v in scene.items()}
             for availability in ({"depth": True}, SCENARIO_1):
                 peaks = []
-                for _ in range(16):
+                for _ in range(forwards):
                     tracemalloc.start()
                     try:
                         predict_probs(bundle, inputs, availability)

@@ -436,6 +436,24 @@ def test_conv2d_without_graph_has_no_recompute(rng):
     assert y.recompute is None and y.data is held
 
 
+def test_conv2d_output_is_not_rebuilt_after_its_backward(rng):
+    """The optimizer may move the weight once backward has run: a released
+    conv output, and the batchnorm output rebuilt from it, then raise on
+    read, while a held conv output keeps the forward's value."""
+    x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
+    w = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), "w")
+    held = conv2d(x, w, None, padding=1)
+    expected = held.data.copy()
+    y = conv2d(x, w, None, padding=1)
+    out = batchnorm(y, Parameter(np.ones(4, np.float32), "s"),
+                    Parameter(np.zeros(4, np.float32), "b"), BatchNormState(4), "train")
+    backward(tsum(mul(out, out)) + tsum(held))
+    assert held.data.tobytes() == expected.tobytes()
+    for released in (y, out):
+        with pytest.raises(ValueError, match="conv2d output after its backward"):
+            released.data
+
+
 def test_batchnorm_backward_releases_its_output_then_its_input(rng):
     """The hook frees its recomputed output before it allocates the masked
     gradient, so it holds at most two output-sized arrays at once, and
