@@ -139,7 +139,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     weights have not moved; its backward never reads the output. Once
     the backward has run, the optimizer may move the weight: the output
     is then kept if it is held, and a read of it raises ValueError if it
-    was released."""
+    was released.
+
+    The backward takes the weight gradient first, its last read of x,
+    then releases x if x can be recomputed, and only then allocates the
+    input gradient. A later hook that reads x rebuilds it (a batchnorm
+    output's own backward does, for its ReLU mask); after the whole
+    backward, a read of such an x raises ValueError, since the rebuild
+    reaches a conv output released in that backward."""
     k_hw = weight.data.shape[2:]
     if x.requires_grad and (stride != 1 or k_hw[0] != k_hw[1]):
         raise ValueError(f"conv2d differentiates its input at stride 1 with a square kernel "
@@ -150,12 +157,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         return data if bias is None else data + bias.data[:, None, None]
 
     def backw(out):
-        if x.requires_grad:
-            _accumulate(x, _conv_dx(out.grad, weight.data, padding))
         if weight.requires_grad:
             _accumulate(weight, _conv_dw(out.grad, x.data, stride, padding, k_hw))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, out.grad.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            release(x)  # dw was this hook's last read of x: freed before dx is allocated
+            _accumulate(x, _conv_dx(out.grad, weight.data, padding))
         out.recompute = None if out._data is not None else _differentiated
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -504,14 +512,55 @@ def relu(x: Tensor) -> Tensor:
     return make_node(np.maximum(x.data, 0), "relu", (x,), backw)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one fresh array."""
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+# Training uses sigmoid_mse, which fuses it; checks.py and perfbench/probes.py look it up by name.
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _sigmoid(x.data)
 
     def backw(out):
         if x.requires_grad:
             _accumulate(x, out.grad * s * (1.0 - s))
 
     return make_node(s, "sigmoid", (x,), backw)
+
+
+def sigmoid_mse(target: Tensor, hal: Tensor) -> Tensor:
+    """mean((sigmoid(target) - sigmoid(hal))**2) as one node. The target
+    is read as a constant (stop-gradient): the gradient reaches hal only.
+
+    The value and hal's gradient must equal, bit for bit, those of the op
+    chain sigmoid -> mul(-1) -> add -> mul -> tmean over the detached
+    target (tests/reference_kernels.py), so that checkpoints and logged
+    losses do not depend on which one ran. The node keeps no array: its
+    backward rebuilds both sigmoids from the taps.
+    """
+    if target.shape != hal.shape:
+        raise ValueError(f"tap shape mismatch: {target.shape} vs {hal.shape}")
+    sq = _sigmoid(target.data)
+    sq -= _sigmoid(hal.data)  # a + (-b) rounds as a - b
+    sq *= sq
+    n = sq.size
+    value = np.asarray(sq.mean(), dtype=sq.dtype)
+
+    def backw(out):
+        s = _sigmoid(hal.data)
+        g = _sigmoid(target.data)
+        g -= s
+        g *= np.asarray(out.grad / n, dtype=g.dtype)  # tmean's gradient times the difference
+        g += g  # the square's two equal terms
+        np.negative(g, out=g)  # mul(-1)
+        g *= s  # sigmoid's backward: (g * s) * (1 - s)
+        g *= np.subtract(1.0, s, out=s)
+        _accumulate(hal, g)
+
+    return make_node(value, "sigmoid_mse", (hal,), backw)
 
 
 def channel_softmax(x: Tensor) -> Tensor:
@@ -574,29 +623,29 @@ def softmax_nll(logits: list[Tensor], flat_index: np.ndarray, pixel_w: np.ndarra
     log -> mul -> tsum -> mul (tests/reference_kernels.py), so that
     checkpoints and logged losses do not depend on which one ran: the
     mean is ((a + b) + c) * (1/k) in the dtype, and each step rounds as
-    in that chain. The node keeps the label-channel probability and the
-    floor mask; backward rebuilds the softmax from the logits, bit for
-    bit, and turns it into the logits' gradient, the same array for
-    every input.
+    in that chain. The node keeps no array: backward rebuilds the
+    softmax from the logits, bit for bit, takes the label-channel
+    probability and the floor mask from it, and turns it into the
+    logits' gradient, the same array for every input.
     """
     dtype = logits[0].dtype
-    p_l = mean_softmax(logits).take(flat_index)
-    mask = p_l > floor
-    terms = np.maximum(p_l, floor)
+    terms = mean_softmax(logits).take(flat_index)
+    np.maximum(terms, floor, out=terms)
     np.log(terms, out=terms)
     terms *= pixel_w
     scale = np.asarray(scale, dtype=dtype)
     value = np.asarray(terms.sum(), dtype=dtype) * scale
 
     def backw(out):
+        p = mean_softmax(logits)
+        p_l = p.take(flat_index)
         g = out.grad * scale * pixel_w
         g /= np.maximum(p_l, floor)
-        g *= mask
+        g *= p_l > floor
         # inner is the channel sum of g * p, nonzero only at the label;
         # adding the other channels' exact zeros turns a -0 into +0
         inner = g * p_l + 0
         label = p_l * (g - inner)
-        p = mean_softmax(logits)
         dx = np.multiply(p, np.subtract(0, inner)[:, None], out=p)
         np.put(dx, flat_index, label)
         if len(logits) > 1:

@@ -133,8 +133,13 @@ def release(t: Tensor):
     train step's forward releases batchnorm outputs, which rebuild from
     their conv output with the forward's own vectors; of the conv
     outputs, which read their weight, it releases only a branch's first,
-    and the backward that reads it again runs before the optimizer. Once
-    its conv's backward has run, a released conv output raises on read."""
+    and the backward that reads it again runs before the optimizer. In
+    the backward, each hook frees what no later hook reads before it
+    allocates: conv2d's its input once it has the weight gradient,
+    batchnorm's its output once it has the ReLU mask and its conv output
+    when it is done, and `backward` each node once its hook has run.
+    Once its conv's backward has run, a released conv output raises on
+    read, and so does anything rebuilt from it."""
     if t.recompute is not None and t._data is not None:
         t._spec = (t._data.shape, t._data.dtype)
         t._data = None
@@ -225,6 +230,7 @@ def tsum(a: Tensor) -> Tensor:
     return make_node(np.asarray(a.data.sum(), dtype=a.dtype), "sum", (a,), backward)
 
 
+# Unused by the program (sigmoid_mse fuses it); perfbench/probes.py looks it up by name.
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
 

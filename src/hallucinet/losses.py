@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Tensor, mul, sigmoid, softmax_nll, tmean
+from .engine import Tensor, mul, sigmoid_mse, softmax_nll
 
 IGNORE_LABEL = 255
 PROB_FLOOR = 1e-12
@@ -83,15 +83,13 @@ def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, weights: ClassWei
 
 
 def hallucination_loss(tap_target: Tensor, tap_hal: Tensor) -> Tensor:
-    """Mean squared difference of sigmoid-squashed taps.
+    """Mean squared difference of sigmoid-squashed taps, one engine node
+    (`sigmoid_mse`) that keeps no array between forward and backward.
 
-    The target tap is detached: gradient reaches the hallucination branch
-    only (the target features are not adapted by this term).
+    The target tap is a constant: gradient reaches the hallucination
+    branch only (the target features are not adapted by this term).
     """
-    if tap_target.shape != tap_hal.shape:
-        raise ValueError(f"tap shape mismatch: {tap_target.shape} vs {tap_hal.shape}")
-    diff = sigmoid(tap_target.detach()) - sigmoid(tap_hal)
-    return tmean(mul(diff, diff))
+    return sigmoid_mse(tap_target, tap_hal)
 
 
 class LossBreakdown(NamedTuple):

@@ -9,11 +9,13 @@ batchnorm kernels are checked against them.
 
 `cross_entropy_chain` is the earlier weighted cross-entropy, a chain of
 eight engine ops, written out in numpy node by node, so the fused
-`softmax_nll` op is checked bit for bit against it.
+`softmax_nll` op is checked bit for bit against it. `mimicry_chain` is
+the earlier mimicry term, a chain of five engine ops built node by
+node, so the fused `sigmoid_mse` op is checked bit for bit against it.
 
 The two composite objectives are the earlier hand-written rosters for
-one and two hallucinated modalities, so the roster-driven
-`losses.composite_loss` is checked against them.
+one and two hallucinated modalities over those two chains, so the
+roster-driven `losses.composite_loss` is checked against them.
 
 `optimizer_round` is the earlier out-of-place clip and Adam step, so the
 in-place `train._optimizer_round` is checked bit for bit against it.
@@ -25,8 +27,9 @@ padded band rows at a time are checked bit for bit against it.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hallucinet.engine.tensor import _accumulate, add, make_node, mul
-from hallucinet.losses import fuse_logits, hallucination_loss, weighted_cross_entropy
+from hallucinet.engine import sigmoid
+from hallucinet.engine.tensor import _accumulate, add, make_node, mul, tmean
+from hallucinet.losses import fuse_logits, weighted_cross_entropy
 
 
 def _pad(x, padding):
@@ -212,6 +215,13 @@ def cross_entropy_chain(logits, labels, class_weights, upstream=1.0,
     return value, [dx] * k
 
 
+def mimicry_chain(tap_target, tap_hal):
+    """The earlier mimicry term: sigmoid of each tap, the target's
+    detached, then mul(-1), add, mul and tmean, one engine node each."""
+    diff = add(sigmoid(tap_target.detach()), mul(sigmoid(tap_hal), -1.0))
+    return tmean(mul(diff, diff))
+
+
 # Term names of the two objectives below -> names in `losses.composite_loss`;
 # names not listed are the same in both.
 SINGLE_NAMES = {"hallucinate": "hallucinate_depth", "hal": "hal_depth",
@@ -238,7 +248,7 @@ def composite_loss_single(outputs, labels, weights, gamma):
         return weighted_cross_entropy(logits, labels, weights)
 
     terms = {
-        "hallucinate": hallucination_loss(depth.tap, hal.tap),
+        "hallucinate": mimicry_chain(depth.tap, hal.tap),
         "depth": ce(depth.logits),
         "rgb": ce(rgb.logits),
         "hal": ce(hal.logits),
@@ -257,8 +267,8 @@ def composite_loss_multi(outputs, labels, weights, gamma):
         return weighted_cross_entropy(logits, labels, weights)
 
     terms = {
-        "hallucinate_ir": hallucination_loss(ir.tap, hal_ir.tap),
-        "hallucinate_depth": hallucination_loss(depth.tap, hal_depth.tap),
+        "hallucinate_ir": mimicry_chain(ir.tap, hal_ir.tap),
+        "hallucinate_depth": mimicry_chain(depth.tap, hal_depth.tap),
         "ir": ce(ir.logits),
         "depth": ce(depth.logits),
         "rgb": ce(rgb.logits),

@@ -1,5 +1,5 @@
 """Banded im2col convolution, strided-view pooling, fused batchnorm and
-the fused cross-entropy against reference kernels."""
+the fused cross-entropy and mimicry terms against reference kernels."""
 import numpy as np
 import pytest
 
@@ -17,6 +17,7 @@ from hallucinet.engine import (
     mul,
     release,
     relu,
+    sigmoid_mse,
     softmax_nll,
     transposed_conv2d,
     tsum,
@@ -30,6 +31,7 @@ from reference_kernels import (
     cross_entropy_chain,
     maxpool2_bwd,
     maxpool2_fwd,
+    mimicry_chain,
 )
 
 # relative to the reference's largest absolute value, fixed per dtype
@@ -383,6 +385,27 @@ def test_fused_cross_entropy_bit_identical_to_chain(rng, k, upstream):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3, 4, 4), (3, 5, 7, 9), (4, 32, 16, 16)])
+def test_sigmoid_mse_bit_identical_to_chain(rng, shape, dtype):
+    """Value and tap gradient of the one-node mimicry term under the
+    objective's gamma, against the five-op chain; the target gets none."""
+    target = (rng.normal(size=shape) * 3).astype(dtype)
+    hal = (rng.normal(size=shape) * 3).astype(dtype)
+    gamma = float(rng.uniform(0.5, 50.0))
+    results = []
+    for op in (sigmoid_mse, mimicry_chain):
+        t, h = Tensor(target.copy(), requires_grad=True), Tensor(hal.copy(), requires_grad=True)
+        loss = op(t, h)
+        backward(mul(loss, gamma))
+        assert t.grad is None
+        results.append((loss.data, h.grad))
+    (value, grad), (ref_value, ref_grad) = results
+    assert value.dtype == grad.dtype == dtype
+    assert value.tobytes() == ref_value.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("clips", [True, False])
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_batchnorm_recompute_bit_identical(rng, mode, clips, dtype):
@@ -477,6 +500,55 @@ def test_batchnorm_backward_releases_its_output_then_its_input(rng):
     assert out._data is None and y._data is None
     assert y.grad.shape == y.shape
     assert peak <= 2 * out.grad.nbytes, peak / out.grad.nbytes
+
+
+def _unit(rng, x, co):
+    """conv2d without bias, then train-mode batchnorm, as a branch's unit."""
+    w = Parameter(rng.normal(size=(co, x.shape[1], 3, 3)).astype(np.float32), "w")
+    y = conv2d(x, w, None, padding=1)
+    return batchnorm(y, Parameter(np.ones(co, np.float32), "s"),
+                     Parameter(np.zeros(co, np.float32), "b"), BatchNormState(co), "train")
+
+
+def test_conv2d_backward_releases_a_recomputable_input_before_dx(rng, monkeypatch):
+    """dw is the hook's last read of its input: a batchnorm output, which
+    its own backward can rebuild, is released before dx is allocated;
+    a pooled output and the image, which cannot be rebuilt, stay held."""
+    image = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32), requires_grad=True)
+    normed = _unit(rng, image, 4)
+    pooled = maxpool2(_unit(rng, normed, 4))
+    out = _unit(rng, pooled, 4)
+    inputs = [pooled, normed, image]  # in the order backward reaches their convs
+    held = []
+    real = functional._conv_dx
+
+    def spy(dout, w, padding):
+        held.append(inputs[len(held)]._data is not None)
+        return real(dout, w, padding)
+
+    monkeypatch.setattr(functional, "_conv_dx", spy)
+    backward(tsum(mul(out, out)))
+    assert held == [True, False, True]
+    assert image.grad.shape == image.shape
+
+
+@pytest.mark.parametrize("between", ["conv2d", "batchnorm"])
+def test_input_released_by_conv2d_backward_raises_after_it(rng, between):
+    """An input that conv2d's backward released, a conv output or a
+    batchnorm output rebuilt from one, is not rebuilt from weights the
+    optimizer may have moved: after the whole backward a read raises."""
+    x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
+    w1 = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), "w1")
+    w2 = Parameter(rng.normal(size=(4, 4, 3, 3)).astype(np.float32), "w2")
+    mid = conv2d(x, w1, None, padding=1)
+    if between == "batchnorm":
+        mid = batchnorm(mid, Parameter(np.ones(4, np.float32), "s"),
+                        Parameter(np.zeros(4, np.float32), "b"), BatchNormState(4), "train")
+    out = conv2d(mid, w2, None, padding=1)
+    backward(tsum(mul(out, out)))
+    w1.data -= 0.1  # as an optimizer step would
+    with pytest.raises(ValueError, match="conv2d output after its backward"):
+        mid.data
 
 
 def _conv_dx_dilated(dout, w, padding):

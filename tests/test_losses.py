@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import reference_kernels
-from hallucinet.engine import Tensor, backward
+from hallucinet.engine import Tensor, backward, softmax_nll
 from hallucinet.losses import (
+    PROB_FLOOR,
     ClassWeights,
     GammaPolicy,
+    _pixel_targets,
     calibrate_gamma,
     composite_loss,
     compute_class_weights,
@@ -284,6 +286,30 @@ def test_objective_holds_no_class_sized_array_per_term(rng):
     class_bytes, pixel_bytes = 4 * n * c * h * w, 4 * n * h * w
     assert ce_terms == 9
     assert held < class_bytes + ce_terms * 2 * pixel_bytes + 4 * pixel_bytes
+
+
+def test_loss_nodes_keep_no_array_between_forward_and_backward(rng):
+    # beside the label targets it shares with the other terms, a
+    # cross-entropy node keeps less than one (N,H,W) array, and a mimicry
+    # node less than one tap-sized array: backward rebuilds what it reads
+    n, c, h, w = 2, 4, 64, 64
+    logits = Tensor(rng.normal(size=(n, c, h, w)).astype(np.float32), requires_grad=True)
+    targets = _pixel_targets(rng.integers(0, c, size=(n, h, w)), ClassWeights.uniform(c), logits)
+    taps = [Tensor(rng.normal(size=(n, 8, h, w)).astype(np.float32), requires_grad=True)
+            for _ in range(2)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ce = softmax_nll([logits], *targets, PROB_FLOOR)
+        ce_held = tracemalloc.get_traced_memory()[0] - base
+        mimicry = hallucination_loss(*taps)
+        mimicry_held = tracemalloc.get_traced_memory()[0] - base - ce_held
+    finally:
+        tracemalloc.stop()
+    assert ce_held < 4 * n * h * w, ce_held
+    assert mimicry_held < taps[0].data.nbytes, mimicry_held
+    backward(ce + mimicry)
+    assert logits.grad.shape == logits.shape and taps[1].grad.shape == taps[1].shape
 
 
 def test_benchmark_probe_names():
