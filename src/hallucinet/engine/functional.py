@@ -121,11 +121,6 @@ def _conv_dw(dout: np.ndarray, x: np.ndarray, stride: int, padding: int,
 
 # -- differentiable ops ----------------------------------------------------
 
-def _differentiated():
-    raise ValueError("read of a released conv2d output after its backward: "
-                     "a recompute would read weights the optimizer may have moved")
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of (N,Ci,H,W) with (Co,Ci,kh,kw) plus bias.
@@ -134,25 +129,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     in every conv of a branch past its first, which reads the image.
 
     A node that records a graph edge can rebuild its output
-    (`Tensor.recompute`) with its own kernel over x and the weight as
-    they are at that read, so the bits are the forward's while the
-    weights have not moved; its backward never reads the output. Once
-    the backward has run, the optimizer may move the weight: the output
-    is then kept if it is held, and a read of it raises ValueError if it
-    was released.
+    (`Tensor.recompute`) with its own kernel over x, bit for bit, unless
+    its weight or bias has moved since the forward: the rebuild then
+    raises ValueError. Its backward never reads the output.
 
     The backward takes the weight gradient first, its last read of x,
     then releases x if x can be recomputed, and only then allocates the
     input gradient. A later hook that reads x rebuilds it (a batchnorm
-    output's own backward does, for its ReLU mask); after the whole
-    backward, a read of such an x raises ValueError, since the rebuild
-    reaches a conv output released in that backward."""
+    output's own backward does, for its ReLU mask)."""
     k_hw = weight.data.shape[2:]
     if x.requires_grad and (stride != 1 or k_hw[0] != k_hw[1]):
         raise ValueError(f"conv2d differentiates its input at stride 1 with a square kernel "
                          f"only, got stride {stride} and a {k_hw[0]}x{k_hw[1]} kernel")
 
+    weights = (weight,) if bias is None else (weight, bias)
+    versions = [w.version for w in weights]
+
     def forward() -> np.ndarray:
+        if [w.version for w in weights] != versions:
+            raise ValueError("cannot rebuild a released conv2d output: its weight moved "
+                             "since the forward")
         data = _conv_fwd(x.data, weight.data, stride, padding)
         return data if bias is None else data + bias.data[:, None, None]
 
@@ -164,10 +160,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if x.requires_grad:
             release(x)  # dw was this hook's last read of x: freed before dx is allocated
             _accumulate(x, _conv_dx(out.grad, weight.data, padding))
-        out.recompute = None if out._data is not None else _differentiated
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = make_node(forward(), "conv2d", parents, backw)
+    out = make_node(forward(), "conv2d", (x, *weights), backw)
     if out.requires_grad:
         out.recompute = forward
     return out

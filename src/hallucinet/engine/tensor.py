@@ -37,13 +37,12 @@ class Tensor:
 
     A tensor given a `recompute` function can be released: its array is
     freed, shape and dtype stay, and the next read of `.data` rebuilds
-    the value and holds it again. The rebuild reads its inputs and
-    weights as they are at that read, so it is the value bit for bit as
-    long as no optimizer step has moved them in between.
+    the value and holds it again (see `release`). `version` counts the
+    optimizer's in-place writes to the array.
     """
 
     __slots__ = ("_data", "_spec", "grad", "requires_grad", "op", "parents",
-                 "_backward", "recompute")
+                 "_backward", "recompute", "version")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, op: str = "leaf"):
         self._data = _as_float_array(data, dtype)
@@ -53,6 +52,7 @@ class Tensor:
         self.parents: tuple = ()
         self._backward = None
         self.recompute = None
+        self.version = 0
 
     @property
     def data(self) -> np.ndarray:
@@ -85,9 +85,6 @@ class Tensor:
     # -- arithmetic sugar ------------------------------------------------
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
 
 
 class Parameter(Tensor):
@@ -129,17 +126,8 @@ def frozen(params):
 def release(t: Tensor):
     """Free the array of a tensor that can recompute it; otherwise do nothing.
 
-    The caller vouches that no weight moves before the next read. A
-    train step's forward releases batchnorm outputs, which rebuild from
-    their conv output with the forward's own vectors; of the conv
-    outputs, which read their weight, it releases only a branch's first,
-    and the backward that reads it again runs before the optimizer. In
-    the backward, each hook frees what no later hook reads before it
-    allocates: conv2d's its input once it has the weight gradient,
-    batchnorm's its output once it has the ReLU mask and its conv output
-    when it is done, and `backward` each node once its hook has run.
-    Once its conv's backward has run, a released conv output raises on
-    read, and so does anything rebuilt from it."""
+    A rebuild gives the forward's bits, or raises ValueError if a weight
+    it reads has moved since the forward (its `version` has advanced)."""
     if t.recompute is not None and t._data is not None:
         t._spec = (t._data.shape, t._data.dtype)
         t._data = None
@@ -295,7 +283,6 @@ def _run_hooks(nodes: list):
         node._backward = _released
         node.parents = ()
         node.grad = None
-        release(node)
 
 
 def backward(root: Tensor, groups=(), run=run_in_order):
@@ -304,13 +291,13 @@ def backward(root: Tensor, groups=(), run=run_in_order):
     Each node's backward hook runs exactly once, in reverse topological
     order, so repeated runs on the same values give bit-identical grads.
     The graph is released as the pass goes: once its hook has run, a
-    non-leaf node drops the hook, its parent links and its gradient, a
-    recomputable node drops its value again, and the pass stops holding
-    the node. So an activation that no caller holds is freed as soon as
-    every node that reads it has been processed. Leaves keep their
-    grads, and a node the caller holds keeps (or can recompute) its
-    value. A released node keeps a hook that raises, and a backward that
-    would reach one raises ValueError before touching any gradient.
+    non-leaf node drops the hook, its parent links and its gradient, and
+    the pass stops holding the node. So an activation that no caller
+    holds is freed as soon as every node that reads it has been
+    processed. Leaves keep their grads, and a node the caller holds
+    keeps (or can recompute) its value. A released node keeps a hook
+    that raises, and a backward that would reach one raises ValueError
+    before touching any gradient.
 
     `groups` splits the pass. Each group is a list of tensors, and its
     subgraph is every node they reach through their parents; groups that

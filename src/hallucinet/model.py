@@ -167,7 +167,7 @@ class _ConvBnRelu:
         # also refuses an unknown mode. The conv output is held until its
         # batchnorm's backward, but the first unit's: the branch's largest
         # activation, from its cheapest GEMM (the input's few channels), is
-        # recomputed once in backward, before the optimizer moves the weight
+        # recomputed once in backward
         y = conv2d(x, self.weight, None, stride=self.stride, padding=1)
         release(x)  # a previous unit's output: its batchnorm can rebuild it
         out = batchnorm(y, self.scale, self.shift, self.state, mode)

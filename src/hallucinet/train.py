@@ -111,6 +111,11 @@ def adam_step(params: list[Parameter], grads, state: AdamState):
     A parameter with no gradient, or with `requires_grad` off (frozen), is
     skipped entirely: it is not moved and no m/v moments are kept for it.
     The gradients are finite: `_optimizer_round` refuses any other.
+
+    Each parameter it moves advances its `version`, so that a released
+    conv output over it raises instead of being rebuilt. No other code
+    writes a parameter while a graph over it can be alive: checkpoint
+    loading and `init_hallucination_from` write into new branches.
     """
     live = [(p, g) for p, g in zip(params, grads) if g is not None and p.requires_grad]
     state.step_count += 1
@@ -140,6 +145,7 @@ def adam_step(params: list[Parameter], grads, state: AdamState):
         step *= state.lr
         step /= denom
         np.subtract(p.data, step, out=p.data)  # in place: p.data is a view of its branch's store
+        p.version += 1
 
 
 def _tap_prefix(branch: BranchNet) -> list[Parameter]:
@@ -370,7 +376,8 @@ def run_protocol(manifest: DatasetManifest, model_config: BranchConfig,
         gamma = _calibrate(bundle, sampler.batches(calibration, seed4), objective, config, log)
 
         def target_taps(batch):
-            """The frozen targets' train-mode taps of one batch, in roster order."""
+            """The frozen targets' train-mode taps of one batch, in roster order.
+            The train-mode prefixes still advance their batchnorm running statistics."""
             return {role: bundle.branches[role].prefix(batch[role_modalities[role]], "train")
                     for role in roles}
 
@@ -408,7 +415,9 @@ def _calibrate(bundle, batches, objective, config: TrainConfig, log) -> float:
     step = 0
     try:
         for step, (batch, labels) in enumerate(batches):
-            with frozen(bundle.parameters()):  # values only: no graph
+            # no graph, but the train-mode forward still advances every
+            # branch's batchnorm running statistics
+            with frozen(bundle.parameters()):
                 terms, total = objective(batch, labels, 1.0)
             values = {name: term.item() for name, term in terms.items()}
             gammas.append(calibrate_gamma(values, config.gamma))

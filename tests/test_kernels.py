@@ -24,6 +24,7 @@ from hallucinet.engine import (
 )
 from hallucinet.losses import PROB_FLOOR, ClassWeights, _pixel_targets, weighted_cross_entropy
 from hallucinet.model import BranchConfig
+from hallucinet.train import AdamState, adam_step
 from reference_kernels import (
     conv_dw,
     conv_dx,
@@ -459,22 +460,47 @@ def test_conv2d_without_graph_has_no_recompute(rng):
     assert y.recompute is None and y.data is held
 
 
-def test_conv2d_output_is_not_rebuilt_after_its_backward(rng):
-    """The optimizer may move the weight once backward has run: a released
-    conv output, and the batchnorm output rebuilt from it, then raise on
-    read, while a held conv output keeps the forward's value."""
+def test_conv2d_output_is_rebuilt_until_an_optimizer_step_moves_its_weight(rng):
+    """After backward, a released conv output, and the batchnorm output
+    rebuilt from it, read the forward's bits; once adam_step has moved the
+    weight, both reads raise, while a held conv output keeps its bits."""
     x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
     w = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), "w")
     held = conv2d(x, w, None, padding=1)
-    expected = held.data.copy()
     y = conv2d(x, w, None, padding=1)
     out = batchnorm(y, Parameter(np.ones(4, np.float32), "s"),
                     Parameter(np.zeros(4, np.float32), "b"), BatchNormState(4), "train")
+    expected = [t.data.tobytes() for t in (held, y, out)]
     backward(tsum(mul(out, out)) + tsum(held))
-    assert held.data.tobytes() == expected.tobytes()
+    assert y._data is None and out._data is None
+    assert [t.data.tobytes() for t in (held, y, out)] == expected
+    release(y)
+    release(out)
+    adam_step([w], [w.grad], AdamState(lr=0.1))
     for released in (y, out):
-        with pytest.raises(ValueError, match="conv2d output after its backward"):
+        with pytest.raises(ValueError, match="conv2d output: its weight moved"):
             released.data
+    assert held.data.tobytes() == expected[0]
+
+
+@pytest.mark.parametrize("moved", ["weight", "bias"])
+def test_conv2d_rebuild_raises_once_a_weight_it_reads_moved(rng, moved):
+    """conv -> batchnorm with the conv output released, as a branch's
+    first unit leaves it: a weight or bias version that advances before
+    the read makes the rebuild, and batchnorm's rebuild through it, raise."""
+    x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
+    w = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), "w")
+    b = Parameter(rng.normal(size=4).astype(np.float32), "b")
+    y = conv2d(x, w, b, padding=1)
+    out = batchnorm(y, Parameter(np.ones(4, np.float32), "s"),
+                    Parameter(np.zeros(4, np.float32), "b"), BatchNormState(4), "train")
+    release(y)
+    release(out)
+    {"weight": w, "bias": b}[moved].version += 1
+    for released in (out, y):
+        with pytest.raises(ValueError, match="conv2d output: its weight moved"):
+            released.data
+    assert y._data is None and out._data is None
 
 
 def test_batchnorm_backward_releases_its_output_then_its_input(rng):
@@ -536,7 +562,7 @@ def test_conv2d_backward_releases_a_recomputable_input_before_dx(rng, monkeypatc
 def test_input_released_by_conv2d_backward_raises_after_it(rng, between):
     """An input that conv2d's backward released, a conv output or a
     batchnorm output rebuilt from one, is not rebuilt from weights the
-    optimizer may have moved: after the whole backward a read raises."""
+    optimizer has moved: after the backward and a step a read raises."""
     x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
     w1 = Parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), "w1")
     w2 = Parameter(rng.normal(size=(4, 4, 3, 3)).astype(np.float32), "w2")
@@ -546,8 +572,8 @@ def test_input_released_by_conv2d_backward_raises_after_it(rng, between):
                         Parameter(np.zeros(4, np.float32), "b"), BatchNormState(4), "train")
     out = conv2d(mid, w2, None, padding=1)
     backward(tsum(mul(out, out)))
-    w1.data -= 0.1  # as an optimizer step would
-    with pytest.raises(ValueError, match="conv2d output after its backward"):
+    adam_step([w1], [w1.grad], AdamState(lr=0.1))  # as an optimizer step would
+    with pytest.raises(ValueError, match="conv2d output: its weight moved"):
         mid.data
 
 

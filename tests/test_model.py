@@ -232,6 +232,20 @@ class TestTrainForwardMemory:
         # every unit's output once, and the first unit's conv output
         assert sum(released) == units + 1
 
+    def test_step_between_forward_and_backward_raises(self, tiny_config, rng):
+        """An optimizer step between a train forward and its backward moves
+        the first unit's weight: batchnorm's backward must not rebuild the
+        released conv output from it, so the backward raises."""
+        from hallucinet.engine import backward, tsum
+        from hallucinet.train import AdamState, adam_step
+
+        branch = build_branch(tiny_config, 3, "rgb", 0)
+        out = branch.forward(rng.random((2, 3, 64, 64), dtype=np.float32), "train")
+        params = branch.parameters()
+        adam_step(params, [np.ones_like(p.data) for p in params], AdamState(lr=0.1))
+        with pytest.raises(ValueError, match="conv2d output: its weight moved"):
+            backward(tsum(out.logits))
+
     def test_default_step_releases_the_first_conv_output(self, rng):
         """One train step of a default branch on a default batch: after the
         forward, no first-unit conv output is held, and the backward holds

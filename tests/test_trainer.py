@@ -85,6 +85,18 @@ class TestAdam:
                                    np.array([5.0], dtype=np.float32)], state)
         assert set(state.m) == set(state.v) == {"live"}
 
+    def test_version_counts_the_steps_that_move_a_parameter(self):
+        """Each step that moves a parameter advances its version by one; a
+        frozen parameter and one without a gradient keep theirs."""
+        live = Parameter(np.array([1.0], dtype=np.float32), "live")
+        frozen = Parameter(np.array([1.0], dtype=np.float32), "frozen", requires_grad=False)
+        gradless = Parameter(np.array([1.0], dtype=np.float32), "gradless")
+        state = AdamState(lr=0.1)
+        for step in (1, 2, 3):
+            adam_step([live, frozen, gradless], [np.array([5.0], dtype=np.float32),
+                                                 np.array([5.0], dtype=np.float32), None], state)
+            assert (live.version, frozen.version, gradless.version) == (step, 0, 0)
+
     def test_non_finite_gradient_moves_nothing(self):
         """The optimizer round, adam_step's caller, refuses a non-finite
         gradient before any parameter or moment moves."""
