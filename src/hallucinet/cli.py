@@ -137,10 +137,7 @@ def write_png(path, rgb: np.ndarray):
 
 
 def class_map_to_rgb(class_map: np.ndarray) -> np.ndarray:
-    rgb = np.zeros((*class_map.shape, 3), dtype=np.uint8)
-    for c in range(int(class_map.max()) + 1):
-        rgb[class_map == c] = CLASS_COLORS[c % len(CLASS_COLORS)]
-    return rgb
+    return np.asarray(CLASS_COLORS, np.uint8)[class_map % len(CLASS_COLORS)]
 
 
 # -- commands ----------------------------------------------------------------

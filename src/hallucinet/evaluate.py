@@ -93,13 +93,14 @@ def metrics(conf: ConfusionMatrix, excluded_classes=()) -> dict:
     tp = np.diag(n)
     t_i = n.sum(axis=1)
     pred_i = n.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(pred_i > 0, tp / pred_i, 0.0)
-        recall = np.where(t_i > 0, tp / t_i, 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
-        union = t_i + pred_i - tp
-        iou = np.where(union > 0, tp / np.where(union > 0, union, 1.0), 0.0)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+    precision = ratio(tp, pred_i)
+    recall = ratio(tp, t_i)
+    f1 = ratio(2.0 * precision * recall, precision + recall)
+    iou = ratio(tp, t_i + pred_i - tp)
     included = [c for c in range(conf.class_count)
                 if t_i[c] > 0 and c not in excluded_classes]
     if not included:

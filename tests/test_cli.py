@@ -36,8 +36,8 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 def refuses(argv, code, capsys, error, *paths):
-    """CI's `refuses`: `main(argv)` exits `code` with `error`, a regex, in
-    its error output, and leaves none of `paths`; returns the error output."""
+    """Assert that `main(argv)` exits `code` with `error`, a regex, in its
+    error output, and leaves none of `paths`; return the error output."""
     assert main(argv) == code
     err = capsys.readouterr().err
     assert re.search(error, err)
@@ -312,6 +312,25 @@ def _four_channel_color(dataset: Path, tmp_path, split: str) -> Path:
     return tmp_path / "ds" / "manifest.json"
 
 
+def _scene_in_two_splits(dataset: Path, tmp_path, split: str) -> Path:
+    """A copy of the dataset whose val split lists the test scene too."""
+    shutil.copytree(dataset, tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["splits"]["val"].append(doc["splits"]["test"][0])
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+def _labels_of_rank_three(dataset: Path, tmp_path, split: str) -> Path:
+    """A copy of the dataset whose first scene of `split` has uint8 labels
+    of shape (1,H,W)."""
+    shutil.copytree(dataset, tmp_path / "ds")
+    path = _first_raster(tmp_path / "ds" / "manifest.json", split, "labels")
+    write_tensor_file(path, read_tensor_file(path)[None])
+    return tmp_path / "ds" / "manifest.json"
+
+
 def _malformed(field: str):
     """The error of a manifest refused when it is read, as a regex of the
     manifest's path and the split read; `field` may name {split}."""
@@ -364,6 +383,14 @@ MANIFEST_DEFECTS = [
                  lambda manifest, split: re.escape(
                      f"modality raster {_first_raster(manifest, split, 'color')} has 4 "
                      "channels, the manifest gives 3"), id="four-channel-color"),
+    pytest.param(_scene_in_two_splits, None,
+                 lambda manifest, split: re.escape("scene scene_005 appears in more than one split"),
+                 id="scene-in-two-splits"),
+    pytest.param(_labels_of_rank_three, None,
+                 lambda manifest, split: re.escape(
+                     f"scene {_first_raster(manifest, split, 'labels').parent.name}: "
+                     "labels must be (H,W), not of shape (1, 96, 96)"),
+                 id="labels-of-rank-three"),
 ]
 
 
@@ -409,6 +436,10 @@ def _empty_train_split(dataset: Path):
     doc = json.loads((dataset / "manifest.json").read_text())
     doc["splits"]["train"] = []
     (dataset / "manifest.json").write_text(json.dumps(doc))
+
+
+def _missing_labels(dataset: Path):
+    (dataset / "scenes" / _train_ids(dataset)[0] / "labels.mtns").unlink()
 
 
 def _ignored_train_labels(dataset: Path):
@@ -469,6 +500,8 @@ TRAIN_REFUSALS = [
     pytest.param(_flag_height_absent(False), json.dumps, 6,
                  [re.escape("scene scene_000 flags modality 'height'")],
                  id="flagged-height-deleted"),
+    pytest.param(_missing_labels, json.dumps, 3,
+                 [re.escape("missing labels for scene scene_000")], id="missing-labels"),
     # refused by the sampler
     pytest.param(_empty_train_split, json.dumps, 2, [re.escape("split 'train' is empty")],
                  id="empty-train-split"),
@@ -951,13 +984,17 @@ def _ckpt_records(edit):
     return damage
 
 
-def _old_version(version):
-    # every version but 3 is refused by name, true (== 1 in Python) too;
-    # the flipped payload byte would also fail the checksum
+def _flipped(edit):
+    """A damage that writes the checkpoint again, `edit(header, tensors)`
+    applied, then flips a payload byte, which fails the checksum."""
     def damage(src, dest):
-        _ckpt_records(lambda header, _: header.update(format_version=version))(src, dest)
+        _ckpt_records(edit)(src, dest)
         dest.write_bytes(_flip_middle_byte(dest.read_bytes()))
     return damage
+
+
+def _tap_depth_9(header, tensors):
+    header["config"]["tap_depth"] = 9
 
 
 def _unused_tensor(header, tensors):
@@ -984,9 +1021,18 @@ CHECKPOINT_DEFECTS = [
                  "checkpoint {ckpt}: Expecting value", id="header"),
     pytest.param(_ckpt_bytes(_flip_middle_byte), 5,
                  "checkpoint {ckpt}: tensor records do not match their checksum", id="flip"),
-    *[pytest.param(_old_version(version), 5,
+    # every version but 3 is refused by name, true (== 1 in Python) too,
+    # before the checksum is read
+    *[pytest.param(_flipped(lambda header, _, version=version: header.update(
+                       format_version=version)), 5,
                    f"checkpoint {{ckpt}}: unsupported format version {json.dumps(version)}",
                    id=f"version-{version}") for version in (1, 2, True)],
+    # a branch the header cannot build is reported after the checksum
+    pytest.param(_ckpt_records(_tap_depth_9), 5, "checkpoint {ckpt}: tap depth 9 outside 1..2",
+                 id="tap-depth-9"),
+    pytest.param(_flipped(_tap_depth_9), 5,
+                 "checkpoint {ckpt}: tensor records do not match their checksum",
+                 id="tap-depth-9-and-flip"),
     pytest.param(_ckpt_records(_unused_tensor), 5,
                  "checkpoint {ckpt}: tensors no branch uses: rgb/block0/conv0/bias",
                  id="unused-tensor"),

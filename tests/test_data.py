@@ -513,6 +513,10 @@ def _stray_label(path, manifest, spec):
     write_tensor_file(path, np.full_like(read_tensor_file(path), manifest.class_count))
 
 
+def _cropped(path, manifest, spec):
+    write_tensor_file(path, read_tensor_file(path)[:, :64, :64])
+
+
 class TestPatchSampler:
     MODALITIES = ["color", "height"]
 
@@ -639,7 +643,10 @@ class TestPatchSampler:
          r"\S+/scenes/scene_\d+/color\.mtns: truncated payload"),
         (_stray_label, "labels", ValueError,
          r"\S+/scenes/scene_\d+/labels\.mtns, window at \(\d+, \d+\): label 4 is neither"),
-    ], ids=["nan-in-window", "truncated", "stray-label"])
+        (_cropped, "color", TensorFileError,
+         r"\S+/scenes/scene_\d+/color\.mtns: holds a tensor of shape \(3, 64, 64\), "
+         r"not \(3, 128, 128\)"),
+    ], ids=["nan-in-window", "truncated", "stray-label", "another-extent"])
     def test_file_changed_after_construction_raises_naming_it(
             self, tiny_dataset, tmp_path, damage, name, error, match):
         """Each batch re-reads its windows: a file rewritten after the

@@ -1,5 +1,6 @@
 """Trainer: Adam, clipping, freezing, staged protocol, determinism."""
 import copy
+import shutil
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +10,13 @@ import pytest
 
 import hallucinet.train as train_mod
 import reference_kernels
-from hallucinet.data import MissingModalityError, PatchSpec
+from hallucinet.data import (
+    MissingModalityError,
+    PatchSpec,
+    load_manifest,
+    read_tensor_file,
+    write_tensor_file,
+)
 from hallucinet.engine import NonFiniteError, Parameter, mul
 from hallucinet.losses import GammaPolicy, calibrate_gamma
 from hallucinet.model import BranchConfig
@@ -326,6 +333,18 @@ class TestProtocolSingle:
         # color is what the hallucination branch reads, not a modality to hallucinate
         with pytest.raises(ValueError, match="not an optional modality \\(height\\)"):
             run_protocol(tiny_dataset, tiny_config, replace(FAST, hallucinate="color"))
+
+    def test_hallucinate_selects_the_modality_of_role_depth(self, tiny_dataset_ir, tiny_config,
+                                                           tmp_path):
+        """train.hallucinate "ir" trains role depth on ir: a copy of the
+        dataset whose height rasters hold only NaN trains, as no height
+        raster is read."""
+        shutil.copytree(tiny_dataset_ir.root, tmp_path / "ds")
+        for path in (tmp_path / "ds" / "scenes").rglob("height.mtns"):
+            write_tensor_file(path, np.full_like(read_tensor_file(path), np.nan))
+        bundle, _ = run_protocol(load_manifest(tmp_path / "ds" / "manifest.json"), tiny_config,
+                                 replace(FAST, stage1_steps=1, stage4_steps=1, hallucinate="ir"))
+        assert bundle.role_modalities == {"rgb": "color", "depth": "ir"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_surfaces_with_stage_tag(self, tiny_dataset, tiny_config):
